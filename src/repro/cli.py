@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import typing
 
 from repro.cache.base import available_policies
 from repro.cache.placement import available_placements
@@ -50,7 +51,15 @@ from repro.hardware.faults import (
 )
 from repro.hardware.platform_presets import HARDWARE_PRESETS
 from repro.models.presets import MODEL_PRESETS, get_preset
+from repro.prediction import available_predictors
 from repro.rng import derive_rng
+from repro.scenarios.spec import (
+    EngineSpec,
+    FleetSpec,
+    ServingSpec,
+    knob_fields,
+    spec_from_knobs,
+)
 from repro.workloads.generator import (
     decode_workload,
     prefill_workloads,
@@ -80,50 +89,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run one generation and print metrics")
-    run.add_argument("--model", default="deepseek", choices=sorted(MODEL_PRESETS))
-    run.add_argument("--strategy", default="hybrimoe", choices=available_strategies())
-    run.add_argument("--cache-ratio", type=float, default=0.5)
-    run.add_argument("--hardware", default="paper", choices=sorted(HARDWARE_PRESETS))
     run.add_argument("--prompt-len", type=int, default=128)
     run.add_argument("--decode-steps", type=int, default=32)
-    run.add_argument("--num-layers", type=int, default=None)
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument(
-        "--num-gpus", type=int, default=1, help="simulated GPU devices (sharded cache above 1)"
-    )
-    run.add_argument(
-        "--placement",
-        default="round_robin",
-        choices=available_placements(),
-        help="expert-placement policy of the sharded cache",
-    )
-    run.add_argument(
-        "--planner",
-        default="fast",
-        choices=["fast", "reference"],
-        help="planner implementation (plans are bit-identical; "
-        "'reference' is the pre-fast-path planner — from-scratch "
-        "simulation, no memo — for perf baselines)",
-    )
-    run.add_argument(
-        "--engine",
-        default="fast",
-        choices=["fast", "reference"],
-        help="engine-core implementation (outputs are bit-identical; "
-        "'reference' is the pre-fast-path engine loop — per-task "
-        "records, rescanning frontiers — for perf baselines)",
-    )
-    _add_tiered_memory_args(run)
-    _add_predictor_args(run)
+    _add_engine_flags(run)
 
     serve = sub.add_parser(
         "serve", help="serve a multi-request arrival trace with continuous batching"
     )
-    serve.add_argument("--model", default="deepseek", choices=sorted(MODEL_PRESETS))
-    serve.add_argument("--strategy", default="hybrimoe", choices=available_strategies())
-    serve.add_argument("--cache-ratio", type=float, default=0.5)
-    serve.add_argument("--hardware", default="paper", choices=sorted(HARDWARE_PRESETS))
-    serve.add_argument("--num-layers", type=int, default=None)
     serve.add_argument(
         "--num-requests",
         type=int,
@@ -148,21 +120,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-class arrival fractions, e.g. 'interactive=0.25,batch=0.75' "
         "(default: every request in the batch class — pure FCFS)",
     )
+    _add_engine_flags(serve)
 
     serving_group = serve.add_argument_group(
         "serving", "continuous-batching loop knobs (one replica's scheduler)"
     )
-    serving_group.add_argument("--max-batch-size", type=int, default=8)
-    serving_group.add_argument(
+    _knob_flag(serving_group, "--max-batch-size", "max_batch_size")
+    _knob_flag(
+        serving_group,
         "--prefill-chunk",
-        type=int,
-        default=None,
+        "prefill_chunk_tokens",
         metavar="TOKENS",
         help="chunked prefill: bound each prefill step to TOKENS prompt "
         "tokens, interleaving slices with decode steps",
     )
-    serving_group.add_argument(
+    _knob_flag(
+        serving_group,
         "--preempt",
+        "preemption",
         action="store_true",
         help="allow arrived higher-priority requests to pause the "
         "lowest-priority decoder when the batch is full",
@@ -171,16 +146,18 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_group = serve.add_argument_group(
         "fleet", "replica pool behind a front-end router"
     )
-    fleet_group.add_argument(
+    _knob_flag(
+        fleet_group,
         "--replicas",
-        type=int,
-        default=1,
-        help="replica fleet size (1 = the bare single serving engine; "
-        "above 1 a FleetRouter spreads arrivals across identical replicas)",
+        "replicas",
+        help="replica fleet size (default 1 = the bare single serving "
+        "engine; above 1 a FleetRouter spreads arrivals across identical "
+        "replicas)",
     )
-    fleet_group.add_argument(
+    _knob_flag(
+        fleet_group,
         "--router",
-        default="round_robin",
+        "router",
         help="fleet routing policy (only meaningful with --replicas > 1); "
         f"one of: {', '.join(available_routers())}",
     )
@@ -202,10 +179,10 @@ def build_parser() -> argparse.ArgumentParser:
     resilience_group = serve.add_argument_group(
         "resilience", "timeouts, overload shedding and retry policy"
     )
-    resilience_group.add_argument(
+    _knob_flag(
+        resilience_group,
         "--request-timeout",
-        type=float,
-        default=None,
+        "request_timeout_s",
         metavar="SECONDS",
         help="end-to-end per-request budget from arrival; requests still "
         "unfinished past it are aborted (status timed_out)",
@@ -218,49 +195,20 @@ def build_parser() -> argparse.ArgumentParser:
         "DEPTH, draining to RESUME (default DEPTH//2); lowest class "
         "sheds first, newest arrival first",
     )
-    resilience_group.add_argument(
+    _knob_flag(
+        resilience_group,
         "--max-retries",
-        type=int,
-        default=0,
+        "max_retries",
         help="timeout retry budget per request (fleet only: retries are "
         "re-routed like failovers)",
     )
-    resilience_group.add_argument(
+    _knob_flag(
+        resilience_group,
         "--retry-backoff",
-        type=float,
-        default=0.5,
+        "retry_backoff_s",
         metavar="SECONDS",
         help="base retry backoff; retry n waits backoff * 2**(n-1)",
     )
-
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument(
-        "--num-gpus", type=int, default=1, help="simulated GPU devices (sharded cache above 1)"
-    )
-    serve.add_argument(
-        "--placement",
-        default="round_robin",
-        choices=available_placements(),
-        help="expert-placement policy of the sharded cache",
-    )
-    serve.add_argument(
-        "--planner",
-        default="fast",
-        choices=["fast", "reference"],
-        help="planner implementation (plans are bit-identical; "
-        "'reference' is the pre-fast-path planner — from-scratch "
-        "simulation, no memo — for perf baselines)",
-    )
-    serve.add_argument(
-        "--engine",
-        default="fast",
-        choices=["fast", "reference"],
-        help="engine-core implementation (outputs are bit-identical; "
-        "'reference' is the pre-fast-path engine loop — per-task "
-        "records, rescanning frontiers — for perf baselines)",
-    )
-    _add_tiered_memory_args(serve)
-    _add_predictor_args(serve)
 
     compare = sub.add_parser("compare", help="race all frameworks on one workload")
     compare.add_argument("--model", default="deepseek", choices=sorted(MODEL_PRESETS))
@@ -360,56 +308,121 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_tiered_memory_args(parser: argparse.ArgumentParser) -> None:
-    """The tiered-memory knob trio shared by ``run`` and ``serve``."""
-    parser.add_argument(
+def _fast_or_reference(text: str) -> bool:
+    """``--planner/--engine fast|reference`` as the spec's fast-path bool."""
+    if text not in ("fast", "reference"):
+        raise argparse.ArgumentTypeError("expected 'fast' or 'reference'")
+    return text == "fast"
+
+
+#: Resolved annotation of every spec knob (``int | None``, ``str``, ...).
+_KNOB_HINTS = {
+    name: hint
+    for spec_type in (EngineSpec, ServingSpec, FleetSpec)
+    for name, hint in typing.get_type_hints(spec_type).items()
+}
+
+
+def _knob_flag(parser, flag: str, knob: str, **extra) -> None:
+    """Declare ``flag`` as the command-line spelling of spec knob ``knob``.
+
+    The spec field supplies the value type, and the default is
+    *absence* (``argparse.SUPPRESS``): only flags the user typed become
+    spec overrides, so every default stays the spec's own. ``extra``
+    adds what only a command line needs — help, a metavar, eager
+    ``choices`` from the registries, or a different flag shape.
+    """
+    if "type" not in extra and "action" not in extra:
+        hint = _KNOB_HINTS[knob]
+        # `int | None` -> int: a flag that is present has a value.
+        extra["type"] = next(
+            t for t in typing.get_args(hint) or (hint,) if t is not type(None)
+        )
+    parser.add_argument(flag, dest=knob, default=argparse.SUPPRESS, **extra)
+
+
+def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
+    """The :class:`EngineSpec` knobs, shared by ``run`` and ``serve``."""
+    _knob_flag(parser, "--model", "model", choices=sorted(MODEL_PRESETS))
+    _knob_flag(parser, "--strategy", "strategy", choices=available_strategies())
+    _knob_flag(parser, "--cache-ratio", "cache_ratio")
+    _knob_flag(parser, "--hardware", "hardware", choices=sorted(HARDWARE_PRESETS))
+    _knob_flag(parser, "--num-layers", "num_layers")
+    _knob_flag(parser, "--seed", "seed")
+    _knob_flag(
+        parser, "--num-gpus", "num_gpus", help="simulated GPU devices (sharded cache above 1)"
+    )
+    _knob_flag(
+        parser,
+        "--placement",
+        "placement",
+        choices=available_placements(),
+        help="expert-placement policy of the sharded cache",
+    )
+    _knob_flag(
+        parser,
+        "--planner",
+        "planner_fast_path",
+        type=_fast_or_reference,
+        metavar="{fast,reference}",
+        help="planner implementation (plans are bit-identical; "
+        "'reference' is the pre-fast-path planner — from-scratch "
+        "simulation, no memo — for perf baselines)",
+    )
+    _knob_flag(
+        parser,
+        "--engine",
+        "engine_fast_path",
+        type=_fast_or_reference,
+        metavar="{fast,reference}",
+        help="engine-core implementation (outputs are bit-identical; "
+        "'reference' is the pre-fast-path engine loop — per-task "
+        "records, rescanning frontiers — for perf baselines)",
+    )
+    _knob_flag(
+        parser,
         "--cpu-cache-capacity",
-        type=int,
-        default=None,
+        "cpu_cache_capacity",
         metavar="SLOTS",
         help="routed-expert slots of host DRAM (default: unbounded — "
         "the classic two-tier engine); experts outside both caches "
         "spill to disk",
     )
-    parser.add_argument(
+    _knob_flag(
+        parser,
         "--cpu-cache-policy",
-        default="lru",
+        "cpu_cache_policy",
         choices=available_policies(),
         help="eviction policy of the DRAM tier",
     )
-    parser.add_argument(
+    _knob_flag(
+        parser,
         "--disk-bandwidth",
-        type=float,
-        default=None,
+        "disk_bandwidth",
         metavar="BYTES_PER_S",
         help="override the hardware profile's disk read bandwidth",
     )
-
-
-def _add_predictor_args(parser: argparse.ArgumentParser) -> None:
-    """The predictive-scheduling knob trio shared by ``run`` and ``serve``."""
-    from repro.prediction import available_predictors
-
-    parser.add_argument(
+    _knob_flag(
+        parser,
         "--predictor",
-        default=None,
+        "predictor",
         choices=available_predictors(),
         help="cross-layer expert predictor driving confidence-gated deep "
         "prefetching (default: off — the heuristic prefetcher, "
         "bit-identical to the historical engine)",
     )
-    parser.add_argument(
+    _knob_flag(
+        parser,
         "--predict-horizon",
-        type=int,
-        default=4,
+        "predict_horizon",
         metavar="LAYERS",
         help="deepest lookahead distance a confident predictor may "
         "extend prefetching to",
     )
-    parser.add_argument(
+    _knob_flag(
+        parser,
         "--confidence-gate",
-        type=float,
-        default=0.6,
+        "confidence_gate",
         metavar="THRESHOLD",
         help="calibrated-confidence threshold in [0, 1] the predictor "
         "must clear before it influences prefetch decisions (1.0 "
@@ -417,26 +430,26 @@ def _add_predictor_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _fleet_spec(args: argparse.Namespace) -> FleetSpec:
+    """The one spec a ``run`` / ``serve`` namespace describes.
+
+    ``run`` reads only its ``.engine``. The CLI differs from
+    :class:`FleetSpec` in a single default: without ``--replicas`` it
+    serves on the bare engine (``replicas=1``).
+    """
+    valid = knob_fields(FleetSpec)
+    knobs = {"replicas": 1, **{k: v for k, v in vars(args).items() if k in valid}}
+    if getattr(args, "shed", None) is not None:
+        knobs["shed_queue_depth"], knobs["shed_resume_depth"] = _parse_shed(args.shed)
+    if knobs["replicas"] < 1:
+        raise ConfigError(f"--replicas must be >= 1, got {knobs['replicas']}")
+    return spec_from_knobs(FleetSpec, knobs, "repro")
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    engine = make_engine(
-        model=args.model,
-        strategy=args.strategy,
-        cache_ratio=args.cache_ratio,
-        hardware=args.hardware,
-        num_layers=args.num_layers,
-        seed=args.seed,
-        num_gpus=args.num_gpus,
-        placement=args.placement,
-        planner_fast_path=args.planner == "fast",
-        engine_fast_path=args.engine == "fast",
-        cpu_cache_capacity=args.cpu_cache_capacity,
-        cpu_cache_policy=args.cpu_cache_policy,
-        disk_bandwidth=args.disk_bandwidth,
-        predictor=args.predictor,
-        predict_horizon=args.predict_horizon,
-        confidence_gate=args.confidence_gate,
-    )
-    rng = derive_rng(args.seed, "cli", "prompt")
+    spec = _fleet_spec(args).engine
+    engine = make_engine(spec=spec)
+    rng = derive_rng(spec.seed, "cli", "prompt")
     prompt = rng.integers(0, engine.model.vocab_size, size=args.prompt_len)
     result = engine.generate(prompt, decode_steps=args.decode_steps)
     print(format_table([result.summary()], title="run result"))
@@ -483,13 +496,6 @@ def _parse_priority_mix(text: str | None) -> dict[str, float] | None:
                 f"bad --priority-mix fraction {fraction!r} for {name.strip()!r}"
             ) from None
     return mix
-
-
-def _serve_arrivals(args: argparse.Namespace) -> tuple[list[float] | None, float | None]:
-    """Resolve the (arrival_times, arrival_rate) pair for ``serve``."""
-    if args.arrival_trace is not None:
-        return [float(t) for t in args.arrival_trace.split(",")], None
-    return None, args.arrival_rate
 
 
 def _parse_fault_spec(
@@ -565,10 +571,8 @@ def _parse_fault_spec(
     )
 
 
-def _parse_shed(text: str | None) -> tuple[int | None, int | None]:
+def _parse_shed(text: str) -> tuple[int, int | None]:
     """Parse ``--shed DEPTH[:RESUME]`` into the watermark pair."""
-    if text is None:
-        return None, None
     depth_text, _, resume_text = text.partition(":")
     try:
         depth = int(depth_text)
@@ -580,51 +584,33 @@ def _parse_shed(text: str | None) -> tuple[int | None, int | None]:
     return depth, resume
 
 
-def _cmd_serve_fleet(args: argparse.Namespace) -> int:
-    """``serve --replicas M``: route the trace through a replica fleet."""
-    fault_schedule, hardware_faults = _parse_fault_spec(args.fault_spec)
-    shed_depth, shed_resume = _parse_shed(args.shed)
-    fleet = make_fleet(
-        model=args.model,
-        strategy=args.strategy,
-        cache_ratio=args.cache_ratio,
-        hardware=args.hardware,
-        num_layers=args.num_layers,
-        seed=args.seed,
-        num_gpus=args.num_gpus,
-        placement=args.placement,
-        planner_fast_path=args.planner == "fast",
-        engine_fast_path=args.engine == "fast",
-        cpu_cache_capacity=args.cpu_cache_capacity,
-        cpu_cache_policy=args.cpu_cache_policy,
-        disk_bandwidth=args.disk_bandwidth,
-        predictor=args.predictor,
-        predict_horizon=args.predict_horizon,
-        confidence_gate=args.confidence_gate,
-        max_batch_size=args.max_batch_size,
-        prefill_chunk_tokens=args.prefill_chunk,
-        preemption=args.preempt,
-        replicas=args.replicas,
-        router=args.router,
-        request_timeout_s=args.request_timeout,
-        shed_queue_depth=shed_depth,
-        shed_resume_depth=shed_resume,
-        fault_schedule=fault_schedule,
-        hardware_faults=hardware_faults,
-        max_retries=args.max_retries,
-        retry_backoff_s=args.retry_backoff,
-    )
-    arrival_times, arrival_rate = _serve_arrivals(args)
-    trace = serving_workload(
+def _serve_trace(args: argparse.Namespace, seed: int, vocab_size: int):
+    """The arrival trace ``serve`` replays (explicit instants or Poisson)."""
+    arrival_times, arrival_rate = None, args.arrival_rate
+    if args.arrival_trace is not None:
+        arrival_times = [float(t) for t in args.arrival_trace.split(",")]
+        arrival_rate = None
+    return serving_workload(
         num_requests=args.num_requests,
         arrival_rate=arrival_rate,
         arrival_times=arrival_times,
         decode_steps=args.decode_steps,
-        vocab_size=fleet.replicas[0].engine.model.vocab_size,
-        seed=args.seed,
+        vocab_size=vocab_size,
+        seed=seed,
         priority_mix=_parse_priority_mix(args.priority_mix),
     )
-    report = fleet.serve_trace(trace)
+
+
+def _cmd_serve_fleet(args: argparse.Namespace, spec: FleetSpec) -> int:
+    """``serve --replicas M``: route the trace through a replica fleet."""
+    fault_schedule, hardware_faults = _parse_fault_spec(args.fault_spec)
+    fleet = make_fleet(
+        spec=spec, fault_schedule=fault_schedule, hardware_faults=hardware_faults
+    )
+    engine, serving = spec.engine, spec.serving
+    report = fleet.serve_trace(
+        _serve_trace(args, engine.seed, fleet.replicas[0].engine.model.vocab_size)
+    )
     counts = report.assignment_counts()
     replica_rows = [
         {"replica": rid, "assigned": counts.get(rid, 0), **rep.summary()}
@@ -633,9 +619,9 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
     print(
         format_table(
             replica_rows,
-            title=f"fleet: {args.replicas}x {args.strategy} on {args.model} @ "
-            f"{args.cache_ratio:.0%} cache, router={args.router}, "
-            f"batch<={args.max_batch_size}",
+            title=f"fleet: {spec.replicas}x {engine.strategy} on {engine.model} @ "
+            f"{engine.cache_ratio:.0%} cache, router={spec.router}, "
+            f"batch<={serving.max_batch_size}",
         )
     )
     print(format_table([report.summary()], title="fleet aggregate (merged)"))
@@ -647,10 +633,9 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    if args.replicas < 1:
-        raise ConfigError(f"--replicas must be >= 1, got {args.replicas}")
-    if args.replicas > 1:
-        return _cmd_serve_fleet(args)
+    spec = _fleet_spec(args)
+    if spec.replicas > 1:
+        return _cmd_serve_fleet(args, spec)
     fault_schedule, hardware_faults = _parse_fault_spec(args.fault_spec)
     if fault_schedule is not None:
         raise ConfigError(
@@ -662,70 +647,40 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise ConfigError(
             "hardware faults on replica != 0 need --replicas > 1"
         )
-    if args.max_retries > 0:
+    if spec.max_retries > 0:
         raise ConfigError(
             "--max-retries needs --replicas > 1 (retries are re-routed "
             "through the fleet)"
         )
-    shed_depth, shed_resume = _parse_shed(args.shed)
-    serving = make_serving_engine(
-        model=args.model,
-        strategy=args.strategy,
-        cache_ratio=args.cache_ratio,
-        hardware=args.hardware,
-        num_layers=args.num_layers,
-        seed=args.seed,
-        num_gpus=args.num_gpus,
-        placement=args.placement,
-        planner_fast_path=args.planner == "fast",
-        engine_fast_path=args.engine == "fast",
-        cpu_cache_capacity=args.cpu_cache_capacity,
-        cpu_cache_policy=args.cpu_cache_policy,
-        disk_bandwidth=args.disk_bandwidth,
-        predictor=args.predictor,
-        predict_horizon=args.predict_horizon,
-        confidence_gate=args.confidence_gate,
-        max_batch_size=args.max_batch_size,
-        prefill_chunk_tokens=args.prefill_chunk,
-        preemption=args.preempt,
-        request_timeout_s=args.request_timeout,
-        shed_queue_depth=shed_depth,
-        shed_resume_depth=shed_resume,
-        hardware_faults=hardware_faults,
+    engine = spec.engine
+    serving = make_serving_engine(spec=spec.serving, hardware_faults=hardware_faults)
+    report = serving.serve_trace(
+        _serve_trace(args, engine.seed, serving.engine.model.vocab_size)
     )
-    arrival_times, arrival_rate = _serve_arrivals(args)
-    trace = serving_workload(
-        num_requests=args.num_requests,
-        arrival_rate=arrival_rate,
-        arrival_times=arrival_times,
-        decode_steps=args.decode_steps,
-        vocab_size=serving.engine.model.vocab_size,
-        seed=args.seed,
-        priority_mix=_parse_priority_mix(args.priority_mix),
+    topology = (
+        "" if engine.num_gpus == 1 else f", {engine.num_gpus} GPUs ({engine.placement})"
     )
-    report = serving.serve_trace(trace)
-    topology = "" if args.num_gpus == 1 else f", {args.num_gpus} GPUs ({args.placement})"
-    if args.cpu_cache_capacity is not None:
+    if engine.cpu_cache_capacity is not None:
         topology += (
-            f", DRAM<={args.cpu_cache_capacity} ({args.cpu_cache_policy})"
+            f", DRAM<={engine.cpu_cache_capacity} ({engine.cpu_cache_policy})"
         )
     slo = ""
-    if args.prefill_chunk is not None:
-        slo += f", chunk={args.prefill_chunk}"
-    if args.preempt:
+    if spec.serving.prefill_chunk_tokens is not None:
+        slo += f", chunk={spec.serving.prefill_chunk_tokens}"
+    if spec.serving.preemption:
         slo += ", preemption"
     print(
         format_table(
             report.per_request_rows(),
-            title=f"serving report: {args.strategy} on {args.model} @ "
-            f"{args.cache_ratio:.0%} cache, batch<={args.max_batch_size}"
+            title=f"serving report: {engine.strategy} on {engine.model} @ "
+            f"{engine.cache_ratio:.0%} cache, batch<={spec.serving.max_batch_size}"
             f"{topology}{slo}",
         )
     )
     print(format_table([report.summary()], title="aggregate"))
     if len(report.priority_classes()) > 1:
         print(format_table(report.class_summary(), title="per-class SLO"))
-    if args.num_gpus > 1:
+    if engine.num_gpus > 1:
         cache = serving.engine.runtime.cache
         device_rows = [
             {

@@ -15,7 +15,7 @@ the current hidden state — exactly the mechanism of Fig. 6.
 **Fast path.** A naive implementation pays a full with/without
 simulation pair per candidate expert per lookahead layer, which makes
 the prefetcher the planner's dominant cost in decode. Two mechanisms
-cut that down without changing a single decision at default settings:
+cut that down without changing a single decision:
 
 - *delta screening*: each candidate is first scored by a cheap
   timeline delta bound — the baseline makespan minus a provable lower
@@ -27,12 +27,6 @@ cut that down without changing a single decision at default settings:
 - *memoized simulations*: the scheduler's plan memo covers the quick
   impact simulations, and decode steps repeat near-identical predicted
   routing, so the surviving exact simulations are usually cache hits.
-
-``exact_top_m`` additionally caps how many screening survivors get the
-full simulation (best screening bound first). That is an *approximation*
-— survivors beyond the cap are dropped — so it is off (``None``) by
-default and exists for latency-critical deployments that accept small
-decision drift.
 """
 
 from __future__ import annotations
@@ -120,10 +114,6 @@ class ImpactDrivenPrefetcher:
         Screen candidates with the cheap delta bound before paying for
         an exact impact simulation. Decision-preserving (the bound is
         one-sided); disable only to benchmark the unscreened path.
-    exact_top_m:
-        When set, at most this many screening survivors (best bound
-        first) receive the exact simulation; the rest are dropped. An
-        approximation knob — ``None`` (default) keeps decisions exact.
     disk_fetch_s:
         Estimated disk -> DRAM read time per spilled expert (tiered
         platforms; 0 keeps the two-tier behaviour). Impact simulations
@@ -147,7 +137,6 @@ class ImpactDrivenPrefetcher:
         confidence_decay: float = 0.8,
         min_gain: float = 0.0,
         delta_screen: bool = True,
-        exact_top_m: int | None = None,
         disk_fetch_s: float = 0.0,
         fast_path: bool = True,
     ) -> None:
@@ -159,11 +148,6 @@ class ImpactDrivenPrefetcher:
             )
         if num_activated < 1:
             raise SchedulingError(f"num_activated must be >= 1, got {num_activated}")
-        if exact_top_m is not None:
-            if exact_top_m < 1:
-                raise SchedulingError(f"exact_top_m must be >= 1, got {exact_top_m}")
-            if not delta_screen:
-                raise SchedulingError("exact_top_m requires delta_screen=True")
         if disk_fetch_s < 0:
             raise SchedulingError(
                 f"disk_fetch_s must be non-negative, got {disk_fetch_s}"
@@ -175,7 +159,6 @@ class ImpactDrivenPrefetcher:
         self.confidence_decay = confidence_decay
         self.min_gain = min_gain
         self.delta_screen = delta_screen
-        self.exact_top_m = exact_top_m
         self.disk_fetch_s = disk_fetch_s
         self.fast_path = fast_path
 
@@ -334,9 +317,8 @@ class ImpactDrivenPrefetcher:
         ``(base - lower_bound(with-expert makespan)) * confidence``.
         A candidate is dropped only when even that bound cannot exceed
         ``min_gain`` — the exact path would have dropped it too, so the
-        surviving set yields bit-identical decisions. ``exact_top_m``
-        then optionally caps the survivors (approximation, off by
-        default). ``bounds`` supplies precomputed screening bounds
+        surviving set yields bit-identical decisions, evaluated in
+        candidate order. ``bounds`` supplies precomputed screening bounds
         (:meth:`~repro.core.hybrid_scheduler.HybridScheduler.quick_screen`);
         otherwise they are fetched here.
         """
@@ -347,7 +329,7 @@ class ImpactDrivenPrefetcher:
                 activated, cached, n_tokens, candidates,
                 spilled=spilled, disk_fetch_s=self.disk_fetch_s,
             )
-        scored: list[tuple[float, int]] = []
+        survivors: list[int] = []
         for expert in candidates:
             if bounds is not None:
                 bound = bounds[expert]
@@ -356,16 +338,9 @@ class ImpactDrivenPrefetcher:
                     activated, cached | {expert}, n_tokens,
                     spilled=spilled, disk_fetch_s=self.disk_fetch_s,
                 )
-            gain_bound = (base - bound) * confidence
-            if gain_bound > self.min_gain:
-                scored.append((gain_bound, expert))
-        if self.exact_top_m is not None and len(scored) > self.exact_top_m:
-            scored.sort(key=lambda pair: (-pair[0], pair[1]))
-            scored = scored[: self.exact_top_m]
-        # Original candidate order is preserved so the exact evaluation
-        # sequence matches the unscreened path.
-        keep = {expert for _, expert in scored}
-        return [expert for expert in candidates if expert in keep]
+            if (base - bound) * confidence > self.min_gain:
+                survivors.append(expert)
+        return survivors
 
     def select(
         self,

@@ -73,7 +73,6 @@ class HybriMoEStrategy(Strategy):
                 num_activated=runtime.model_config.num_activated_experts,
                 lookahead=runtime.config.prefetch_lookahead,
                 confidence_decay=runtime.config.prefetch_confidence_decay,
-                exact_top_m=runtime.config.prefetch_exact_top_m,
                 disk_fetch_s=runtime.disk_fetch_est_s,
                 fast_path=runtime.config.engine_fast_path,
             )

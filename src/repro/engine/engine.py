@@ -52,13 +52,15 @@ __all__ = ["EngineConfig", "EngineRuntime", "InferenceEngine"]
 class EngineConfig:
     """Engine-level knobs shared by all strategies.
 
+    The fields this config shares with
+    :class:`~repro.scenarios.spec.EngineSpec` — ``cache_ratio``,
+    ``seed``, the two fast-path toggles, ``num_gpus`` / ``placement``,
+    the tiered-memory trio and the predictor trio — are documented
+    once, on the spec; the range checks below are the spec's
+    validation too. The engine-internal knobs have no spec field:
+
     Attributes
     ----------
-    cache_ratio:
-        Fraction of all routed experts that fit in GPU memory (the
-        paper's "GPU expert cache ratio": 25/50/75%).
-    seed:
-        Root seed for profiling workloads and noise.
     calibrate:
         Fit the planner's cost model via the warmup phase; when False
         the planner sees ground-truth durations (an idealised planner).
@@ -72,77 +74,16 @@ class EngineConfig:
         Per-distance gain discount of the impact-driven prefetcher.
     scheduler:
         Configuration of the hybrid scheduler's search.
-    planner_fast_path:
-        Convenience override of the planner path: True forces the
-        incremental fast path, False forces the full pre-PR-3
-        reference planner — the from-scratch simulator *with the plan
-        memo disabled* (perf baselines, oracle comparisons) — and None
-        (default) respects the scheduler config. Plans are
-        bit-identical either way — this is purely a latency knob.
-    engine_fast_path:
-        Engine-core fast path (default on): vectorized per-layer step
-        work in the pipeline, record-free batched plan execution,
-        event-driven clock frontiers, indexed cache-residency lookups
-        and memoized victim selection, and batched prefetch screening.
-        ``False`` runs the pre-PR reference engine loop as a perf
-        baseline and bit-equivalence oracle. Outputs, schedules, cache
-        state and metrics are bit-identical either way
-        (property-test-enforced) — purely a latency knob.
-    prefetch_exact_top_m:
-        Cap on how many screening survivors per predicted layer get an
-        exact impact simulation (best delta bound first). ``None``
-        keeps prefetch decisions exact; setting it trades small
-        decision drift for bounded prefetcher latency.
     mrs_alpha:
         Averaging coefficient of the MRS cache policy (eq. 3).
     validate_plans:
         Validate every plan against routing/cache state (cheap; keep on).
-    num_gpus:
-        Simulated GPU devices. With 1 (the paper's testbed) the engine
-        runs the historical single-device path; with more, the expert
-        cache shards across devices (one :class:`ExpertCache` each, the
-        aggregate ``cache_ratio`` budget split evenly) and the pipeline
-        dispatches each expert to its home device.
-    placement:
-        Expert-placement policy routing keys to home devices when the
-        cache is sharded: ``"round_robin"`` (by expert id),
-        ``"layer_striped"`` (by layer) or ``"load_aware"`` (sticky
-        least-loaded).
     sharded_cache:
         Force (True) or forbid (False) the sharded cache machinery;
         ``None`` picks it automatically (sharded iff ``num_gpus > 1``).
         ``sharded_cache=True`` with one GPU runs the full sharding path
         on a single shard — bit-identical to the unsharded engine, the
         property the multi-GPU equivalence tests enforce.
-    cpu_cache_capacity:
-        Routed-expert slots of host DRAM (the CPU tier of the memory
-        hierarchy). ``None`` (default) keeps the paper's unbounded CPU
-        store — bit-identical to the historical two-tier engine,
-        test-enforced. An integer caps DRAM residency: experts outside
-        both caches are **spilled to disk** and pay a disk read (on the
-        clock's shared disk link) before any CPU compute or PCIe
-        transfer.
-    cpu_cache_policy:
-        Eviction policy of the DRAM tier, from the same registry as
-        the GPU tier (``"lru"``, ``"lfu"``, ``"mrs"``).
-    disk_bandwidth:
-        Override of the hardware profile's disk read bandwidth in
-        bytes/s (e.g. to model SATA vs NVMe without a new profile).
-        Requires a capacity-limited CPU tier.
-    predictor:
-        Cross-layer expert predictor driving confidence-gated deep
-        prefetching (``"frequency"`` or ``"transition"``; see
-        :mod:`repro.prediction`). ``None`` (default) keeps the
-        historical gate-reuse heuristic — bit-identical to the pre-
-        predictor engine across every strategy, test-enforced.
-    predict_horizon:
-        Deepest lookahead distance a confident predictor may extend
-        prefetching to (>= ``prefetch_lookahead`` to matter).
-    confidence_gate:
-        Calibrated-confidence threshold of the
-        :class:`~repro.prediction.gate.ConfidenceGate`. Confidence is
-        strictly below 1, so ``1.0`` never fires — the equivalence
-        oracle the bit-identity tests use.
     """
 
     cache_ratio: float = 0.5
@@ -156,7 +97,6 @@ class EngineConfig:
     scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
     planner_fast_path: bool | None = None
     engine_fast_path: bool = True
-    prefetch_exact_top_m: int | None = None
     mrs_alpha: float = 0.7
     validate_plans: bool = True
     num_gpus: int = 1
@@ -197,10 +137,6 @@ class EngineConfig:
             )
         if not 0.0 <= self.mrs_alpha <= 1.0:
             raise ConfigError(f"mrs_alpha must be in [0, 1], got {self.mrs_alpha}")
-        if self.prefetch_exact_top_m is not None and self.prefetch_exact_top_m < 1:
-            raise ConfigError(
-                f"prefetch_exact_top_m must be >= 1, got {self.prefetch_exact_top_m}"
-            )
         if self.cpu_cache_capacity is not None and self.cpu_cache_capacity < 0:
             raise ConfigError(
                 f"cpu_cache_capacity must be non-negative, got "

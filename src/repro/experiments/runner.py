@@ -47,8 +47,6 @@ def run_workload(
     cache) so results are independent, as the paper's per-configuration
     measurements are.
     """
-    if engine_config is None:
-        engine_config = EngineConfig(cache_ratio=cache_ratio, seed=seed)
     engine = make_engine(
         model=cached_model(model, num_layers, seed),
         strategy=strategy,

@@ -1,9 +1,7 @@
 """Typed, JSON-round-trippable configuration specs.
 
-PRs 1-8 grew ``make_engine`` / ``make_serving_engine`` / ``make_fleet``
-to ~20 keyword arguments each. This module consolidates that kwarg
-sprawl into three frozen dataclasses that compose the way the systems
-they configure do::
+Three frozen dataclasses compose the way the systems they configure
+do::
 
     EngineSpec                 one inference engine (model x strategy x
                                hardware x cache topology)
@@ -11,22 +9,28 @@ they configure do::
         -> FleetSpec           M replica serving engines behind a router
 
 plus :class:`WorkloadRecipe`, a declarative request-trace description.
-Every spec
 
-- validates its fields eagerly (unknown strategy / hardware / placement
-  names raise :class:`~repro.errors.ConfigError` at construction, not
-  at build time deep inside a sweep worker);
+The specs are the **one place a knob is declared**: its name, type and
+default are a spec field, its meaning is that field's entry in the
+class docstring. ``make_engine`` / ``make_serving_engine`` /
+``make_fleet`` take the same names as loose keywords and fold them into
+a spec (:func:`spec_from_knobs`); ``cli run|serve`` derive their flags'
+types and defaults from the fields (:func:`knob_fields`). Every spec
+
+- validates eagerly — a bad name or range raises
+  :class:`~repro.errors.ConfigError` at construction, not at build time
+  deep inside a sweep worker. Fields a spec shares with the runtime
+  config it describes (:class:`~repro.engine.engine.EngineConfig`,
+  :class:`~repro.serving.scheduler.ServingConfig`) are checked by
+  building that config, so spec and config cannot disagree;
 - round-trips through plain JSON dicts: ``Spec.from_dict(s.to_dict())
   == s`` and ``s.to_dict()`` contains only JSON primitives — this is
   what lets the sweep runner ship specs to worker processes and stamp
   them into resumable per-cell output files;
-- builds the real object via the factory it replaces (``build()``), so
-  a spec-built engine is **bit-identical** to the equivalent kwarg
-  call — the factories now route their legacy kwargs through these
-  specs, and the spec-equivalence tests enforce it.
-
-The legacy keyword arguments on the factories remain as thin shims
-(they construct a spec internally); new code should build specs.
+- builds the real object through its factory (``build()``), the same
+  path keyword calls take, so a spec-built engine is **bit-identical**
+  to the equivalent keyword call (the spec-equivalence tests enforce
+  it).
 """
 
 from __future__ import annotations
@@ -38,9 +42,10 @@ from typing import TYPE_CHECKING, Any, Mapping
 from repro.errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.engine import InferenceEngine
+    from repro.engine.engine import EngineConfig, InferenceEngine
     from repro.fleet.fleet import FleetRouter
     from repro.serving.engine import ServingEngine
+    from repro.serving.scheduler import ServingConfig
     from repro.workloads.generator import ArrivedWorkload
 
 __all__ = [
@@ -48,6 +53,8 @@ __all__ = [
     "ServingSpec",
     "FleetSpec",
     "WorkloadRecipe",
+    "knob_fields",
+    "spec_from_knobs",
 ]
 
 
@@ -79,38 +86,192 @@ def _plain(value):
     return value
 
 
+def _check_name(what: str, name: str, known) -> None:
+    if name not in known:
+        raise ConfigError(
+            f"unknown {what} {name!r} (known: {', '.join(sorted(known))})"
+        )
+
+
+def _shared_fields(spec, config_type) -> dict[str, Any]:
+    """The values of ``spec``'s fields that ``config_type`` also declares."""
+    shared = {f.name for f in dataclasses.fields(config_type)}
+    return {
+        f.name: getattr(spec, f.name)
+        for f in dataclasses.fields(spec)
+        if f.name in shared
+    }
+
+
+def _nested_spec(spec_field: dataclasses.Field):
+    """The spec class a composing field (``engine`` / ``serving``) holds."""
+    factory = spec_field.default_factory
+    return factory if dataclasses.is_dataclass(factory) else None
+
+
+def knob_fields(spec_type) -> dict[str, dataclasses.Field]:
+    """Every knob of ``spec_type`` by name, composed specs flattened in.
+
+    ``knob_fields(FleetSpec)`` is the whole flat keyword namespace of
+    :func:`~repro.engine.factory.make_fleet`: the fleet's own fields,
+    its serving spec's and that one's engine spec's.
+    """
+    knobs: dict[str, dataclasses.Field] = {}
+    for spec_field in dataclasses.fields(spec_type):
+        nested = _nested_spec(spec_field)
+        if nested is None:
+            knobs[spec_field.name] = spec_field
+        else:
+            knobs.update(knob_fields(nested))
+    return knobs
+
+
+def spec_from_knobs(spec_type, knobs: Mapping[str, Any], who: str):
+    """Build a ``spec_type`` from flat knob keywords (the rest default).
+
+    The inverse view of :func:`knob_fields`: each keyword lands in the
+    (possibly nested) spec that declares it. ``who`` names the caller
+    in the one-line error an unknown keyword raises.
+    """
+    valid = knob_fields(spec_type)
+    unknown = sorted(set(knobs) - set(valid))
+    if unknown:
+        raise ConfigError(
+            f"{who} got unknown knob(s) {', '.join(unknown)} "
+            f"(valid {spec_type.__name__} knobs: {', '.join(sorted(valid))})"
+        )
+
+    def build(cls):
+        kwargs = {}
+        for spec_field in dataclasses.fields(cls):
+            nested = _nested_spec(spec_field)
+            if nested is not None:
+                kwargs[spec_field.name] = build(nested)
+            elif spec_field.name in knobs:
+                kwargs[spec_field.name] = knobs[spec_field.name]
+        return cls(**kwargs)
+
+    return build(spec_type)
+
+
+class _Spec:
+    """JSON round-trip shared by the three composing specs.
+
+    ``to_dict`` lists a spec's own knobs first and the spec it composes
+    (``engine`` / ``serving``) last, recursively; ``from_dict`` is its
+    inverse and rejects unknown keys so typos fail loudly.
+    """
+
+    def to_dict(self) -> dict[str, Any]:
+        """Plain-JSON representation; inverse of :meth:`from_dict`."""
+        fields = dataclasses.fields(self)
+        data = {
+            f.name: _plain(getattr(self, f.name))
+            for f in fields
+            if _nested_spec(f) is None
+        }
+        for f in fields:
+            if _nested_spec(f) is not None:
+                data[f.name] = getattr(self, f.name).to_dict()
+        return data
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]):
+        """Rebuild a spec from :meth:`to_dict` output (unknown keys rejected)."""
+        _check_dict_keys(cls, data)
+        data = dict(data)
+        for f in dataclasses.fields(cls):
+            nested = _nested_spec(f)
+            if nested is not None and f.name in data:
+                data[f.name] = nested.from_dict(data[f.name])
+        return cls(**data)
+
+
 @dataclass(frozen=True)
-class EngineSpec:
+class EngineSpec(_Spec):
     """Declarative recipe for one :class:`~repro.engine.engine.InferenceEngine`.
 
-    Field-for-field this mirrors the name-based keyword arguments of
-    :func:`~repro.engine.factory.make_engine`; unlike the kwargs it only
-    admits *preset names* (never model/strategy/profile instances), so a
-    spec is pure data — comparable, hashable and JSON-round-trippable.
+    The engine knobs, declared once: these fields are the keyword
+    namespace of :func:`~repro.engine.factory.make_engine` and the
+    engine flags of ``cli run|serve``. A spec only admits *preset
+    names* (never model/strategy/profile instances), so it is pure data
+    — comparable, hashable and JSON-round-trippable. Fields shared with
+    :class:`~repro.engine.engine.EngineConfig` (everything from
+    ``cache_ratio`` down) carry that config's ranges:
+    :meth:`engine_config` builds it at construction.
 
     Attributes
     ----------
-    model / num_layers:
-        Model preset name and optional layer-count override.
+    model:
+        Model preset name (``"mixtral"``, ``"qwen2"``, ``"deepseek"``).
+    num_layers:
+        Optional layer-count override for fast runs.
     strategy:
         Strategy short name (``"hybrimoe"``, ``"ondemand"``, ...).
-    cache_ratio / seed:
-        GPU expert cache ratio and root seed.
+    cache_ratio:
+        Fraction of all routed experts that fit in GPU memory (the
+        paper's "GPU expert cache ratio": 25/50/75%).
     hardware:
         Hardware preset name (``"paper"``, ``"disk-slow"``, ``"edge"``, ...).
-    num_gpus / placement:
-        Simulated device count and sharded-cache placement policy.
-    planner_fast_path / engine_fast_path:
-        Planner / engine-core implementation toggles (bit-identical
-        outputs either way; latency knobs only).
-    cpu_cache_capacity / cpu_cache_policy / disk_bandwidth:
-        Tiered-memory knobs (``None`` capacity keeps the classic
-        two-tier engine).
-    predictor / predict_horizon / confidence_gate:
-        Predictive-scheduling knobs: cross-layer expert predictor name
-        (``None`` keeps the heuristic prefetcher bit-identically), the
-        deepest lookahead a confident predictor may extend to, and the
-        calibrated-confidence threshold of the gate.
+    seed:
+        Root seed for the model weights, profiling workloads and noise.
+    num_gpus:
+        Simulated GPU devices. With 1 (the paper's testbed) the engine
+        runs the historical single-device path; with more, the expert
+        cache shards across devices (one
+        :class:`~repro.cache.manager.ExpertCache` each, the aggregate
+        ``cache_ratio`` budget split evenly) and the pipeline
+        dispatches each expert to its home device.
+    placement:
+        Expert-placement policy routing keys to home devices when the
+        cache is sharded: ``"round_robin"`` (by expert id),
+        ``"layer_striped"`` (by layer) or ``"load_aware"`` (sticky
+        least-loaded).
+    planner_fast_path:
+        Planner path override: True forces the incremental fast path,
+        False the full pre-PR-3 reference planner — the from-scratch
+        simulator *with the plan memo disabled* (perf baselines, oracle
+        comparisons) — and None (default) respects the scheduler
+        config (the fast path). Plans are bit-identical either way —
+        purely a latency knob.
+    engine_fast_path:
+        Engine-core fast path (default on): vectorized per-layer step
+        work in the pipeline, record-free batched plan execution,
+        event-driven clock frontiers, indexed cache-residency lookups
+        and memoized victim selection, and batched prefetch screening.
+        ``False`` runs the pre-PR reference engine loop as a perf
+        baseline and bit-equivalence oracle. Outputs, schedules, cache
+        state and metrics are bit-identical either way
+        (property-test-enforced) — purely a latency knob.
+    cpu_cache_capacity:
+        Routed-expert slots of host DRAM (the CPU tier of the memory
+        hierarchy). ``None`` (default) keeps the paper's unbounded CPU
+        store — bit-identical to the historical two-tier engine,
+        test-enforced. An integer caps DRAM residency: experts outside
+        both caches are **spilled to disk** and pay a disk read (on the
+        clock's shared disk link) before any CPU compute or PCIe
+        transfer.
+    cpu_cache_policy:
+        Eviction policy of the DRAM tier, from the same registry as
+        the GPU tier (``"lru"``, ``"lfu"``, ``"mrs"``).
+    disk_bandwidth:
+        Override of the hardware profile's disk read bandwidth in
+        bytes/s (e.g. to model SATA vs NVMe without a new profile).
+        Requires a capacity-limited CPU tier.
+    predictor:
+        Cross-layer expert predictor driving confidence-gated deep
+        prefetching (``"frequency"`` or ``"transition"``; see
+        :mod:`repro.prediction`). ``None`` (default) keeps the
+        historical gate-reuse heuristic — bit-identical to the pre-
+        predictor engine across every strategy, test-enforced.
+    predict_horizon:
+        Deepest lookahead distance a confident predictor may extend
+        prefetching to (>= ``prefetch_lookahead`` to matter).
+    confidence_gate:
+        Calibrated-confidence threshold of the
+        :class:`~repro.prediction.gate.ConfidenceGate`. Confidence is
+        strictly below 1, so ``1.0`` never fires — the equivalence
+        oracle the bit-identity tests use.
     """
 
     model: str = "deepseek"
@@ -131,78 +292,30 @@ class EngineSpec:
     confidence_gate: float = 0.6
 
     def __post_init__(self) -> None:
-        # Imported here: the factory imports this module lazily inside
-        # its functions, so a module-level import back into the factory
-        # stack is safe but kept local for symmetry and startup cost.
-        from repro.cache.base import available_policies
-        from repro.cache.placement import available_placements
+        # Imported here: these packages sit below the factory stack,
+        # which imports this module lazily.
         from repro.engine.factory import available_strategies
         from repro.hardware.platform_presets import HARDWARE_PRESETS
         from repro.models.presets import MODEL_PRESETS
 
-        if self.model not in MODEL_PRESETS:
-            known = ", ".join(sorted(MODEL_PRESETS))
-            raise ConfigError(f"unknown model preset {self.model!r} (known: {known})")
-        if self.strategy not in available_strategies():
-            known = ", ".join(available_strategies())
-            raise ConfigError(f"unknown strategy {self.strategy!r} (known: {known})")
-        if self.hardware not in HARDWARE_PRESETS:
-            known = ", ".join(sorted(HARDWARE_PRESETS))
-            raise ConfigError(
-                f"unknown hardware preset {self.hardware!r} (known: {known})"
-            )
-        if not 0.0 < self.cache_ratio <= 1.0:
-            raise ConfigError(
-                f"cache_ratio must be in (0, 1], got {self.cache_ratio}"
-            )
+        _check_name("model preset", self.model, MODEL_PRESETS)
+        _check_name("strategy", self.strategy, available_strategies())
+        _check_name("hardware preset", self.hardware, HARDWARE_PRESETS)
         if self.num_layers is not None and self.num_layers < 1:
             raise ConfigError(f"num_layers must be >= 1, got {self.num_layers}")
-        if self.num_gpus < 1:
-            raise ConfigError(f"num_gpus must be >= 1, got {self.num_gpus}")
-        if self.placement not in available_placements():
-            known = ", ".join(available_placements())
-            raise ConfigError(f"unknown placement {self.placement!r} (known: {known})")
-        if self.cpu_cache_policy not in available_policies():
-            known = ", ".join(available_policies())
-            raise ConfigError(
-                f"unknown cpu_cache_policy {self.cpu_cache_policy!r} (known: {known})"
-            )
-        if self.cpu_cache_capacity is not None and self.cpu_cache_capacity < 1:
-            raise ConfigError(
-                f"cpu_cache_capacity must be >= 1 (or None), got "
-                f"{self.cpu_cache_capacity}"
-            )
-        if self.disk_bandwidth is not None and self.disk_bandwidth <= 0:
-            raise ConfigError(
-                f"disk_bandwidth must be positive (or None), got "
-                f"{self.disk_bandwidth}"
-            )
-        if self.predictor is not None:
-            from repro.prediction import available_predictors
+        self.engine_config()
 
-            if self.predictor not in available_predictors():
-                known = ", ".join(available_predictors())
-                raise ConfigError(
-                    f"unknown predictor {self.predictor!r} (known: {known})"
-                )
-        if self.predict_horizon < 1:
-            raise ConfigError(
-                f"predict_horizon must be >= 1, got {self.predict_horizon}"
-            )
-        if not 0.0 <= self.confidence_gate <= 1.0:
-            raise ConfigError(
-                f"confidence_gate must be in [0, 1], got {self.confidence_gate}"
-            )
+    def engine_config(self) -> "EngineConfig":
+        """The :class:`~repro.engine.engine.EngineConfig` equivalent.
 
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-JSON representation; inverse of :meth:`from_dict`."""
-        return {f.name: _plain(getattr(self, f.name)) for f in dataclasses.fields(self)}
+        Every field the two classes share is copied over (the rest of
+        the config keeps its defaults), so a knob added to both is
+        threaded with no further edit — and the config's own checks
+        are the spec's range validation.
+        """
+        from repro.engine.engine import EngineConfig
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "EngineSpec":
-        """Rebuild a spec from :meth:`to_dict` output (unknown keys rejected)."""
-        _check_dict_keys(cls, data)
-        return cls(**dict(data))
+        return EngineConfig(**_shared_fields(self, EngineConfig))
 
     def build(self) -> "InferenceEngine":
         """Construct the engine this spec describes (via ``make_engine``)."""
@@ -212,12 +325,15 @@ class EngineSpec:
 
 
 @dataclass(frozen=True)
-class ServingSpec:
+class ServingSpec(_Spec):
     """Declarative recipe for a continuous-batching serving engine.
 
-    Composes an :class:`EngineSpec` with the serving-loop knobs of
-    :class:`~repro.serving.scheduler.ServingConfig` — the spec analogue
-    of :func:`~repro.engine.factory.make_serving_engine`.
+    Composes an :class:`EngineSpec` with the serving-loop knobs — the
+    extra keywords of :func:`~repro.engine.factory.make_serving_engine`
+    and the ``serving`` / ``resilience`` flags of ``cli serve``. Each
+    knob is the :class:`~repro.serving.scheduler.ServingConfig` field
+    of the same name, documented there; the defaults keep the
+    historical FCFS loop bit-identically.
     """
 
     engine: EngineSpec = field(default_factory=EngineSpec)
@@ -234,41 +350,18 @@ class ServingSpec:
                 f"ServingSpec.engine must be an EngineSpec, got "
                 f"{type(self.engine).__name__}"
             )
-        # Delegate range validation to the config the spec describes:
-        # one source of truth for the serving-knob invariants.
         self.serving_config()
 
-    def serving_config(self):
-        """The :class:`~repro.serving.scheduler.ServingConfig` equivalent."""
+    def serving_config(self) -> "ServingConfig":
+        """The :class:`~repro.serving.scheduler.ServingConfig` equivalent.
+
+        Built from the shared fields, exactly as
+        :meth:`EngineSpec.engine_config` — the config's checks are the
+        spec's range validation.
+        """
         from repro.serving.scheduler import ServingConfig
 
-        return ServingConfig(
-            max_batch_size=self.max_batch_size,
-            prefill_chunk_tokens=self.prefill_chunk_tokens,
-            preemption=self.preemption,
-            request_timeout_s=self.request_timeout_s,
-            shed_queue_depth=self.shed_queue_depth,
-            shed_resume_depth=self.shed_resume_depth,
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-JSON representation; inverse of :meth:`from_dict`."""
-        data = {
-            f.name: _plain(getattr(self, f.name))
-            for f in dataclasses.fields(self)
-            if f.name != "engine"
-        }
-        data["engine"] = self.engine.to_dict()
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ServingSpec":
-        """Rebuild a spec from :meth:`to_dict` output (unknown keys rejected)."""
-        _check_dict_keys(cls, data)
-        data = dict(data)
-        if "engine" in data:
-            data["engine"] = EngineSpec.from_dict(data["engine"])
-        return cls(**data)
+        return ServingConfig(**_shared_fields(self, ServingConfig))
 
     def build(self) -> "ServingEngine":
         """Construct the serving engine (via ``make_serving_engine``)."""
@@ -278,15 +371,32 @@ class ServingSpec:
 
 
 @dataclass(frozen=True)
-class FleetSpec:
+class FleetSpec(_Spec):
     """Declarative recipe for an M-replica serving fleet.
 
     Composes a per-replica :class:`ServingSpec` with the fleet-level
-    knobs of :func:`~repro.engine.factory.make_fleet`. ``replicas=1``
-    is meaningful to the scenario layer: it means "serve on the bare
-    single engine" (a :class:`~repro.serving.engine.ServingEngine`,
-    reporting a ``ServingReport``), not a one-replica fleet — the two
-    are bit-identical, but the report types differ.
+    knobs — the extra keywords of
+    :func:`~repro.engine.factory.make_fleet` and the ``fleet`` /
+    retry flags of ``cli serve``.
+
+    Attributes
+    ----------
+    serving:
+        The serving engine every replica runs (a homogeneous pool,
+        required for the merged fleet report).
+    replicas:
+        Replica pool size. ``1`` is meaningful to the scenario layer
+        and the CLI: it means "serve on the bare single engine" (a
+        :class:`~repro.serving.engine.ServingEngine`, reporting a
+        ``ServingReport``), not a one-replica fleet — the two are
+        bit-identical, but the report types differ.
+    router:
+        Routing policy: ``"round_robin"``, ``"least_loaded"`` or
+        ``"cache_affinity"``.
+    max_retries / retry_backoff_s:
+        Timeout retry budget per request and the base backoff (retry
+        ``n`` waits ``backoff * 2**(n-1)``); retries are re-routed
+        like failovers.
     """
 
     serving: ServingSpec = field(default_factory=ServingSpec)
@@ -305,9 +415,7 @@ class FleetSpec:
             )
         if self.replicas < 1:
             raise ConfigError(f"replicas must be >= 1, got {self.replicas}")
-        if self.router not in available_routers():
-            known = ", ".join(available_routers())
-            raise ConfigError(f"unknown router {self.router!r} (known: {known})")
+        _check_name("router", self.router, available_routers())
         if self.max_retries < 0:
             raise ConfigError(f"max_retries must be >= 0, got {self.max_retries}")
         if self.retry_backoff_s <= 0:
@@ -319,25 +427,6 @@ class FleetSpec:
     def engine(self) -> EngineSpec:
         """Shortcut to the per-replica engine spec."""
         return self.serving.engine
-
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-JSON representation; inverse of :meth:`from_dict`."""
-        data = {
-            f.name: _plain(getattr(self, f.name))
-            for f in dataclasses.fields(self)
-            if f.name != "serving"
-        }
-        data["serving"] = self.serving.to_dict()
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FleetSpec":
-        """Rebuild a spec from :meth:`to_dict` output (unknown keys rejected)."""
-        _check_dict_keys(cls, data)
-        data = dict(data)
-        if "serving" in data:
-            data["serving"] = ServingSpec.from_dict(data["serving"])
-        return cls(**data)
 
     def build(self) -> "FleetRouter":
         """Construct the fleet router (via ``make_fleet``).

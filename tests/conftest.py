@@ -90,3 +90,45 @@ def toy_oracle_factory(tiny_config, toy_cost):
 @pytest.fixture
 def prompt_tokens() -> np.ndarray:
     return np.arange(24, dtype=np.int64)
+
+
+#: A valid non-default value per spec knob, with the companion knobs
+#: another knob's range check demands. Knobs missing here get a value
+#: derived from their default, so a new numeric or bool knob needs no
+#: edit to the knob-wiring tests (factories and CLI).
+KNOB_SAMPLES = {
+    "model": {"model": "mixtral"},
+    "num_layers": {"num_layers": 3},
+    "strategy": {"strategy": "ondemand"},
+    "hardware": {"hardware": "pcie-fast"},
+    "placement": {"placement": "layer_striped"},
+    "planner_fast_path": {"planner_fast_path": False},
+    "cpu_cache_capacity": {"cpu_cache_capacity": 4},
+    "cpu_cache_policy": {"cpu_cache_policy": "lfu"},
+    "disk_bandwidth": {"disk_bandwidth": 1e9, "cpu_cache_capacity": 4},
+    "predictor": {"predictor": "frequency"},
+    "prefill_chunk_tokens": {"prefill_chunk_tokens": 32},
+    "request_timeout_s": {"request_timeout_s": 5.0},
+    "shed_queue_depth": {"shed_queue_depth": 12},
+    "shed_resume_depth": {"shed_queue_depth": 12, "shed_resume_depth": 4},
+    "router": {"router": "least_loaded"},
+}
+
+
+@pytest.fixture
+def knob_sample():
+    """``(knob, dataclass field) -> {knob: non-default value, ...}``."""
+
+    def sample(knob: str, field) -> dict:
+        if knob in KNOB_SAMPLES:
+            return KNOB_SAMPLES[knob]
+        default = field.default
+        if isinstance(default, bool):
+            return {knob: not default}
+        if isinstance(default, int):
+            return {knob: default + 1}
+        if isinstance(default, float):
+            return {knob: default / 2}
+        pytest.fail(f"knob {knob!r} needs a non-default entry in KNOB_SAMPLES")
+
+    return sample

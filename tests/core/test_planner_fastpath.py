@@ -427,24 +427,6 @@ def test_runtime_memoizes_oracles():
     assert runtime.estimated_oracle(4) is not runtime.actual_oracle(4)
 
 
-def test_prefetcher_exact_top_m_validation():
-    from repro.core.prefetch import ImpactDrivenPrefetcher
-    from repro.errors import SchedulingError
-
-    cost = _RandomCost(2.0, 1.5, 3.0)
-
-    def factory(n_tokens):
-        return LayerCostOracle.for_model(cost, _MODEL, n_tokens)
-
-    scheduler = HybridScheduler(factory)
-    with pytest.raises(SchedulingError):
-        ImpactDrivenPrefetcher(scheduler, lambda: 1.0, 2, exact_top_m=0)
-    with pytest.raises(SchedulingError):
-        ImpactDrivenPrefetcher(
-            scheduler, lambda: 1.0, 2, exact_top_m=4, delta_screen=False
-        )
-
-
 def test_prefetch_screening_preserves_decisions():
     """Delta screening (fast scheduler) returns exactly the decisions of
     the unscreened reference-path prefetcher."""

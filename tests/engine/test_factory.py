@@ -3,9 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.engine.factory import available_strategies, make_engine, make_strategy
+from repro.engine.factory import (
+    available_strategies,
+    make_engine,
+    make_fleet,
+    make_serving_engine,
+    make_strategy,
+)
 from repro.engine.session import GenerationSession, SessionSpec
 from repro.errors import ConfigError
+from repro.hardware.cost_model import AnalyticCostModel
+from repro.hardware.platform_presets import get_hardware_preset
+from repro.scenarios.spec import EngineSpec, FleetSpec, ServingSpec, knob_fields
 
 
 class TestMakeStrategy:
@@ -47,6 +56,86 @@ class TestMakeEngine:
         engine = make_engine(model="mixtral", num_layers=2, cache_ratio=0.25, seed=1)
         result = engine.generate(np.arange(8), decode_steps=2)
         assert result.ttft > 0
+
+
+def _engine_of(system):
+    if hasattr(system, "replicas"):
+        return system.replicas[0].engine
+    return getattr(system, "engine", system)
+
+
+def _built_value(system, knob: str):
+    """What the built object says ``knob`` is."""
+    engine = _engine_of(system)
+    if knob in EngineSpec.__dataclass_fields__:
+        shape = engine.model.config.routed_expert_shape
+        spec_only = {
+            "model": lambda: engine.model.config.name.split("-")[0],
+            "num_layers": lambda: engine.model.config.num_layers,
+            "strategy": lambda: engine.strategy.name,
+            "hardware": lambda: next(
+                name
+                for name in ("paper", "pcie-fast")
+                if AnalyticCostModel(get_hardware_preset(name)).transfer_time(shape)
+                == engine.runtime.cost_actual.transfer_time(shape)
+            ),
+        }
+        return spec_only[knob]() if knob in spec_only else getattr(engine.config, knob)
+    if knob in ServingSpec.__dataclass_fields__:
+        return getattr(system.config, knob)
+    fleet_only = {"replicas": lambda: len(system.replicas), "router": lambda: system.policy.name}
+    return fleet_only[knob]() if knob in fleet_only else getattr(system, knob)
+
+
+def _factory_knobs():
+    for factory, spec_type in (
+        (make_engine, EngineSpec),
+        (make_serving_engine, ServingSpec),
+        (make_fleet, FleetSpec),
+    ):
+        for knob, field in knob_fields(spec_type).items():
+            yield pytest.param(factory, knob, field, id=f"{factory.__name__}-{knob}")
+
+
+class TestKnobWiring:
+    """Every spec field is a working keyword of every factory above it.
+
+    Driven by ``dataclasses.fields``: a knob added to a spec (and to
+    the runtime config that reads it) is covered with no edit here.
+    """
+
+    @pytest.mark.parametrize("factory, knob, field", _factory_knobs())
+    def test_keyword_reaches_built_object(self, factory, knob, field, knob_sample):
+        overrides = {"num_layers": 2, **knob_sample(knob, field)}
+        system = factory(**overrides)
+        assert _built_value(system, knob) == overrides[knob]
+        assert overrides[knob] != field.default
+
+    @pytest.mark.parametrize("factory", [make_engine, make_serving_engine, make_fleet])
+    def test_unknown_knob_is_a_one_line_config_error(self, factory):
+        with pytest.raises(ConfigError, match="unknown knob.*cach_ratio.*cache_ratio") as err:
+            factory(cach_ratio=0.3)
+        assert "\n" not in str(err.value)
+        assert factory.__name__ in str(err.value)
+
+    def test_knob_of_a_higher_layer_is_unknown_below_it(self):
+        with pytest.raises(ConfigError, match="unknown knob.*max_batch_size"):
+            make_engine(max_batch_size=4)
+
+    def test_out_of_range_knob_rejected_before_building(self):
+        with pytest.raises(ConfigError, match="disk_bandwidth requires"):
+            make_fleet(disk_bandwidth=1e9)
+
+    def test_live_objects_may_accompany_a_spec(self):
+        from repro.hardware.faults import HardwareFault, HardwareFaultSchedule
+
+        faults = HardwareFaultSchedule(
+            [HardwareFault(kind="gpu_straggler", at_time=0.0, duration=1.0, severity=2.0)]
+        )
+        spec = ServingSpec(engine=EngineSpec(num_layers=2))
+        assert make_serving_engine(spec=spec, hardware_faults=faults) is not None
+        with pytest.raises(ConfigError, match="fold these arguments.*strategy"):
+            make_serving_engine(spec=spec, strategy=make_strategy("ondemand"))
 
 
 class TestGenerationSession:

@@ -11,7 +11,15 @@ Two contracts are pinned here:
 - **Fleet dispatch** — with several GPUs the numerics still match the
   reference model, every timeline/shard invariant holds, and runs are
   deterministic under a fixed seed.
+
+The 1-GPU fingerprints are additionally pinned as golden constants
+(``TestSingleGpuGolden``): the equivalence tests only compare the two
+paths with each other, so a drift of both at once, or a later deletion
+of the unsharded block, has nothing to be compared against otherwise.
 """
+
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -104,6 +112,43 @@ class TestShardedSingleGpuEquivalence:
         hidden_plain, _ = plain._run_step(prompt_tokens, "prefill")
         hidden_sharded, _ = sharded._run_step(prompt_tokens, "prefill")
         np.testing.assert_array_equal(hidden_plain, hidden_sharded)
+
+
+def digest(value):
+    """Short stable hash of a nested tuple/dict of ints, floats and strs."""
+    return hashlib.sha256(json.dumps(value, default=float).encode()).hexdigest()[:16]
+
+
+#: ``digest(result_fingerprint(generate(prompt_tokens, decode_steps=4)))``
+#: of the 1-GPU engine at commit f2cf8bc (unsharded == sharded there).
+GOLDEN_1GPU = {
+    "hybrimoe": "9d5d7c9ed0956f95",
+    "ktransformers": "4ebb02ab915ded97",
+    "adapmoe": "c7678859b8eef1e4",
+    "llamacpp": "7114db76919cbb05",
+    "ondemand": "fc26bd7833819517",
+}
+GOLDEN_1GPU_TIERED_HYBRIMOE = "54d0d508ed7a34c7"  # cpu_cache_capacity=4
+
+
+@pytest.mark.parametrize("sharded_flag", [None, True])
+class TestSingleGpuGolden:
+    @pytest.mark.parametrize("strategy_name", STRATEGIES)
+    def test_generate_matches_golden(
+        self, tiny_config, prompt_tokens, strategy_name, sharded_flag
+    ):
+        engine = build_engine(tiny_config, strategy_name, sharded_cache=sharded_flag)
+        result = engine.generate(prompt_tokens, decode_steps=4)
+        assert digest(result_fingerprint(result)) == GOLDEN_1GPU[strategy_name]
+
+    def test_tiered_generate_matches_golden(
+        self, tiny_config, prompt_tokens, sharded_flag
+    ):
+        engine = build_engine(
+            tiny_config, "hybrimoe", cpu_cache_capacity=4, sharded_cache=sharded_flag
+        )
+        result = engine.generate(prompt_tokens, decode_steps=4)
+        assert digest(result_fingerprint(result)) == GOLDEN_1GPU_TIERED_HYBRIMOE
 
 
 class TestMultiGpuDispatch:

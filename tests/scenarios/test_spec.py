@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.engine.engine import EngineConfig
 from repro.engine.factory import make_engine, make_fleet, make_serving_engine
 from repro.errors import ConfigError
 from repro.scenarios import EngineSpec, FleetSpec, ServingSpec, WorkloadRecipe
@@ -40,19 +41,37 @@ class TestEngineSpec:
             {"model": "gpt5"},
             {"strategy": "nope"},
             {"hardware": "tpu"},
-            {"cache_ratio": 0.0},
             {"cache_ratio": 1.5},
             {"num_layers": 0},
             {"num_gpus": 0},
             {"placement": "nope"},
             {"cpu_cache_policy": "fifo"},
-            {"cpu_cache_capacity": 0},
-            {"disk_bandwidth": 0.0},
+            {"cpu_cache_capacity": -1},
+            {"cpu_cache_capacity": 4, "disk_bandwidth": 0.0},
         ],
     )
     def test_invalid_fields_raise_at_construction(self, kwargs):
         with pytest.raises(ConfigError):
             EngineSpec(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"disk_bandwidth": 1e9},  # needs a capacity-limited CPU tier
+            {"cpu_cache_capacity": 0},  # the degenerate GPU-or-disk config
+            {"cache_ratio": 0.0},  # no GPU cache at all
+        ],
+    )
+    def test_spec_and_config_agree_eagerly(self, kwargs):
+        """Shared fields are accepted or rejected exactly as EngineConfig
+        does, at construction (these three used to disagree)."""
+        try:
+            EngineConfig(**kwargs)
+        except ConfigError:
+            with pytest.raises(ConfigError):
+                EngineSpec(**kwargs)
+        else:
+            assert EngineSpec(**kwargs).engine_config() == EngineConfig(**kwargs)
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError, match="unknown EngineSpec keys"):

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _fleet_spec, build_parser, main
+from repro.scenarios.spec import EngineSpec, FleetSpec, knob_fields
 
 
 class TestParser:
@@ -13,6 +14,88 @@ class TestParser:
     def test_unknown_model_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--model", "gpt5"])
+
+
+def _subparser(command):
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if hasattr(a, "choices") and a.choices]
+    return subparsers.choices[command]
+
+
+def _knob_flags(command):
+    knobs = knob_fields(FleetSpec)
+    for action in _subparser(command)._actions:
+        if action.dest in knobs:
+            yield pytest.param(
+                command, action, knobs[action.dest], id=f"{command}{action.option_strings[0]}"
+            )
+
+
+class TestKnobFlags:
+    """``run`` / ``serve`` flags are spellings of spec knobs, nothing more."""
+
+    #: The public option strings at the commit that introduced the
+    #: spec-derived parser; flag spellings are API.
+    RUN_OPTIONS = {
+        "--cache-ratio", "--confidence-gate", "--cpu-cache-capacity",
+        "--cpu-cache-policy", "--decode-steps", "--disk-bandwidth", "--engine",
+        "--hardware", "--help", "--model", "--num-gpus", "--num-layers",
+        "--placement", "--planner", "--predict-horizon", "--predictor",
+        "--prompt-len", "--seed", "--strategy",
+    }
+    SERVE_OPTIONS = (RUN_OPTIONS - {"--prompt-len"}) | {
+        "--arrival-rate", "--arrival-trace", "--fault-spec", "--max-batch-size",
+        "--max-retries", "--num-requests", "--preempt", "--prefill-chunk",
+        "--priority-mix", "--replicas", "--request-timeout", "--retry-backoff",
+        "--router", "--shed",
+    }
+
+    @pytest.mark.parametrize(
+        "command, expected", [("run", RUN_OPTIONS), ("serve", SERVE_OPTIONS)]
+    )
+    def test_help_option_strings_unchanged(self, command, expected):
+        actions = _subparser(command)._actions
+        printed = {o for a in actions for o in a.option_strings if o.startswith("--")}
+        assert printed == expected
+
+    def test_no_flags_yield_the_default_specs(self):
+        run = _fleet_spec(build_parser().parse_args(["run"]))
+        assert run.engine == EngineSpec()
+        # The CLI's one own default: no --replicas = the bare engine.
+        assert _fleet_spec(build_parser().parse_args(["serve"])) == FleetSpec(replicas=1)
+
+    @pytest.mark.parametrize(
+        "command, action, field", [*_knob_flags("run"), *_knob_flags("serve")]
+    )
+    def test_flag_lands_in_its_field(self, command, action, field, knob_sample):
+        if action.dest.startswith("shed_"):
+            pytest.skip("--shed DEPTH[:RESUME] spells both watermarks; see below")
+        by_knob = {a.dest: a for a in _subparser(command)._actions}
+        sample = knob_sample(action.dest, field)
+        argv = [command]
+        for knob, value in sample.items():
+            argv.append(by_knob[knob].option_strings[0])
+            if by_knob[knob].nargs == 0:
+                continue  # a switch: presence is the value
+            if isinstance(value, bool):
+                value = "fast" if value else "reference"
+            argv.append(str(value))
+        spec = _fleet_spec(build_parser().parse_args(argv))
+        owner = next(
+            s for s in (spec, spec.serving, spec.engine) if hasattr(s, action.dest)
+        )
+        assert getattr(owner, action.dest) == sample[action.dest] != field.default
+
+    def test_shed_spells_both_watermarks(self):
+        spec = _fleet_spec(build_parser().parse_args(["serve", "--shed", "12:4"]))
+        assert (spec.serving.shed_queue_depth, spec.serving.shed_resume_depth) == (12, 4)
+        spec = _fleet_spec(build_parser().parse_args(["serve", "--shed", "12"]))
+        assert (spec.serving.shed_queue_depth, spec.serving.shed_resume_depth) == (12, None)
+
+    def test_every_spec_knob_has_a_serve_flag(self):
+        dests = {a.dest for a in _subparser("serve")._actions}
+        missing = set(knob_fields(FleetSpec)) - dests - {"shed_queue_depth", "shed_resume_depth"}
+        assert not missing
 
 
 class TestCommands:
