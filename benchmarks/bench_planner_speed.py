@@ -7,10 +7,10 @@ the repo root so the perf trajectory is tracked across PRs:
    ``bench_scheduler_micro`` steady-state decode shape (one
    decode-sized problem replanned every iteration; the >=5x acceptance
    floor is defined on it) — plus realistic call streams, where a
-   short engine run (decode / prefill / 2-GPU decode) records every
-   ``plan()``/``simulate_makespan()`` invocation the step pipeline and
-   prefetcher actually issue. Each stream is replayed against fresh
-   schedulers in three configurations:
+   short engine run (decode / cold 512-token prefills on 8 layers /
+   2-GPU decode) records every ``plan()``/``simulate_makespan()``
+   invocation the step pipeline and prefetcher actually issue. Each
+   stream is replayed against fresh schedulers in three configurations:
 
    - ``reference``: the from-scratch event simulator, no memo (the
      pre-PR-3 planner);
@@ -27,7 +27,8 @@ the repo root so the perf trajectory is tracked across PRs:
    a long-decode cache-pressured scenario, best-of-N interleaved.
 
 3. A ``--check`` mode for CI: compares measured speedups against the
-   committed ``BENCH_planner.json`` and fails on a >2x regression (or
+   committed ``BENCH_planner.json`` (on ``prefill`` also the memo-off
+   ``speedup_cold``) and fails on a >2x regression (or
    on missing the 5x decode floor, or on the engine fast path falling
    >2x below the reference engine core), so perf regressions are
    caught at review time. Intentional trade-offs skip the gate via the
@@ -63,6 +64,14 @@ BASELINE_PATH = REPO_ROOT / "BENCH_planner.json"
 DECODE_SPEEDUP_FLOOR = 5.0
 #: CI gate: fail when a measured speedup drops below committed/2.
 REGRESSION_FACTOR = 2.0
+#: The ``prefill`` stream: full-width prompts on the perf ledger's depth.
+PREFILL_PROMPT_LEN = 512
+PREFILL_LAYERS = 8
+#: Speedups the gate compares per shape. The memo cannot help a cold
+#: prefill, so there the memo-off search is gated as well:
+#: ``speedup_cold`` is ``fast_cold_us_per_call`` against the same run's
+#: reference, the form of it that is comparable across machines.
+GATED_SPEEDUPS = {"prefill": ("speedup", "speedup_cold")}
 
 
 # ----------------------------------------------------------------------
@@ -133,12 +142,17 @@ def _shape_streams(smoke: bool) -> dict[str, list[tuple[str, tuple, dict]]]:
         engine, lambda e: e.decode_only(decode_steps)
     )
 
-    engine = _make_recording_engine(1, num_layers)
+    # Cold 512-token prompts through 8 layers: every expert activated,
+    # 28-45 of them uncached on most layers — the widest searches the
+    # planner sees, and the memo never hits. 8 plan() calls per prompt.
     rng = derive_rng(0, "bench-planner", "prefill")
-    prompt = rng.integers(0, engine.model.vocab_size, size=64 if smoke else 128)
-    streams["prefill"] = _record_stream(
-        engine, lambda e: e.generate(prompt, decode_steps=0)
-    )
+    streams["prefill"] = []
+    for _ in range(1 if smoke else 3):
+        engine = _make_recording_engine(1, PREFILL_LAYERS)
+        prompt = rng.integers(0, engine.model.vocab_size, size=PREFILL_PROMPT_LEN)
+        streams["prefill"] += _record_stream(
+            engine, lambda e: e.generate(prompt, decode_steps=0)
+        )
 
     engine = _make_recording_engine(2, num_layers)
     streams["multi_gpu"] = _record_stream(
@@ -299,13 +313,14 @@ def check(current: dict, baseline: dict | None) -> list[str]:
         committed = baseline.get("planner", {}).get(shape)
         if committed is None:
             continue
-        floor = committed["speedup"] / REGRESSION_FACTOR
-        if current_row["speedup"] < floor:
-            failures.append(
-                f"{shape}: speedup {current_row['speedup']:.1f}x regressed "
-                f">{REGRESSION_FACTOR:.0f}x vs committed "
-                f"{committed['speedup']:.1f}x (floor {floor:.1f}x)"
-            )
+        for metric in GATED_SPEEDUPS.get(shape, ("speedup",)):
+            floor = committed[metric] / REGRESSION_FACTOR
+            if current_row[metric] < floor:
+                failures.append(
+                    f"{shape}: {metric} {current_row[metric]:.1f}x regressed "
+                    f">{REGRESSION_FACTOR:.0f}x vs committed "
+                    f"{committed[metric]:.1f}x (floor {floor:.1f}x)"
+                )
     committed_e2e = baseline.get("end_to_end", {}).get("speedup")
     if committed_e2e is not None:
         current_e2e = current["end_to_end"]["speedup"]

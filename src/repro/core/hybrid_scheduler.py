@@ -22,16 +22,19 @@ Two search implementations produce **bit-identical plans**:
 - the *reference* simulator (:meth:`HybridScheduler._simulate`) builds
   all three timelines from scratch for every candidate transfer count —
   the paper's description taken literally;
-- the *fast path* (default, ``SchedulerConfig.fast_path``) hoists the
-  priority sorts and the PCIe arrival prefix out of the per-candidate
-  loop, memoizes per-load durations, evaluates each candidate with a
-  record-free replica of the event loop (same float operations in the
-  same order, so the argmin cannot drift), prunes candidates whose
-  makespan lower bound provably cannot beat the incumbent — the
-  transfer-chain bound is monotone in ``k``, so once it crosses the
-  incumbent the whole remaining ascending search terminates — and
-  materialises only the winning allocation through the reference
-  simulator.
+- the *fast path* (default, ``SchedulerConfig.fast_path``) resolves the
+  priority orders, per-expert durations, the PCIe arrival prefix and the
+  CPU queue's running sums once per search, evaluates a candidate with
+  an O(n log n) record-free replica of the event loop (same float
+  operations in the same order, so the argmin cannot drift), and prunes
+  with two exact lower bounds — the transfer chain rises with ``k``,
+  the CPU queue falls with it. The candidate where the two bounds
+  cross is simulated first; its makespan only tightens the pruning
+  threshold of the reference's ascending scan (see
+  :func:`_scan_candidates` for why that cannot move the argmin). Only
+  the winning allocation is materialised, through the reference
+  simulator. The prefetcher's quick screens run through the same
+  routine.
 
 On a **tiered-memory platform** (capacity-limited host DRAM over disk
 spill) the planner additionally receives the layer's *spilled* expert
@@ -56,6 +59,7 @@ models; a stateful noisy oracle must disable it via
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 
@@ -74,6 +78,56 @@ __all__ = ["SchedulerConfig", "HybridScheduler", "SimulatedTask", "SimulationRes
 #: Strict-improvement tolerance of the allocation argmin (shared by the
 #: reference loop, the fast path and its lower-bound pruning).
 _TIE_EPS = 1e-15
+_NEG_INF = float("-inf")
+
+
+def _scan_candidates(counts, bounds, makespan) -> tuple[int, float]:
+    """The reference's ascending argmin over ``counts``, simulating few.
+
+    ``bounds[i]`` is a lower bound on ``makespan(i)``, the exact
+    makespan of transfer count ``counts[i]``. The reference scans the
+    counts in ascending order and replaces its incumbent only by a
+    makespan better by more than ``_TIE_EPS`` (so ties keep the fewer
+    transfers). This scan returns the same ``(count, makespan)`` and
+    skips a candidate whose bound already cannot beat the incumbent —
+    but the reference starts from the all-on-CPU incumbent, which
+    nearly every count improves on. So the candidate with the smallest
+    bound (where the rising transfer-chain bound crosses the falling
+    CPU-queue bound) is simulated first; with ``P`` its makespan, every
+    candidate whose bound lies above ``P + eps`` is skipped too.
+
+    Why that cannot move the argmin: call a makespan *low* if it is
+    ``<= P`` and *high* if ``m - eps > P``. Until the first low
+    candidate every candidate is high (skipped by its bound, or
+    simulated and found high), and the first low candidate replaces
+    whatever high incumbent the reference holds (``m <= P < a - eps``).
+    From there both scans hold the same low incumbent: a high candidate
+    never replaces it, and every other candidate is simulated or
+    skipped under the reference's own rule. A simulated makespan
+    *between* the two (``P < m``, ``m - eps <= P``) voids the argument,
+    and the scan restarts without the cap.
+    """
+    probe = bounds.index(min(bounds))
+    cap = probe_mk = makespan(probe)
+    while True:
+        best_k = -1
+        best_mk = float("inf")
+        for i, bound in enumerate(bounds):
+            if bound - _TIE_EPS > cap or (
+                best_k >= 0 and bound >= best_mk - _TIE_EPS
+            ):
+                continue
+            mk = probe_mk if i == probe else makespan(i)
+            if mk > cap:
+                if mk - _TIE_EPS > cap:
+                    continue
+                break
+            if best_k < 0 or mk < best_mk - _TIE_EPS:
+                best_mk = mk
+                best_k = counts[i]
+        else:
+            return best_k, best_mk
+        cap = float("inf")
 
 
 @dataclass(frozen=True)
@@ -339,16 +393,16 @@ class HybridScheduler:
             hit = self._memo_get(key)
             if hit is not None:
                 return hit
-        oracle = self._oracle_factory(n_tokens)
         if self.config.fast_path:
             loads, inflight_eff, spilled_eff = self._validated_inputs(
                 activated, cached_experts, pcie_backlog, cpu_backlog, inflight,
                 spilled, disk_fetch_s,
             )
             _, makespan = self._search_fast(
+                self._gpu_priority(loads),
                 loads,
                 cached_experts,
-                oracle,
+                self._duration_table(n_tokens),
                 pcie_backlog,
                 include_shared,
                 inflight_eff,
@@ -361,7 +415,7 @@ class HybridScheduler:
             best = self._best_simulation(
                 activated,
                 cached_experts,
-                oracle,
+                self._oracle_factory(n_tokens),
                 pcie_backlog,
                 include_shared,
                 inflight,
@@ -396,35 +450,82 @@ class HybridScheduler:
         loads, _, spilled_eff = self._validated_inputs(
             activated, cached_experts, 0.0, 0.0, None, spilled, disk_fetch_s
         )
-        table = self._duration_table(n_tokens)
-        by_load_desc = sorted(loads, key=lambda e: (-loads[e], e))
-        uncached_desc = [e for e in by_load_desc if e not in cached_experts]
+        return self._quick_bounds(
+            self._gpu_priority(loads), loads, cached_experts,
+            self._duration_table(n_tokens), [None], spilled_eff, disk_fetch_s,
+        )[None]
+
+    @staticmethod
+    def _quick_bounds(
+        order: list[int],
+        loads: dict[int, int],
+        cached_experts: set[int],
+        table: _DurationTable,
+        candidates: list,
+        spilled: frozenset[int],
+        disk_fetch_s: float,
+    ) -> dict:
+        """Quick-makespan lower bound with each candidate taken as cached.
+
+        ``order`` is :meth:`_gpu_priority` of ``loads``. A candidate is
+        filtered out of the uncached experts (``None`` filters
+        nothing), which preserves order, so every bound adds the same
+        floats in the same order as a from-scratch call on
+        ``cached_experts | {candidate}`` (a candidate leaves the
+        effective spilled set with it).
+        """
+        uncached_desc = [e for e in order if e not in cached_experts]
+        cpu_jobs_all = sorted(uncached_desc, key=lambda e: (loads[e], e))
         gpu_t0 = table.shared_gpu if table.shared_gpu > 0.0 else 0.0
-        if not uncached_desc:
-            return gpu_t0
-        # k = |uncached|: every uncached expert rides the PCIe chain and
-        # must be computed on the GPU after its arrival (transferred
-        # experts are never stolen). Spilled experts first hop over the
-        # disk link.
-        t_pcie = 0.0
-        chain = gpu_t0
-        for expert in uncached_desc:
-            if expert in spilled_eff:
-                t_pcie += disk_fetch_s
-            t_pcie += table.transfer
-            chain = max(chain, t_pcie) + table.gpu(loads[expert])
-        # k = 0: every uncached expert runs on the CPU, back to back, in
-        # ascending-load order (first task pays the warmup penalty).
-        cpu_jobs = sorted(uncached_desc, key=lambda e: (loads[e], e))
-        t_cpu = 0.0
-        first = True
-        for expert in cpu_jobs:
-            duration = table.cpu(loads[expert], first)
-            if expert in spilled_eff:
-                duration += disk_fetch_s
-            t_cpu += duration
-            first = False
-        return min(chain, max(gpu_t0, t_cpu))
+        transfer = table.transfer
+        bounds = {}
+        for candidate in candidates:
+            remaining = [e for e in uncached_desc if e != candidate]
+            if not remaining:
+                bounds[candidate] = gpu_t0
+                continue
+            # k = |uncached|: every uncached expert rides the PCIe chain
+            # and must be computed on the GPU after its arrival
+            # (transferred experts are never stolen). Spilled experts
+            # first hop over the disk link.
+            t_pcie = 0.0
+            chain = gpu_t0
+            for expert in remaining:
+                if expert in spilled:
+                    t_pcie += disk_fetch_s
+                t_pcie += transfer
+                chain = max(chain, t_pcie) + table.gpu(loads[expert])
+            # k = 0: every uncached expert runs on the CPU, back to
+            # back, in ascending-load order (first task pays the warmup
+            # penalty).
+            t_cpu = 0.0
+            first = True
+            for expert in cpu_jobs_all:
+                if expert == candidate:
+                    continue
+                duration = table.cpu(loads[expert], first)
+                if expert in spilled:
+                    duration += disk_fetch_s
+                t_cpu += duration
+                first = False
+            bounds[candidate] = min(chain, max(gpu_t0, t_cpu))
+        return bounds
+
+    def _batch_key(
+        self, kind, activated, cached_experts, n_tokens, experts, spilled, disk_fetch_s
+    ) -> tuple | None:
+        """Value-complete memo key of one batched quick call."""
+        if self.config.plan_cache_size == 0:
+            return None
+        return (
+            kind,
+            n_tokens,
+            tuple(sorted(activated)),
+            frozenset(cached_experts),
+            tuple(sorted(experts)),
+            frozenset(spilled or ()),
+            disk_fetch_s,
+        )
 
     def quick_makespan_lower_bounds(
         self,
@@ -443,61 +544,24 @@ class HybridScheduler:
         asks one such bound per candidate of a predicted layer;
         batching hoists the shared work — input validation, the
         duration table, and the two load-ordered sorts — out of the
-        per-candidate loop. Filtering one expert from a sorted list is
-        order-preserving, so each candidate's chain/CPU walks add the
-        same floats in the same order as the per-call method
-        (test-enforced), and the whole batch memoizes as one ``"qb"``
-        entry (decode steps repeat near-identical predictions).
+        per-candidate loop (:meth:`_quick_bounds`; test-enforced), and
+        the whole batch memoizes as one ``"qb"`` entry (decode steps
+        repeat near-identical predictions).
         """
-        key = None
-        if self.config.plan_cache_size != 0:
-            key = (
-                "qb",
-                n_tokens,
-                tuple(sorted(activated)),
-                frozenset(cached_experts),
-                tuple(sorted(candidates)),
-                frozenset(spilled or ()),
-                disk_fetch_s,
-            )
+        key = self._batch_key(
+            "qb", activated, cached_experts, n_tokens, candidates, spilled, disk_fetch_s
+        )
+        if key is not None:
             hit = self._memo_get(key)
             if hit is not None:
                 return hit
         loads, _, spilled_all = self._validated_inputs(
             activated, cached_experts, 0.0, 0.0, None, spilled, disk_fetch_s
         )
-        table = self._duration_table(n_tokens)
-        by_load_desc = sorted(loads, key=lambda e: (-loads[e], e))
-        uncached_desc = [e for e in by_load_desc if e not in cached_experts]
-        cpu_jobs_all = sorted(uncached_desc, key=lambda e: (loads[e], e))
-        gpu_t0 = table.shared_gpu if table.shared_gpu > 0.0 else 0.0
-        transfer = table.transfer
-        bounds: dict[int, float] = {}
-        for candidate in candidates:
-            remaining = [e for e in uncached_desc if e != candidate]
-            if not remaining:
-                bounds[candidate] = gpu_t0
-                continue
-            t_pcie = 0.0
-            chain = gpu_t0
-            for expert in remaining:
-                # remaining excludes the candidate, so spilled_all
-                # membership equals the candidate's effective spill set.
-                if expert in spilled_all:
-                    t_pcie += disk_fetch_s
-                t_pcie += transfer
-                chain = max(chain, t_pcie) + table.gpu(loads[expert])
-            t_cpu = 0.0
-            first = True
-            for expert in cpu_jobs_all:
-                if expert == candidate:
-                    continue
-                duration = table.cpu(loads[expert], first)
-                if expert in spilled_all:
-                    duration += disk_fetch_s
-                t_cpu += duration
-                first = False
-            bounds[candidate] = min(chain, max(gpu_t0, t_cpu))
+        bounds = self._quick_bounds(
+            self._gpu_priority(loads), loads, cached_experts,
+            self._duration_table(n_tokens), candidates, spilled_all, disk_fetch_s,
+        )
         if key is not None:
             self._memo_put(key, bounds)
         return bounds
@@ -547,23 +611,16 @@ class HybridScheduler:
         and ``bounds`` is exactly
         :meth:`quick_makespan_lower_bounds` over ``candidates``. The
         prefetcher asks for both per predicted layer; computing them
-        together pays the input validation, duration table and the two
-        load-ordered sorts once, and memoizes the pair as one ``"qs"``
-        entry. ``base`` runs through :meth:`_quick_search` — the
-        float-exact replica of the general quick path — so values are
-        bit-identical to the separate calls (test-enforced).
+        together pays the input validation, duration table and the
+        priority sort once, and memoizes the pair as one ``"qs"``
+        entry. ``base`` is one :meth:`_search_fast` call — the routine
+        behind ``simulate_makespan`` — so values are bit-identical to
+        the separate calls (test-enforced).
         """
-        key = None
-        if self.config.plan_cache_size != 0:
-            key = (
-                "qs",
-                n_tokens,
-                tuple(sorted(activated)),
-                frozenset(cached_experts),
-                tuple(sorted(candidates)),
-                frozenset(spilled or ()),
-                disk_fetch_s,
-            )
+        key = self._batch_key(
+            "qs", activated, cached_experts, n_tokens, candidates, spilled, disk_fetch_s
+        )
+        if key is not None:
             hit = self._memo_get(key)
             if hit is not None:
                 return hit
@@ -571,40 +628,14 @@ class HybridScheduler:
             activated, cached_experts, 0.0, 0.0, None, spilled, disk_fetch_s
         )
         table = self._duration_table(n_tokens)
-        by_load_desc = sorted(loads, key=lambda e: (-loads[e], e))
-        uncached_desc = [e for e in by_load_desc if e not in cached_experts]
-        cached_desc = [e for e in by_load_desc if e in cached_experts]
-        cpu_jobs_all = sorted(uncached_desc, key=lambda e: (loads[e], e))
-        gpu_t0 = table.shared_gpu if table.shared_gpu > 0.0 else 0.0
-        transfer = table.transfer
-        base = self._quick_search(
-            loads, cached_experts, table, uncached_desc, cached_desc,
-            gpu_t0, spilled_all, disk_fetch_s,
+        order = self._gpu_priority(loads)
+        _, base = self._search_fast(
+            order, loads, cached_experts, table, 0.0, True, {}, 0.0,
+            force_quick=True, spilled=spilled_all, disk_fetch_s=disk_fetch_s,
         )
-        bounds: dict[int, float] = {}
-        for candidate in candidates:
-            remaining = [e for e in uncached_desc if e != candidate]
-            if not remaining:
-                bounds[candidate] = gpu_t0
-                continue
-            t_pcie = 0.0
-            chain = gpu_t0
-            for expert in remaining:
-                if expert in spilled_all:
-                    t_pcie += disk_fetch_s
-                t_pcie += transfer
-                chain = max(chain, t_pcie) + table.gpu(loads[expert])
-            t_cpu = 0.0
-            first = True
-            for expert in cpu_jobs_all:
-                if expert == candidate:
-                    continue
-                duration = table.cpu(loads[expert], first)
-                if expert in spilled_all:
-                    duration += disk_fetch_s
-                t_cpu += duration
-                first = False
-            bounds[candidate] = min(chain, max(gpu_t0, t_cpu))
+        bounds = self._quick_bounds(
+            order, loads, cached_experts, table, candidates, spilled_all, disk_fetch_s
+        )
         result = (base, bounds)
         if key is not None:
             self._memo_put(key, result)
@@ -625,25 +656,17 @@ class HybridScheduler:
         ``simulate_makespan(activated, cached_experts | {e}, n_tokens,
         quick=True, ...)`` would produce (zero backlogs, no inflight —
         the impact simulation's calling convention). One batch hoists
-        everything the per-call path repeats per expert: input
-        validation, the duration table, the shared load-descending
-        sort, and the memo-key construction. Each expert's uncached /
-        cached / CPU-job orders are stable filters of the shared sorted
-        lists — order-preserving, so the quick search walks the same
-        floats in the same order as the per-call path (test-enforced)
-        — and the whole batch memoizes as one ``"qw"`` entry.
+        what the per-call path repeats per expert — input validation,
+        the duration table, the priority sort and the memo-key
+        construction — and runs each expert through
+        :meth:`_search_fast`, the routine behind ``simulate_makespan``,
+        so the floats are the per-call path's (test-enforced). The
+        whole batch memoizes as one ``"qw"`` entry.
         """
-        key = None
-        if self.config.plan_cache_size != 0:
-            key = (
-                "qw",
-                n_tokens,
-                tuple(sorted(activated)),
-                frozenset(cached_experts),
-                tuple(sorted(experts)),
-                frozenset(spilled or ()),
-                disk_fetch_s,
-            )
+        key = self._batch_key(
+            "qw", activated, cached_experts, n_tokens, experts, spilled, disk_fetch_s
+        )
+        if key is not None:
             hit = self._memo_get(key)
             if hit is not None:
                 return hit
@@ -651,98 +674,18 @@ class HybridScheduler:
             activated, cached_experts, 0.0, 0.0, None, spilled, disk_fetch_s
         )
         table = self._duration_table(n_tokens)
-        by_load_desc = sorted(loads, key=lambda e: (-loads[e], e))
-        uncached_desc = [e for e in by_load_desc if e not in cached_experts]
-        gpu_t0 = table.shared_gpu if table.shared_gpu > 0.0 else 0.0
+        order = self._gpu_priority(loads)
         results: dict[int, float] = {}
         for expert in experts:
-            cached_e = cached_experts | {expert}
-            uncached_e = [e for e in uncached_desc if e != expert]
-            cached_desc_e = [e for e in by_load_desc if e in cached_e]
-            spilled_e = frozenset(e for e in spilled_all if e != expert)
-            results[expert] = self._quick_search(
-                loads, cached_e, table, uncached_e, cached_desc_e,
-                gpu_t0, spilled_e, disk_fetch_s,
+            _, results[expert] = self._search_fast(
+                order, loads, cached_experts | {expert}, table, 0.0, True, {}, 0.0,
+                force_quick=True,
+                spilled=spilled_all - {expert},
+                disk_fetch_s=disk_fetch_s,
             )
         if key is not None:
             self._memo_put(key, results)
         return results
-
-    def _quick_search(
-        self,
-        loads: dict[int, int],
-        cached_experts: set[int],
-        table: _DurationTable,
-        uncached_desc: list[int],
-        cached_desc: list[int],
-        gpu_t0: float,
-        spilled: frozenset[int],
-        disk_fetch_s: float,
-    ) -> float:
-        """Two-extremes search over prebuilt sorted lists.
-
-        A replica of :meth:`_search_fast` specialised to the quick
-        impact-simulation calling convention (``force_quick``, zero
-        backlogs, no inflight, shared expert included) with the sorted
-        expert orders supplied by the caller — same floats, same
-        comparisons, same tie-breaks, so the returned makespan is
-        bit-identical to the general path's.
-        """
-        arrival_prefix: list[float] = []
-        t_pcie = 0.0
-        for expert in uncached_desc:
-            if expert in spilled:
-                t_pcie += disk_fetch_s
-            t_pcie += table.transfer
-            arrival_prefix.append(t_pcie)
-        n_uncached = len(uncached_desc)
-        counts = [0] if n_uncached == 0 else [0, n_uncached]
-        best_k = -1
-        best_mk = float("inf")
-        chain_t = gpu_t0
-        chain_idx = 0
-        for k in counts:
-            while chain_idx < k:
-                expert = uncached_desc[chain_idx]
-                chain_t = max(chain_t, arrival_prefix[chain_idx]) + table.gpu(
-                    loads[expert]
-                )
-                chain_idx += 1
-            if best_k >= 0 and chain_t >= best_mk - _TIE_EPS:
-                break
-            cpu_jobs = sorted(uncached_desc[k:], key=lambda e: (loads[e], e))
-            if best_k >= 0 and cpu_jobs:
-                t_cpu = 0.0
-                first = True
-                for expert in cpu_jobs:
-                    duration = table.cpu(loads[expert], first)
-                    if expert in spilled:
-                        duration += disk_fetch_s
-                    t_cpu += duration
-                    first = False
-                if t_cpu >= best_mk - _TIE_EPS:
-                    continue
-            mk = self._fast_makespan(
-                loads,
-                cached_experts,
-                table,
-                cpu_jobs,
-                [(arrival_prefix[i], uncached_desc[i]) for i in range(k)],
-                [],
-                cached_desc,
-                gpu_t0,
-                0.0,
-                spilled,
-                disk_fetch_s,
-            )
-            if mk < best_mk - _TIE_EPS:
-                best_mk = mk
-                best_k = k
-            elif best_k < 0:
-                best_mk = mk
-                best_k = k
-        assert best_k >= 0
-        return best_mk
 
     def invalidate_costs(self) -> None:
         """Drop every memoized plan, makespan and duration table.
@@ -860,6 +803,11 @@ class HybridScheduler:
         return sorted(chosen)
 
     @staticmethod
+    def _gpu_priority(loads: dict[int, int]) -> list[int]:
+        """Experts in GPU / transfer priority: high load first, then id."""
+        return sorted(loads, key=lambda e: (-loads[e], e))
+
+    @staticmethod
     def _validated_inputs(
         activated,
         cached_experts,
@@ -918,9 +866,10 @@ class HybridScheduler:
         )
         if self.config.fast_path:
             best_k, _ = self._search_fast(
+                self._gpu_priority(loads),
                 loads,
                 cached_experts,
-                oracle,
+                self._duration_table(oracle.n_tokens),
                 pcie_backlog,
                 include_shared,
                 inflight_eff,
@@ -976,9 +925,10 @@ class HybridScheduler:
     # ------------------------------------------------------------------
     def _search_fast(
         self,
+        order: list[int],
         loads: dict[int, int],
         cached_experts: set[int],
-        oracle: LayerCostOracle,
+        table: _DurationTable,
         pcie_backlog: float,
         include_shared: bool,
         inflight: dict[int, float],
@@ -989,216 +939,206 @@ class HybridScheduler:
     ) -> tuple[int, float]:
         """Find the optimal transfer count without building plans.
 
-        Returns ``(best_k, best_makespan)`` where ``best_makespan`` is
-        bit-identical to what the reference loop would select: every
-        candidate it does evaluate goes through a float-exact replica
-        of the reference event loop, and every candidate it prunes is
-        provably unable to beat the incumbent (lower bounds are built
-        from the same duration floats the simulation would add).
-        """
-        table = self._duration_table(oracle.n_tokens)
-        # Hoisted priority sorts: identical for every candidate k.
-        by_load_desc = sorted(loads, key=lambda e: (-loads[e], e))
-        uncached_desc = [e for e in by_load_desc if e not in cached_experts]
-        cached_desc = [
-            e for e in by_load_desc if e in cached_experts and e not in inflight
-        ]
-        inflight_arrivals = [(ready, e) for e, ready in inflight.items()]
-        # Transfer-timeline prefix: moving k -> k+1 appends exactly one
-        # arrival, so the whole family of PCIe timelines is one shared
-        # accumulation (same `t_pcie += transfer` float sequence as the
-        # reference). A spilled expert's chain grows by its disk hop.
-        arrival_prefix: list[float] = []
-        t_pcie = pcie_backlog
-        for expert in uncached_desc:
-            if expert in spilled:
-                t_pcie += disk_fetch_s
-            t_pcie += table.transfer
-            arrival_prefix.append(t_pcie)
-        gpu_t0 = table.shared_gpu if include_shared and table.shared_gpu > 0.0 else 0.0
+        ``order`` is :meth:`_gpu_priority` of ``loads`` (callers that
+        search many variants of one layer sort once). Returns
+        ``(best_k, best_makespan)``, bit-identical to what the
+        reference loop would select: every candidate evaluated goes
+        through a float-exact replica of the reference event loop, and
+        every candidate skipped provably cannot change the outcome of
+        the reference's ascending scan.
 
-        counts = self._candidate_transfer_counts(len(uncached_desc), force_quick)
-        best_k = -1
-        best_mk = float("inf")
-        # Monotone transfer-chain lower bound, advanced incrementally:
-        # the k-th chain is the (k-1)-th plus one max/add step, so it
-        # only grows with k — once it crosses the incumbent, every
-        # remaining (larger) candidate is provably worse and the whole
-        # ascending search terminates.
-        chain_t = gpu_t0
-        chain_idx = 0
-        for k in counts:
-            while chain_idx < k:
-                expert = uncached_desc[chain_idx]
-                chain_t = max(chain_t, arrival_prefix[chain_idx]) + table.gpu(
-                    loads[expert]
+        Two exact lower bounds drive the pruning, both built from the
+        floats the simulation itself adds: the *transfer chain* (every
+        transferred expert is computed on the GPU after its arrival;
+        rises with ``k``) and the *CPU queue* (the CPU runs its own
+        jobs back to back from the backlog, steals only extend it;
+        falls with ``k``). :func:`_scan_candidates` decides from them
+        which candidates need an exact simulation.
+        """
+        # Slots number the experts in ascending GPU priority: the GPU's
+        # next task is the pool's last element, an arrival joins by
+        # insort on a plain int, and (time, -slot) is the reference's
+        # arrival order.
+        experts = order[::-1]
+        load_of = [loads[e] for e in experts]
+        gpu = table.gpu
+        gpu_dur = [gpu(load) for load in load_of]
+        stealable = [e in cached_experts for e in experts]
+        if inflight:
+            pool = [
+                s for s, e in enumerate(experts) if stealable[s] and e not in inflight
+            ]
+            inflight_arrivals = [
+                (inflight[e], -s) for s, e in enumerate(experts) if e in inflight
+            ]
+        else:
+            pool = [s for s, cached in enumerate(stealable) if cached]
+        # Transfer lane (high load first): moving k -> k+1 appends one
+        # arrival, so the PCIe timelines of all candidates are one
+        # shared accumulation (the reference's `t_pcie += transfer`
+        # sequence; a spilled expert's chain grows by its disk hop),
+        # and so is the chain bound.
+        lane = [s for s in range(len(experts) - 1, -1, -1) if not stealable[s]]
+        n = len(lane)
+        gpu_t0 = table.shared_gpu if include_shared and table.shared_gpu > 0.0 else 0.0
+        transfer = table.transfer
+        arrive: list[float] = []
+        chain = [gpu_t0]
+        t_pcie = pcie_backlog
+        t_chain = gpu_t0
+        for s in lane:
+            if spilled and experts[s] in spilled:
+                t_pcie += disk_fetch_s
+            t_pcie += transfer
+            arrive.append(t_pcie)
+            t_chain = max(t_chain, t_pcie) + gpu_dur[s]
+            chain.append(t_chain)
+
+        counts = self._candidate_transfer_counts(n, force_quick)
+        # CPU lane: until its own queue drains the CPU never interacts
+        # with the GPU, so a candidate needs only (start of the last
+        # own job, drain time), accumulated exactly as the event loop
+        # would. Own durations depend on the load alone unless an
+        # expert is spilled, and candidate k queues the n - k lowest
+        # loads in ascending order — every candidate's sums are
+        # prefixes of one accumulation.
+        cpu = table.cpu
+        if spilled:
+            rank = {s: j for j, s in enumerate(lane)}
+            queue = sorted(lane, key=lambda s: (load_of[s], -s))
+            own = []
+            for k in counts:
+                start, t_cpu, first = _NEG_INF, cpu_backlog, True
+                for s in queue:
+                    if rank[s] >= k:
+                        duration = cpu(load_of[s], first)
+                        if experts[s] in spilled:
+                            duration += disk_fetch_s
+                        start = t_cpu
+                        t_cpu += duration
+                        first = False
+                own.append((start, t_cpu))
+        else:
+            drained = [_NEG_INF, cpu_backlog]
+            t_cpu, first = cpu_backlog, True
+            for s in reversed(lane):
+                t_cpu += cpu(load_of[s], first)
+                first = False
+                drained.append(t_cpu)
+            own = [(drained[n - k], drained[n - k + 1]) for k in counts]
+        bounds = [
+            max(chain[k], drain) if k < n else chain[k]
+            for k, (_, drain) in zip(counts, own)
+        ]
+
+        def makespan(i: int) -> float:
+            k = counts[i]
+            if inflight:
+                merged = sorted(
+                    inflight_arrivals + [(arrive[j], -lane[j]) for j in range(k)]
                 )
-                chain_idx += 1
-            if best_k >= 0 and chain_t >= best_mk - _TIE_EPS:
-                break
-            cpu_jobs = sorted(
-                uncached_desc[k:], key=lambda e: (loads[e], e)
+                times = [ready for ready, _ in merged]
+                slots = [-negated for _, negated in merged]
+            else:
+                times, slots = arrive[:k], lane[:k]
+            start, drain = own[i]
+            return self._fast_makespan(
+                table, load_of, gpu_dur, stealable, pool[:], times, slots,
+                gpu_t0, start, drain, k < n,
             )
-            if best_k >= 0 and cpu_jobs:
-                # CPU-side lower bound: the CPU queue runs back to back
-                # from the backlog with exactly these float durations
-                # (disk-fetch surcharges included); steals only extend
-                # it. Not monotone in k, so this one skips a single
-                # candidate rather than terminating.
-                t_cpu = cpu_backlog
-                first = True
-                for expert in cpu_jobs:
-                    duration = table.cpu(loads[expert], first)
-                    if expert in spilled:
-                        duration += disk_fetch_s
-                    t_cpu += duration
-                    first = False
-                if t_cpu >= best_mk - _TIE_EPS:
-                    continue
-            mk = self._fast_makespan(
-                loads,
-                cached_experts,
-                table,
-                cpu_jobs,
-                [
-                    (arrival_prefix[i], uncached_desc[i]) for i in range(k)
-                ],
-                inflight_arrivals,
-                cached_desc,
-                gpu_t0,
-                cpu_backlog,
-                spilled,
-                disk_fetch_s,
-            )
-            # Ascending k: ties keep the earlier (fewer-transfer)
-            # incumbent, exactly like the reference tie-break.
-            if mk < best_mk - _TIE_EPS:
-                best_mk = mk
-                best_k = k
-            elif best_k < 0:
-                best_mk = mk
-                best_k = k
-        assert best_k >= 0  # k=0 is never pruned (no incumbent yet)
-        return best_k, best_mk
+
+        return _scan_candidates(counts, bounds, makespan)
 
     def _fast_makespan(
         self,
-        loads: dict[int, int],
-        cached_experts: set[int],
         table: _DurationTable,
-        cpu_jobs: list[int],
-        transfer_arrivals: list[tuple[float, int]],
-        inflight_arrivals: list[tuple[float, int]],
-        cached_desc: list[int],
-        gpu_t0: float,
-        cpu_backlog: float,
-        spilled: frozenset[int] = frozenset(),
-        disk_fetch_s: float = 0.0,
+        load_of: list[int],
+        gpu_dur: list[float],
+        stealable: list[bool],
+        pool: list[int],
+        arrival_times: list[float],
+        arrival_slots: list[int],
+        t_gpu: float,
+        own_start: float,
+        t_cpu: float,
+        cpu_any: bool,
     ) -> float:
         """Record-free replica of :meth:`_simulate`'s event loop.
 
-        Performs the same float operations in the same order as the
-        reference simulation but builds no task objects, so the
-        returned makespan is bit-identical at a fraction of the cost.
+        Works on the slots of :meth:`_search_fast`: ``pool`` (consumed)
+        holds the GPU-eligible slots ascending, arrivals come sorted by
+        ``(time, -slot)``, and the CPU enters with its own queue
+        already folded into ``t_cpu`` (``own_start`` is when its last
+        own job started, ``-inf`` without one). Performs the same float
+        operations in the same order as the reference, so the returned
+        makespan is bit-identical; per event it costs a pop or a
+        bisect instead of a scan of the pool, and the steal scan runs
+        only when the CPU is actually idle with something to take.
         """
-        arrivals = list(inflight_arrivals)
-        arrivals.extend(transfer_arrivals)
-        arrivals.sort(key=lambda pair: (pair[0], -loads[pair[1]], pair[1]))
-
-        t_gpu = gpu_t0
-        gpu_pool: list[int] = list(cached_desc)
-        arrival_idx = 0
-        t_cpu = cpu_backlog
-        cpu_idx = 0
-        cpu_any = False
-        cpu_finished = False
-        n_arrivals = len(arrivals)
-        n_cpu_jobs = len(cpu_jobs)
-        allow_steal = self.config.allow_cpu_steal
+        n_arrivals = len(arrival_times)
+        next_arrival = 0
+        # Everything cached is in the pool from the start; transferred
+        # experts never become stealable.
+        n_stealable = len(pool)
+        can_steal = self.config.allow_cpu_steal
         steal_factor = 1.0 - self.config.steal_margin
-
-        def absorb_arrivals(up_to: float) -> None:
-            nonlocal arrival_idx
-            while arrival_idx < n_arrivals and arrivals[arrival_idx][0] <= up_to:
-                expert = arrivals[arrival_idx][1]
-                load = loads[expert]
-                position = 0
-                while position < len(gpu_pool) and (
-                    loads[gpu_pool[position]] > load
-                    or (
-                        loads[gpu_pool[position]] == load
-                        and gpu_pool[position] < expert
-                    )
-                ):
-                    position += 1
-                gpu_pool.insert(position, expert)
-                arrival_idx += 1
-
-        def gpu_finish_estimate() -> float:
-            t = t_gpu
-            for expert in gpu_pool:
-                t += table.gpu(loads[expert])
-            for ready, expert in arrivals[arrival_idx:]:
-                t = max(t, ready) + table.gpu(loads[expert])
-            return t
-
         while True:
-            absorb_arrivals(t_gpu)
-            if gpu_pool:
+            while next_arrival < n_arrivals and arrival_times[next_arrival] <= t_gpu:
+                slot = arrival_slots[next_arrival]
+                insort(pool, slot)
+                n_stealable += stealable[slot]
+                next_arrival += 1
+            if pool:
                 gpu_start = t_gpu
-            elif arrival_idx < n_arrivals:
-                gpu_start = max(t_gpu, arrivals[arrival_idx][0])
+            elif next_arrival < n_arrivals:
+                gpu_start = arrival_times[next_arrival]
             else:
-                gpu_start = float("inf")
-            steal_candidates = [e for e in gpu_pool if e in cached_experts]
-            cpu_can_steal = (
-                allow_steal
-                and not cpu_finished
-                and cpu_idx >= n_cpu_jobs
-                and bool(steal_candidates)
-            )
-            if cpu_idx < n_cpu_jobs:
-                cpu_start = t_cpu
-            elif cpu_can_steal:
-                cpu_start = t_cpu
-            else:
-                cpu_start = float("inf")
-
-            if gpu_start == float("inf") and cpu_start == float("inf"):
                 break
-
-            cpu_wins_tie = gpu_start == cpu_start and cpu_idx >= n_cpu_jobs
-            if gpu_start <= cpu_start and not cpu_wins_tie:
-                absorb_arrivals(gpu_start)
-                if not gpu_pool:
-                    raise SchedulingError(
-                        "simulation invariant: empty GPU pool at dispatch"
-                    )
-                expert = gpu_pool.pop(0)
-                t_gpu = gpu_start + table.gpu(loads[expert])
-            else:
-                if cpu_idx < n_cpu_jobs:
-                    expert = cpu_jobs[cpu_idx]
-                    cpu_idx += 1
+            # The idle CPU acts first on a tie — except against its own
+            # last job, which the GPU's same-instant dispatch precedes.
+            if (
+                can_steal
+                and n_stealable
+                and gpu_start >= t_cpu
+                and gpu_start > own_start
+            ):
+                # Lowest load, lowest id on ties: the last stealable
+                # slot of the lowest stealable load.
+                pick = -1
+                for index, slot in enumerate(pool):
+                    if pick >= 0 and load_of[slot] != load_of[pool[pick]]:
+                        break
+                    if stealable[slot]:
+                        pick = index
+                slot = pool[pick]
+                duration = table.cpu(load_of[slot], not cpu_any)
+                finish = t_gpu
+                for queued in reversed(pool):
+                    finish += gpu_dur[queued]
+                for j in range(next_arrival, n_arrivals):
+                    finish = max(finish, arrival_times[j]) + gpu_dur[arrival_slots[j]]
+                if t_cpu + duration >= finish * steal_factor:
+                    can_steal = False
                 else:
-                    # Steal candidates are GPU-cached, hence never
-                    # spilled — no disk surcharge on this branch.
-                    candidate = min(steal_candidates, key=lambda e: (loads[e], e))
-                    duration = table.cpu(loads[candidate], not cpu_any)
-                    threshold = gpu_finish_estimate() * steal_factor
-                    if t_cpu + duration >= threshold:
-                        cpu_finished = True
-                        continue
-                    gpu_pool.remove(candidate)
-                    expert = candidate
-                duration = table.cpu(loads[expert], not cpu_any)
-                if expert in spilled:
-                    duration += disk_fetch_s
-                t_cpu += duration
-                cpu_any = True
-
-        cpu_end = t_cpu if cpu_any else 0.0
-        return max(t_gpu, cpu_end)
+                    del pool[pick]
+                    n_stealable -= 1
+                    t_cpu += duration
+                    cpu_any = True
+                    own_start = _NEG_INF
+                continue
+            if not pool:
+                while (
+                    next_arrival < n_arrivals
+                    and arrival_times[next_arrival] <= gpu_start
+                ):
+                    slot = arrival_slots[next_arrival]
+                    insort(pool, slot)
+                    n_stealable += stealable[slot]
+                    next_arrival += 1
+            slot = pool.pop()
+            n_stealable -= stealable[slot]
+            t_gpu = gpu_start + gpu_dur[slot]
+        return max(t_gpu, t_cpu if cpu_any else 0.0)
 
     # ------------------------------------------------------------------
     # the event-driven schedule simulation (reference oracle)

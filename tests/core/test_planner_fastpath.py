@@ -9,11 +9,19 @@ scheduler level, through every strategy's ``plan_layer`` (single- and
 multi-GPU-shaped contexts), and end-to-end through the engine.
 """
 
+import dataclasses
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.hybrid_scheduler import HybridScheduler, SchedulerConfig
+from repro.core.hybrid_scheduler import (
+    _TIE_EPS,
+    HybridScheduler,
+    SchedulerConfig,
+    _scan_candidates,
+)
 from repro.core.tasks import LayerCostOracle
 from repro.engine.engine import EngineConfig
 from repro.engine.factory import available_strategies, make_engine
@@ -25,8 +33,9 @@ from repro.rng import derive_rng
 class _RandomCost:
     """Arbitrary but consistent positive cost model for properties."""
 
-    def __init__(self, gpu, cpu_per_token, transfer, warmup=0.0):
+    def __init__(self, gpu, cpu_per_token, transfer, warmup=0.0, gpu_per_token=0.0):
         self.gpu = gpu
+        self.gpu_per_token = gpu_per_token
         self.cpu_per_token = cpu_per_token
         self.transfer = transfer
         self.warmup = warmup
@@ -35,7 +44,7 @@ class _RandomCost:
         return 1.0
 
     def gpu_expert_time(self, shape, tokens):
-        return self.gpu if tokens else 0.0
+        return self.gpu + self.gpu_per_token * tokens if tokens else 0.0
 
     def cpu_expert_time(self, shape, tokens, first_task=False):
         if not tokens:
@@ -53,15 +62,15 @@ _MODEL = MoEModelConfig(
     name="prop",
     num_layers=1,
     num_shared_experts=1,
-    num_routed_experts=32,
+    num_routed_experts=64,
     num_activated_experts=4,
     routed_expert_shape=ExpertShape(8, 8),
     shared_expert_shape=ExpertShape(8, 8),
 )
 
 
-def _scheduler_pair(gpu, cpu, transfer, warmup, steal, margin, width):
-    cost = _RandomCost(gpu, cpu, transfer, warmup)
+def _scheduler_pair(gpu, cpu, transfer, warmup, steal, margin, width, gpu_per_token=0.0):
+    cost = _RandomCost(gpu, cpu, transfer, warmup, gpu_per_token)
 
     def factory(n_tokens):
         return LayerCostOracle.for_model(cost, _MODEL, n_tokens)
@@ -88,19 +97,27 @@ def _scheduler_pair(gpu, cpu, transfer, warmup, steal, margin, width):
     return fast, reference
 
 
-_ACTIVATION = st.dictionaries(
-    st.integers(0, 31), st.integers(1, 40), min_size=1, max_size=16
+#: Up to a full-width prefill layer: all 64 experts activated with
+#: loads up to 512 — 40+ candidate transfer counts per search. Small
+#: load alphabets make equal-load ties (and equal makespans) common.
+_EXPERTS = st.integers(0, 63)
+_ACTIVATION = st.one_of(
+    st.dictionaries(_EXPERTS, st.integers(1, 512), min_size=1, max_size=64),
+    st.dictionaries(_EXPERTS, st.sampled_from([1, 2, 3, 48]), min_size=8, max_size=64),
 )
+#: Cached sets leave up to 48 (or all) of the activated experts uncached.
+_CACHED = st.sets(_EXPERTS, max_size=40)
 
 
 class TestFastPathEquality:
     @given(
         loads=_ACTIVATION,
-        cached_mask=st.sets(st.integers(0, 31), max_size=16),
-        inflight_raw=st.dictionaries(
-            st.integers(0, 31), st.floats(0.0, 15.0), max_size=6
-        ),
+        cached_mask=_CACHED,
+        inflight_raw=st.dictionaries(_EXPERTS, st.floats(0.0, 400.0), max_size=8),
+        spilled=st.sets(_EXPERTS, max_size=24),
+        disk_fetch_s=st.sampled_from([0.0, 0.5, 7.0]),
         gpu=st.floats(0.1, 5.0),
+        gpu_per_token=st.sampled_from([0.0, 0.02, 0.5]),
         cpu=st.floats(0.1, 5.0),
         transfer=st.floats(0.1, 10.0),
         warmup=st.floats(0.0, 2.0),
@@ -108,7 +125,7 @@ class TestFastPathEquality:
         cpu_backlog=st.floats(0.0, 12.0),
         steal=st.booleans(),
         margin=st.sampled_from([0.0, 0.1, 0.3]),
-        width=st.sampled_from([None, 2, 3, 5]),
+        width=st.sampled_from([None, 2, 3, 5, 9]),
         include_shared=st.booleans(),
         n_tokens=st.sampled_from([1, 4, 128]),
     )
@@ -118,7 +135,10 @@ class TestFastPathEquality:
         loads,
         cached_mask,
         inflight_raw,
+        spilled,
+        disk_fetch_s,
         gpu,
+        gpu_per_token,
         cpu,
         transfer,
         warmup,
@@ -133,7 +153,7 @@ class TestFastPathEquality:
         """The fast search and the reference simulator agree exactly —
         tasks, order, transfers, makespan float and metadata."""
         fast, reference = _scheduler_pair(
-            gpu, cpu, transfer, warmup, steal, margin, width
+            gpu, cpu, transfer, warmup, steal, margin, width, gpu_per_token
         )
         activated = sorted(loads.items())
         cached = cached_mask & set(loads)
@@ -144,6 +164,8 @@ class TestFastPathEquality:
             include_shared=include_shared,
             inflight=inflight,
             cpu_backlog=cpu_backlog,
+            spilled=spilled,
+            disk_fetch_s=disk_fetch_s,
         )
         plan_fast = fast.plan(*args, **kwargs)
         plan_ref = reference.plan(*args, **kwargs)
@@ -154,7 +176,7 @@ class TestFastPathEquality:
 
     @given(
         loads=_ACTIVATION,
-        cached_mask=st.sets(st.integers(0, 31), max_size=16),
+        cached_mask=_CACHED,
         gpu=st.floats(0.1, 5.0),
         cpu=st.floats(0.1, 5.0),
         transfer=st.floats(0.1, 10.0),
@@ -178,7 +200,7 @@ class TestFastPathEquality:
 
     @given(
         loads=_ACTIVATION,
-        cached_mask=st.sets(st.integers(0, 31), max_size=16),
+        cached_mask=_CACHED,
         gpu=st.floats(0.1, 5.0),
         cpu=st.floats(0.1, 5.0),
         transfer=st.floats(0.1, 10.0),
@@ -195,6 +217,251 @@ class TestFastPathEquality:
         bound = fast.quick_makespan_lower_bound(activated, cached, 4)
         exact = fast.simulate_makespan(activated, cached, 4, quick=True)
         assert bound <= exact
+
+
+# ----------------------------------------------------------------------
+# probe-seeded pruning: ties, near-ties and the work it saves
+# ----------------------------------------------------------------------
+
+#: Exactly representable costs make equal makespans across several
+#: transfer counts *bit*-equal; the decimal ones differ by rounding
+#: noise far below ``_TIE_EPS`` instead.
+_GRID_COST = st.sampled_from([0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 0.1, 0.3, 0.7])
+
+
+def _reference_fold(makespans):
+    """The reference argmin: replace only if better by more than eps."""
+    best = None
+    for k, mk in makespans:
+        if best is None or mk < best[1] - _TIE_EPS:
+            best = (k, mk)
+    return best
+
+
+class TestProbeSeededPruning:
+    @given(
+        n=st.integers(8, 64),
+        n_cached=st.integers(0, 24),
+        levels=st.lists(st.sampled_from([1, 2, 4, 48]), min_size=1, max_size=2),
+        gpu=_GRID_COST,
+        cpu=_GRID_COST,
+        transfer=_GRID_COST,
+        steal=st.booleans(),
+        pcie_backlog=st.sampled_from([0.0, 0.5, 3.0]),
+        cpu_backlog=st.sampled_from([0.0, 0.25, 6.0]),
+        n_inflight=st.integers(0, 3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_flat_loads_keep_the_fewest_transfers(
+        self, n, n_cached, levels, gpu, cpu, transfer, steal, pcie_backlog,
+        cpu_backlog, n_inflight,
+    ):
+        """Flat (one- or two-level) loads put plateaus of equal
+        makespans under the search; the probe lands inside them and
+        the plan must still be the reference's fewest-transfers one."""
+        fast, reference = _scheduler_pair(gpu, cpu, transfer, 0.0, steal, 0.0, None)
+        activated = [(e, levels[e % len(levels)]) for e in range(n)]
+        cached = set(range(0, 2 * min(n_cached, n // 2), 2))
+        inflight = {e: 1.5 * (i + 1) for i, e in enumerate(sorted(cached)[:n_inflight])}
+        kwargs = dict(
+            pcie_backlog=pcie_backlog, cpu_backlog=cpu_backlog, inflight=inflight
+        )
+        plan_fast = fast.plan(0, activated, cached, 4, **kwargs)
+        plan_ref = reference.plan(0, activated, cached, 4, **kwargs)
+        assert plan_fast == plan_ref
+        assert plan_fast.estimated_makespan == plan_ref.estimated_makespan
+
+    @given(
+        n=st.integers(2, 40),
+        n_cached=st.integers(0, 16),
+        levels=st.lists(st.sampled_from([1, 2, 4, 48]), min_size=1, max_size=3),
+        gpu=_GRID_COST,
+        gpu_per_token=st.sampled_from([0.0, 0.125, 0.01]),
+        cpu=st.one_of(_GRID_COST, st.just(0.0)),
+        transfer=_GRID_COST,
+        warmup=st.sampled_from([0.0, 0.5]),
+        margin=st.sampled_from([0.0, 0.1]),
+        backlogs=st.tuples(
+            st.sampled_from([0.0, 0.5, 3.0]), st.sampled_from([0.0, 0.25, 6.0])
+        ),
+        n_inflight=st.integers(0, 3),
+        spilled=st.sets(st.integers(0, 39), max_size=6),
+        include_shared=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_every_allocation_simulates_bit_identically(
+        self, n, n_cached, levels, gpu, gpu_per_token, cpu, transfer, warmup, margin,
+        backlogs, n_inflight, spilled, include_shared,
+    ):
+        """Not just the winner: with the search pinned to one transfer
+        count at a time, the record-free event loop returns the
+        reference simulator's makespan for *every* allocation — on a
+        cost grid where GPU and CPU events coincide to the bit (steal
+        ties, simultaneous arrivals, zero-length CPU jobs)."""
+        fast, reference = _scheduler_pair(
+            gpu, cpu, transfer, warmup, True, margin, None, gpu_per_token
+        )
+        # The memo key cannot see the pinned transfer count.
+        fast = HybridScheduler(
+            fast._oracle_factory, dataclasses.replace(fast.config, plan_cache_size=0)
+        )
+        activated = [(e, levels[e % len(levels)]) for e in range(n)]
+        cached = set(range(0, 2 * min(n_cached, n // 2), 2))
+        inflight = {e: 1.5 * (i + 1) for i, e in enumerate(sorted(cached)[:n_inflight])}
+        kwargs = dict(
+            pcie_backlog=backlogs[0], cpu_backlog=backlogs[1], inflight=inflight,
+            spilled=spilled, disk_fetch_s=0.75, include_shared=include_shared,
+        )
+        for k in range(n - len(cached) + 1):
+            for scheduler in (fast, reference):
+                scheduler._candidate_transfer_counts = lambda n_unc, quick, k=k: [k]
+            assert fast.simulate_makespan(
+                activated, cached, 4, **kwargs
+            ) == reference.simulate_makespan(activated, cached, 4, **kwargs)
+
+    def test_pinned_plateau(self):
+        """29 experts of load 4, every other one of the top 18 ids
+        cached: transfer counts 10..19 all reach the minimal makespan
+        20.0 exactly (each extra transfer is offset by one more CPU
+        steal). The plan must transfer 10."""
+        fast, reference = _scheduler_pair(1.0, 0.5, 1.0, 0.0, True, 0.0, None)
+        activated = [(e, 4) for e in range(29)]
+        cached = set(range(28, 10, -2))
+        loads, _, _ = reference._validated_inputs(activated, cached, 0.0, 0.0, None)
+        oracle = LayerCostOracle.for_model(_RandomCost(1.0, 0.5, 1.0), _MODEL, 4)
+        makespans = [
+            reference._simulate(loads, cached, oracle, k, 0.0, True).makespan
+            for k in range(21)
+        ]
+        assert [k for k, mk in enumerate(makespans) if mk == min(makespans)] == list(
+            range(10, 20)
+        )
+        plan = fast.plan(0, activated, cached, 4)
+        assert plan.metadata["transfer_count"] == 10
+        assert plan.estimated_makespan == 20.0
+        assert plan == reference.plan(0, activated, cached, 4)
+
+    @given(
+        steps=st.lists(st.integers(0, 14), min_size=1, max_size=14),
+        slack=st.lists(st.sampled_from([0, 1, 3, 40]), min_size=14, max_size=14),
+        base=st.sampled_from([1e-3, 1.0, 64.0]),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_scan_equals_reference_fold_on_near_ties(self, steps, slack, base):
+        """The decision procedure on its own, fed makespans a fraction
+        of ``_TIE_EPS`` apart — chains in which which candidate replaces
+        which depends on every earlier one — and arbitrary valid lower
+        bounds. Whatever it skips, it must return the reference fold."""
+        unit = max(0.3 * _TIE_EPS, float(np.spacing(base)))
+        makespans = [base + step * unit for step in steps]
+        bounds = [mk - gap * unit for mk, gap in zip(makespans, slack)]
+        counts = list(range(0, 2 * len(makespans), 2))
+        simulated = []
+
+        def makespan(i):
+            simulated.append(i)
+            return makespans[i]
+
+        assert _scan_candidates(counts, bounds, makespan) == _reference_fold(
+            zip(counts, makespans)
+        )
+
+    def test_scan_restarts_on_a_makespan_inside_the_gap(self):
+        """k=0 sits 0.6 eps above the probe's makespan: neither low nor
+        high. The capped scan would return the probe; the reference
+        keeps k=0 (not beaten by more than eps)."""
+        makespans = [1.0 + 0.6e-15, 3.0, 1.0]
+        bounds = [0.5, 0.6, 0.4]
+        assert makespans[0] > makespans[2] and makespans[0] - _TIE_EPS <= makespans[2]
+        result = _scan_candidates([0, 1, 2], bounds, makespans.__getitem__)
+        assert result == (0, makespans[0]) == _reference_fold(enumerate(makespans))
+
+    @given(
+        loads=_ACTIVATION,
+        cached_mask=_CACHED,
+        spilled=st.sets(_EXPERTS, max_size=12),
+        disk_fetch_s=st.sampled_from([0.0, 2.0]),
+        gpu=st.floats(0.1, 5.0),
+        cpu=st.floats(0.1, 5.0),
+        transfer=st.floats(0.1, 10.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batched_quick_calls_equal_per_call_simulations(
+        self, loads, cached_mask, spilled, disk_fetch_s, gpu, cpu, transfer
+    ):
+        """``quick_screen`` / ``quick_makespans_with`` run the one
+        search routine: their floats are ``simulate_makespan(quick=True)``
+        of the fast *and* of the reference path."""
+        fast, reference = _scheduler_pair(gpu, cpu, transfer, 0.0, True, 0.0, None)
+        activated = sorted(loads.items())
+        cached = cached_mask & set(loads)
+        candidates = [e for e in loads if e not in cached][:6]
+        tier = dict(spilled=spilled, disk_fetch_s=disk_fetch_s)
+        base, bounds = fast.quick_screen(activated, cached, 4, candidates, **tier)
+        assert base == reference.simulate_makespan(
+            activated, cached, 4, quick=True, **tier
+        )
+        with_expert = fast.quick_makespans_with(
+            activated, cached, 4, candidates, **tier
+        )
+        for expert in candidates:
+            exact = reference.simulate_makespan(
+                activated, cached | {expert}, 4, quick=True, **tier
+            )
+            assert with_expert[expert] == exact
+            assert bounds[expert] <= exact
+            assert bounds[expert] == fast.quick_makespan_lower_bound(
+                activated, cached | {expert}, 4, **tier
+            )
+
+
+def test_wide_prefill_plans_need_few_simulations():
+    """Deterministic work count, no wall clock: each of the 8 layers of
+    a 512-token deepseek prefill (all 64 experts activated; on most
+    layers 28-45 of them uncached) plans with at most 8 exact candidate
+    simulations — the plain ascending scan needed 26-41 on the wide
+    ones — and the plans are the reference's."""
+    engine = make_engine(
+        model="deepseek", strategy="hybrimoe", num_layers=8, cache_ratio=0.5, seed=0
+    )
+    scheduler = engine.runtime.scheduler
+    calls = []
+    plan = scheduler.plan
+
+    def recording(layer, activated, cached_experts, *args, **kwargs):
+        calls.append(((layer, activated, cached_experts, *args), kwargs))
+        return plan(layer, activated, cached_experts, *args, **kwargs)
+
+    scheduler.plan = recording
+    prompt = derive_rng(0, "fastpath-prefill").integers(
+        0, engine.model.vocab_size, size=512
+    )
+    engine.generate(prompt, decode_steps=0)
+    assert len(calls) == 8
+
+    factory = engine.runtime.estimated_oracle
+    fast = HybridScheduler(factory, SchedulerConfig(plan_cache_size=0))
+    reference = HybridScheduler(
+        factory, SchedulerConfig(fast_path=False, plan_cache_size=0)
+    )
+    simulations = []
+    fast_makespan = fast._fast_makespan
+    fast._fast_makespan = lambda *args: (
+        simulations.append(1) or fast_makespan(*args)
+    )
+    wide = 0
+    for args, kwargs in calls:
+        del simulations[:]
+        got = fast.plan(*args, **kwargs)
+        want = reference.plan(*args, **kwargs)
+        assert (got.metadata["transfer_count"], got.estimated_makespan) == (
+            want.metadata["transfer_count"], want.estimated_makespan,
+        )
+        assert got == want
+        assert 1 <= len(simulations) <= 8
+        _, activated, cached = args[:3]
+        wide += sum(e not in cached for e, _ in activated) >= 24
+    assert wide >= 5
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ from profile_step import profile_report  # noqa: E402
 
 def test_report_shape_and_sanity():
     report = profile_report(steps=5, num_layers=2, cache_ratio=0.5, top=5)
+    assert report["stage"] == "decode"
     assert report["steps"] == 5
     assert report["model"] == "deepseek"
     assert report["strategy"] == "hybrimoe"
@@ -35,3 +36,29 @@ def test_top_rows_follow_sort_order():
     report = profile_report(steps=2, num_layers=2, cache_ratio=0.5, top=10)
     cumtimes = [row["cumtime_s"] for row in report["fast"]["top"]]
     assert cumtimes == sorted(cumtimes, reverse=True)
+
+
+def test_prefill_stage_profiles_the_wide_planner_search():
+    """``stage="prefill"`` runs cold full-prompt prefills: every expert
+    is activated, so the planner's search shows up in the report."""
+    report = profile_report(
+        steps=1, num_layers=2, cache_ratio=0.5, top=400, stage="prefill",
+        prompt_len=64,
+    )
+    assert report["stage"] == "prefill"
+    assert report["steps"] == 1
+    functions = [row["function"] for row in report["fast"]["top"]]
+    assert any("hybrid_scheduler.py" in f and "(_search_fast)" in f for f in functions)
+    # One prompt through two layers: two plans, no decode steps.
+    plans = [
+        row for row in report["fast"]["top"]
+        if "hybrid_scheduler.py" in row["function"] and "(plan)" in row["function"]
+    ]
+    assert [row["ncalls"] for row in plans] == [2]
+
+
+def test_unknown_stage_is_rejected():
+    import pytest
+
+    with pytest.raises(ValueError, match="stage must be one of"):
+        profile_report(steps=1, num_layers=2, stage="train")

@@ -1,12 +1,16 @@
-"""Profile the decode step pipeline and print the hot spots.
+"""Profile the step pipeline and print the hot spots.
 
-Runs a canned decode stream through the engine under :mod:`cProfile`
-and prints the top cumulative-time functions — the first stop when a
+Runs a canned decode stream — or, with ``--stage prefill``, a series of
+cold full-prompt prefills — through the engine under :mod:`cProfile`
+and prints the top cumulative-time functions: the first stop when a
 step-latency regression shows up in ``BENCH_planner.json``'s
-``end_to_end`` block (see ``docs/BENCHMARKS.md``). The default
-scenario matches the benchmark's engine fast-path scenario, so numbers
-line up with the committed trajectory; ``--engine reference`` profiles
-the reference engine core instead for a side-by-side.
+``end_to_end`` block or in the perf ledger (see ``docs/BENCHMARKS.md``).
+The default decode scenario matches the benchmark's engine fast-path
+scenario, so numbers line up with the committed trajectory;
+``--stage prefill --cache-ratio 0.5`` is the ledger's ``prefill_long``
+shape (every expert activated, the planner's widest searches).
+``--engine reference`` profiles the reference engine core instead for
+a side-by-side.
 
 Usage::
 
@@ -14,6 +18,7 @@ Usage::
     python tools/profile_step.py --engine reference    # reference core
     python tools/profile_step.py --steps 128 --top 40
     python tools/profile_step.py --sort tottime
+    python tools/profile_step.py --stage prefill --steps 8 --cache-ratio 0.5 --seed 3
 """
 
 from __future__ import annotations
@@ -29,9 +34,13 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.engine.factory import make_engine  # noqa: E402
+from repro.rng import derive_rng  # noqa: E402
+
+STAGES = ("decode", "prefill")
 
 
-def profile_decode(
+def profile_stage(
+    stage: str,
     engine_fast_path: bool,
     model: str,
     strategy: str,
@@ -39,20 +48,48 @@ def profile_decode(
     cache_ratio: float,
     steps: int,
     seed: int,
+    prompt_len: int = 512,
 ) -> tuple[cProfile.Profile, float]:
-    engine = make_engine(
-        model=model,
-        strategy=strategy,
-        cache_ratio=cache_ratio,
-        num_layers=num_layers,
-        seed=seed,
-        planner_fast_path=True,
-        engine_fast_path=engine_fast_path,
-    )
+    """Profile ``steps`` decode steps, or ``steps`` cold prefills.
+
+    A prefill step is one ``prompt_len``-token prompt through a fresh
+    engine (cold cache, cold plan memo), built outside the profiled
+    region.
+    """
+
+    def build():
+        return make_engine(
+            model=model,
+            strategy=strategy,
+            cache_ratio=cache_ratio,
+            num_layers=num_layers,
+            seed=seed,
+            planner_fast_path=True,
+            engine_fast_path=engine_fast_path,
+        )
+
+    if stage == "decode":
+        engine = build()
+
+        def run():
+            engine.decode_only(steps, warm_prompt_len=8)
+
+    elif stage == "prefill":
+        engines = [build() for _ in range(steps)]
+        prompts = derive_rng(seed, "profile-step", "prefill").integers(
+            0, engines[0].model.vocab_size, size=(steps, prompt_len)
+        )
+
+        def run():
+            for engine, prompt in zip(engines, prompts):
+                engine.generate(prompt, decode_steps=0)
+
+    else:
+        raise ValueError(f"stage must be one of {STAGES}, got {stage!r}")
     profiler = cProfile.Profile()
     start = time.perf_counter()
     profiler.enable()
-    engine.decode_only(steps, warm_prompt_len=8)
+    run()
     profiler.disable()
     return profiler, time.perf_counter() - start
 
@@ -85,17 +122,22 @@ def profile_report(
     seed: int = 0,
     top: int = 20,
     sort: str = "cumulative",
+    stage: str = "decode",
+    prompt_len: int = 512,
 ) -> dict:
     """Profile fast and reference engine cores; return a structured report.
 
     One entry per engine core, each with the wall time, derived step
-    rate and the hottest ``top`` functions — the machine-readable
-    counterpart of ``main``'s printed output, used by the smoke test
-    and available to tooling.
+    rate (prompts/s for ``stage="prefill"``) and the hottest ``top``
+    functions — the machine-readable counterpart of ``main``'s printed
+    output, used by the smoke test and available to tooling.
     """
-    report: dict = {"steps": steps, "model": model, "strategy": strategy}
+    report: dict = {
+        "stage": stage, "steps": steps, "model": model, "strategy": strategy,
+    }
     for label, fast in (("fast", True), ("reference", False)):
-        profiler, elapsed = profile_decode(
+        profiler, elapsed = profile_stage(
+            stage,
             engine_fast_path=fast,
             model=model,
             strategy=strategy,
@@ -103,6 +145,7 @@ def profile_report(
             cache_ratio=cache_ratio,
             steps=steps,
             seed=seed,
+            prompt_len=prompt_len,
         )
         report[label] = {
             "elapsed_s": elapsed,
@@ -120,11 +163,22 @@ def main(argv=None) -> int:
         default="fast",
         help="engine core to profile (EngineConfig.engine_fast_path)",
     )
+    parser.add_argument(
+        "--stage",
+        choices=STAGES,
+        default="decode",
+        help="what one step is: a decode step, or one cold --prompt-len prefill",
+    )
+    parser.add_argument(
+        "--prompt-len", type=int, default=512, help="tokens per prefill prompt"
+    )
     parser.add_argument("--model", default="deepseek")
     parser.add_argument("--strategy", default="hybrimoe")
     parser.add_argument("--num-layers", type=int, default=8)
     parser.add_argument("--cache-ratio", type=float, default=0.75)
-    parser.add_argument("--steps", type=int, default=256, help="decode steps")
+    parser.add_argument(
+        "--steps", type=int, default=256, help="decode steps (or prefill prompts)"
+    )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--top", type=int, default=20, help="rows to print")
     parser.add_argument(
@@ -137,7 +191,8 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    profiler, elapsed = profile_decode(
+    profiler, elapsed = profile_stage(
+        args.stage,
         engine_fast_path=args.engine == "fast",
         model=args.model,
         strategy=args.strategy,
@@ -145,9 +200,15 @@ def main(argv=None) -> int:
         cache_ratio=args.cache_ratio,
         steps=args.steps,
         seed=args.seed,
+        prompt_len=args.prompt_len,
+    )
+    what = (
+        "decode steps"
+        if args.stage == "decode"
+        else f"{args.prompt_len}-token prefills"
     )
     print(
-        f"{args.engine} engine: {args.steps} decode steps of "
+        f"{args.engine} engine: {args.steps} {what} of "
         f"{args.model} L{args.num_layers} r{args.cache_ratio} in "
         f"{elapsed:.3f}s ({args.steps / elapsed:.1f} steps/s)"
     )
