@@ -1,6 +1,6 @@
 """Planner fast-path perf harness with a tracked trajectory (PR 3).
 
-Measures the planner three ways and writes ``BENCH_planner.json`` at
+Measures the planner two ways and writes ``BENCH_planner.json`` at
 the repo root so the perf trajectory is tracked across PRs:
 
 1. **Planner-only latency** on four shapes: ``decode_micro`` — the
@@ -22,17 +22,17 @@ the repo root so the perf trajectory is tracked across PRs:
    streams are path-independent and the comparison is pure latency.
 
 2. **End-to-end steps/sec** of a decode run under the fast vs the
-   reference planner, and — since schema 2 — of the engine fast path
-   (``EngineConfig.engine_fast_path``) vs the reference engine core on
-   a long-decode cache-pressured scenario, best-of-N interleaved.
+   reference planner. (Schema 2 also timed a second engine core here;
+   the engine has one core since schema 3, and its wall-clock number
+   is ``host_tokens_per_s`` of the perf ledger, ``bench/run.py``.)
 
-3. A ``--check`` mode for CI: compares measured speedups against the
-   committed ``BENCH_planner.json`` (on ``prefill`` also the memo-off
-   ``speedup_cold``) and fails on a >2x regression (or
-   on missing the 5x decode floor, or on the engine fast path falling
-   >2x below the reference engine core), so perf regressions are
-   caught at review time. Intentional trade-offs skip the gate via the
-   ``perf-regression-ok`` PR label (see ``.github/workflows/ci.yml``).
+The ``--check`` mode for CI compares measured speedups against the
+committed ``BENCH_planner.json`` (on ``prefill`` also the memo-off
+``speedup_cold``) and fails on a >2x regression, on missing the 5x
+decode floor, or on the fast planner ending up slower end to end than
+the reference, so perf regressions are caught at review time.
+Intentional trade-offs skip the gate via the ``perf-regression-ok`` PR
+label (see ``.github/workflows/ci.yml``).
 
 Usage::
 
@@ -211,72 +211,27 @@ def _bench_planner(smoke: bool) -> dict:
 
 
 def _bench_end_to_end(smoke: bool) -> dict:
-    """Two end-to-end decode comparisons.
-
-    - **Planner**: fast vs reference *planner* (both on the default
-      engine core) — the PR-3 measurement, scenario unchanged.
-    - **Engine**: fast vs reference *engine core*, both on the fast
-      planner, so the ratio isolates the engine fast path (vectorized
-      step pipeline, record-free batched execution, event-heap clock,
-      indexed cache). The full scenario is long-decode and
-      cache-pressured — the regime the reference core's linear
-      interval scans and per-candidate victim ranking scale worst in —
-      and times are best-of-``trials`` (interleaved) to damp machine
-      noise.
-    """
+    """One decode run under the reference planner, one under the fast."""
     decode_steps = 8 if smoke else 32
     timings = {}
-    for name, fast in (("reference", False), ("fast", True)):
+    for name in ("reference", "fast"):
         engine = make_engine(
             model="deepseek",
             strategy="hybrimoe",
-            cache_ratio=0.25,
             num_layers=4,
             seed=0,
-            planner_fast_path=fast,
+            engine_config=EngineConfig(
+                cache_ratio=0.25, seed=0, scheduler=_PLANNER_CONFIGS[name]
+            ),
         )
         start = time.perf_counter()
         engine.decode_only(decode_steps)
         timings[name] = time.perf_counter() - start
-
-    scenario = {
-        "model": "deepseek",
-        "strategy": "hybrimoe",
-        "num_layers": 4 if smoke else 8,
-        "cache_ratio": 0.5 if smoke else 0.75,
-        "decode_steps": 32 if smoke else 512,
-        "trials": 2 if smoke else 3,
-    }
-    engine_best = {"baseline": float("inf"), "engine_fast": float("inf")}
-    for _ in range(scenario["trials"]):
-        for name, engine_fast in (("engine_fast", True), ("baseline", False)):
-            engine = make_engine(
-                model=scenario["model"],
-                strategy=scenario["strategy"],
-                cache_ratio=scenario["cache_ratio"],
-                num_layers=scenario["num_layers"],
-                seed=0,
-                planner_fast_path=True,
-                engine_fast_path=engine_fast,
-            )
-            start = time.perf_counter()
-            engine.decode_only(scenario["decode_steps"])
-            engine_best[name] = min(
-                engine_best[name], time.perf_counter() - start
-            )
-    engine_steps = scenario["decode_steps"]
     return {
         "decode_steps": decode_steps,
         "reference_steps_per_s": decode_steps / timings["reference"],
         "fast_steps_per_s": decode_steps / timings["fast"],
         "speedup": timings["reference"] / timings["fast"],
-        "engine_fast_steps_per_s": engine_steps / engine_best["engine_fast"],
-        "engine": {
-            "scenario": scenario,
-            "baseline_steps_per_s": engine_steps / engine_best["baseline"],
-            "engine_fast_steps_per_s": engine_steps / engine_best["engine_fast"],
-            "speedup": engine_best["baseline"] / engine_best["engine_fast"],
-        },
     }
 
 
@@ -286,7 +241,7 @@ def _bench_end_to_end(smoke: bool) -> dict:
 
 def run(smoke: bool) -> dict:
     return {
-        "schema": 2,
+        "schema": 3,
         "mode": "smoke" if smoke else "full",
         "criteria": {
             "decode_speedup_floor": DECODE_SPEEDUP_FLOOR,
@@ -331,32 +286,6 @@ def check(current: dict, baseline: dict | None) -> list[str]:
                 f"end-to-end: fast planner is now slower than reference "
                 f"({current_e2e:.2f}x, committed {committed_e2e:.2f}x)"
             )
-    # Engine fast-path gate (schema >= 2). The absolute floor holds at
-    # any scenario size: the fast engine core falling >REGRESSION_FACTOR
-    # below the reference core is a regression regardless of scale. The
-    # baseline comparison only fires when the scenarios match (CI smoke
-    # runs a smaller scenario than the committed full baseline).
-    engine_row = current["end_to_end"].get("engine")
-    if engine_row is not None:
-        if engine_row["speedup"] < 1.0 / REGRESSION_FACTOR:
-            failures.append(
-                f"end-to-end: engine fast path is >{REGRESSION_FACTOR:.0f}x "
-                f"slower than the reference engine core "
-                f"({engine_row['speedup']:.2f}x)"
-            )
-        committed_engine = baseline.get("end_to_end", {}).get("engine")
-        if (
-            committed_engine is not None
-            and engine_row["scenario"] == committed_engine.get("scenario")
-        ):
-            floor = committed_engine["speedup"] / REGRESSION_FACTOR
-            if engine_row["speedup"] < floor:
-                failures.append(
-                    f"end-to-end: engine fast-path speedup "
-                    f"{engine_row['speedup']:.1f}x regressed "
-                    f">{REGRESSION_FACTOR:.0f}x vs committed "
-                    f"{committed_engine['speedup']:.1f}x (floor {floor:.1f}x)"
-                )
     return failures
 
 
@@ -397,15 +326,6 @@ def main(argv=None) -> int:
     print(
         f"  end-to-end decode: ref {e2e['reference_steps_per_s']:.1f} steps/s, "
         f"fast {e2e['fast_steps_per_s']:.1f} steps/s ({e2e['speedup']:.2f}x)"
-    )
-    engine = e2e["engine"]
-    scenario = engine["scenario"]
-    print(
-        f"  engine fast path (L{scenario['num_layers']} "
-        f"r{scenario['cache_ratio']} x{scenario['decode_steps']}): "
-        f"base {engine['baseline_steps_per_s']:.1f} steps/s, "
-        f"fast {engine['engine_fast_steps_per_s']:.1f} steps/s "
-        f"({engine['speedup']:.2f}x)"
     )
     print(f"wrote {args.out}")
 

@@ -27,12 +27,6 @@ class EvictionPolicy(ABC):
     #: Short identifier used in configs and reports (e.g. ``"lru"``).
     name: str = "abstract"
 
-    #: Structural-acceleration toggle threaded from
-    #: ``EngineConfig.engine_fast_path`` via the owning cache. Policies
-    #: may use it to pick between equivalent victim-selection codepaths
-    #: (the choice must be bit-identical either way).
-    fast_path: bool = True
-
     @abstractmethod
     def on_insert(self, key: ExpertKey, now: int) -> None:
         """A key entered the cache at logical time ``now``."""

@@ -14,9 +14,9 @@ as the capacity-limited host-DRAM tier. It enforces:
 
 It also keeps the hit/miss counters behind the paper's Fig. 9.
 
-Two structural accelerations ride behind the ``fast_path`` flag (the
-engine threads ``EngineConfig.engine_fast_path`` here; both are
-bit-identical to the historical behaviour and property-tested):
+Two derived structures keep the queries cheap;
+:meth:`ExpertCache.validate` checks both against the state they are
+derived from:
 
 - a **per-layer residency index** so ``cached_experts_of_layer`` reads
   one bucket instead of scanning every resident key;
@@ -103,7 +103,6 @@ class ExpertCache:
         self._locked: set[ExpertKey] = set()
         self._clock = 0
         self.stats = CacheStats()
-        self.fast_path = True
         # Monotone mutation counter: bumped by every operation that can
         # change a victim choice (membership, locking, policy state).
         self._version = 0
@@ -113,12 +112,6 @@ class ExpertCache:
         self._by_layer: dict[int, set[int]] = {}
         for layer, expert in self._pinned:
             self._by_layer.setdefault(layer, set()).add(expert)
-
-    def set_fast_path(self, enabled: bool) -> None:
-        """Toggle the structural accelerations (bit-identical either way)."""
-        self.fast_path = enabled
-        self.policy.fast_path = enabled
-        self._victim_memo = None
 
     # ------------------------------------------------------------------
     # queries
@@ -146,10 +139,8 @@ class ExpertCache:
 
     def cached_experts_of_layer(self, layer: int) -> set[int]:
         """Expert ids of ``layer`` currently resident."""
-        if self.fast_path:
-            bucket = self._by_layer.get(layer)
-            return set(bucket) if bucket else set()
-        return {e for (l, e) in self.resident_keys if l == layer}
+        bucket = self._by_layer.get(layer)
+        return set(bucket) if bucket else set()
 
     @property
     def free_slots(self) -> int:
@@ -183,7 +174,7 @@ class ExpertCache:
     def _victim(self) -> ExpertKey | None:
         """The policy's eviction choice over unlocked residents.
 
-        Memoized per cache version on the fast path: between mutations
+        Memoized per cache version: between mutations
         the candidate set and every policy ranking are frozen, so the
         policy would return the same key — ``would_admit`` followed by
         ``insert_if_better`` and the ``insert`` it delegates to ask up
@@ -192,18 +183,16 @@ class ExpertCache:
         candidates = self._resident - self._locked
         if not candidates:
             return None
-        if self.fast_path:
-            memo = self._victim_memo
-            if memo is not None and memo[0] == self._version:
-                return memo[1]
-            victim_resident = getattr(self.policy, "victim_resident", None)
-            if victim_resident is not None:
-                victim = victim_resident(self._resident, self._locked)
-            else:
-                victim = self.policy.victim(candidates)
-            self._victim_memo = (self._version, victim)
-            return victim
-        return self.policy.victim(candidates)
+        memo = self._victim_memo
+        if memo is not None and memo[0] == self._version:
+            return memo[1]
+        victim_resident = getattr(self.policy, "victim_resident", None)
+        if victim_resident is not None:
+            victim = victim_resident(self._resident, self._locked)
+        else:
+            victim = self.policy.victim(candidates)
+        self._victim_memo = (self._version, victim)
+        return victim
 
     def insert(self, key: ExpertKey) -> list[ExpertKey]:
         """Make ``key`` resident; returns the list of evicted keys.
@@ -341,7 +330,7 @@ class ExpertCache:
     # invariants
     # ------------------------------------------------------------------
     def validate(self) -> None:
-        """Check capacity/pinning invariants; raises on violation."""
+        """Check capacity/pinning/index/memo invariants; raises on violation."""
         if len(self._resident) > self.capacity:
             raise CacheError(
                 f"capacity exceeded: {len(self._resident)} resident, "
@@ -360,3 +349,11 @@ class ExpertCache:
             raise CacheError(
                 f"per-layer index out of sync: {sorted(indexed ^ members)}"
             )
+        memo = self._victim_memo
+        candidates = self._resident - self._locked
+        if memo is not None and memo[0] == self._version and candidates:
+            fresh = self.policy.victim(candidates)
+            if memo[1] != fresh:
+                raise CacheError(
+                    f"victim memo {memo[1]} != policy's choice {fresh}"
+                )

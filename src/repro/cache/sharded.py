@@ -282,11 +282,6 @@ class ShardedCacheManager:
         for shard in self.shards:
             shard.observe_scores(layer, scores)
 
-    def set_fast_path(self, enabled: bool) -> None:
-        """Forward the structural-acceleration toggle to every shard."""
-        for shard in self.shards:
-            shard.set_fast_path(enabled)
-
     # ------------------------------------------------------------------
     # statistics
     # ------------------------------------------------------------------

@@ -65,11 +65,6 @@ class TieredCacheManager:
         self.gpu_tier = gpu_tier
         self.cpu_tier = cpu_tier
 
-    def set_fast_path(self, enabled: bool) -> None:
-        """Forward the structural-acceleration toggle to both tiers."""
-        self.gpu_tier.set_fast_path(enabled)
-        self.cpu_tier.set_fast_path(enabled)
-
     # ------------------------------------------------------------------
     # tier queries
     # ------------------------------------------------------------------

@@ -308,13 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fast_or_reference(text: str) -> bool:
-    """``--planner/--engine fast|reference`` as the spec's fast-path bool."""
-    if text not in ("fast", "reference"):
-        raise argparse.ArgumentTypeError("expected 'fast' or 'reference'")
-    return text == "fast"
-
-
 #: Resolved annotation of every spec knob (``int | None``, ``str``, ...).
 _KNOB_HINTS = {
     name: hint
@@ -358,26 +351,6 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
         "placement",
         choices=available_placements(),
         help="expert-placement policy of the sharded cache",
-    )
-    _knob_flag(
-        parser,
-        "--planner",
-        "planner_fast_path",
-        type=_fast_or_reference,
-        metavar="{fast,reference}",
-        help="planner implementation (plans are bit-identical; "
-        "'reference' is the pre-fast-path planner — from-scratch "
-        "simulation, no memo — for perf baselines)",
-    )
-    _knob_flag(
-        parser,
-        "--engine",
-        "engine_fast_path",
-        type=_fast_or_reference,
-        metavar="{fast,reference}",
-        help="engine-core implementation (outputs are bit-identical; "
-        "'reference' is the pre-fast-path engine loop — per-task "
-        "records, rescanning frontiers — for perf baselines)",
     )
     _knob_flag(
         parser,

@@ -21,10 +21,9 @@ Dependencies honoured:
 :class:`TaskRecord` materialization is **opt-out**: records feed tests,
 debug reporting and post-hoc analysis, never the timeline state itself
 (every ``reserve`` carries the same label and duration either way), so
-the engine's fast path executes plans with ``collect_records=False`` and
-skips both the per-task record objects and the per-layer copy of the
-in-flight arrivals map (replaced by a write-local/read-through overlay —
-the same lookups, no bulk copy).
+the engine executes plans with ``collect_records=False`` and skips the
+per-task record objects. The in-flight arrivals map is never copied: the
+plan's own transfers go to a local overlay that shadows it on lookup.
 """
 
 from __future__ import annotations
@@ -124,8 +123,7 @@ def execute_plan(
     collect_records:
         Materialize a :class:`TaskRecord` per operation. Timelines,
         arrivals and the returned end times are identical either way;
-        ``False`` (the engine fast path) skips record objects and the
-        bulk copy of ``external_arrivals``.
+        the engine passes ``False``.
 
     Returns
     -------
@@ -140,19 +138,10 @@ def execute_plan(
             "plan has spilled experts but the clock models no disk tier"
         )
     records: list[TaskRecord] = []
-    if collect_records:
-        # Historical behaviour: a private copy that this plan's own
-        # transfers overwrite.
-        arrivals = dict(external_arrivals or {})
-        local_arrivals = arrivals
-        external = _NO_ARRIVALS
-    else:
-        # Overlay with the same read semantics (local transfers shadow
-        # external prefetch arrivals) and no per-layer bulk copy; the
-        # external map is never written.
-        arrivals = _NO_ARRIVALS
-        local_arrivals = {}
-        external = external_arrivals or _NO_ARRIVALS
+    # This plan's own transfers shadow external prefetch arrivals; the
+    # external map is never written and never copied.
+    local_arrivals: dict[tuple[int, int], float] = {}
+    external = external_arrivals or _NO_ARRIVALS
     gpu_timeline = clock.gpu_timeline(device)
     pcie_timeline = clock.pcie_timeline(device)
 

@@ -12,9 +12,9 @@ confidence (gate-reuse accuracy decays with distance).
 Predictions reuse the gating weights of the future layers applied to
 the current hidden state — exactly the mechanism of Fig. 6.
 
-**Fast path.** A naive implementation pays a full with/without
+**Cost.** A naive implementation pays a full with/without
 simulation pair per candidate expert per lookahead layer, which makes
-the prefetcher the planner's dominant cost in decode. Two mechanisms
+the prefetcher the planner's dominant cost in decode. Three mechanisms
 cut that down without changing a single decision:
 
 - *delta screening*: each candidate is first scored by a cheap
@@ -24,6 +24,15 @@ cut that down without changing a single decision:
   cannot clear ``min_gain``, the exact simulation is skipped; the
   bound is one-sided, so screening can only drop candidates the exact
   path would also have dropped.
+- *batched scheduler calls*: the base makespans and screening bounds
+  of every predicted layer come from one
+  :meth:`~repro.core.hybrid_scheduler.HybridScheduler.screen_prediction_batch`
+  pass and a layer's survivors from one ``quick_makespans_with`` call,
+  hoisting the shared validation and sorts; the floats are those of
+  the per-call ``simulate_makespan(quick=True)`` /
+  ``quick_makespan_lower_bound`` methods, which
+  ``tests/core/test_planner_fastpath.py`` and
+  ``tests/engine/test_prediction.py`` compare them with.
 - *memoized simulations*: the scheduler's plan memo covers the quick
   impact simulations, and decode steps repeat near-identical predicted
   routing, so the surviving exact simulations are usually cache hits.
@@ -119,13 +128,6 @@ class ImpactDrivenPrefetcher:
         platforms; 0 keeps the two-tier behaviour). Impact simulations
         then cost the full disk -> CPU -> GPU chain, and prefetching a
         spilled expert is charged ``disk_fetch_s`` of extra lead time.
-    fast_path:
-        Screen with the scheduler's *batched* bound computation
-        (:meth:`~repro.core.hybrid_scheduler.HybridScheduler.quick_makespan_lower_bounds`),
-        which hoists the shared sorts and memoizes whole prediction
-        batches. Bounds — and therefore decisions — are bit-identical
-        either way; ``False`` keeps the per-candidate calls as a perf
-        baseline (``EngineConfig.engine_fast_path`` threads here).
     """
 
     def __init__(
@@ -138,7 +140,6 @@ class ImpactDrivenPrefetcher:
         min_gain: float = 0.0,
         delta_screen: bool = True,
         disk_fetch_s: float = 0.0,
-        fast_path: bool = True,
     ) -> None:
         if lookahead < 1:
             raise SchedulingError(f"lookahead must be >= 1, got {lookahead}")
@@ -160,7 +161,6 @@ class ImpactDrivenPrefetcher:
         self.min_gain = min_gain
         self.delta_screen = delta_screen
         self.disk_fetch_s = disk_fetch_s
-        self.fast_path = fast_path
 
     # ------------------------------------------------------------------
     def predicted_activation(
@@ -176,7 +176,7 @@ class ImpactDrivenPrefetcher:
         scores = np.asarray(prediction.scores, dtype=np.float64)
         k = min(self.num_activated, scores.size)
         top = np.argsort(-scores, kind="stable")[:k]
-        if self.fast_path and prediction.n_tokens == 1:
+        if prediction.n_tokens == 1:
             # Decode: the `min(load, n_tokens)` cap below forces every
             # load to exactly 1, so the share apportionment is dead
             # arithmetic — skip it.
@@ -219,68 +219,47 @@ class ImpactDrivenPrefetcher:
             prepared.append((prediction, distance, activated, cached, candidates))
         if not prepared:
             return []
-        screens = None
-        if self.fast_path:
-            # Bases and screening bounds for *every* predicted layer
-            # from one batched, memoized pass — the separate
-            # per-prediction base simulation and per-candidate bound
-            # calls repeat the same input validation and sorts. Floats
-            # are bit-identical to the per-layer calls.
-            screens = self.scheduler.screen_prediction_batch(
-                [
-                    (
-                        activated,
-                        cached,
-                        prediction.n_tokens,
-                        candidates if self.delta_screen else [],
-                        prediction.spilled_experts,
-                    )
-                    for prediction, _, activated, cached, candidates in prepared
-                ],
-                disk_fetch_s=self.disk_fetch_s,
-            )
-        decisions: list[PrefetchDecision] = []
-        for index, (prediction, distance, activated, cached, candidates) in enumerate(
-            prepared
-        ):
-            spilled = prediction.spilled_experts
-            bounds = None
-            if screens is not None:
-                base, bounds = screens[index]
-            else:
-                base = self.scheduler.simulate_makespan(
-                    activated, cached, prediction.n_tokens, quick=True,
-                    spilled=spilled, disk_fetch_s=self.disk_fetch_s,
+        # Bases and screening bounds for *every* predicted layer from
+        # one batched, memoized pass — separate per-prediction base
+        # simulations and per-candidate bound calls would repeat the
+        # same input validation and sorts for the same floats.
+        screens = self.scheduler.screen_prediction_batch(
+            [
+                (
+                    activated,
+                    cached,
+                    prediction.n_tokens,
+                    candidates if self.delta_screen else [],
+                    prediction.spilled_experts,
                 )
+                for prediction, _, activated, cached, candidates in prepared
+            ],
+            disk_fetch_s=self.disk_fetch_s,
+        )
+        decisions: list[PrefetchDecision] = []
+        for (prediction, distance, activated, cached, candidates), (
+            base,
+            bounds,
+        ) in zip(prepared, screens):
+            spilled = prediction.spilled_experts
             if prediction.confidence is not None:
                 confidence = prediction.confidence
             else:
                 confidence = self.confidence_decay ** (distance - 1)
-            survivors = self._screen(
-                activated, cached, candidates, base, confidence,
-                prediction.n_tokens, spilled, bounds=bounds,
+            survivors = self._screen(candidates, base, confidence, bounds)
+            if not survivors:
+                continue
+            # Each survivor simulated as cached: its own spill state is
+            # moot (the scheduler intersects spilled with uncached), but
+            # the rest of the layer keeps its surcharges. One batched
+            # call hoists the shared sorts/validation and memoizes the
+            # whole survivor set.
+            with_makespans = self.scheduler.quick_makespans_with(
+                activated, cached, prediction.n_tokens, survivors,
+                spilled=spilled, disk_fetch_s=self.disk_fetch_s,
             )
-            with_makespans = None
-            if self.fast_path and survivors:
-                # One batched call hoists the shared sorts/validation
-                # and memoizes the whole survivor set; values are
-                # bit-identical to the per-expert simulations below.
-                with_makespans = self.scheduler.quick_makespans_with(
-                    activated, cached, prediction.n_tokens, survivors,
-                    spilled=spilled, disk_fetch_s=self.disk_fetch_s,
-                )
             for expert in survivors:
-                # Simulating `expert` as cached: its own spill state is
-                # moot (the scheduler intersects spilled with uncached),
-                # but the rest of the layer keeps its surcharges.
-                if with_makespans is not None:
-                    with_expert = with_makespans[expert]
-                else:
-                    with_expert = self.scheduler.simulate_makespan(
-                        activated, cached | {expert}, prediction.n_tokens, quick=True,
-                        spilled=spilled, disk_fetch_s=self.disk_fetch_s,
-                    )
-                gain = (base - with_expert) * confidence
+                gain = (base - with_makespans[expert]) * confidence
                 if gain > self.min_gain:
                     cost = self.transfer_time_fn()
                     if expert in spilled:
@@ -302,45 +281,29 @@ class ImpactDrivenPrefetcher:
 
     def _screen(
         self,
-        activated: list[tuple[int, int]],
-        cached: set[int],
         candidates: list[int],
         base: float,
         confidence: float,
-        n_tokens: int,
-        spilled: frozenset[int] = frozenset(),
-        bounds: dict[int, float] | None = None,
+        bounds: dict[int, float],
     ) -> list[int]:
         """Candidates whose exact simulation could still clear min_gain.
 
         The upper bound on a candidate's gain is
-        ``(base - lower_bound(with-expert makespan)) * confidence``.
+        ``(base - lower_bound(with-expert makespan)) * confidence``,
+        with the lower bounds precomputed in ``bounds``
+        (:meth:`~repro.core.hybrid_scheduler.HybridScheduler.screen_prediction_batch`).
         A candidate is dropped only when even that bound cannot exceed
         ``min_gain`` — the exact path would have dropped it too, so the
         surviving set yields bit-identical decisions, evaluated in
-        candidate order. ``bounds`` supplies precomputed screening bounds
-        (:meth:`~repro.core.hybrid_scheduler.HybridScheduler.quick_screen`);
-        otherwise they are fetched here.
+        candidate order (``delta_screen=False`` is that exact path).
         """
         if not self.delta_screen:
             return list(candidates)
-        if bounds is None and self.fast_path:
-            bounds = self.scheduler.quick_makespan_lower_bounds(
-                activated, cached, n_tokens, candidates,
-                spilled=spilled, disk_fetch_s=self.disk_fetch_s,
-            )
-        survivors: list[int] = []
-        for expert in candidates:
-            if bounds is not None:
-                bound = bounds[expert]
-            else:
-                bound = self.scheduler.quick_makespan_lower_bound(
-                    activated, cached | {expert}, n_tokens,
-                    spilled=spilled, disk_fetch_s=self.disk_fetch_s,
-                )
-            if (base - bound) * confidence > self.min_gain:
-                survivors.append(expert)
-        return survivors
+        return [
+            expert
+            for expert in candidates
+            if (base - bounds[expert]) * confidence > self.min_gain
+        ]
 
     def select(
         self,

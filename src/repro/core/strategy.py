@@ -74,7 +74,6 @@ class HybriMoEStrategy(Strategy):
                 lookahead=runtime.config.prefetch_lookahead,
                 confidence_decay=runtime.config.prefetch_confidence_decay,
                 disk_fetch_s=runtime.disk_fetch_est_s,
-                fast_path=runtime.config.engine_fast_path,
             )
 
     def on_costs_changed(self) -> None:

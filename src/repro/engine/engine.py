@@ -54,8 +54,8 @@ class EngineConfig:
 
     The fields this config shares with
     :class:`~repro.scenarios.spec.EngineSpec` — ``cache_ratio``,
-    ``seed``, the two fast-path toggles, ``num_gpus`` / ``placement``,
-    the tiered-memory trio and the predictor trio — are documented
+    ``seed``, ``num_gpus`` / ``placement``, the tiered-memory trio
+    and the predictor trio — are documented
     once, on the spec; the range checks below are the spec's
     validation too. The engine-internal knobs have no spec field:
 
@@ -95,8 +95,6 @@ class EngineConfig:
     prefetch_lookahead: int = 3
     prefetch_confidence_decay: float = 0.8
     scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
-    planner_fast_path: bool | None = None
-    engine_fast_path: bool = True
     mrs_alpha: float = 0.7
     validate_plans: bool = True
     num_gpus: int = 1
@@ -177,19 +175,6 @@ class EngineConfig:
         """Whether the engine runs the three-tier memory hierarchy."""
         return self.cpu_cache_capacity is not None
 
-    def scheduler_config(self) -> SchedulerConfig:
-        """The effective scheduler config (fast-path override applied).
-
-        ``planner_fast_path=False`` selects the *reference baseline* —
-        from-scratch simulation and no memo — so timings against it
-        measure the whole pre-fast-path planner, not memo hits.
-        """
-        if self.planner_fast_path is None:
-            return self.scheduler
-        if self.planner_fast_path:
-            return replace(self.scheduler, fast_path=True)
-        return replace(self.scheduler, fast_path=False, plan_cache_size=0)
-
 
 class EngineRuntime:
     """Shared state handed to strategies when they bind to an engine."""
@@ -206,9 +191,7 @@ class EngineRuntime:
         self.config = config
         self.cost_actual = cost_actual
         self.cost_estimated = cost_estimated
-        self.clock = ThreeResourceClock(
-            config.num_gpus, disk=config.tiered, fast=config.engine_fast_path
-        )
+        self.clock = ThreeResourceClock(config.num_gpus, disk=config.tiered)
         self.arrivals: dict[tuple[int, int], float] = {}
         #: In-flight disk -> DRAM stagings issued by prefetching, keyed
         #: by expert with the read's finish time. Residency flips only
@@ -234,7 +217,7 @@ class EngineRuntime:
             )
         else:
             self.disk_fetch_est_s = 0.0
-        self.scheduler = HybridScheduler(self.estimated_oracle, config.scheduler_config())
+        self.scheduler = HybridScheduler(self.estimated_oracle, config.scheduler)
         self._warmup_trace: RoutingTrace | None = None
         # Oracles are frozen value objects deterministic per n_tokens;
         # memoizing them spares StepPipeline rebuilding an identical
@@ -428,7 +411,6 @@ class InferenceEngine:
             )
         else:
             self.runtime.cache = gpu_cache
-        self.runtime.cache.set_fast_path(self.config.engine_fast_path)
         self.runtime.cache.validate()
         if self.config.predictor is not None:
             # The predictor bulk-fits on the warmup trace (the same

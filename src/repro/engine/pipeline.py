@@ -60,7 +60,7 @@ from repro.cache.sharded import ShardedCacheManager
 from repro.cache.tiered import TieredCacheManager
 from repro.core.executor import execute_plan
 from repro.core.prefetch import PredictedLayer
-from repro.core.tasks import ComputeTask
+from repro.core.tasks import ComputeTask, ExecutionPlan
 from repro.engine.metrics import StepMetrics
 from repro.engine.strategy_base import LayerContext, Strategy
 from repro.errors import ConfigError
@@ -121,11 +121,6 @@ class StepPipeline:
         self.model = model
         self.strategy = strategy
         self.runtime = runtime
-        #: Engine-core fast path (``EngineConfig.engine_fast_path``):
-        #: vectorized per-layer batch work and record-free plan
-        #: execution. Every fast branch is bit-identical to the
-        #: reference branch (property-test-enforced).
-        self.fast = runtime.config.engine_fast_path
 
     # ------------------------------------------------------------------
     def _cache(self) -> ExpertCache | ShardedCacheManager | TieredCacheManager:
@@ -225,19 +220,13 @@ class StepPipeline:
                 )
             z = model.moe_input(h)
             router = model.route(z, layer)
-            if self.fast:
-                # Same (expert, load) pairs as the reference genexpr:
-                # flatnonzero is ascending and tolist() yields the very
-                # ints `int(loads[e])` would.
-                active_ids = np.flatnonzero(router.loads > 0)
-                activated = tuple(
-                    zip(active_ids.tolist(), router.loads[active_ids].tolist())
-                )
-            else:
-                activated = tuple(
-                    (expert, int(router.loads[expert]))
-                    for expert in router.activated_experts()
-                )
+            # The (expert, int(loads[expert])) pairs of
+            # router.activated_experts(): flatnonzero is ascending and
+            # tolist() yields the very ints `int(loads[e])` would.
+            active_ids = np.flatnonzero(router.loads > 0)
+            activated = tuple(
+                zip(active_ids.tolist(), router.loads[active_ids].tolist())
+            )
             cached = frozenset(cache.cached_experts_of_layer(layer))
             if runtime.tiered:
                 self._commit_landed_promotions(attn_end)
@@ -291,26 +280,7 @@ class StepPipeline:
             if runtime.sharded:
                 routed_tasks = self._run_sharded_layer(ctx)
             else:
-                plan = self.strategy.plan_layer(ctx)
-                if self.config.validate_plans:
-                    plan.validate(dict(activated), set(cached))
-
-                used_keys = {(layer, e) for e, _ in activated if e in cached}
-                used_keys.update((layer, t.expert) for t in plan.transfers)
-                cache.lock(used_keys)
-                execute_plan(
-                    plan,
-                    clock,
-                    runtime.actual_oracle(n_tokens),
-                    attn_end,
-                    runtime.arrivals,
-                    spilled=spilled,
-                    collect_records=not self.fast,
-                )
-                self._promote_spilled(layer, spilled)
-                self.strategy.after_layer(ctx, plan)
-                cache.unlock_all()
-                routed_tasks = plan.routed_compute_tasks()
+                routed_tasks = self._plan_and_execute(ctx).routed_compute_tasks()
 
             routed_out = self._combine_outputs(z, layer, router, routed_tasks)
             shared_out = model.shared_forward(z, layer)
@@ -381,6 +351,40 @@ class StepPipeline:
             # the same key still in flight is superseded.
             self.runtime.pending_dram.pop(key, None)
 
+    def _plan_and_execute(self, ctx: LayerContext) -> ExecutionPlan:
+        """Plan one context's experts and run the plan on its device.
+
+        ``ctx`` is a whole layer (unsharded engine) or one device group
+        of it: plan, validate, lock what the plan uses, execute on
+        ``ctx.device_id``'s timelines, promote what was staged off disk,
+        let the strategy maintain the cache, unlock.
+        """
+        runtime = self.runtime
+        cache = self._cache()
+        layer = ctx.layer
+        cached = ctx.cached_experts
+        plan = self.strategy.plan_layer(ctx)
+        if self.config.validate_plans:
+            plan.validate(dict(ctx.activated), set(cached))
+
+        used_keys = {(layer, e) for e, _ in ctx.activated if e in cached}
+        used_keys.update((layer, t.expert) for t in plan.transfers)
+        cache.lock(used_keys)
+        execute_plan(
+            plan,
+            runtime.clock,
+            runtime.actual_oracle(ctx.n_tokens),
+            ctx.moe_start,
+            runtime.arrivals,
+            device=ctx.device_id,
+            spilled=ctx.spilled_experts,
+            collect_records=False,
+        )
+        self._promote_spilled(layer, ctx.spilled_experts)
+        self.strategy.after_layer(ctx, plan)
+        cache.unlock_all()
+        return plan
+
     def _run_sharded_layer(self, ctx: LayerContext) -> list[ComputeTask]:
         """Plan and execute one layer's experts across the GPU fleet.
 
@@ -447,26 +451,7 @@ class StepPipeline:
                 spilled_experts=dev_spilled,
                 disk_fetch_s=ctx.disk_fetch_s,
             )
-            plan = self.strategy.plan_layer(dev_ctx)
-            if self.config.validate_plans:
-                plan.validate(dict(group), set(cached_dev))
-
-            used_keys = {(layer, e) for e, _ in group if e in cached_dev}
-            used_keys.update((layer, t.expert) for t in plan.transfers)
-            manager.lock(used_keys)
-            execute_plan(
-                plan,
-                clock,
-                runtime.actual_oracle(ctx.n_tokens),
-                ctx.moe_start,
-                runtime.arrivals,
-                device=device,
-                spilled=dev_spilled,
-                collect_records=not self.fast,
-            )
-            self._promote_spilled(layer, dev_spilled)
-            self.strategy.after_layer(dev_ctx, plan)
-            manager.unlock_all()
+            plan = self._plan_and_execute(dev_ctx)
             routed_tasks.extend(plan.routed_compute_tasks())
         return routed_tasks
 
@@ -484,42 +469,37 @@ class StepPipeline:
         reference forward pass — regardless of which device (or how
         many devices) computed each expert.
 
-        The fast path resolves each expert's token rows and routing
-        weights with **one** ``np.nonzero`` (the reference helpers each
-        run their own), and accumulates with ``out[rows] +=`` — legal
-        because top-k indices are distinct per token row, so each
-        expert's row list has no duplicates and the fancy-index add
-        performs the exact same additions ``np.add.at`` would.
+        Each expert's token rows and routing weights come from **one**
+        ``np.nonzero`` (``moe_forward``'s router helpers each run their
+        own), and accumulation is ``out[rows] +=`` — legal because
+        top-k indices are distinct per token row, so each expert's row
+        list has no duplicates and the fancy-index add performs the
+        exact same additions ``moe_forward``'s ``np.add.at`` does. The
+        engine tests hold the resulting hidden states bit-for-bit to
+        :meth:`ReferenceMoEModel.forward`.
         """
         out = np.zeros_like(z)
         model = self.model
-        if self.fast:
-            topk_idx = router.topk_idx
-            topk_weights = router.topk_weights
-            dtype = z.dtype
-            if z.shape[0] == 1:
-                # Single-token decode: every routed expert sits in row
-                # 0's top-k, so row/column resolution is a plain list
-                # lookup and the scalar weight multiply performs the
-                # same IEEE-754 ops as the broadcast below.
-                row_experts = topk_idx[0].tolist()
-                weights_row = topk_weights[0]
-                for task in sorted(routed_tasks, key=lambda t: t.expert):
-                    col = row_experts.index(task.expert)
-                    expert_out = model.expert_forward(z, layer, task.expert)
-                    out += expert_out * dtype.type(weights_row[col])
-                return out
+        topk_idx = router.topk_idx
+        topk_weights = router.topk_weights
+        dtype = z.dtype
+        if z.shape[0] == 1:
+            # Single-token decode: every routed expert sits in row
+            # 0's top-k, so row/column resolution is a plain list
+            # lookup and the scalar weight multiply performs the
+            # same IEEE-754 ops as the broadcast below.
+            row_experts = topk_idx[0].tolist()
+            weights_row = topk_weights[0]
             for task in sorted(routed_tasks, key=lambda t: t.expert):
-                rows, cols = np.nonzero(topk_idx == task.expert)
-                weights = topk_weights[rows, cols]
-                expert_out = model.expert_forward(z[rows], layer, task.expert)
-                out[rows] += expert_out * weights[:, None].astype(dtype)
+                col = row_experts.index(task.expert)
+                expert_out = model.expert_forward(z, layer, task.expert)
+                out += expert_out * dtype.type(weights_row[col])
             return out
         for task in sorted(routed_tasks, key=lambda t: t.expert):
-            rows = router.tokens_for_expert(task.expert)
-            weights = router.weights_for_expert(task.expert)
+            rows, cols = np.nonzero(topk_idx == task.expert)
+            weights = topk_weights[rows, cols]
             expert_out = model.expert_forward(z[rows], layer, task.expert)
-            np.add.at(out, rows, expert_out * weights[:, None].astype(z.dtype))
+            out[rows] += expert_out * weights[:, None].astype(dtype)
         return out
 
     def _issue_prefetches(self, ctx: LayerContext, z: np.ndarray) -> None:

@@ -11,10 +11,11 @@ start times and the finish times are non-decreasing; the windowed
 accounting queries (:meth:`ResourceTimeline.busy_time`) exploit that to
 bisect to the overlapping slice instead of rescanning the whole ledger.
 The bisected sum adds exactly the same floats in exactly the same order
-as the full linear scan (skipped intervals contribute nothing), so the
-fast accounting is bit-identical; ``fast=False`` keeps the historical
-full scan as a perf oracle (the engine threads
-``EngineConfig.engine_fast_path`` here).
+as a full linear scan of ``intervals`` (skipped intervals contribute
+nothing), so the two agree bit-for-bit; the property test in
+``tests/hardware/test_device.py`` holds it to that brute-force sum, and
+:meth:`ResourceTimeline.validate` checks the parallel arrays the bisection
+reads against the interval ledger.
 """
 
 from __future__ import annotations
@@ -53,15 +54,10 @@ class ResourceTimeline:
     ----------
     name:
         Resource name used in labels and error messages.
-    fast:
-        Use the bisected windowed accounting (bit-identical to the
-        linear scan; ``False`` keeps the historical full rescan as a
-        perf baseline).
     """
 
-    def __init__(self, name: str, fast: bool = True) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.fast = fast
         self._intervals: list[TimelineInterval] = []
         # Parallel start/finish arrays (both non-decreasing by
         # construction) backing the bisected accounting queries.
@@ -121,24 +117,17 @@ class ResourceTimeline:
                 f"{self.name}: window end {window_end} before start {window_start}"
             )
         total = 0.0
-        if self.fast:
-            # Only intervals with finish > window_start and start <
-            # window_end can overlap; both arrays are non-decreasing,
-            # so the overlapping intervals form one contiguous slice.
-            # Summing just that slice (in order) adds the exact floats
-            # the full scan would - every skipped term is zero.
-            lo_idx = bisect_right(self._finishes, window_start)
-            hi_idx = bisect_left(self._starts, window_end, lo_idx)
-            starts, finishes = self._starts, self._finishes
-            for i in range(lo_idx, hi_idx):
-                lo = max(starts[i], window_start)
-                hi = min(finishes[i], window_end)
-                if hi > lo:
-                    total += hi - lo
-            return total
-        for interval in self._intervals:
-            lo = max(interval.start, window_start)
-            hi = min(interval.finish, window_end)
+        # Only intervals with finish > window_start and start <
+        # window_end can overlap; both arrays are non-decreasing,
+        # so the overlapping intervals form one contiguous slice.
+        # Summing just that slice (in order) adds the exact floats
+        # a full scan would - every skipped term is zero.
+        lo_idx = bisect_right(self._finishes, window_start)
+        hi_idx = bisect_left(self._starts, window_end, lo_idx)
+        starts, finishes = self._starts, self._finishes
+        for i in range(lo_idx, hi_idx):
+            lo = max(starts[i], window_start)
+            hi = min(finishes[i], window_end)
             if hi > lo:
                 total += hi - lo
         return total
@@ -153,10 +142,21 @@ class ResourceTimeline:
         return self.busy_time(window_start, window_end) / span
 
     def validate(self) -> None:
-        """Check the no-overlap invariant; raises on violation."""
+        """Check the no-overlap invariant and the bisection arrays.
+
+        ``_starts`` / ``_finishes`` are what :meth:`busy_time` reads;
+        they must mirror the interval ledger exactly. Raises on
+        violation.
+        """
         for prev, curr in zip(self._intervals, self._intervals[1:]):
             if curr.start < prev.finish - _TIME_TOLERANCE:
                 raise SimulationError(
                     f"{self.name}: interval {curr.label!r} starts at {curr.start} "
                     f"before {prev.label!r} finishes at {prev.finish}"
                 )
+        if self._starts != [i.start for i in self._intervals] or (
+            self._finishes != [i.finish for i in self._intervals]
+        ):
+            raise SimulationError(
+                f"{self.name}: bisection arrays diverge from the interval ledger"
+            )

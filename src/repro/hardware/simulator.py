@@ -61,63 +61,55 @@ class ThreeResourceClock:
     disk:
         Model a platform-shared disk -> host link (the third tier of
         the memory hierarchy). ``clock.disk`` is ``None`` when False.
-    fast:
-        Cache the frontier queries (event-driven running maxima plus a
-        lazy min-heap over the PCIe links) so ``compute_frontier`` /
-        ``frontier`` / ``min_pcie_available_at`` stop rescanning every
-        per-device timeline on each call. Frontiers are pure max/min
-        selections over the exact same ``available_at`` floats — no new
-        arithmetic — so cached answers are bit-identical; ``False``
-        keeps the historical rescan as a perf baseline
-        (``EngineConfig.engine_fast_path`` threads through here).
+
+    The frontier queries (``compute_frontier`` / ``frontier`` /
+    ``min_pcie_available_at``) are cached: event-driven running maxima
+    plus a lazy min-heap over the PCIe links, so no call rescans the
+    per-device timelines. Frontiers are pure max/min selections over
+    the ``available_at`` floats — no arithmetic — and
+    :meth:`validate` checks every cached answer against that rescan.
     """
 
-    def __init__(
-        self, num_gpus: int = 1, disk: bool = False, fast: bool = True
-    ) -> None:
+    def __init__(self, num_gpus: int = 1, disk: bool = False) -> None:
         if num_gpus < 1:
             raise SimulationError(f"num_gpus must be >= 1, got {num_gpus}")
         self.num_gpus = num_gpus
-        self.fast = fast
         if num_gpus == 1:
             # Historical single-device resource names, so labels and
             # error messages are unchanged on the paper's testbed.
-            self.gpus = [ResourceTimeline("gpu", fast=fast)]
-            self.pcie_links = [ResourceTimeline("pcie", fast=fast)]
+            self.gpus = [ResourceTimeline("gpu")]
+            self.pcie_links = [ResourceTimeline("pcie")]
         else:
-            self.gpus = [
-                ResourceTimeline(f"gpu{g}", fast=fast) for g in range(num_gpus)
-            ]
+            self.gpus = [ResourceTimeline(f"gpu{g}") for g in range(num_gpus)]
             self.pcie_links = [
-                ResourceTimeline(f"pcie{g}", fast=fast) for g in range(num_gpus)
+                ResourceTimeline(f"pcie{g}") for g in range(num_gpus)
             ]
-        self.cpu = ResourceTimeline("cpu", fast=fast)
+        self.cpu = ResourceTimeline("cpu")
         self.disk: ResourceTimeline | None = (
-            ResourceTimeline("disk", fast=fast) if disk else None
+            ResourceTimeline("disk") if disk else None
         )
-        if fast:
-            # Event-driven frontier caches: every timeline notifies the
-            # clock when its available_at advances. The compute/full
-            # frontiers are running maxima (available_at is monotone
-            # per timeline, so the max only ever moves forward); the
-            # PCIe minimum is a lazily-invalidated heap of
-            # (available_at, device) events - stale entries are popped
-            # on read by comparing against the link's live value.
-            self._compute_frontier_cache = 0.0
-            self._frontier_cache = 0.0
-            self._pcie_heap: list[tuple[float, int]] = [
-                (0.0, g) for g in range(num_gpus)
-            ]
-            heapq.heapify(self._pcie_heap)
-            for timeline in (*self.gpus, self.cpu):
-                timeline._observer = self._on_compute_advance
-            for g, link in enumerate(self.pcie_links):
-                link._observer = self._make_pcie_observer(g)
-            if self.disk is not None:
-                self.disk._observer = self._on_link_advance
+        # Event-driven frontier caches: every timeline notifies the
+        # clock when its available_at advances. The compute/full
+        # frontiers are running maxima (available_at is monotone
+        # per timeline, so the max only ever moves forward); the
+        # PCIe minimum is a lazily-invalidated heap of
+        # (available_at, device) events - stale entries are popped
+        # on read by comparing against the link's live value.
+        self._compute_frontier_cache = 0.0
+        self._frontier_cache = 0.0
+        self._pcie_heap: list[tuple[float, int]] = [
+            (0.0, g) for g in range(num_gpus)
+        ]
+        heapq.heapify(self._pcie_heap)
+        for timeline in (*self.gpus, self.cpu):
+            timeline._observer = self._on_compute_advance
+        for g, link in enumerate(self.pcie_links):
+            link._observer = self._make_pcie_observer(g)
+        if self.disk is not None:
+            self.disk._observer = self._on_link_advance
 
     # ------------------------------------------------------------------
-    # frontier cache maintenance (fast mode only)
+    # frontier cache maintenance
     # ------------------------------------------------------------------
     def _on_compute_advance(self, available_at: float) -> None:
         if available_at > self._compute_frontier_cache:
@@ -196,33 +188,21 @@ class ThreeResourceClock:
         for every device — the MoE outputs of all experts are needed
         before the next layer's attention can run.
         """
-        if self.fast:
-            return self._compute_frontier_cache
-        return max(max(t.available_at for t in self.gpus), self.cpu.available_at)
+        return self._compute_frontier_cache
 
     @property
     def frontier(self) -> float:
         """Earliest time every resource (links included) is free."""
-        if self.fast:
-            return self._frontier_cache
-        frontier = max(
-            self.compute_frontier,
-            max(t.available_at for t in self.pcie_links),
-        )
-        if self.disk is not None:
-            frontier = max(frontier, self.disk.available_at)
-        return frontier
+        return self._frontier_cache
 
     @property
     def min_pcie_available_at(self) -> float:
         """Earliest time any PCIe link frees up (prefetch budget probe)."""
-        if self.fast:
-            heap = self._pcie_heap
-            links = self.pcie_links
-            while heap[0][0] != links[heap[0][1]]._available_at:
-                heapq.heappop(heap)
-            return heap[0][0]
-        return min(t.available_at for t in self.pcie_links)
+        heap = self._pcie_heap
+        links = self.pcie_links
+        while heap[0][0] != links[heap[0][1]]._available_at:
+            heapq.heappop(heap)
+        return heap[0][0]
 
     # ------------------------------------------------------------------
     # accounting
@@ -264,11 +244,27 @@ class ThreeResourceClock:
         return summary
 
     def validate(self) -> None:
-        """Validate no-overlap invariants on every timeline."""
-        for timeline in self.gpus:
-            timeline.validate()
-        self.cpu.validate()
-        for timeline in self.pcie_links:
-            timeline.validate()
+        """Validate every timeline and the cached frontiers.
+
+        The cached compute/full frontiers and the PCIe-heap minimum
+        must equal a rescan of the timelines' ``available_at``.
+        """
+        compute = [*self.gpus, self.cpu]
+        timelines = [*compute, *self.pcie_links]
         if self.disk is not None:
-            self.disk.validate()
+            timelines.append(self.disk)
+        for timeline in timelines:
+            timeline.validate()
+        expected = {
+            "compute_frontier": max(t.available_at for t in compute),
+            "frontier": max(t.available_at for t in timelines),
+            "min_pcie_available_at": min(
+                t.available_at for t in self.pcie_links
+            ),
+        }
+        for name, rescanned in expected.items():
+            cached = getattr(self, name)
+            if cached != rescanned:
+                raise SimulationError(
+                    f"cached {name} {cached} != rescanned {rescanned}"
+                )

@@ -227,22 +227,6 @@ class EngineSpec(_Spec):
         cache is sharded: ``"round_robin"`` (by expert id),
         ``"layer_striped"`` (by layer) or ``"load_aware"`` (sticky
         least-loaded).
-    planner_fast_path:
-        Planner path override: True forces the incremental fast path,
-        False the full pre-PR-3 reference planner — the from-scratch
-        simulator *with the plan memo disabled* (perf baselines, oracle
-        comparisons) — and None (default) respects the scheduler
-        config (the fast path). Plans are bit-identical either way —
-        purely a latency knob.
-    engine_fast_path:
-        Engine-core fast path (default on): vectorized per-layer step
-        work in the pipeline, record-free batched plan execution,
-        event-driven clock frontiers, indexed cache-residency lookups
-        and memoized victim selection, and batched prefetch screening.
-        ``False`` runs the pre-PR reference engine loop as a perf
-        baseline and bit-equivalence oracle. Outputs, schedules, cache
-        state and metrics are bit-identical either way
-        (property-test-enforced) — purely a latency knob.
     cpu_cache_capacity:
         Routed-expert slots of host DRAM (the CPU tier of the memory
         hierarchy). ``None`` (default) keeps the paper's unbounded CPU
@@ -282,8 +266,6 @@ class EngineSpec(_Spec):
     seed: int = 0
     num_gpus: int = 1
     placement: str = "round_robin"
-    planner_fast_path: bool | None = None
-    engine_fast_path: bool = True
     cpu_cache_capacity: int | None = None
     cpu_cache_policy: str = "lru"
     disk_bandwidth: float | None = None

@@ -180,3 +180,56 @@ class TestValidation:
         cache = ExpertCache(2, policy)
         cache.observe_scores(0, np.array([0.8, 0.2]))
         assert policy.score_of((0, 0)) == pytest.approx(0.8)
+
+    def test_validate_detects_stale_victim_memo(self):
+        """A live memo must be what the policy would choose now."""
+        cache = _cache(capacity=2)
+        cache.insert((0, 0))
+        cache.insert((0, 1))
+        cache.would_admit((0, 2))  # consults the policy: the memo is live
+        assert cache._victim_memo == (cache._version, (0, 0))
+        cache.validate()
+        cache._victim_memo = (cache._version, (0, 1))
+        with pytest.raises(CacheError, match="victim memo"):
+            cache.validate()
+        # A memo from an older version is dead weight, not an error.
+        cache._victim_memo = (cache._version - 1, (0, 1))
+        cache.validate()
+
+    def test_validate_detects_layer_index_drift(self):
+        cache = _cache(capacity=2)
+        cache.insert((0, 0))
+        cache._by_layer[0].add(5)
+        with pytest.raises(CacheError, match="per-layer index"):
+            cache.validate()
+
+
+def test_mrs_victim_index_matches_lexsort_under_churn():
+    """The incrementally tracked victim index (``victim_resident``, what
+    the cache consults) picks the lexsort oracle's (``victim``) key
+    through arbitrary insert/access/score/lock churn — ties included,
+    since fresh keys all score 0.0."""
+    rng = np.random.default_rng(7)
+    policy = MRSPolicy(top_p=4)
+    cache = ExpertCache(6, policy)
+    for _ in range(400):
+        op = rng.integers(0, 6)
+        key = (int(rng.integers(0, 3)), int(rng.integers(0, 8)))
+        if op == 0:
+            cache.insert(key)
+        elif op == 1:
+            cache.access(key)
+        elif op == 2:
+            cache.observe_scores(key[0], rng.random(8))
+        elif op == 3:
+            cache.would_admit(key)
+        elif op == 4:
+            cache.lock([key])
+        else:
+            cache.unlock_all()
+        resident, locked = cache.dynamic_keys, cache.locked_keys
+        if resident - locked:
+            assert policy.victim_resident(resident, locked) == policy.victim(
+                resident - locked
+            )
+        cache.validate()

@@ -102,7 +102,6 @@ KNOB_SAMPLES = {
     "strategy": {"strategy": "ondemand"},
     "hardware": {"hardware": "pcie-fast"},
     "placement": {"placement": "layer_striped"},
-    "planner_fast_path": {"planner_fast_path": False},
     "cpu_cache_capacity": {"cpu_cache_capacity": 4},
     "cpu_cache_policy": {"cpu_cache_policy": "lfu"},
     "disk_bandwidth": {"disk_bandwidth": 1e9, "cpu_cache_capacity": 4},

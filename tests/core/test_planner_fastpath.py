@@ -479,20 +479,26 @@ _TINY = MoEModelConfig(
 )
 
 
+#: Default (fast, memoized) planner vs the from-scratch reference
+#: planner with the memo off, as ``EngineConfig.scheduler`` values.
+_PLANNERS = (
+    SchedulerConfig(),
+    SchedulerConfig(fast_path=False, plan_cache_size=0),
+)
+
+
 def _engine_pair(strategy_name):
     from repro.models.model import ReferenceMoEModel
 
     engines = []
-    for fast in (True, False):
+    for planner in _PLANNERS:
         engines.append(
             make_engine(
                 model=ReferenceMoEModel(
                     _TINY, d_model=16, d_ff=32, vocab_size=128, seed=0
                 ),
                 strategy=strategy_name,
-                engine_config=EngineConfig(
-                    cache_ratio=0.5, planner_fast_path=fast
-                ),
+                engine_config=EngineConfig(cache_ratio=0.5, scheduler=planner),
             )
         )
     return engines
@@ -559,13 +565,13 @@ def test_end_to_end_sharded_identical(prompt_tokens):
     """The sharded (multi-GPU) dispatch path threads the same memoized
     planner; a 2-GPU run is identical under both planner paths."""
     results = []
-    for fast in (True, False):
+    for planner in _PLANNERS:
         engine = make_engine(
             model="deepseek",
             strategy="hybrimoe",
             num_layers=2,
             engine_config=EngineConfig(
-                cache_ratio=0.25, num_gpus=2, planner_fast_path=fast
+                cache_ratio=0.25, num_gpus=2, scheduler=planner
             ),
         )
         results.append(engine.generate(prompt_tokens, decode_steps=4))
@@ -661,21 +667,18 @@ class TestPlanMemo:
             scheduler.plan(0, [(0, 1)], set(), n_tokens=1, pcie_backlog=-1.0)
 
 
-def test_engine_threads_fast_path_override():
-    """EngineConfig.planner_fast_path overrides the scheduler config on
-    the runtime's planner (both directions)."""
-    cfg_on = EngineConfig(planner_fast_path=True, scheduler=SchedulerConfig(fast_path=False))
-    cfg_off = EngineConfig(planner_fast_path=False)
-    cfg_none = EngineConfig(scheduler=SchedulerConfig(fast_path=False))
-    assert cfg_on.scheduler_config().fast_path is True
-    assert cfg_off.scheduler_config().fast_path is False
-    # False selects the full pre-fast-path baseline: memo off too, so
-    # timings against it measure the from-scratch planner, not hits.
-    assert cfg_off.scheduler_config().plan_cache_size == 0
-    assert cfg_none.scheduler_config().fast_path is False
-    assert cfg_none.scheduler_config().plan_cache_size > 0
-    assert EngineConfig().scheduler_config().fast_path is True
-    assert EngineConfig().scheduler_config().plan_cache_size > 0
+def test_engine_threads_scheduler_config():
+    """``EngineConfig.scheduler`` is the runtime planner's config as
+    given — the one way to build an engine on the reference planner."""
+    for planner in _PLANNERS:
+        engine = make_engine(
+            model="deepseek",
+            num_layers=2,
+            engine_config=EngineConfig(scheduler=planner),
+        )
+        assert engine.runtime.scheduler.config is planner
+    assert EngineConfig().scheduler.fast_path is True
+    assert EngineConfig().scheduler.plan_cache_size > 0
 
 
 def test_runtime_memoizes_oracles():

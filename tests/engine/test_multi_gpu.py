@@ -16,6 +16,12 @@ The 1-GPU fingerprints are additionally pinned as golden constants
 (``TestSingleGpuGolden``): the equivalence tests only compare the two
 paths with each other, so a drift of both at once, or a later deletion
 of the unsharded block, has nothing to be compared against otherwise.
+
+``TestEngineCoreGolden`` pins the whole strategy x GPU-count x
+memory-tier matrix — run, cache and clock state — to digests recorded
+from the reference engine core (``engine_fast_path=False``) just before
+it was deleted: the engine core that remains is held to what that one
+computed.
 """
 
 import hashlib
@@ -130,6 +136,54 @@ GOLDEN_1GPU = {
 }
 GOLDEN_1GPU_TIERED_HYBRIMOE = "54d0d508ed7a34c7"  # cpu_cache_capacity=4
 
+#: ``(num_gpus, cpu_cache_capacity)``: one/two GPUs crossed with
+#: two-tier memory and a constrained DRAM tier (so spills and disk
+#: reads actually happen).
+PLATFORMS = {
+    "1gpu-two-tier": (1, None),
+    "2gpu-two-tier": (2, None),
+    "1gpu-three-tier": (1, 4),
+    "2gpu-three-tier": (2, 4),
+}
+
+#: ``digest`` of ``(result_fingerprint, cache_fingerprint,
+#: clock_fingerprint)`` after ``generate(prompt_tokens, decode_steps=4)``,
+#: recorded at commit 9c58829 from ``EngineConfig(engine_fast_path=False)``
+#: — the reference engine core, deleted by the next commit. (The fast
+#: core gave the same 60 digests there.)
+GOLDEN_CORE = {
+    "hybrimoe": {
+        "1gpu-two-tier": ("9d5d7c9ed0956f95", "feab0218e8eb7012", "d5b33940ee10d303"),
+        "2gpu-two-tier": ("129b2ee712e5c6d2", "eb7510863605e3b8", "a9fbe20bf34cff74"),
+        "1gpu-three-tier": ("54d0d508ed7a34c7", "2ca76a974ba4381d", "5b1abd604960d8c9"),
+        "2gpu-three-tier": ("5817d518d575be94", "a5e8d6906604ccc1", "dfde9f8e086950e4"),
+    },
+    "ktransformers": {
+        "1gpu-two-tier": ("4ebb02ab915ded97", "137fbb764b1f6f0e", "6a28a3ebd4155958"),
+        "2gpu-two-tier": ("895d566307de6512", "137fbb764b1f6f0e", "20b6220967961e38"),
+        "1gpu-three-tier": ("cdf093434a5b502f", "3b8a1ac1957c5d05", "2be6ca3d2bade3c6"),
+        "2gpu-three-tier": ("9fbd4a0d2705b9ed", "a5bbdc1d99a2c502", "fda3f024dcdff8ed"),
+    },
+    "adapmoe": {
+        "1gpu-two-tier": ("c7678859b8eef1e4", "4d7d1d3d9f8fdf87", "4b1c1ae0c06b017f"),
+        "2gpu-two-tier": ("dedfb082cab06841", "5e9fe8303e7ea8ba", "5c89757a9c0f0526"),
+        "1gpu-three-tier": ("931ba5ee4395167d", "49ffe710d0cfd812", "b44838e34282bccb"),
+        "2gpu-three-tier": ("e6e31604ee95470a", "49d73f80452878dc", "4cf04133d11014e2"),
+    },
+    "llamacpp": {
+        "1gpu-two-tier": ("7114db76919cbb05", "8ff568246a7c0877", "ef0a6a4016f120fb"),
+        "2gpu-two-tier": ("65101b825597e032", "8ff568246a7c0877", "da27dc58ef9d9b7b"),
+        "1gpu-three-tier": ("26606601a3959e88", "8f5572d21abfe873", "90ec99098860c4b8"),
+        "2gpu-three-tier": ("e138b6385d8517e7", "e40400a3858dfc09", "d18b7ce6de2877b3"),
+    },
+    "ondemand": {
+        "1gpu-two-tier": ("fc26bd7833819517", "a12d91a0729c7c7b", "782b8b7656e2b9e1"),
+        "2gpu-two-tier": ("b111e9cb2c7af7ea", "3d9d45aab720b439", "2f0d661714786ce2"),
+        "1gpu-three-tier": ("26e7acc4dec42b70", "71834a36e522bf04", "13ea507c0ac2428c"),
+        "2gpu-three-tier": ("3938044218ab91c0", "515707a815a4fd7e", "f4e48e290fb0970a"),
+    },
+}
+
 
 @pytest.mark.parametrize("sharded_flag", [None, True])
 class TestSingleGpuGolden:
@@ -151,6 +205,91 @@ class TestSingleGpuGolden:
         assert digest(result_fingerprint(result)) == GOLDEN_1GPU_TIERED_HYBRIMOE
 
 
+def cache_fingerprint(cache):
+    """Residency and counters of every tier, order-normalised."""
+    stats = cache.stats
+    fingerprint = [
+        tuple(sorted(cache.resident_keys)),
+        (stats.hits, stats.misses, stats.insertions, stats.evictions,
+         stats.rejected_inserts),
+        tuple(sorted(stats.per_layer_hits.items())),
+        tuple(sorted(stats.per_layer_misses.items())),
+    ]
+    cpu_tier = getattr(cache, "cpu_tier", None)
+    if cpu_tier is not None:
+        fingerprint.append(tuple(sorted(cpu_tier.resident_keys)))
+        fingerprint.append(
+            (cpu_tier.stats.hits, cpu_tier.stats.misses,
+             cpu_tier.stats.insertions, cpu_tier.stats.evictions)
+        )
+    return tuple(fingerprint)
+
+
+def clock_fingerprint(clock):
+    """Every timeline's committed intervals plus the derived frontiers."""
+    timelines = [clock.cpu] + [
+        tl for pair in zip(clock.gpus, clock.pcie_links) for tl in pair
+    ]
+    if clock.disk is not None:
+        timelines.append(clock.disk)
+    return (
+        tuple(
+            tuple((i.start, i.finish, i.label) for i in tl.intervals)
+            for tl in timelines
+        ),
+        tuple(tl.available_at for tl in timelines),
+        clock.compute_frontier,
+        clock.frontier,
+        clock.min_pcie_available_at,
+    )
+
+
+def build_platform_engine(tiny_config, strategy_name, platform):
+    num_gpus, cpu_capacity = PLATFORMS[platform]
+    return build_engine(
+        tiny_config,
+        strategy_name,
+        num_gpus=num_gpus,
+        cpu_cache_capacity=cpu_capacity,
+    )
+
+
+@pytest.mark.parametrize("platform", PLATFORMS)
+@pytest.mark.parametrize("strategy_name", STRATEGIES)
+class TestEngineCoreGolden:
+    def test_run_cache_and_clock_match_golden(
+        self, tiny_config, prompt_tokens, strategy_name, platform
+    ):
+        engine = build_platform_engine(tiny_config, strategy_name, platform)
+        result = engine.generate(prompt_tokens, decode_steps=4)
+        runtime = engine.runtime
+        assert (
+            digest(result_fingerprint(result)),
+            digest(cache_fingerprint(runtime.cache)),
+            digest(clock_fingerprint(runtime.clock)),
+        ) == GOLDEN_CORE[strategy_name][platform]
+        runtime.clock.validate()
+        runtime.cache.validate()
+
+    def test_hidden_states_equal_reference_model(
+        self, tiny_config, prompt_tokens, strategy_name, platform
+    ):
+        """Scheduled execution — whichever device computes each expert,
+        however the outputs are recombined — is the reference forward
+        pass bit-for-bit."""
+        reference = ReferenceMoEModel(tiny_config, seed=0)
+        ref_hidden, _, state = reference.forward(prompt_tokens)
+        engine = build_platform_engine(tiny_config, strategy_name, platform)
+        hidden, _ = engine._run_step(prompt_tokens, "prefill")
+        np.testing.assert_array_equal(hidden, ref_hidden)
+        # Single-token decode takes its own recombination shortcut.
+        for _ in range(3):
+            token = np.array([reference.greedy_next_token(ref_hidden[-1])])
+            ref_hidden, _, state = reference.forward(token, state)
+            hidden, _ = engine._run_step(token, "decode")
+            np.testing.assert_array_equal(hidden, ref_hidden)
+
+
 class TestMultiGpuDispatch:
     @pytest.mark.parametrize("strategy_name", STRATEGIES)
     def test_numerics_match_reference(self, tiny_config, prompt_tokens, strategy_name):
@@ -158,7 +297,7 @@ class TestMultiGpuDispatch:
         ref_hidden, _, _ = reference.forward(prompt_tokens)
         engine = build_engine(tiny_config, strategy_name, num_gpus=3)
         hidden, _ = engine._run_step(prompt_tokens, "prefill")
-        np.testing.assert_allclose(hidden, ref_hidden, rtol=1e-5, atol=1e-6)
+        np.testing.assert_array_equal(hidden, ref_hidden)
 
     @pytest.mark.parametrize("placement", ["round_robin", "layer_striped", "load_aware"])
     def test_invariants_hold_under_load(self, tiny_config, prompt_tokens, placement):

@@ -75,3 +75,43 @@ class TestAccounting:
         total = sum(d for d, _ in zip(durations, gaps))
         assert timeline.busy_time() == pytest.approx(total, rel=1e-9)
         assert timeline.busy_time() <= timeline.available_at + 1e-9
+
+    @given(
+        durations=st.lists(st.floats(0.0, 5.0), min_size=0, max_size=30),
+        gaps=st.lists(st.floats(0.0, 3.0), min_size=30, max_size=30),
+        window=st.tuples(st.floats(0.0, 120.0), st.floats(0.0, 120.0)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_property_busy_time_equals_linear_scan(self, durations, gaps, window):
+        """The bisected windowed sum is the full scan of the ledger,
+        float for float, for any window — inside, straddling or beyond
+        the reserved range."""
+        timeline = ResourceTimeline("x")
+        cursor = 0.0
+        for duration, gap in zip(durations, gaps):
+            cursor += gap
+            timeline.reserve(cursor, duration, "t")
+        timeline.validate()
+        window_start, window_end = sorted(window)
+        expected = 0.0
+        for interval in timeline.intervals:
+            lo = max(interval.start, window_start)
+            hi = min(interval.finish, window_end)
+            if hi > lo:
+                expected += hi - lo
+        assert timeline.busy_time(window_start, window_end) == expected
+
+
+class TestValidate:
+    def test_detects_bisection_arrays_out_of_sync(self):
+        for corrupt in (
+            lambda t: t._starts.pop(),
+            lambda t: t._finishes.__setitem__(0, 0.25),
+        ):
+            timeline = ResourceTimeline("gpu")
+            timeline.reserve(0.0, 1.0, "a")
+            timeline.reserve(2.0, 1.0, "b")
+            timeline.validate()
+            corrupt(timeline)
+            with pytest.raises(SimulationError, match="bisection arrays"):
+                timeline.validate()

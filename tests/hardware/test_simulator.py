@@ -74,3 +74,48 @@ class TestMultiGpuClock:
         for g, timeline in enumerate(clock.gpus):
             timeline.reserve(0.0, 0.5 + g, f"g{g}")
         clock.validate()
+
+
+class TestValidateCachedFrontiers:
+    """``validate`` holds every cached frontier to a rescan of the
+    timelines' ``available_at``."""
+
+    def _clock(self):
+        clock = ThreeResourceClock(num_gpus=2, disk=True)
+        clock.gpus[0].reserve(0.0, 1.0, "g0")
+        clock.gpus[1].reserve(0.0, 3.0, "g1")
+        clock.cpu.reserve(0.0, 2.0, "c")
+        clock.pcie_links[0].reserve(0.0, 4.0, "x0")
+        clock.pcie_links[1].reserve(0.0, 9.0, "x1")
+        clock.disk.reserve(0.0, 12.0, "d")
+        clock.validate()
+        assert clock.compute_frontier == 3.0
+        assert clock.frontier == 12.0
+        assert clock.min_pcie_available_at == 4.0
+        return clock
+
+    def test_stale_compute_frontier(self):
+        clock = self._clock()
+        clock._compute_frontier_cache = 2.0
+        with pytest.raises(SimulationError, match="compute_frontier"):
+            clock.validate()
+
+    def test_stale_full_frontier(self):
+        clock = self._clock()
+        clock._frontier_cache = 9.0
+        with pytest.raises(SimulationError, match="cached frontier"):
+            clock.validate()
+
+    def test_pcie_heap_lost_an_event(self):
+        clock = self._clock()
+        clock._pcie_heap[:] = [(9.0, 1)]  # device 0's advance went missing
+        with pytest.raises(SimulationError, match="min_pcie_available_at"):
+            clock.validate()
+
+    def test_unobserved_advance(self):
+        """A timeline moved without notifying the clock (observer lost)."""
+        clock = self._clock()
+        clock.cpu._observer = None
+        clock.cpu.reserve(0.0, 20.0, "c2")
+        with pytest.raises(SimulationError, match="compute_frontier"):
+            clock.validate()

@@ -62,6 +62,22 @@ class TestScenarioSpec:
         with pytest.raises(ConfigError, match="unknown ScenarioSpec keys"):
             ScenarioSpec.from_dict(data)
 
+    @pytest.mark.parametrize("removed", ["engine_fast_path", "planner_fast_path"])
+    def test_from_dict_rejects_removed_engine_switches(self, removed):
+        """A spec file or sweep cell saved while the engine still had a
+        second core names its switch: that is an unknown key now."""
+        data = _tiny().to_dict()
+        data["fleet"]["serving"]["engine"][removed] = True
+        for load, payload in (
+            (ScenarioSpec.from_dict, data),
+            (EngineSpec.from_dict, data["fleet"]["serving"]["engine"]),
+        ):
+            with pytest.raises(
+                ConfigError, match=f"unknown EngineSpec keys: {removed} "
+            ) as excinfo:
+                load(payload)
+            assert "\n" not in str(excinfo.value)
+
     def test_views(self):
         spec = _tiny()
         assert spec.kind == "serving"

@@ -12,6 +12,8 @@ applies no arithmetic anywhere.
 
 import pytest
 
+from repro.core.hybrid_scheduler import SchedulerConfig
+from repro.engine.engine import EngineConfig
 from repro.engine.factory import make_serving_engine
 from repro.errors import ConfigError
 from repro.hardware.faults import HardwareFault, HardwareFaultSchedule
@@ -27,15 +29,24 @@ ARRIVALS = [0.0, 0.02, 0.04, 0.3, 0.32, 0.6]
 STRATEGIES = ("adapmoe", "hybrimoe", "ktransformers", "llamacpp", "ondemand")
 
 
-def _engine(strategy="hybrimoe", planner_fast_path=True, **knobs):
+def _engine(strategy="hybrimoe", reference_planner=False, **knobs):
     knobs.setdefault("max_batch_size", 3)
+    engine_config = None
+    if reference_planner:
+        # The from-scratch planner with the memo off, on the engine
+        # the knobs below describe.
+        engine_config = EngineConfig(
+            cache_ratio=0.5,
+            seed=0,
+            scheduler=SchedulerConfig(fast_path=False, plan_cache_size=0),
+        )
     return make_serving_engine(
         model=MODEL,
         strategy=strategy,
         cache_ratio=0.5,
         num_layers=NUM_LAYERS,
         seed=0,
-        planner_fast_path=planner_fast_path,
+        engine_config=engine_config,
         **knobs,
     )
 
@@ -72,13 +83,13 @@ def _far_schedule(last_finish):
 class TestScheduleTransparency:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize(
-        "planner_fast_path", [True, False], ids=["fast", "reference"]
+        "reference_planner", [False, True], ids=["fast", "reference"]
     )
-    def test_unfired_schedule_bit_identical(self, strategy, planner_fast_path):
-        baseline = _engine(strategy, planner_fast_path).serve_trace(_trace())
+    def test_unfired_schedule_bit_identical(self, strategy, reference_planner):
+        baseline = _engine(strategy, reference_planner).serve_trace(_trace())
         schedule = _far_schedule(baseline.last_finish)
         shadowed = _engine(
-            strategy, planner_fast_path, hardware_faults=schedule
+            strategy, reference_planner, hardware_faults=schedule
         ).serve_trace(_trace())
         assert shadowed.requests == baseline.requests
         assert shadowed.degradations == []

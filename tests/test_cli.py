@@ -15,6 +15,18 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--model", "gpt5"])
 
+    @pytest.mark.parametrize("command", ["run", "serve"])
+    @pytest.mark.parametrize("flag", ["--engine", "--planner"])
+    def test_removed_core_switches_are_usage_errors(self, command, flag, capsys):
+        """The engine has one core: the old switches exit 2 with
+        argparse's one-line error, not a traceback."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, flag, "reference"])
+        assert excinfo.value.code == 2
+        error = capsys.readouterr().err.strip().splitlines()[-1]
+        assert error.startswith("repro: error: unrecognized arguments")
+        assert flag in error
+
 
 def _subparser(command):
     parser = build_parser()
@@ -35,12 +47,13 @@ class TestKnobFlags:
     """``run`` / ``serve`` flags are spellings of spec knobs, nothing more."""
 
     #: The public option strings at the commit that introduced the
-    #: spec-derived parser; flag spellings are API.
+    #: spec-derived parser (less ``--engine`` / ``--planner``, which
+    #: went with the second engine core); flag spellings are API.
     RUN_OPTIONS = {
         "--cache-ratio", "--confidence-gate", "--cpu-cache-capacity",
-        "--cpu-cache-policy", "--decode-steps", "--disk-bandwidth", "--engine",
+        "--cpu-cache-policy", "--decode-steps", "--disk-bandwidth",
         "--hardware", "--help", "--model", "--num-gpus", "--num-layers",
-        "--placement", "--planner", "--predict-horizon", "--predictor",
+        "--placement", "--predict-horizon", "--predictor",
         "--prompt-len", "--seed", "--strategy",
     }
     SERVE_OPTIONS = (RUN_OPTIONS - {"--prompt-len"}) | {
@@ -77,8 +90,6 @@ class TestKnobFlags:
             argv.append(by_knob[knob].option_strings[0])
             if by_knob[knob].nargs == 0:
                 continue  # a switch: presence is the value
-            if isinstance(value, bool):
-                value = "fast" if value else "reference"
             argv.append(str(value))
         spec = _fleet_spec(build_parser().parse_args(argv))
         owner = next(

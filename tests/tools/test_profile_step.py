@@ -2,8 +2,8 @@
 
 ``tools/profile_step.py`` is a debugging entry point, not library
 code, so one fast end-to-end pass is enough: profile a handful of
-decode steps on both engine cores and pin the report shape the CI
-docs job (and any tooling) consumes.
+decode steps and pin the report shape the CI docs job (and any
+tooling) consumes.
 """
 
 import sys
@@ -20,21 +20,19 @@ def test_report_shape_and_sanity():
     assert report["steps"] == 5
     assert report["model"] == "deepseek"
     assert report["strategy"] == "hybrimoe"
-    for core in ("fast", "reference"):
-        block = report[core]
-        assert block["elapsed_s"] > 0.0
-        assert block["steps_per_s"] > 0.0
-        assert 0 < len(block["top"]) <= 5
-        for row in block["top"]:
-            assert set(row) == {"function", "ncalls", "tottime_s", "cumtime_s"}
-            assert row["ncalls"] >= 1
-            assert row["tottime_s"] >= 0.0
-            assert row["cumtime_s"] >= 0.0
+    assert report["elapsed_s"] > 0.0
+    assert report["steps_per_s"] > 0.0
+    assert 0 < len(report["top"]) <= 5
+    for row in report["top"]:
+        assert set(row) == {"function", "ncalls", "tottime_s", "cumtime_s"}
+        assert row["ncalls"] >= 1
+        assert row["tottime_s"] >= 0.0
+        assert row["cumtime_s"] >= 0.0
 
 
 def test_top_rows_follow_sort_order():
     report = profile_report(steps=2, num_layers=2, cache_ratio=0.5, top=10)
-    cumtimes = [row["cumtime_s"] for row in report["fast"]["top"]]
+    cumtimes = [row["cumtime_s"] for row in report["top"]]
     assert cumtimes == sorted(cumtimes, reverse=True)
 
 
@@ -47,11 +45,11 @@ def test_prefill_stage_profiles_the_wide_planner_search():
     )
     assert report["stage"] == "prefill"
     assert report["steps"] == 1
-    functions = [row["function"] for row in report["fast"]["top"]]
+    functions = [row["function"] for row in report["top"]]
     assert any("hybrid_scheduler.py" in f and "(_search_fast)" in f for f in functions)
     # One prompt through two layers: two plans, no decode steps.
     plans = [
-        row for row in report["fast"]["top"]
+        row for row in report["top"]
         if "hybrid_scheduler.py" in row["function"] and "(plan)" in row["function"]
     ]
     assert [row["ncalls"] for row in plans] == [2]
@@ -62,3 +60,13 @@ def test_unknown_stage_is_rejected():
 
     with pytest.raises(ValueError, match="stage must be one of"):
         profile_report(steps=1, num_layers=2, stage="train")
+
+
+def test_engine_flag_is_gone():
+    """There is one engine core; ``--engine`` is argparse's usage error."""
+    import pytest
+    from profile_step import main
+
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--engine", "reference"])
+    assert excinfo.value.code == 2

@@ -5,17 +5,15 @@ cold full-prompt prefills — through the engine under :mod:`cProfile`
 and prints the top cumulative-time functions: the first stop when a
 step-latency regression shows up in ``BENCH_planner.json``'s
 ``end_to_end`` block or in the perf ledger (see ``docs/BENCHMARKS.md``).
-The default decode scenario matches the benchmark's engine fast-path
-scenario, so numbers line up with the committed trajectory;
+The default decode scenario matches ``bench_planner_speed.py``'s
+``end_to_end`` scenario (and the ledger's ``decode_hot`` shape), so
+numbers line up with the committed trajectory;
 ``--stage prefill --cache-ratio 0.5`` is the ledger's ``prefill_long``
 shape (every expert activated, the planner's widest searches).
-``--engine reference`` profiles the reference engine core instead for
-a side-by-side.
 
 Usage::
 
-    python tools/profile_step.py                       # fast path, top 20
-    python tools/profile_step.py --engine reference    # reference core
+    python tools/profile_step.py                       # top 20
     python tools/profile_step.py --steps 128 --top 40
     python tools/profile_step.py --sort tottime
     python tools/profile_step.py --stage prefill --steps 8 --cache-ratio 0.5 --seed 3
@@ -41,7 +39,6 @@ STAGES = ("decode", "prefill")
 
 def profile_stage(
     stage: str,
-    engine_fast_path: bool,
     model: str,
     strategy: str,
     num_layers: int,
@@ -64,8 +61,6 @@ def profile_stage(
             cache_ratio=cache_ratio,
             num_layers=num_layers,
             seed=seed,
-            planner_fast_path=True,
-            engine_fast_path=engine_fast_path,
         )
 
     if stage == "decode":
@@ -125,44 +120,36 @@ def profile_report(
     stage: str = "decode",
     prompt_len: int = 512,
 ) -> dict:
-    """Profile fast and reference engine cores; return a structured report.
+    """Profile one stream; return a structured report.
 
-    One entry per engine core, each with the wall time, derived step
-    rate (prompts/s for ``stage="prefill"``) and the hottest ``top``
-    functions — the machine-readable counterpart of ``main``'s printed
-    output, used by the smoke test and available to tooling.
+    The wall time, derived step rate (prompts/s for
+    ``stage="prefill"``) and the hottest ``top`` functions — the
+    machine-readable counterpart of ``main``'s printed output, used by
+    the smoke test and available to tooling.
     """
-    report: dict = {
-        "stage": stage, "steps": steps, "model": model, "strategy": strategy,
+    profiler, elapsed = profile_stage(
+        stage,
+        model=model,
+        strategy=strategy,
+        num_layers=num_layers,
+        cache_ratio=cache_ratio,
+        steps=steps,
+        seed=seed,
+        prompt_len=prompt_len,
+    )
+    return {
+        "stage": stage,
+        "steps": steps,
+        "model": model,
+        "strategy": strategy,
+        "elapsed_s": elapsed,
+        "steps_per_s": steps / elapsed if elapsed > 0 else float("inf"),
+        "top": _top_rows(profiler, top, sort),
     }
-    for label, fast in (("fast", True), ("reference", False)):
-        profiler, elapsed = profile_stage(
-            stage,
-            engine_fast_path=fast,
-            model=model,
-            strategy=strategy,
-            num_layers=num_layers,
-            cache_ratio=cache_ratio,
-            steps=steps,
-            seed=seed,
-            prompt_len=prompt_len,
-        )
-        report[label] = {
-            "elapsed_s": elapsed,
-            "steps_per_s": steps / elapsed if elapsed > 0 else float("inf"),
-            "top": _top_rows(profiler, top, sort),
-        }
-    return report
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument(
-        "--engine",
-        choices=["fast", "reference"],
-        default="fast",
-        help="engine core to profile (EngineConfig.engine_fast_path)",
-    )
     parser.add_argument(
         "--stage",
         choices=STAGES,
@@ -193,7 +180,6 @@ def main(argv=None) -> int:
 
     profiler, elapsed = profile_stage(
         args.stage,
-        engine_fast_path=args.engine == "fast",
         model=args.model,
         strategy=args.strategy,
         num_layers=args.num_layers,
@@ -208,7 +194,7 @@ def main(argv=None) -> int:
         else f"{args.prompt_len}-token prefills"
     )
     print(
-        f"{args.engine} engine: {args.steps} {what} of "
+        f"{args.steps} {what} of "
         f"{args.model} L{args.num_layers} r{args.cache_ratio} in "
         f"{elapsed:.3f}s ({args.steps / elapsed:.1f} steps/s)"
     )
