@@ -14,9 +14,13 @@ plan search, transfers, prefetching — sees the merged batch:
 - the shared expert cache records one access per activated expert of
   the fused step, exactly as a solo step would for its own union.
 
-With a single sequence the pipeline performs the same numpy operations
-in the same order as the historical ``_run_step``, so hidden states are
-bit-identical — the property the serving equivalence tests pin down.
+Numerics are those of :meth:`ReferenceMoEModel.forward`, bit for bit:
+attention, routing and the shared experts are the model's own calls,
+and the routed experts run through a sort-once dispatch
+(:meth:`StepPipeline._combine_outputs`) that performs, per output
+element, the reference's additions in the reference's order. A fused
+batch therefore gives every sequence the hidden states of its solo run
+— the property the serving equivalence tests pin down.
 
 **Tiered memory.** On a tiered platform
 (``EngineConfig.cpu_cache_capacity``) each layer's *spilled* experts —
@@ -63,7 +67,7 @@ from repro.core.prefetch import PredictedLayer
 from repro.core.tasks import ComputeTask, ExecutionPlan
 from repro.engine.metrics import StepMetrics
 from repro.engine.strategy_base import LayerContext, Strategy
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SchedulingError
 from repro.models.gating import RouterOutput
 from repro.models.model import DecodeState, ReferenceMoEModel
 
@@ -101,6 +105,12 @@ class BatchStepResult:
 
 class StepPipeline:
     """Reusable per-step executor over the engine's clock and cache.
+
+    Per layer of a fused step: charge and run attention, route the
+    concatenated rows once, record one cache access per activated
+    expert, plan and execute (per device group on a sharded platform),
+    run each routed expert once on its slice of the expert-grouped rows
+    and recombine, then offer the strategy its prefetch window.
 
     Parameters
     ----------
@@ -224,9 +234,8 @@ class StepPipeline:
             # router.activated_experts(): flatnonzero is ascending and
             # tolist() yields the very ints `int(loads[e])` would.
             active_ids = np.flatnonzero(router.loads > 0)
-            activated = tuple(
-                zip(active_ids.tolist(), router.loads[active_ids].tolist())
-            )
+            active = active_ids.tolist()
+            activated = tuple(zip(active, router.loads[active_ids].tolist()))
             cached = frozenset(cache.cached_experts_of_layer(layer))
             if runtime.tiered:
                 self._commit_landed_promotions(attn_end)
@@ -282,7 +291,7 @@ class StepPipeline:
             else:
                 routed_tasks = self._plan_and_execute(ctx).routed_compute_tasks()
 
-            routed_out = self._combine_outputs(z, layer, router, routed_tasks)
+            routed_out = self._combine_outputs(z, layer, router, active, routed_tasks)
             shared_out = model.shared_forward(z, layer)
             x = h + model.residual_scale * (shared_out + routed_out)
 
@@ -460,46 +469,62 @@ class StepPipeline:
         z: np.ndarray,
         layer: int,
         router: RouterOutput,
+        active: list[int],
         routed_tasks: Sequence[ComputeTask],
     ) -> np.ndarray:
-        """Recombine per-task expert outputs (ascending expert id).
+        """Run the routed experts and recombine their weighted outputs.
 
-        Matches :meth:`ReferenceMoEModel.moe_forward` accumulation order
-        so scheduled execution is numerically identical to the
-        reference forward pass — regardless of which device (or how
-        many devices) computed each expert.
+        ``routed_tasks`` are the routed compute tasks of the layer's
+        plan (of every device plan on a sharded platform), in any
+        order; together they must name each expert of ``active`` (the
+        ids ``router`` activated, ascending) exactly once, else
+        :class:`~repro.errors.SchedulingError` — a missing task would
+        silently drop that expert's contribution.
 
-        Each expert's token rows and routing weights come from **one**
-        ``np.nonzero`` (``moe_forward``'s router helpers each run their
-        own), and accumulation is ``out[rows] +=`` — legal because
-        top-k indices are distinct per token row, so each expert's row
-        list has no duplicates and the fancy-index add performs the
-        exact same additions ``moe_forward``'s ``np.add.at`` does. The
-        engine tests hold the resulting hidden states bit-for-bit to
-        :meth:`ReferenceMoEModel.forward`.
+        Sort-once dispatch (``router.dispatch``): one gather lays the
+        token rows out grouped by expert, each expert runs
+        ``model.expert_forward`` once on its contiguous slice, in
+        ascending expert id, one broadcast multiply applies the routing
+        weights, and ``k`` passes accumulate the result — pass ``j``
+        adds every token's contribution from its ``j``-th smallest
+        expert id. Per output element these are the additions
+        :meth:`ReferenceMoEModel.moe_forward` performs with
+        ``np.add.at``, in the same order from the same zero, so the
+        scheduled engine is bit-identical to the reference forward pass
+        regardless of which device (or how many devices) computed each
+        expert; ``tests/engine/test_dispatch.py`` holds the two equal.
+
+        A single-token decode step skips the grouping: every routed
+        expert reads the one row and the weights are ``k`` scalars.
         """
-        out = np.zeros_like(z)
         model = self.model
-        topk_idx = router.topk_idx
-        topk_weights = router.topk_weights
         dtype = z.dtype
+        experts = sorted(task.expert for task in routed_tasks)
+        if experts != active:
+            raise SchedulingError(
+                f"layer {layer}: routed tasks compute experts {experts}, "
+                f"routing activated {active}"
+            )
+        out = np.zeros_like(z)
         if z.shape[0] == 1:
-            # Single-token decode: every routed expert sits in row
-            # 0's top-k, so row/column resolution is a plain list
-            # lookup and the scalar weight multiply performs the
-            # same IEEE-754 ops as the broadcast below.
-            row_experts = topk_idx[0].tolist()
-            weights_row = topk_weights[0]
-            for task in sorted(routed_tasks, key=lambda t: t.expert):
-                col = row_experts.index(task.expert)
-                expert_out = model.expert_forward(z, layer, task.expert)
-                out += expert_out * dtype.type(weights_row[col])
+            row_experts = router.topk_idx[0].tolist()
+            weights_row = router.topk_weights[0]
+            for expert in experts:
+                weight = dtype.type(weights_row[row_experts.index(expert)])
+                out += model.expert_forward(z, layer, expert) * weight
             return out
-        for task in sorted(routed_tasks, key=lambda t: t.expert):
-            rows, cols = np.nonzero(topk_idx == task.expert)
-            weights = topk_weights[rows, cols]
-            expert_out = model.expert_forward(z[rows], layer, task.expert)
-            out[rows] += expert_out * weights[:, None].astype(dtype)
+        dispatch = router.dispatch
+        grouped = z.take(dispatch.tokens, axis=0)
+        weighted = np.empty_like(grouped)
+        offsets = dispatch.offsets.tolist()
+        for expert in experts:
+            start, stop = offsets[expert], offsets[expert + 1]
+            weighted[start:stop] = model.expert_forward(
+                grouped[start:stop], layer, expert
+            )
+        weighted *= dispatch.weights[:, None].astype(dtype, copy=False)
+        for positions in dispatch.slots:
+            out += weighted.take(positions, axis=0)
         return out
 
     def _issue_prefetches(self, ctx: LayerContext, z: np.ndarray) -> None:

@@ -225,12 +225,14 @@ class ReferenceMoEModel:
                 state.input_ema = emb[-1].copy()
             return emb
         blended = np.empty_like(emb)
+        # The recurrence is serial in `prev`; its embedding term is not.
+        fresh = (1.0 - c) * emb
         prev = state.input_ema
         for t in range(emb.shape[0]):
             if prev is None:
                 current = emb[t]
             else:
-                current = (1.0 - c) * emb[t] + c * prev
+                current = fresh[t] + c * prev
             current = self.rms_norm(current)
             blended[t] = current
             prev = current

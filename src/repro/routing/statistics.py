@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import TraceError
+from repro.models.gating import top_k_indices
 from repro.models.model import ReferenceMoEModel
 from repro.routing.trace import RoutingTrace
 from repro.rng import derive_rng
@@ -271,9 +272,7 @@ def gate_reuse_accuracy(
             future = layer + d
             if future >= model.config.num_layers:
                 break
-            predicted_scores = model.gate_scores(z, future)
-            predicted_order = np.argsort(-predicted_scores, axis=1, kind="stable")
-            predicted_topk = predicted_order[:, :k]
+            predicted_topk = top_k_indices(model.gate_scores(z, future), k)
             per_token = [
                 len(set(predicted_topk[t]) & set(actual_topk[future][t])) / k
                 for t in range(n_tokens)

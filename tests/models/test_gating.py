@@ -51,6 +51,57 @@ class TestTopK:
         with pytest.raises(ConfigError):
             top_k_indices(np.ones(4), 1)
 
+    @given(
+        levels=arrays(
+            np.int8,
+            st.tuples(st.integers(1, 40), st.integers(1, 12)),
+            elements=st.integers(0, 3),
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_property_selection_equals_stable_sort_under_heavy_ties(
+        self, levels, data
+    ):
+        """Both row-count cases (the sort below 16 rows, selection from
+        there) are the stable argsort, on scores quantised to four
+        levels so that nearly every comparison is a tie."""
+        scores = levels.astype(np.float32) / np.float32(3)
+        k = data.draw(st.integers(1, scores.shape[1]))
+        np.testing.assert_array_equal(
+            top_k_indices(scores, k),
+            np.argsort(-scores, axis=1, kind="stable")[:, :k],
+        )
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, np.inf])
+    def test_non_finite_scores_take_the_sort(self, bad):
+        """NaN sorts last but wins ``argmax``, and a selected ``-inf``
+        looks like a masked winner: selection would differ, so a batch
+        holding either is sorted."""
+        rng = np.random.default_rng(8)
+        scores = rng.integers(0, 4, size=(32, 6)).astype(np.float32)
+        scores[::3, 1] = bad
+        scores[5, :] = bad
+        scores[7, 2:] = bad
+        for k in (1, 3, 6):
+            np.testing.assert_array_equal(
+                top_k_indices(scores, k),
+                np.argsort(-scores, axis=1, kind="stable")[:, :k],
+            )
+
+    def test_integer_scores_take_the_sort(self):
+        scores = np.random.default_rng(10).integers(0, 4, size=(32, 6))
+        np.testing.assert_array_equal(
+            top_k_indices(scores, 3),
+            np.argsort(-scores, axis=1, kind="stable")[:, :3],
+        )
+
+    def test_input_scores_are_not_modified(self):
+        scores = np.random.default_rng(9).random((64, 8)).astype(np.float32)
+        before = scores.copy()
+        top_k_indices(scores, 4)
+        np.testing.assert_array_equal(scores, before)
+
 
 class TestRouteTokens:
     def test_weights_sum_to_one_per_token(self):
@@ -82,6 +133,50 @@ class TestRouteTokens:
         scores = softmax(np.random.default_rng(6).normal(size=(4, 9)))
         router = route_tokens(scores, 2)
         assert router.mean_scores().shape == (9,)
+
+    def test_mean_scores_computed_once_and_read_only(self):
+        scores = softmax(np.random.default_rng(6).normal(size=(4, 9)))
+        router = route_tokens(scores, 2)
+        mean = router.mean_scores()
+        np.testing.assert_array_equal(mean, scores.mean(axis=0))
+        assert router.mean_scores() is mean
+        with pytest.raises(ValueError):
+            mean[0] = 0.0
+
+    @given(
+        logits=arrays(
+            np.float32,
+            st.tuples(st.integers(1, 30), st.just(9)),
+            elements=st.floats(-4, 4, width=32),
+        ),
+        k=st.integers(1, 6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_dispatch_groups_what_the_per_expert_scans_find(self, logits, k):
+        """The cached grouped view lists, per expert, the rows and
+        weights ``tokens_for_expert`` / ``weights_for_expert`` find,
+        and per token its positions in ascending expert id."""
+        router = route_tokens(softmax(logits), k)
+        dispatch = router.dispatch
+        assert router.dispatch is dispatch
+        np.testing.assert_array_equal(np.diff(dispatch.offsets), router.loads)
+        for expert in range(router.n_experts):
+            group = slice(dispatch.offsets[expert], dispatch.offsets[expert + 1])
+            np.testing.assert_array_equal(
+                dispatch.tokens[group], router.tokens_for_expert(expert)
+            )
+            np.testing.assert_array_equal(
+                dispatch.weights[group], router.weights_for_expert(expert)
+            )
+        assert dispatch.slots.shape == (k, router.n_tokens)
+        expert_of = np.repeat(np.arange(router.n_experts), router.loads)
+        np.testing.assert_array_equal(
+            expert_of[dispatch.slots].T, np.sort(router.topk_idx, axis=1)
+        )
+        np.testing.assert_array_equal(
+            dispatch.tokens[dispatch.slots],
+            np.broadcast_to(np.arange(router.n_tokens), (k, router.n_tokens)),
+        )
 
     @given(
         logits=arrays(

@@ -168,3 +168,41 @@ class TestDecodeState:
         tiny_model.forward(np.array([3]), state)
         assert clone.position == prompt_tokens.size
         assert state.position == prompt_tokens.size + 1
+
+
+class TestPrepareInputs:
+    """The coherence blend, with its embedding term computed for all
+    tokens at once, is the token-by-token recurrence bit-for-bit."""
+
+    @staticmethod
+    def token_by_token(model, tokens, state):
+        """``prepare_inputs`` as a per-token loop (every term in it)."""
+        emb = model.embed(tokens)
+        c = model.input_coherence
+        blended = np.empty_like(emb)
+        prev = state.input_ema
+        for t in range(emb.shape[0]):
+            if prev is None:
+                current = emb[t]
+            else:
+                current = (1.0 - c) * emb[t] + c * prev
+            current = model.rms_norm(current)
+            blended[t] = current
+            prev = current
+        state.input_ema = prev.copy()
+        return blended
+
+    @pytest.mark.parametrize("n_tokens", [1, 2, 512])
+    @pytest.mark.parametrize("warm", [False, True], ids=["fresh", "continuing"])
+    def test_equals_token_by_token_recurrence(self, tiny_model, n_tokens, warm):
+        tokens = derive_rng(4, "prepare").integers(0, 1000, size=n_tokens)
+        state, expected_state = tiny_model.new_state(), tiny_model.new_state()
+        if warm:
+            for s in (state, expected_state):
+                tiny_model.prepare_inputs(np.array([5, 9, 2]), s)
+            assert state.input_ema is not None
+        expected = self.token_by_token(tiny_model, tokens, expected_state)
+        np.testing.assert_array_equal(
+            tiny_model.prepare_inputs(tokens, state), expected
+        )
+        np.testing.assert_array_equal(state.input_ema, expected_state.input_ema)

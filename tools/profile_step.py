@@ -23,10 +23,19 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import os
 import pstats
 import sys
 import time
 from pathlib import Path
+
+# One BLAS thread unless the caller chose otherwise, set before numpy
+# loads (as bench/run.py does): the ledger measures one thread, and two
+# threads on a 2-core box move the profile from the pipeline's index
+# traffic to `expert_forward` / `gate_scores`.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in BLAS_THREAD_VARS:
+    os.environ.setdefault(_var, "1")
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -89,6 +98,11 @@ def profile_stage(
     return profiler, time.perf_counter() - start
 
 
+def blas_threads() -> dict[str, str]:
+    """The BLAS thread-count variables this process runs under."""
+    return {var: os.environ[var] for var in BLAS_THREAD_VARS}
+
+
 def _top_rows(profiler: cProfile.Profile, top: int, sort: str) -> list[dict]:
     """The hottest ``top`` functions as plain rows (for the report)."""
     stats = pstats.Stats(profiler)
@@ -138,6 +152,7 @@ def profile_report(
         prompt_len=prompt_len,
     )
     return {
+        "blas_threads": blas_threads(),
         "stage": stage,
         "steps": steps,
         "model": model,
@@ -198,6 +213,7 @@ def main(argv=None) -> int:
         f"{args.model} L{args.num_layers} r{args.cache_ratio} in "
         f"{elapsed:.3f}s ({args.steps / elapsed:.1f} steps/s)"
     )
+    print("BLAS threads: " + " ".join(f"{k}={v}" for k, v in blas_threads().items()))
     stats = pstats.Stats(profiler)
     if args.out is not None:
         stats.dump_stats(args.out)
