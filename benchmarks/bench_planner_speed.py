@@ -1,36 +1,34 @@
-"""Planner fast-path perf harness with a tracked trajectory (PR 3).
+"""Planner perf harness with a tracked trajectory (PR 3).
 
-Measures the planner two ways and writes ``BENCH_planner.json`` at
-the repo root so the perf trajectory is tracked across PRs:
+Measures **planner-only latency** and writes ``BENCH_planner.json`` at
+the repo root so the perf trajectory is tracked across PRs. Four
+shapes: ``decode_micro`` — steady-state decode, one decode-sized
+problem replanned every iteration (the >=5x acceptance floor is defined
+on it) — plus realistic call streams, where a short engine run (decode
+/ cold 512-token prefills on 8 layers / 2-GPU decode) records every
+``plan()``/``simulate_makespan()`` invocation the step pipeline and
+prefetcher actually issue. Each stream is replayed against fresh
+planners of three kinds:
 
-1. **Planner-only latency** on four shapes: ``decode_micro`` — the
-   ``bench_scheduler_micro`` steady-state decode shape (one
-   decode-sized problem replanned every iteration; the >=5x acceptance
-   floor is defined on it) — plus realistic call streams, where a
-   short engine run (decode / cold 512-token prefills on 8 layers /
-   2-GPU decode) records every ``plan()``/``simulate_makespan()``
-   invocation the step pipeline and prefetcher actually issue. Each
-   stream is replayed against fresh schedulers in three configurations:
+- ``reference``: the from-scratch event simulator of
+  ``tests/reference_planner.py``, no memo (the pre-PR-3 planner, kept
+  as the property-test oracle) — timed in the same run, so the
+  ``speedup`` ratios are comparable across machines;
+- ``fast_cold``: ``HybridScheduler``, memo disabled (isolates the
+  search);
+- ``fast``: ``HybridScheduler`` as the engine builds it (search + plan
+  memo).
 
-   - ``reference``: the from-scratch event simulator, no memo (the
-     pre-PR-3 planner);
-   - ``fast_cold``: incremental search, memo disabled (isolates the
-     search restructuring);
-   - ``fast``: incremental search + plan memo (the default planner).
-
-   Plans are bit-identical across all three (property-tested), so the
-   streams are path-independent and the comparison is pure latency.
-
-2. **End-to-end steps/sec** of a decode run under the fast vs the
-   reference planner. (Schema 2 also timed a second engine core here;
-   the engine has one core since schema 3, and its wall-clock number
-   is ``host_tokens_per_s`` of the perf ledger, ``bench/run.py``.)
+Plans are bit-identical across all three (property-tested), so the
+streams are planner-independent and the comparison is pure latency.
+End-to-end wall clock is not measured here: it is
+``host_tokens_per_s`` of the perf ledger (``bench/run.py``), which
+schema 3's ``end_to_end`` block duplicated.
 
 The ``--check`` mode for CI compares measured speedups against the
 committed ``BENCH_planner.json`` (on ``prefill`` also the memo-off
-``speedup_cold``) and fails on a >2x regression, on missing the 5x
-decode floor, or on the fast planner ending up slower end to end than
-the reference, so perf regressions are caught at review time.
+``speedup_cold``) and fails on a >2x regression or on missing the 5x
+decode floor, so perf regressions are caught at review time.
 Intentional trade-offs skip the gate via the ``perf-regression-ok`` PR
 label (see ``.github/workflows/ci.yml``).
 
@@ -50,17 +48,19 @@ import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO_ROOT))  # tests.reference_planner
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.core.hybrid_scheduler import HybridScheduler, SchedulerConfig  # noqa: E402
 from repro.engine.engine import EngineConfig  # noqa: E402
 from repro.engine.factory import make_engine  # noqa: E402
 from repro.rng import derive_rng  # noqa: E402
+from tests.reference_planner import ReferencePlanner  # noqa: E402
 
 BASELINE_PATH = REPO_ROOT / "BENCH_planner.json"
 
-#: Acceptance floor: fast-path decode planner latency must beat the
-#: reference path by at least this factor (ISSUE 3 criterion).
+#: Acceptance floor: decode planner latency must beat the reference
+#: planner by at least this factor (ISSUE 3 criterion).
 DECODE_SPEEDUP_FLOOR = 5.0
 #: CI gate: fail when a measured speedup drops below committed/2.
 REGRESSION_FACTOR = 2.0
@@ -115,9 +115,9 @@ def _make_recording_engine(num_gpus: int, num_layers: int):
 
 
 def _micro_decode_stream(smoke: bool) -> list[tuple[str, tuple, dict]]:
-    """The ``bench_scheduler_micro`` decode shape: one decode-sized
-    planning problem, replanned every iteration (steady-state decode —
-    the shape the >=5x acceptance floor is defined on)."""
+    """One decode-sized planning problem, replanned every iteration
+    (steady-state decode — the shape the >=5x acceptance floor is
+    defined on)."""
     from repro.models.presets import get_preset
 
     config = get_preset("deepseek")
@@ -165,22 +165,22 @@ def _shape_streams(smoke: bool) -> dict[str, list[tuple[str, tuple, dict]]]:
 # replay timing
 # ----------------------------------------------------------------------
 
-_PLANNER_CONFIGS = {
-    "reference": SchedulerConfig(fast_path=False, plan_cache_size=0),
-    "fast_cold": SchedulerConfig(fast_path=True, plan_cache_size=0),
-    "fast": SchedulerConfig(fast_path=True),
+_PLANNERS = {
+    "reference": (ReferencePlanner, SchedulerConfig(plan_cache_size=0)),
+    "fast_cold": (HybridScheduler, SchedulerConfig(plan_cache_size=0)),
+    "fast": (HybridScheduler, SchedulerConfig()),
 }
 
 
-def _time_stream(stream, oracle_factory, config: SchedulerConfig, reps: int) -> float:
+def _time_stream(stream, oracle_factory, planner, config, reps: int) -> float:
     """Best-of-``reps`` seconds for one full pass over the stream.
 
-    A fresh scheduler per pass: memo warm-up happens *inside* the
+    A fresh planner per pass: memo warm-up happens *inside* the
     stream, exactly as it does inside a real decode.
     """
     best = float("inf")
     for _ in range(reps):
-        scheduler = HybridScheduler(oracle_factory, config)
+        scheduler = planner(oracle_factory, config)
         start = time.perf_counter()
         for kind, args, kwargs in stream:
             getattr(scheduler, kind)(*args, **kwargs)
@@ -195,8 +195,8 @@ def _bench_planner(smoke: bool) -> dict:
     results: dict[str, dict] = {}
     for shape, stream in _shape_streams(smoke).items():
         timings = {
-            name: _time_stream(stream, oracle_factory, config, reps)
-            for name, config in _PLANNER_CONFIGS.items()
+            name: _time_stream(stream, oracle_factory, planner, config, reps)
+            for name, (planner, config) in _PLANNERS.items()
         }
         calls = len(stream)
         results[shape] = {
@@ -210,45 +210,19 @@ def _bench_planner(smoke: bool) -> dict:
     return results
 
 
-def _bench_end_to_end(smoke: bool) -> dict:
-    """One decode run under the reference planner, one under the fast."""
-    decode_steps = 8 if smoke else 32
-    timings = {}
-    for name in ("reference", "fast"):
-        engine = make_engine(
-            model="deepseek",
-            strategy="hybrimoe",
-            num_layers=4,
-            seed=0,
-            engine_config=EngineConfig(
-                cache_ratio=0.25, seed=0, scheduler=_PLANNER_CONFIGS[name]
-            ),
-        )
-        start = time.perf_counter()
-        engine.decode_only(decode_steps)
-        timings[name] = time.perf_counter() - start
-    return {
-        "decode_steps": decode_steps,
-        "reference_steps_per_s": decode_steps / timings["reference"],
-        "fast_steps_per_s": decode_steps / timings["fast"],
-        "speedup": timings["reference"] / timings["fast"],
-    }
-
-
 # ----------------------------------------------------------------------
 # trajectory + gate
 # ----------------------------------------------------------------------
 
 def run(smoke: bool) -> dict:
     return {
-        "schema": 3,
+        "schema": 4,
         "mode": "smoke" if smoke else "full",
         "criteria": {
             "decode_speedup_floor": DECODE_SPEEDUP_FLOOR,
             "regression_factor": REGRESSION_FACTOR,
         },
         "planner": _bench_planner(smoke),
-        "end_to_end": _bench_end_to_end(smoke),
     }
 
 
@@ -276,16 +250,6 @@ def check(current: dict, baseline: dict | None) -> list[str]:
                     f">{REGRESSION_FACTOR:.0f}x vs committed "
                     f"{committed[metric]:.1f}x (floor {floor:.1f}x)"
                 )
-    committed_e2e = baseline.get("end_to_end", {}).get("speedup")
-    if committed_e2e is not None:
-        current_e2e = current["end_to_end"]["speedup"]
-        # End-to-end mixes execution with planning; gate only a total
-        # loss of the win (fast slower than reference).
-        if current_e2e < 1.0 and committed_e2e >= 1.0:
-            failures.append(
-                f"end-to-end: fast planner is now slower than reference "
-                f"({current_e2e:.2f}x, committed {committed_e2e:.2f}x)"
-            )
     return failures
 
 
@@ -322,11 +286,6 @@ def main(argv=None) -> int:
             f"cold {row['fast_cold_us_per_call']:8.1f} ({row['speedup_cold']:.1f}x)  "
             f"fast {row['fast_us_per_call']:8.1f} ({row['speedup']:.1f}x)"
         )
-    e2e = results["end_to_end"]
-    print(
-        f"  end-to-end decode: ref {e2e['reference_steps_per_s']:.1f} steps/s, "
-        f"fast {e2e['fast_steps_per_s']:.1f} steps/s ({e2e['speedup']:.2f}x)"
-    )
     print(f"wrote {args.out}")
 
     if args.check:

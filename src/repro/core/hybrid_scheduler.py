@@ -17,50 +17,47 @@ resolves it exactly as the paper describes — an event-driven simulation
 fills the three timelines for each candidate allocation, and the
 allocation with the smallest simulated makespan wins.
 
-Two search implementations produce **bit-identical plans**:
+The search simulates few candidates. It resolves the priority orders,
+per-expert durations, the PCIe arrival prefix and the CPU queue's
+running sums once, and prunes with two exact lower bounds — the
+transfer chain rises with ``k``, the CPU queue falls with it. The
+candidate where the two bounds cross is simulated first; its makespan
+only tightens the pruning threshold of an ascending scan (see
+:func:`_scan_candidates` for why that cannot move the argmin). One
+O(n log n) event loop (:meth:`HybridScheduler._run_schedule`) evaluates
+a candidate and records its GPU dispatch order and steal list, so the
+winner's :class:`~repro.core.tasks.ExecutionPlan` comes straight out of
+the search. The prefetcher's quick screens run through the same
+routine.
 
-- the *reference* simulator (:meth:`HybridScheduler._simulate`) builds
-  all three timelines from scratch for every candidate transfer count —
-  the paper's description taken literally;
-- the *fast path* (default, ``SchedulerConfig.fast_path``) resolves the
-  priority orders, per-expert durations, the PCIe arrival prefix and the
-  CPU queue's running sums once per search, evaluates a candidate with
-  an O(n log n) record-free replica of the event loop (same float
-  operations in the same order, so the argmin cannot drift), and prunes
-  with two exact lower bounds — the transfer chain rises with ``k``,
-  the CPU queue falls with it. The candidate where the two bounds
-  cross is simulated first; its makespan only tightens the pruning
-  threshold of the reference's ascending scan (see
-  :func:`_scan_candidates` for why that cannot move the argmin). Only
-  the winning allocation is materialised, through the reference
-  simulator. The prefetcher's quick screens run through the same
-  routine.
+Plans are **bit-identical** to the paper's description taken literally
+— every transfer count simulated from scratch, ascending, an incumbent
+replaced only by a makespan better by more than ``_TIE_EPS`` — which
+lives in ``tests/reference_planner.py`` as the property-test oracle.
 
 On a **tiered-memory platform** (capacity-limited host DRAM over disk
 spill) the planner additionally receives the layer's *spilled* expert
 set and the estimated per-expert disk -> DRAM read time. A spilled
 expert pays that read before either use: its PCIe transfer chain grows
 by one disk hop (disk -> CPU -> GPU) and its CPU-fallback compute is
-delayed by the same fetch. Both search paths apply the surcharge with
-identical float operations, so fast-vs-reference bit-identity is
-preserved; with an empty spilled set (the default two-tier platform)
-every duration is byte-for-byte the historical one.
+delayed by the same fetch. With an empty spilled set (the default
+two-tier platform) every duration is byte-for-byte the two-tier one.
 
-On top of either path sits a bounded LRU **plan memo** keyed on the
+On top of the search sits a bounded LRU **plan memo** keyed on the
 planner's exact inputs (layer, activated loads, cached set, in-flight
-offsets, backlogs, token count, shared flag, spilled set + disk cost). Keys are value-complete —
-identical inputs always produce identical plans — so nothing is ever
-invalidated; decode steps repeat near-identical routing, making hits
-the common case. Memoization assumes the oracle factory is
-deterministic per ``n_tokens`` (true of the engine's estimated cost
-models; a stateful noisy oracle must disable it via
-``plan_cache_size=0``).
+offsets, backlogs, token count, shared flag, spilled set + disk cost).
+Keys are value-complete — identical inputs always produce identical
+plans — so nothing is ever invalidated; decode steps repeat
+near-identical routing, making hits the common case. Memoization
+assumes the oracle factory is deterministic per ``n_tokens`` (true of
+the engine's estimated cost models; a stateful noisy oracle must
+disable it via ``plan_cache_size=0``).
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.core.tasks import (
@@ -73,10 +70,10 @@ from repro.core.tasks import (
 )
 from repro.errors import SchedulingError
 
-__all__ = ["SchedulerConfig", "HybridScheduler", "SimulatedTask", "SimulationResult"]
+__all__ = ["SchedulerConfig", "HybridScheduler"]
 
 #: Strict-improvement tolerance of the allocation argmin (shared by the
-#: reference loop, the fast path and its lower-bound pruning).
+#: scan, its lower-bound pruning and the reference scan in ``tests/``).
 _TIE_EPS = 1e-15
 _NEG_INF = float("-inf")
 
@@ -85,8 +82,9 @@ def _scan_candidates(counts, bounds, makespan) -> tuple[int, float]:
     """The reference's ascending argmin over ``counts``, simulating few.
 
     ``bounds[i]`` is a lower bound on ``makespan(i)``, the exact
-    makespan of transfer count ``counts[i]``. The reference scans the
-    counts in ascending order and replaces its incumbent only by a
+    makespan of transfer count ``counts[i]``. The reference (the plain
+    scan of ``tests/reference_planner.py``) simulates every count in
+    ascending order and replaces its incumbent only by a
     makespan better by more than ``_TIE_EPS`` (so ties keep the fewer
     transfers). This scan returns the same ``(count, makespan)`` and
     skips a candidate whose bound already cannot beat the incumbent —
@@ -149,17 +147,6 @@ class SchedulerConfig:
         Fractional safety margin on the steal-benefit test; a steal
         happens only if the CPU would finish the stolen expert before
         ``(1 - margin) *`` the GPU's estimated finish time.
-    max_search_width:
-        Upper bound on the number of simulated transfer counts (nested
-        dyadic subsampling, always including both extremes; widening
-        the width only ever *adds* candidates, so a wider search can
-        never pick a worse makespan). ``None`` means exhaustive.
-    fast_path:
-        Use the incremental search (hoisted sorts, duration memo,
-        lower-bound pruning, single materialisation). Plans are
-        bit-identical to the reference simulator's — property-tested —
-        so this is purely a latency knob; False forces the reference
-        path for oracle comparisons and perf baselines.
     plan_cache_size:
         Entries of the bounded LRU memo over ``plan()`` /
         ``simulate_makespan()`` results. ``0`` disables memoization.
@@ -169,8 +156,6 @@ class SchedulerConfig:
     search_transfers: bool = True
     allow_cpu_steal: bool = True
     steal_margin: float = 0.0
-    max_search_width: int | None = None
-    fast_path: bool = True
     plan_cache_size: int = 1024
 
     def __post_init__(self) -> None:
@@ -178,36 +163,10 @@ class SchedulerConfig:
             raise SchedulingError(
                 f"steal_margin must be in [0, 1), got {self.steal_margin}"
             )
-        if self.max_search_width is not None and self.max_search_width < 2:
-            raise SchedulingError(
-                f"max_search_width must be >= 2, got {self.max_search_width}"
-            )
         if self.plan_cache_size < 0:
             raise SchedulingError(
                 f"plan_cache_size must be non-negative, got {self.plan_cache_size}"
             )
-
-
-@dataclass(frozen=True)
-class SimulatedTask:
-    """One simulated operation with its timeline placement."""
-
-    expert: int
-    start: float
-    finish: float
-    resource: str
-
-
-@dataclass
-class SimulationResult:
-    """Outcome of one schedule simulation (one transfer allocation)."""
-
-    makespan: float
-    transfers: list[int]
-    gpu_order: list[SimulatedTask]
-    cpu_order: list[SimulatedTask]
-    stolen: list[int]
-    loads: dict[int, int]
 
 
 class _DurationTable:
@@ -251,7 +210,7 @@ class HybridScheduler:
         Callable ``(n_tokens) -> LayerCostOracle`` giving *estimated*
         durations (typically a warmup-fitted cost model). The planner
         never sees actual execution times. Must be deterministic per
-        ``n_tokens`` when memoization or the fast path is enabled.
+        ``n_tokens``: durations are tabulated per load, results memoized.
     config:
         Search and stealing behaviour.
     """
@@ -340,19 +299,54 @@ class HybridScheduler:
             hit = self._memo_get(key)
             if hit is not None:
                 return hit.clone()
-        oracle = self._oracle_factory(n_tokens)
-        best = self._best_simulation(
-            activated,
+        loads, inflight_eff, spilled_eff = self._validated_inputs(
+            activated, cached_experts, pcie_backlog, cpu_backlog, inflight,
+            spilled, disk_fetch_s,
+        )
+        order = self._gpu_priority(loads)
+        table = self._duration_table(n_tokens)
+        k, makespan, gpu_order, stolen = self._search(
+            order,
+            loads,
             cached_experts,
-            oracle,
+            table,
             pcie_backlog,
             include_shared,
-            inflight,
-            cpu_backlog=cpu_backlog,
-            spilled=spilled,
+            inflight_eff,
+            cpu_backlog,
+            spilled=spilled_eff,
             disk_fetch_s=disk_fetch_s,
         )
-        plan = self._materialise(layer, n_tokens, best, oracle, include_shared)
+        # The winning allocation in the three priority orders: the k
+        # highest loads ride PCIe, the rest queue on the CPU lowest
+        # load first (steals follow, in steal order), and the GPU runs
+        # the shared block and then whatever the event loop dispatched
+        # — of which exactly the uncached experts arrived by transfer.
+        uncached = [e for e in order if e not in cached_experts]
+        transferred = uncached[:k]
+        gpu_tasks = [
+            ComputeTask(
+                layer, e, loads[e], Device.GPU, after_transfer=e not in cached_experts
+            )
+            for e in gpu_order
+        ]
+        if include_shared and table.shared_gpu > 0.0:
+            gpu_tasks.insert(0, ComputeTask(layer, SHARED_BLOCK, n_tokens, Device.GPU))
+        own = sorted(uncached[k:], key=lambda e: (loads[e], e))
+        plan = ExecutionPlan(
+            layer=layer,
+            n_tokens=n_tokens,
+            gpu_tasks=gpu_tasks,
+            cpu_tasks=[ComputeTask(layer, e, loads[e], Device.CPU) for e in own + stolen],
+            transfers=[TransferTask(layer, e, loads[e]) for e in transferred],
+            estimated_makespan=makespan,
+            metadata={
+                "scheduler": "hybrid",
+                "transfer_count": k,
+                "stolen": stolen,
+                "include_shared": include_shared,
+            },
+        )
         if key is not None:
             self._memo_put(key, plan.clone())
         return plan
@@ -393,38 +387,23 @@ class HybridScheduler:
             hit = self._memo_get(key)
             if hit is not None:
                 return hit
-        if self.config.fast_path:
-            loads, inflight_eff, spilled_eff = self._validated_inputs(
-                activated, cached_experts, pcie_backlog, cpu_backlog, inflight,
-                spilled, disk_fetch_s,
-            )
-            _, makespan = self._search_fast(
-                self._gpu_priority(loads),
-                loads,
-                cached_experts,
-                self._duration_table(n_tokens),
-                pcie_backlog,
-                include_shared,
-                inflight_eff,
-                cpu_backlog,
-                force_quick=quick,
-                spilled=spilled_eff,
-                disk_fetch_s=disk_fetch_s,
-            )
-        else:
-            best = self._best_simulation(
-                activated,
-                cached_experts,
-                self._oracle_factory(n_tokens),
-                pcie_backlog,
-                include_shared,
-                inflight,
-                force_quick=quick,
-                cpu_backlog=cpu_backlog,
-                spilled=spilled,
-                disk_fetch_s=disk_fetch_s,
-            )
-            makespan = best.makespan
+        loads, inflight_eff, spilled_eff = self._validated_inputs(
+            activated, cached_experts, pcie_backlog, cpu_backlog, inflight,
+            spilled, disk_fetch_s,
+        )
+        makespan = self._search(
+            self._gpu_priority(loads),
+            loads,
+            cached_experts,
+            self._duration_table(n_tokens),
+            pcie_backlog,
+            include_shared,
+            inflight_eff,
+            cpu_backlog,
+            force_quick=quick,
+            spilled=spilled_eff,
+            disk_fetch_s=disk_fetch_s,
+        )[1]
         if key is not None:
             self._memo_put(key, makespan)
         return makespan
@@ -613,7 +592,7 @@ class HybridScheduler:
         prefetcher asks for both per predicted layer; computing them
         together pays the input validation, duration table and the
         priority sort once, and memoizes the pair as one ``"qs"``
-        entry. ``base`` is one :meth:`_search_fast` call — the routine
+        entry. ``base`` is one :meth:`_search` call — the routine
         behind ``simulate_makespan`` — so values are bit-identical to
         the separate calls (test-enforced).
         """
@@ -629,10 +608,10 @@ class HybridScheduler:
         )
         table = self._duration_table(n_tokens)
         order = self._gpu_priority(loads)
-        _, base = self._search_fast(
+        base = self._search(
             order, loads, cached_experts, table, 0.0, True, {}, 0.0,
             force_quick=True, spilled=spilled_all, disk_fetch_s=disk_fetch_s,
-        )
+        )[1]
         bounds = self._quick_bounds(
             order, loads, cached_experts, table, candidates, spilled_all, disk_fetch_s
         )
@@ -659,7 +638,7 @@ class HybridScheduler:
         what the per-call path repeats per expert — input validation,
         the duration table, the priority sort and the memo-key
         construction — and runs each expert through
-        :meth:`_search_fast`, the routine behind ``simulate_makespan``,
+        :meth:`_search`, the routine behind ``simulate_makespan``,
         so the floats are the per-call path's (test-enforced). The
         whole batch memoizes as one ``"qw"`` entry.
         """
@@ -677,12 +656,12 @@ class HybridScheduler:
         order = self._gpu_priority(loads)
         results: dict[int, float] = {}
         for expert in experts:
-            _, results[expert] = self._search_fast(
+            results[expert] = self._search(
                 order, loads, cached_experts | {expert}, table, 0.0, True, {}, 0.0,
                 force_quick=True,
                 spilled=spilled_all - {expert},
                 disk_fetch_s=disk_fetch_s,
-            )
+            )[1]
         if key is not None:
             self._memo_put(key, results)
         return results
@@ -781,26 +760,8 @@ class HybridScheduler:
         if n_uncached == 0:
             return [0]
         if force_quick or not self.config.search_transfers:
-            return sorted({0, n_uncached})
-        width = self.config.max_search_width
-        if width is None or n_uncached + 1 <= width:
-            return list(range(n_uncached + 1))
-        # Nested dyadic subsampling: extremes first, then breadth-first
-        # interval bisection. The first `width` values of this priority
-        # order are a *superset-monotone* family — widening the width
-        # only adds candidates, so a wider search never worsens the
-        # chosen makespan (test-enforced).
-        chosen = [0, n_uncached]
-        intervals = deque([(0, n_uncached)])
-        while len(chosen) < width and intervals:
-            lo, hi = intervals.popleft()
-            if hi - lo < 2:
-                continue
-            mid = (lo + hi) // 2
-            chosen.append(mid)
-            intervals.append((lo, mid))
-            intervals.append((mid, hi))
-        return sorted(chosen)
+            return [0, n_uncached]
+        return list(range(n_uncached + 1))
 
     @staticmethod
     def _gpu_priority(loads: dict[int, int]) -> list[int]:
@@ -817,18 +778,20 @@ class HybridScheduler:
         spilled=None,
         disk_fetch_s: float = 0.0,
     ) -> tuple[dict[int, int], dict[int, float], frozenset[int]]:
-        """Shared input validation of both search paths.
+        """Input validation shared by every entry point.
 
-        The effective spilled set is intersected with the *uncached*
+        NaN fails the ``>= 0`` tests (it would corrupt every timeline
+        and never hit the memo); ``inf`` is a legal dead resource. The
+        effective spilled set is intersected with the *uncached*
         activated experts: a GPU-cached expert never touches disk, and
         spill state of non-activated experts is irrelevant to this
         layer's plan.
         """
-        if pcie_backlog < 0:
+        if not pcie_backlog >= 0:
             raise SchedulingError(f"pcie_backlog must be non-negative, got {pcie_backlog}")
-        if cpu_backlog < 0:
+        if not cpu_backlog >= 0:
             raise SchedulingError(f"cpu_backlog must be non-negative, got {cpu_backlog}")
-        if disk_fetch_s < 0:
+        if not disk_fetch_s >= 0:
             raise SchedulingError(
                 f"disk_fetch_s must be non-negative, got {disk_fetch_s}"
             )
@@ -847,83 +810,10 @@ class HybridScheduler:
         )
         return loads, inflight_eff, spilled_eff
 
-    def _best_simulation(
-        self,
-        activated: list[tuple[int, int]],
-        cached_experts: set[int],
-        oracle: LayerCostOracle,
-        pcie_backlog: float,
-        include_shared: bool,
-        inflight: dict[int, float] | None = None,
-        force_quick: bool = False,
-        cpu_backlog: float = 0.0,
-        spilled: frozenset[int] | set[int] | None = None,
-        disk_fetch_s: float = 0.0,
-    ) -> SimulationResult:
-        loads, inflight_eff, spilled_eff = self._validated_inputs(
-            activated, cached_experts, pcie_backlog, cpu_backlog, inflight,
-            spilled, disk_fetch_s,
-        )
-        if self.config.fast_path:
-            best_k, _ = self._search_fast(
-                self._gpu_priority(loads),
-                loads,
-                cached_experts,
-                self._duration_table(oracle.n_tokens),
-                pcie_backlog,
-                include_shared,
-                inflight_eff,
-                cpu_backlog,
-                force_quick=force_quick,
-                spilled=spilled_eff,
-                disk_fetch_s=disk_fetch_s,
-            )
-            # Materialise only the winner, through the reference
-            # simulator — the plan object is reference output by
-            # construction.
-            return self._simulate(
-                loads,
-                cached_experts,
-                oracle,
-                best_k,
-                pcie_backlog,
-                include_shared,
-                inflight_eff,
-                cpu_backlog=cpu_backlog,
-                spilled=spilled_eff,
-                disk_fetch_s=disk_fetch_s,
-            )
-
-        uncached = [e for e, _ in activated if e not in cached_experts]
-        best: SimulationResult | None = None
-        for k in self._candidate_transfer_counts(len(uncached), force_quick):
-            result = self._simulate(
-                loads,
-                cached_experts,
-                oracle,
-                k,
-                pcie_backlog,
-                include_shared,
-                inflight_eff,
-                cpu_backlog=cpu_backlog,
-                spilled=spilled_eff,
-                disk_fetch_s=disk_fetch_s,
-            )
-            better = best is None or result.makespan < best.makespan - _TIE_EPS
-            tie_fewer_transfers = (
-                best is not None
-                and abs(result.makespan - best.makespan) <= _TIE_EPS
-                and len(result.transfers) < len(best.transfers)
-            )
-            if better or tie_fewer_transfers:
-                best = result
-        assert best is not None  # at least k=0 is always simulated
-        return best
-
     # ------------------------------------------------------------------
-    # the incremental fast path
+    # the search and its schedule simulation
     # ------------------------------------------------------------------
-    def _search_fast(
+    def _search(
         self,
         order: list[int],
         loads: dict[int, int],
@@ -936,16 +826,19 @@ class HybridScheduler:
         force_quick: bool = False,
         spilled: frozenset[int] = frozenset(),
         disk_fetch_s: float = 0.0,
-    ) -> tuple[int, float]:
-        """Find the optimal transfer count without building plans.
+    ) -> tuple[int, float, list[int], list[int]]:
+        """Find the optimal transfer count and its schedule.
 
         ``order`` is :meth:`_gpu_priority` of ``loads`` (callers that
         search many variants of one layer sort once). Returns
-        ``(best_k, best_makespan)``, bit-identical to what the
-        reference loop would select: every candidate evaluated goes
-        through a float-exact replica of the reference event loop, and
-        every candidate skipped provably cannot change the outcome of
-        the reference's ascending scan.
+        ``(best_k, best_makespan, gpu_order, stolen)`` — the winner's
+        GPU dispatch order and CPU steals as expert ids, all a plan
+        needs beyond the priority orders — bit-identical to what the
+        reference would select: every candidate evaluated goes through
+        :meth:`_run_schedule`, which performs the reference
+        simulator's float operations in its order, and every candidate
+        skipped provably cannot change the outcome of the reference's
+        ascending scan.
 
         Two exact lower bounds drive the pruning, both built from the
         floats the simulation itself adds: the *transfer chain* (every
@@ -1031,6 +924,8 @@ class HybridScheduler:
             for k, (_, drain) in zip(counts, own)
         ]
 
+        schedules: dict[int, tuple[list[int], list[int]]] = {}
+
         def makespan(i: int) -> float:
             k = counts[i]
             if inflight:
@@ -1042,14 +937,22 @@ class HybridScheduler:
             else:
                 times, slots = arrive[:k], lane[:k]
             start, drain = own[i]
-            return self._fast_makespan(
+            gpu_order, stolen = schedules[k] = [], []
+            return self._run_schedule(
                 table, load_of, gpu_dur, stealable, pool[:], times, slots,
-                gpu_t0, start, drain, k < n,
+                gpu_t0, start, drain, k < n, gpu_order, stolen,
             )
 
-        return _scan_candidates(counts, bounds, makespan)
+        best_k, best_makespan = _scan_candidates(counts, bounds, makespan)
+        gpu_order, stolen = schedules[best_k]
+        return (
+            best_k,
+            best_makespan,
+            [experts[s] for s in gpu_order],
+            [experts[s] for s in stolen],
+        )
 
-    def _fast_makespan(
+    def _run_schedule(
         self,
         table: _DurationTable,
         load_of: list[int],
@@ -1062,16 +965,24 @@ class HybridScheduler:
         own_start: float,
         t_cpu: float,
         cpu_any: bool,
+        gpu_order: list[int],
+        stolen: list[int],
     ) -> float:
-        """Record-free replica of :meth:`_simulate`'s event loop.
+        """The event-driven schedule simulation of one transfer allocation.
 
-        Works on the slots of :meth:`_search_fast`: ``pool`` (consumed)
+        Advances the resource whose next operation *starts* earliest,
+        reproducing the interleaving a real run with these priority
+        queues would produce, and returns the makespan; the slots the
+        GPU dispatched and the CPU stole are appended, in order, to
+        ``gpu_order`` and ``stolen``.
+
+        Works on the slots of :meth:`_search`: ``pool`` (consumed)
         holds the GPU-eligible slots ascending, arrivals come sorted by
         ``(time, -slot)``, and the CPU enters with its own queue
         already folded into ``t_cpu`` (``own_start`` is when its last
         own job started, ``-inf`` without one). Performs the same float
-        operations in the same order as the reference, so the returned
-        makespan is bit-identical; per event it costs a pop or a
+        operations in the same order as the reference simulator, so
+        the makespan is bit-identical; per event it costs a pop or a
         bisect instead of a scan of the pool, and the steal scan runs
         only when the CPU is actually idle with something to take.
         """
@@ -1121,6 +1032,7 @@ class HybridScheduler:
                     can_steal = False
                 else:
                     del pool[pick]
+                    stolen.append(slot)
                     n_stealable -= 1
                     t_cpu += duration
                     cpu_any = True
@@ -1136,235 +1048,8 @@ class HybridScheduler:
                     n_stealable += stealable[slot]
                     next_arrival += 1
             slot = pool.pop()
+            gpu_order.append(slot)
             n_stealable -= stealable[slot]
             t_gpu = gpu_start + gpu_dur[slot]
         return max(t_gpu, t_cpu if cpu_any else 0.0)
 
-    # ------------------------------------------------------------------
-    # the event-driven schedule simulation (reference oracle)
-    # ------------------------------------------------------------------
-    def _simulate(
-        self,
-        loads: dict[int, int],
-        cached_experts: set[int],
-        oracle: LayerCostOracle,
-        k_transfers: int,
-        pcie_backlog: float,
-        include_shared: bool,
-        inflight: dict[int, float] | None = None,
-        cpu_backlog: float = 0.0,
-        spilled: frozenset[int] = frozenset(),
-        disk_fetch_s: float = 0.0,
-    ) -> SimulationResult:
-        """Fill the three timelines for one transfer allocation.
-
-        The simulation advances the resource whose next operation
-        *starts* earliest, exactly reproducing the interleaving a real
-        run with these priority queues would produce. This is the
-        reference oracle the fast path is property-tested against.
-        Spilled experts (tiered memory) pay ``disk_fetch_s`` before
-        their PCIe transfer or CPU compute — the planner's serialised
-        estimate of the disk -> CPU -> GPU chain.
-        """
-        inflight = inflight or {}
-        by_load_desc = sorted(loads, key=lambda e: (-loads[e], e))
-        uncached_desc = [e for e in by_load_desc if e not in cached_experts]
-        cached_desc = [
-            e for e in by_load_desc if e in cached_experts and e not in inflight
-        ]
-
-        transfer_list = uncached_desc[:k_transfers]
-        cpu_jobs = sorted(
-            (e for e in uncached_desc[k_transfers:]), key=lambda e: (loads[e], e)
-        )
-
-        # PCIe: sequential transfers, high-load first, behind the backlog.
-        # In-flight prefetches arrive at their own ready offsets without
-        # consuming new PCIe time (their transfers are already queued).
-        arrivals: list[tuple[float, int]] = [
-            (ready, e) for e, ready in inflight.items()
-        ]
-        t_pcie = pcie_backlog
-        for expert in transfer_list:
-            if expert in spilled:
-                t_pcie += disk_fetch_s
-            t_pcie += oracle.transfer()
-            arrivals.append((t_pcie, expert))
-        arrivals.sort(key=lambda pair: (pair[0], -loads[pair[1]], pair[1]))
-
-        gpu_order: list[SimulatedTask] = []
-        cpu_order: list[SimulatedTask] = []
-        stolen: list[int] = []
-
-        t_gpu = 0.0
-        if include_shared:
-            shared_dur = oracle.shared_compute(Device.GPU)
-            if shared_dur > 0.0:
-                gpu_order.append(SimulatedTask(SHARED_BLOCK, 0.0, shared_dur, "gpu"))
-                t_gpu = shared_dur
-
-        gpu_pool: list[int] = list(cached_desc)  # descending load
-        arrival_idx = 0
-        t_cpu = cpu_backlog  # shared-CPU work of earlier devices queues ahead
-        cpu_idx = 0
-        cpu_finished = False
-
-        def absorb_arrivals(up_to: float) -> None:
-            nonlocal arrival_idx
-            while arrival_idx < len(arrivals) and arrivals[arrival_idx][0] <= up_to:
-                expert = arrivals[arrival_idx][1]
-                # Insert preserving descending-load order (paper: a
-                # transferred expert joins the GPU queue by load).
-                position = 0
-                while position < len(gpu_pool) and (
-                    loads[gpu_pool[position]] > loads[expert]
-                    or (
-                        loads[gpu_pool[position]] == loads[expert]
-                        and gpu_pool[position] < expert
-                    )
-                ):
-                    position += 1
-                gpu_pool.insert(position, expert)
-                arrival_idx += 1
-
-        def gpu_finish_estimate() -> float:
-            """Lower-bound finish time of all GPU-bound work (no steal)."""
-            t = t_gpu
-            for expert in gpu_pool:
-                t += oracle.gpu_compute(loads[expert])
-            for ready, expert in arrivals[arrival_idx:]:
-                t = max(t, ready) + oracle.gpu_compute(loads[expert])
-            return t
-
-        while True:
-            absorb_arrivals(t_gpu)
-            # --- candidate GPU action -------------------------------------
-            if gpu_pool:
-                gpu_start = t_gpu
-            elif arrival_idx < len(arrivals):
-                gpu_start = max(t_gpu, arrivals[arrival_idx][0])
-            else:
-                gpu_start = float("inf")
-            # --- candidate CPU action -------------------------------------
-            steal_candidates = [e for e in gpu_pool if e in cached_experts]
-            cpu_can_steal = (
-                self.config.allow_cpu_steal
-                and not cpu_finished
-                and cpu_idx >= len(cpu_jobs)
-                and bool(steal_candidates)
-            )
-            if cpu_idx < len(cpu_jobs):
-                cpu_start = t_cpu
-            elif cpu_can_steal:
-                cpu_start = t_cpu
-            else:
-                cpu_start = float("inf")
-
-            if gpu_start == float("inf") and cpu_start == float("inf"):
-                break
-
-            # Tie-break: a beneficial CPU steal commits before the GPU's
-            # pop of the same instant — when the CPU can finish a cached
-            # expert sooner than the GPU would clear its queue, holding
-            # the expert hostage on the GPU only inflates the makespan.
-            cpu_wins_tie = gpu_start == cpu_start and cpu_idx >= len(cpu_jobs)
-            if gpu_start <= cpu_start and not cpu_wins_tie:
-                absorb_arrivals(gpu_start)
-                if not gpu_pool:
-                    raise SchedulingError("simulation invariant: empty GPU pool at dispatch")
-                expert = gpu_pool.pop(0)
-                duration = oracle.gpu_compute(loads[expert])
-                gpu_order.append(
-                    SimulatedTask(expert, gpu_start, gpu_start + duration, "gpu")
-                )
-                t_gpu = gpu_start + duration
-            else:
-                if cpu_idx < len(cpu_jobs):
-                    expert = cpu_jobs[cpu_idx]
-                    cpu_idx += 1
-                else:
-                    # Steal the lowest-load cached expert if the CPU can
-                    # finish it before the GPU would get everything done.
-                    # (Cached, hence never spilled — no disk surcharge.)
-                    candidate = min(steal_candidates, key=lambda e: (loads[e], e))
-                    duration = oracle.cpu_compute(
-                        loads[candidate], first_task=not cpu_order
-                    )
-                    threshold = gpu_finish_estimate() * (1.0 - self.config.steal_margin)
-                    if t_cpu + duration >= threshold:
-                        cpu_finished = True
-                        continue
-                    gpu_pool.remove(candidate)
-                    stolen.append(candidate)
-                    expert = candidate
-                duration = oracle.cpu_compute(loads[expert], first_task=not cpu_order)
-                if expert in spilled:
-                    duration += disk_fetch_s
-                cpu_order.append(
-                    SimulatedTask(expert, t_cpu, t_cpu + duration, "cpu")
-                )
-                t_cpu += duration
-
-        # The CPU contributes to the makespan only through tasks of this
-        # layer — a pre-existing backlog with no CPU work here is other
-        # devices' problem, not this plan's.
-        cpu_end = cpu_order[-1].finish if cpu_order else 0.0
-        makespan = max(t_gpu, cpu_end)
-        return SimulationResult(
-            makespan=makespan,
-            transfers=list(transfer_list),
-            gpu_order=gpu_order,
-            cpu_order=cpu_order,
-            stolen=stolen,
-            loads=dict(loads),
-        )
-
-    # ------------------------------------------------------------------
-    # plan assembly
-    # ------------------------------------------------------------------
-    def _materialise(
-        self,
-        layer: int,
-        n_tokens: int,
-        sim: SimulationResult,
-        oracle: LayerCostOracle,
-        include_shared: bool,
-    ) -> ExecutionPlan:
-        transferred = set(sim.transfers)
-        gpu_tasks = []
-        for task in sim.gpu_order:
-            if task.expert == SHARED_BLOCK:
-                gpu_tasks.append(
-                    ComputeTask(layer, SHARED_BLOCK, n_tokens, Device.GPU)
-                )
-            else:
-                gpu_tasks.append(
-                    ComputeTask(
-                        layer,
-                        task.expert,
-                        sim.loads[task.expert],
-                        Device.GPU,
-                        after_transfer=task.expert in transferred,
-                    )
-                )
-        cpu_tasks = [
-            ComputeTask(layer, task.expert, sim.loads[task.expert], Device.CPU)
-            for task in sim.cpu_order
-        ]
-        transfers = [
-            TransferTask(layer, expert, sim.loads[expert]) for expert in sim.transfers
-        ]
-        return ExecutionPlan(
-            layer=layer,
-            n_tokens=n_tokens,
-            gpu_tasks=gpu_tasks,
-            cpu_tasks=cpu_tasks,
-            transfers=transfers,
-            estimated_makespan=sim.makespan,
-            metadata={
-                "scheduler": "hybrid",
-                "transfer_count": len(sim.transfers),
-                "stolen": list(sim.stolen),
-                "include_shared": include_shared,
-            },
-        )

@@ -5,10 +5,37 @@ import pytest
 from repro.core.hybrid_scheduler import HybridScheduler, SchedulerConfig
 from repro.core.tasks import SHARED_BLOCK
 from repro.errors import SchedulingError
+from tests.reference_planner import ReferencePlanner
 
 # The Fig. 5 scenario: A=0:1, B=1:1, C=2:3 uncached; D=3:4, E=4:1 cached.
 FIG5_ACTIVATED = [(0, 1), (1, 1), (2, 3), (3, 4), (4, 1)]
 FIG5_CACHED = {3, 4}
+
+
+#: Four unit loads, expert 0 cached: the activation of the NaN / inf
+#: validation tests.
+NAN_ACTIVATED = [(0, 1), (1, 1), (2, 1), (3, 1)]
+#: Every planner entry point on that activation. The first two take the
+#: backlogs and exist on the reference planner as well; the quick ones
+#: take ``spilled`` / ``disk_fetch_s`` only.
+_ENTRY_POINTS = {
+    "plan": lambda s, **kw: s.plan(0, NAN_ACTIVATED, {0}, 1, **kw),
+    "simulate_makespan": lambda s, **kw: s.simulate_makespan(NAN_ACTIVATED, {0}, 1, **kw),
+    "quick_makespan_lower_bound": lambda s, **kw: s.quick_makespan_lower_bound(
+        NAN_ACTIVATED, {0}, 1, **kw
+    ),
+    "quick_makespan_lower_bounds": lambda s, **kw: s.quick_makespan_lower_bounds(
+        NAN_ACTIVATED, {0}, 1, [1, 2], **kw
+    ),
+    "quick_screen": lambda s, **kw: s.quick_screen(NAN_ACTIVATED, {0}, 1, [1, 2], **kw),
+    "quick_makespans_with": lambda s, **kw: s.quick_makespans_with(
+        NAN_ACTIVATED, {0}, 1, [1, 2], **kw
+    ),
+    "screen_prediction_batch": lambda s, spilled, disk_fetch_s: s.screen_prediction_batch(
+        [(NAN_ACTIVATED, {0}, 1, [1, 2], spilled)], disk_fetch_s=disk_fetch_s
+    ),
+}
+_FULL_ENTRY_POINTS = ("plan", "simulate_makespan")
 
 
 @pytest.fixture
@@ -41,7 +68,7 @@ class TestFig5Example:
 
     def test_makespan_beats_no_transfer(self, scheduler, toy_oracle_factory):
         chosen = scheduler.plan(0, FIG5_ACTIVATED, FIG5_CACHED, 1).estimated_makespan
-        no_transfer = HybridScheduler(
+        no_transfer = ReferencePlanner(
             toy_oracle_factory, SchedulerConfig(allow_cpu_steal=True)
         )._simulate(
             dict(FIG5_ACTIVATED), FIG5_CACHED, toy_oracle_factory(1), 0, 0.0, True
@@ -74,6 +101,41 @@ class TestDegenerateInputs:
     def test_negative_backlog_rejected(self, scheduler):
         with pytest.raises(SchedulingError):
             scheduler.plan(0, [(0, 1)], set(), n_tokens=1, pcie_backlog=-1.0)
+
+    @pytest.mark.parametrize(
+        "method, bad",
+        [
+            (method, bad)
+            for method in _ENTRY_POINTS
+            for bad in ("pcie_backlog", "cpu_backlog", "disk_fetch_s")
+            if method in _FULL_ENTRY_POINTS or bad == "disk_fetch_s"
+        ],
+    )
+    def test_nan_rejected_before_any_timeline(self, toy_oracle_factory, method, bad):
+        """NaN passes an ``x < 0`` test; it must fail validation with
+        the one-line ``SchedulingError`` on every entry point (on the
+        reference planner too) and leave nothing in the memo."""
+        kwargs = {bad: float("nan")}
+        if bad == "disk_fetch_s":
+            kwargs["spilled"] = {2}
+        planners = [HybridScheduler(toy_oracle_factory)]
+        if method in _FULL_ENTRY_POINTS:
+            planners.append(ReferencePlanner(toy_oracle_factory))
+        for planner in planners:
+            with pytest.raises(SchedulingError, match=f"{bad} must be non-negative"):
+                _ENTRY_POINTS[method](planner, **kwargs)
+            assert planner.cache_info()["size"] == 0
+
+    def test_dead_link_plans_zero_transfers(self, scheduler):
+        """``inf`` stays a legal backlog: nothing rides a PCIe link
+        that never frees up. (Not compared with the reference planner,
+        whose event loop uses ``inf`` as its no-action sentinel and
+        drops experts that arrive at it.)"""
+        plan = scheduler.plan(0, NAN_ACTIVATED, {0}, 1, pcie_backlog=float("inf"))
+        plan.validate(dict(NAN_ACTIVATED), {0})
+        assert plan.transfers == []
+        assert [t.expert for t in plan.cpu_tasks][:3] == [1, 2, 3]
+        assert plan.estimated_makespan < float("inf")
 
 
 class TestPriorityRules:
@@ -132,18 +194,9 @@ class TestSearch:
         best_quick = full.simulate_makespan(activated, {0, 1}, 1, quick=True)
         assert best_full <= best_quick + 1e-12
 
-    def test_max_search_width_keeps_extremes(self, toy_oracle_factory):
-        scheduler = HybridScheduler(
-            toy_oracle_factory, SchedulerConfig(max_search_width=3)
-        )
-        counts = scheduler._candidate_transfer_counts(10, force_quick=False)
-        assert 0 in counts and 10 in counts and len(counts) <= 4
-
     def test_invalid_config(self):
         with pytest.raises(SchedulingError):
             SchedulerConfig(steal_margin=1.5)
-        with pytest.raises(SchedulingError):
-            SchedulerConfig(max_search_width=1)
 
     def test_search_beats_or_matches_extremes(self, toy_oracle_factory):
         scheduler = HybridScheduler(toy_oracle_factory)
@@ -153,73 +206,3 @@ class TestSearch:
         quick = scheduler.simulate_makespan(activated, cached, 1, quick=True)
         assert full <= quick + 1e-12
 
-
-class TestSearchWidthSubsampling:
-    """`max_search_width` candidate subsampling (nested dyadic family)."""
-
-    def _counts(self, toy_oracle_factory, width, n_uncached):
-        scheduler = HybridScheduler(
-            toy_oracle_factory, SchedulerConfig(max_search_width=width)
-        )
-        return scheduler._candidate_transfer_counts(n_uncached, force_quick=False)
-
-    def test_extremes_always_included(self, toy_oracle_factory):
-        for n_uncached in (1, 2, 5, 10, 33):
-            for width in (2, 3, 4, 7, None):
-                counts = self._counts(toy_oracle_factory, width, n_uncached)
-                assert counts[0] == 0 and counts[-1] == n_uncached
-                assert counts == sorted(set(counts))
-                if width is not None:
-                    assert len(counts) <= max(width, 2)
-
-    def test_width_two_equals_quick_mode(self, toy_oracle_factory):
-        scheduler = HybridScheduler(
-            toy_oracle_factory, SchedulerConfig(max_search_width=2)
-        )
-        for n_uncached in (1, 3, 10):
-            assert scheduler._candidate_transfer_counts(
-                n_uncached, force_quick=False
-            ) == scheduler._candidate_transfer_counts(n_uncached, force_quick=True)
-        activated = [(e, (e * 5) % 7 + 1) for e in range(9)]
-        cached = {0, 2}
-        width2 = scheduler.simulate_makespan(activated, cached, 1)
-        quick = HybridScheduler(toy_oracle_factory).simulate_makespan(
-            activated, cached, 1, quick=True
-        )
-        assert width2 == quick
-
-    def test_widening_is_nested(self, toy_oracle_factory):
-        """The width-w candidate set is a subset of every wider set —
-        the structural property behind makespan monotonicity."""
-        for n_uncached in (4, 9, 17, 30):
-            previous: set[int] = set()
-            for width in range(2, n_uncached + 2):
-                counts = set(self._counts(toy_oracle_factory, width, n_uncached))
-                assert previous <= counts
-                previous = counts
-            assert previous == set(range(n_uncached + 1))
-
-    def test_monotone_widening_never_worsens_makespan(self, toy_oracle_factory):
-        """Because widening only adds candidates, the chosen makespan is
-        non-increasing in the search width, down to the exhaustive
-        optimum."""
-        from repro.rng import derive_rng
-
-        rng = derive_rng(0, "width-monotone")
-        for trial in range(15):
-            n = int(rng.integers(5, 14))
-            experts = [int(e) for e in rng.choice(32, size=n, replace=False)]
-            activated = [(e, int(rng.integers(1, 12))) for e in experts]
-            cached = {e for e in experts if rng.random() < 0.3}
-            best_so_far = float("inf")
-            for width in (2, 3, 4, 6, 9, None):
-                scheduler = HybridScheduler(
-                    toy_oracle_factory, SchedulerConfig(max_search_width=width)
-                )
-                makespan = scheduler.simulate_makespan(activated, cached, 1)
-                assert makespan <= best_so_far + 1e-12
-                best_so_far = min(best_so_far, makespan)
-            exhaustive = HybridScheduler(toy_oracle_factory).simulate_makespan(
-                activated, cached, 1
-            )
-            assert abs(best_so_far - exhaustive) <= 1e-12

@@ -1,8 +1,9 @@
-"""Total-order determinism of the planner (fast/reference comparability).
+"""Total-order determinism of the planner (reference comparability).
 
-The fast-path equality guarantee rests on every ordering decision in
-the scheduler being a *total* order — any tie broken by expert id so no
-two distinct inputs compare equal:
+Equality with the reference planner (``tests/reference_planner.py``)
+rests on every ordering decision in the scheduler being a *total*
+order — any tie broken by expert id so no two distinct inputs compare
+equal:
 
 - ``by_load_desc``: ``(-load, expert)``;
 - CPU queue: ``(load, expert)``;
@@ -26,6 +27,10 @@ from repro.core.hybrid_scheduler import HybridScheduler, SchedulerConfig
 from repro.core.tasks import LayerCostOracle
 from repro.models.config import ExpertShape, MoEModelConfig
 from repro.rng import derive_rng
+from tests.reference_planner import ReferencePlanner
+
+#: The production planner and the oracle: every property holds on both.
+_PLANNERS = (HybridScheduler, ReferencePlanner)
 
 _MODEL = MoEModelConfig(
     name="det",
@@ -58,17 +63,14 @@ class _Cost:
         return 0.1
 
 
-def _scheduler(fast_path, steal=True, **cost_kwargs):
+def _scheduler(planner, steal=True, **cost_kwargs):
     cost = _Cost(**cost_kwargs)
 
     def factory(n_tokens):
         return LayerCostOracle.for_model(cost, _MODEL, n_tokens)
 
-    return HybridScheduler(
-        factory,
-        SchedulerConfig(
-            fast_path=fast_path, plan_cache_size=0, allow_cpu_steal=steal
-        ),
+    return planner(
+        factory, SchedulerConfig(plan_cache_size=0, allow_cpu_steal=steal)
     )
 
 
@@ -77,8 +79,8 @@ def test_plan_invariant_to_presentation_order():
     the inflight dict insertion order never changes the plan."""
     rng = derive_rng(0, "determinism", "shuffle")
     pyrng = random.Random(0)
-    for fast_path in (True, False):
-        scheduler = _scheduler(fast_path)
+    for planner in _PLANNERS:
+        scheduler = _scheduler(planner)
         for _ in range(40):
             n = int(rng.integers(2, 14))
             experts = [int(e) for e in rng.choice(32, size=n, replace=False)]
@@ -114,9 +116,9 @@ def test_plan_invariant_to_presentation_order():
 def test_all_equal_loads_hit_every_id_tie_break():
     """With every load identical, every comparator falls through to the
     expert-id tie-break; the result must still be one deterministic
-    plan, identical across paths and repetitions."""
-    for fast_path in (True, False):
-        scheduler = _scheduler(fast_path)
+    plan, identical across planners and repetitions."""
+    for planner in _PLANNERS:
+        scheduler = _scheduler(planner)
         activated = [(e, 4) for e in range(10)]
         cached = {1, 3, 5, 7, 9}
         plans = [
@@ -131,16 +133,18 @@ def test_all_equal_loads_hit_every_id_tie_break():
         cpu_queue = [t.expert for t in plans[0].cpu_tasks[:n_queue]]
         assert cpu_queue == sorted(cpu_queue)
 
-    fast = _scheduler(True).plan(0, [(e, 4) for e in range(10)], {1, 3, 5, 7, 9}, 2)
-    ref = _scheduler(False).plan(0, [(e, 4) for e in range(10)], {1, 3, 5, 7, 9}, 2)
+    fast, ref = (
+        _scheduler(planner).plan(0, [(e, 4) for e in range(10)], {1, 3, 5, 7, 9}, 2)
+        for planner in _PLANNERS
+    )
     assert fast == ref
 
 
 def test_equal_arrival_instants_are_ordered_by_load_then_id():
     """Two inflight experts becoming ready at the same instant join the
     GPU queue high-load first, then lowest id — deterministically."""
-    for fast_path in (True, False):
-        scheduler = _scheduler(fast_path, steal=False)
+    for planner in _PLANNERS:
+        scheduler = _scheduler(planner, steal=False)
         plan = scheduler.plan(
             0,
             [(2, 5), (4, 5), (6, 9)],
@@ -153,12 +157,13 @@ def test_equal_arrival_instants_are_ordered_by_load_then_id():
 
 
 def test_makespan_tie_prefers_fewer_transfers():
-    """When several transfer counts tie exactly, both paths keep the
-    smallest k (fewest transfers)."""
+    """When several transfer counts tie exactly, both planners keep
+    the smallest k (fewest transfers)."""
     # Free transfers, unit costs, 4 unit loads: k=1 and k=2 both yield
-    # an exact 3.0 makespan — the argmin must keep k=1 on both paths.
-    fast = _scheduler(True, gpu=1.0, cpu=1.0, transfer=0.0)
-    ref = _scheduler(False, gpu=1.0, cpu=1.0, transfer=0.0)
+    # an exact 3.0 makespan — the argmin must keep k=1 on both.
+    fast, ref = (
+        _scheduler(planner, gpu=1.0, cpu=1.0, transfer=0.0) for planner in _PLANNERS
+    )
     activated = [(e, 1) for e in range(4)]
     plan_fast = fast.plan(0, activated, set(), n_tokens=1)
     plan_ref = ref.plan(0, activated, set(), n_tokens=1)

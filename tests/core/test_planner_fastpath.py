@@ -1,11 +1,12 @@
-"""Fast-path vs reference planner equality (the PR 3 tentpole contract).
+"""Planner vs reference-planner equality (the PR 3 tentpole contract).
 
-The incremental fast path prunes candidates, memoizes durations and
-skips plan materialisation for losing allocations — but it must emit
-**bit-identical plans** to the reference event-driven simulator. These
-property tests pin that down over randomized activations, cache
-states, in-flight arrivals, backlogs and cost regimes, at the raw
-scheduler level, through every strategy's ``plan_layer`` (single- and
+``HybridScheduler`` prunes candidates, tabulates durations and builds
+only the winning allocation's plan from its own event loop — but it
+must emit **bit-identical plans** to the reference event-driven
+simulator kept in ``tests/reference_planner.py``. These property tests
+pin that down over randomized activations, cache states, in-flight
+arrivals, backlogs and cost regimes, at the raw scheduler level,
+through every strategy's ``plan_layer`` (single- and
 multi-GPU-shaped contexts), and end-to-end through the engine.
 """
 
@@ -28,6 +29,7 @@ from repro.engine.factory import available_strategies, make_engine
 from repro.engine.strategy_base import LayerContext
 from repro.models.config import ExpertShape, MoEModelConfig
 from repro.rng import derive_rng
+from tests.reference_planner import ReferencePlanner, install_reference_planner
 
 
 class _RandomCost:
@@ -69,30 +71,19 @@ _MODEL = MoEModelConfig(
 )
 
 
-def _scheduler_pair(gpu, cpu, transfer, warmup, steal, margin, width, gpu_per_token=0.0):
+def _scheduler_pair(gpu, cpu, transfer, warmup, steal, margin, gpu_per_token=0.0):
+    """The production planner and the oracle over one cost model."""
     cost = _RandomCost(gpu, cpu, transfer, warmup, gpu_per_token)
 
     def factory(n_tokens):
         return LayerCostOracle.for_model(cost, _MODEL, n_tokens)
 
     fast = HybridScheduler(
-        factory,
-        SchedulerConfig(
-            allow_cpu_steal=steal,
-            steal_margin=margin,
-            max_search_width=width,
-            fast_path=True,
-        ),
+        factory, SchedulerConfig(allow_cpu_steal=steal, steal_margin=margin)
     )
-    reference = HybridScheduler(
+    reference = ReferencePlanner(
         factory,
-        SchedulerConfig(
-            allow_cpu_steal=steal,
-            steal_margin=margin,
-            max_search_width=width,
-            fast_path=False,
-            plan_cache_size=0,
-        ),
+        SchedulerConfig(allow_cpu_steal=steal, steal_margin=margin, plan_cache_size=0),
     )
     return fast, reference
 
@@ -125,7 +116,6 @@ class TestFastPathEquality:
         cpu_backlog=st.floats(0.0, 12.0),
         steal=st.booleans(),
         margin=st.sampled_from([0.0, 0.1, 0.3]),
-        width=st.sampled_from([None, 2, 3, 5, 9]),
         include_shared=st.booleans(),
         n_tokens=st.sampled_from([1, 4, 128]),
     )
@@ -146,14 +136,15 @@ class TestFastPathEquality:
         cpu_backlog,
         steal,
         margin,
-        width,
         include_shared,
         n_tokens,
     ):
-        """The fast search and the reference simulator agree exactly —
-        tasks, order, transfers, makespan float and metadata."""
+        """The search and the reference simulator agree on the whole
+        ``ExecutionPlan`` — GPU order, CPU order with steals last in
+        steal order, transfers, ``after_transfer`` flags,
+        ``metadata["stolen"]`` and the makespan float."""
         fast, reference = _scheduler_pair(
-            gpu, cpu, transfer, warmup, steal, margin, width, gpu_per_token
+            gpu, cpu, transfer, warmup, steal, margin, gpu_per_token
         )
         activated = sorted(loads.items())
         cached = cached_mask & set(loads)
@@ -187,7 +178,7 @@ class TestFastPathEquality:
     def test_makespans_bit_identical(
         self, loads, cached_mask, gpu, cpu, transfer, quick, cpu_backlog
     ):
-        fast, reference = _scheduler_pair(gpu, cpu, transfer, 0.0, True, 0.0, None)
+        fast, reference = _scheduler_pair(gpu, cpu, transfer, 0.0, True, 0.0)
         activated = sorted(loads.items())
         cached = cached_mask & set(loads)
         mk_fast = fast.simulate_makespan(
@@ -211,7 +202,7 @@ class TestFastPathEquality:
     ):
         """The prefetcher's screening bound never exceeds the exact
         quick makespan (the property that makes screening exact)."""
-        fast, _ = _scheduler_pair(gpu, cpu, transfer, 0.0, True, 0.0, None)
+        fast, _ = _scheduler_pair(gpu, cpu, transfer, 0.0, True, 0.0)
         activated = sorted(loads.items())
         cached = cached_mask & set(loads)
         bound = fast.quick_makespan_lower_bound(activated, cached, 4)
@@ -259,7 +250,7 @@ class TestProbeSeededPruning:
         """Flat (one- or two-level) loads put plateaus of equal
         makespans under the search; the probe lands inside them and
         the plan must still be the reference's fewest-transfers one."""
-        fast, reference = _scheduler_pair(gpu, cpu, transfer, 0.0, steal, 0.0, None)
+        fast, reference = _scheduler_pair(gpu, cpu, transfer, 0.0, steal, 0.0)
         activated = [(e, levels[e % len(levels)]) for e in range(n)]
         cached = set(range(0, 2 * min(n_cached, n // 2), 2))
         inflight = {e: 1.5 * (i + 1) for i, e in enumerate(sorted(cached)[:n_inflight])}
@@ -299,7 +290,7 @@ class TestProbeSeededPruning:
         cost grid where GPU and CPU events coincide to the bit (steal
         ties, simultaneous arrivals, zero-length CPU jobs)."""
         fast, reference = _scheduler_pair(
-            gpu, cpu, transfer, warmup, True, margin, None, gpu_per_token
+            gpu, cpu, transfer, warmup, True, margin, gpu_per_token
         )
         # The memo key cannot see the pinned transfer count.
         fast = HybridScheduler(
@@ -324,7 +315,7 @@ class TestProbeSeededPruning:
         cached: transfer counts 10..19 all reach the minimal makespan
         20.0 exactly (each extra transfer is offset by one more CPU
         steal). The plan must transfer 10."""
-        fast, reference = _scheduler_pair(1.0, 0.5, 1.0, 0.0, True, 0.0, None)
+        fast, reference = _scheduler_pair(1.0, 0.5, 1.0, 0.0, True, 0.0)
         activated = [(e, 4) for e in range(29)]
         cached = set(range(28, 10, -2))
         loads, _, _ = reference._validated_inputs(activated, cached, 0.0, 0.0, None)
@@ -392,7 +383,7 @@ class TestProbeSeededPruning:
         """``quick_screen`` / ``quick_makespans_with`` run the one
         search routine: their floats are ``simulate_makespan(quick=True)``
         of the fast *and* of the reference path."""
-        fast, reference = _scheduler_pair(gpu, cpu, transfer, 0.0, True, 0.0, None)
+        fast, reference = _scheduler_pair(gpu, cpu, transfer, 0.0, True, 0.0)
         activated = sorted(loads.items())
         cached = cached_mask & set(loads)
         candidates = [e for e in loads if e not in cached][:6]
@@ -418,9 +409,10 @@ class TestProbeSeededPruning:
 def test_wide_prefill_plans_need_few_simulations():
     """Deterministic work count, no wall clock: each of the 8 layers of
     a 512-token deepseek prefill (all 64 experts activated; on most
-    layers 28-45 of them uncached) plans with at most 8 exact candidate
-    simulations — the plain ascending scan needed 26-41 on the wide
-    ones — and the plans are the reference's."""
+    layers 28-45 of them uncached) plans with at most 8 runs of the
+    schedule event loop — every run ``plan()`` makes, the one that
+    yields the emitted plan included (the plain ascending scan needed
+    26-41 on the wide ones) — and the plans are the reference's."""
     engine = make_engine(
         model="deepseek", strategy="hybrimoe", num_layers=8, cache_ratio=0.5, seed=0
     )
@@ -441,13 +433,11 @@ def test_wide_prefill_plans_need_few_simulations():
 
     factory = engine.runtime.estimated_oracle
     fast = HybridScheduler(factory, SchedulerConfig(plan_cache_size=0))
-    reference = HybridScheduler(
-        factory, SchedulerConfig(fast_path=False, plan_cache_size=0)
-    )
+    reference = ReferencePlanner(factory, SchedulerConfig(plan_cache_size=0))
     simulations = []
-    fast_makespan = fast._fast_makespan
-    fast._fast_makespan = lambda *args: (
-        simulations.append(1) or fast_makespan(*args)
+    run_schedule = fast._run_schedule
+    fast._run_schedule = lambda *args: (
+        simulations.append(1) or run_schedule(*args)
     )
     wide = 0
     for args, kwargs in calls:
@@ -462,6 +452,54 @@ def test_wide_prefill_plans_need_few_simulations():
         _, activated, cached = args[:3]
         wide += sum(e not in cached for e, _ in activated) >= 24
     assert wide >= 5
+
+
+class _CountingOracle:
+    """A ``LayerCostOracle`` stand-in counting per-duration calls."""
+
+    def __init__(self, oracle, counts):
+        self._oracle, self._counts = oracle, counts
+
+    def __getattr__(self, name):
+        attribute = getattr(self._oracle, name)
+        if name not in ("gpu_compute", "cpu_compute", "transfer"):
+            return attribute
+
+        def counted(*args, **kwargs):
+            self._counts[name] = self._counts.get(name, 0) + 1
+            return attribute(*args, **kwargs)
+
+        return counted
+
+
+def test_decode_plans_cost_one_oracle_lookup_per_load():
+    """No wall clock: decode-shaped ``plan()`` calls (6 of 64 experts,
+    one token each, memo off so every call searches and emits) read
+    durations from the per-``n_tokens`` table — one ``transfer()``, one
+    ``gpu_compute`` per distinct load and at most two ``cpu_compute``
+    (first task or not) over *all* the calls. The reference simulator
+    made one oracle call per event; that must not creep back."""
+    cost = _RandomCost(1.0, 2.5, 4.0, warmup=0.5)
+    counts: dict[str, int] = {}
+
+    def factory(n_tokens):
+        return _CountingOracle(
+            LayerCostOracle.for_model(cost, _MODEL, n_tokens), counts
+        )
+
+    scheduler = HybridScheduler(factory, SchedulerConfig(plan_cache_size=0))
+    rng = derive_rng(0, "decode-oracle-calls")
+    for layer in range(40):
+        experts = [int(e) for e in rng.choice(64, size=6, replace=False)]
+        cached = {e for e in experts if rng.random() < 0.6}
+        plan = scheduler.plan(
+            layer, [(e, 1) for e in experts], cached, 1,
+            pcie_backlog=float(rng.choice([0.0, 2.0])),
+        )
+        plan.validate(dict.fromkeys(experts, 1), cached)
+    assert counts["transfer"] == 1
+    assert counts["gpu_compute"] == 1
+    assert 1 <= counts["cpu_compute"] <= 2
 
 
 # ----------------------------------------------------------------------
@@ -479,28 +517,22 @@ _TINY = MoEModelConfig(
 )
 
 
-#: Default (fast, memoized) planner vs the from-scratch reference
-#: planner with the memo off, as ``EngineConfig.scheduler`` values.
-_PLANNERS = (
-    SchedulerConfig(),
-    SchedulerConfig(fast_path=False, plan_cache_size=0),
-)
-
-
 def _engine_pair(strategy_name):
+    """One engine on the default (memoized) planner, one with the
+    from-scratch reference planner installed on it."""
     from repro.models.model import ReferenceMoEModel
 
-    engines = []
-    for planner in _PLANNERS:
-        engines.append(
-            make_engine(
-                model=ReferenceMoEModel(
-                    _TINY, d_model=16, d_ff=32, vocab_size=128, seed=0
-                ),
-                strategy=strategy_name,
-                engine_config=EngineConfig(cache_ratio=0.5, scheduler=planner),
-            )
+    engines = [
+        make_engine(
+            model=ReferenceMoEModel(
+                _TINY, d_model=16, d_ff=32, vocab_size=128, seed=0
+            ),
+            strategy=strategy_name,
+            engine_config=EngineConfig(cache_ratio=0.5),
         )
+        for _ in range(2)
+    ]
+    install_reference_planner(engines[1])
     return engines
 
 
@@ -536,7 +568,7 @@ def _random_context(rng, layer, multi_gpu):
 def test_strategy_plans_identical_across_paths(strategy_name):
     """For randomized layer contexts — including multi-GPU device-group
     shapes (partial activations, cpu_backlog, include_shared=False) —
-    every strategy's plan is bit-identical under both planner paths.
+    every strategy's plan is bit-identical to the reference planner's.
 
     Five strategies x 40 contexts = 200 randomized cases.
     """
@@ -551,7 +583,8 @@ def test_strategy_plans_identical_across_paths(strategy_name):
 
 def test_end_to_end_generation_identical(prompt_tokens):
     """A full generate() run (prefill + sampled decode, prefetching and
-    MRS caching active) is step-for-step identical under both paths."""
+    MRS caching active) is step-for-step identical on the reference
+    planner."""
     engine_fast, engine_ref = _engine_pair("hybrimoe")
     result_fast = engine_fast.generate(prompt_tokens, decode_steps=6)
     result_ref = engine_ref.generate(prompt_tokens, decode_steps=6)
@@ -563,17 +596,17 @@ def test_end_to_end_generation_identical(prompt_tokens):
 
 def test_end_to_end_sharded_identical(prompt_tokens):
     """The sharded (multi-GPU) dispatch path threads the same memoized
-    planner; a 2-GPU run is identical under both planner paths."""
+    planner; a 2-GPU run is identical under the reference planner."""
     results = []
-    for planner in _PLANNERS:
+    for reference in (False, True):
         engine = make_engine(
             model="deepseek",
             strategy="hybrimoe",
             num_layers=2,
-            engine_config=EngineConfig(
-                cache_ratio=0.25, num_gpus=2, scheduler=planner
-            ),
+            engine_config=EngineConfig(cache_ratio=0.25, num_gpus=2),
         )
+        if reference:
+            install_reference_planner(engine)
         results.append(engine.generate(prompt_tokens, decode_steps=4))
     fast_result, ref_result = results
     assert fast_result.prefill == ref_result.prefill
@@ -669,15 +702,14 @@ class TestPlanMemo:
 
 def test_engine_threads_scheduler_config():
     """``EngineConfig.scheduler`` is the runtime planner's config as
-    given — the one way to build an engine on the reference planner."""
-    for planner in _PLANNERS:
+    given."""
+    for planner in (SchedulerConfig(), SchedulerConfig(plan_cache_size=0)):
         engine = make_engine(
             model="deepseek",
             num_layers=2,
             engine_config=EngineConfig(scheduler=planner),
         )
         assert engine.runtime.scheduler.config is planner
-    assert EngineConfig().scheduler.fast_path is True
     assert EngineConfig().scheduler.plan_cache_size > 0
 
 
@@ -698,8 +730,8 @@ def test_runtime_memoizes_oracles():
 
 
 def test_prefetch_screening_preserves_decisions():
-    """Delta screening (fast scheduler) returns exactly the decisions of
-    the unscreened reference-path prefetcher."""
+    """Delta screening returns exactly the decisions of the unscreened
+    prefetcher on the reference planner."""
     from repro.core.prefetch import ImpactDrivenPrefetcher, PredictedLayer
 
     cost = _RandomCost(1.0, 2.5, 4.0)
@@ -707,10 +739,8 @@ def test_prefetch_screening_preserves_decisions():
     def factory(n_tokens):
         return LayerCostOracle.for_model(cost, _MODEL, n_tokens)
 
-    fast_sched = HybridScheduler(factory, SchedulerConfig(fast_path=True))
-    ref_sched = HybridScheduler(
-        factory, SchedulerConfig(fast_path=False, plan_cache_size=0)
-    )
+    fast_sched = HybridScheduler(factory)
+    ref_sched = ReferencePlanner(factory, SchedulerConfig(plan_cache_size=0))
     screened = ImpactDrivenPrefetcher(
         fast_sched, lambda: 4.0, 4, lookahead=3, delta_screen=True
     )

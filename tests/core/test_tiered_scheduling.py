@@ -1,4 +1,4 @@
-"""Disk-aware scheduling: surcharges, fast==reference, executor chains."""
+"""Disk-aware scheduling: surcharges, planner==reference, executor chains."""
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +11,7 @@ from repro.core.tasks import LayerCostOracle
 from repro.errors import SchedulingError
 from repro.hardware.simulator import ThreeResourceClock
 from repro.models.config import ExpertShape, MoEModelConfig
+from tests.reference_planner import ReferencePlanner
 
 DISK_FETCH = 4.0  # toy scale: > transfer (3.0), ~ a few CPU token units
 
@@ -139,12 +140,8 @@ class TestFastPathEquivalence:
     def test_fast_matches_reference_with_spill(self, case):
         activated, cached, spilled, disk_fetch, backlog = case
         factory = _property_oracle_factory()
-        fast = HybridScheduler(
-            factory, SchedulerConfig(fast_path=True, plan_cache_size=0)
-        )
-        reference = HybridScheduler(
-            factory, SchedulerConfig(fast_path=False, plan_cache_size=0)
-        )
+        fast = HybridScheduler(factory, SchedulerConfig(plan_cache_size=0))
+        reference = ReferencePlanner(factory, SchedulerConfig(plan_cache_size=0))
         kwargs = dict(
             n_tokens=4,
             pcie_backlog=backlog,
@@ -154,12 +151,9 @@ class TestFastPathEquivalence:
         assert fast.simulate_makespan(
             activated, cached, **kwargs
         ) == reference.simulate_makespan(activated, cached, **kwargs)
-        plan_fast = fast.plan(0, activated, cached, **kwargs)
-        plan_ref = reference.plan(0, activated, cached, **kwargs)
-        assert plan_fast.transfers == plan_ref.transfers
-        assert plan_fast.gpu_tasks == plan_ref.gpu_tasks
-        assert plan_fast.cpu_tasks == plan_ref.cpu_tasks
-        assert plan_fast.estimated_makespan == plan_ref.estimated_makespan
+        assert fast.plan(0, activated, cached, **kwargs) == reference.plan(
+            0, activated, cached, **kwargs
+        )
 
     @settings(max_examples=60, deadline=None)
     @given(case=spilled_layer_case())

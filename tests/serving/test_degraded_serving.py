@@ -4,7 +4,7 @@ The transparency suite is the acceptance criterion of the sub-replica
 fault work: a :class:`~repro.hardware.faults.HardwareFaultSchedule`
 whose windows never cover the run must leave the serving report
 **bit-identical** to running with no schedule at all — for every
-strategy, on both the fast and reference planner paths. The degradation
+strategy, on the production and on the reference planner. The degradation
 hook threads through the cost models, scheduler memos and prefetchers
 of each strategy, so this is the test that proves the neutral path
 applies no arithmetic anywhere.
@@ -12,8 +12,6 @@ applies no arithmetic anywhere.
 
 import pytest
 
-from repro.core.hybrid_scheduler import SchedulerConfig
-from repro.engine.engine import EngineConfig
 from repro.engine.factory import make_serving_engine
 from repro.errors import ConfigError
 from repro.hardware.faults import HardwareFault, HardwareFaultSchedule
@@ -21,6 +19,7 @@ from repro.serving import ServingConfig
 from repro.serving.request import Request
 from repro.serving.session import _remove_by_identity
 from repro.workloads.generator import sample_prompt, serving_workload
+from tests.reference_planner import install_reference_planner
 
 MODEL = "mixtral"
 NUM_LAYERS = 3
@@ -31,24 +30,19 @@ STRATEGIES = ("adapmoe", "hybrimoe", "ktransformers", "llamacpp", "ondemand")
 
 def _engine(strategy="hybrimoe", reference_planner=False, **knobs):
     knobs.setdefault("max_batch_size", 3)
-    engine_config = None
-    if reference_planner:
-        # The from-scratch planner with the memo off, on the engine
-        # the knobs below describe.
-        engine_config = EngineConfig(
-            cache_ratio=0.5,
-            seed=0,
-            scheduler=SchedulerConfig(fast_path=False, plan_cache_size=0),
-        )
-    return make_serving_engine(
+    serving = make_serving_engine(
         model=MODEL,
         strategy=strategy,
         cache_ratio=0.5,
         num_layers=NUM_LAYERS,
         seed=0,
-        engine_config=engine_config,
         **knobs,
     )
+    if reference_planner:
+        # The from-scratch planner with the memo off, on the engine
+        # the knobs above describe.
+        install_reference_planner(serving.engine)
+    return serving
 
 
 def _trace(priority_mix=None, arrivals=ARRIVALS):

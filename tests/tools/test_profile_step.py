@@ -53,7 +53,7 @@ def test_prefill_stage_profiles_the_wide_planner_search():
     assert report["stage"] == "prefill"
     assert report["steps"] == 1
     functions = [row["function"] for row in report["top"]]
-    assert any("hybrid_scheduler.py" in f and "(_search_fast)" in f for f in functions)
+    assert any("hybrid_scheduler.py" in f and "(_search)" in f for f in functions)
     # One prompt through two layers: two plans, no decode steps.
     plans = [
         row for row in report["top"]
