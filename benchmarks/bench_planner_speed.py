@@ -1,11 +1,14 @@
 """Planner perf harness with a tracked trajectory (PR 3).
 
 Measures **planner-only latency** and writes ``BENCH_planner.json`` at
-the repo root so the perf trajectory is tracked across PRs. Four
-shapes: ``decode_micro`` — steady-state decode, one decode-sized
-problem replanned every iteration (the >=5x acceptance floor is defined
-on it) — plus realistic call streams, where a short engine run (decode
-/ cold 512-token prefills on 8 layers / 2-GPU decode) records every
+the repo root so the perf trajectory is tracked across PRs. Five
+shapes: ``decode_micro`` — one decode-sized problem replanned every
+iteration (the >=5x acceptance floor is defined on it) — and
+``decode_shapes`` — the same problem with six fresh expert ids and a
+fresh cached set per call, i.e. a few dozen layer shapes under ever
+new labels, the memo's steady-state hit path in a real decode — plus
+realistic call streams, where a short engine run (decode / cold
+512-token prefills on 8 layers / 2-GPU decode) records every
 ``plan()``/``simulate_makespan()`` invocation the step pipeline and
 prefetcher actually issue. Each stream is replayed against fresh
 planners of three kinds:
@@ -54,6 +57,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.core.hybrid_scheduler import HybridScheduler, SchedulerConfig  # noqa: E402
 from repro.engine.engine import EngineConfig  # noqa: E402
 from repro.engine.factory import make_engine  # noqa: E402
+from repro.models.presets import get_preset  # noqa: E402
 from repro.rng import derive_rng  # noqa: E402
 from tests.reference_planner import ReferencePlanner  # noqa: E402
 
@@ -114,20 +118,30 @@ def _make_recording_engine(num_gpus: int, num_layers: int):
     )
 
 
-def _micro_decode_stream(smoke: bool) -> list[tuple[str, tuple, dict]]:
-    """One decode-sized planning problem, replanned every iteration
-    (steady-state decode — the shape the >=5x acceptance floor is
-    defined on)."""
-    from repro.models.presets import get_preset
-
+def _decode_problem(rng) -> tuple[str, tuple, dict]:
+    """One decode-sized ``plan()`` call: top-k unit loads, half of the
+    layer's experts cached."""
     config = get_preset("deepseek")
-    rng = derive_rng(0, "bench-planner", "micro-decode")
     experts, k = config.num_routed_experts, config.num_activated_experts
     ids = sorted(int(e) for e in rng.choice(experts, size=k, replace=False))
-    activated = [(e, 1) for e in ids]
     cached = set(int(e) for e in rng.choice(experts, size=experts // 2, replace=False))
-    reps = 100 if smoke else 400
-    return [("plan", (0, activated, cached, 1), {})] * reps
+    return ("plan", (0, [(e, 1) for e in ids], cached, 1), {})
+
+
+def _micro_decode_stream(smoke: bool) -> list[tuple[str, tuple, dict]]:
+    """One decode-sized planning problem, replanned every iteration
+    (the shape the >=5x acceptance floor is defined on)."""
+    problem = _decode_problem(derive_rng(0, "bench-planner", "micro-decode"))
+    return [problem] * (100 if smoke else 400)
+
+
+def _decode_shapes_stream(smoke: bool) -> list[tuple[str, tuple, dict]]:
+    """``decode_micro``'s problem drawn afresh per call: at most 64
+    shapes (six cached flags) under ids that never repeat. Four times
+    ``decode_micro``'s calls, so the stream is mostly hits at smoke
+    size too."""
+    rng = derive_rng(0, "bench-planner", "decode-shapes")
+    return [_decode_problem(rng) for _ in range(400 if smoke else 1600)]
 
 
 def _shape_streams(smoke: bool) -> dict[str, list[tuple[str, tuple, dict]]]:
@@ -136,6 +150,7 @@ def _shape_streams(smoke: bool) -> dict[str, list[tuple[str, tuple, dict]]]:
     streams: dict[str, list] = {}
 
     streams["decode_micro"] = _micro_decode_stream(smoke)
+    streams["decode_shapes"] = _decode_shapes_stream(smoke)
 
     engine = _make_recording_engine(1, num_layers)
     streams["decode"] = _record_stream(
@@ -281,7 +296,7 @@ def main(argv=None) -> int:
     print(f"planner perf ({results['mode']}):")
     for shape, row in results["planner"].items():
         print(
-            f"  {shape:9s} {row['calls']:5d} calls  "
+            f"  {shape:13s} {row['calls']:5d} calls  "
             f"ref {row['reference_us_per_call']:8.1f} us/call  "
             f"cold {row['fast_cold_us_per_call']:8.1f} ({row['speedup_cold']:.1f}x)  "
             f"fast {row['fast_us_per_call']:8.1f} ({row['speedup']:.1f}x)"

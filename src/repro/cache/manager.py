@@ -178,14 +178,16 @@ class ExpertCache:
         the candidate set and every policy ranking are frozen, so the
         policy would return the same key — ``would_admit`` followed by
         ``insert_if_better`` and the ``insert`` it delegates to ask up
-        to three times per admission.
+        to three times per admission. Only a non-empty candidate set
+        ever stores an entry, and every change to it moves the version,
+        so a current entry needs no look at the candidates.
         """
-        candidates = self._resident - self._locked
-        if not candidates:
-            return None
         memo = self._victim_memo
         if memo is not None and memo[0] == self._version:
             return memo[1]
+        candidates = self._resident - self._locked
+        if not candidates:
+            return None
         victim_resident = getattr(self.policy, "victim_resident", None)
         if victim_resident is not None:
             victim = victim_resident(self._resident, self._locked)
@@ -351,7 +353,9 @@ class ExpertCache:
             )
         memo = self._victim_memo
         candidates = self._resident - self._locked
-        if memo is not None and memo[0] == self._version and candidates:
+        if memo is not None and memo[0] == self._version:
+            if not candidates:
+                raise CacheError(f"victim memo {memo[1]} with nothing evictable")
             fresh = self.policy.victim(candidates)
             if memo[1] != fresh:
                 raise CacheError(

@@ -44,14 +44,21 @@ delayed by the same fetch. With an empty spilled set (the default
 two-tier platform) every duration is byte-for-byte the two-tier one.
 
 On top of the search sits a bounded LRU **plan memo** keyed on the
-planner's exact inputs (layer, activated loads, cached set, in-flight
-offsets, backlogs, token count, shared flag, spilled set + disk cost).
-Keys are value-complete — identical inputs always produce identical
-plans — so nothing is ever invalidated; decode steps repeat
-near-identical routing, making hits the common case. Memoization
-assumes the oracle factory is deterministic per ``n_tokens`` (true of
-the engine's estimated cost models; a stateful noisy oracle must
-disable it via ``plan_cache_size=0``).
+*shape* of a layer's problem (:class:`_LayerShape`): per activated
+expert in ascending id its load, cached flag, spilled flag and
+in-flight offset, plus the scalars the search reads. Expert ids enter
+the planner only through order comparisons and membership tests, so a
+strictly increasing relabelling changes no schedule: the search runs on
+*ranks* (positions in ascending id), the memo stores rank results, and
+every call translates them to its own ids and ``layer`` on the way out.
+The layer index and every non-activated member of the cached / spilled
+/ in-flight sets are unread and stay out of the key. Keys are complete
+up to that relabelling — equal keys always produce equal plans — so
+nothing is ever invalidated; a decode layer is six ``(load=1, cached?)``
+flags, making hits the common case. Memoization assumes the oracle
+factory is deterministic per ``n_tokens`` (true of the engine's
+estimated cost models; a stateful noisy oracle must disable it via
+``plan_cache_size=0``).
 """
 
 from __future__ import annotations
@@ -59,6 +66,7 @@ from __future__ import annotations
 from bisect import insort
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.core.tasks import (
     SHARED_BLOCK,
@@ -201,6 +209,26 @@ class _DurationTable:
         return d
 
 
+class _LayerShape(NamedTuple):
+    """One layer's planning problem with the expert ids taken out.
+
+    Everything the search reads, indexed by *rank* (position of the
+    expert in ascending id) — the search's input and, being hashable
+    and exact, the body of the memo key. ``spill`` and ``ready`` are
+    ``()`` when no activated expert is spilled / in flight; a backlog
+    or disk cost nothing can read is held at ``0.0`` (see
+    :meth:`HybridScheduler._canonical`).
+    """
+
+    loads: tuple[int, ...]
+    cached: tuple[bool, ...]
+    spill: tuple[bool, ...]  # spilled *and* uncached
+    ready: tuple[float | None, ...]  # in-flight offset of a cached expert, >= 0
+    pcie_backlog: float
+    cpu_backlog: float
+    disk_fetch_s: float
+
+
 class HybridScheduler:
     """Schedule-simulation planner implementing eq. (2) of the paper.
 
@@ -281,75 +309,56 @@ class HybridScheduler:
         disk_fetch_s:
             Estimated disk -> DRAM read time per spilled expert.
         """
-        key = self._memo_key(
-            "plan",
-            layer,
-            activated,
-            cached_experts,
-            n_tokens,
-            pcie_backlog,
-            include_shared,
-            inflight,
-            cpu_backlog,
-            False,
-            spilled,
-            disk_fetch_s,
-        )
-        if key is not None:
-            hit = self._memo_get(key)
-            if hit is not None:
-                return hit.clone()
-        loads, inflight_eff, spilled_eff = self._validated_inputs(
+        ids, shape = self._canonical(
             activated, cached_experts, pcie_backlog, cpu_backlog, inflight,
             spilled, disk_fetch_s,
         )
-        order = self._gpu_priority(loads)
-        table = self._duration_table(n_tokens)
-        k, makespan, gpu_order, stolen = self._search(
-            order,
-            loads,
-            cached_experts,
-            table,
-            pcie_backlog,
-            include_shared,
-            inflight_eff,
-            cpu_backlog,
-            spilled=spilled_eff,
-            disk_fetch_s=disk_fetch_s,
-        )
-        # The winning allocation in the three priority orders: the k
-        # highest loads ride PCIe, the rest queue on the CPU lowest
-        # load first (steals follow, in steal order), and the GPU runs
-        # the shared block and then whatever the event loop dispatched
-        # — of which exactly the uncached experts arrived by transfer.
-        uncached = [e for e in order if e not in cached_experts]
-        transferred = uncached[:k]
-        gpu_tasks = [
-            ComputeTask(
-                layer, e, loads[e], Device.GPU, after_transfer=e not in cached_experts
+        loads, cached = shape.loads, shape.cached
+
+        def search():
+            # The winning allocation in the three priority orders: the k
+            # highest loads ride PCIe, the rest queue on the CPU lowest
+            # load first (steals follow, in steal order), and the GPU
+            # runs the shared block and then whatever the event loop
+            # dispatched.
+            table = self._duration_table(n_tokens)
+            order = self._gpu_priority(loads)
+            k, makespan, gpu_order, stolen = self._search(
+                order, shape, table, include_shared
             )
-            for e in gpu_order
+            uncached = [r for r in order if not cached[r]]
+            own = sorted(uncached[k:], key=lambda r: (loads[r], r))
+            shared_first = include_shared and table.shared_gpu > 0.0
+            return makespan, shared_first, gpu_order, own, stolen, uncached[:k]
+
+        makespan, shared_first, gpu_order, own, stolen, transferred = self._memoized(
+            ("plan", n_tokens, include_shared, shape), search
+        )
+        # Ranks back to this call's ids and layer — a fresh plan per
+        # call, hit or miss. Of the GPU's tasks exactly the uncached
+        # experts arrived by transfer.
+        gpu_tasks = [
+            ComputeTask(layer, ids[r], loads[r], Device.GPU, after_transfer=not cached[r])
+            for r in gpu_order
         ]
-        if include_shared and table.shared_gpu > 0.0:
+        if shared_first:
             gpu_tasks.insert(0, ComputeTask(layer, SHARED_BLOCK, n_tokens, Device.GPU))
-        own = sorted(uncached[k:], key=lambda e: (loads[e], e))
-        plan = ExecutionPlan(
+        return ExecutionPlan(
             layer=layer,
             n_tokens=n_tokens,
             gpu_tasks=gpu_tasks,
-            cpu_tasks=[ComputeTask(layer, e, loads[e], Device.CPU) for e in own + stolen],
-            transfers=[TransferTask(layer, e, loads[e]) for e in transferred],
+            cpu_tasks=[
+                ComputeTask(layer, ids[r], loads[r], Device.CPU) for r in own + stolen
+            ],
+            transfers=[TransferTask(layer, ids[r], loads[r]) for r in transferred],
             estimated_makespan=makespan,
             metadata={
                 "scheduler": "hybrid",
-                "transfer_count": k,
-                "stolen": stolen,
+                "transfer_count": len(transferred),
+                "stolen": [ids[r] for r in stolen],
                 "include_shared": include_shared,
             },
         )
-        if key is not None:
-            self._memo_put(key, plan.clone())
-        return plan
 
     def simulate_makespan(
         self,
@@ -369,44 +378,17 @@ class HybridScheduler:
         ``quick=True`` forces the two-extremes search regardless of
         config — used heavily by the prefetcher's impact simulation.
         """
-        key = self._memo_key(
-            "mk",
-            0,
-            activated,
-            cached_experts,
-            n_tokens,
-            pcie_backlog,
-            include_shared,
-            inflight,
-            cpu_backlog,
-            quick,
-            spilled,
-            disk_fetch_s,
-        )
-        if key is not None:
-            hit = self._memo_get(key)
-            if hit is not None:
-                return hit
-        loads, inflight_eff, spilled_eff = self._validated_inputs(
+        _, shape = self._canonical(
             activated, cached_experts, pcie_backlog, cpu_backlog, inflight,
             spilled, disk_fetch_s,
         )
-        makespan = self._search(
-            self._gpu_priority(loads),
-            loads,
-            cached_experts,
-            self._duration_table(n_tokens),
-            pcie_backlog,
-            include_shared,
-            inflight_eff,
-            cpu_backlog,
-            force_quick=quick,
-            spilled=spilled_eff,
-            disk_fetch_s=disk_fetch_s,
-        )[1]
-        if key is not None:
-            self._memo_put(key, makespan)
-        return makespan
+        return self._memoized(
+            ("mk", n_tokens, include_shared, quick, shape),
+            lambda: self._search(
+                self._gpu_priority(shape.loads), shape,
+                self._duration_table(n_tokens), include_shared, quick,
+            )[1],
+        )
 
     def quick_makespan_lower_bound(
         self,
@@ -426,40 +408,39 @@ class HybridScheduler:
         exact decision. Spilled experts carry their disk-fetch
         surcharge on both branches, mirroring the simulation exactly.
         """
-        loads, _, spilled_eff = self._validated_inputs(
+        ids, shape = self._canonical(
             activated, cached_experts, 0.0, 0.0, None, spilled, disk_fetch_s
         )
+        absent = len(ids)
         return self._quick_bounds(
-            self._gpu_priority(loads), loads, cached_experts,
-            self._duration_table(n_tokens), [None], spilled_eff, disk_fetch_s,
-        )[None]
+            self._gpu_priority(shape.loads), shape,
+            self._duration_table(n_tokens), (absent,),
+        )[absent]
 
     @staticmethod
     def _quick_bounds(
         order: list[int],
-        loads: dict[int, int],
-        cached_experts: set[int],
+        shape: _LayerShape,
         table: _DurationTable,
-        candidates: list,
-        spilled: frozenset[int],
-        disk_fetch_s: float,
-    ) -> dict:
+        candidates: tuple[int, ...],
+    ) -> dict[int, float]:
         """Quick-makespan lower bound with each candidate taken as cached.
 
-        ``order`` is :meth:`_gpu_priority` of ``loads``. A candidate is
-        filtered out of the uncached experts (``None`` filters
-        nothing), which preserves order, so every bound adds the same
-        floats in the same order as a from-scratch call on
-        ``cached_experts | {candidate}`` (a candidate leaves the
-        effective spilled set with it).
+        ``order`` is :meth:`_gpu_priority` of ``shape.loads``;
+        candidates are ranks. A candidate is filtered out of the
+        uncached experts (the absent rank filters nothing), which
+        preserves order, so every bound adds the same floats in the
+        same order as a from-scratch call with the candidate cached (it
+        leaves the spilled set with that).
         """
-        uncached_desc = [e for e in order if e not in cached_experts]
-        cpu_jobs_all = sorted(uncached_desc, key=lambda e: (loads[e], e))
+        loads, cached, spill, _, _, _, disk_fetch_s = shape
+        uncached_desc = [r for r in order if not cached[r]]
+        cpu_jobs_all = sorted(uncached_desc, key=lambda r: (loads[r], r))
         gpu_t0 = table.shared_gpu if table.shared_gpu > 0.0 else 0.0
         transfer = table.transfer
         bounds = {}
         for candidate in candidates:
-            remaining = [e for e in uncached_desc if e != candidate]
+            remaining = [r for r in uncached_desc if r != candidate]
             if not remaining:
                 bounds[candidate] = gpu_t0
                 continue
@@ -470,7 +451,7 @@ class HybridScheduler:
             t_pcie = 0.0
             chain = gpu_t0
             for expert in remaining:
-                if expert in spilled:
+                if spill and spill[expert]:
                     t_pcie += disk_fetch_s
                 t_pcie += transfer
                 chain = max(chain, t_pcie) + table.gpu(loads[expert])
@@ -483,28 +464,12 @@ class HybridScheduler:
                 if expert == candidate:
                     continue
                 duration = table.cpu(loads[expert], first)
-                if expert in spilled:
+                if spill and spill[expert]:
                     duration += disk_fetch_s
                 t_cpu += duration
                 first = False
             bounds[candidate] = min(chain, max(gpu_t0, t_cpu))
         return bounds
-
-    def _batch_key(
-        self, kind, activated, cached_experts, n_tokens, experts, spilled, disk_fetch_s
-    ) -> tuple | None:
-        """Value-complete memo key of one batched quick call."""
-        if self.config.plan_cache_size == 0:
-            return None
-        return (
-            kind,
-            n_tokens,
-            tuple(sorted(activated)),
-            frozenset(cached_experts),
-            tuple(sorted(experts)),
-            frozenset(spilled or ()),
-            disk_fetch_s,
-        )
 
     def quick_makespan_lower_bounds(
         self,
@@ -524,26 +489,21 @@ class HybridScheduler:
         batching hoists the shared work — input validation, the
         duration table, and the two load-ordered sorts — out of the
         per-candidate loop (:meth:`_quick_bounds`; test-enforced), and
-        the whole batch memoizes as one ``"qb"`` entry (decode steps
-        repeat near-identical predictions).
+        the whole batch memoizes as one ``"qb"`` entry, by candidate
+        rank; the dict returned is built per call.
         """
-        key = self._batch_key(
-            "qb", activated, cached_experts, n_tokens, candidates, spilled, disk_fetch_s
-        )
-        if key is not None:
-            hit = self._memo_get(key)
-            if hit is not None:
-                return hit
-        loads, _, spilled_all = self._validated_inputs(
+        ids, shape = self._canonical(
             activated, cached_experts, 0.0, 0.0, None, spilled, disk_fetch_s
         )
-        bounds = self._quick_bounds(
-            self._gpu_priority(loads), loads, cached_experts,
-            self._duration_table(n_tokens), candidates, spilled_all, disk_fetch_s,
+        ranks, distinct = self._candidate_ranks(ids, candidates)
+        by_rank = self._memoized(
+            ("qb", n_tokens, distinct, shape),
+            lambda: self._quick_bounds(
+                self._gpu_priority(shape.loads), shape,
+                self._duration_table(n_tokens), distinct,
+            ),
         )
-        if key is not None:
-            self._memo_put(key, bounds)
-        return bounds
+        return {c: by_rank[r] for c, r in zip(candidates, ranks)}
 
     def screen_prediction_batch(
         self,
@@ -592,33 +552,24 @@ class HybridScheduler:
         prefetcher asks for both per predicted layer; computing them
         together pays the input validation, duration table and the
         priority sort once, and memoizes the pair as one ``"qs"``
-        entry. ``base`` is one :meth:`_search` call — the routine
+        entry (bounds by candidate rank; the dict returned is built per
+        call). ``base`` is one :meth:`_search` call — the routine
         behind ``simulate_makespan`` — so values are bit-identical to
         the separate calls (test-enforced).
         """
-        key = self._batch_key(
-            "qs", activated, cached_experts, n_tokens, candidates, spilled, disk_fetch_s
-        )
-        if key is not None:
-            hit = self._memo_get(key)
-            if hit is not None:
-                return hit
-        loads, _, spilled_all = self._validated_inputs(
+        ids, shape = self._canonical(
             activated, cached_experts, 0.0, 0.0, None, spilled, disk_fetch_s
         )
-        table = self._duration_table(n_tokens)
-        order = self._gpu_priority(loads)
-        base = self._search(
-            order, loads, cached_experts, table, 0.0, True, {}, 0.0,
-            force_quick=True, spilled=spilled_all, disk_fetch_s=disk_fetch_s,
-        )[1]
-        bounds = self._quick_bounds(
-            order, loads, cached_experts, table, candidates, spilled_all, disk_fetch_s
-        )
-        result = (base, bounds)
-        if key is not None:
-            self._memo_put(key, result)
-        return result
+        ranks, distinct = self._candidate_ranks(ids, candidates)
+
+        def screen():
+            table = self._duration_table(n_tokens)
+            order = self._gpu_priority(shape.loads)
+            base = self._search(order, shape, table, True, force_quick=True)[1]
+            return base, self._quick_bounds(order, shape, table, distinct)
+
+        base, by_rank = self._memoized(("qs", n_tokens, distinct, shape), screen)
+        return base, {c: by_rank[r] for c, r in zip(candidates, ranks)}
 
     def quick_makespans_with(
         self,
@@ -640,31 +591,35 @@ class HybridScheduler:
         construction — and runs each expert through
         :meth:`_search`, the routine behind ``simulate_makespan``,
         so the floats are the per-call path's (test-enforced). The
-        whole batch memoizes as one ``"qw"`` entry.
+        whole batch memoizes as one ``"qw"`` entry, by expert rank; the
+        dict returned is built per call.
         """
-        key = self._batch_key(
-            "qw", activated, cached_experts, n_tokens, experts, spilled, disk_fetch_s
-        )
-        if key is not None:
-            hit = self._memo_get(key)
-            if hit is not None:
-                return hit
-        loads, _, spilled_all = self._validated_inputs(
+        ids, shape = self._canonical(
             activated, cached_experts, 0.0, 0.0, None, spilled, disk_fetch_s
         )
-        table = self._duration_table(n_tokens)
-        order = self._gpu_priority(loads)
-        results: dict[int, float] = {}
-        for expert in experts:
-            results[expert] = self._search(
-                order, loads, cached_experts | {expert}, table, 0.0, True, {}, 0.0,
-                force_quick=True,
-                spilled=spilled_all - {expert},
-                disk_fetch_s=disk_fetch_s,
-            )[1]
-        if key is not None:
-            self._memo_put(key, results)
-        return results
+        ranks, distinct = self._candidate_ranks(ids, experts)
+
+        def simulate():
+            table = self._duration_table(n_tokens)
+            order = self._gpu_priority(shape.loads)
+            cached, spill = shape.cached, shape.spill
+            by_rank = {}
+            for r in distinct:
+                with_r = shape
+                if r < len(ids):
+                    # Rank r taken as cached: it leaves the spilled set
+                    # with that. The absent rank changes nothing.
+                    with_r = shape._replace(
+                        cached=cached[:r] + (True,) + cached[r + 1 :],
+                        spill=spill and spill[:r] + (False,) + spill[r + 1 :],
+                    )
+                by_rank[r] = self._search(
+                    order, with_r, table, True, force_quick=True
+                )[1]
+            return by_rank
+
+        by_rank = self._memoized(("qw", n_tokens, distinct, shape), simulate)
+        return {e: by_rank[r] for e, r in zip(experts, ranks)}
 
     def invalidate_costs(self) -> None:
         """Drop every memoized plan, makespan and duration table.
@@ -692,55 +647,26 @@ class HybridScheduler:
     # ------------------------------------------------------------------
     # memoization
     # ------------------------------------------------------------------
-    def _memo_key(
-        self,
-        kind: str,
-        layer: int,
-        activated,
-        cached_experts,
-        n_tokens: int,
-        pcie_backlog: float,
-        include_shared: bool,
-        inflight,
-        cpu_backlog: float,
-        quick: bool,
-        spilled=None,
-        disk_fetch_s: float = 0.0,
-    ) -> tuple | None:
-        if self.config.plan_cache_size == 0:
-            return None
-        # Value-complete key: every input the simulation reads, with
-        # floats kept exact (a "bucket" per representable value) so a
-        # hit is guaranteed to reproduce the miss bit-for-bit.
-        return (
-            kind,
-            layer,
-            n_tokens,
-            pcie_backlog,
-            cpu_backlog,
-            include_shared,
-            quick,
-            tuple(sorted(activated)),
-            frozenset(cached_experts),
-            tuple(sorted((inflight or {}).items())),
-            frozenset(spilled or ()),
-            disk_fetch_s,
-        )
+    def _memoized(self, key: tuple, compute):
+        """``compute()``'s rank result through the bounded LRU memo.
 
-    def _memo_get(self, key: tuple):
-        entry = self._memo.get(key)
+        Entries stay private to the scheduler: every caller rebuilds
+        its plan / dict from the ranks, so nobody can mutate one.
+        """
+        capacity = self.config.plan_cache_size
+        if capacity == 0:
+            return compute()
+        memo = self._memo
+        entry = memo.get(key)
         if entry is None:
             self._memo_misses += 1
-            return None
-        self._memo.move_to_end(key)
-        self._memo_hits += 1
+            entry = memo[key] = compute()
+            while len(memo) > capacity:
+                memo.popitem(last=False)
+        else:
+            memo.move_to_end(key)
+            self._memo_hits += 1
         return entry
-
-    def _memo_put(self, key: tuple, value) -> None:
-        self._memo[key] = value
-        self._memo.move_to_end(key)
-        while len(self._memo) > self.config.plan_cache_size:
-            self._memo.popitem(last=False)
 
     def _duration_table(self, n_tokens: int) -> _DurationTable:
         table = self._tables.get(n_tokens)
@@ -764,28 +690,34 @@ class HybridScheduler:
         return list(range(n_uncached + 1))
 
     @staticmethod
-    def _gpu_priority(loads: dict[int, int]) -> list[int]:
-        """Experts in GPU / transfer priority: high load first, then id."""
-        return sorted(loads, key=lambda e: (-loads[e], e))
+    def _gpu_priority(loads: tuple[int, ...]) -> list[int]:
+        """Ranks in GPU / transfer priority: high load first, then id."""
+        return sorted(range(len(loads)), key=lambda r: (-loads[r], r))
 
     @staticmethod
-    def _validated_inputs(
+    def _canonical(
         activated,
         cached_experts,
         pcie_backlog: float,
         cpu_backlog: float,
         inflight,
-        spilled=None,
-        disk_fetch_s: float = 0.0,
-    ) -> tuple[dict[int, int], dict[int, float], frozenset[int]]:
-        """Input validation shared by every entry point.
+        spilled,
+        disk_fetch_s: float,
+    ) -> tuple[list[int], _LayerShape]:
+        """Validate one call's inputs; split them into ids and shape.
 
-        NaN fails the ``>= 0`` tests (it would corrupt every timeline
-        and never hit the memo); ``inf`` is a legal dead resource. The
-        effective spilled set is intersected with the *uncached*
-        activated experts: a GPU-cached expert never touches disk, and
-        spill state of non-activated experts is irrelevant to this
-        layer's plan.
+        Runs on every call, memo hit or not. NaN fails the ``>= 0``
+        tests (it would corrupt every timeline and never hit the memo);
+        ``inf`` is a legal dead resource. One pass over the pairs sorted
+        by id checks them (strictly ascending ids, positive loads) and
+        ranks them: ``ids[r]`` is the expert of rank ``r``, the shape
+        holds what the search reads about it. Left out because nothing
+        reads it: every non-activated member of the three sets; the
+        spill state of a GPU-cached expert (it never touches disk) and
+        the in-flight offset of an uncached one; ``pcie_backlog`` when
+        nothing is uncached (it only seeds the transfer lane of
+        :meth:`_search`) and ``disk_fetch_s`` when nothing is spilled
+        (it is only added under a spill flag).
         """
         if not pcie_backlog >= 0:
             raise SchedulingError(f"pcie_backlog must be non-negative, got {pcie_backlog}")
@@ -795,20 +727,56 @@ class HybridScheduler:
             raise SchedulingError(
                 f"disk_fetch_s must be non-negative, got {disk_fetch_s}"
             )
-        loads = dict(activated)
-        if len(loads) != len(activated):
-            raise SchedulingError("duplicate expert ids in activated list")
-        if any(load <= 0 for load in loads.values()):
-            raise SchedulingError("activated experts must have positive load")
-        inflight_eff = {
-            e: max(0.0, ready)
-            for e, ready in (inflight or {}).items()
-            if e in loads and e in cached_experts
-        }
-        spilled_eff = frozenset(
-            e for e in (spilled or ()) if e in loads and e not in cached_experts
+        ids: list[int] = []
+        loads: list[int] = []
+        cached: list[bool] = []
+        previous = None
+        for expert, load in sorted(activated):
+            if expert == previous:
+                raise SchedulingError("duplicate expert ids in activated list")
+            if load <= 0:
+                raise SchedulingError("activated experts must have positive load")
+            previous = expert
+            ids.append(expert)
+            loads.append(load)
+            cached.append(expert in cached_experts)
+        spill: tuple = ()
+        if spilled:
+            spill = tuple([not c and e in spilled for e, c in zip(ids, cached)])
+            if True not in spill:
+                spill = ()
+        ready: tuple = ()
+        if inflight:
+            ready = tuple(
+                [
+                    max(0.0, inflight[e]) if c and e in inflight else None
+                    for e, c in zip(ids, cached)
+                ]
+            )
+            if ready.count(None) == len(ready):
+                ready = ()
+        return ids, _LayerShape(
+            tuple(loads),
+            tuple(cached),
+            spill,
+            ready,
+            pcie_backlog if False in cached else 0.0,
+            cpu_backlog,
+            disk_fetch_s if spill else 0.0,
         )
-        return loads, inflight_eff, spilled_eff
+
+    @staticmethod
+    def _candidate_ranks(ids: list[int], candidates) -> tuple[list[int], tuple[int, ...]]:
+        """Each candidate's rank, and the distinct ranks ascending.
+
+        A candidate that is not activated changes nothing about the
+        layer, whatever its id: all of them share the rank
+        ``len(ids)``.
+        """
+        rank_of = {expert: r for r, expert in enumerate(ids)}
+        absent = len(ids)
+        ranks = [rank_of.get(c, absent) for c in candidates]
+        return ranks, tuple(sorted(set(ranks)))
 
     # ------------------------------------------------------------------
     # the search and its schedule simulation
@@ -816,24 +784,18 @@ class HybridScheduler:
     def _search(
         self,
         order: list[int],
-        loads: dict[int, int],
-        cached_experts: set[int],
+        shape: _LayerShape,
         table: _DurationTable,
-        pcie_backlog: float,
         include_shared: bool,
-        inflight: dict[int, float],
-        cpu_backlog: float,
         force_quick: bool = False,
-        spilled: frozenset[int] = frozenset(),
-        disk_fetch_s: float = 0.0,
     ) -> tuple[int, float, list[int], list[int]]:
         """Find the optimal transfer count and its schedule.
 
-        ``order`` is :meth:`_gpu_priority` of ``loads`` (callers that
-        search many variants of one layer sort once). Returns
+        ``order`` is :meth:`_gpu_priority` of ``shape.loads`` (callers
+        that search many variants of one layer sort once). Returns
         ``(best_k, best_makespan, gpu_order, stolen)`` — the winner's
-        GPU dispatch order and CPU steals as expert ids, all a plan
-        needs beyond the priority orders — bit-identical to what the
+        GPU dispatch order and CPU steals as ranks, all a plan needs
+        beyond the priority orders — bit-identical to what the
         reference would select: every candidate evaluated goes through
         :meth:`_run_schedule`, which performs the reference
         simulator's float operations in its order, and every candidate
@@ -848,24 +810,25 @@ class HybridScheduler:
         falls with ``k``). :func:`_scan_candidates` decides from them
         which candidates need an exact simulation.
         """
+        loads, cached, spill, ready, pcie_backlog, cpu_backlog, disk_fetch_s = shape
         # Slots number the experts in ascending GPU priority: the GPU's
         # next task is the pool's last element, an arrival joins by
         # insort on a plain int, and (time, -slot) is the reference's
-        # arrival order.
+        # arrival order. `experts[slot]` is the expert's rank.
         experts = order[::-1]
-        load_of = [loads[e] for e in experts]
+        load_of = [loads[r] for r in experts]
         gpu = table.gpu
         gpu_dur = [gpu(load) for load in load_of]
-        stealable = [e in cached_experts for e in experts]
-        if inflight:
+        stealable = [cached[r] for r in experts]
+        if ready:
             pool = [
-                s for s, e in enumerate(experts) if stealable[s] and e not in inflight
+                s for s, r in enumerate(experts) if stealable[s] and ready[r] is None
             ]
             inflight_arrivals = [
-                (inflight[e], -s) for s, e in enumerate(experts) if e in inflight
+                (ready[r], -s) for s, r in enumerate(experts) if ready[r] is not None
             ]
         else:
-            pool = [s for s, cached in enumerate(stealable) if cached]
+            pool = [s for s, is_cached in enumerate(stealable) if is_cached]
         # Transfer lane (high load first): moving k -> k+1 appends one
         # arrival, so the PCIe timelines of all candidates are one
         # shared accumulation (the reference's `t_pcie += transfer`
@@ -880,7 +843,7 @@ class HybridScheduler:
         t_pcie = pcie_backlog
         t_chain = gpu_t0
         for s in lane:
-            if spilled and experts[s] in spilled:
+            if spill and spill[experts[s]]:
                 t_pcie += disk_fetch_s
             t_pcie += transfer
             arrive.append(t_pcie)
@@ -896,16 +859,16 @@ class HybridScheduler:
         # loads in ascending order — every candidate's sums are
         # prefixes of one accumulation.
         cpu = table.cpu
-        if spilled:
-            rank = {s: j for j, s in enumerate(lane)}
+        if spill:
+            position = {s: j for j, s in enumerate(lane)}
             queue = sorted(lane, key=lambda s: (load_of[s], -s))
             own = []
             for k in counts:
                 start, t_cpu, first = _NEG_INF, cpu_backlog, True
                 for s in queue:
-                    if rank[s] >= k:
+                    if position[s] >= k:
                         duration = cpu(load_of[s], first)
-                        if experts[s] in spilled:
+                        if spill[experts[s]]:
                             duration += disk_fetch_s
                         start = t_cpu
                         t_cpu += duration
@@ -928,11 +891,11 @@ class HybridScheduler:
 
         def makespan(i: int) -> float:
             k = counts[i]
-            if inflight:
+            if ready:
                 merged = sorted(
                     inflight_arrivals + [(arrive[j], -lane[j]) for j in range(k)]
                 )
-                times = [ready for ready, _ in merged]
+                times = [arrival for arrival, _ in merged]
                 slots = [-negated for _, negated in merged]
             else:
                 times, slots = arrive[:k], lane[:k]

@@ -34,8 +34,9 @@ cut that down without changing a single decision:
   ``tests/core/test_planner_fastpath.py`` and
   ``tests/engine/test_prediction.py`` compare them with.
 - *memoized simulations*: the scheduler's plan memo covers the quick
-  impact simulations, and decode steps repeat near-identical predicted
-  routing, so the surviving exact simulations are usually cache hits.
+  screens and impact simulations. It is keyed on a predicted layer's
+  shape (loads and cached flags in id order, candidates as ranks), not
+  on its expert ids, so in decode nearly all of them are memo hits.
 """
 
 from __future__ import annotations

@@ -104,10 +104,9 @@ class ExecutionPlan:
     def clone(self) -> "ExecutionPlan":
         """Independent copy sharing only the immutable task objects.
 
-        The planner's memo stores one pristine copy per key and hands
-        each caller its own clone, so a caller mutating a plan (or its
-        metadata) can never corrupt a memoized entry. Tasks themselves
-        are frozen dataclasses and safe to share.
+        For a caller that hands one plan to several consumers, each
+        free to mutate its lists or metadata. Tasks themselves are
+        frozen dataclasses and safe to share.
         """
         return ExecutionPlan(
             layer=self.layer,

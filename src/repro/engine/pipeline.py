@@ -557,7 +557,9 @@ class StepPipeline:
             future = ctx.layer + distance
             if future >= num_layers:
                 break
-            scores = self.model.gate_scores(z, future).mean(axis=0)
+            scores = self.model.gate_scores(z, future)
+            # A single row is its own mean, bit for bit.
+            scores = scores[0] if len(scores) == 1 else scores.mean(axis=0)
             confidence = None
             if gate is not None:
                 scores, confidence = gate.advise(ctx.layer, distance, scores)

@@ -27,7 +27,7 @@ def silu(x: np.ndarray) -> np.ndarray:
     """SiLU (swish) activation, ``x * sigmoid(x)``, computed stably."""
     # Clip the exponent argument to avoid overflow warnings for large
     # negative inputs; sigmoid saturates well before +-40.
-    z = np.clip(x, -40.0, 40.0)
+    z = x.clip(-40.0, 40.0)
     return x / (1.0 + np.exp(-z))
 
 

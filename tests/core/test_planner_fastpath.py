@@ -651,23 +651,207 @@ class TestPlanMemo:
         second = scheduler.plan(0, activated, set(), n_tokens=1)
         assert second == self._scheduler(0).plan(0, activated, set(), n_tokens=1)
 
+    #: The layer the two key tests vary: expert 5 cached and in flight,
+    #: 2 and 9 uncached, 9 spilled — every input of ``plan`` is read.
+    _BASE = dict(
+        layer=0, activated=[(2, 3), (5, 1), (9, 2)], cached_experts={5}, n_tokens=1,
+        pcie_backlog=0.5, include_shared=True, inflight={5: 0.25}, cpu_backlog=0.25,
+        spilled={9}, disk_fetch_s=0.5,
+    )
+
     def test_key_distinguishes_every_input(self):
         scheduler = self._scheduler(64)
-        base = dict(layer=0, activated=[(0, 3), (1, 1)], cached_experts=set(), n_tokens=1)
-        scheduler.plan(**base)
+        base = self._BASE
         variants = [
-            dict(base, layer=1),
-            dict(base, activated=[(0, 3), (1, 2)]),
-            dict(base, cached_experts={0}),
+            base,
+            dict(base, activated=[(2, 4), (5, 1), (9, 2)]),  # a load
+            dict(base, cached_experts={2, 5}),  # a cached flag
+            dict(base, spilled={2, 9}),  # a spilled flag
+            dict(base, inflight={5: 0.5}),  # offset of a cached expert
+            dict(base, pcie_backlog=0.75),
+            dict(base, disk_fetch_s=0.75),
+            dict(base, cpu_backlog=0.5),
             dict(base, n_tokens=2),
+            dict(base, include_shared=False),
         ]
         for kwargs in variants:
             scheduler.plan(**kwargs)
-        scheduler.plan(0, [(0, 3), (1, 1)], set(), 1, pcie_backlog=0.5)
-        scheduler.plan(0, [(0, 3), (1, 1)], set(), 1, cpu_backlog=0.5)
-        scheduler.plan(0, [(0, 3), (1, 1)], set(), 1, inflight={0: 1.0})
         assert scheduler.cache_info()["hits"] == 0
-        assert scheduler.cache_info()["misses"] == 8
+        assert scheduler.cache_info()["misses"] == len(variants)
+        # ``quick`` and the candidate set of the batched calls.
+        args = (base["activated"], base["cached_experts"], 1)
+        scheduler.simulate_makespan(*args, quick=False)
+        scheduler.simulate_makespan(*args, quick=True)
+        for batched in (
+            scheduler.quick_screen,
+            scheduler.quick_makespans_with,
+            scheduler.quick_makespan_lower_bounds,
+        ):
+            batched(*args, [2])
+            batched(*args, [2, 9])
+            batched(*args, [2, 40])  # 40 is not activated: the absent rank
+        assert scheduler.cache_info()["hits"] == 0
+
+    def test_key_ignores_every_input_that_is_not_read(self):
+        """Each of these calls is a hit on the first one's entry — and
+        what the hit is translated to is the from-scratch answer."""
+        scheduler = self._scheduler(64)
+        reference = ReferencePlanner(
+            scheduler._oracle_factory, SchedulerConfig(plan_cache_size=0)
+        )
+        base = self._BASE
+        scheduler.plan(**base)
+        same_shape = [
+            dict(base, layer=7),
+            dict(base, cached_experts={5, 0, 63}),  # non-activated members
+            dict(base, spilled={9, 1, 40}),
+            dict(base, inflight={5: 0.25, 3: 9.0}),
+            dict(base, spilled={9, 5}),  # spill state of a cached expert
+            dict(base, inflight={5: 0.25, 2: 9.0}),  # offset of an uncached one
+            dict(  # the same layer under an increasing relabelling
+                base, activated=[(11, 3), (12, 1), (60, 2)], cached_experts={12, 0},
+                inflight={12: 0.25}, spilled={60, 13},
+            ),
+        ]
+        for kwargs in same_shape:
+            assert scheduler.plan(**kwargs) == reference.plan(**kwargs)
+        # Nothing uncached: the PCIe backlog seeds no transfer lane.
+        # Nothing spilled: the disk cost is added nowhere.
+        all_cached = dict(base, cached_experts={2, 5, 9}, spilled=None)
+        scheduler.plan(**all_cached)
+        for kwargs in (
+            dict(all_cached, pcie_backlog=7.0),
+            dict(all_cached, disk_fetch_s=3.0, spilled={2}),
+        ):
+            assert scheduler.plan(**kwargs) == reference.plan(**kwargs)
+        info = scheduler.cache_info()
+        assert (info["hits"], info["misses"]) == (len(same_shape) + 2, 2)
+        # Batched calls: candidates enter as ranks, non-activated ones
+        # share one.
+        args = ([(2, 3), (5, 1), (9, 2)], {5}, 1)
+        relabelled = ([(11, 3), (12, 1), (60, 2)], {12, 0}, 1)
+        for name in ("quick_screen", "quick_makespans_with", "quick_makespan_lower_bounds"):
+            getattr(scheduler, name)(*args, [9, 40])
+            before = scheduler.cache_info()["hits"]
+            for call_args, candidates in ((args, [41, 9]), (relabelled, [60, 13, 14])):
+                assert getattr(scheduler, name)(*call_args, candidates) == getattr(
+                    reference, name
+                )(*call_args, candidates)
+            assert scheduler.cache_info()["hits"] == before + 2
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda s: s.quick_screen([(0, 1), (1, 2), (2, 1)], {0}, 1, [1, 2])[1],
+            lambda s: s.quick_makespans_with([(0, 1), (1, 2), (2, 1)], {0}, 1, [1, 2]),
+            lambda s: s.quick_makespan_lower_bounds([(0, 1), (1, 2), (2, 1)], {0}, 1, [1, 2]),
+            lambda s: s.plan(0, [(0, 1), (1, 2), (2, 1)], {0}, 1).metadata,
+        ],
+        ids=["quick_screen", "quick_makespans_with", "quick_makespan_lower_bounds", "plan"],
+    )
+    def test_results_are_rebuilt_per_call_never_shared(self, call):
+        """The miss and every hit hand out their own container: a
+        caller that mutates one corrupts nobody's later answer."""
+        scheduler = self._scheduler(16)
+        pristine = call(self._scheduler(0))
+        for _ in range(3):  # the miss, then two hits
+            result = call(scheduler)
+            assert result == pristine
+            result.clear()
+            result[1] = -1.0
+        assert scheduler.cache_info()["hits"] == 2
+
+    @given(
+        loads=_ACTIVATION,
+        cached_mask=_CACHED,
+        inflight_raw=st.dictionaries(_EXPERTS, st.floats(0.0, 400.0), max_size=8),
+        spilled=st.sets(_EXPERTS, max_size=24),
+        disk_fetch_s=st.sampled_from([0.0, 0.5, 7.0]),
+        gpu=st.floats(0.1, 5.0),
+        gpu_per_token=st.sampled_from([0.0, 0.02, 0.5]),
+        cpu=st.floats(0.1, 5.0),
+        transfer=st.floats(0.1, 10.0),
+        warmup=st.floats(0.0, 2.0),
+        pcie_backlog=st.floats(0.0, 12.0),
+        cpu_backlog=st.floats(0.0, 12.0),
+        steal=st.booleans(),
+        margin=st.sampled_from([0.0, 0.1, 0.3]),
+        include_shared=st.booleans(),
+        n_tokens=st.sampled_from([1, 4, 128]),
+        quick=st.booleans(),
+        labels=st.lists(st.integers(0, 999), min_size=128, max_size=128, unique=True),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_relabelled_layer_hits_and_equals_the_reference(
+        self, loads, cached_mask, inflight_raw, spilled, disk_fetch_s, gpu,
+        gpu_per_token, cpu, transfer, warmup, pcie_backlog, cpu_backlog, steal,
+        margin, include_shared, n_tokens, quick, labels,
+    ):
+        """The ``test_plans_bit_identical`` space, asked twice: once to
+        prime the memo, then as the same shape under a random strictly
+        increasing relabelling of the expert ids, another ``layer``
+        and junk non-activated members in all three sets. The second
+        answer is a memo hit, translated to the new ids — and must be
+        what the reference planner computes from scratch for them."""
+        fast, reference = _scheduler_pair(
+            gpu, cpu, transfer, warmup, steal, margin, gpu_per_token
+        )
+        experts = sorted(loads)
+        relabel = dict(zip(experts, sorted(labels[: len(experts)])))
+        junk_cached, junk_spilled = set(labels[64:90]), set(labels[90:110])
+        junk_inflight = dict.fromkeys(labels[110:118], 1.5)
+
+        def labelled(second):
+            if not second:
+                activated = sorted(loads.items())
+                return activated, cached_mask & set(loads), inflight_raw, spilled
+            return (
+                [(relabel[e], loads[e]) for e in reversed(experts)],
+                {relabel[e] for e in cached_mask & set(loads)} | junk_cached,
+                {relabel[e]: t for e, t in inflight_raw.items() if e in loads}
+                | junk_inflight,
+                {relabel[e] for e in spilled & set(loads)} | junk_spilled,
+            )
+
+        def calls(planner, second):
+            """Every memoized entry point on one labelling."""
+            activated, cached, inflight, spilled_ids = labelled(second)
+            full = dict(
+                pcie_backlog=pcie_backlog, include_shared=include_shared,
+                inflight=inflight, cpu_backlog=cpu_backlog, spilled=spilled_ids,
+                disk_fetch_s=disk_fetch_s,
+            )
+            tier = dict(spilled=spilled_ids, disk_fetch_s=disk_fetch_s)
+            # Candidates: uncached and cached activated experts plus
+            # one id that is not activated.
+            picks = experts[:4] + experts[-2:]
+            absent = labels[127] if second else 64
+            candidates = [relabel[e] if second else e for e in picks] + [absent]
+            args = (activated, cached, n_tokens)
+            yield lambda: planner.plan(11 if second else 7, *args, **full)
+            yield lambda: planner.simulate_makespan(*args, quick=quick, **full)
+            yield lambda: planner.quick_screen(*args, candidates, **tier)
+            yield lambda: planner.quick_makespans_with(*args, candidates, **tier)
+            yield lambda: planner.quick_makespan_lower_bounds(*args, candidates, **tier)
+
+        for call in calls(fast, second=False):
+            call()
+        primed = fast.cache_info()
+        assert (primed["hits"], primed["misses"]) == (0, 5)
+        for hit, scratch in zip(calls(fast, True), calls(reference, True)):
+            assert hit() == scratch()
+        # The quick calls' oracle is the reference *simulator*, not the
+        # search the reference planner inherits.
+        activated, cached, _, spilled_ids = labelled(True)
+        tier = dict(spilled=spilled_ids, disk_fetch_s=disk_fetch_s)
+        expert = relabel[experts[0]]
+        assert fast.quick_makespans_with(activated, cached, n_tokens, [expert], **tier)[
+            expert
+        ] == reference.simulate_makespan(
+            activated, cached | {expert}, n_tokens, quick=True, **tier
+        )
+        assert fast.cache_info()["hits"] == 5
+        assert fast.cache_info()["misses"] == 6
 
     def test_activation_order_shares_one_entry(self):
         scheduler = self._scheduler(16)
@@ -680,9 +864,12 @@ class TestPlanMemo:
 
     def test_lru_bound_and_disable(self):
         scheduler = self._scheduler(2)
-        for expert in range(5):
-            scheduler.plan(0, [(expert, 1)], set(), n_tokens=1)
+        for load in range(1, 6):  # five shapes; five ids would be one
+            scheduler.plan(0, [(0, load)], set(), n_tokens=1)
         assert scheduler.cache_info()["size"] == 2
+        scheduler.plan(0, [(9, 5)], set(), n_tokens=1)
+        scheduler.plan(0, [(0, 3)], set(), n_tokens=1)  # evicted
+        assert scheduler.cache_info()["hits"] == 1
         disabled = self._scheduler(0)
         disabled.plan(0, [(0, 1)], set(), n_tokens=1)
         disabled.plan(0, [(0, 1)], set(), n_tokens=1)
@@ -691,13 +878,73 @@ class TestPlanMemo:
         }
 
     def test_invalid_inputs_still_raise(self):
+        """Validation runs on every call, ahead of the memo: each bad
+        call below has the shape of the valid entry primed first (both
+        experts cached and nothing spilled, so neither ``pcie_backlog``
+        nor ``disk_fetch_s`` is even in the key)."""
         from repro.errors import SchedulingError
 
         scheduler = self._scheduler(16)
-        with pytest.raises(SchedulingError):
-            scheduler.plan(0, [(0, 1), (0, 2)], set(), n_tokens=1)
-        with pytest.raises(SchedulingError):
-            scheduler.plan(0, [(0, 1)], set(), n_tokens=1, pcie_backlog=-1.0)
+        full = {
+            "plan": lambda a, **kw: scheduler.plan(0, a, {0, 1}, 1, **kw),
+            "simulate_makespan": lambda a, **kw: scheduler.simulate_makespan(
+                a, {0, 1}, 1, **kw
+            ),
+        }
+        quick = {
+            name: lambda a, name=name, **kw: getattr(scheduler, name)(
+                a, {0, 1}, 1, [1], **kw
+            )
+            for name in (
+                "quick_screen", "quick_makespans_with", "quick_makespan_lower_bounds"
+            )
+        }
+        valid = [(0, 1), (1, 1)]
+        bad_calls = [
+            (dict(a=[(0, 1), (0, 1)]), "duplicate expert ids"),
+            (dict(a=[(0, 1), (1, 0)]), "positive load"),
+            (dict(a=valid, disk_fetch_s=-1.0), "disk_fetch_s must be non-negative"),
+            (dict(a=valid, disk_fetch_s=float("nan")), "disk_fetch_s must be non-negative"),
+        ]
+        bad_backlogs = [
+            (dict(a=valid, **{name: bad}), f"{name} must be non-negative")
+            for name in ("pcie_backlog", "cpu_backlog")
+            for bad in (-1.0, float("nan"))
+        ]
+        for name, call in {**full, **quick}.items():
+            call(valid)
+            size = scheduler.cache_info()["size"]
+            for kwargs, message in bad_calls + (bad_backlogs if name in full else []):
+                with pytest.raises(SchedulingError, match=message):
+                    call(**kwargs)
+            assert call(valid) is not None  # still a hit, entry intact
+            assert scheduler.cache_info()["size"] == size
+        assert scheduler.cache_info()["hits"] == len(full) + len(quick)
+
+
+def test_decode_steps_hit_the_memo_and_rarely_simulate():
+    """No wall clock: 64 decode steps of the ledger's ``decode_hot``
+    engine. A decode layer is six unit loads and their cached flags, so
+    nearly every planner call is a memo hit whatever ids were routed,
+    and the event loop runs 4-5 times per 8-layer step (keyed on ids
+    this run hit 287 times of 1 658 and simulated 24 times per step).
+    The counts repeat exactly for a fixed seed."""
+    engine = make_engine(
+        model="deepseek", strategy="hybrimoe", hardware="paper", num_layers=8,
+        cache_ratio=0.75, seed=3,
+    )
+    scheduler = engine.runtime.scheduler
+    simulations = []
+    run_schedule = scheduler._run_schedule
+    scheduler._run_schedule = lambda *args: (
+        simulations.append(1) or run_schedule(*args)
+    )
+    result = engine.decode_only(64)
+    steps = len(result.decode_steps) + 1  # plus the warm prefill
+    info = scheduler.cache_info()
+    assert (info["hits"], info["misses"]) == (1468, 190)
+    assert info["hits"] / (info["hits"] + info["misses"]) >= 0.75
+    assert len(simulations) <= 5 * steps
 
 
 def test_engine_threads_scheduler_config():

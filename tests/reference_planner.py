@@ -9,9 +9,10 @@ planner's ``fast_path=False`` branch, moved here verbatim when the
 switch was deleted. Production plans must equal this module's, float
 for float and task for task; nothing under ``src/`` imports it.
 
-Only input validation, the candidate transfer counts and the config
-are shared with the production class (inherited); no result is
-memoized.
+Only the candidate transfer counts and the config are shared with the
+production class (inherited). It works on the caller's expert ids
+throughout — its own input validation, no canonical shape, no memo — so
+it is also the oracle of the production planner's rank translation.
 """
 
 from __future__ import annotations
@@ -155,6 +156,47 @@ class ReferencePlanner(HybridScheduler):
         assert best is not None  # at least k=0 is always simulated
         return best
 
+    @staticmethod
+    def _validated_inputs(
+        activated,
+        cached_experts,
+        pcie_backlog: float,
+        cpu_backlog: float,
+        inflight,
+        spilled=None,
+        disk_fetch_s: float = 0.0,
+    ) -> tuple[dict[int, int], dict[int, float], frozenset[int]]:
+        """The id-keyed input validation the planner had before it
+        canonicalised its inputs into ranks, moved here verbatim.
+
+        NaN fails the ``>= 0`` tests; ``inf`` is a legal dead resource.
+        The effective spilled set is intersected with the *uncached*
+        activated experts: a GPU-cached expert never touches disk, and
+        spill state of non-activated experts is irrelevant to this
+        layer's plan.
+        """
+        if not pcie_backlog >= 0:
+            raise SchedulingError(f"pcie_backlog must be non-negative, got {pcie_backlog}")
+        if not cpu_backlog >= 0:
+            raise SchedulingError(f"cpu_backlog must be non-negative, got {cpu_backlog}")
+        if not disk_fetch_s >= 0:
+            raise SchedulingError(
+                f"disk_fetch_s must be non-negative, got {disk_fetch_s}"
+            )
+        loads = dict(activated)
+        if len(loads) != len(activated):
+            raise SchedulingError("duplicate expert ids in activated list")
+        if any(load <= 0 for load in loads.values()):
+            raise SchedulingError("activated experts must have positive load")
+        inflight_eff = {
+            e: max(0.0, ready)
+            for e, ready in (inflight or {}).items()
+            if e in loads and e in cached_experts
+        }
+        spilled_eff = frozenset(
+            e for e in (spilled or ()) if e in loads and e not in cached_experts
+        )
+        return loads, inflight_eff, spilled_eff
 
     # ------------------------------------------------------------------
     # the event-driven schedule simulation (reference oracle)

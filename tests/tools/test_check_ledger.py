@@ -7,12 +7,20 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tools"))
 
-from check_ledger import EXPERT_CALLS, ledger_problems, main  # noqa: E402
+from check_ledger import (  # noqa: E402
+    EXPERT_CALLS,
+    MEMO_HIT_SHARE,
+    ledger_problems,
+    main,
+)
 
 
 def run(workload, trace, calls=12, missing=()):
     """One ledger run, reduced to the fields the gate reads."""
-    per_layer = {EXPERT_CALLS: {"value": calls, "unit": "count", "better": "lower"}}
+    per_layer = {
+        EXPERT_CALLS: {"value": calls, "unit": "count", "better": "lower"},
+        MEMO_HIT_SHARE: {"value": 0.799, "unit": "share", "better": "higher"},
+    }
     return {
         "workload": workload,
         "trace": trace,
@@ -58,3 +66,14 @@ def test_zero_expert_calls_on_a_traced_run_fails():
     ledger["runs"][1]["per_layer"][EXPERT_CALLS]["value"] = 0
     (problem,) = ledger_problems(ledger)
     assert "decode_hot (trace 1)" in problem and EXPERT_CALLS in problem
+
+
+def test_decode_hot_memo_hit_share_below_the_floor_fails():
+    """0.175 is what the id-keyed memo read at smoke size. The floor
+    binds the traced ``decode_hot`` run only: a cold prefill never
+    hits."""
+    ledger = copy.deepcopy(SOUND)
+    ledger["runs"][1]["per_layer"][MEMO_HIT_SHARE]["value"] = 0.175
+    ledger["runs"][3]["per_layer"][MEMO_HIT_SHARE]["value"] = 0.0
+    (problem,) = ledger_problems(ledger)
+    assert "decode_hot (trace 1)" in problem and MEMO_HIT_SHARE in problem
