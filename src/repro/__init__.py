@@ -54,7 +54,6 @@ Scenario quickstart (the spec-based configuration API)::
 from repro.engine import (
     EngineConfig,
     GenerationResult,
-    GenerationSession,
     InferenceEngine,
     ServingReport,
     available_strategies,
@@ -127,7 +126,6 @@ __all__ = [
     "Request",
     "EngineConfig",
     "GenerationResult",
-    "GenerationSession",
     "ReferenceMoEModel",
     "MoEModelConfig",
     "get_preset",

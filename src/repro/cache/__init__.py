@@ -14,15 +14,16 @@ DRAM) holds a bounded number of routed experts; this package decides
 :class:`~repro.cache.manager.ExpertCache` enforces capacity, pinning and
 locking invariants and keeps hit/miss statistics.
 
-On a multi-GPU platform the cache shards into per-device
-:class:`~repro.cache.manager.ExpertCache` instances behind
-:class:`~repro.cache.sharded.ShardedCacheManager`; a
-:class:`~repro.cache.placement.PlacementPolicy` (round-robin,
-layer-striped or load-aware) routes every key to its home device.
+The engine's GPU cache is one :class:`~repro.cache.manager.ExpertCache`
+shard per device behind
+:class:`~repro.cache.sharded.ShardedCacheManager` (a single shard on
+one GPU); a :class:`~repro.cache.placement.PlacementPolicy`
+(round-robin, layer-striped or load-aware) routes every key to its
+home device when there are several.
 
 When host DRAM is itself capacity-limited,
 :class:`~repro.cache.tiered.TieredCacheManager` composes the GPU cache
-(sharded or not) with a second, capacity-limited DRAM-tier
+with a second, capacity-limited DRAM-tier
 :class:`ExpertCache`; experts resident in neither tier are spilled to
 disk and pay a disk read before any use.
 """

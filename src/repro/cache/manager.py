@@ -137,10 +137,10 @@ class ExpertCache:
     def pinned_keys(self) -> set[ExpertKey]:
         return set(self._pinned)
 
-    def cached_experts_of_layer(self, layer: int) -> set[int]:
-        """Expert ids of ``layer`` currently resident."""
+    def cached_experts_of_layer(self, layer: int) -> frozenset[int]:
+        """Expert ids of ``layer`` currently resident (a snapshot)."""
         bucket = self._by_layer.get(layer)
-        return set(bucket) if bucket else set()
+        return frozenset(bucket) if bucket else frozenset()
 
     @property
     def free_slots(self) -> int:

@@ -12,10 +12,15 @@ slice of the expert population.
 Construction goes through :class:`CacheSpec` — a declarative recipe
 (aggregate capacity, a policy factory, pinned and warm-fill key orders)
 that every :class:`~repro.engine.strategy_base.Strategy` provides. The
-same spec materialises either one unsharded cache or ``N`` shards with
-the aggregate capacity split evenly and the pinned/warm lists filtered
-by placement, which is what makes the 1-GPU sharded configuration
-bit-identical to the unsharded engine (test-enforced).
+engine materialises it as ``N`` shards with the aggregate capacity
+split evenly and the pinned/warm lists filtered by placement.
+
+This is the only GPU-cache wiring: the paper's single-GPU platform is
+the manager over **one** shard. There every key's home is device 0, so
+a one-shard manager never consults its placement policy and forwards
+each operation to the shard verbatim — the engine's behaviour on one
+GPU is that of a bare :class:`~repro.cache.manager.ExpertCache`
+(pinned by the ``GOLDEN_1GPU`` digests in ``tests/engine``).
 """
 
 from __future__ import annotations
@@ -82,12 +87,6 @@ class CacheSpec:
         self.pinned = tuple(pinned)
         self.warm = tuple(warm)
 
-    def build(self) -> ExpertCache:
-        """Materialise the unsharded (single-device) cache."""
-        cache = ExpertCache(self.capacity, self.policy_factory(), pinned=self.pinned)
-        cache.warm_fill(self.warm)
-        return cache
-
     def build_sharded(self, placement: PlacementPolicy) -> "ShardedCacheManager":
         """Materialise one shard per device behind a manager.
 
@@ -122,8 +121,9 @@ class ShardedCacheManager:
     device-routing queries the multi-GPU pipeline needs
     (:meth:`device_of`, :attr:`shards`, :meth:`per_device_stats`).
 
-    With one shard every operation forwards verbatim, so a 1-device
-    manager is operation-for-operation identical to its shard.
+    With one shard every operation forwards verbatim and the placement
+    policy is never consulted (the home of every key is device 0), so a
+    1-device manager is operation-for-operation identical to its shard.
     """
 
     def __init__(
@@ -138,6 +138,9 @@ class ShardedCacheManager:
             )
         self.shards = shards
         self.placement = placement
+        #: The one shard of a single-device manager (None on a fleet):
+        #: routing short-circuits to it without asking the placement.
+        self._solo = shards[0] if len(shards) == 1 else None
 
     # ------------------------------------------------------------------
     # routing
@@ -151,6 +154,8 @@ class ShardedCacheManager:
 
     def device_of(self, key: ExpertKey) -> int:
         """Home device of ``key`` (assigning it if load-aware and new)."""
+        if self._solo is not None:
+            return 0
         occupancy = self._occupancy() if self.placement.uses_occupancy else ()
         device = self.placement.assign(key, occupancy)
         if not 0 <= device < len(self.shards):
@@ -166,6 +171,8 @@ class ShardedCacheManager:
         ``None`` (load-aware, key never routed) implies the key is
         resident nowhere — pure queries must not perturb placement.
         """
+        if self._solo is not None:
+            return 0
         device = self.placement.peek(key)
         if device is not None and not 0 <= device < len(self.shards):
             raise CacheError(
@@ -216,14 +223,15 @@ class ShardedCacheManager:
             keys |= shard.locked_keys
         return keys
 
-    def cached_experts_of_layer(self, layer: int) -> set[int]:
+    def cached_experts_of_layer(self, layer: int) -> frozenset[int]:
         """Union of the layer's resident experts across all shards."""
-        experts: set[int] = set()
-        for shard in self.shards:
-            experts |= shard.cached_experts_of_layer(layer)
-        return experts
+        if self._solo is not None:
+            return self._solo.cached_experts_of_layer(layer)
+        return frozenset().union(
+            *[shard.cached_experts_of_layer(layer) for shard in self.shards]
+        )
 
-    def device_experts_of_layer(self, layer: int, device: int) -> set[int]:
+    def device_experts_of_layer(self, layer: int, device: int) -> frozenset[int]:
         """Resident experts of ``layer`` on one device's shard."""
         return self.shards[device].cached_experts_of_layer(layer)
 
@@ -231,7 +239,11 @@ class ShardedCacheManager:
     # ExpertCache interface (mutation)
     # ------------------------------------------------------------------
     def access(self, key: ExpertKey) -> bool:
-        return self.shard_of(key).access(key)
+        # The per-expert call of every layer: routed inline.
+        shard = self._solo
+        if shard is None:
+            shard = self.shards[self.device_of(key)]
+        return shard.access(key)
 
     def touch(self, key: ExpertKey) -> None:
         device = self.peek_device_of(key)
@@ -251,6 +263,8 @@ class ShardedCacheManager:
         probing a load-aware manager for keys that are then rejected
         does not sticky-commit their placement.
         """
+        if self._solo is not None:
+            return self._solo.would_admit(key, margin=margin)
         occupancy = self._occupancy() if self.placement.uses_occupancy else ()
         device = self.placement.preview(key, occupancy)
         if not 0 <= device < len(self.shards):
@@ -289,9 +303,12 @@ class ShardedCacheManager:
     def stats(self) -> CacheStats:
         """Aggregate hit/miss/eviction counters across shards.
 
-        Returns a fresh summed snapshot; mutate per-shard stats via
-        ``shards[g].stats`` if needed.
+        Returns a fresh summed snapshot (on one shard: that shard's
+        live counters); mutate per-shard stats via ``shards[g].stats``
+        if needed.
         """
+        if self._solo is not None:
+            return self._solo.stats
         total = CacheStats()
         for shard in self.shards:
             s = shard.stats

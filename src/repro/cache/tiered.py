@@ -4,10 +4,11 @@
 GPU expert cache over an *infinite* CPU store) to the three-tier
 hierarchy of memory-limited deployments:
 
-- **GPU tier** — the existing :class:`~repro.cache.manager.ExpertCache`
-  (or a :class:`~repro.cache.sharded.ShardedCacheManager` on a fleet),
-  built from the strategy's :class:`~repro.cache.sharded.CacheSpec`
-  exactly as before;
+- **GPU tier** — the engine's
+  :class:`~repro.cache.sharded.ShardedCacheManager` (one shard per
+  GPU, one shard on the paper's single-GPU platform), built from the
+  strategy's :class:`~repro.cache.sharded.CacheSpec` exactly as on a
+  two-tier platform;
 - **CPU DRAM tier** — a second, capacity-limited :class:`ExpertCache`
   with its own eviction policy from the same strategy registry
   (LRU/LFU/MRS apply per tier). An expert resident here can be
@@ -48,10 +49,12 @@ class TieredCacheManager:
     Parameters
     ----------
     gpu_tier:
-        The GPU expert cache (unsharded or sharded) the engine would
-        have used on its own; every two-tier operation forwards here
-        verbatim, which is what keeps the unbounded-DRAM configuration
-        bit-identical to the historical engine.
+        The GPU expert cache the engine would have used on its own (a
+        sharded manager; a bare :class:`ExpertCache` serves every
+        operation but the device pass-through below). Every two-tier
+        operation forwards here verbatim, which is what keeps the
+        unbounded-DRAM configuration bit-identical to the two-tier
+        engine.
     cpu_tier:
         The capacity-limited DRAM cache. Its capacity counts *routed
         expert slots* of host memory; keys outside both tiers are
@@ -77,12 +80,18 @@ class TieredCacheManager:
         return key not in self.gpu_tier and key not in self.cpu_tier
 
     def spilled_experts(self, layer: int, experts: Iterable[int]) -> frozenset[int]:
-        """The subset of ``experts`` of ``layer`` resident in no tier."""
-        return frozenset(
-            expert for expert in experts if self.is_spilled((layer, expert))
+        """The subset of ``experts`` of ``layer`` resident in no tier.
+
+        Answered from the two tiers' per-layer residency indexes — one
+        set difference each, not an :meth:`is_spilled` probe per key.
+        """
+        return (
+            frozenset(experts)
+            - self.gpu_tier.cached_experts_of_layer(layer)
+            - self.cpu_tier.cached_experts_of_layer(layer)
         )
 
-    def dram_experts_of_layer(self, layer: int) -> set[int]:
+    def dram_experts_of_layer(self, layer: int) -> frozenset[int]:
         """Expert ids of ``layer`` with a DRAM-resident copy."""
         return self.cpu_tier.cached_experts_of_layer(layer)
 
@@ -153,7 +162,7 @@ class TieredCacheManager:
     def locked_keys(self) -> set[ExpertKey]:
         return self.gpu_tier.locked_keys
 
-    def cached_experts_of_layer(self, layer: int) -> set[int]:
+    def cached_experts_of_layer(self, layer: int) -> frozenset[int]:
         return self.gpu_tier.cached_experts_of_layer(layer)
 
     def access(self, key: ExpertKey) -> bool:
@@ -202,11 +211,6 @@ class TieredCacheManager:
     # sharded-cache pass-through (multi-GPU pipeline)
     # ------------------------------------------------------------------
     @property
-    def sharded(self) -> bool:
-        """Whether the GPU tier is device-sharded."""
-        return isinstance(self.gpu_tier, ShardedCacheManager)
-
-    @property
     def shards(self) -> list[ExpertCache]:
         return self.gpu_tier.shards
 
@@ -224,7 +228,7 @@ class TieredCacheManager:
     def peek_device_of(self, key: ExpertKey) -> int | None:
         return self.gpu_tier.peek_device_of(key)
 
-    def device_experts_of_layer(self, layer: int, device: int) -> set[int]:
+    def device_experts_of_layer(self, layer: int, device: int) -> frozenset[int]:
         return self.gpu_tier.device_experts_of_layer(layer, device)
 
     def per_device_stats(self) -> list[CacheStats]:

@@ -343,7 +343,7 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     _knob_flag(parser, "--num-layers", "num_layers")
     _knob_flag(parser, "--seed", "seed")
     _knob_flag(
-        parser, "--num-gpus", "num_gpus", help="simulated GPU devices (sharded cache above 1)"
+        parser, "--num-gpus", "num_gpus", help="simulated GPU devices (one cache shard each)"
     )
     _knob_flag(
         parser,

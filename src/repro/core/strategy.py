@@ -159,8 +159,9 @@ class HybriMoEStrategy(Strategy):
             # *refilled* in the background — an off-critical-path PCIe
             # copy so the next iterations hit. Both paths are
             # admission-controlled by MRS priority.
+            shard = runtime.cache.shards[ctx.device_id]
             for transfer in plan.transfers:
-                runtime.cache.insert_if_better((transfer.layer, transfer.expert))
+                shard.insert_if_better((transfer.layer, transfer.expert))
             self._refill_decode_misses(ctx, plan)
         # Prefill loads are transient layer-by-layer traffic, not
         # iteration-level reuse signal; they bypass the cache.
@@ -177,9 +178,9 @@ class HybriMoEStrategy(Strategy):
         one.
         """
         runtime = self._runtime()
-        cache = runtime.cache
-        # Refills ride this device's own host-to-device link (device 0
-        # on the unsharded single-GPU platform).
+        # Refills ride this device's own host-to-device link into its
+        # own shard — the home of every expert of ``ctx``.
+        shard = runtime.cache.shards[ctx.device_id]
         link = runtime.clock.pcie_timeline(ctx.device_id)
         if link.available_at > ctx.moe_start:
             return
@@ -191,14 +192,14 @@ class HybriMoEStrategy(Strategy):
         )
         for task in misses:
             key = (task.layer, task.expert)
-            if not cache.would_admit(key):
+            if not shard.would_admit(key):
                 continue
             duration = runtime.cost_actual.transfer_time(shape)
             _, finish = link.reserve(
                 ctx.moe_start, duration, f"refill L{task.layer} E{task.expert}"
             )
             runtime.arrivals[key] = finish
-            cache.insert_if_better(key)
+            shard.insert_if_better(key)
             break
 
     def prefetch_requests(

@@ -24,7 +24,6 @@ from repro.engine.metrics import (
     latency_percentiles,
 )
 from repro.engine.pipeline import BatchStepResult, SequenceStep, StepPipeline
-from repro.engine.session import GenerationSession
 from repro.engine.strategy_base import LayerContext, Strategy
 
 __all__ = [
@@ -41,7 +40,6 @@ __all__ = [
     "StepPipeline",
     "SequenceStep",
     "BatchStepResult",
-    "GenerationSession",
     "make_engine",
     "make_strategy",
     "make_serving_engine",

@@ -78,12 +78,6 @@ class EngineConfig:
         Averaging coefficient of the MRS cache policy (eq. 3).
     validate_plans:
         Validate every plan against routing/cache state (cheap; keep on).
-    sharded_cache:
-        Force (True) or forbid (False) the sharded cache machinery;
-        ``None`` picks it automatically (sharded iff ``num_gpus > 1``).
-        ``sharded_cache=True`` with one GPU runs the full sharding path
-        on a single shard — bit-identical to the unsharded engine, the
-        property the multi-GPU equivalence tests enforce.
     """
 
     cache_ratio: float = 0.5
@@ -99,7 +93,6 @@ class EngineConfig:
     validate_plans: bool = True
     num_gpus: int = 1
     placement: str = "round_robin"
-    sharded_cache: bool | None = None
     cpu_cache_capacity: int | None = None
     cpu_cache_policy: str = "lru"
     disk_bandwidth: float | None = None
@@ -117,8 +110,6 @@ class EngineConfig:
             raise ConfigError(
                 f"unknown placement {self.placement!r} (known: {known})"
             )
-        if self.sharded_cache is False and self.num_gpus > 1:
-            raise ConfigError("sharded_cache=False requires num_gpus=1")
         if self.noise_sigma < 0:
             raise ConfigError(f"noise_sigma must be non-negative, got {self.noise_sigma}")
         if self.prefetch_lookahead < 1:
@@ -208,7 +199,7 @@ class EngineRuntime:
         self.prefetch_issued = 0
         self.prefetch_used = 0
         self._prefetch_pending: set[tuple[int, int]] = set()
-        self.cache: ExpertCache | ShardedCacheManager | TieredCacheManager | None = None
+        self.cache: ShardedCacheManager | TieredCacheManager | None = None
         #: Planner-side disk -> DRAM read estimate per routed expert
         #: (0 on two-tier platforms, where disk is never consulted).
         if config.tiered:
@@ -233,13 +224,6 @@ class EngineRuntime:
     def num_gpus(self) -> int:
         """Simulated GPU device count."""
         return self.config.num_gpus
-
-    @property
-    def sharded(self) -> bool:
-        """Whether the cache/pipeline run the device-sharded path."""
-        if self.config.sharded_cache is not None:
-            return self.config.sharded_cache
-        return self.config.num_gpus > 1
 
     @property
     def tiered(self) -> bool:
@@ -398,13 +382,12 @@ class InferenceEngine:
             DegradedCostModel(cost_estimated),
         )
         strategy.bind(self.runtime)
-        if self.runtime.sharded:
-            placement = make_placement(self.config.placement, self.config.num_gpus)
-            gpu_cache: ExpertCache | ShardedCacheManager = (
-                strategy.cache_spec().build_sharded(placement)
-            )
-        else:
-            gpu_cache = strategy.build_cache()
+        # One cache wiring for every platform: one shard per GPU behind
+        # a manager (a single shard on the paper's testbed), under the
+        # DRAM tier when host memory is capped.
+        gpu_cache = strategy.cache_spec().build_sharded(
+            make_placement(self.config.placement, self.config.num_gpus)
+        )
         if self.config.tiered:
             self.runtime.cache = TieredCacheManager(
                 gpu_cache, self._build_cpu_tier()
@@ -539,7 +522,7 @@ class InferenceEngine:
     # ------------------------------------------------------------------
     # the per-step pipeline
     # ------------------------------------------------------------------
-    def _cache(self) -> ExpertCache:
+    def _cache(self) -> ShardedCacheManager | TieredCacheManager:
         return self.pipeline._cache()
 
     def _run_step(

@@ -36,20 +36,22 @@ pays the disk read without spending PCIe bandwidth. With no CPU-tier
 cap the spilled set is always empty and every code path reduces to the
 two-tier engine, bit-identically.
 
-**Multi-GPU dispatch.** When the engine runs with a sharded cache
-(``num_gpus > 1``, or ``sharded_cache=True``), each layer's activated
-experts are partitioned by their home device (the shard that holds or
-would cache them) and the strategy plans **one device group at a
+**Device groups.** Every platform runs the same dispatch: each layer's
+activated experts are partitioned by their home device (the cache
+shard that holds or would cache them; resolved once per layer, in
+expert-id order) and the strategy plans **one device group at a
 time**, in ascending device order: device ``g``'s plan sees only its
-own experts and shard residency, its own PCIe link backlog, and the
-shared CPU's accumulated backlog from earlier groups — the per-device
-arbitration of the paper's min-latency CPU-fallback rule. Attention
-and the fused shared-experts block stay on one device per step/layer
-(attention on device 0, shared experts on the lowest-indexed device
-with routed work), and the layer barrier waits for every device. With
-one device the partition is a single group and the dispatch reduces
-exactly to the single-GPU path, which is what makes the 1-GPU sharded
-configuration bit-identical to the unsharded engine.
+own experts and its own shard's residency, its own PCIe link backlog,
+and the shared CPU's accumulated backlog from earlier groups — the
+per-device arbitration of the paper's min-latency CPU-fallback rule.
+Residency reads, locking and the strategy's cache maintenance go
+straight to the group's shard. Attention and the fused shared-experts
+block stay on one device per step/layer (attention on device 0, shared
+experts on the lowest-indexed device with routed work), and the layer
+barrier waits for every device. The paper's single-GPU platform is not
+a special case of the code, only of the data: one shard, hence one
+group whose :class:`LayerContext` describes the whole layer, and a
+placement policy nobody asks.
 """
 
 from __future__ import annotations
@@ -108,7 +110,7 @@ class StepPipeline:
 
     Per layer of a fused step: charge and run attention, route the
     concatenated rows once, record one cache access per activated
-    expert, plan and execute (per device group on a sharded platform),
+    expert, plan and execute each device group (one on a single GPU),
     run each routed expert once on its slice of the expert-grouped rows
     and recombine, then offer the strategy its prefetch window.
 
@@ -133,8 +135,8 @@ class StepPipeline:
         self.runtime = runtime
 
     # ------------------------------------------------------------------
-    def _cache(self) -> ExpertCache | ShardedCacheManager | TieredCacheManager:
-        """The engine's bound expert cache (sharded and/or tiered)."""
+    def _cache(self) -> ShardedCacheManager | TieredCacheManager:
+        """The engine's bound expert cache (sharded, maybe tiered)."""
         cache = self.runtime.cache
         if cache is None:
             raise ConfigError("engine runtime has no cache bound")
@@ -182,6 +184,7 @@ class StepPipeline:
         cfg = model.config
         runtime = self.runtime
         cache = self._cache()
+        shards = cache.shards
         clock = runtime.clock
 
         tokens_list: list[np.ndarray] = []
@@ -199,7 +202,7 @@ class StepPipeline:
         d_model = cfg.routed_expert_shape.d_model
 
         step_start = max(clock.compute_frontier, not_before)
-        stats_before = cache.stats  # one snapshot: aggregated on sharded caches
+        stats_before = cache.stats  # one snapshot: aggregated across shards
         hits_before, misses_before = stats_before.hits, stats_before.misses
 
         blocks = [
@@ -236,7 +239,6 @@ class StepPipeline:
             active_ids = np.flatnonzero(router.loads > 0)
             active = active_ids.tolist()
             activated = tuple(zip(active, router.loads[active_ids].tolist()))
-            cached = frozenset(cache.cached_experts_of_layer(layer))
             if runtime.tiered:
                 self._commit_landed_promotions(attn_end)
                 spilled = cache.spilled_experts(
@@ -262,40 +264,64 @@ class StepPipeline:
                     if hit:
                         runtime.prefetch_used += 1
 
-            pcie_backlog = max(0.0, clock.pcie.available_at - attn_end)
-            inflight_offsets = tuple(
-                (expert, offset)
-                for expert, _ in activated
-                if expert in cached
-                and (
-                    offset := runtime.arrivals.get((layer, expert), 0.0) - attn_end
+            # One plan per device group, in ascending device order: each
+            # sees its own shard's residency and link backlog, and the
+            # shared CPU's backlog left by the groups before it.
+            lead = None
+            routed_tasks: list[ComputeTask] = []
+            for device, group in self._device_groups(cache, layer, activated):
+                shard = shards[device]
+                cached = shard.cached_experts_of_layer(layer)
+                pcie_backlog = max(
+                    0.0, clock.pcie_links[device].available_at - attn_end
                 )
-                > 0.0
-            )
-            ctx = LayerContext(
-                layer=layer,
-                stage=stage,
-                n_tokens=n_tokens,
-                router=router,
-                activated=activated,
-                cached_experts=cached,
-                moe_start=attn_end,
-                pcie_backlog=pcie_backlog,
-                inflight_offsets=inflight_offsets,
-                spilled_experts=spilled,
-                disk_fetch_s=runtime.disk_fetch_est_s,
-            )
-            self.strategy.observe_scores(ctx)
-            if runtime.sharded:
-                routed_tasks = self._run_sharded_layer(ctx)
-            else:
-                routed_tasks = self._plan_and_execute(ctx).routed_compute_tasks()
+                # A transfer lands when its reservation on the home
+                # device's own link finishes (on-demand load, prefetch
+                # or refill alike), so an idle link means nothing is
+                # still in flight and there is nothing to scan for.
+                inflight: tuple[tuple[int, float], ...] = ()
+                if pcie_backlog > 0.0:
+                    inflight = tuple(
+                        (expert, offset)
+                        for expert, _ in group
+                        if expert in cached
+                        and (
+                            offset := runtime.arrivals.get((layer, expert), 0.0)
+                            - attn_end
+                        )
+                        > 0.0
+                    )
+                ctx = LayerContext(
+                    layer=layer,
+                    stage=stage,
+                    n_tokens=n_tokens,
+                    router=router,
+                    activated=group,
+                    cached_experts=cached,
+                    moe_start=attn_end,
+                    pcie_backlog=pcie_backlog,
+                    inflight_offsets=inflight,
+                    device_id=device,
+                    include_shared=lead is None,
+                    cpu_backlog=max(0.0, clock.cpu.available_at - attn_end),
+                    spilled_experts=(
+                        spilled.intersection(expert for expert, _ in group)
+                        if spilled
+                        else spilled
+                    ),
+                    disk_fetch_s=runtime.disk_fetch_est_s,
+                )
+                if lead is None:
+                    lead = ctx
+                    self.strategy.observe_scores(ctx)
+                plan = self._plan_and_execute(ctx, shard)
+                routed_tasks.extend(plan.routed_compute_tasks())
 
             routed_out = self._combine_outputs(z, layer, router, active, routed_tasks)
             shared_out = model.shared_forward(z, layer)
             x = h + model.residual_scale * (shared_out + routed_out)
 
-            self._issue_prefetches(ctx, z)
+            self._issue_prefetches(lead, z)
 
         for state, size in zip(states, sizes):
             state.position += size
@@ -360,16 +386,37 @@ class StepPipeline:
             # the same key still in flight is superseded.
             self.runtime.pending_dram.pop(key, None)
 
-    def _plan_and_execute(self, ctx: LayerContext) -> ExecutionPlan:
-        """Plan one context's experts and run the plan on its device.
+    @staticmethod
+    def _device_groups(
+        cache: ShardedCacheManager | TieredCacheManager,
+        layer: int,
+        activated: tuple[tuple[int, int], ...],
+    ) -> Sequence[tuple[int, tuple[tuple[int, int], ...]]]:
+        """Partition a layer's ``(expert, load)`` pairs by home device.
 
-        ``ctx`` is a whole layer (unsharded engine) or one device group
-        of it: plan, validate, lock what the plan uses, execute on
+        ``(device, pairs)`` in ascending device order, pairs in
+        ascending expert id. Each expert's home is resolved here, once
+        per layer and in id order (a load-aware placement assigns new
+        keys stickily, first come first served); on one device the
+        layer is its own single group and no placement is asked.
+        """
+        if len(cache.shards) == 1:
+            return ((0, activated),)
+        by_device: dict[int, list[tuple[int, int]]] = {}
+        for pair in activated:
+            by_device.setdefault(cache.device_of((layer, pair[0])), []).append(pair)
+        return [(device, tuple(by_device[device])) for device in sorted(by_device)]
+
+    def _plan_and_execute(self, ctx: LayerContext, shard: ExpertCache) -> ExecutionPlan:
+        """Plan one device group's experts and run the plan on its device.
+
+        Plan, validate, lock what the plan uses, execute on
         ``ctx.device_id``'s timelines, promote what was staged off disk,
-        let the strategy maintain the cache, unlock.
+        let the strategy maintain the cache, unlock. Every key the plan
+        touches is homed on ``ctx.device_id``, so only ``shard`` — that
+        device's slice of the GPU cache — is locked.
         """
         runtime = self.runtime
-        cache = self._cache()
         layer = ctx.layer
         cached = ctx.cached_experts
         plan = self.strategy.plan_layer(ctx)
@@ -378,7 +425,7 @@ class StepPipeline:
 
         used_keys = {(layer, e) for e, _ in ctx.activated if e in cached}
         used_keys.update((layer, t.expert) for t in plan.transfers)
-        cache.lock(used_keys)
+        shard.lock(used_keys)
         execute_plan(
             plan,
             runtime.clock,
@@ -391,78 +438,8 @@ class StepPipeline:
         )
         self._promote_spilled(layer, ctx.spilled_experts)
         self.strategy.after_layer(ctx, plan)
-        cache.unlock_all()
+        shard.unlock_all()
         return plan
-
-    def _run_sharded_layer(self, ctx: LayerContext) -> list[ComputeTask]:
-        """Plan and execute one layer's experts across the GPU fleet.
-
-        Partitions the activated experts by home device, then walks the
-        device groups in ascending order. Each group is planned with
-        **that device's** shard residency, PCIe-link backlog and the
-        shared CPU's accumulated backlog (earlier groups' CPU-fallback
-        work queues ahead — the per-device min-latency arbitration),
-        executed on that device's timelines, and handed back to the
-        strategy for cache maintenance. Exactly one group per layer —
-        the lowest-indexed device with routed work — carries the fused
-        shared-experts block.
-
-        Returns the routed compute tasks of every device plan, for the
-        numerical recombination step.
-        """
-        runtime = self.runtime
-        clock = runtime.clock
-        manager = self._cache()
-        layer = ctx.layer
-
-        groups: dict[int, list[tuple[int, int]]] = {}
-        for expert, load in ctx.activated:
-            device = manager.device_of((layer, expert))
-            groups.setdefault(device, []).append((expert, load))
-        if not groups:
-            return []
-        shared_device = min(groups)
-
-        routed_tasks: list[ComputeTask] = []
-        for device in sorted(groups):
-            group = tuple(groups[device])
-            cached_dev = frozenset(manager.device_experts_of_layer(layer, device))
-            pcie_backlog = max(
-                0.0, clock.pcie_timeline(device).available_at - ctx.moe_start
-            )
-            cpu_backlog = max(0.0, clock.cpu.available_at - ctx.moe_start)
-            inflight_dev = tuple(
-                (expert, offset)
-                for expert, _ in group
-                if expert in cached_dev
-                and (
-                    offset := runtime.arrivals.get((layer, expert), 0.0)
-                    - ctx.moe_start
-                )
-                > 0.0
-            )
-            dev_spilled = frozenset(
-                expert for expert, _ in group if expert in ctx.spilled_experts
-            )
-            dev_ctx = LayerContext(
-                layer=layer,
-                stage=ctx.stage,
-                n_tokens=ctx.n_tokens,
-                router=ctx.router,
-                activated=group,
-                cached_experts=cached_dev,
-                moe_start=ctx.moe_start,
-                pcie_backlog=pcie_backlog,
-                inflight_offsets=inflight_dev,
-                device_id=device,
-                include_shared=device == shared_device,
-                cpu_backlog=cpu_backlog,
-                spilled_experts=dev_spilled,
-                disk_fetch_s=ctx.disk_fetch_s,
-            )
-            plan = self._plan_and_execute(dev_ctx)
-            routed_tasks.extend(plan.routed_compute_tasks())
-        return routed_tasks
 
     def _combine_outputs(
         self,
@@ -475,11 +452,10 @@ class StepPipeline:
         """Run the routed experts and recombine their weighted outputs.
 
         ``routed_tasks`` are the routed compute tasks of the layer's
-        plan (of every device plan on a sharded platform), in any
-        order; together they must name each expert of ``active`` (the
-        ids ``router`` activated, ascending) exactly once, else
-        :class:`~repro.errors.SchedulingError` — a missing task would
-        silently drop that expert's contribution.
+        device plans, in any order; together they must name each expert
+        of ``active`` (the ids ``router`` activated, ascending) exactly
+        once, else :class:`~repro.errors.SchedulingError` — a missing
+        task would silently drop that expert's contribution.
 
         Sort-once dispatch (``router.dispatch``): one gather lays the
         token rows out grouped by expert, each expert runs
@@ -532,11 +508,12 @@ class StepPipeline:
 
         Predictions pool gate scores over every token row of the fused
         batch, so the prefetcher optimises for the *merged* near-future
-        routing of all concurrent requests. On a sharded platform each
-        granted prefetch rides its expert's **home device** link and
-        lands in that device's shard; the PCIe budget is probed against
-        the least-backlogged link (optimistic — per-key contention is
-        re-checked implicitly when the transfer queues on its link).
+        routing of all concurrent requests. Each granted prefetch rides
+        its expert's **home device** link and lands in that device's
+        shard; the PCIe budget is probed against the least-backlogged
+        link (optimistic — per-key contention is re-checked implicitly
+        when the transfer queues on its link). ``ctx`` is the layer's
+        lead context (its lowest device group).
         """
         runtime = self.runtime
         cache = self._cache()
@@ -578,7 +555,7 @@ class StepPipeline:
                     layer=future,
                     scores=scores,
                     n_tokens=ctx.n_tokens,
-                    cached_experts=frozenset(cache.cached_experts_of_layer(future)),
+                    cached_experts=cache.cached_experts_of_layer(future),
                     spilled_experts=future_spilled,
                     confidence=confidence,
                 )
@@ -638,20 +615,19 @@ class StepPipeline:
                     ready = max(ctx.moe_start, pending_ready)
             if target == "dram":
                 continue
-            if runtime.sharded:
-                device = cache.device_of(key)
-                # A zero-capacity home shard (aggregate budget smaller
-                # than the fleet) can never admit the expert — paying
-                # for the transfer would be pure PCIe waste.
-                if cache.shards[device].capacity == 0:
-                    continue
-            else:
-                device = 0
+            device = cache.device_of(key)
+            shard = cache.shards[device]
+            # A zero-capacity home shard (no cache budget at all, or an
+            # aggregate budget smaller than the fleet) can never admit
+            # the expert — paying for the transfer would be pure PCIe
+            # waste.
+            if shard.capacity == 0:
+                continue
             duration = runtime.cost_actual.transfer_time(cfg.routed_expert_shape)
-            _, finish = runtime.clock.pcie_timeline(device).reserve(
+            _, finish = runtime.clock.pcie_links[device].reserve(
                 ready, duration, f"prefetch L{future_layer} E{expert}"
             )
             runtime.arrivals[key] = finish
-            cache.insert(key)
+            shard.insert(key)
             runtime.prefetch_issued += 1
             runtime._prefetch_pending.add(key)

@@ -7,9 +7,9 @@ three decisions to the strategy:
 
 - :meth:`Strategy.cache_spec` — policy, capacity, pinning and warm
   fill, as a declarative :class:`~repro.cache.sharded.CacheSpec` the
-  engine materialises unsharded (one GPU) or sharded (N GPUs);
+  engine materialises as one shard per GPU;
 - :meth:`Strategy.plan_layer` — the per-layer execution plan, invoked
-  once per device group on a multi-GPU platform;
+  once per device group (one group on a single GPU);
 - :meth:`Strategy.prefetch_requests` — which experts of future layers
   to pull over PCIe during idle windows.
 """
@@ -20,7 +20,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.cache.manager import ExpertCache
 from repro.cache.sharded import CacheSpec
 from repro.core.prefetch import PredictedLayer
 from repro.core.tasks import ExecutionPlan
@@ -36,12 +35,18 @@ __all__ = ["LayerContext", "Strategy"]
 class LayerContext:
     """Everything a strategy may consult when planning one layer.
 
-    On a single-GPU platform there is one context per layer. On a
-    multi-GPU platform the pipeline partitions the layer's activated
-    experts by home device and hands the strategy one context per
-    device group — ``activated``/``cached_experts`` then cover only
-    that device's slice, ``device_id`` names the device, and exactly
-    one group per layer carries ``include_shared=True``.
+    The pipeline partitions a layer's activated experts by home device
+    and hands the strategy one context per device group:
+    ``activated``/``cached_experts`` cover that device's slice,
+    ``device_id`` names the device (and with it the cache shard and
+    PCIe link every expert of the context uses), and exactly one group
+    per layer — the lowest device, the layer's *lead* context — carries
+    ``include_shared=True``. On a single GPU the lead context is the
+    only one and describes the whole layer. The once-per-layer hooks
+    (:meth:`Strategy.observe_scores`, :meth:`Strategy.prefetch_requests`)
+    receive the lead context; of it they may rely on the layer-wide
+    fields only (``layer``, ``stage``, ``n_tokens``, ``router``,
+    ``moe_start``).
     """
 
     layer: int
@@ -55,14 +60,14 @@ class LayerContext:
     #: Ready-time offsets (relative to moe_start) of cached experts
     #: whose prefetch transfers are still in flight.
     inflight_offsets: tuple[tuple[int, float], ...] = ()
-    #: GPU device this context's experts are homed on (0 unsharded).
+    #: GPU device this context's experts are homed on.
     device_id: int = 0
     #: Whether this device's plan carries the fused shared-experts
     #: block (exactly one device per layer does).
     include_shared: bool = True
     #: Seconds until the fleet-shared CPU frees up, relative to
-    #: ``moe_start`` (earlier devices' CPU fallback queues ahead;
-    #: always 0 on a single-GPU platform thanks to the layer barrier).
+    #: ``moe_start`` (earlier devices' CPU fallback queues ahead; 0
+    #: for the lead context thanks to the layer barrier).
     cpu_backlog: float = 0.0
     #: Activated experts of this context resident in *no* memory tier
     #: (tiered platforms only — empty on the classic two-tier engine).
@@ -108,22 +113,15 @@ class Strategy(ABC):
         models live need nothing.
         """
 
+    @abstractmethod
     def cache_spec(self) -> CacheSpec:
         """Declarative recipe of the expert cache this strategy manages.
 
-        The engine materialises the spec: unsharded on one GPU
-        (:meth:`CacheSpec.build`), or as per-device shards behind a
-        :class:`~repro.cache.sharded.ShardedCacheManager` when the
-        platform has several (:meth:`CacheSpec.build_sharded`).
+        The engine materialises the spec as one shard per GPU behind a
+        :class:`~repro.cache.sharded.ShardedCacheManager`
+        (:meth:`CacheSpec.build_sharded`) — a single shard on the
+        paper's one-GPU platform.
         """
-        raise NotImplementedError(
-            f"strategy {self.name!r} defines neither cache_spec() nor "
-            "build_cache()"
-        )
-
-    def build_cache(self) -> ExpertCache:
-        """Create the unsharded expert cache (materialises the spec)."""
-        return self.cache_spec().build()
 
     # ------------------------------------------------------------------
     # per-layer behaviour
@@ -136,12 +134,13 @@ class Strategy(ABC):
         """Post-execution cache maintenance.
 
         Default behaviour: insert every transferred expert into the
-        cache (dynamic caching). Static-mapping strategies override
-        this with a no-op.
+        cache (dynamic caching) — into ``ctx.device_id``'s shard, the
+        home of every expert of ``ctx``. Static-mapping strategies
+        override this with a no-op.
         """
-        runtime = self._runtime()
+        shard = self._runtime().cache.shards[ctx.device_id]
         for transfer in plan.transfers:
-            runtime.cache.insert((transfer.layer, transfer.expert))
+            shard.insert((transfer.layer, transfer.expert))
 
     def observe_scores(self, ctx: LayerContext) -> None:
         """Feed routing scores to the cache policy (MRS signal).

@@ -216,17 +216,16 @@ class EngineSpec(_Spec):
     seed:
         Root seed for the model weights, profiling workloads and noise.
     num_gpus:
-        Simulated GPU devices. With 1 (the paper's testbed) the engine
-        runs the historical single-device path; with more, the expert
-        cache shards across devices (one
-        :class:`~repro.cache.manager.ExpertCache` each, the aggregate
-        ``cache_ratio`` budget split evenly) and the pipeline
-        dispatches each expert to its home device.
+        Simulated GPU devices. The expert cache is one shard per
+        device (one :class:`~repro.cache.manager.ExpertCache` each,
+        the aggregate ``cache_ratio`` budget split evenly) and the
+        pipeline dispatches each expert to its home device; 1 (the
+        paper's testbed) is one shard holding everything.
     placement:
-        Expert-placement policy routing keys to home devices when the
-        cache is sharded: ``"round_robin"`` (by expert id),
-        ``"layer_striped"`` (by layer) or ``"load_aware"`` (sticky
-        least-loaded).
+        Expert-placement policy routing keys to home devices:
+        ``"round_robin"`` (by expert id), ``"layer_striped"`` (by
+        layer) or ``"load_aware"`` (sticky least-loaded). Never
+        consulted with one GPU.
     cpu_cache_capacity:
         Routed-expert slots of host DRAM (the CPU tier of the memory
         hierarchy). ``None`` (default) keeps the paper's unbounded CPU

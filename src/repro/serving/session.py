@@ -126,7 +126,7 @@ class ServingSession:
         )
         cache = engine.runtime.cache
         assert cache is not None  # always bound by InferenceEngine.__init__
-        stats_start = cache.stats  # one snapshot: aggregated on sharded caches
+        stats_start = cache.stats  # one snapshot: aggregated across shards
         #: Cache counters at session start; the report and per-request
         #: totals are deltas against it, so a warm engine (prior
         #: serve/generate) does not pollute a later report.

@@ -6,7 +6,7 @@ import pytest
 from repro.cache.lru import LRUPolicy
 from repro.cache.manager import ExpertCache
 from repro.cache.mrs import MRSPolicy
-from repro.cache.placement import make_placement
+from repro.cache.placement import PlacementPolicy, make_placement
 from repro.cache.sharded import CacheSpec, ShardedCacheManager, split_capacity
 from repro.errors import CacheError
 
@@ -65,12 +65,54 @@ class TestConstruction:
         policies = {id(shard.policy) for shard in manager.shards}
         assert len(policies) == 3
 
-    def test_single_shard_matches_unsharded_build(self):
-        spec = CacheSpec(6, LRUPolicy, warm=[(0, e) for e in range(9)])
-        solo = spec.build()
+    def test_single_shard_matches_bare_cache(self):
+        warm = [(0, e) for e in range(9)]
+        spec = CacheSpec(6, LRUPolicy, warm=warm)
+        solo = ExpertCache(6, LRUPolicy())
+        solo.warm_fill(warm)
         manager = spec.build_sharded(make_placement("round_robin", 1))
         assert manager.shards[0].resident_keys == solo.resident_keys
         assert manager.capacity == solo.capacity
+
+
+class _UnaskedPlacement(PlacementPolicy):
+    """Fails the test the moment the manager consults it."""
+
+    name = "unasked"
+
+    def assign(self, key, occupancy):
+        raise AssertionError(f"placement asked to assign {key}")
+
+    def peek(self, key):
+        raise AssertionError(f"placement asked to peek {key}")
+
+    def preview(self, key, occupancy):
+        raise AssertionError(f"placement asked to preview {key}")
+
+
+class TestSingleShard:
+    def test_every_operation_routes_to_device_zero_unasked(self):
+        """One shard: the home of every key is device 0, so no
+        operation consults the placement policy."""
+        manager = ShardedCacheManager([ExpertCache(2, LRUPolicy())], _UnaskedPlacement(1))
+        shard = manager.shards[0]
+        key = (0, 5)
+        assert manager.device_of(key) == 0 and manager.peek_device_of(key) == 0
+        assert manager.shard_of(key) is shard
+        assert manager.would_admit(key) and key not in manager
+        assert manager.access(key) is False
+        assert manager.insert(key) == [] and key in manager
+        assert manager.access(key) is True
+        manager.touch(key)
+        manager.lock([key])
+        assert manager.locked_keys == {key}
+        manager.unlock_all()
+        manager.warm_fill([(1, 1)])
+        assert manager.insert_if_better((1, 2)) == []  # LRU: a newcomer never outranks
+        assert manager.insert((1, 2)) == [key]  # the LRU victim
+        assert manager.cached_experts_of_layer(1) == {1, 2}
+        assert manager.stats is shard.stats
+        manager.validate()
 
 
 class TestRoutingAndMutation:

@@ -1,11 +1,13 @@
 """TieredCacheManager: tier semantics, facade forwarding, statistics."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache.base import make_policy
 from repro.cache.manager import ExpertCache
 from repro.cache.placement import make_placement
-from repro.cache.sharded import CacheSpec, ShardedCacheManager
+from repro.cache.sharded import CacheSpec
 from repro.cache.tiered import TieredCacheManager
 from repro.errors import CacheError
 
@@ -106,7 +108,6 @@ class TestFacadeForwarding:
         spec = CacheSpec(4, lambda: make_policy("lru"))
         manager = spec.build_sharded(make_placement("round_robin", 2))
         tiered = TieredCacheManager(manager, ExpertCache(2, make_policy("lru")))
-        assert tiered.sharded
         assert tiered.num_devices == 2
         assert len(tiered.per_device_hit_rates()) == 2
         key = (0, 1)
@@ -114,11 +115,6 @@ class TestFacadeForwarding:
         tiered.insert(key)
         assert tiered.device_experts_of_layer(0, tiered.device_of(key)) == {1}
         tiered.validate()
-
-    def test_unsharded_tier_reports_not_sharded(self):
-        assert build_tiered().sharded is False
-        assert isinstance(build_tiered().gpu_tier, ExpertCache)
-        assert not isinstance(build_tiered().gpu_tier, ShardedCacheManager)
 
     def test_observe_scores_reaches_both_tiers(self):
         import numpy as np
@@ -130,3 +126,46 @@ class TestFacadeForwarding:
         tiered.observe_scores(0, scores)
         assert gpu.policy.priority((0, 0)) > 0
         assert cpu.policy.priority((0, 0)) > 0
+
+
+_KEYS = st.tuples(st.integers(0, 2), st.integers(0, 9))
+
+
+class TestSpilledExpertsSetForm:
+    @given(
+        history=st.lists(
+            st.tuples(st.sampled_from(["insert", "evict", "promote", "access"]), _KEYS),
+            max_size=50,
+        ),
+        num_devices=st.integers(1, 3),
+        placement=st.sampled_from(["round_robin", "layer_striped", "load_aware"]),
+        layer=st.integers(0, 2),
+        # Arbitrary iterables: duplicates, ids resident nowhere (>= 10).
+        experts=st.lists(st.integers(0, 12), max_size=16),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_per_key_is_spilled_filter(
+        self, history, num_devices, placement, layer, experts
+    ):
+        """``spilled_experts`` answers from the tiers' per-layer indexes;
+        on any insert/evict/promote history it is the per-key
+        ``is_spilled`` filter — including load-aware keys no operation
+        ever routed, which must stay unrouted."""
+        spec = CacheSpec(4, lambda: make_policy("lru"))
+        manager = spec.build_sharded(make_placement(placement, num_devices))
+        tiered = TieredCacheManager(manager, ExpertCache(3, make_policy("lru")))
+        for op, key in history:
+            if op == "insert":
+                tiered.insert(key)
+            elif op == "promote":
+                tiered.promote_to_dram(key)
+            elif op == "access":
+                tiered.access(key)
+            elif key in tiered:
+                manager.shard_of(key).evict_explicit(key)
+        routed = getattr(manager.placement, "assignments", None)
+        expected = frozenset(e for e in experts if tiered.is_spilled((layer, e)))
+        assert tiered.spilled_experts(layer, experts) == expected
+        assert tiered.spilled_experts(layer, (e for e in experts)) == expected
+        assert getattr(manager.placement, "assignments", None) == routed
+        tiered.validate()

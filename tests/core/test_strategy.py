@@ -36,7 +36,7 @@ class TestNames:
 class TestCacheConstruction:
     def test_caching_true_builds_mrs(self, engine_factory):
         engine = engine_factory(caching=True)
-        assert isinstance(engine.runtime.cache.policy, MRSPolicy)
+        assert isinstance(engine.runtime.cache.shards[0].policy, MRSPolicy)
         assert engine.runtime.cache.capacity == engine.runtime.capacity
         assert len(engine.runtime.cache.pinned_keys) == 0
 
@@ -54,7 +54,7 @@ class TestCacheConstruction:
 
     def test_mrs_primed_from_warmup(self, engine_factory):
         engine = engine_factory(caching=True)
-        policy = engine.runtime.cache.policy
+        policy = engine.runtime.cache.shards[0].policy
         primed = [s for s in policy.priority_snapshot().values() if s > 0]
         assert primed  # warmup scores flowed into priorities
 

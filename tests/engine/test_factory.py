@@ -1,4 +1,4 @@
-"""Factory and session construction paths."""
+"""Factory construction paths."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from repro.engine.factory import (
     make_serving_engine,
     make_strategy,
 )
-from repro.engine.session import GenerationSession, SessionSpec
 from repro.errors import ConfigError
 from repro.hardware.cost_model import AnalyticCostModel
 from repro.hardware.platform_presets import get_hardware_preset
@@ -136,34 +135,3 @@ class TestKnobWiring:
         assert make_serving_engine(spec=spec, hardware_faults=faults) is not None
         with pytest.raises(ConfigError, match="fold these arguments.*strategy"):
             make_serving_engine(spec=spec, strategy=make_strategy("ondemand"))
-
-
-class TestGenerationSession:
-    def test_spec_or_kwargs_exclusive(self):
-        with pytest.raises(ConfigError):
-            GenerationSession(SessionSpec(), model="deepseek")
-
-    def test_run_with_synthetic_prompt(self):
-        session = GenerationSession(
-            model="deepseek", strategy="ktransformers", num_layers=2,
-            cache_ratio=0.25,
-        )
-        result = session.run(prompt_len=12, decode_steps=2)
-        assert result.prefill.n_tokens == 12
-        assert len(result.decode_steps) == 2
-
-    def test_runs_are_independent(self):
-        session = GenerationSession(model="deepseek", num_layers=2, cache_ratio=0.25)
-        a = session.run(prompt_len=8, decode_steps=1)
-        b = session.run(prompt_len=8, decode_steps=1)
-        assert a.ttft == pytest.approx(b.ttft)
-
-    def test_invalid_prompt_len(self):
-        session = GenerationSession(model="deepseek", num_layers=2)
-        with pytest.raises(ConfigError):
-            session.run(prompt_len=0, decode_steps=1)
-
-    def test_explicit_prompt_used(self):
-        session = GenerationSession(model="deepseek", num_layers=2)
-        result = session.run(prompt_tokens=np.arange(5), decode_steps=1)
-        assert result.prefill.n_tokens == 5

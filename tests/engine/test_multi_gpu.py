@@ -1,21 +1,19 @@
-"""Multi-GPU engine: 1-GPU sharded equivalence, fleet dispatch, knobs.
+"""Multi-GPU engine: 1-GPU goldens, fleet dispatch, work guard, knobs.
 
 Two contracts are pinned here:
 
-- **Equivalence** — with one GPU, routing every operation through the
-  sharded machinery (``sharded_cache=True``) reproduces the unsharded
-  engine bit-for-bit: same hidden states, same sampled tokens, same
-  step timings, same hit/miss counters, for all five strategies. Since
-  the unsharded path is the historical single-GPU code, this transitively
-  pins the multi-GPU refactor to the pre-sharding engine's behaviour.
+- **One GPU = one shard** — every engine runs the device-group path
+  over a sharded cache; on one GPU that is a single group over a single
+  shard. The engine used to carry a separate unsharded single-GPU path
+  (the historical code, proven bit-identical to the 1-shard path by an
+  equivalence class that compared the two); that path is deleted and
+  its behaviour survives as golden constants recorded from it:
+  ``GOLDEN_1GPU`` (``generate``, all five strategies),
+  ``GOLDEN_1GPU_SERVING`` (a fused serving trace, records + sampled
+  tokens) and the 1-GPU rows of ``GOLDEN_CORE``.
 - **Fleet dispatch** — with several GPUs the numerics still match the
   reference model, every timeline/shard invariant holds, and runs are
   deterministic under a fixed seed.
-
-The 1-GPU fingerprints are additionally pinned as golden constants
-(``TestSingleGpuGolden``): the equivalence tests only compare the two
-paths with each other, so a drift of both at once, or a later deletion
-of the unsharded block, has nothing to be compared against otherwise.
 
 ``TestEngineCoreGolden`` pins the whole strategy x GPU-count x
 memory-tier matrix — run, cache and clock state — to digests recorded
@@ -26,6 +24,7 @@ computed.
 
 import hashlib
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -78,48 +77,6 @@ def result_fingerprint(result):
     )
 
 
-class TestShardedSingleGpuEquivalence:
-    @pytest.mark.parametrize("strategy_name", STRATEGIES)
-    def test_generate_bit_identical(self, tiny_config, prompt_tokens, strategy_name):
-        plain = build_engine(tiny_config, strategy_name)
-        sharded = build_engine(tiny_config, strategy_name, sharded_cache=True)
-        assert plain.runtime.sharded is False
-        assert sharded.runtime.sharded is True
-
-        result_plain = plain.generate(prompt_tokens, decode_steps=4)
-        result_sharded = sharded.generate(prompt_tokens, decode_steps=4)
-        assert result_fingerprint(result_plain) == result_fingerprint(result_sharded)
-
-    def test_serving_bit_identical(self, tiny_config):
-        reports = []
-        tokens = []
-        for sharded_flag in (None, True):
-            engine = build_engine(tiny_config, "hybrimoe", sharded_cache=sharded_flag)
-            requests = [
-                Request(
-                    request_id=i,
-                    prompt_tokens=np.arange(4) + i,
-                    decode_steps=3,
-                    arrival_time=0.002 * i,
-                )
-                for i in range(3)
-            ]
-            reports.append(ServingEngine(engine).serve(requests).summary())
-            tokens.append([list(r.output_tokens) for r in requests])
-        assert reports[0] == reports[1]
-        assert tokens[0] == tokens[1]
-
-    @pytest.mark.parametrize("strategy_name", STRATEGIES)
-    def test_hidden_states_bit_identical(
-        self, tiny_config, prompt_tokens, strategy_name
-    ):
-        plain = build_engine(tiny_config, strategy_name)
-        sharded = build_engine(tiny_config, strategy_name, sharded_cache=True)
-        hidden_plain, _ = plain._run_step(prompt_tokens, "prefill")
-        hidden_sharded, _ = sharded._run_step(prompt_tokens, "prefill")
-        np.testing.assert_array_equal(hidden_plain, hidden_sharded)
-
-
 def digest(value):
     """Short stable hash of a nested tuple/dict of ints, floats and strs."""
     return hashlib.sha256(json.dumps(value, default=float).encode()).hexdigest()[:16]
@@ -135,6 +92,10 @@ GOLDEN_1GPU = {
     "ondemand": "fc26bd7833819517",
 }
 GOLDEN_1GPU_TIERED_HYBRIMOE = "54d0d508ed7a34c7"  # cpu_cache_capacity=4
+#: ``digest(serving_fingerprint(...))`` of ``test_serving_matches_golden``'s
+#: three-request trace on the unsharded 1-GPU engine at commit da91b70,
+#: the last one that had it (``sharded_cache=True`` gave the same there).
+GOLDEN_1GPU_SERVING = "fd7748589baa606e"
 
 #: ``(num_gpus, cpu_cache_capacity)``: one/two GPUs crossed with
 #: two-tier memory and a constrained DRAM tier (so spills and disk
@@ -185,24 +146,48 @@ GOLDEN_CORE = {
 }
 
 
-@pytest.mark.parametrize("sharded_flag", [None, True])
+def serving_fingerprint(report, requests):
+    """Every request record, the cache totals and the sampled tokens."""
+    return (
+        [
+            (r.request_id, r.prompt_len, r.decode_tokens, r.status, r.arrival_time,
+             r.prefill_start, r.first_token_time, r.finish_time, list(r.tbt_values))
+            for r in report.requests
+        ],
+        report.total_hits,
+        report.total_misses,
+        [[int(t) for t in r.output_tokens] for r in requests],
+    )
+
+
 class TestSingleGpuGolden:
     @pytest.mark.parametrize("strategy_name", STRATEGIES)
-    def test_generate_matches_golden(
-        self, tiny_config, prompt_tokens, strategy_name, sharded_flag
-    ):
-        engine = build_engine(tiny_config, strategy_name, sharded_cache=sharded_flag)
+    def test_generate_matches_golden(self, tiny_config, prompt_tokens, strategy_name):
+        engine = build_engine(tiny_config, strategy_name)
         result = engine.generate(prompt_tokens, decode_steps=4)
         assert digest(result_fingerprint(result)) == GOLDEN_1GPU[strategy_name]
 
-    def test_tiered_generate_matches_golden(
-        self, tiny_config, prompt_tokens, sharded_flag
-    ):
-        engine = build_engine(
-            tiny_config, "hybrimoe", cpu_cache_capacity=4, sharded_cache=sharded_flag
-        )
+    def test_tiered_generate_matches_golden(self, tiny_config, prompt_tokens):
+        engine = build_engine(tiny_config, "hybrimoe", cpu_cache_capacity=4)
         result = engine.generate(prompt_tokens, decode_steps=4)
         assert digest(result_fingerprint(result)) == GOLDEN_1GPU_TIERED_HYBRIMOE
+
+    def test_serving_matches_golden(self, tiny_config):
+        """Fused serving steps (three overlapping requests) on the one
+        engine reproduce the deleted unsharded path's records and
+        sampled tokens."""
+        engine = build_engine(tiny_config, "hybrimoe")
+        requests = [
+            Request(
+                request_id=i,
+                prompt_tokens=np.arange(4) + i,
+                decode_steps=3,
+                arrival_time=0.002 * i,
+            )
+            for i in range(3)
+        ]
+        report = ServingEngine(engine).serve(requests)
+        assert digest(serving_fingerprint(report, requests)) == GOLDEN_1GPU_SERVING
 
 
 def cache_fingerprint(cache):
@@ -369,6 +354,30 @@ class TestMultiGpuDispatch:
             ]
             assert not any(label.startswith("prefetch") for label in labels)
 
+    @pytest.mark.parametrize("num_gpus", [1, 2])
+    def test_zero_capacity_cache_issues_no_prefetch(self, prompt_tokens, num_gpus):
+        """With no cache budget at all every shard has capacity 0, on
+        one GPU as on a fleet: a prefetching strategy must pay for no
+        transfer it cannot land, which makes AdapMoE step-for-step the
+        on-demand baseline. (The deleted unsharded 1-GPU path had no
+        such skip and issued 234 dead prefetches here.)"""
+        rows = {}
+        for strategy_name in ("adapmoe", "ondemand"):
+            engine = make_engine(
+                model="deepseek",
+                strategy=strategy_name,
+                num_layers=4,
+                cache_ratio=0.0,
+                num_gpus=num_gpus,
+            )
+            result = engine.generate(prompt_tokens, decode_steps=12)
+            assert engine.runtime.prefetch_issued == 0
+            rows[strategy_name] = [
+                (step.start, step.end, step.hits, step.misses)
+                for step in (result.prefill, *result.decode_steps)
+            ]
+        assert rows["adapmoe"] == rows["ondemand"]
+
     def test_serving_on_fleet(self, tiny_config):
         serving = make_serving_engine(
             model="deepseek",
@@ -388,6 +397,92 @@ class TestMultiGpuDispatch:
         serving.engine.runtime.clock.validate()
 
 
+@pytest.mark.parametrize("cpu_cache_capacity", [None, 4])
+@pytest.mark.parametrize("placement", ["round_robin", "layer_striped", "load_aware"])
+@pytest.mark.parametrize("num_gpus", [1, 2, 3])
+def test_layer_routes_each_expert_once(
+    tiny_config, prompt_tokens, monkeypatch, num_gpus, placement, cpu_cache_capacity
+):
+    """Work guard: an activated expert's home device is resolved twice
+    per layer — by its ``cache.access`` and by the device grouping —
+    and once more per prefetch issued; every other per-group operation
+    (residency, lock, inserts, refills) talks to the group's shard. On
+    one GPU the home is device 0 and the placement is never asked."""
+    engine = build_engine(
+        tiny_config,
+        "hybrimoe",
+        num_gpus=num_gpus,
+        placement=placement,
+        cpu_cache_capacity=cpu_cache_capacity,
+    )
+    cache = engine.runtime.cache
+    manager = getattr(cache, "gpu_tier", cache)
+    calls = Counter()
+
+    def spy(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in ("assign", "peek", "preview"):
+        spy(manager.placement, name)
+    spy(manager, "device_of")
+    spy(manager, "access")
+    engine.generate(prompt_tokens, decode_steps=16)
+
+    activated = calls["access"]  # one access per activated expert per layer
+    assert activated >= 17 * tiny_config.num_layers * tiny_config.num_activated_experts
+    if num_gpus == 1:
+        assert calls["assign"] + calls["peek"] + calls["preview"] == 0
+    else:
+        assert activated <= calls["device_of"]
+        assert calls["device_of"] <= 2 * activated + engine.runtime.prefetch_issued
+
+
+@pytest.mark.parametrize("strategy_name", ["hybrimoe", "adapmoe"])
+@pytest.mark.parametrize(
+    "num_gpus, placement", [(1, "round_robin"), (2, "round_robin"), (3, "load_aware")]
+)
+def test_inflight_scan_is_skipped_only_when_empty(
+    prompt_tokens, monkeypatch, num_gpus, placement, strategy_name
+):
+    """The pipeline skips a group's in-flight scan when the device's
+    PCIe link is idle at ``moe_start``. Every context it hands out must
+    carry what the full scan over ``runtime.arrivals`` finds."""
+    engine = make_engine(
+        model="deepseek",
+        strategy=strategy_name,
+        num_layers=4,
+        cache_ratio=0.25,
+        num_gpus=num_gpus,
+        placement=placement,
+    )
+    runtime = engine.runtime
+    plan_and_execute = engine.pipeline._plan_and_execute
+    seen = Counter()
+
+    def checked(ctx, shard):
+        scanned = tuple(
+            (expert, offset)
+            for expert, _ in ctx.activated
+            if expert in ctx.cached_experts
+            and (offset := runtime.arrivals.get((ctx.layer, expert), 0.0) - ctx.moe_start)
+            > 0.0
+        )
+        assert ctx.inflight_offsets == scanned
+        seen["idle" if ctx.pcie_backlog == 0.0 else "busy"] += 1
+        seen["in flight"] += bool(scanned)
+        return plan_and_execute(ctx, shard)
+
+    monkeypatch.setattr(engine.pipeline, "_plan_and_execute", checked)
+    engine.generate(prompt_tokens, decode_steps=16)
+    assert seen["idle"] and seen["busy"] and seen["in flight"]
+
+
 class TestConfigKnobs:
     def test_num_gpus_validated(self):
         with pytest.raises(ConfigError):
@@ -397,14 +492,9 @@ class TestConfigKnobs:
         with pytest.raises(ConfigError):
             EngineConfig(placement="alphabetical")
 
-    def test_unsharded_fleet_rejected(self):
-        with pytest.raises(ConfigError):
-            EngineConfig(num_gpus=2, sharded_cache=False)
-
     def test_factory_threads_topology(self):
         engine = make_engine(num_layers=2, num_gpus=2, placement="layer_striped")
         assert engine.runtime.num_gpus == 2
-        assert engine.runtime.sharded is True
         assert engine.runtime.cache.placement.name == "layer_striped"
         assert len(engine.runtime.clock.gpus) == 2
         assert len(engine.runtime.clock.pcie_links) == 2

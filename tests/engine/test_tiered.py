@@ -172,7 +172,6 @@ class TestSpillMechanics:
         clock.validate()
         cache = engine.runtime.cache
         cache.validate()
-        assert cache.sharded
         assert len(cache.per_device_hit_rates()) == 2
 
     def test_serving_on_tiered_memory(self, tiny_config):
