@@ -21,36 +21,20 @@ and liveness properties:
   committed baseline with the usual regression factor.
 
 Everything is simulated time, so results are bit-stable across
-machines. The committed repo-root ``BENCH_chaos.json`` is the baseline
-the CI ``chaos`` job gates against (``perf-regression-ok`` label skips
-the trajectory gate; the invariants are never skippable).
-
-Usage::
-
-    python benchmarks/bench_chaos.py            # full run, merges into BENCH_chaos.json
-    python benchmarks/bench_chaos.py --smoke    # CI-sized run
-    python benchmarks/bench_chaos.py --smoke --check --out BENCH_chaos.current.json
+machines. The committed repo-root ``BENCH_chaos.json`` is the
+trajectory baseline; flags, file layouts and the gate rule are the
+harness's (``benchmarks/harness.py``). The invariants gate on their
+own as well: ``tools/chaos.py`` exits 1 on any violation.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 from dataclasses import replace
-from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(REPO_ROOT))
-sys.path.insert(0, str(REPO_ROOT / "src"))
-sys.path.insert(0, str(REPO_ROOT / "tools"))
+import harness
+from chaos import CampaignSpec, run_campaign
 
-from chaos import CampaignSpec, run_campaign  # noqa: E402
-
-from repro.hardware.faults import HARDWARE_FAULT_KINDS  # noqa: E402
-
-BASELINE_PATH = REPO_ROOT / "BENCH_chaos.json"
-SCHEMA_VERSION = 1
+from repro.hardware.faults import HARDWARE_FAULT_KINDS
 
 #: Hard floor: completed goodput under chaos over the fault-free twin.
 RETENTION_FLOOR = 0.5
@@ -116,7 +100,7 @@ def _campaign_record(result) -> dict:
     }
 
 
-def run(smoke: bool) -> dict:
+def run(smoke: bool) -> tuple[dict, list[str]]:
     scale = SMOKE if smoke else FULL
     campaigns = []
     for seed, trace_kind in scale["campaigns"]:
@@ -129,23 +113,9 @@ def run(smoke: bool) -> dict:
         )
         campaigns.append(_campaign_record(run_campaign(spec)))
     retentions = [c["goodput_retention"] for c in campaigns]
-    return {
-        "schema": SCHEMA_VERSION,
-        "mode": "smoke" if smoke else "full",
-        "criteria": {
-            "retention_floor": RETENTION_FLOOR,
-            "regression_factor": REGRESSION_FACTOR,
-        },
-        "campaigns": campaigns,
-        "retention_mean": sum(retentions) / len(retentions),
-    }
 
-
-def check(current: dict, baseline: dict | None) -> list[str]:
-    """Gate failures of ``current`` against the committed baseline."""
-    failures: list[str] = []
-    mode = current["mode"]
-    for campaign in current["campaigns"]:
+    failures = []
+    for campaign in campaigns:
         tag = f"campaign seed={campaign['seed']} ({campaign['trace']})"
         for violation in campaign["invariant_violations"]:
             failures.append(f"{tag}: INVARIANT: {violation}")
@@ -167,34 +137,22 @@ def check(current: dict, baseline: dict | None) -> list[str]:
                 f"{tag}: hardware fault kinds never scheduled: "
                 f"{sorted(missing)}"
             )
-        if mode == "full":
+        if not smoke:
             exercised = campaign["retries"] + campaign["outcomes"]["timed_out"]
             if exercised < 1:
                 failures.append(f"{tag}: request timeouts never fired")
-
-    if baseline is None:
-        failures.append(f"no committed baseline at {BASELINE_PATH}")
-        return failures
-    committed = baseline.get("modes", {}).get(mode)
-    if committed is None:
-        failures.append(f"committed baseline has no '{mode}' mode entry")
-        return failures
-    then = committed["retention_mean"]
-    now = current["retention_mean"]
-    floor = then / REGRESSION_FACTOR
-    if now < floor:
-        failures.append(
-            f"mean goodput retention regressed >{REGRESSION_FACTOR:.2f}x: "
-            f"{now:.3f}x vs committed {then:.3f}x (floor {floor:.3f}x)"
-        )
-    return failures
+    payload = {
+        "campaigns": campaigns,
+        "retention_mean": sum(retentions) / len(retentions),
+    }
+    return payload, failures
 
 
-def _print_results(results: dict) -> None:
-    print(f"chaos bench ({results['mode']}):")
-    for campaign in results["campaigns"]:
+def render(payload: dict) -> str:
+    lines = []
+    for campaign in payload["campaigns"]:
         outcomes = campaign["outcomes"]
-        print(
+        lines.append(
             f"  seed {campaign['seed']} ({campaign['trace']}, "
             f"{campaign['num_requests']} requests): "
             f"{outcomes['finished']} finished / "
@@ -203,67 +161,26 @@ def _print_results(results: dict) -> None:
             f"{campaign['failovers']} failovers, "
             f"{campaign['degradation_events']} degradation events"
         )
-        print(
+        lines.append(
             f"    goodput retention {campaign['goodput_retention']:.3f}x "
             f"({campaign['chaos_goodput_rps']:.2f} vs "
             f"{campaign['clean_goodput_rps']:.2f} req/s), invariants "
             f"{'OK' if not campaign['invariant_violations'] else 'VIOLATED'}"
         )
-    print(f"  mean retention: {results['retention_mean']:.3f}x")
+    lines.append(f"  mean retention: {payload['retention_mean']:.3f}x")
+    return "\n".join(lines)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--smoke", action="store_true", help="CI-sized run")
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="fail on invariant violation or regression vs BENCH_chaos.json",
-    )
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=BASELINE_PATH,
-        help="where to write results (default: repo-root BENCH_chaos.json)",
-    )
-    args = parser.parse_args(argv)
-
-    # Read the committed baseline before writing anything: `--check`
-    # must compare against the pre-run state even when --out points at
-    # the baseline file itself.
-    baseline = (
-        json.loads(BASELINE_PATH.read_text()) if BASELINE_PATH.exists() else None
-    )
-    results = run(args.smoke)
-
-    if args.out == BASELINE_PATH:
-        # One entry per mode, so a smoke run never clobbers the
-        # committed full-mode trajectory (or vice versa).
-        merged = {
-            "schema": SCHEMA_VERSION,
-            "criteria": results["criteria"],
-            "modes": dict((baseline or {}).get("modes", {})),
-        }
-        merged["modes"][results["mode"]] = {
-            "campaigns": results["campaigns"],
-            "retention_mean": results["retention_mean"],
-        }
-        args.out.write_text(json.dumps(merged, indent=2) + "\n")
-    else:
-        args.out.write_text(json.dumps(results, indent=2) + "\n")
-
-    _print_results(results)
-    print(f"wrote {args.out}")
-
-    if args.check:
-        failures = check(results, baseline)
-        if failures:
-            for failure in failures:
-                print(f"CHAOS GATE FAIL: {failure}", file=sys.stderr)
-            return 1
-        print("chaos gate: ok")
-    return 0
-
+BENCH = harness.Bench(
+    name="chaos",
+    run=run,
+    render=render,
+    criteria={
+        "retention_floor": RETENTION_FLOOR,
+        "regression_factor": REGRESSION_FACTOR,
+    },
+    ratios=(("mean goodput retention", "retention_mean"),),
+)
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(harness.main(BENCH))

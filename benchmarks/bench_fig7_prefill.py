@@ -1,12 +1,13 @@
 """Fig. 7: prefill TTFT across models, cache ratios and input lengths.
 
 Regenerates the full 3-models x 3-ratios x 4-buckets x 4-frameworks
-grid and checks the paper's headline claims: HybriMoE speeds up prefill
-vs kTransformers on average, and llama.cpp's static mapping collapses
-as prompts grow.
+grid and claims the paper's headline: HybriMoE speeds up prefill vs
+kTransformers on average, and llama.cpp's static mapping collapses as
+prompts grow. Claims-only, one size (``harness.BENCH_SCALE``).
 """
 
-from benchmarks.conftest import BENCH_SCALE, BENCH_SEED
+import harness
+
 from repro.experiments.figures import fig7_prefill
 from repro.experiments.reporting import (
     add_speedup_column,
@@ -15,31 +16,49 @@ from repro.experiments.reporting import (
 )
 
 
-def test_fig7_prefill_grid(benchmark, report):
-    rows = benchmark.pedantic(
-        lambda: fig7_prefill(scale=BENCH_SCALE, seed=BENCH_SEED),
-        rounds=1,
-        iterations=1,
-    )
+def run(smoke: bool) -> tuple[dict, list[str]]:
     rows = add_speedup_column(
-        rows, "ttft_s", group_columns=("model", "cache_ratio", "bucket")
+        fig7_prefill(scale=harness.BENCH_SCALE, seed=harness.BENCH_SEED),
+        "ttft_s",
+        group_columns=("model", "cache_ratio", "bucket"),
     )
-    table = format_table(
-        rows,
-        columns=["model", "cache_ratio", "bucket", "strategy", "ttft_s", "speedup"],
-        title="Fig. 7 — prefill TTFT (speedup vs kTransformers)",
+    average = geometric_mean(
+        [r["speedup"] for r in rows if r["strategy"] == "hybrimoe"]
     )
-    speedups = [r["speedup"] for r in rows if r["strategy"] == "hybrimoe"]
-    average = geometric_mean(speedups)
-    summary = f"HybriMoE prefill speedup vs kTransformers: geomean {average:.2f}x (paper: 1.33x)"
-    report("fig7_prefill", table + "\n\n" + summary)
-
+    failures = []
     # Headline shape: HybriMoE wins on average...
-    assert average > 1.15
+    if not average > 1.15:
+        failures.append(
+            f"hybrimoe prefill speedup vs ktransformers: geomean {average:.3f}x "
+            f"is not > 1.15x"
+        )
     # ...and llama.cpp is the clear prefill loser at long prompts.
-    llamacpp = [
+    llamacpp = max(
         r["speedup"]
         for r in rows
         if r["strategy"] == "llamacpp" and r["bucket"] >= 512
-    ]
-    assert max(llamacpp) < 0.8
+    )
+    if not llamacpp < 0.8:
+        failures.append(
+            f"llamacpp reaches {llamacpp:.3f}x of ktransformers on a >= 512-token "
+            f"prefill, not < 0.8x"
+        )
+    return {"rows": rows, "hybrimoe_geomean_speedup": average}, failures
+
+
+def render(payload: dict) -> str:
+    table = format_table(
+        payload["rows"],
+        columns=["model", "cache_ratio", "bucket", "strategy", "ttft_s", "speedup"],
+        title="Fig. 7 — prefill TTFT (speedup vs kTransformers)",
+    )
+    return (
+        f"{table}\n\nHybriMoE prefill speedup vs kTransformers: geomean "
+        f"{payload['hybrimoe_geomean_speedup']:.2f}x (paper: 1.33x)"
+    )
+
+
+BENCH = harness.Bench(name="fig7_prefill", run=run, render=render, has_smoke=False)
+
+if __name__ == "__main__":
+    raise SystemExit(harness.main(BENCH))

@@ -1,12 +1,14 @@
 """Fig. 8: decode TBT across models and cache ratios.
 
-Regenerates the 3-models x 3-ratios x 4-frameworks decode grid. Checks
-the paper's claims: HybriMoE achieves the best average decode latency,
-GPU-centric AdapMoE suffers at low cache ratios, and llama.cpp is far
-more competitive at decode than at prefill.
+Regenerates the 3-models x 3-ratios x 4-frameworks decode grid and
+claims the paper's findings: HybriMoE achieves the best average decode
+latency, GPU-centric AdapMoE suffers at low cache ratios, and llama.cpp
+is far more competitive at decode than at prefill. Claims-only, one
+size (``harness.BENCH_SCALE``).
 """
 
-from benchmarks.conftest import BENCH_SCALE, BENCH_SEED
+import harness
+
 from repro.experiments.figures import fig8_decode
 from repro.experiments.reporting import (
     add_speedup_column,
@@ -15,15 +17,42 @@ from repro.experiments.reporting import (
 )
 
 
-def test_fig8_decode_grid(benchmark, report):
-    rows = benchmark.pedantic(
-        lambda: fig8_decode(scale=BENCH_SCALE, seed=BENCH_SEED),
-        rounds=1,
-        iterations=1,
+def run(smoke: bool) -> tuple[dict, list[str]]:
+    rows = add_speedup_column(
+        fig8_decode(scale=harness.BENCH_SCALE, seed=harness.BENCH_SEED), "mean_tbt_s"
     )
-    rows = add_speedup_column(rows, "mean_tbt_s")
+    hybrimoe = [r for r in rows if r["strategy"] == "hybrimoe"]
+    average = geometric_mean([r["speedup"] for r in hybrimoe])
+    failures = []
+    # HybriMoE wins on average and in the majority of configurations.
+    if not average > 1.1:
+        failures.append(
+            f"hybrimoe decode speedup vs ktransformers: geomean {average:.3f}x "
+            f"is not > 1.1x"
+        )
+    wins = sum(1 for r in hybrimoe if r["speedup"] >= 1.0)
+    if not wins >= 6:
+        failures.append(
+            f"hybrimoe matches or beats ktransformers in {wins} of "
+            f"{len(hybrimoe)} configurations, not >= 6"
+        )
+    # AdapMoE (GPU-centric) is transfer-bound at the 25% ratio.
+    adapmoe_low = max(
+        r["speedup"]
+        for r in rows
+        if r["strategy"] == "adapmoe" and r["cache_ratio"] == 0.25
+    )
+    if not adapmoe_low < 1.0:
+        failures.append(
+            f"adapmoe reaches {adapmoe_low:.3f}x of ktransformers at the 25% "
+            f"cache ratio, not < 1.0x"
+        )
+    return {"rows": rows, "hybrimoe_geomean_speedup": average}, failures
+
+
+def render(payload: dict) -> str:
     table = format_table(
-        rows,
+        payload["rows"],
         columns=[
             "model",
             "cache_ratio",
@@ -34,20 +63,13 @@ def test_fig8_decode_grid(benchmark, report):
         ],
         title="Fig. 8 — decode TBT (speedup vs kTransformers)",
     )
-    hybrimoe = [r for r in rows if r["strategy"] == "hybrimoe"]
-    average = geometric_mean([r["speedup"] for r in hybrimoe])
-    summary = f"HybriMoE decode speedup vs kTransformers: geomean {average:.2f}x (paper: 1.70x)"
-    report("fig8_decode", table + "\n\n" + summary)
+    return (
+        f"{table}\n\nHybriMoE decode speedup vs kTransformers: geomean "
+        f"{payload['hybrimoe_geomean_speedup']:.2f}x (paper: 1.70x)"
+    )
 
-    # HybriMoE wins on average and in the majority of configurations.
-    assert average > 1.1
-    wins = sum(1 for r in hybrimoe if r["speedup"] >= 1.0)
-    assert wins >= 6  # of 9 configurations
 
-    # AdapMoE (GPU-centric) is transfer-bound at the 25% ratio.
-    adapmoe_low = [
-        r["speedup"]
-        for r in rows
-        if r["strategy"] == "adapmoe" and r["cache_ratio"] == 0.25
-    ]
-    assert max(adapmoe_low) < 1.0
+BENCH = harness.Bench(name="fig8_decode", run=run, render=render, has_smoke=False)
+
+if __name__ == "__main__":
+    raise SystemExit(harness.main(BENCH))

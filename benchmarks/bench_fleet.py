@@ -25,41 +25,25 @@ tight):
    Scale-ups must fire, every request completes, and the goodput win
    over the static minimum pool is tracked.
 
-Results are written as versioned JSON; the committed repo-root
-``BENCH_fleet.json`` is the trajectory baseline the CI ``fleet-perf``
-job gates against (``perf-regression-ok`` label skips the gate).
-
-Usage::
-
-    python benchmarks/bench_fleet.py            # full run, merges into BENCH_fleet.json
-    python benchmarks/bench_fleet.py --smoke    # CI-sized run
-    python benchmarks/bench_fleet.py --smoke --check --out BENCH_fleet.current.json
+The committed repo-root ``BENCH_fleet.json`` is the trajectory
+baseline; flags, file layouts and the gate rule are the harness's
+(``benchmarks/harness.py``).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-from pathlib import Path
+import harness
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(REPO_ROOT))
-sys.path.insert(0, str(REPO_ROOT / "src"))
-
-from repro.engine.factory import make_fleet  # noqa: E402
-from repro.fleet.autoscale import AutoscaleConfig  # noqa: E402
-from repro.fleet.faults import FaultSchedule, ReplicaFault  # noqa: E402
-from repro.fleet.router import available_routers  # noqa: E402
-from repro.workloads.generator import (  # noqa: E402
+from repro.engine.factory import make_fleet
+from repro.fleet.autoscale import AutoscaleConfig
+from repro.fleet.faults import FaultSchedule, ReplicaFault
+from repro.fleet.router import available_routers
+from repro.workloads.generator import (
     bursty_arrivals,
     poisson_arrivals,
     serving_workload,
     skewed_serving_workload,
 )
-
-BASELINE_PATH = REPO_ROOT / "BENCH_fleet.json"
-SCHEMA_VERSION = 1
 
 #: Gate: a tracked ratio may not regress by more than this factor
 #: versus the committed baseline.
@@ -305,31 +289,14 @@ def run_autoscale() -> dict:
 
 
 # ----------------------------------------------------------------------
-# trajectory + gate
+# claims, ratios, table
 # ----------------------------------------------------------------------
 
-def run(smoke: bool) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "mode": "smoke" if smoke else "full",
-        "criteria": {"regression_factor": REGRESSION_FACTOR},
-        "scenarios": {
-            "skewed": _bench_skewed(smoke),
-            "failover": run_failover(),
-            "autoscale": run_autoscale(),
-        },
-    }
-
-
-def check(current: dict, baseline: dict | None) -> list[str]:
-    """Gate failures of ``current`` against the committed baseline."""
-    failures: list[str] = []
-    mode = current["mode"]
-    skewed = current["scenarios"]["skewed"]
-    failover = current["scenarios"]["failover"]
-    autoscale = current["scenarios"]["autoscale"]
-
-    # Hard criteria (hold in every mode, baseline or not).
+def run(smoke: bool) -> tuple[dict, list[str]]:
+    skewed = _bench_skewed(smoke)
+    failover = run_failover()
+    autoscale = run_autoscale()
+    failures = []
     if not skewed["affinity_beats_round_robin_every_seed"]:
         losses = {
             seed: race["affinity_vs_round_robin"]
@@ -348,128 +315,64 @@ def check(current: dict, baseline: dict | None) -> list[str]:
         failures.append("autoscale: run lost requests")
     if autoscale["scale_ups"] < 1:
         failures.append("autoscale: the flash crowd triggered no scale-up")
-
-    # Trajectory regression vs the committed baseline (same mode).
-    if baseline is None:
-        failures.append(f"no committed baseline at {BASELINE_PATH}")
-        return failures
-    committed = baseline.get("modes", {}).get(mode)
-    if committed is None:
-        failures.append(f"committed baseline has no '{mode}' mode entry")
-        return failures
-    ratios = (
-        (
-            "skewed: cache_affinity goodput vs round_robin",
-            skewed["affinity_vs_round_robin_mean"],
-            committed["scenarios"]["skewed"]["affinity_vs_round_robin_mean"],
-        ),
-        (
-            "failover: goodput retention after a crash",
-            failover["goodput_retention"],
-            committed["scenarios"]["failover"]["goodput_retention"],
-        ),
-        (
-            "autoscale: goodput vs static minimum pool",
-            autoscale["autoscale_speedup"],
-            committed["scenarios"]["autoscale"]["autoscale_speedup"],
-        ),
-    )
-    for label, now, then in ratios:
-        floor = then / REGRESSION_FACTOR
-        if now < floor:
-            failures.append(
-                f"{label} regressed >{REGRESSION_FACTOR:.2f}x: "
-                f"{now:.3f}x vs committed {then:.3f}x (floor {floor:.3f}x)"
-            )
-    return failures
+    scenarios = {"skewed": skewed, "failover": failover, "autoscale": autoscale}
+    return {"scenarios": scenarios}, failures
 
 
-def _print_results(results: dict) -> None:
-    skewed = results["scenarios"]["skewed"]
-    print(f"fleet bench ({results['mode']}):")
-    print("  skewed router race (merged goodput, warm caches):")
+RATIOS = (
+    ("skewed: cache_affinity goodput vs round_robin",
+     "scenarios.skewed.affinity_vs_round_robin_mean"),
+    ("failover: goodput retention after a crash",
+     "scenarios.failover.goodput_retention"),
+    ("autoscale: goodput vs static minimum pool",
+     "scenarios.autoscale.autoscale_speedup"),
+)
+
+
+def render(payload: dict) -> str:
+    skewed = payload["scenarios"]["skewed"]
+    lines = ["  skewed router race (merged goodput, warm caches):"]
     for seed, race in skewed["per_seed"].items():
         parts = "  ".join(
             f"{router} {race[router]['goodput_rps']:6.2f} req/s "
             f"(hit {race[router]['hit_rate']:.3f})"
             for router in available_routers()
         )
-        print(f"    seed {seed}: {parts}")
-        print(
+        lines.append(f"    seed {seed}: {parts}")
+        lines.append(
             f"            cache_affinity vs round_robin: "
             f"{race['affinity_vs_round_robin']:.3f}x"
         )
-    print(
+    lines.append(
         f"    mean affinity win: {skewed['affinity_vs_round_robin_mean']:.3f}x "
         f"(every seed strict: {skewed['affinity_beats_round_robin_every_seed']})"
     )
-    failover = results["scenarios"]["failover"]
-    print(
+    failover = payload["scenarios"]["failover"]
+    lines.append(
         f"  failover: {failover['num_failovers']} re-routes, lossless "
         f"{failover['lossless']}, goodput retention "
         f"{failover['goodput_retention']:.3f}x "
         f"({failover['crashed_goodput_rps']:.2f} vs "
         f"{failover['clean_goodput_rps']:.2f} req/s)"
     )
-    autoscale = results["scenarios"]["autoscale"]
-    print(
+    autoscale = payload["scenarios"]["autoscale"]
+    lines.append(
         f"  autoscale: {autoscale['scale_ups']} up / "
         f"{autoscale['scale_downs']} down, "
         f"{autoscale['autoscale_speedup']:.3f}x goodput vs static minimum "
         f"({autoscale['autoscaled_goodput_rps']:.2f} vs "
         f"{autoscale['static_min_goodput_rps']:.2f} req/s)"
     )
+    return "\n".join(lines)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--smoke", action="store_true", help="CI-sized run")
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="fail on regression vs the committed BENCH_fleet.json",
-    )
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=BASELINE_PATH,
-        help="where to write results (default: repo-root BENCH_fleet.json)",
-    )
-    args = parser.parse_args(argv)
-
-    # Read the committed baseline before writing anything: `--check`
-    # must compare against the pre-run state even when --out points at
-    # the baseline file itself.
-    baseline = (
-        json.loads(BASELINE_PATH.read_text()) if BASELINE_PATH.exists() else None
-    )
-    results = run(args.smoke)
-
-    if args.out == BASELINE_PATH:
-        # The baseline keeps one entry per mode, so a smoke run never
-        # clobbers the committed full-mode trajectory (or vice versa).
-        merged = {
-            "schema": SCHEMA_VERSION,
-            "criteria": results["criteria"],
-            "modes": dict((baseline or {}).get("modes", {})),
-        }
-        merged["modes"][results["mode"]] = {"scenarios": results["scenarios"]}
-        args.out.write_text(json.dumps(merged, indent=2) + "\n")
-    else:
-        args.out.write_text(json.dumps(results, indent=2) + "\n")
-
-    _print_results(results)
-    print(f"wrote {args.out}")
-
-    if args.check:
-        failures = check(results, baseline)
-        if failures:
-            for failure in failures:
-                print(f"PERF GATE FAIL: {failure}", file=sys.stderr)
-            return 1
-        print("perf gate: ok")
-    return 0
-
+BENCH = harness.Bench(
+    name="fleet",
+    run=run,
+    render=render,
+    criteria={"regression_factor": REGRESSION_FACTOR},
+    ratios=RATIOS,
+)
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(harness.main(BENCH))

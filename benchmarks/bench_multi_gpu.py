@@ -13,168 +13,109 @@ Checks the scale-out analogue of the paper's Fig. 8/9 claim: hybrid
 scheduling + MRS caching (hybrimoe) sustains higher aggregate goodput
 than on-demand GPU loading for every placement policy.
 
-Runs two ways:
-
-- ``pytest benchmarks/bench_multi_gpu.py`` — full scale, result table
-  persisted under ``benchmarks/results/``;
-- ``python benchmarks/bench_multi_gpu.py --steps 2`` — standalone
-  smoke (the CI docs job runs exactly this) with a reduced grid.
+Claims-only (no committed baseline): the full mode races all five
+strategies at bench scale, ``--smoke`` the headline pair on a reduced
+grid.
 """
 
 from __future__ import annotations
 
-import argparse
+import harness
 
 from repro.cache.placement import available_placements
-from repro.engine.factory import make_serving_engine
+from repro.engine.factory import available_strategies
 from repro.experiments.reporting import format_table
-from repro.workloads.generator import serving_workload
 
 NUM_GPUS = 4
-NUM_REQUESTS = 12
 ARRIVAL_RATE = 4.0
-DECODE_STEPS = 24
 CACHE_RATIO = 0.25
 MAX_BATCH = 8
-STRATEGIES = ("hybrimoe", "ktransformers", "adapmoe", "llamacpp", "ondemand")
+
+FULL = {
+    "strategies": available_strategies(),
+    "num_layers": harness.BENCH_SCALE.num_layers,
+    "num_requests": 12,
+    "decode_steps": 24,
+}
+SMOKE = {
+    "strategies": ("hybrimoe", "ondemand"),
+    "num_layers": 4,
+    "num_requests": 4,
+    "decode_steps": 2,
+}
 
 
-def run_race(
-    num_gpus: int = NUM_GPUS,
-    num_requests: int = NUM_REQUESTS,
-    decode_steps: int = DECODE_STEPS,
-    num_layers: int = 10,
-    strategies: tuple[str, ...] = STRATEGIES,
-    placements: tuple[str, ...] | None = None,
-    seed: int = 0,
-) -> list[dict]:
-    """Serve one Poisson trace per (placement, strategy) pair.
-
-    Returns one flat row per pair: the serving-report aggregate plus
-    ``placement``, ``num_gpus`` and per-device hit-rate columns.
-    """
-    placements = tuple(placements or available_placements())
-    rows: list[dict] = []
-    for placement in placements:
-        for strategy in strategies:
-            serving = make_serving_engine(
-                model="deepseek",
-                strategy=strategy,
-                cache_ratio=CACHE_RATIO,
-                num_layers=num_layers,
-                seed=seed,
-                num_gpus=num_gpus,
-                placement=placement,
-                max_batch_size=MAX_BATCH,
-            )
-            trace = serving_workload(
-                num_requests=num_requests,
-                arrival_rate=ARRIVAL_RATE,
-                decode_steps=decode_steps,
-                seed=seed,
-            )
-            report = serving.serve_trace(trace)
-            row = {"placement": placement, "num_gpus": num_gpus}
-            row.update(report.summary())
-            cache = serving.engine.runtime.cache
-            for device, rate in enumerate(cache.per_device_hit_rates()):
-                row[f"hit_gpu{device}"] = rate
-            rows.append(row)
-    return rows
+def _per_device_hit_rates(serving) -> dict:
+    rates = serving.engine.runtime.cache.per_device_hit_rates()
+    return {f"hit_gpu{device}": rate for device, rate in enumerate(rates)}
 
 
-def format_report(rows: list[dict], num_gpus: int) -> str:
-    """Render the race as one table, best aggregate goodput first."""
-    rows = sorted(rows, key=lambda r: -r["goodput_rps"])
-    columns = [
-        "placement",
-        "strategy",
-        "goodput_rps",
-        "token_throughput",
-        "p99_ttft_s",
-        "p99_tbt_s",
-        "hit_rate",
-    ] + [f"hit_gpu{g}" for g in range(num_gpus)]
-    return format_table(
-        rows,
-        columns=columns,
-        title=(
-            f"multi-GPU serving race — deepseek @ {CACHE_RATIO:.0%} aggregate "
-            f"cache on {num_gpus} GPUs (best goodput first)"
-        ),
-    )
+def run(smoke: bool) -> tuple[dict, list[str]]:
+    size = SMOKE if smoke else FULL
+    rows = []
+    for placement in available_placements():
+        race = harness.strategy_race(
+            size["strategies"],
+            {
+                "cache_ratio": CACHE_RATIO,
+                "num_layers": size["num_layers"],
+                "seed": harness.BENCH_SEED,
+                "num_gpus": NUM_GPUS,
+                "placement": placement,
+                "max_batch_size": MAX_BATCH,
+            },
+            {
+                "num_requests": size["num_requests"],
+                "arrival_rate": ARRIVAL_RATE,
+                "decode_steps": size["decode_steps"],
+                "seed": harness.BENCH_SEED,
+            },
+            extra_columns=_per_device_hit_rates,
+        )
+        rows += [{"placement": placement, **row} for row in race]
 
-
-def check_claims(rows: list[dict]) -> bool:
-    """Hybrid scheduling + MRS caching beats on-demand per placement.
-
-    Returns False (skipped) when the race did not include both headline
-    strategies — a custom ``--strategies`` list has no claim to check.
-    """
-    raced = {r["strategy"] for r in rows}
-    if not {"hybrimoe", "ondemand"} <= raced:
-        return False
+    # Hybrid scheduling + MRS caching beats on-demand per placement.
+    failures = []
     by_pair = {(r["placement"], r["strategy"]): r for r in rows}
-    for placement in {r["placement"] for r in rows}:
+    for placement in available_placements():
         hybrimoe = by_pair[(placement, "hybrimoe")]
         ondemand = by_pair[(placement, "ondemand")]
-        assert hybrimoe["goodput_rps"] >= ondemand["goodput_rps"], (
-            f"{placement}: hybrimoe goodput {hybrimoe['goodput_rps']:.3f} "
-            f"below ondemand {ondemand['goodput_rps']:.3f}"
-        )
-    return True
+        if not hybrimoe["goodput_rps"] >= ondemand["goodput_rps"]:
+            failures.append(
+                f"{placement}: hybrimoe goodput {hybrimoe['goodput_rps']:.3f} "
+                f"below ondemand {ondemand['goodput_rps']:.3f}"
+            )
+    return {"rows": rows}, failures
 
 
-def test_multi_gpu_serving(benchmark, report):
-    from benchmarks.conftest import BENCH_SCALE, BENCH_SEED
-
-    rows = benchmark.pedantic(
-        run_race,
-        kwargs={"num_layers": BENCH_SCALE.num_layers, "seed": BENCH_SEED},
-        rounds=1,
-        iterations=1,
+def render(payload: dict) -> str:
+    rows = sorted(payload["rows"], key=lambda r: -r["goodput_rps"])
+    table = format_table(
+        rows,
+        columns=[
+            "placement",
+            "strategy",
+            "goodput_rps",
+            "token_throughput",
+            "p99_ttft_s",
+            "p99_tbt_s",
+            "hit_rate",
+        ]
+        + [f"hit_gpu{g}" for g in range(NUM_GPUS)],
+        title=(
+            f"multi-GPU serving race — deepseek @ {CACHE_RATIO:.0%} aggregate "
+            f"cache on {NUM_GPUS} GPUs (best goodput first)"
+        ),
     )
-    table = format_report(rows, NUM_GPUS)
-    best = max(rows, key=lambda r: r["goodput_rps"])
-    summary = (
-        f"best fleet config: {best['strategy']} + {best['placement']} at "
-        f"{best['goodput_rps']:.2f} req/s goodput, "
+    best = rows[0]
+    return (
+        f"{table}\n\nbest fleet config: {best['strategy']} + {best['placement']} "
+        f"at {best['goodput_rps']:.2f} req/s goodput, "
         f"p99 TBT {best['p99_tbt_s'] * 1e3:.1f} ms"
     )
-    report("multi_gpu_serving", table + "\n\n" + summary)
-    check_claims(rows)
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="multi-GPU placement × strategy serving race"
-    )
-    parser.add_argument("--steps", type=int, default=DECODE_STEPS, help="decode steps per request")
-    parser.add_argument("--requests", type=int, default=8)
-    parser.add_argument("--num-gpus", type=int, default=NUM_GPUS)
-    parser.add_argument("--num-layers", type=int, default=6)
-    parser.add_argument(
-        "--strategies",
-        default="hybrimoe,ondemand",
-        help="comma-separated strategy names (standalone default is the headline pair)",
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-    rows = run_race(
-        num_gpus=args.num_gpus,
-        num_requests=args.requests,
-        decode_steps=args.steps,
-        num_layers=args.num_layers,
-        strategies=tuple(args.strategies.split(",")),
-        seed=args.seed,
-    )
-    print(format_report(rows, args.num_gpus))
-    if check_claims(rows):
-        print("claims OK: hybrimoe >= ondemand aggregate goodput on every placement")
-    else:
-        print("claims skipped: race did not include both hybrimoe and ondemand")
-    return 0
-
+BENCH = harness.Bench(name="multi_gpu", run=run, render=render)
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(harness.main(BENCH))

@@ -28,40 +28,25 @@ End-to-end wall clock is not measured here: it is
 ``host_tokens_per_s`` of the perf ledger (``bench/run.py``), which
 schema 3's ``end_to_end`` block duplicated.
 
-The ``--check`` mode for CI compares measured speedups against the
-committed ``BENCH_planner.json`` (on ``prefill`` also the memo-off
+The gate compares measured speedups against the same mode's entry of
+the committed ``BENCH_planner.json`` (on ``prefill`` also the memo-off
 ``speedup_cold``) and fails on a >2x regression or on missing the 5x
-decode floor, so perf regressions are caught at review time.
-Intentional trade-offs skip the gate via the ``perf-regression-ok`` PR
-label (see ``.github/workflows/ci.yml``).
-
-Usage::
-
-    python benchmarks/bench_planner_speed.py            # full run, writes BENCH_planner.json
-    python benchmarks/bench_planner_speed.py --smoke    # CI-sized run
-    python benchmarks/bench_planner_speed.py --smoke --check --out /tmp/current.json
+decode floor; flags, file layouts and the gate rule are the harness's
+(``benchmarks/harness.py``).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 import time
-from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(REPO_ROOT))  # tests.reference_planner
-sys.path.insert(0, str(REPO_ROOT / "src"))
+import harness
 
-from repro.core.hybrid_scheduler import HybridScheduler, SchedulerConfig  # noqa: E402
-from repro.engine.engine import EngineConfig  # noqa: E402
-from repro.engine.factory import make_engine  # noqa: E402
-from repro.models.presets import get_preset  # noqa: E402
-from repro.rng import derive_rng  # noqa: E402
-from tests.reference_planner import ReferencePlanner  # noqa: E402
-
-BASELINE_PATH = REPO_ROOT / "BENCH_planner.json"
+from repro.core.hybrid_scheduler import HybridScheduler, SchedulerConfig
+from repro.engine.engine import EngineConfig
+from repro.engine.factory import make_engine
+from repro.models.presets import get_preset
+from repro.rng import derive_rng
+from tests.reference_planner import ReferencePlanner
 
 #: Acceptance floor: decode planner latency must beat the reference
 #: planner by at least this factor (ISSUE 3 criterion).
@@ -71,6 +56,8 @@ REGRESSION_FACTOR = 2.0
 #: The ``prefill`` stream: full-width prompts on the perf ledger's depth.
 PREFILL_PROMPT_LEN = 512
 PREFILL_LAYERS = 8
+#: The streams ``_shape_streams`` builds, one payload row each.
+SHAPES = ("decode_micro", "decode_shapes", "decode", "prefill", "multi_gpu")
 #: Speedups the gate compares per shape. The memo cannot help a cold
 #: prefill, so there the memo-off search is gated as well:
 #: ``speedup_cold`` is ``fast_cold_us_per_call`` against the same run's
@@ -226,92 +213,46 @@ def _bench_planner(smoke: bool) -> dict:
 
 
 # ----------------------------------------------------------------------
-# trajectory + gate
+# claims, ratios, table
 # ----------------------------------------------------------------------
 
-def run(smoke: bool) -> dict:
-    return {
-        "schema": 4,
-        "mode": "smoke" if smoke else "full",
-        "criteria": {
-            "decode_speedup_floor": DECODE_SPEEDUP_FLOOR,
-            "regression_factor": REGRESSION_FACTOR,
-        },
-        "planner": _bench_planner(smoke),
-    }
-
-
-def check(current: dict, baseline: dict | None) -> list[str]:
-    """Gate failures of ``current`` against the committed baseline."""
-    failures: list[str] = []
-    decode_speedup = current["planner"]["decode_micro"]["speedup"]
+def run(smoke: bool) -> tuple[dict, list[str]]:
+    payload = _bench_planner(smoke)
+    failures = []
+    decode_speedup = payload["decode_micro"]["speedup"]
     if decode_speedup < DECODE_SPEEDUP_FLOOR:
         failures.append(
             f"decode_micro planner speedup {decode_speedup:.1f}x is below "
             f"the {DECODE_SPEEDUP_FLOOR:.0f}x acceptance floor"
         )
-    if baseline is None:
-        failures.append(f"no committed baseline at {BASELINE_PATH}")
-        return failures
-    for shape, current_row in current["planner"].items():
-        committed = baseline.get("planner", {}).get(shape)
-        if committed is None:
-            continue
-        for metric in GATED_SPEEDUPS.get(shape, ("speedup",)):
-            floor = committed[metric] / REGRESSION_FACTOR
-            if current_row[metric] < floor:
-                failures.append(
-                    f"{shape}: {metric} {current_row[metric]:.1f}x regressed "
-                    f">{REGRESSION_FACTOR:.0f}x vs committed "
-                    f"{committed[metric]:.1f}x (floor {floor:.1f}x)"
-                )
-    return failures
+    return payload, failures
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--smoke", action="store_true", help="CI-sized run")
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="fail on regression vs the committed BENCH_planner.json",
+def render(payload: dict) -> str:
+    return "\n".join(
+        f"  {shape:13s} {row['calls']:5d} calls  "
+        f"ref {row['reference_us_per_call']:8.1f} us/call  "
+        f"cold {row['fast_cold_us_per_call']:8.1f} ({row['speedup_cold']:.1f}x)  "
+        f"fast {row['fast_us_per_call']:8.1f} ({row['speedup']:.1f}x)"
+        for shape, row in payload.items()
     )
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=BASELINE_PATH,
-        help="where to write results (default: repo-root BENCH_planner.json)",
-    )
-    args = parser.parse_args(argv)
 
-    # Read the committed baseline before writing anything: `--check`
-    # must compare against the pre-run state even when --out points at
-    # the baseline file itself.
-    baseline = (
-        json.loads(BASELINE_PATH.read_text()) if BASELINE_PATH.exists() else None
-    )
-    results = run(args.smoke)
-    args.out.write_text(json.dumps(results, indent=2) + "\n")
 
-    print(f"planner perf ({results['mode']}):")
-    for shape, row in results["planner"].items():
-        print(
-            f"  {shape:13s} {row['calls']:5d} calls  "
-            f"ref {row['reference_us_per_call']:8.1f} us/call  "
-            f"cold {row['fast_cold_us_per_call']:8.1f} ({row['speedup_cold']:.1f}x)  "
-            f"fast {row['fast_us_per_call']:8.1f} ({row['speedup']:.1f}x)"
-        )
-    print(f"wrote {args.out}")
-
-    if args.check:
-        failures = check(results, baseline)
-        if failures:
-            for failure in failures:
-                print(f"PERF GATE FAIL: {failure}", file=sys.stderr)
-            return 1
-        print("perf gate: ok")
-    return 0
-
+BENCH = harness.Bench(
+    name="planner",
+    run=run,
+    render=render,
+    schema=5,
+    criteria={
+        "decode_speedup_floor": DECODE_SPEEDUP_FLOOR,
+        "regression_factor": REGRESSION_FACTOR,
+    },
+    ratios=tuple(
+        (f"{shape}: {metric}", f"{shape}.{metric}")
+        for shape in SHAPES
+        for metric in GATED_SPEEDUPS.get(shape, ("speedup",))
+    ),
+)
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(harness.main(BENCH))

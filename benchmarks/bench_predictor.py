@@ -22,37 +22,20 @@ tight):
    in every regime, but it must never tank it; the worst per-cell
    ratio is tracked as a trajectory metric.
 
-Results are written as versioned JSON; the committed repo-root
-``BENCH_predictor.json`` is the trajectory baseline the CI
-``predictor-perf`` job gates against (``perf-regression-ok`` label
-skips the gate).
-
-Usage::
-
-    python benchmarks/bench_predictor.py            # full run, merges into BENCH_predictor.json
-    python benchmarks/bench_predictor.py --smoke    # CI-sized run
-    python benchmarks/bench_predictor.py --smoke --check --out BENCH_predictor.current.json
+The committed repo-root ``BENCH_predictor.json`` is the trajectory
+baseline; flags, file layouts and the gate rule are the harness's
+(``benchmarks/harness.py``).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-from pathlib import Path
+import harness
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(REPO_ROOT))
-sys.path.insert(0, str(REPO_ROOT / "src"))
-
-from repro.engine.factory import make_serving_engine  # noqa: E402
-from repro.workloads.generator import (  # noqa: E402
+from repro.engine.factory import make_serving_engine
+from repro.workloads.generator import (
     chat_serving_workload,
     skewed_serving_workload,
 )
-
-BASELINE_PATH = REPO_ROOT / "BENCH_predictor.json"
-SCHEMA_VERSION = 1
 
 #: Gate: a tracked ratio may not regress by more than this factor
 #: versus the committed baseline.
@@ -253,43 +236,22 @@ def _bench_sensitivity(smoke: bool) -> dict:
 
 
 # ----------------------------------------------------------------------
-# trajectory + gate
+# claims, ratios, table
 # ----------------------------------------------------------------------
 
-def run(smoke: bool) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "mode": "smoke" if smoke else "full",
-        "criteria": {
-            "regression_factor": REGRESSION_FACTOR,
-            "goodput_tolerance": GOODPUT_TOLERANCE,
-        },
-        "scenarios": {
-            "race": _bench_race(smoke),
-            "sensitivity": _bench_sensitivity(smoke),
-        },
-    }
-
-
-def check(current: dict, baseline: dict | None) -> list[str]:
-    """Gate failures of ``current`` against the committed baseline."""
-    failures: list[str] = []
-    mode = current["mode"]
-    race = current["scenarios"]["race"]
-    sensitivity = current["scenarios"]["sensitivity"]
-
-    # Hard criteria (hold in every mode, baseline or not).
+def run(smoke: bool) -> tuple[dict, list[str]]:
+    race = _bench_race(smoke)
+    sensitivity = _bench_sensitivity(smoke)
+    frequency = race["predictors"]["frequency"]["mean"]
+    transition = race["predictors"]["transition"]["mean"]
+    failures = []
     if not race["transition_beats_frequency_prefetch"]:
-        frequency = race["predictors"]["frequency"]["mean"]
-        transition = race["predictors"]["transition"]["mean"]
         failures.append(
             f"race: transition no longer beats frequency on mean "
             f"prefetch-hit rate ({transition['prefetch_hit_rate']:.4f} vs "
             f"{frequency['prefetch_hit_rate']:.4f})"
         )
     if not race["transition_beats_frequency_accuracy"]:
-        frequency = race["predictors"]["frequency"]["mean"]
-        transition = race["predictors"]["transition"]["mean"]
         failures.append(
             f"race: transition no longer beats frequency on calibrated "
             f"distance-1 accuracy ({transition['accuracy_d1']:.4f} vs "
@@ -307,124 +269,60 @@ def check(current: dict, baseline: dict | None) -> list[str]:
             f"(worst ratio {sensitivity['worst_goodput_ratio']:.4f} < "
             f"{GOODPUT_TOLERANCE})"
         )
-
-    # Trajectory regression vs the committed baseline (same mode).
-    if baseline is None:
-        failures.append(f"no committed baseline at {BASELINE_PATH}")
-        return failures
-    committed = baseline.get("modes", {}).get(mode)
-    if committed is None:
-        failures.append(f"committed baseline has no '{mode}' mode entry")
-        return failures
-    committed_race = committed["scenarios"]["race"]
-    committed_sensitivity = committed["scenarios"]["sensitivity"]
-    ratios = (
-        (
-            "race: transition vs frequency prefetch-hit rate",
-            race["transition_vs_frequency_prefetch"],
-            committed_race["transition_vs_frequency_prefetch"],
-        ),
-        (
-            "race: transition calibrated distance-1 accuracy",
-            race["predictors"]["transition"]["mean"]["accuracy_d1"],
-            committed_race["predictors"]["transition"]["mean"]["accuracy_d1"],
-        ),
-        (
-            "sensitivity: worst predictor-on goodput ratio",
-            sensitivity["worst_goodput_ratio"],
-            committed_sensitivity["worst_goodput_ratio"],
-        ),
-    )
-    for label, now, then in ratios:
-        floor = then / REGRESSION_FACTOR
-        if now < floor:
-            failures.append(
-                f"{label} regressed >{REGRESSION_FACTOR:.2f}x: "
-                f"{now:.4f} vs committed {then:.4f} (floor {floor:.4f})"
-            )
-    return failures
+    return {"scenarios": {"race": race, "sensitivity": sensitivity}}, failures
 
 
-def _print_results(results: dict) -> None:
-    race = results["scenarios"]["race"]
-    print(f"predictor bench ({results['mode']}):")
-    print("  race (skewed workload, mean over seeds):")
+RATIOS = (
+    ("race: transition vs frequency prefetch-hit rate",
+     "scenarios.race.transition_vs_frequency_prefetch"),
+    ("race: transition calibrated distance-1 accuracy",
+     "scenarios.race.predictors.transition.mean.accuracy_d1"),
+    ("sensitivity: worst predictor-on goodput ratio",
+     "scenarios.sensitivity.worst_goodput_ratio"),
+)
+
+
+def render(payload: dict) -> str:
+    race = payload["scenarios"]["race"]
+    lines = ["  race (skewed workload, mean over seeds):"]
     for name in ("none", "frequency", "transition"):
         mean = race["predictors"][name]["mean"]
-        print(
+        lines.append(
             f"    {name:10s} goodput {mean['goodput_rps']:6.2f} req/s  "
             f"prefetch-hit {mean['prefetch_hit_rate']:.4f}  "
             f"accuracy@1 {mean['accuracy_d1']:.3f}"
         )
-    print(
+    lines.append(
         f"    transition vs frequency prefetch-hit: "
         f"{race['transition_vs_frequency_prefetch']:.4f}x "
         f"(beats: {race['transition_beats_frequency_prefetch']}, "
         f"accuracy beats: {race['transition_beats_frequency_accuracy']})"
     )
-    sensitivity = results["scenarios"]["sensitivity"]
-    print("  sensitivity (transition on vs off):")
+    sensitivity = payload["scenarios"]["sensitivity"]
+    lines.append("  sensitivity (transition on vs off):")
     for label, cell in sensitivity["cells"].items():
-        print(
+        lines.append(
             f"    {label:24s} goodput ratio {cell['goodput_ratio']:.4f} "
             f"({cell['on']['goodput_rps']:.2f} vs "
             f"{cell['off']['goodput_rps']:.2f} req/s)"
         )
-    print(
+    lines.append(
         f"    worst ratio {sensitivity['worst_goodput_ratio']:.4f}, "
         f"best {sensitivity['best_goodput_ratio']:.4f}"
     )
+    return "\n".join(lines)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--smoke", action="store_true", help="CI-sized run")
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="fail on regression vs the committed BENCH_predictor.json",
-    )
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=BASELINE_PATH,
-        help="where to write results (default: repo-root BENCH_predictor.json)",
-    )
-    args = parser.parse_args(argv)
-
-    # Read the committed baseline before writing anything: `--check`
-    # must compare against the pre-run state even when --out points at
-    # the baseline file itself.
-    baseline = (
-        json.loads(BASELINE_PATH.read_text()) if BASELINE_PATH.exists() else None
-    )
-    results = run(args.smoke)
-
-    if args.out == BASELINE_PATH:
-        # The baseline keeps one entry per mode, so a smoke run never
-        # clobbers the committed full-mode trajectory (or vice versa).
-        merged = {
-            "schema": SCHEMA_VERSION,
-            "criteria": results["criteria"],
-            "modes": dict((baseline or {}).get("modes", {})),
-        }
-        merged["modes"][results["mode"]] = {"scenarios": results["scenarios"]}
-        args.out.write_text(json.dumps(merged, indent=2) + "\n")
-    else:
-        args.out.write_text(json.dumps(results, indent=2) + "\n")
-
-    _print_results(results)
-    print(f"wrote {args.out}")
-
-    if args.check:
-        failures = check(results, baseline)
-        if failures:
-            for failure in failures:
-                print(f"PERF GATE FAIL: {failure}", file=sys.stderr)
-            return 1
-        print("perf gate: ok")
-    return 0
-
+BENCH = harness.Bench(
+    name="predictor",
+    run=run,
+    render=render,
+    criteria={
+        "regression_factor": REGRESSION_FACTOR,
+        "goodput_tolerance": GOODPUT_TOLERANCE,
+    },
+    ratios=RATIOS,
+)
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(harness.main(BENCH))

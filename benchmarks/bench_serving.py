@@ -21,40 +21,18 @@ tight):
    ``GOODPUT_TOLERANCE`` (chunk slices ride the fused decode steps, so
    their overhead is bounded).
 
-Results are written as versioned JSON; the committed repo-root
-``BENCH_serving.json`` is the trajectory baseline the CI ``serving-perf``
-job gates against (``perf-regression-ok`` label skips the gate).
-
-Usage::
-
-    python benchmarks/bench_serving.py            # full run, merges into BENCH_serving.json
-    python benchmarks/bench_serving.py --smoke    # CI-sized run
-    python benchmarks/bench_serving.py --smoke --check --out BENCH_serving.current.json
-
-or, as a pytest benchmark (the historical load race at bench scale)::
-
-    pytest benchmarks/bench_serving.py --benchmark-only
+The committed repo-root ``BENCH_serving.json`` is the trajectory
+baseline; flags, file layouts and the gate rule are the harness's
+(``benchmarks/harness.py``).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-from pathlib import Path
+import harness
+import numpy as np
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(REPO_ROOT))
-sys.path.insert(0, str(REPO_ROOT / "src"))
-
-import numpy as np  # noqa: E402
-
-from repro.engine.factory import available_strategies, make_serving_engine  # noqa: E402
-from repro.experiments.reporting import format_table  # noqa: E402
-from repro.workloads.generator import serving_workload  # noqa: E402
-
-BASELINE_PATH = REPO_ROOT / "BENCH_serving.json"
-SCHEMA_VERSION = 1
+from repro.engine.factory import available_strategies, make_serving_engine
+from repro.workloads.generator import serving_workload
 
 #: Gate: a tracked ratio may not regress by more than this factor
 #: versus the committed baseline.
@@ -81,53 +59,29 @@ OVERLOAD = {
     "seed": 0,
 }
 
-LOAD_FULL = {"num_layers": 6, "num_requests": 16, "arrival_rate": 8.0,
-             "decode_steps": 16, "max_batch_size": 8, "cache_ratio": 0.25, "seed": 0}
-LOAD_SMOKE = {"num_layers": 4, "num_requests": 8, "arrival_rate": 8.0,
-              "decode_steps": 8, "max_batch_size": 8, "cache_ratio": 0.25, "seed": 0}
+#: Load race: (engine depth, trace) per mode over the shared knobs.
+LOAD_SHARED = {"max_batch_size": 8, "cache_ratio": 0.25, "seed": 0}
+LOAD_FULL = ({"num_layers": 6}, {"num_requests": 16, "arrival_rate": 8.0, "decode_steps": 16})
+LOAD_SMOKE = ({"num_layers": 4}, {"num_requests": 8, "arrival_rate": 8.0, "decode_steps": 8})
+#: Full mode only: contention multiplies the single-generation gap.
+FULL_GOODPUT_VS_ONDEMAND = 1.5
 
 
 # ----------------------------------------------------------------------
 # scenario: load (five-strategy race)
 # ----------------------------------------------------------------------
 
-def run_load_race(
-    num_layers: int,
-    num_requests: int,
-    arrival_rate: float,
-    decode_steps: int,
-    max_batch_size: int,
-    cache_ratio: float,
-    seed: int,
-) -> list[dict]:
-    """Serve one Poisson trace per strategy; one summary row each."""
-    rows = []
-    for strategy in available_strategies():
-        serving = make_serving_engine(
-            model="deepseek",
-            strategy=strategy,
-            cache_ratio=cache_ratio,
-            num_layers=num_layers,
-            seed=seed,
-            max_batch_size=max_batch_size,
-        )
-        trace = serving_workload(
-            num_requests=num_requests,
-            arrival_rate=arrival_rate,
-            decode_steps=decode_steps,
-            seed=seed,
-        )
-        rows.append(serving.serve_trace(trace).summary())
-    return rows
-
-
-def _bench_load(smoke: bool) -> dict:
-    params = LOAD_SMOKE if smoke else LOAD_FULL
-    rows = run_load_race(**params)
+def _bench_load(smoke: bool) -> tuple[dict, list[str]]:
+    depth, trace = LOAD_SMOKE if smoke else LOAD_FULL
+    rows = harness.strategy_race(
+        available_strategies(),
+        {**depth, **LOAD_SHARED},
+        {**trace, "seed": LOAD_SHARED["seed"]},
+    )
     by_strategy = {r["strategy"]: r for r in rows}
     hybrimoe, ondemand = by_strategy["hybrimoe"], by_strategy["ondemand"]
-    return {
-        "params": params,
+    payload = {
+        "params": {**depth, **trace, **LOAD_SHARED},
         "per_strategy": {
             r["strategy"]: {
                 "goodput_rps": r["goodput_rps"],
@@ -145,6 +99,15 @@ def _bench_load(smoke: bool) -> dict:
             hybrimoe["goodput_rps"] >= r["goodput_rps"] for r in rows
         ),
     }
+    # The one claim on a number the committed payload does not carry:
+    # a slower step pipeline shows up as multiplied queueing delay.
+    failures = []
+    if not hybrimoe["mean_queue_delay_s"] < ondemand["mean_queue_delay_s"]:
+        failures.append(
+            f"load: hybrimoe mean queue delay {hybrimoe['mean_queue_delay_s']:.4f} s "
+            f"is not below ondemand's {ondemand['mean_queue_delay_s']:.4f} s"
+        )
+    return payload, failures
 
 
 # ----------------------------------------------------------------------
@@ -231,36 +194,22 @@ def run_overload() -> dict:
 
 
 # ----------------------------------------------------------------------
-# trajectory + gate
+# claims, ratios, table
 # ----------------------------------------------------------------------
 
-def run(smoke: bool) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "mode": "smoke" if smoke else "full",
-        "criteria": {
-            "regression_factor": REGRESSION_FACTOR,
-            "goodput_tolerance": GOODPUT_TOLERANCE,
-        },
-        "scenarios": {
-            "load": _bench_load(smoke),
-            "overload": run_overload(),
-        },
-    }
-
-
-def check(current: dict, baseline: dict | None) -> list[str]:
-    """Gate failures of ``current`` against the committed baseline."""
-    failures: list[str] = []
-    mode = current["mode"]
-    load = current["scenarios"]["load"]
-    overload = current["scenarios"]["overload"]
-
-    # Hard criteria (hold in every mode, baseline or not).
+def run(smoke: bool) -> tuple[dict, list[str]]:
+    load, failures = _bench_load(smoke)
+    overload = run_overload()
     if not load["hybrimoe_best_tail"]:
         failures.append("load: hybrimoe no longer has the lowest p99 TBT")
     if not load["hybrimoe_best_goodput"]:
         failures.append("load: hybrimoe no longer has the highest goodput")
+    goodput_vs_ondemand = load["hybrimoe_goodput_vs_ondemand"]
+    if not smoke and goodput_vs_ondemand < FULL_GOODPUT_VS_ONDEMAND:
+        failures.append(
+            f"load: hybrimoe goodput is {goodput_vs_ondemand:.2f}x ondemand's, "
+            f"below {FULL_GOODPUT_VS_ONDEMAND}x"
+        )
     tbt_improvement = overload["interactive_p99_tbt_improvement"]
     if tbt_improvement <= 1.0:
         failures.append(
@@ -273,65 +222,41 @@ def check(current: dict, baseline: dict | None) -> list[str]:
             f"overload: SLO scheduling costs too much total goodput "
             f"({goodput_ratio:.3f}x FCFS, tolerance {GOODPUT_TOLERANCE})"
         )
-
-    # Trajectory regression vs the committed baseline (same mode).
-    if baseline is None:
-        failures.append(f"no committed baseline at {BASELINE_PATH}")
-        return failures
-    committed = baseline.get("modes", {}).get(mode)
-    if committed is None:
-        failures.append(f"committed baseline has no '{mode}' mode entry")
-        return failures
-    ratios = (
-        (
-            "load: hybrimoe goodput vs ondemand",
-            load["hybrimoe_goodput_vs_ondemand"],
-            committed["scenarios"]["load"]["hybrimoe_goodput_vs_ondemand"],
-        ),
-        (
-            "overload: interactive p99 TBT improvement",
-            tbt_improvement,
-            committed["scenarios"]["overload"]["interactive_p99_tbt_improvement"],
-        ),
-        (
-            "overload: interactive p99 TTFT improvement",
-            overload["interactive_p99_ttft_improvement"],
-            committed["scenarios"]["overload"]["interactive_p99_ttft_improvement"],
-        ),
-    )
-    for label, now, then in ratios:
-        floor = then / REGRESSION_FACTOR
-        if now < floor:
-            failures.append(
-                f"{label} regressed >{REGRESSION_FACTOR:.2f}x: "
-                f"{now:.2f}x vs committed {then:.2f}x (floor {floor:.2f}x)"
-            )
-    return failures
+    return {"scenarios": {"load": load, "overload": overload}}, failures
 
 
-def _print_results(results: dict) -> None:
-    load = results["scenarios"]["load"]
-    print(f"serving bench ({results['mode']}):")
-    print("  load race (per strategy):")
+RATIOS = (
+    ("load: hybrimoe goodput vs ondemand",
+     "scenarios.load.hybrimoe_goodput_vs_ondemand"),
+    ("overload: interactive p99 TBT improvement",
+     "scenarios.overload.interactive_p99_tbt_improvement"),
+    ("overload: interactive p99 TTFT improvement",
+     "scenarios.overload.interactive_p99_ttft_improvement"),
+)
+
+
+def render(payload: dict) -> str:
+    load = payload["scenarios"]["load"]
+    lines = ["  load race (per strategy):"]
     for name, row in sorted(
         load["per_strategy"].items(), key=lambda kv: kv[1]["p99_tbt_s"]
     ):
-        print(
+        lines.append(
             f"    {name:13s} goodput {row['goodput_rps']:6.2f} req/s  "
             f"p99 TBT {row['p99_tbt_s'] * 1e3:7.2f} ms  "
             f"hit rate {row['hit_rate']:.3f}"
         )
-    print(
+    lines.append(
         f"    hybrimoe goodput vs ondemand: "
         f"{load['hybrimoe_goodput_vs_ondemand']:.2f}x"
     )
-    overload = results["scenarios"]["overload"]
-    print("  overload (FCFS vs SLO scheduler, hybrimoe):")
+    overload = payload["scenarios"]["overload"]
+    lines.append("  overload (FCFS vs SLO scheduler, hybrimoe):")
     for config in ("fcfs", "slo"):
         row = overload[config]
         interactive = row["classes"]["interactive"]
         batch = row["classes"]["batch"]
-        print(
+        lines.append(
             f"    {config:5s} goodput {row['goodput_rps']:6.2f} req/s  "
             f"interactive p99 TBT {interactive['p99_tbt_s'] * 1e3:6.2f} ms / "
             f"TTFT {interactive['p99_ttft_s'] * 1e3:7.2f} ms  "
@@ -340,124 +265,24 @@ def _print_results(results: dict) -> None:
             f"batch {batch['goodput_rps']:.2f}, "
             f"preemptions {row['preemptions']})"
         )
-    print(
+    lines.append(
         f"    interactive p99 TBT {overload['interactive_p99_tbt_improvement']:.2f}x"
         f" better, TTFT {overload['interactive_p99_ttft_improvement']:.2f}x better,"
         f" total goodput {overload['goodput_ratio']:.3f}x FCFS"
     )
+    return "\n".join(lines)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--smoke", action="store_true", help="CI-sized run")
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="fail on regression vs the committed BENCH_serving.json",
-    )
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=BASELINE_PATH,
-        help="where to write results (default: repo-root BENCH_serving.json)",
-    )
-    args = parser.parse_args(argv)
-
-    # Read the committed baseline before writing anything: `--check`
-    # must compare against the pre-run state even when --out points at
-    # the baseline file itself.
-    baseline = (
-        json.loads(BASELINE_PATH.read_text()) if BASELINE_PATH.exists() else None
-    )
-    results = run(args.smoke)
-
-    if args.out == BASELINE_PATH:
-        # The baseline keeps one entry per mode, so a smoke run never
-        # clobbers the committed full-mode trajectory (or vice versa).
-        merged = {
-            "schema": SCHEMA_VERSION,
-            "criteria": results["criteria"],
-            "modes": dict((baseline or {}).get("modes", {})),
-        }
-        merged["modes"][results["mode"]] = {
-            "scenarios": results["scenarios"]
-        }
-        args.out.write_text(json.dumps(merged, indent=2) + "\n")
-    else:
-        args.out.write_text(json.dumps(results, indent=2) + "\n")
-
-    _print_results(results)
-    print(f"wrote {args.out}")
-
-    if args.check:
-        failures = check(results, baseline)
-        if failures:
-            for failure in failures:
-                print(f"PERF GATE FAIL: {failure}", file=sys.stderr)
-            return 1
-        print("perf gate: ok")
-    return 0
-
-
-# ----------------------------------------------------------------------
-# pytest benchmark (the historical load race at bench scale)
-# ----------------------------------------------------------------------
-
-def test_serving_under_load(benchmark, report):
-    from benchmarks.conftest import BENCH_SCALE, BENCH_SEED
-
-    rows = benchmark.pedantic(
-        lambda: run_load_race(
-            num_layers=BENCH_SCALE.num_layers,
-            num_requests=16,
-            arrival_rate=4.0,
-            decode_steps=24,
-            max_batch_size=8,
-            cache_ratio=0.25,
-            seed=BENCH_SEED,
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    rows.sort(key=lambda r: r["p99_tbt_s"])
-    table = format_table(
-        rows,
-        columns=[
-            "strategy",
-            "goodput_rps",
-            "token_throughput",
-            "mean_queue_delay_s",
-            "p99_ttft_s",
-            "p50_tbt_s",
-            "p99_tbt_s",
-            "hit_rate",
-        ],
-        title=(
-            "serving race — deepseek @ 25% cache, "
-            "16 requests @ 4 req/s (best tail first)"
-        ),
-    )
-    by_strategy = {r["strategy"]: r for r in rows}
-    hybrimoe = by_strategy["hybrimoe"]
-    ondemand = by_strategy["ondemand"]
-    summary = (
-        f"HybriMoE serving goodput {hybrimoe['goodput_rps']:.2f} req/s "
-        f"({hybrimoe['goodput_rps'] / ondemand['goodput_rps']:.2f}x ondemand), "
-        f"p99 TBT {hybrimoe['p99_tbt_s'] * 1e3:.1f} ms"
-    )
-    report("serving_load", table + "\n\n" + summary)
-
-    # HybriMoE sustains the best tail latency and goodput under load.
-    assert all(
-        hybrimoe["p99_tbt_s"] <= r["p99_tbt_s"] for r in rows
-    ), "HybriMoE should have the lowest p99 TBT"
-    assert all(
-        hybrimoe["goodput_rps"] >= r["goodput_rps"] for r in rows
-    ), "HybriMoE should have the highest goodput"
-    # Contention multiplies the single-generation gap vs on-demand.
-    assert hybrimoe["goodput_rps"] >= 1.5 * ondemand["goodput_rps"]
-    assert hybrimoe["mean_queue_delay_s"] < ondemand["mean_queue_delay_s"]
-
+BENCH = harness.Bench(
+    name="serving",
+    run=run,
+    render=render,
+    criteria={
+        "regression_factor": REGRESSION_FACTOR,
+        "goodput_tolerance": GOODPUT_TOLERANCE,
+    },
+    ratios=RATIOS,
+)
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(harness.main(BENCH))

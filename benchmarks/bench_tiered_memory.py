@@ -15,202 +15,121 @@ simulation folds the disk -> CPU -> GPU chains into its transfer
 search, and tier-aware prefetching pays disk reads off the critical
 path.
 
-Runs three ways:
-
-- ``pytest benchmarks/bench_tiered_memory.py`` — full scale, table
-  persisted under ``benchmarks/results/``;
-- ``python benchmarks/bench_tiered_memory.py`` — standalone race;
-- ``python benchmarks/bench_tiered_memory.py --smoke`` — the reduced
-  grid the CI docs job runs (headline pair, few steps).
+Claims-only (no committed baseline): the full mode races all five
+strategies at bench scale, ``--smoke`` the headline pair on a reduced
+grid.
 """
 
 from __future__ import annotations
 
-import argparse
+import harness
 
-from repro.cache.base import available_policies
-from repro.engine.factory import make_serving_engine
+from repro.engine.factory import available_strategies
 from repro.experiments.reporting import format_table
-from repro.workloads.generator import serving_workload
+from repro.models.presets import get_preset
 
-NUM_REQUESTS = 10
 ARRIVAL_RATE = 4.0
-DECODE_STEPS = 24
 CACHE_RATIO = 0.25
 DRAM_RATIO = 0.5            # fraction of all routed experts that fit in DRAM
+DRAM_POLICY = "lru"
 MAX_BATCH = 8
-STRATEGIES = ("hybrimoe", "ktransformers", "adapmoe", "llamacpp", "ondemand")
+
+FULL = {
+    "strategies": available_strategies(),
+    "num_layers": harness.BENCH_SCALE.num_layers,
+    "num_requests": 10,
+    "decode_steps": 24,
+}
+SMOKE = {
+    "strategies": ("hybrimoe", "ondemand"),
+    "num_layers": 4,
+    "num_requests": 6,
+    "decode_steps": 4,
+}
 
 
-def run_race(
-    num_requests: int = NUM_REQUESTS,
-    decode_steps: int = DECODE_STEPS,
-    num_layers: int = 10,
-    strategies: tuple[str, ...] = STRATEGIES,
-    dram_ratio: float = DRAM_RATIO,
-    cpu_cache_policy: str = "lru",
-    seed: int = 0,
-) -> list[dict]:
-    """Serve one Poisson trace per strategy under DRAM pressure.
+def _tier_and_disk_columns(serving) -> dict:
+    runtime = serving.engine.runtime
+    tier_rates = runtime.cache.per_tier_hit_rates()
+    disk = runtime.clock.disk
+    return {
+        "hit_gpu_tier": tier_rates["gpu"],
+        "hit_dram_tier": tier_rates["cpu"],
+        "disk_reads": len(disk.intervals),
+        "disk_busy_s": disk.busy_time(),
+    }
 
-    Returns one flat row per strategy: the serving-report aggregate
-    plus per-tier hit rates and the disk link's read count/busy time.
-    """
-    from repro.models.presets import get_preset
 
+def run(smoke: bool) -> tuple[dict, list[str]]:
+    size = SMOKE if smoke else FULL
     # The DRAM slot budget is a fraction of the model's routed experts,
     # derived after the layer override is applied.
-    total = get_preset("deepseek", num_layers=num_layers).total_routed_experts
-    cpu_capacity = max(1, int(round(dram_ratio * total)))
-    rows: list[dict] = []
-    for strategy in strategies:
-        serving = make_serving_engine(
-            model="deepseek",
-            strategy=strategy,
-            cache_ratio=CACHE_RATIO,
-            num_layers=num_layers,
-            seed=seed,
-            max_batch_size=MAX_BATCH,
-            cpu_cache_capacity=cpu_capacity,
-            cpu_cache_policy=cpu_cache_policy,
+    total = get_preset("deepseek", num_layers=size["num_layers"]).total_routed_experts
+    dram_slots = max(1, int(round(DRAM_RATIO * total)))
+    rows = harness.strategy_race(
+        size["strategies"],
+        {
+            "cache_ratio": CACHE_RATIO,
+            "num_layers": size["num_layers"],
+            "seed": harness.BENCH_SEED,
+            "max_batch_size": MAX_BATCH,
+            "cpu_cache_capacity": dram_slots,
+            "cpu_cache_policy": DRAM_POLICY,
+        },
+        {
+            "num_requests": size["num_requests"],
+            "arrival_rate": ARRIVAL_RATE,
+            "decode_steps": size["decode_steps"],
+            "seed": harness.BENCH_SEED,
+        },
+        extra_columns=_tier_and_disk_columns,
+    )
+
+    by_strategy = {r["strategy"]: r for r in rows}
+    hybrimoe, ondemand = by_strategy["hybrimoe"], by_strategy["ondemand"]
+    failures = []
+    if not hybrimoe["goodput_rps"] >= ondemand["goodput_rps"]:
+        failures.append(
+            f"hybrimoe goodput {hybrimoe['goodput_rps']:.3f} below "
+            f"ondemand {ondemand['goodput_rps']:.3f} under DRAM pressure"
         )
-        trace = serving_workload(
-            num_requests=num_requests,
-            arrival_rate=ARRIVAL_RATE,
-            decode_steps=decode_steps,
-            seed=seed,
+    if not hybrimoe["disk_reads"] > 0:
+        failures.append(
+            "DRAM-constrained config produced no disk traffic — the tier "
+            "cap is not binding and the race is vacuous"
         )
-        report = serving.serve_trace(trace)
-        row = {"dram_slots": cpu_capacity, "dram_policy": cpu_cache_policy}
-        row.update(report.summary())
-        runtime = serving.engine.runtime
-        tier_rates = runtime.cache.per_tier_hit_rates()
-        row["hit_gpu_tier"] = tier_rates["gpu"]
-        row["hit_dram_tier"] = tier_rates["cpu"]
-        disk = runtime.clock.disk
-        row["disk_reads"] = len(disk.intervals)
-        row["disk_busy_s"] = disk.busy_time()
-        rows.append(row)
-    return rows
+    return {"dram_slots": dram_slots, "rows": rows}, failures
 
 
-def format_report(rows: list[dict]) -> str:
-    """Render the race as one table, best goodput first."""
-    rows = sorted(rows, key=lambda r: -r["goodput_rps"])
-    columns = [
-        "strategy",
-        "goodput_rps",
-        "token_throughput",
-        "p99_ttft_s",
-        "p99_tbt_s",
-        "hit_gpu_tier",
-        "hit_dram_tier",
-        "disk_reads",
-        "disk_busy_s",
-    ]
-    sample = rows[0]
-    return format_table(
+def render(payload: dict) -> str:
+    rows = sorted(payload["rows"], key=lambda r: -r["goodput_rps"])
+    table = format_table(
         rows,
-        columns=columns,
+        columns=[
+            "strategy",
+            "goodput_rps",
+            "token_throughput",
+            "p99_ttft_s",
+            "p99_tbt_s",
+            "hit_gpu_tier",
+            "hit_dram_tier",
+            "disk_reads",
+            "disk_busy_s",
+        ],
         title=(
             f"tiered-memory serving race — deepseek @ {CACHE_RATIO:.0%} GPU "
-            f"cache, {sample['dram_slots']} DRAM slots "
-            f"({sample['dram_policy']}), NVMe spill (best goodput first)"
+            f"cache, {payload['dram_slots']} DRAM slots "
+            f"({DRAM_POLICY}), NVMe spill (best goodput first)"
         ),
     )
+    best = rows[0]
+    return (
+        f"{table}\n\nbest under DRAM pressure: {best['strategy']} at "
+        f"{best['goodput_rps']:.2f} req/s goodput, {best['disk_reads']} disk reads"
+    )
 
 
-def check_claims(rows: list[dict]) -> bool:
-    """Hybrid scheduling + MRS caching >= on-demand under DRAM pressure.
-
-    Returns False (skipped) when the race did not include both headline
-    strategies.
-    """
-    by_strategy = {r["strategy"]: r for r in rows}
-    if not {"hybrimoe", "ondemand"} <= set(by_strategy):
-        return False
-    hybrimoe = by_strategy["hybrimoe"]
-    ondemand = by_strategy["ondemand"]
-    assert hybrimoe["goodput_rps"] >= ondemand["goodput_rps"], (
-        f"hybrimoe goodput {hybrimoe['goodput_rps']:.3f} below "
-        f"ondemand {ondemand['goodput_rps']:.3f} under DRAM pressure"
-    )
-    assert hybrimoe["disk_reads"] > 0, (
-        "DRAM-constrained config produced no disk traffic — the tier "
-        "cap is not binding and the race is vacuous"
-    )
-    return True
-
-
-def test_tiered_memory_serving(benchmark, report):
-    from benchmarks.conftest import BENCH_SCALE, BENCH_SEED
-
-    rows = benchmark.pedantic(
-        run_race,
-        kwargs={"num_layers": BENCH_SCALE.num_layers, "seed": BENCH_SEED},
-        rounds=1,
-        iterations=1,
-    )
-    table = format_report(rows)
-    best = max(rows, key=lambda r: r["goodput_rps"])
-    summary = (
-        f"best under DRAM pressure: {best['strategy']} at "
-        f"{best['goodput_rps']:.2f} req/s goodput, "
-        f"{best['disk_reads']} disk reads"
-    )
-    report("tiered_memory_serving", table + "\n\n" + summary)
-    check_claims(rows)
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="tiered-memory strategy race under DRAM pressure"
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="reduced grid (headline pair, few steps) — the CI run",
-    )
-    parser.add_argument("--steps", type=int, default=None, help="decode steps per request")
-    parser.add_argument("--requests", type=int, default=None)
-    parser.add_argument("--num-layers", type=int, default=None)
-    parser.add_argument("--dram-ratio", type=float, default=DRAM_RATIO)
-    parser.add_argument(
-        "--dram-policy", default="lru", choices=available_policies()
-    )
-    parser.add_argument(
-        "--strategies",
-        default=None,
-        help="comma-separated strategy names (default: all five; "
-        "smoke default: the headline pair)",
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-    if args.smoke:
-        defaults = {"steps": 4, "requests": 6, "num_layers": 4}
-        strategies = "hybrimoe,ondemand"
-    else:
-        defaults = {"steps": DECODE_STEPS, "requests": NUM_REQUESTS, "num_layers": 8}
-        strategies = ",".join(STRATEGIES)
-    rows = run_race(
-        num_requests=args.requests if args.requests is not None else defaults["requests"],
-        decode_steps=args.steps if args.steps is not None else defaults["steps"],
-        num_layers=args.num_layers if args.num_layers is not None else defaults["num_layers"],
-        strategies=tuple((args.strategies or strategies).split(",")),
-        dram_ratio=args.dram_ratio,
-        cpu_cache_policy=args.dram_policy,
-        seed=args.seed,
-    )
-    print(format_report(rows))
-    if check_claims(rows):
-        print(
-            "claims OK: hybrimoe >= ondemand goodput with a DRAM-constrained "
-            "CPU tier (disk traffic observed)"
-        )
-    else:
-        print("claims skipped: race did not include both hybrimoe and ondemand")
-    return 0
-
+BENCH = harness.Bench(name="tiered_memory", run=run, render=render)
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(harness.main(BENCH))

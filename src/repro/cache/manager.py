@@ -142,10 +142,6 @@ class ExpertCache:
         bucket = self._by_layer.get(layer)
         return frozenset(bucket) if bucket else frozenset()
 
-    @property
-    def free_slots(self) -> int:
-        return self.capacity - len(self._resident)
-
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------

@@ -91,10 +91,6 @@ class TieredCacheManager:
             - self.cpu_tier.cached_experts_of_layer(layer)
         )
 
-    def dram_experts_of_layer(self, layer: int) -> frozenset[int]:
-        """Expert ids of ``layer`` with a DRAM-resident copy."""
-        return self.cpu_tier.cached_experts_of_layer(layer)
-
     def promote_to_dram(self, key: ExpertKey) -> list[ExpertKey]:
         """Make ``key`` DRAM-resident (after a disk read has been paid).
 

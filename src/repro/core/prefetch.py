@@ -120,10 +120,6 @@ class ImpactDrivenPrefetcher:
     min_gain:
         Candidates whose discounted gain is not strictly above this
         threshold are dropped.
-    delta_screen:
-        Screen candidates with the cheap delta bound before paying for
-        an exact impact simulation. Decision-preserving (the bound is
-        one-sided); disable only to benchmark the unscreened path.
     disk_fetch_s:
         Estimated disk -> DRAM read time per spilled expert (tiered
         platforms; 0 keeps the two-tier behaviour). Impact simulations
@@ -139,7 +135,6 @@ class ImpactDrivenPrefetcher:
         lookahead: int = 3,
         confidence_decay: float = 0.8,
         min_gain: float = 0.0,
-        delta_screen: bool = True,
         disk_fetch_s: float = 0.0,
     ) -> None:
         if lookahead < 1:
@@ -160,7 +155,6 @@ class ImpactDrivenPrefetcher:
         self.lookahead = lookahead
         self.confidence_decay = confidence_decay
         self.min_gain = min_gain
-        self.delta_screen = delta_screen
         self.disk_fetch_s = disk_fetch_s
 
     # ------------------------------------------------------------------
@@ -230,7 +224,7 @@ class ImpactDrivenPrefetcher:
                     activated,
                     cached,
                     prediction.n_tokens,
-                    candidates if self.delta_screen else [],
+                    candidates,
                     prediction.spilled_experts,
                 )
                 for prediction, _, activated, cached, candidates in prepared
@@ -296,10 +290,8 @@ class ImpactDrivenPrefetcher:
         A candidate is dropped only when even that bound cannot exceed
         ``min_gain`` — the exact path would have dropped it too, so the
         surviving set yields bit-identical decisions, evaluated in
-        candidate order (``delta_screen=False`` is that exact path).
+        candidate order.
         """
-        if not self.delta_screen:
-            return list(candidates)
         return [
             expert
             for expert in candidates

@@ -76,9 +76,6 @@ class LayerContext:
     #: Estimated disk -> DRAM read seconds per spilled expert.
     disk_fetch_s: float = 0.0
 
-    def activated_dict(self) -> dict[int, int]:
-        return dict(self.activated)
-
     def inflight_dict(self) -> dict[int, float]:
         return dict(self.inflight_offsets)
 

@@ -34,7 +34,7 @@ import os
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.errors import ConfigError
 from repro.scenarios.registry import get_scenario
@@ -436,10 +436,3 @@ def run_sweep(
     _atomic_write(out_path / _MERGED_NAME, report.to_json())
     say(f"[merged] {len(payloads)} cells -> {out_path / _MERGED_NAME}")
     return report
-
-
-def load_cells(out_dir: str | Path) -> Iterable[dict[str, Any]]:
-    """Yield raw cell payloads from a sweep directory (id-sorted)."""
-    cell_dir = Path(out_dir) / _CELL_DIR
-    for path in sorted(cell_dir.glob("*.json")):
-        yield json.loads(path.read_text())

@@ -986,14 +986,16 @@ def test_prefetch_screening_preserves_decisions():
     def factory(n_tokens):
         return LayerCostOracle.for_model(cost, _MODEL, n_tokens)
 
+    class UnscreenedPrefetcher(ImpactDrivenPrefetcher):
+        """The oracle: every candidate pays for its exact simulation."""
+
+        def _screen(self, candidates, base, confidence, bounds):
+            return list(candidates)
+
     fast_sched = HybridScheduler(factory)
     ref_sched = ReferencePlanner(factory, SchedulerConfig(plan_cache_size=0))
-    screened = ImpactDrivenPrefetcher(
-        fast_sched, lambda: 4.0, 4, lookahead=3, delta_screen=True
-    )
-    unscreened = ImpactDrivenPrefetcher(
-        ref_sched, lambda: 4.0, 4, lookahead=3, delta_screen=False
-    )
+    screened = ImpactDrivenPrefetcher(fast_sched, lambda: 4.0, 4, lookahead=3)
+    unscreened = UnscreenedPrefetcher(ref_sched, lambda: 4.0, 4, lookahead=3)
     rng = derive_rng(0, "prefetch-screen")
     for _ in range(25):
         predictions = []

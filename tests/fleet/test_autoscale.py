@@ -161,7 +161,7 @@ class TestAutoscaling:
 
 
 class TestCacheAffinityBehaviour:
-    """The skewed-trace payoff the fleet-perf benchmark gates on."""
+    """The skewed-trace payoff the fleet benchmark (``bench_fleet.py``) gates on."""
 
     @pytest.fixture(scope="class")
     def skewed_runs(self):

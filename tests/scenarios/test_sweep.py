@@ -108,6 +108,21 @@ class TestCellBitIdentity:
         assert payload["cell"]["scenario"] == "tiny-sweep"
 
 
+class TestCompleteness:
+    def test_every_cell_of_the_smoke_grid_completes_every_request(self, tmp_path):
+        """No lost or stuck requests on shedding-free registry scenarios
+        (the grid CI's ``scenario-matrix`` job sweeps through the CLI)."""
+        scenarios = ["chat-multiturn", "edge-decode"]
+        strategies = ["hybrimoe", "ondemand"]
+        report = run_sweep(
+            scenarios, tmp_path, strategies=strategies, max_requests=2, max_steps=2
+        )
+        assert len(report.cells) == len(scenarios) * len(strategies)
+        for cell in report.cells:
+            summary = cell["summary"]
+            assert summary["completed"] == summary["requests"] > 0, cell["cell"]
+
+
 class TestResumability:
     def _grid(self):
         return dict(

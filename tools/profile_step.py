@@ -3,13 +3,12 @@
 Runs a canned decode stream — or, with ``--stage prefill``, a series of
 cold full-prompt prefills — through the engine under :mod:`cProfile`
 and prints the top cumulative-time functions: the first stop when a
-step-latency regression shows up in ``BENCH_planner.json``'s
-``end_to_end`` block or in the perf ledger (see ``docs/BENCHMARKS.md``).
-The default decode scenario matches ``bench_planner_speed.py``'s
-``end_to_end`` scenario (and the ledger's ``decode_hot`` shape), so
-numbers line up with the committed trajectory;
-``--stage prefill --cache-ratio 0.5`` is the ledger's ``prefill_long``
-shape (every expert activated, the planner's widest searches).
+step-latency regression shows up in the perf ledger (``bench/run.py``;
+see ``docs/BENCHMARKS.md``). The default decode scenario is the
+ledger's ``decode_hot`` shape, so the profile is of the steps its
+``host_tokens_per_s`` row times; ``--stage prefill --cache-ratio 0.5``
+is the ledger's ``prefill_long`` shape (every expert activated, the
+planner's widest searches).
 
 Usage::
 
