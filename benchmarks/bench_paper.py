@@ -1,0 +1,255 @@
+"""The paper's evaluation: every artifact regenerated, every claim checked.
+
+Regenerates the 13 artifacts of ``repro.experiments.figures.ARTIFACTS``
+(Fig. 3a-f, 7, 8, 9, Table III and three extra ablations) at
+``harness.BENCH_SCALE`` in one process — models and routing traces are
+built once — and evaluates :data:`CLAIMS` on their rows. A
+:class:`Claim` is data: the number it reads off one artifact, the
+comparison it must satisfy and, where the paper prints the same number,
+the paper's value. A comparison of two measured numbers is expressed
+as their ratio or difference against a constant (docs/BENCHMARKS.md,
+"Paper artifacts and their claims"). Claims-only, one size.
+"""
+
+import operator
+from dataclasses import dataclass
+from typing import Callable
+
+import harness
+import numpy as np
+
+from repro.experiments.figures import ARTIFACTS, PAPER_MODELS
+from repro.experiments.reporting import format_table, geometric_mean
+
+OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
+
+
+@dataclass(frozen=True)
+class Claim:
+    """``value(rows of artifact) <op> bound`` must hold; ``paper`` is the paper's number."""
+
+    artifact: str
+    label: str
+    value: Callable[[list[dict]], float]
+    op: str
+    bound: float
+    paper: float | None = None
+
+
+def _select(rows: list[dict], column: str, **where) -> list:
+    """``column`` of every row whose other columns equal ``where``."""
+    return [r[column] for r in rows if all(r[key] == want for key, want in where.items())]
+
+
+def _cell(rows: list[dict], column: str, **where):
+    (value,) = _select(rows, column, **where)
+    return value
+
+
+def _head_over_tail(rows):
+    probs = np.array(_select(rows, "reuse_probability"))
+    return probs[:6].mean() / probs[-16:].mean()
+
+
+def _busiest_over_mean(rows):
+    loads = np.array(_select(rows, "load"))
+    return loads[0] / loads[loads > 0].mean()
+
+
+def _growth(rows, column):
+    return rows[-1][column] / rows[0][column]
+
+
+def _hybrimoe_speedups(rows):
+    return _select(rows, "speedup", strategy="hybrimoe")
+
+
+def _mrs_gap(rows, pick, model):
+    """MRS minus LRU hit rate of ``model`` at the ``pick`` (min / max) cached percentage."""
+    percent = pick(_select(rows, "cached_percent"))
+    mrs, lru = (
+        _cell(rows, "hit_rate", model=model, cached_percent=percent, policy=policy)
+        for policy in ("mrs", "lru")
+    )
+    return mrs - lru
+
+
+def _mean_mrs_gap(rows, pick):
+    return np.mean([_mrs_gap(rows, pick, model) for model in PAPER_MODELS])
+
+
+def _table3(config: str, column: str, floor: float, paper: float) -> Claim:
+    return Claim(
+        "table3", f"{config}: {column} (x)",
+        lambda rows: _cell(rows, column, config=config), ">", floor, paper,
+    )
+
+
+CLAIMS = (
+    # Fig. 3, the qualitative shape each panel's argument rests on:
+    # neuron activations concentrate far more than expert activations.
+    *(
+        Claim(
+            "fig3a", f"opt-neuron CDF minus {expert}'s at the first quintile",
+            lambda rows, expert=expert: rows[len(rows) // 5]["opt-neuron"]
+            - rows[len(rows) // 5][expert],
+            ">", 0.0,
+        )
+        for expert in ("deepseek-expert", "mixtral-expert")
+    ),
+    # High-score ranks predict reuse; the tail does not.
+    Claim(
+        "fig3b", "top-6 reuse probability over the last 16 ranks' (x)", _head_over_tail, ">", 3.0
+    ),
+    # Uneven distribution: the busiest expert sees several times the mean.
+    Claim(
+        "fig3c", "busiest expert load over the mean non-zero load (x)", _busiest_over_mean, ">", 2.0
+    ),
+    # llama.cpp collapses at prefill; no single method wins everywhere.
+    Claim(
+        "fig3d", "llamacpp mixtral-prefill-128 latency over ktransformers' (x)",
+        lambda rows: _cell(rows, "latency_s", scenario="mixtral-prefill-128", strategy="llamacpp")
+        / _cell(rows, "latency_s", scenario="mixtral-prefill-128", strategy="ktransformers"),
+        ">", 2.0,
+    ),
+    # First CPU expert pays warmup; marginal experts are cheaper.
+    Claim(
+        "fig3e", "marginal CPU expert time over the first's (x)",
+        lambda rows: (rows[1]["cpu_time_s"] - rows[0]["cpu_time_s"]) / rows[0]["cpu_time_s"],
+        "<", 1.0,
+    ),
+    Claim(
+        "fig3f", "CPU time growth over the workload sweep, over the GPU's (x)",
+        lambda rows: _growth(rows, "cpu_time_s") / _growth(rows, "gpu_time_s"), ">", 20.0,
+    ),
+    # Fig. 7 headline: HybriMoE wins on average, and llama.cpp is the
+    # clear prefill loser at long prompts.
+    Claim(
+        "fig7", "hybrimoe prefill speedup vs ktransformers: geomean (x)",
+        lambda rows: geometric_mean(_hybrimoe_speedups(rows)), ">", 1.15, paper=1.33,
+    ),
+    Claim(
+        "fig7", "llamacpp best speedup vs ktransformers on a >= 512-token prefill (x)",
+        lambda rows: max(
+            r["speedup"] for r in rows if r["strategy"] == "llamacpp" and r["bucket"] >= 512
+        ),
+        "<", 0.8,
+    ),
+    # Fig. 8: HybriMoE wins on average and in the majority of
+    # configurations; AdapMoE (GPU-centric) is transfer-bound at 25%.
+    Claim(
+        "fig8", "hybrimoe decode speedup vs ktransformers: geomean (x)",
+        lambda rows: geometric_mean(_hybrimoe_speedups(rows)), ">", 1.1, paper=1.70,
+    ),
+    Claim(
+        "fig8", "configurations (of 9) where hybrimoe matches or beats ktransformers",
+        lambda rows: sum(speedup >= 1.0 for speedup in _hybrimoe_speedups(rows)), ">=", 6,
+    ),
+    Claim(
+        "fig8", "adapmoe best speedup vs ktransformers at the 25% cache ratio (x)",
+        lambda rows: max(_select(rows, "speedup", strategy="adapmoe", cache_ratio=0.25)),
+        "<", 1.0,
+    ),
+    # Fig. 9: MRS does not lose at small capacity, wins there on
+    # average, and the gap narrows as capacity grows (paper §VI-D).
+    *(
+        Claim(
+            "fig9", f"{model}: MRS-LRU hit-rate gap at the smallest cache",
+            lambda rows, model=model: _mrs_gap(rows, min, model), ">", -0.02,
+        )
+        for model in PAPER_MODELS
+    ),
+    Claim(
+        "fig9", "mean MRS-LRU gap at the smallest cache",
+        lambda rows: _mean_mrs_gap(rows, min), ">", 0.0,
+    ),
+    Claim(
+        "fig9", "mean MRS-LRU gap at the largest cache minus at the smallest",
+        lambda rows: _mean_mrs_gap(rows, max) - _mean_mrs_gap(rows, min), "<=", 0.02,
+    ),
+    # Table III: scheduling is the dominant prefill technique, every
+    # decode component is at least neutral, the full system improves
+    # both stages. (The paper's seventh number, +prefetching prefill
+    # 1.06x, has no claim on it.)
+    _table3("baseline+scheduling", "prefill_speedup", 1.1, paper=1.26),
+    _table3("baseline+scheduling", "decode_speedup", 0.95, paper=1.46),
+    _table3("baseline+prefetching", "decode_speedup", 0.95, paper=1.15),
+    _table3("baseline+caching", "decode_speedup", 0.95, paper=1.38),
+    _table3("all", "prefill_speedup", 1.1, paper=1.31),
+    _table3("all", "decode_speedup", 1.1, paper=1.86),
+    # The full search is never worse than the two-extremes heuristic.
+    Claim(
+        "ablation_scheduler", "search+steal prefill latency over extremes-only's (x)",
+        lambda rows: _cell(rows, "prefill_latency_s", variant="search+steal")
+        / _cell(rows, "prefill_latency_s", variant="extremes-only"),
+        "<=", 1.02,
+    ),
+    Claim(
+        "ablation_prefetch", "smallest decode latency across depths (s)",
+        lambda rows: min(_select(rows, "decode_latency_s")), ">", 0.0,
+    ),
+    # Deeper lookahead should not collapse hit rates.
+    Claim(
+        "ablation_prefetch", "decode hit-rate span across depths",
+        lambda rows: max(_select(rows, "decode_hit_rate")) - min(_select(rows, "decode_hit_rate")),
+        "<", 0.3,
+    ),
+    # The paper's p = 2K neighbourhood must be competitive.
+    Claim(
+        "ablation_mrs", "best p = 2K hit rate minus the best overall",
+        lambda rows: max(_select(rows, "hit_rate", top_p_factor=2)) - max(_select(rows, "hit_rate")),
+        ">", -0.05,
+    ),
+)
+
+
+def evaluate(claims, artifacts: dict[str, list[dict]]) -> list[dict]:
+    """One JSON-ready row per claim: what was reproduced and whether it holds."""
+    results = []
+    for claim in claims:
+        reproduced = float(claim.value(artifacts[claim.artifact]))
+        results.append(
+            {"artifact": claim.artifact, "label": claim.label, "reproduced": reproduced,
+             "op": claim.op, "bound": claim.bound, "paper": claim.paper,
+             "holds": bool(OPS[claim.op](reproduced, claim.bound))}
+        )
+    return results
+
+
+def failures(results: list[dict]) -> list[str]:
+    return [
+        f"{r['artifact']}: {r['label']}: {r['reproduced']:.4g} is not {r['op']} {r['bound']:g}"
+        for r in results
+        if not r["holds"]
+    ]
+
+
+def run(smoke: bool) -> tuple[dict, list[str]]:
+    artifacts = {
+        name: artifact.measure(harness.BENCH_SCALE, harness.BENCH_SEED)
+        for name, artifact in ARTIFACTS.items()
+    }
+    results = evaluate(CLAIMS, artifacts)
+    return {"artifacts": artifacts, "claims": results}, failures(results)
+
+
+def render(payload: dict) -> str:
+    tables = [
+        format_table(
+            payload["artifacts"][name][:: artifact.stride],
+            columns=artifact.columns,
+            title=artifact.title,
+        )
+        for name, artifact in ARTIFACTS.items()
+    ]
+    claims = [
+        {key: "-" if value is None else value for key, value in claim.items()}
+        for claim in payload["claims"]
+    ]
+    return "\n\n".join([*tables, format_table(claims, title="Claims (reproduced vs paper)")])
+
+
+BENCH = harness.Bench(name="paper", run=run, render=render, has_smoke=False)
+
+if __name__ == "__main__":
+    raise SystemExit(harness.main(BENCH))

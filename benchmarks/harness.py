@@ -25,7 +25,7 @@ Usage, for every script::
 
     python benchmarks/bench_serving.py                   # full run, merged into BENCH_serving.json
     python benchmarks/bench_serving.py --smoke --check --out BENCH_serving.current.json
-    python benchmarks/bench_fig8_decode.py --check       # claims-only: no baseline, one size
+    python benchmarks/bench_paper.py --check             # claims-only: no baseline, one size
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Tiered-memory study: DRAM-tier capacity x disk bandwidth sweep.
 
-Mirrors ``examples/cache_policy_study.py`` one level down the memory
-hierarchy: instead of sweeping the GPU cache, it sweeps the **CPU DRAM
+Mirrors ``repro figure fig9`` (the GPU cache-policy study) one level
+down the memory hierarchy: instead of sweeping the GPU cache, it sweeps the **CPU DRAM
 tier** — how many routed experts fit in host memory before the rest
 spill to disk — against the spill medium's read bandwidth (NVMe vs
 SATA class), and reports per-tier hit rates, disk traffic and decode

@@ -18,10 +18,11 @@ aggregate (goodput, pooled percentiles) — with ``--replicas M
 --router POLICY`` the trace is served by an M-replica fleet behind a
 front-end router instead of one engine; ``compare`` races all
 five frameworks on one workload; ``figure`` regenerates one paper
-artifact (quick scale by default); ``sweep`` fans registered scenarios
-x strategies x hardware presets out over worker processes into a
-resumable output directory (see :mod:`repro.scenarios`); ``scenarios
-list`` shows the registry; ``info`` lists presets.
+artifact of :data:`repro.experiments.figures.ARTIFACTS` (quick scale by
+default); ``sweep`` fans registered scenarios x strategies x hardware
+presets out over worker processes into a resumable output directory
+(see :mod:`repro.scenarios`); ``scenarios list`` shows the registry;
+``info`` lists presets.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from repro.engine.factory import (
     make_serving_engine,
 )
 from repro.errors import ConfigError
-from repro.experiments import figures
-from repro.experiments.reporting import add_speedup_column, format_table
+from repro.experiments.figures import ARTIFACTS, FULL_SCALE, QUICK_SCALE
+from repro.experiments.reporting import format_table
 from repro.experiments.runner import run_workload
 from repro.fleet.faults import FaultSchedule, ReplicaFault
 from repro.fleet.router import available_routers
@@ -67,20 +68,6 @@ from repro.workloads.generator import (
 )
 
 __all__ = ["main", "build_parser"]
-
-_FIGURES = {
-    "fig3a": lambda scale, seed: figures.fig3a_activation_cdf(scale=scale, seed=seed),
-    "fig3b": lambda scale, seed: figures.fig3b_reuse_probability(scale=scale, seed=seed),
-    "fig3c": lambda scale, seed: figures.fig3c_workload_distribution(scale=scale, seed=seed),
-    "fig3d": lambda scale, seed: figures.fig3d_existing_methods(scale=scale, seed=seed),
-    "fig3e": lambda scale, seed: figures.fig3e_expert_count_sweep(),
-    "fig3f": lambda scale, seed: figures.fig3f_workload_sweep(),
-    "fig7": lambda scale, seed: figures.fig7_prefill(scale=scale, seed=seed),
-    "fig8": lambda scale, seed: figures.fig8_decode(scale=scale, seed=seed),
-    "fig9": lambda scale, seed: figures.fig9_cache_hit_rate(scale=scale, seed=seed),
-    "table3": lambda scale, seed: figures.table3_ablation(scale=scale, seed=seed),
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -220,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--seed", type=int, default=0)
 
     figure = sub.add_parser("figure", help="regenerate one paper artifact")
-    figure.add_argument("name", choices=sorted(_FIGURES))
+    figure.add_argument("name", choices=sorted(ARTIFACTS))
     figure.add_argument("--full", action="store_true", help="paper-scale grid")
     figure.add_argument("--seed", type=int, default=0)
 
@@ -672,26 +659,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     if args.stage == "decode":
-        workload = decode_workload(args.decode_steps, seed=args.seed)
+        workload, metric = decode_workload(args.decode_steps, seed=args.seed), "mean_tbt_s"
     else:
-        workload = prefill_workloads(args.prompt_len, seed=args.seed)[0]
+        workload, metric = prefill_workloads(args.prompt_len, seed=args.seed)[0], "ttft_s"
     rows = []
     for strategy in available_strategies():
         result = run_workload(
-            model=args.model,
-            strategy=strategy,
-            cache_ratio=args.cache_ratio,
-            workload=workload,
-            num_layers=args.num_layers,
-            seed=args.seed,
+            args.model, strategy, args.cache_ratio, workload, args.num_layers, args.seed
         )
-        row = {"strategy": strategy, "hit_rate": result.hit_rate}
-        if args.stage == "decode":
-            row["mean_tbt_s"] = result.mean_tbt
-        else:
-            row["ttft_s"] = result.ttft
-        rows.append(row)
-    metric = "mean_tbt_s" if args.stage == "decode" else "ttft_s"
+        latency = result.mean_tbt if args.stage == "decode" else result.ttft
+        rows.append({"strategy": strategy, "hit_rate": result.hit_rate, metric: latency})
     rows.sort(key=lambda r: r[metric])
     print(
         format_table(
@@ -704,15 +681,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    scale = figures.FULL_SCALE if args.full else figures.QUICK_SCALE
-    rows = _FIGURES[args.name](scale, args.seed)
-    if args.name == "fig7":
-        rows = add_speedup_column(
-            rows, "ttft_s", group_columns=("model", "cache_ratio", "bucket")
-        )
-    elif args.name == "fig8":
-        rows = add_speedup_column(rows, "mean_tbt_s")
-    print(format_table(rows, title=args.name))
+    artifact = ARTIFACTS[args.name]
+    rows = artifact.measure(FULL_SCALE if args.full else QUICK_SCALE, args.seed)
+    print(format_table(rows, title=artifact.title))
     return 0
 
 

@@ -1,60 +1,30 @@
 """Experiment harness regenerating every paper table and figure.
 
-Each public function in :mod:`repro.experiments.figures` corresponds to
-one artifact of the paper's evaluation (Fig. 3a-f, Fig. 7, Fig. 8,
-Fig. 9, Table III) and returns plain row dictionaries;
-:mod:`repro.experiments.reporting` renders them as the tables the
-benchmark harness prints and EXPERIMENTS.md records.
+:data:`repro.experiments.figures.ARTIFACTS` declares one
+:class:`~repro.experiments.figures.Artifact` per artifact of the
+paper's evaluation (Fig. 3a-f, Fig. 7, Fig. 8, Fig. 9, Table III) and
+per extra ablation; each generates plain row dictionaries, which
+:mod:`repro.experiments.reporting` renders as the tables ``repro
+figure`` and ``benchmarks/bench_paper.py`` print (docs/BENCHMARKS.md
+lists the claims checked on them).
 """
 
 from repro.experiments.figures import (
+    ARTIFACTS,
     FULL_SCALE,
     QUICK_SCALE,
+    Artifact,
     ExperimentScale,
-    ablation_mrs_parameters,
-    ablation_prefetch_depth,
-    ablation_scheduler_variants,
-    fig3a_activation_cdf,
-    fig3b_reuse_probability,
-    fig3c_workload_distribution,
-    fig3d_existing_methods,
-    fig3e_expert_count_sweep,
-    fig3f_workload_sweep,
-    fig7_prefill,
-    fig8_decode,
-    fig9_cache_hit_rate,
-    table3_ablation,
 )
-from repro.experiments.reporting import (
-    add_speedup_column,
-    format_table,
-    geometric_mean,
-    save_csv,
-    save_json,
-)
+from repro.experiments.reporting import format_table
 from repro.experiments.runner import run_workload
 
 __all__ = [
+    "Artifact",
+    "ARTIFACTS",
     "ExperimentScale",
     "QUICK_SCALE",
     "FULL_SCALE",
-    "fig3a_activation_cdf",
-    "fig3b_reuse_probability",
-    "fig3c_workload_distribution",
-    "fig3d_existing_methods",
-    "fig3e_expert_count_sweep",
-    "fig3f_workload_sweep",
-    "fig7_prefill",
-    "fig8_decode",
-    "fig9_cache_hit_rate",
-    "table3_ablation",
-    "ablation_scheduler_variants",
-    "ablation_prefetch_depth",
-    "ablation_mrs_parameters",
     "run_workload",
     "format_table",
-    "add_speedup_column",
-    "geometric_mean",
-    "save_csv",
-    "save_json",
 ]

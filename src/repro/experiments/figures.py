@@ -1,42 +1,38 @@
-"""One experiment definition per paper table/figure.
+"""The paper's evaluation artifacts, each declared once in :data:`ARTIFACTS`.
 
-Every function returns a list of flat row dictionaries ready for
-:func:`repro.experiments.reporting.format_table`. Functions accept an
-:class:`ExperimentScale` so the same code serves CI-speed smoke runs
-(``QUICK_SCALE``) and the full paper grid (``FULL_SCALE``). Layer-count
-reduction preserves per-layer behaviour (scheduling decisions are
-per-layer); it only shortens the pipeline.
+An :class:`Artifact` names one table or figure of the paper (Fig. 3a-f,
+7, 8, 9, Table III) or one of three extra ablations, and carries the
+generator of its rows plus how they are shown. ``repro figure`` and
+the claims of ``benchmarks/bench_paper.py`` read this registry, and the
+docs list its names (docs/BENCHMARKS.md, "Paper artifacts and their
+claims").
 
-Experiment index (see DESIGN.md §4):
-
-=========  ==========================================================
-fig3a      activation CDF, experts vs synthetic skewed neurons
-fig3b      expert reuse probability by score rank
-fig3c      prefill expert-load distribution
-fig3d      latency of llama.cpp / AdapMoE / kTransformers
-fig3e      CPU vs GPU time vs expert count at fixed load
-fig3f      CPU vs GPU time vs workload size
-fig7       prefill TTFT grid (models x ratios x buckets x frameworks)
-fig8       decode TBT grid (models x ratios x frameworks)
-fig9       MRS vs LRU cache hit rate vs capacity
-table3     component ablation (scheduling / prefetching / caching)
-=========  ==========================================================
+Every generator takes ``(scale, seed)`` and returns flat row
+dictionaries ready for :func:`repro.experiments.reporting.format_table`.
+An :class:`ExperimentScale` lets the same code serve CI-speed smoke
+runs (``QUICK_SCALE``) and the full paper grid (``FULL_SCALE``):
+layer-count reduction preserves per-layer behaviour (scheduling
+decisions are per-layer); it only shortens the pipeline. The
+engine-backed generators are loops over one measure function,
+:func:`repro.experiments.runner.run_workload`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from typing import Callable
 
 import numpy as np
 
 from repro.cache.base import make_policy
 from repro.cache.manager import ExpertCache
-from repro.engine.engine import EngineConfig
+from repro.core.hybrid_scheduler import SchedulerConfig
 from repro.errors import ConfigError
-from repro.experiments.runner import run_workload
+from repro.experiments.reporting import add_speedup_column
+from repro.experiments.runner import cached_model, cached_trace, run_workload
 from repro.hardware.cost_model import AnalyticCostModel
 from repro.hardware.platform_presets import get_hardware_preset
-from repro.models.model import ReferenceMoEModel
 from repro.models.presets import get_preset
 from repro.routing.generator import generate_trace
 from repro.routing.statistics import (
@@ -51,22 +47,12 @@ from repro.rng import derive_rng
 from repro.workloads.generator import decode_workload, prefill_workloads
 
 __all__ = [
+    "Artifact",
+    "ARTIFACTS",
     "ExperimentScale",
     "QUICK_SCALE",
     "FULL_SCALE",
-    "fig3a_activation_cdf",
-    "fig3b_reuse_probability",
-    "fig3c_workload_distribution",
-    "fig3d_existing_methods",
-    "fig3e_expert_count_sweep",
-    "fig3f_workload_sweep",
-    "fig7_prefill",
-    "fig8_decode",
-    "fig9_cache_hit_rate",
-    "table3_ablation",
-    "ablation_scheduler_variants",
-    "ablation_prefetch_depth",
-    "ablation_mrs_parameters",
+    "replay_cache_hit_rate",
 ]
 
 #: Frameworks compared in Figs. 7/8, in the paper's legend order.
@@ -104,25 +90,15 @@ FULL_SCALE = ExperimentScale(
 )
 
 
-def _make_trace(
-    model_name: str, scale: ExperimentScale, seed: int, prompt_len: int = 64
-) -> RoutingTrace:
-    config = get_preset(model_name, num_layers=scale.num_layers)
-    model = ReferenceMoEModel(config, seed=seed)
-    rng = derive_rng(seed, "figures", "trace-prompt", model_name)
-    prompt = rng.integers(0, model.vocab_size, size=prompt_len)
-    return generate_trace(
-        model, prompt, decode_steps=scale.trace_decode_steps, seed=seed
-    )
+def _trace(model_name: str, scale: ExperimentScale, seed: int) -> RoutingTrace:
+    return cached_trace(model_name, scale.num_layers, scale.trace_decode_steps, seed)
 
 
 # ----------------------------------------------------------------------
 # Fig. 3 — motivation analyses
 # ----------------------------------------------------------------------
 def fig3a_activation_cdf(
-    scale: ExperimentScale = QUICK_SCALE,
-    seed: int = 0,
-    curve_points: int = 11,
+    scale: ExperimentScale = QUICK_SCALE, seed: int = 0, *, curve_points: int = 11
 ) -> list[dict]:
     """Cumulative activation frequency: experts vs skewed neurons.
 
@@ -130,132 +106,83 @@ def fig3a_activation_cdf(
     proportions for Mixtral experts, DeepSeek experts, and the
     synthetic OPT-like neuron baseline.
     """
-    curves: dict[str, tuple[np.ndarray, np.ndarray]] = {
-        "opt-neuron": synthetic_neuron_activation_cdf(seed=seed)
-    }
+    curves = {"opt-neuron": synthetic_neuron_activation_cdf(seed=seed)}
     for model_name in ("mixtral", "deepseek"):
-        trace = _make_trace(model_name, scale, seed)
-        curves[f"{model_name}-expert"] = activation_cdf(trace)
-    rows = []
-    for fraction in np.linspace(0.0, 1.0, curve_points):
-        row: dict = {"expert_proportion": float(fraction)}
-        for name, (proportion, cumulative) in curves.items():
-            row[name] = float(np.interp(fraction, proportion, cumulative))
-        rows.append(row)
-    return rows
-
-
-def fig3b_reuse_probability(
-    model_name: str = "deepseek",
-    scale: ExperimentScale = QUICK_SCALE,
-    seed: int = 0,
-) -> list[dict]:
-    """Reuse probability of experts by score rank (decode steps)."""
-    trace = _make_trace(model_name, scale, seed)
-    reuse = reuse_probability_by_rank(trace)
+        curves[f"{model_name}-expert"] = activation_cdf(_trace(model_name, scale, seed))
     return [
-        {"rank": rank, "reuse_probability": float(prob)}
-        for rank, prob in enumerate(reuse)
+        {"expert_proportion": float(fraction)}
+        | {
+            name: float(np.interp(fraction, proportion, cumulative))
+            for name, (proportion, cumulative) in curves.items()
+        }
+        for fraction in np.linspace(0.0, 1.0, curve_points)
     ]
 
 
-def fig3c_workload_distribution(
-    model_name: str = "deepseek",
-    scale: ExperimentScale = QUICK_SCALE,
-    seed: int = 0,
-    prefill_len: int = 128,
-    layer: int = 0,
-) -> list[dict]:
-    """Per-expert token loads in one prefill forward, sorted desc."""
-    config = get_preset(model_name, num_layers=scale.num_layers)
-    model = ReferenceMoEModel(config, seed=seed)
-    rng = derive_rng(seed, "figures", "fig3c-prompt")
-    prompt = rng.integers(0, model.vocab_size, size=prefill_len)
+def fig3b_reuse_probability(scale: ExperimentScale = QUICK_SCALE, seed: int = 0) -> list[dict]:
+    """Reuse probability of DeepSeek experts by score rank (decode steps)."""
+    reuse = reuse_probability_by_rank(_trace("deepseek", scale, seed))
+    return [{"rank": rank, "reuse_probability": float(prob)} for rank, prob in enumerate(reuse)]
+
+
+def fig3c_workload_distribution(scale: ExperimentScale = QUICK_SCALE, seed: int = 0) -> list[dict]:
+    """Per-expert token loads of DeepSeek's first layer in one 128-token prefill, sorted desc."""
+    model = cached_model("deepseek", scale.num_layers, seed)
+    prompt = derive_rng(seed, "figures", "fig3c-prompt").integers(0, model.vocab_size, size=128)
     trace = generate_trace(model, prompt, decode_steps=0, seed=seed)
-    loads = prefill_load_distribution(trace, layer=layer)
-    return [
-        {"expert_rank": rank, "load": int(load)} for rank, load in enumerate(loads)
-    ]
+    loads = prefill_load_distribution(trace, layer=0)
+    return [{"expert_rank": rank, "load": int(load)} for rank, load in enumerate(loads)]
 
 
-def fig3d_existing_methods(
-    scale: ExperimentScale = QUICK_SCALE,
-    cache_ratio: float = 0.5,
-    seed: int = 0,
-) -> list[dict]:
+def fig3d_existing_methods(scale: ExperimentScale = QUICK_SCALE, seed: int = 0) -> list[dict]:
     """Latency of the three existing frameworks on the paper's probes.
 
     Scenarios: Qwen2 prefill 128, Mixtral prefill 128, Mixtral decode
-    10 tokens (Fig. 3d), for llama.cpp / AdapMoE / kTransformers.
+    10 tokens (Fig. 3d), for llama.cpp / AdapMoE / kTransformers at a
+    50% cache ratio.
     """
+    prefill = prefill_workloads(128, seed=seed)[0]
     scenarios = [
-        ("qwen2-prefill-128", "qwen2", "prefill", 128, 0),
-        ("mixtral-prefill-128", "mixtral", "prefill", 128, 0),
-        ("mixtral-decode-10", "mixtral", "decode", 16, 10),
+        ("qwen2-prefill-128", "qwen2", prefill),
+        ("mixtral-prefill-128", "mixtral", prefill),
+        ("mixtral-decode-10", "mixtral", decode_workload(10, seed=seed)),
     ]
     rows = []
-    for label, model_name, stage, prompt_len, decode_steps in scenarios:
-        for strategy in ("llamacpp", "adapmoe", "ktransformers"):
-            workload = decode_workload(
-                decode_steps or 1, seed=seed
-            ) if stage == "decode" else prefill_workloads(prompt_len, seed=seed)[0]
-            if stage == "decode":
-                workload = decode_workload(decode_steps, seed=seed)
-            result = run_workload(
-                model=model_name,
-                strategy=strategy,
-                cache_ratio=cache_ratio,
-                workload=workload,
-                num_layers=scale.num_layers,
-                seed=seed,
-            )
-            latency = result.mean_tbt if stage == "decode" else result.ttft
-            rows.append(
-                {
-                    "scenario": label,
-                    "strategy": strategy,
-                    "stage": stage,
-                    "latency_s": float(latency),
-                }
-            )
+    for (label, model_name, workload), strategy in product(scenarios, PAPER_FRAMEWORKS[:3]):
+        result = run_workload(model_name, strategy, 0.5, workload, scale.num_layers, seed)
+        latency = result.mean_tbt if workload.kind == "decode" else result.ttft
+        rows.append(
+            {"scenario": label, "strategy": strategy, "stage": workload.kind,
+             "latency_s": float(latency)}
+        )
     return rows
 
 
-def fig3e_expert_count_sweep(
-    model_name: str = "deepseek",
-    hardware: str = "paper",
-    max_experts: int = 6,
-    load_per_expert: int = 4,
-) -> list[dict]:
-    """CPU vs GPU total time for 1..N experts at fixed per-expert load.
+def _deepseek_expert_costs():
+    """The paper testbed's cost model and DeepSeek's routed-expert shape."""
+    cost = AnalyticCostModel(get_hardware_preset("paper"))
+    return cost, get_preset("deepseek").routed_expert_shape
+
+
+def fig3e_expert_count_sweep(max_experts: int = 6) -> list[dict]:
+    """CPU vs GPU total time for 1..N experts at 4 tokens per expert.
 
     Reproduces the CPU overlap effect: the first CPU expert pays the
     cold-cache warmup, subsequent ones amortise it, while GPU time
     scales linearly in expert count (one kernel each).
     """
-    config = get_preset(model_name)
-    cost = AnalyticCostModel(get_hardware_preset(hardware))
-    shape = config.routed_expert_shape
-    rows = []
-    for count in range(1, max_experts + 1):
-        cpu_total = sum(
-            cost.cpu_expert_time(shape, load_per_expert, first_task=index == 0)
-            for index in range(count)
-        )
-        gpu_total = count * cost.gpu_expert_time(shape, load_per_expert)
-        rows.append(
-            {
-                "experts": count,
-                "cpu_time_s": float(cpu_total),
-                "gpu_time_s": float(gpu_total),
-            }
-        )
-    return rows
+    cost, shape = _deepseek_expert_costs()
+    cpu_times = [
+        cost.cpu_expert_time(shape, 4, first_task=index == 0) for index in range(max_experts)
+    ]
+    return [
+        {"experts": count, "cpu_time_s": float(sum(cpu_times[:count])),
+         "gpu_time_s": float(count * cost.gpu_expert_time(shape, 4))}
+        for count in range(1, max_experts + 1)
+    ]
 
 
 def fig3f_workload_sweep(
-    model_name: str = "deepseek",
-    hardware: str = "paper",
     workloads: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024),
 ) -> list[dict]:
     """CPU vs GPU single-expert time across workload sizes.
@@ -264,15 +191,10 @@ def fig3f_workload_sweep(
     linearly almost immediately — the asymmetry all scheduling
     decisions ride on.
     """
-    config = get_preset(model_name)
-    cost = AnalyticCostModel(get_hardware_preset(hardware))
-    shape = config.routed_expert_shape
+    cost, shape = _deepseek_expert_costs()
     return [
-        {
-            "workload": tokens,
-            "cpu_time_s": float(cost.cpu_expert_time(shape, tokens)),
-            "gpu_time_s": float(cost.gpu_expert_time(shape, tokens)),
-        }
+        {"workload": tokens, "cpu_time_s": float(cost.cpu_expert_time(shape, tokens)),
+         "gpu_time_s": float(cost.gpu_expert_time(shape, tokens))}
         for tokens in workloads
     ]
 
@@ -281,71 +203,45 @@ def fig3f_workload_sweep(
 # Fig. 7 / Fig. 8 — end-to-end grids
 # ----------------------------------------------------------------------
 def fig7_prefill(
+    scale: ExperimentScale = QUICK_SCALE,
+    seed: int = 0,
+    *,
     models: tuple[str, ...] = PAPER_MODELS,
     ratios: tuple[float, ...] = PAPER_RATIOS,
     strategies: tuple[str, ...] = PAPER_FRAMEWORKS,
-    scale: ExperimentScale = QUICK_SCALE,
-    seed: int = 0,
 ) -> list[dict]:
     """Prefill TTFT across models, cache ratios and input lengths."""
     rows = []
-    for model_name in models:
-        for ratio in ratios:
-            for bucket in scale.prefill_buckets:
-                workload = prefill_workloads(bucket, seed=seed)[0]
-                for strategy in strategies:
-                    result = run_workload(
-                        model=model_name,
-                        strategy=strategy,
-                        cache_ratio=ratio,
-                        workload=workload,
-                        num_layers=scale.num_layers,
-                        seed=seed,
-                    )
-                    rows.append(
-                        {
-                            "model": model_name,
-                            "cache_ratio": ratio,
-                            "bucket": bucket,
-                            "prompt_len": workload.prompt_len,
-                            "strategy": strategy,
-                            "ttft_s": float(result.ttft),
-                            "hit_rate": float(result.hit_rate),
-                        }
-                    )
+    for model_name, ratio, bucket in product(models, ratios, scale.prefill_buckets):
+        workload = prefill_workloads(bucket, seed=seed)[0]
+        for strategy in strategies:
+            result = run_workload(model_name, strategy, ratio, workload, scale.num_layers, seed)
+            rows.append(
+                {"model": model_name, "cache_ratio": ratio, "bucket": bucket,
+                 "prompt_len": workload.prompt_len, "strategy": strategy,
+                 "ttft_s": float(result.ttft), "hit_rate": float(result.hit_rate)}
+            )
     return rows
 
 
 def fig8_decode(
+    scale: ExperimentScale = QUICK_SCALE,
+    seed: int = 0,
+    *,
     models: tuple[str, ...] = PAPER_MODELS,
     ratios: tuple[float, ...] = PAPER_RATIOS,
     strategies: tuple[str, ...] = PAPER_FRAMEWORKS,
-    scale: ExperimentScale = QUICK_SCALE,
-    seed: int = 0,
 ) -> list[dict]:
     """Decode TBT across models and cache ratios."""
+    workload = decode_workload(scale.decode_steps, seed=seed)
     rows = []
-    for model_name in models:
-        for ratio in ratios:
-            workload = decode_workload(scale.decode_steps, seed=seed)
-            for strategy in strategies:
-                result = run_workload(
-                    model=model_name,
-                    strategy=strategy,
-                    cache_ratio=ratio,
-                    workload=workload,
-                    num_layers=scale.num_layers,
-                    seed=seed,
-                )
-                rows.append(
-                    {
-                        "model": model_name,
-                        "cache_ratio": ratio,
-                        "strategy": strategy,
-                        "mean_tbt_s": float(result.mean_tbt),
-                        "decode_hit_rate": float(result.decode_hit_rate()),
-                    }
-                )
+    for model_name, ratio, strategy in product(models, ratios, strategies):
+        result = run_workload(model_name, strategy, ratio, workload, scale.num_layers, seed)
+        rows.append(
+            {"model": model_name, "cache_ratio": ratio, "strategy": strategy,
+             "mean_tbt_s": float(result.mean_tbt),
+             "decode_hit_rate": float(result.decode_hit_rate())}
+        )
     return rows
 
 
@@ -357,33 +253,28 @@ def replay_cache_hit_rate(
     capacity: int,
     policy_name: str,
     mrs_alpha: float = 0.7,
+    top_p_factor: int = 2,
 ) -> float:
     """Replay a routing trace through a cache and measure decode hits.
 
     Misses insert the expert (modelling the on-demand load), exactly
     the access pattern Fig. 9 isolates. The prefill step warms the
-    cache; only decode accesses count.
+    cache; only decode accesses count. An MRS policy accumulates the
+    top ``top_p_factor * num_activated`` scores per layer (the paper
+    sets ``p = 2K``, §IV-D).
     """
     if capacity <= 0:
         raise ConfigError(f"capacity must be positive, got {capacity}")
     if policy_name == "mrs":
-        policy = make_policy(
-            "mrs", alpha=mrs_alpha, top_p=2 * trace.num_activated
-        )
+        policy = make_policy("mrs", alpha=mrs_alpha, top_p=top_p_factor * trace.num_activated)
     else:
         policy = make_policy(policy_name)
     cache = ExpertCache(capacity, policy)
 
+    # Initial residency: the most frequently activated experts.
     counts = expert_activation_frequency(trace)
-    ranking = sorted(
-        (
-            (layer, expert)
-            for layer in range(trace.num_layers)
-            for expert in range(trace.num_experts)
-        ),
-        key=lambda key: (-counts[key[0], key[1]], key[0], key[1]),
-    )
-    cache.warm_fill(ranking)
+    every_expert = product(range(trace.num_layers), range(trace.num_experts))
+    cache.warm_fill(sorted(every_expert, key=lambda key: (-counts[key], *key)))
 
     decode_hits = 0
     decode_accesses = 0
@@ -403,37 +294,57 @@ def replay_cache_hit_rate(
     return decode_hits / decode_accesses
 
 
+def _capacity(trace: RoutingTrace, cached_percent: float) -> int:
+    return max(1, int(round(cached_percent * trace.num_layers * trace.num_experts)))
+
+
 def fig9_cache_hit_rate(
+    scale: ExperimentScale = QUICK_SCALE,
+    seed: int = 0,
+    *,
     models: tuple[str, ...] = PAPER_MODELS,
     percentages: tuple[float, ...] = (0.3, 0.4, 0.5, 0.6, 0.7),
     policies: tuple[str, ...] = ("lru", "mrs"),
-    scale: ExperimentScale = QUICK_SCALE,
-    seed: int = 0,
 ) -> list[dict]:
     """MRS vs LRU hit rates across cached-expert percentages."""
     rows = []
-    for model_name in models:
-        trace = _make_trace(model_name, scale, seed)
-        total = trace.num_layers * trace.num_experts
-        for percentage in percentages:
-            capacity = max(1, int(round(percentage * total)))
-            for policy_name in policies:
-                hit_rate = replay_cache_hit_rate(trace, capacity, policy_name)
-                rows.append(
-                    {
-                        "model": model_name,
-                        "cached_percent": percentage,
-                        "policy": policy_name,
-                        "hit_rate": float(hit_rate),
-                    }
-                )
+    for model_name, percentage, policy_name in product(models, percentages, policies):
+        trace = _trace(model_name, scale, seed)
+        hit_rate = replay_cache_hit_rate(trace, _capacity(trace, percentage), policy_name)
+        rows.append(
+            {"model": model_name, "cached_percent": percentage, "policy": policy_name,
+             "hit_rate": hit_rate}
+        )
     return rows
 
 
 # ----------------------------------------------------------------------
-# Table III — component ablation
+# Table III and the extra ablations (design choices beyond the paper's)
 # ----------------------------------------------------------------------
+def _variant_latencies(
+    variants: dict[str, dict], model_name: str, scale: ExperimentScale, seed: int, prefill_len: int
+) -> list[tuple[str, float, float]]:
+    """``(name, prefill TTFT, decode mean TBT)`` of HybriMoE at a 25% cache per variant.
+
+    A variant is the :func:`run_workload` keywords that set it apart
+    (``strategy_kwargs=`` or an engine override).
+    """
+    prefill = prefill_workloads(prefill_len, seed=seed)[0]
+    decode = decode_workload(scale.decode_steps, seed=seed)
+
+    def run(workload, keywords):
+        return run_workload(
+            model_name, "hybrimoe", 0.25, workload, scale.num_layers, seed, **keywords
+        )
+
+    return [
+        (name, float(run(prefill, keywords).ttft), float(run(decode, keywords).mean_tbt))
+        for name, keywords in variants.items()
+    ]
+
+
 #: Table III rows: configuration name -> HybriMoE component toggles.
+#: The baseline (first) reproduces kTransformers behaviour.
 ABLATION_CONFIGS = {
     "baseline": {"scheduling": False, "prefetching": False, "caching": False},
     "baseline+scheduling": {"scheduling": True, "prefetching": False, "caching": False},
@@ -444,200 +355,137 @@ ABLATION_CONFIGS = {
 
 
 def table3_ablation(
-    model_name: str = "qwen2",
-    cache_ratio: float = 0.25,
     scale: ExperimentScale = QUICK_SCALE,
-    prefill_len: int = 128,
     seed: int = 0,
-    configs: dict[str, dict] | None = None,
+    *,
+    model_name: str = "qwen2",
+    prefill_len: int = 128,
 ) -> list[dict]:
     """Speedup breakdown of the three techniques (paper Table III).
 
-    The baseline configuration reproduces kTransformers behaviour; each
-    row switches on one component, the last all three.
+    Each row switches on one component over the baseline, the last all
+    three; speedups are relative to the baseline row.
     """
-    configs = configs or ABLATION_CONFIGS
-    prefill = prefill_workloads(prefill_len, seed=seed)[0]
-    decode = decode_workload(scale.decode_steps, seed=seed)
-    rows = []
-    baseline_prefill = baseline_decode = None
-    for config_name, toggles in configs.items():
-        prefill_result = run_workload(
-            model=model_name,
-            strategy="hybrimoe",
-            cache_ratio=cache_ratio,
-            workload=prefill,
-            num_layers=scale.num_layers,
-            seed=seed,
-            strategy_kwargs=dict(toggles),
-        )
-        decode_result = run_workload(
-            model=model_name,
-            strategy="hybrimoe",
-            cache_ratio=cache_ratio,
-            workload=decode,
-            num_layers=scale.num_layers,
-            seed=seed,
-            strategy_kwargs=dict(toggles),
-        )
-        prefill_latency = float(prefill_result.ttft)
-        decode_latency = float(decode_result.mean_tbt)
-        if config_name == "baseline":
-            baseline_prefill = prefill_latency
-            baseline_decode = decode_latency
-        rows.append(
-            {
-                "config": config_name,
-                "prefill_latency_s": prefill_latency,
-                "decode_latency_s": decode_latency,
-                "prefill_speedup": (
-                    baseline_prefill / prefill_latency if baseline_prefill else 1.0
-                ),
-                "decode_speedup": (
-                    baseline_decode / decode_latency if baseline_decode else 1.0
-                ),
-            }
-        )
-    return rows
+    variants = {name: {"strategy_kwargs": toggles} for name, toggles in ABLATION_CONFIGS.items()}
+    latencies = _variant_latencies(variants, model_name, scale, seed, prefill_len)
+    _, baseline_prefill, baseline_decode = latencies[0]
+    return [
+        {"config": name, "prefill_latency_s": prefill, "decode_latency_s": decode,
+         "prefill_speedup": baseline_prefill / prefill, "decode_speedup": baseline_decode / decode}
+        for name, prefill, decode in latencies
+    ]
 
 
-# ----------------------------------------------------------------------
-# Extra ablations (DESIGN.md §5) — design choices beyond the paper's
-# ----------------------------------------------------------------------
-def ablation_scheduler_variants(
-    model_name: str = "deepseek",
-    cache_ratio: float = 0.25,
-    scale: ExperimentScale = QUICK_SCALE,
-    prefill_len: int = 128,
-    seed: int = 0,
-) -> list[dict]:
-    """Transfer search and CPU stealing, toggled independently."""
-    from repro.core.hybrid_scheduler import SchedulerConfig
-
+def ablation_scheduler(scale: ExperimentScale = QUICK_SCALE, seed: int = 0) -> list[dict]:
+    """Transfer search and CPU stealing, toggled independently (DeepSeek)."""
     variants = {
-        "search+steal": SchedulerConfig(search_transfers=True, allow_cpu_steal=True),
-        "search-only": SchedulerConfig(search_transfers=True, allow_cpu_steal=False),
-        "extremes+steal": SchedulerConfig(search_transfers=False, allow_cpu_steal=True),
-        "extremes-only": SchedulerConfig(search_transfers=False, allow_cpu_steal=False),
+        name: {"scheduler": SchedulerConfig(search_transfers=search, allow_cpu_steal=steal)}
+        for name, search, steal in (
+            ("search+steal", True, True),
+            ("search-only", True, False),
+            ("extremes+steal", False, True),
+            ("extremes-only", False, False),
+        )
     }
-    prefill = prefill_workloads(prefill_len, seed=seed)[0]
-    decode = decode_workload(scale.decode_steps, seed=seed)
-    rows = []
-    for name, scheduler_config in variants.items():
-        engine_config = EngineConfig(
-            cache_ratio=cache_ratio, seed=seed, scheduler=scheduler_config
-        )
-        prefill_result = run_workload(
-            model=model_name,
-            strategy="hybrimoe",
-            cache_ratio=cache_ratio,
-            workload=prefill,
-            num_layers=scale.num_layers,
-            seed=seed,
-            engine_config=engine_config,
-        )
-        decode_result = run_workload(
-            model=model_name,
-            strategy="hybrimoe",
-            cache_ratio=cache_ratio,
-            workload=decode,
-            num_layers=scale.num_layers,
-            seed=seed,
-            engine_config=engine_config,
-        )
-        rows.append(
-            {
-                "variant": name,
-                "prefill_latency_s": float(prefill_result.ttft),
-                "decode_latency_s": float(decode_result.mean_tbt),
-            }
-        )
-    return rows
+    return [
+        {"variant": name, "prefill_latency_s": prefill, "decode_latency_s": decode}
+        for name, prefill, decode in _variant_latencies(variants, "deepseek", scale, seed, 128)
+    ]
 
 
-def ablation_prefetch_depth(
-    model_name: str = "deepseek",
-    cache_ratio: float = 0.25,
-    depths: tuple[int, ...] = (1, 2, 3),
-    scale: ExperimentScale = QUICK_SCALE,
-    seed: int = 0,
-) -> list[dict]:
-    """Impact of the prefetch lookahead depth (paper fixes 3)."""
+def ablation_prefetch(scale: ExperimentScale = QUICK_SCALE, seed: int = 0) -> list[dict]:
+    """Impact of the prefetch lookahead depth (paper fixes 3) on DeepSeek decode."""
     decode = decode_workload(scale.decode_steps, seed=seed)
     rows = []
-    for depth in depths:
-        engine_config = EngineConfig(
-            cache_ratio=cache_ratio, seed=seed, prefetch_lookahead=depth
-        )
+    for depth in (1, 2, 3):
         result = run_workload(
-            model=model_name,
-            strategy="hybrimoe",
-            cache_ratio=cache_ratio,
-            workload=decode,
-            num_layers=scale.num_layers,
-            seed=seed,
-            engine_config=engine_config,
+            "deepseek", "hybrimoe", 0.25, decode, scale.num_layers, seed, prefetch_lookahead=depth
         )
         rows.append(
-            {
-                "lookahead": depth,
-                "decode_latency_s": float(result.mean_tbt),
-                "decode_hit_rate": float(result.decode_hit_rate()),
-            }
+            {"lookahead": depth, "decode_latency_s": float(result.mean_tbt),
+             "decode_hit_rate": float(result.decode_hit_rate())}
         )
     return rows
 
 
-def ablation_mrs_parameters(
-    model_name: str = "deepseek",
-    cached_percent: float = 0.3,
-    alphas: tuple[float, ...] = (0.1, 0.3, 0.5, 0.9),
-    top_p_factors: tuple[int, ...] = (1, 2, 4),
-    scale: ExperimentScale = QUICK_SCALE,
-    seed: int = 0,
-) -> list[dict]:
+def ablation_mrs(scale: ExperimentScale = QUICK_SCALE, seed: int = 0) -> list[dict]:
     """MRS sensitivity to alpha and the top-p accumulation width.
 
     The paper sets ``p = 2 * num_activated`` (§IV-D); this sweep shows
-    the neighbourhood of that choice via trace replay.
+    the neighbourhood of that choice via trace replay (DeepSeek, 30%
+    of the experts cached).
     """
-    trace = _make_trace(model_name, scale, seed)
-    total = trace.num_layers * trace.num_experts
-    capacity = max(1, int(round(cached_percent * total)))
-    rows = []
-    for alpha in alphas:
-        for factor in top_p_factors:
-            policy = make_policy(
-                "mrs", alpha=alpha, top_p=factor * trace.num_activated
-            )
-            cache = ExpertCache(capacity, policy)
-            counts = expert_activation_frequency(trace)
-            ranking = sorted(
-                (
-                    (layer, expert)
-                    for layer in range(trace.num_layers)
-                    for expert in range(trace.num_experts)
-                ),
-                key=lambda key: (-counts[key[0], key[1]], key[0], key[1]),
-            )
-            cache.warm_fill(ranking)
-            hits = accesses = 0
-            for step in trace.steps:
-                for routing in step.layers:
-                    cache.observe_scores(routing.layer, routing.mean_scores)
-                    for expert in routing.activated():
-                        key = (routing.layer, expert)
-                        hit = cache.access(key)
-                        if not step.is_prefill:
-                            accesses += 1
-                            hits += int(hit)
-                        if not hit:
-                            cache.insert(key)
-            rows.append(
-                {
-                    "alpha": alpha,
-                    "top_p_factor": factor,
-                    "hit_rate": hits / accesses if accesses else 0.0,
-                }
-            )
-    return rows
+    trace = _trace("deepseek", scale, seed)
+    capacity = _capacity(trace, 0.3)
+    return [
+        {"alpha": alpha, "top_p_factor": factor,
+         "hit_rate": replay_cache_hit_rate(trace, capacity, "mrs", alpha, factor)}
+        for alpha, factor in product((0.1, 0.3, 0.5, 0.9), (1, 2, 4))
+    ]
+
+
+# ----------------------------------------------------------------------
+# The registry
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Artifact:
+    """One paper artifact: its rows and how they are shown.
+
+    ``rows(scale, seed)`` generates the artifact. ``speedup`` names a
+    latency column and the columns that group rows into one comparison:
+    :meth:`measure` then adds the ``speedup`` over kTransformers within
+    each group. ``columns`` (default: all) and ``stride`` (every n-th
+    row) only shorten the table a benchmark prints.
+    """
+
+    name: str
+    title: str
+    rows: Callable[[ExperimentScale, int], list[dict]]
+    speedup: tuple[str, tuple[str, ...]] | None = None
+    columns: tuple[str, ...] | None = None
+    stride: int = 1
+
+    def measure(self, scale: ExperimentScale, seed: int) -> list[dict]:
+        """The rows as printed and claimed on (``speedup`` column added)."""
+        rows = self.rows(scale, seed)
+        if self.speedup is None:
+            return rows
+        value_column, group_columns = self.speedup
+        return add_speedup_column(rows, value_column, group_columns=group_columns)
+
+
+_ARTIFACTS = (
+    Artifact("fig3a", "Fig. 3a — activation CDF", fig3a_activation_cdf),
+    Artifact(
+        "fig3b", "Fig. 3b — reuse probability by score rank", fig3b_reuse_probability, stride=4
+    ),
+    Artifact(
+        "fig3c", "Fig. 3c — prefill expert loads (sorted)", fig3c_workload_distribution, stride=8
+    ),
+    Artifact("fig3d", "Fig. 3d — existing frameworks, mixed probes", fig3d_existing_methods),
+    # Cost-model sweeps: neither the scale nor the seed enters.
+    Artifact(
+        "fig3e", "Fig. 3e — CPU vs GPU time by expert count",
+        lambda scale, seed: fig3e_expert_count_sweep(),
+    ),
+    Artifact(
+        "fig3f", "Fig. 3f — CPU vs GPU time by workload size",
+        lambda scale, seed: fig3f_workload_sweep(),
+    ),
+    Artifact(
+        "fig7", "Fig. 7 — prefill TTFT (speedup vs kTransformers)", fig7_prefill,
+        speedup=("ttft_s", ("model", "cache_ratio", "bucket")),
+        columns=("model", "cache_ratio", "bucket", "strategy", "ttft_s", "speedup"),
+    ),
+    Artifact(
+        "fig8", "Fig. 8 — decode TBT (speedup vs kTransformers)", fig8_decode,
+        speedup=("mean_tbt_s", ("model", "cache_ratio")),
+    ),
+    Artifact("fig9", "Fig. 9 — cache hit rate, MRS vs LRU (decode accesses)", fig9_cache_hit_rate),
+    Artifact("table3", "Table III — technique breakdown (Qwen2, 25% cache)", table3_ablation),
+    Artifact("ablation_scheduler", "Ablation — transfer search / CPU stealing", ablation_scheduler),
+    Artifact("ablation_prefetch", "Ablation — prefetch lookahead depth", ablation_prefetch),
+    Artifact("ablation_mrs", "Ablation — MRS alpha / top-p sensitivity", ablation_mrs),
+)
+#: Every artifact of the evaluation by name, in the paper's order.
+ARTIFACTS: dict[str, Artifact] = {artifact.name: artifact for artifact in _ARTIFACTS}

@@ -1,11 +1,8 @@
-"""Result tabulation: ASCII tables, speedups, CSV/JSON export."""
+"""Result tabulation: ASCII tables and speedups."""
 
 from __future__ import annotations
 
-import csv
-import json
 import math
-from pathlib import Path
 
 from repro.errors import ConfigError
 
@@ -13,8 +10,6 @@ __all__ = [
     "format_table",
     "add_speedup_column",
     "geometric_mean",
-    "save_csv",
-    "save_json",
 ]
 
 
@@ -62,30 +57,28 @@ def format_table(
 def add_speedup_column(
     rows: list[dict],
     value_column: str,
-    baseline_strategy: str = "ktransformers",
     group_columns: tuple[str, ...] = ("model", "cache_ratio"),
-    strategy_column: str = "strategy",
-    speedup_column: str = "speedup",
 ) -> list[dict]:
-    """Annotate rows with speedup relative to a baseline strategy.
+    """Annotate rows with their ``speedup`` over kTransformers.
 
     Speedup is ``baseline_value / value`` within each group (higher is
     better for latency metrics), matching the paper's "speedup vs
-    kTransformers" presentation in Figs. 7/8.
+    kTransformers" presentation in Figs. 7/8. Rows of a group without a
+    kTransformers row stay unannotated.
     """
-    baselines: dict[tuple, float] = {}
-    for row in rows:
-        if row.get(strategy_column) == baseline_strategy:
-            key = tuple(row.get(col) for col in group_columns)
-            baselines[key] = float(row[value_column])
+    def group(row: dict) -> tuple:
+        return tuple(row.get(col) for col in group_columns)
+
+    baselines = {
+        group(row): float(row[value_column])
+        for row in rows
+        if row.get("strategy") == "ktransformers"
+    }
     annotated = []
     for row in rows:
-        new_row = dict(row)
-        key = tuple(row.get(col) for col in group_columns)
-        base = baselines.get(key)
-        if base is not None and float(row[value_column]) > 0:
-            new_row[speedup_column] = base / float(row[value_column])
-        annotated.append(new_row)
+        base, value = baselines.get(group(row)), float(row[value_column])
+        speedup = {"speedup": base / value} if base is not None and value > 0 else {}
+        annotated.append({**row, **speedup})
     return annotated
 
 
@@ -96,30 +89,3 @@ def geometric_mean(values: list[float]) -> float:
     if any(v <= 0 for v in values):
         raise ConfigError("geometric_mean requires positive values")
     return math.exp(sum(math.log(v) for v in values) / len(values))
-
-
-def save_json(rows: list[dict], path: str | Path) -> None:
-    """Write rows to a JSON file (numpy scalars coerced to Python)."""
-    def _coerce(value):
-        if hasattr(value, "item"):
-            return value.item()
-        return value
-
-    payload = [{k: _coerce(v) for k, v in row.items()} for row in rows]
-    Path(path).write_text(json.dumps(payload, indent=2))
-
-
-def save_csv(rows: list[dict], path: str | Path) -> None:
-    """Write rows to CSV with the union of all keys as header."""
-    if not rows:
-        Path(path).write_text("")
-        return
-    columns: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
-    with open(path, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=columns)
-        writer.writeheader()
-        writer.writerows(rows)

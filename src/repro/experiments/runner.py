@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
+import dataclasses
 from functools import lru_cache
 
 import numpy as np
 
-from repro.engine.engine import EngineConfig
 from repro.engine.factory import make_engine
 from repro.engine.metrics import GenerationResult
 from repro.models.model import ReferenceMoEModel
 from repro.models.presets import get_preset
+from repro.rng import derive_rng
+from repro.routing.generator import generate_trace
+from repro.routing.trace import RoutingTrace
+from repro.scenarios.spec import EngineSpec
 from repro.workloads.generator import WorkloadSpec
 
-__all__ = ["run_workload", "cached_model"]
+__all__ = ["run_workload", "cached_model", "cached_trace"]
 
 
 @lru_cache(maxsize=16)
@@ -30,6 +34,22 @@ def cached_model(
     return ReferenceMoEModel(config, seed=seed)
 
 
+@lru_cache(maxsize=16)
+def cached_trace(
+    model_name: str, num_layers: int | None, decode_steps: int, seed: int
+) -> RoutingTrace:
+    """Memoised routing trace of a 64-token prompt plus ``decode_steps``.
+
+    Every consumer (the activation / reuse statistics of Fig. 3a/b, the
+    cache replays of Fig. 9 and the MRS ablation) only reads the trace,
+    so one instance serves them all: treat it as read-only.
+    """
+    model = cached_model(model_name, num_layers, seed)
+    rng = derive_rng(seed, "figures", "trace-prompt", model_name)
+    prompt = rng.integers(0, model.vocab_size, size=64)
+    return generate_trace(model, prompt, decode_steps=decode_steps, seed=seed)
+
+
 def run_workload(
     model: str,
     strategy: str,
@@ -37,25 +57,28 @@ def run_workload(
     workload: WorkloadSpec,
     num_layers: int | None = None,
     seed: int = 0,
-    hardware: str = "paper",
     strategy_kwargs: dict | None = None,
-    engine_config: EngineConfig | None = None,
+    **engine_overrides,
 ) -> GenerationResult:
     """Run one workload on a fresh engine and return its metrics.
 
     Every run constructs a new engine (cold clock, freshly warmed
-    cache) so results are independent, as the paper's per-configuration
-    measurements are.
+    cache) on the paper's hardware so results are independent, as the
+    paper's per-configuration measurements are. ``engine_overrides``
+    replace :class:`~repro.engine.engine.EngineConfig` fields no
+    :class:`~repro.scenarios.spec.EngineSpec` knob reaches
+    (``scheduler=``, ``prefetch_lookahead=``) on the configuration the
+    positional arguments describe.
     """
+    spec = EngineSpec(
+        model=model, num_layers=num_layers, strategy=strategy, cache_ratio=cache_ratio, seed=seed
+    )
     engine = make_engine(
         model=cached_model(model, num_layers, seed),
         strategy=strategy,
-        cache_ratio=cache_ratio,
-        hardware=hardware,
-        num_layers=num_layers,
-        seed=seed,
-        engine_config=engine_config,
-        strategy_kwargs=strategy_kwargs or {},
+        hardware=spec.hardware,
+        engine_config=dataclasses.replace(spec.engine_config(), **engine_overrides),
+        strategy_kwargs=strategy_kwargs,
     )
     return engine.generate(
         np.asarray(workload.prompt_tokens), decode_steps=workload.decode_steps

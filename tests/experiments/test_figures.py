@@ -4,9 +4,16 @@ These assert structure and the paper's headline *orderings*, not
 absolute values; the benchmarks regenerate the real tables.
 """
 
+import dataclasses
+import hashlib
+import sys
+from pathlib import Path
+
 import pytest
 
+from repro.cli import build_parser
 from repro.experiments.figures import (
+    ARTIFACTS,
     ExperimentScale,
     fig3a_activation_cdf,
     fig3e_expert_count_sweep,
@@ -22,6 +29,78 @@ from repro.errors import ConfigError
 TINY = ExperimentScale(
     num_layers=3, prefill_buckets=(32,), decode_steps=6, trace_decode_steps=24
 )
+
+#: sha256 over each artifact's rows at ``TINY``, seed 0, recorded from
+#: the generators as they stood before the registry (one function and
+#: one hand-written ``run_workload`` block per artifact). A refactor of
+#: ``figures.py`` must leave all 13 unchanged.
+GOLDEN_ARTIFACTS = {
+    "fig3a": "493a684206ca6b99b9affd644cf650cc588421d75fa707a01e281c384e8cb72d",
+    "fig3b": "d1993aa78dde34c810c4da7c325a88386011ce5e31f2fb33ee749bf3786a212e",
+    "fig3c": "7c2d25e31ca7a3563f7f4c25536d800fce6fb5856cb1a9047a6199ddaffcfa86",
+    "fig3d": "7e8a128e7704dde0f4c6aa891b5f2a21bbed0d9d3b2ba6b0bc9d47592948c277",
+    "fig3e": "cf49bd3e30e5ffb62c88b548e5742a7adb3b2ccf486edbe64a44af575d48625a",
+    "fig3f": "26fffbeacd08ad372be88e00ef8c3882c80ef84d25dee1ec8a510cd44bb52496",
+    "fig7": "198d36b331ccc7bc3a5e1b151fb8f3d64add62545cd66ba2b536e1440ec2619a",
+    "fig8": "e4bf65d2041ebdec8572dbd490d5733234d85341d0e32b2dda63565b7640cb5d",
+    "fig9": "81005963a91e884c018bd38cf067a1d8c424bc027c474aa1eba9a933c3e48ade",
+    "table3": "572193ccba42698cc34cd15aee65c6ee7761d1bfb4e3d1d863abfd50faf256a2",
+    "ablation_scheduler": "dd4ef8010836bae98dd1c44056f21eb2cd1c7a5dd358fc781bf90f55eebef26b",
+    "ablation_prefetch": "366c075a24abe38dc5ec901cc346f5cf0e30b325e3ceb953f6ced24b773ee188",
+    "ablation_mrs": "53f2a1418ad69bb60425d3f21e359e4ba782c8c0fb36298a9412ab03ea67195f",
+}
+
+
+def rows_digest(rows: list[dict]) -> str:
+    """sha256 over the rows in order, floats rendered exactly (``float.hex``)."""
+    digest = hashlib.sha256()
+    for row in rows:
+        cells = tuple(
+            (key, float(value).hex() if isinstance(value, float) else value)
+            for key, value in row.items()
+        )
+        digest.update(repr(cells).encode())
+    return digest.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def tiny_rows():
+    return {name: artifact.rows(TINY, 0) for name, artifact in ARTIFACTS.items()}
+
+
+class TestRegistry:
+    def test_rows_match_the_pre_registry_generators(self, tiny_rows):
+        assert {name: rows_digest(rows) for name, rows in tiny_rows.items()} == GOLDEN_ARTIFACTS
+
+    def test_declarations_are_consistent(self, tiny_rows):
+        """What the registry, the CLI and ``bench_paper.CLAIMS`` declare
+        about each other resolves (nothing beyond ``TINY`` rows is run)."""
+        sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+        from bench_paper import CLAIMS, OPS
+
+        assert list(ARTIFACTS) == list(GOLDEN_ARTIFACTS)
+        assert all(name == artifact.name for name, artifact in ARTIFACTS.items())
+        subcommands = build_parser()._subparsers._group_actions[0].choices
+        (name_argument,) = [a for a in subcommands["figure"]._actions if a.dest == "name"]
+        assert name_argument.choices == sorted(ARTIFACTS)
+
+        for name, artifact in ARTIFACTS.items():
+            generated = set(tiny_rows[name][0])
+            canned = dataclasses.replace(artifact, rows=lambda scale, seed, name=name: tiny_rows[name])
+            shown = set(canned.measure(TINY, 0)[0])
+            if artifact.speedup is None:
+                assert shown == generated
+            else:
+                value_column, group_columns = artifact.speedup
+                assert {value_column, *group_columns, "strategy"} <= generated
+                assert shown == generated | {"speedup"}
+            assert set(artifact.columns or ()) <= shown
+            assert artifact.stride >= 1
+
+        assert {claim.artifact for claim in CLAIMS} <= set(ARTIFACTS)
+        labels = [claim.label for claim in CLAIMS]
+        assert len(set(labels)) == len(labels) == 27
+        assert all(claim.op in OPS for claim in CLAIMS)
 
 
 class TestFig3Analyses:

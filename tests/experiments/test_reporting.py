@@ -1,6 +1,4 @@
-"""Reporting helpers: tables, speedups, persistence."""
-
-import json
+"""Reporting helpers: tables and speedups."""
 
 import pytest
 
@@ -9,8 +7,6 @@ from repro.experiments.reporting import (
     add_speedup_column,
     format_table,
     geometric_mean,
-    save_csv,
-    save_json,
 )
 
 ROWS = [
@@ -62,21 +58,3 @@ class TestGeometricMean:
         with pytest.raises(ConfigError):
             geometric_mean([1.0, 0.0])
 
-
-class TestPersistence:
-    def test_json_roundtrip(self, tmp_path):
-        path = tmp_path / "rows.json"
-        save_json(ROWS, path)
-        assert json.loads(path.read_text()) == ROWS
-
-    def test_csv_header_union(self, tmp_path):
-        rows = [{"a": 1}, {"a": 2, "b": 3}]
-        path = tmp_path / "rows.csv"
-        save_csv(rows, path)
-        header = path.read_text().splitlines()[0]
-        assert header == "a,b"
-
-    def test_csv_empty(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        save_csv([], path)
-        assert path.read_text() == ""

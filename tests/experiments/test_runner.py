@@ -1,9 +1,13 @@
 """Experiment runner: model memoisation and configuration plumbing."""
 
+import dataclasses
+
 import pytest
 
+from repro.core.hybrid_scheduler import SchedulerConfig
 from repro.engine.engine import EngineConfig
-from repro.experiments.runner import cached_model, run_workload
+from repro.engine.factory import make_engine
+from repro.experiments.runner import cached_model, cached_trace, run_workload
 from repro.workloads import decode_workload, prefill_workloads
 
 
@@ -17,6 +21,11 @@ class TestCachedModel:
         a = cached_model("deepseek", 2, 0)
         b = cached_model("deepseek", 2, 1)
         assert a is not b
+
+    def test_trace_is_shared_and_built_on_the_cached_model(self):
+        trace = cached_trace("deepseek", 2, 4, 0)
+        assert trace is cached_trace("deepseek", 2, 4, 0)
+        assert trace.num_layers == 2 and len(trace.steps) == 5
 
     def test_layer_override_respected(self):
         model = cached_model("mixtral", 3, 0)
@@ -39,19 +48,28 @@ class TestRunWorkload:
         )
         assert len(result.decode_steps) == 3
 
-    def test_engine_config_overrides(self):
-        workload = decode_workload(2, seed=0)
-        config = EngineConfig(cache_ratio=0.25, seed=0, prefetch_lookahead=1)
+    def test_engine_config_overrides(self, monkeypatch):
+        from repro.experiments import runner
+
+        configs = []
+
+        def spy(**kwargs):
+            configs.append(kwargs["engine_config"])
+            return make_engine(**kwargs)
+
+        monkeypatch.setattr(runner, "make_engine", spy)
+        scheduler = SchedulerConfig(search_transfers=False)
         result = run_workload(
-            "deepseek",
-            "hybrimoe",
-            cache_ratio=0.9,  # ignored: engine_config wins
-            workload=workload,
-            num_layers=2,
-            seed=0,
-            engine_config=config,
+            "deepseek", "hybrimoe", 0.9, decode_workload(2, seed=0), num_layers=2, seed=7,
+            prefetch_lookahead=1, scheduler=scheduler,
         )
-        assert result.cache_ratio == pytest.approx(0.25)
+        (config,) = configs
+        assert (config.prefetch_lookahead, config.scheduler) == (1, scheduler)
+        assert (config.cache_ratio, config.seed) == (0.9, 7)
+        assert result.cache_ratio == pytest.approx(0.9)
+        assert config == dataclasses.replace(
+            EngineConfig(cache_ratio=0.9, seed=7), prefetch_lookahead=1, scheduler=scheduler
+        )
 
     def test_strategy_kwargs_reach_strategy(self):
         workload = decode_workload(2, seed=0)

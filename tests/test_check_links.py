@@ -69,3 +69,34 @@ def test_duplicate_headings_get_suffixed_anchors(tmp_path):
     result = run_checker(doc)
     assert result.returncode == 1
     assert "#setup-2" in result.stdout and "#setup-1" not in result.stdout
+
+
+def test_python_sources_name_only_documents_that_exist():
+    sources = [
+        *sorted((REPO / "src" / "repro").rglob("*.py")),
+        *sorted((REPO / "benchmarks").glob("*.py")),
+        *sorted((REPO / "tools").glob("*.py")),
+    ]
+    result = run_checker(*sources)
+    assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_missing_document_in_a_docstring_or_comment_detected(tmp_path):
+    """The rule is picked by the argument's extension; only docstrings
+    and comments are read, and only upper-case document names."""
+    module = tmp_path / "mod.py"
+    module.write_text(
+        '"""Module; see DESIGN.md section 4 and README.md."""\n'
+        "\n"
+        "def f():\n"
+        '    """Recorded in docs/EXPERIMENTS.md; layout in docs/BENCHMARKS.md."""\n'
+        '    return "usage: tool FILE.md notes.md"  # as GONE.md says\n'
+    )
+    result = run_checker(module)
+    assert result.returncode == 1
+    reported = [line.strip() for line in result.stdout.splitlines()[1:]]
+    assert [line.split(": ")[0].rsplit(":", 1)[1] for line in reported] == ["1", "4", "5"]
+    for name, line in zip(("DESIGN.md", "EXPERIMENTS.md", "GONE.md"), reported, strict=True):
+        assert repr(name) in line
+    assert "README.md" not in result.stdout and "BENCHMARKS.md" not in result.stdout
+    assert "FILE.md" not in result.stdout and "notes.md" not in result.stdout

@@ -3,7 +3,8 @@
 Fake ``Bench`` objects against ``tmp_path`` as the baseline root — no
 engine is built. The declaration test at the end imports the real
 ``benchmarks/bench_*.py`` (nothing is run) and checks what they
-declare against the committed ``BENCH_*.json`` files.
+declare against the committed ``BENCH_*.json`` files; the claims test
+before it drives ``bench_paper.CLAIMS`` over one miniature grid.
 """
 
 import dataclasses
@@ -18,6 +19,8 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
 import harness  # noqa: E402
+
+from repro.experiments.figures import ARTIFACTS, ExperimentScale  # noqa: E402
 
 FACTOR = 1.25
 TRAJECTORY_BENCHES = ("planner", "serving", "fleet", "predictor", "chaos")
@@ -187,6 +190,42 @@ def test_planner_smoke_run_leaves_the_committed_full_entry_byte_identical(tmp_pa
 
     assert harness.main(bench, ["--smoke", "--check"], root=tmp_path) == 0
     assert (tmp_path / "BENCH_planner.json").read_text() == committed
+
+
+def test_flipping_one_bound_fails_exactly_that_claim(tmp_path, capsys):
+    """Each of the 27 claims is gated on its own: with every bound but
+    one set to hold, the gate prints one ``GATE FAIL:`` line, naming the
+    claim whose bound was moved to the wrong side of its number."""
+    paper = importlib.import_module("bench_paper")
+    # The smallest grid every claim can read (Fig. 7's needs a >= 512 bucket).
+    scale = ExperimentScale(
+        num_layers=2, prefill_buckets=(512,), decode_steps=4, trace_decode_steps=16
+    )
+    artifacts = {name: artifact.measure(scale, 0) for name, artifact in ARTIFACTS.items()}
+    reproduced = [row["reproduced"] for row in paper.evaluate(paper.CLAIMS, artifacts)]
+    slack = {">": -1.0, ">=": -1.0, "<": 1.0, "<=": 1.0}
+    holding = [
+        dataclasses.replace(claim, bound=value + slack[claim.op])
+        for claim, value in zip(paper.CLAIMS, reproduced)
+    ]
+
+    def gate(claims):
+        results = paper.evaluate(claims, artifacts)
+        bench = dataclasses.replace(
+            paper.BENCH,
+            run=lambda smoke: ({"claims": results}, paper.failures(results)),
+            render=lambda payload: "",
+        )
+        return harness.main(bench, ["--check"], root=tmp_path), gate_failures(capsys)
+
+    assert len(holding) == 27
+    assert gate(holding) == (0, [])
+    for index, (claim, value) in enumerate(zip(holding, reproduced)):
+        flipped = list(holding)
+        flipped[index] = dataclasses.replace(claim, bound=value - slack[claim.op])
+        code, lines = gate(flipped)
+        assert code == 1 and len(lines) == 1, (claim.label, lines)
+        assert f"{claim.artifact}: {claim.label}: " in lines[0]
 
 
 def test_every_bench_script_declares_a_bench_whose_ratios_resolve():

@@ -1,9 +1,9 @@
 """Smoke test for the step profiler's structured report.
 
 ``tools/profile_step.py`` is a debugging entry point, not library
-code, so one fast end-to-end pass is enough: profile a handful of
-decode steps and pin the report shape the CI docs job (and any
-tooling) consumes.
+code, so one fast end-to-end pass per stage is enough: profile the
+ledger's smoke-sized decode and prefill workloads and pin the report
+shape the CI docs job (and any tooling) consumes.
 """
 
 import json
@@ -19,17 +19,23 @@ sys.path.insert(0, str(TOOLS))
 
 from profile_step import BLAS_THREAD_VARS, profile_report  # noqa: E402
 
+from benchlib.workloads import NUM_LAYERS, SMOKE  # noqa: E402  (path set by profile_step)
 
-def test_report_shape_and_sanity():
-    report = profile_report(steps=5, num_layers=2, cache_ratio=0.5, top=5)
-    assert report["stage"] == "decode"
+
+@pytest.fixture(scope="module")
+def decode_report():
+    return profile_report("decode_hot", smoke=True, top=10)
+
+
+def test_report_shape_and_sanity(decode_report):
+    report = decode_report
     assert set(report["blas_threads"]) == set(BLAS_THREAD_VARS)
-    assert report["steps"] == 5
-    assert report["model"] == "deepseek"
-    assert report["strategy"] == "hybrimoe"
+    assert report["workload"] == "decode_hot"
+    # The ledger's smoke size: 2 chunks of an 8-token warm prompt + 16 steps.
+    assert report["tokens"] == 2 * (8 + SMOKE.decode_steps)
     assert report["elapsed_s"] > 0.0
-    assert report["steps_per_s"] > 0.0
-    assert 0 < len(report["top"]) <= 5
+    assert report["tokens_per_s"] > 0.0
+    assert 0 < len(report["top"]) <= 10
     for row in report["top"]:
         assert set(row) == {"function", "ncalls", "tottime_s", "cumtime_s"}
         assert row["ncalls"] >= 1
@@ -37,42 +43,32 @@ def test_report_shape_and_sanity():
         assert row["cumtime_s"] >= 0.0
 
 
-def test_top_rows_follow_sort_order():
-    report = profile_report(steps=2, num_layers=2, cache_ratio=0.5, top=10)
-    cumtimes = [row["cumtime_s"] for row in report["top"]]
+def test_top_rows_follow_sort_order(decode_report):
+    cumtimes = [row["cumtime_s"] for row in decode_report["top"]]
     assert cumtimes == sorted(cumtimes, reverse=True)
 
 
-def test_prefill_stage_profiles_the_wide_planner_search():
-    """``stage="prefill"`` runs cold full-prompt prefills: every expert
-    is activated, so the planner's search shows up in the report."""
-    report = profile_report(
-        steps=1, num_layers=2, cache_ratio=0.5, top=400, stage="prefill",
-        prompt_len=64,
-    )
-    assert report["stage"] == "prefill"
-    assert report["steps"] == 1
+def test_prefill_workload_profiles_the_wide_planner_search():
+    """``prefill_long`` runs cold full-prompt prefills: every expert is
+    activated, so the planner's search shows up in the report — and
+    set-up (engines, calibration, prompts) stays outside the profile."""
+    report = profile_report("prefill_long", smoke=True, top=400)
     functions = [row["function"] for row in report["top"]]
     assert any("hybrid_scheduler.py" in f and "(_search)" in f for f in functions)
-    # One prompt through two layers: two plans, no decode steps.
+    # One plan per prompt per layer, no decode steps.
     plans = [
         row for row in report["top"]
         if "hybrid_scheduler.py" in row["function"] and "(plan)" in row["function"]
     ]
-    assert [row["ncalls"] for row in plans] == [2]
+    assert [row["ncalls"] for row in plans] == [SMOKE.prompts * NUM_LAYERS]
+    assert not any("(make_engine)" in f for f in functions)
 
 
-def test_unknown_stage_is_rejected():
-    with pytest.raises(ValueError, match="stage must be one of"):
-        profile_report(steps=1, num_layers=2, stage="train")
-
-
-def test_engine_flag_is_gone():
-    """There is one engine core; ``--engine`` is argparse's usage error."""
+def test_unknown_workload_is_a_usage_error():
     from profile_step import main
 
     with pytest.raises(SystemExit) as excinfo:
-        main(["--engine", "reference"])
+        main(["--workload", "train"])
     assert excinfo.value.code == 2
 
 
@@ -120,7 +116,7 @@ def test_a_caller_set_thread_count_is_kept():
 def test_report_header_prints_the_thread_setting(capsys):
     from profile_step import main
 
-    assert main(["--steps", "2", "--num-layers", "2", "--top", "1"]) == 0
+    assert main(["--workload", "decode_hot", "--smoke", "--top", "1"]) == 0
     header = capsys.readouterr().out.splitlines()[1]
     assert header.startswith("BLAS threads: ")
     for var in BLAS_THREAD_VARS:

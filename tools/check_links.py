@@ -16,18 +16,28 @@ given markdown files:
 
 Links inside fenced code blocks and inline code spans are ignored.
 
+A ``.py`` argument is checked for the other way documentation rots:
+every upper-case ``*.md`` document name (all of this repo's are) that
+one of its docstrings or comments mentions must exist at the repo root
+or under ``docs/``.
+
 Usage::
 
-    python tools/check_links.py README.md docs/*.md
+    python tools/check_links.py README.md docs/*.md src/repro/**/*.py
 
 Exits 1 with a per-link report when anything is broken; 0 otherwise.
 """
 
 from __future__ import annotations
 
+import ast
+import io
 import re
 import sys
+import tokenize
 from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 _FENCE_RE = re.compile(r"^(```|~~~)")
 _INLINE_CODE_RE = re.compile(r"`[^`]*`")
@@ -35,6 +45,7 @@ _INLINE_CODE_RE = re.compile(r"`[^`]*`")
 # closing paren (markdown targets with spaces/parens are not used here).
 _LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]*)(?:\s+\"[^\"]*\")?\)")
 _HEADING_RE = re.compile(r"^(#{1,6})\s+(.*?)\s*#*\s*$")
+_DOCUMENT_RE = re.compile(r"\b[A-Z][A-Z0-9_]*\.md\b")
 
 
 def strip_code(lines: list[str], inline: bool = True) -> list[str]:
@@ -129,9 +140,30 @@ def check_file(path: Path, anchor_cache: dict[Path, set[str]]) -> list[str]:
     return errors
 
 
+def check_python_file(path: Path) -> list[str]:
+    """Documents a Python file's docstrings and comments name that do not exist."""
+    source = path.read_text(encoding="utf-8")
+    mentions: list[tuple[int, str]] = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(
+            node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        ) and ast.get_docstring(node, clean=False):
+            docstring = node.body[0].value
+            mentions += enumerate(docstring.value.splitlines(), start=docstring.lineno)
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type == tokenize.COMMENT:
+            mentions.append((token.start[0], token.string))
+    return [
+        f"{path}:{lineno}: no document {name!r} at the repo root or under docs/"
+        for lineno, text in sorted(mentions)
+        for name in _DOCUMENT_RE.findall(text)
+        if not ((REPO_ROOT / name).exists() or (REPO_ROOT / "docs" / name).exists())
+    ]
+
+
 def main(argv: list[str]) -> int:
     if not argv:
-        print("usage: check_links.py FILE.md [FILE.md ...]", file=sys.stderr)
+        print("usage: check_links.py FILE.md|FILE.py [...]", file=sys.stderr)
         return 2
     paths = [Path(arg) for arg in argv]
     missing = [p for p in paths if not p.exists()]
@@ -142,14 +174,20 @@ def main(argv: list[str]) -> int:
     anchor_cache: dict[Path, set[str]] = {}
     errors: list[str] = []
     for path in paths:
-        errors.extend(check_file(path, anchor_cache))
+        if path.suffix == ".py":
+            errors.extend(check_python_file(path))
+        else:
+            errors.extend(check_file(path, anchor_cache))
     if errors:
         print(f"{len(errors)} broken link(s):")
         for error in errors:
             print(f"  {error}")
         return 1
     total = len(paths)
-    print(f"link check OK: {total} file(s), no broken relative links or anchors")
+    print(
+        f"link check OK: {total} file(s), no broken relative links, anchors "
+        "or document names"
+    )
     return 0
 
 
