@@ -12,20 +12,29 @@ DRAM) holds a bounded number of routed experts; this package decides
   evicted.
 
 :class:`~repro.cache.manager.ExpertCache` enforces capacity, pinning and
-locking invariants and keeps hit/miss statistics.
+locking invariants and keeps hit/miss statistics. A policy ranks the
+residents it is told about (``on_insert`` / ``forget``) and answers one
+question, ``victim(locked)``; its plain form lives in
+``tests/cache/reference_policies.py``.
 
 The engine's GPU cache is one :class:`~repro.cache.manager.ExpertCache`
 shard per device behind
 :class:`~repro.cache.sharded.ShardedCacheManager` (a single shard on
 one GPU); a :class:`~repro.cache.placement.PlacementPolicy`
 (round-robin, layer-striped or load-aware) routes every key to its
-home device when there are several.
+home device when there are several. The manager forwards what the
+engine, pipeline and strategies call (membership, ``access``,
+``insert`` / ``insert_if_better`` / ``would_admit``, ``lock`` /
+``unlock_all``, per-layer lookups, ``observe_scores``, ``stats``); the
+rest of a shard's surface is read off ``shards[g]``.
 
 When host DRAM is itself capacity-limited,
 :class:`~repro.cache.tiered.TieredCacheManager` composes the GPU cache
 with a second, capacity-limited DRAM-tier
 :class:`ExpertCache`; experts resident in neither tier are spilled to
-disk and pay a disk read before any use.
+disk and pay a disk read before any use. It forwards the same
+operations to the GPU tier; ``gpu_tier`` / ``cpu_tier`` are public for
+everything else.
 """
 
 from repro.cache.base import (

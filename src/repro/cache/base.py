@@ -1,15 +1,16 @@
 """Eviction-policy interface and factory.
 
 A policy is a pure ranking component: the
-:class:`~repro.cache.manager.ExpertCache` owns membership, capacity and
-statistics, and asks its policy only two things — update internal
-bookkeeping on events, and pick a victim among eviction candidates.
+:class:`~repro.cache.manager.ExpertCache` owns capacity, pinning,
+locking and statistics; its policy learns residency from ``on_insert``
+/ ``forget``, ranks the residents it knows, and answers one question —
+which of them goes, given the keys it must skip.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Iterable
+from collections.abc import Collection, KeysView
 
 import numpy as np
 
@@ -22,18 +23,36 @@ ExpertKey = tuple[int, int]
 
 
 class EvictionPolicy(ABC):
-    """Ranking strategy consulted by :class:`~repro.cache.manager.ExpertCache`."""
+    """Ranking strategy consulted by :class:`~repro.cache.manager.ExpertCache`.
+
+    The base class keeps what every policy shares: the residents and
+    their last-use times, in use order (a use re-inserts its key, and
+    the cache hands every callback a fresh logical time, so dict order
+    is ``(last_used, key)`` order).
+    """
 
     #: Short identifier used in configs and reports (e.g. ``"lru"``).
     name: str = "abstract"
 
-    @abstractmethod
+    def __init__(self) -> None:
+        self._last_used: dict[ExpertKey, int] = {}
+
+    @property
+    def residents(self) -> KeysView[ExpertKey]:
+        """The keys this policy ranks, least recently used first."""
+        return self._last_used.keys()
+
     def on_insert(self, key: ExpertKey, now: int) -> None:
         """A key entered the cache at logical time ``now``."""
+        self._last_used.pop(key, None)
+        self._last_used[key] = now
 
-    @abstractmethod
     def on_access(self, key: ExpertKey, now: int) -> None:
         """A cached key was used at logical time ``now`` (a hit)."""
+        if key not in self._last_used:
+            raise CacheError(f"{self.name} access to unknown key {key}")
+        del self._last_used[key]
+        self._last_used[key] = now
 
     def on_scores(self, layer: int, scores: np.ndarray, now: int) -> None:
         """Routing scores for one layer were observed.
@@ -43,8 +62,12 @@ class EvictionPolicy(ABC):
         """
 
     @abstractmethod
-    def victim(self, candidates: Iterable[ExpertKey]) -> ExpertKey:
-        """Pick the key to evict among ``candidates`` (never empty)."""
+    def victim(self, locked: Collection[ExpertKey]) -> ExpertKey:
+        """The resident to evict, skipping ``locked`` keys.
+
+        Raises :class:`~repro.errors.CacheError` when every resident is
+        locked (or there is none).
+        """
 
     @abstractmethod
     def priority(self, key: ExpertKey) -> float:
@@ -54,13 +77,9 @@ class EvictionPolicy(ABC):
         would-be victim has higher priority than the incoming key.
         """
 
-    @abstractmethod
     def forget(self, key: ExpertKey) -> None:
         """A key left the cache; drop bookkeeping that only applies to members."""
-
-    def priority_snapshot(self) -> dict[ExpertKey, float]:
-        """Optional introspection hook: current priority per known key."""
-        return {}
+        self._last_used.pop(key, None)
 
 
 def _policy_registry() -> dict:

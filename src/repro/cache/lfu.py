@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Collection
 
 from repro.cache.base import EvictionPolicy, ExpertKey
 from repro.errors import CacheError
@@ -15,39 +15,29 @@ class LFUPolicy(EvictionPolicy):
 
     Frequency counts persist across evictions (a key re-entering the
     cache keeps its history), matching the LFU variant used by
-    kTransformers-style frequency pinning. Ties break on recency, then
-    key order, for determinism.
+    kTransformers-style frequency pinning. Ties go to the least
+    recently used: ``min`` keeps the first of equals in use order.
     """
 
     name = "lfu"
 
     def __init__(self) -> None:
+        super().__init__()
         self._counts: dict[ExpertKey, int] = {}
-        self._last_used: dict[ExpertKey, int] = {}
 
     def on_insert(self, key: ExpertKey, now: int) -> None:
-        self._counts[key] = self._counts.get(key, 0)
-        self._last_used[key] = now
+        super().on_insert(key, now)
+        self._counts.setdefault(key, 0)
 
     def on_access(self, key: ExpertKey, now: int) -> None:
-        self._counts[key] = self._counts.get(key, 0) + 1
-        self._last_used[key] = now
+        super().on_access(key, now)
+        self._counts[key] += 1
 
-    def victim(self, candidates: Iterable[ExpertKey]) -> ExpertKey:
-        candidates = list(candidates)
-        if not candidates:
-            raise CacheError("LFU victim requested with no candidates")
-        return min(
-            candidates,
-            key=lambda k: (self._counts.get(k, 0), self._last_used.get(k, -1), k),
-        )
+    def victim(self, locked: Collection[ExpertKey]) -> ExpertKey:
+        unlocked = [key for key in self._last_used if key not in locked]
+        if not unlocked:
+            raise CacheError("LFU victim requested with no unlocked resident")
+        return min(unlocked, key=self._counts.__getitem__)
 
     def priority(self, key: ExpertKey) -> float:
         return float(self._counts.get(key, 0))
-
-    def forget(self, key: ExpertKey) -> None:
-        # Keep counts (history survives eviction); drop recency only.
-        self._last_used.pop(key, None)
-
-    def priority_snapshot(self) -> dict[ExpertKey, float]:
-        return {k: float(v) for k, v in self._counts.items()}

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Collection
 
 from repro.cache.base import EvictionPolicy, ExpertKey
 from repro.errors import CacheError
@@ -11,36 +11,15 @@ __all__ = ["LRUPolicy"]
 
 
 class LRUPolicy(EvictionPolicy):
-    """Evict the key with the oldest last-use time.
-
-    Ties (same logical timestamp) break deterministically on the key so
-    repeated runs evict identically.
-    """
+    """Evict the key with the oldest last use: the first in use order."""
 
     name = "lru"
 
-    def __init__(self) -> None:
-        self._last_used: dict[ExpertKey, int] = {}
-
-    def on_insert(self, key: ExpertKey, now: int) -> None:
-        self._last_used[key] = now
-
-    def on_access(self, key: ExpertKey, now: int) -> None:
-        if key not in self._last_used:
-            raise CacheError(f"LRU access to unknown key {key}")
-        self._last_used[key] = now
-
-    def victim(self, candidates: Iterable[ExpertKey]) -> ExpertKey:
-        candidates = list(candidates)
-        if not candidates:
-            raise CacheError("LRU victim requested with no candidates")
-        return min(candidates, key=lambda k: (self._last_used.get(k, -1), k))
+    def victim(self, locked: Collection[ExpertKey]) -> ExpertKey:
+        for key in self._last_used:
+            if key not in locked:
+                return key
+        raise CacheError("LRU victim requested with no unlocked resident")
 
     def priority(self, key: ExpertKey) -> float:
         return float(self._last_used.get(key, -1))
-
-    def forget(self, key: ExpertKey) -> None:
-        self._last_used.pop(key, None)
-
-    def priority_snapshot(self) -> dict[ExpertKey, float]:
-        return {k: float(v) for k, v in self._last_used.items()}

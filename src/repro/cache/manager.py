@@ -16,7 +16,8 @@ It also keeps the hit/miss counters behind the paper's Fig. 9.
 
 Two derived structures keep the queries cheap;
 :meth:`ExpertCache.validate` checks both against the state they are
-derived from:
+derived from, and the policy's view of the residents against the
+cache's:
 
 - a **per-layer residency index** so ``cached_experts_of_layer`` reads
   one bucket instead of scanning every resident key;
@@ -160,35 +161,22 @@ class ExpertCache:
         self.stats.record(key[0], hit)
         return hit
 
-    def touch(self, key: ExpertKey) -> None:
-        """Refresh recency of a resident key without counting an access."""
-        if key in self._resident:
-            self._clock += 1
-            self._version += 1
-            self.policy.on_access(key, self._clock)
-
     def _victim(self) -> ExpertKey | None:
-        """The policy's eviction choice over unlocked residents.
+        """The policy's eviction choice; ``None`` with nothing evictable.
 
-        Memoized per cache version: between mutations
-        the candidate set and every policy ranking are frozen, so the
-        policy would return the same key — ``would_admit`` followed by
+        Memoized per cache version: between mutations the residents,
+        the locks and every policy ranking are frozen, so the policy
+        would return the same key — ``would_admit`` followed by
         ``insert_if_better`` and the ``insert`` it delegates to ask up
-        to three times per admission. Only a non-empty candidate set
-        ever stores an entry, and every change to it moves the version,
-        so a current entry needs no look at the candidates.
+        to three times per admission. Only an actual choice is stored,
+        and every change to what it depends on moves the version.
         """
         memo = self._victim_memo
         if memo is not None and memo[0] == self._version:
             return memo[1]
-        candidates = self._resident - self._locked
-        if not candidates:
+        if self._resident <= self._locked:
             return None
-        victim_resident = getattr(self.policy, "victim_resident", None)
-        if victim_resident is not None:
-            victim = victim_resident(self._resident, self._locked)
-        else:
-            victim = self.policy.victim(candidates)
+        victim = self.policy.victim(self._locked)
         self._victim_memo = (self._version, victim)
         return victim
 
@@ -268,16 +256,7 @@ class ExpertCache:
         """
         if key in self:
             return []
-        if self.capacity == 0:
-            self.stats.rejected_inserts += 1
-            return []
-        if len(self._resident) < self.capacity:
-            return self.insert(key)
-        victim = self._victim()
-        if victim is None:
-            self.stats.rejected_inserts += 1
-            return []
-        if self.policy.priority(key) <= self.policy.priority(victim):
+        if not self.would_admit(key):
             self.stats.rejected_inserts += 1
             return []
         return self.insert(key)
@@ -328,7 +307,7 @@ class ExpertCache:
     # invariants
     # ------------------------------------------------------------------
     def validate(self) -> None:
-        """Check capacity/pinning/index/memo invariants; raises on violation."""
+        """Check capacity/pinning/index/policy-view/memo invariants; raises on violation."""
         if len(self._resident) > self.capacity:
             raise CacheError(
                 f"capacity exceeded: {len(self._resident)} resident, "
@@ -347,12 +326,16 @@ class ExpertCache:
             raise CacheError(
                 f"per-layer index out of sync: {sorted(indexed ^ members)}"
             )
+        known = self.policy.residents
+        if known != self._resident:
+            raise CacheError(
+                f"policy's residents out of sync: {sorted(known ^ self._resident)}"
+            )
         memo = self._victim_memo
-        candidates = self._resident - self._locked
         if memo is not None and memo[0] == self._version:
-            if not candidates:
+            if self._resident <= self._locked:
                 raise CacheError(f"victim memo {memo[1]} with nothing evictable")
-            fresh = self.policy.victim(candidates)
+            fresh = self.policy.victim(self._locked)
             if memo[1] != fresh:
                 raise CacheError(
                     f"victim memo {memo[1]} != policy's choice {fresh}"

@@ -13,20 +13,18 @@ low scores carry no reuse signal (Fig. 3b), so they only decay the
 priority. Eviction removes the expert with the *minimum* S, hence the
 name "Minus Recent Score".
 
-Priorities are stored as one numpy array per layer, so the eq. (3)
-update — the policy's hot path, executed once per layer per step over
-*all* experts of the layer — is a single vectorized expression, and
-victim selection ranks candidates with one :func:`numpy.lexsort`
-instead of a Python ``min`` over dict lookups. The arithmetic is the
-same IEEE-754 double operations the historical per-key dict version
-performed, so priorities and eviction order are bit-identical
-(test-enforced against a reference implementation).
+Priorities live in one ``[layer, expert]`` matrix grown on demand (a
+never-scored expert reads 0.0), residency in a boolean mask of the same
+shape: the eq. (3) update is one vectorized expression over a row, the
+victim one masked ``min`` over the matrix. The arithmetic is the IEEE-754
+double operations of the per-key form in
+``tests/cache/reference_policies.py``, so priorities and eviction order
+are bit-identical to it (test-enforced).
 """
 
 from __future__ import annotations
 
-import bisect
-from collections.abc import Iterable
+from collections.abc import Collection
 
 import numpy as np
 
@@ -56,105 +54,30 @@ class MRSPolicy(EvictionPolicy):
             raise CacheError(f"alpha must be in (0, 1], got {alpha}")
         if top_p < 1:
             raise CacheError(f"top_p must be >= 1, got {top_p}")
+        super().__init__()
         self.alpha = alpha
         self.top_p = top_p
-        #: Per-layer priority arrays (index = expert id within layer).
-        self._layer_scores: dict[int, np.ndarray] = {}
-        #: Priorities of keys outside any layer array (inserted before
-        #: their layer was ever scored, or beyond the array's extent).
-        self._stray: dict[ExpertKey, float] = {}
-        self._last_used: dict[ExpertKey, int] = {}
-        # Fast-victim support structures (see victim_resident): the
-        # sorted resident key list with parallel (layer, expert) index
-        # arrays, maintained incrementally by on_insert/forget, and a
-        # dense layer×expert mirror of _layer_scores so one fancy-index
-        # gather reads every resident's live score.
-        self._tracked_keys: list[ExpertKey] = []
-        self._tracked_layer_list: list[int] = []
-        self._tracked_expert_list: list[int] = []
-        self._tracked_layers: np.ndarray = np.empty(0, dtype=np.intp)
-        self._tracked_experts: np.ndarray = np.empty(0, dtype=np.intp)
-        self._tracked_dirty = False
-        self._dense: np.ndarray = np.zeros((0, 0), dtype=np.float64)
+        #: Priority of every expert scored or inserted so far, and which
+        #: of them are resident; both ``[layer, expert]``.
+        self._scores = np.zeros((0, 0), dtype=np.float64)
+        self._resident = np.zeros((0, 0), dtype=bool)
 
-    # ------------------------------------------------------------------
-    def _score(self, key: ExpertKey) -> float:
-        arr = self._layer_scores.get(key[0])
-        if arr is not None and 0 <= key[1] < arr.size:
-            return float(arr[key[1]])
-        return self._stray.get(key, 0.0)
-
-    def _layer_array(self, layer: int, size: int) -> np.ndarray:
-        """The layer's priority array, grown to ``size`` if needed.
-
-        Stray keys of the layer that now fall inside the array are
-        folded in so every expert has exactly one authoritative score.
-        """
-        arr = self._layer_scores.get(layer)
-        if arr is None:
-            arr = np.zeros(size, dtype=np.float64)
-        elif arr.size < size:
-            grown = np.zeros(size, dtype=np.float64)
-            grown[: arr.size] = arr
-            arr = grown
-        for key in [k for k in self._stray if k[0] == layer and 0 <= k[1] < arr.size]:
-            arr[key[1]] = self._stray.pop(key)
-        self._layer_scores[layer] = arr
-        return arr
-
-    # ------------------------------------------------------------------
-    def _track_add(self, key: ExpertKey) -> None:
-        i = bisect.bisect_left(self._tracked_keys, key)
-        if i < len(self._tracked_keys) and self._tracked_keys[i] == key:
+    def _cover(self, layers: int, experts: int) -> None:
+        """Grow both matrices to at least ``layers`` x ``experts``."""
+        rows, cols = self._scores.shape
+        if layers <= rows and experts <= cols:
             return
-        self._tracked_keys.insert(i, key)
-        self._tracked_layer_list.insert(i, key[0])
-        self._tracked_expert_list.insert(i, key[1])
-        self._tracked_dirty = True
+        shape = (max(layers, rows), max(experts, cols))
+        scores = np.zeros(shape, dtype=np.float64)
+        scores[:rows, :cols] = self._scores
+        resident = np.zeros(shape, dtype=bool)
+        resident[:rows, :cols] = self._resident
+        self._scores, self._resident = scores, resident
 
-    def _track_remove(self, key: ExpertKey) -> None:
-        i = bisect.bisect_left(self._tracked_keys, key)
-        if i >= len(self._tracked_keys) or self._tracked_keys[i] != key:
-            return
-        del self._tracked_keys[i]
-        del self._tracked_layer_list[i]
-        del self._tracked_expert_list[i]
-        self._tracked_dirty = True
-
-    def _track_rebuild(self, resident: set[ExpertKey]) -> None:
-        self._tracked_keys = sorted(resident)
-        self._tracked_layer_list = [k[0] for k in self._tracked_keys]
-        self._tracked_expert_list = [k[1] for k in self._tracked_keys]
-        self._tracked_dirty = True
-
-    def _index_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Parallel (layer, expert) arrays for the tracked key list.
-
-        Maintenance is split by cost: membership churn updates plain
-        Python lists (an O(n) memmove each) and flips a dirty flag; the
-        numpy mirrors are remade only when a victim query actually
-        reads them — one C-speed ``np.array(list)`` conversion per
-        burst of churn instead of an ``np.insert`` reallocation per
-        mutation or a Python-level generator walk per query.
-        """
-        if self._tracked_dirty:
-            self._tracked_layers = np.array(self._tracked_layer_list, dtype=np.intp)
-            self._tracked_experts = np.array(
-                self._tracked_expert_list, dtype=np.intp
-            )
-            self._tracked_dirty = False
-        return self._tracked_layers, self._tracked_experts
-
-    # ------------------------------------------------------------------
     def on_insert(self, key: ExpertKey, now: int) -> None:
-        arr = self._layer_scores.get(key[0])
-        if arr is None or not 0 <= key[1] < arr.size:
-            self._stray.setdefault(key, 0.0)
-        self._last_used[key] = now
-        self._track_add(key)
-
-    def on_access(self, key: ExpertKey, now: int) -> None:
-        self._last_used[key] = now
+        super().on_insert(key, now)
+        self._cover(key[0] + 1, key[1] + 1)
+        self._resident[key] = True
 
     def on_scores(self, layer: int, scores: np.ndarray, now: int) -> None:
         """Apply eq. (3) to every expert of ``layer``.
@@ -168,121 +91,41 @@ class MRSPolicy(EvictionPolicy):
         scores = np.asarray(scores, dtype=np.float64)
         if scores.ndim != 1:
             raise CacheError(f"scores must be 1-D, got shape {scores.shape}")
-        p = min(self.top_p, scores.size)
-        arr = self._layer_array(layer, scores.size)
-        top_idx = np.argsort(-scores, kind="stable")[:p]
+        self._cover(layer + 1, scores.size)
+        top_idx = np.argsort(-scores, kind="stable")[: min(self.top_p, scores.size)]
         contribution = np.zeros(scores.size, dtype=np.float64)
         contribution[top_idx] = scores[top_idx]
-        arr[: scores.size] = (
-            self.alpha * contribution + (1.0 - self.alpha) * arr[: scores.size]
-        )
-        # Mirror into the dense matrix the fast victim gathers from.
-        dense = self._dense
-        if layer >= dense.shape[0] or arr.size > dense.shape[1]:
-            grown = np.zeros(
-                (max(layer + 1, dense.shape[0]), max(arr.size, dense.shape[1])),
-                dtype=np.float64,
-            )
-            grown[: dense.shape[0], : dense.shape[1]] = dense
-            self._dense = dense = grown
-        dense[layer, : arr.size] = arr
+        row = self._scores[layer, : scores.size]
+        row[:] = self.alpha * contribution + (1.0 - self.alpha) * row
 
-    def victim(self, candidates: Iterable[ExpertKey]) -> ExpertKey:
-        candidates = list(candidates)
-        if not candidates:
-            raise CacheError("MRS victim requested with no candidates")
-        n = len(candidates)
-        layers = np.fromiter((k[0] for k in candidates), dtype=np.int64, count=n)
-        experts = np.fromiter((k[1] for k in candidates), dtype=np.int64, count=n)
-        scores = np.fromiter((self._score(k) for k in candidates), dtype=np.float64, count=n)
-        last = np.fromiter(
-            (self._last_used.get(k, -1) for k in candidates), dtype=np.int64, count=n
-        )
-        # Lexicographic min by (score, last_used, layer, expert) — the
-        # historical `min(candidates, key=...)` order, vectorized.
-        winner = np.lexsort((experts, layers, last, scores))[0]
-        return candidates[winner]
+    def victim(self, locked: Collection[ExpertKey]) -> ExpertKey:
+        """The unlocked resident of minimum score.
 
-    def victim_resident(
-        self,
-        resident: set[ExpertKey],
-        locked: set[ExpertKey],
-    ) -> ExpertKey:
-        """Victim over live residents via the tracked index arrays.
-
-        The ``on_insert``/``forget`` callbacks keep a sorted resident
-        key list with parallel ``(layer, expert)`` index arrays, so
-        each call gathers every resident's live score with **one**
-        fancy-index read of the dense score matrix, masks locked
-        residents to ``+inf`` (excluding them from the min exactly as
-        dropping them from the candidate list does), and takes the
-        min. Ties on the minimum score — an exact float comparison, so
-        the same partition :meth:`victim`'s lexsort produces — fall
-        back to the ``(last_used, layer, expert)`` order on the tied
-        subset only; the selected key is identical to the reference
-        lexsort's. The caller guarantees at least one unlocked
-        resident.
+        Exact-score ties (fresh keys all read 0.0) go to the least
+        recently used, then the lowest ``(layer, expert)``.
         """
-        keys = self._tracked_keys
-        if len(keys) != len(resident):
-            # Callback drift (e.g. a policy primed outside a cache):
-            # fall back to a full rebuild, then proceed as usual.
-            self._track_rebuild(resident)
-            keys = self._tracked_keys
-        layers, experts = self._index_arrays()
-        n = len(keys)
-        dense = self._dense
-        rows, cols = dense.shape
-        if rows == 0:
-            inb = np.zeros(n, dtype=bool)
-        else:
-            inb = (layers < rows) & (experts < cols)
-        if inb.all():
-            scores = dense[layers, experts]
-        else:
-            scores = np.zeros(n, dtype=np.float64)
-            scores[inb] = dense[layers[inb], experts[inb]]
-        # Stray keys currently always carry score 0.0 (they are created
-        # with it and folded into the layer arrays before any update),
-        # which the zeros above / dense default already encode; the
-        # overlay guards the invariant should that ever change.
-        for key, value in self._stray.items():
-            if value != 0.0:
-                i = bisect.bisect_left(keys, key)
-                if i < n and keys[i] == key:
-                    scores[i] = value
+        ranked = np.where(self._resident, self._scores, np.inf)
         for key in locked:
-            i = bisect.bisect_left(keys, key)
-            if i < n and keys[i] == key:
-                scores[i] = np.inf
-        lowest = scores.min()
-        tied = np.flatnonzero(scores == lowest)
-        if tied.size == 1:
-            return keys[int(tied[0])]
-        last = self._last_used
-        return min(
-            (keys[int(i)] for i in tied),
-            key=lambda k: (last.get(k, -1), k[0], k[1]),
-        )
+            if key in self._last_used:
+                ranked[key] = np.inf
+        lowest = ranked.min(initial=np.inf)
+        if lowest == np.inf:
+            raise CacheError("MRS victim requested with no unlocked resident")
+        tied = [(int(layer), int(expert)) for layer, expert in np.argwhere(ranked == lowest)]
+        if len(tied) == 1:
+            return tied[0]
+        return min(tied, key=lambda key: (self._last_used[key], key))
 
     def priority(self, key: ExpertKey) -> float:
-        return self._score(key)
+        layer, expert = key
+        rows, cols = self._scores.shape
+        if 0 <= layer < rows and 0 <= expert < cols:
+            return float(self._scores[layer, expert])
+        return 0.0
 
     def forget(self, key: ExpertKey) -> None:
         # Scores persist across evictions: reuse probability is a
         # property of the expert, not of its cache residency.
-        self._last_used.pop(key, None)
-        self._track_remove(key)
-
-    def priority_snapshot(self) -> dict[ExpertKey, float]:
-        snapshot = {
-            (layer, expert): float(arr[expert])
-            for layer, arr in self._layer_scores.items()
-            for expert in range(arr.size)
-        }
-        snapshot.update(self._stray)
-        return snapshot
-
-    def score_of(self, key: ExpertKey) -> float:
-        """Current estimated priority of one expert (0 if never scored)."""
-        return self._score(key)
+        if key in self._last_used:
+            self._resident[key] = False
+        super().forget(key)

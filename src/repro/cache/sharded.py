@@ -1,8 +1,9 @@
 """Sharded expert cache: per-device :class:`ExpertCache` shards.
 
-:class:`ShardedCacheManager` presents the full single-device cache
-interface (membership, access/insert/lock, stats, score observation)
-over ``N`` independent :class:`~repro.cache.manager.ExpertCache`
+:class:`ShardedCacheManager` routes the cache operations the engine,
+pipeline and strategies use (membership, access / insert / admission /
+lock, per-layer lookups, stats, score observation) over ``N``
+independent :class:`~repro.cache.manager.ExpertCache`
 shards, one per GPU. A :class:`~repro.cache.placement.PlacementPolicy`
 routes every key to its home shard; each shard keeps its own eviction
 policy instance and its own capacity budget, so per-device residency
@@ -116,10 +117,12 @@ class CacheSpec:
 class ShardedCacheManager:
     """Single-cache facade over per-device expert-cache shards.
 
-    Implements the :class:`~repro.cache.manager.ExpertCache` surface the
-    engine, pipeline and strategies consume (duck-typed), plus the
-    device-routing queries the multi-GPU pipeline needs
+    Routes the :class:`~repro.cache.manager.ExpertCache` operations the
+    engine, pipeline and strategies consume to each key's home shard,
+    and adds the device queries the multi-GPU pipeline needs
     (:meth:`device_of`, :attr:`shards`, :meth:`per_device_stats`).
+    What it does not forward (pinned or locked keys, ``evict_explicit``)
+    is read off ``shards[g]``.
 
     With one shard every operation forwards verbatim and the placement
     policy is never consulted (the home of every key is device 0), so a
@@ -157,7 +160,9 @@ class ShardedCacheManager:
         if self._solo is not None:
             return 0
         occupancy = self._occupancy() if self.placement.uses_occupancy else ()
-        device = self.placement.assign(key, occupancy)
+        return self._checked(self.placement.assign(key, occupancy), key)
+
+    def _checked(self, device: int, key: ExpertKey) -> int:
         if not 0 <= device < len(self.shards):
             raise CacheError(
                 f"placement {self.placement.name!r} routed {key} to device "
@@ -174,19 +179,14 @@ class ShardedCacheManager:
         if self._solo is not None:
             return 0
         device = self.placement.peek(key)
-        if device is not None and not 0 <= device < len(self.shards):
-            raise CacheError(
-                f"placement {self.placement.name!r} routed {key} to device "
-                f"{device} (have {len(self.shards)})"
-            )
-        return device
+        return device if device is None else self._checked(device, key)
 
     def shard_of(self, key: ExpertKey) -> ExpertCache:
         """The shard that owns ``key``."""
         return self.shards[self.device_of(key)]
 
     # ------------------------------------------------------------------
-    # ExpertCache interface (queries)
+    # queries
     # ------------------------------------------------------------------
     def __contains__(self, key: ExpertKey) -> bool:
         device = self.peek_device_of(key)
@@ -209,20 +209,6 @@ class ShardedCacheManager:
             keys |= shard.resident_keys
         return keys
 
-    @property
-    def pinned_keys(self) -> set[ExpertKey]:
-        keys: set[ExpertKey] = set()
-        for shard in self.shards:
-            keys |= shard.pinned_keys
-        return keys
-
-    @property
-    def locked_keys(self) -> set[ExpertKey]:
-        keys: set[ExpertKey] = set()
-        for shard in self.shards:
-            keys |= shard.locked_keys
-        return keys
-
     def cached_experts_of_layer(self, layer: int) -> frozenset[int]:
         """Union of the layer's resident experts across all shards."""
         if self._solo is not None:
@@ -236,7 +222,7 @@ class ShardedCacheManager:
         return self.shards[device].cached_experts_of_layer(layer)
 
     # ------------------------------------------------------------------
-    # ExpertCache interface (mutation)
+    # mutation
     # ------------------------------------------------------------------
     def access(self, key: ExpertKey) -> bool:
         # The per-expert call of every layer: routed inline.
@@ -244,11 +230,6 @@ class ShardedCacheManager:
         if shard is None:
             shard = self.shards[self.device_of(key)]
         return shard.access(key)
-
-    def touch(self, key: ExpertKey) -> None:
-        device = self.peek_device_of(key)
-        if device is not None:
-            self.shards[device].touch(key)
 
     def insert(self, key: ExpertKey) -> list[ExpertKey]:
         return self.shard_of(key).insert(key)
@@ -266,12 +247,7 @@ class ShardedCacheManager:
         if self._solo is not None:
             return self._solo.would_admit(key, margin=margin)
         occupancy = self._occupancy() if self.placement.uses_occupancy else ()
-        device = self.placement.preview(key, occupancy)
-        if not 0 <= device < len(self.shards):
-            raise CacheError(
-                f"placement {self.placement.name!r} routed {key} to device "
-                f"{device} (have {len(self.shards)})"
-            )
+        device = self._checked(self.placement.preview(key, occupancy), key)
         return self.shards[device].would_admit(key, margin=margin)
 
     def warm_fill(self, keys: Iterable[ExpertKey]) -> None:

@@ -18,11 +18,16 @@ hierarchy of memory-limited deployments:
   pays a disk -> DRAM read on the platform's shared disk link, before
   any CPU compute or PCIe transfer.
 
-The manager duck-types the full single-cache surface the engine,
-pipeline and strategies consume (membership and mutation always mean
-the **GPU tier**, so two-tier callers are unaffected), and adds the
-tier queries the scheduler and prefetcher need: :meth:`dram_resident`,
-:meth:`spilled_experts`, :meth:`promote_to_dram`. GPU-tier statistics
+The manager forwards to the **GPU tier** exactly what the engine,
+pipeline and strategies call on ``runtime.cache`` — ``in``, ``stats``,
+``access``, ``insert``, ``insert_if_better``, ``would_admit``, ``lock``,
+``unlock_all``, ``cached_experts_of_layer``, and the device routing
+(``shards``, ``device_of``, ``device_experts_of_layer``, per-device
+stats) — so two-tier callers are unaffected; anything else is read off
+``gpu_tier`` / ``cpu_tier`` directly. It adds the tier queries the
+scheduler and prefetcher need: :meth:`is_spilled`,
+:meth:`spilled_experts`, :meth:`promote_to_dram`,
+:meth:`dram_would_admit`. GPU-tier statistics
 stay authoritative for the paper's hit-rate figures; the DRAM tier
 keeps its own counters, where an *access* is recorded only for GPU
 misses — its hit rate is therefore the fraction of GPU misses served
@@ -51,8 +56,8 @@ class TieredCacheManager:
     gpu_tier:
         The GPU expert cache the engine would have used on its own (a
         sharded manager; a bare :class:`ExpertCache` serves every
-        operation but the device pass-through below). Every two-tier
-        operation forwards here verbatim, which is what keeps the
+        operation but the device pass-through below). Every forwarded
+        operation goes here verbatim, which is what keeps the
         unbounded-DRAM configuration bit-identical to the two-tier
         engine.
     cpu_tier:
@@ -71,10 +76,6 @@ class TieredCacheManager:
     # ------------------------------------------------------------------
     # tier queries
     # ------------------------------------------------------------------
-    def dram_resident(self, key: ExpertKey) -> bool:
-        """Whether ``key`` has a copy in host DRAM."""
-        return key in self.cpu_tier
-
     def is_spilled(self, key: ExpertKey) -> bool:
         """Whether using ``key`` requires a disk read first."""
         return key not in self.gpu_tier and key not in self.cpu_tier
@@ -130,33 +131,14 @@ class TieredCacheManager:
         }
 
     # ------------------------------------------------------------------
-    # ExpertCache interface (GPU-tier semantics)
+    # forwarded to the GPU tier
     # ------------------------------------------------------------------
     def __contains__(self, key: ExpertKey) -> bool:
         return key in self.gpu_tier
 
-    def __len__(self) -> int:
-        return len(self.gpu_tier)
-
-    @property
-    def capacity(self) -> int:
-        return self.gpu_tier.capacity
-
     @property
     def stats(self) -> CacheStats:
         return self.gpu_tier.stats
-
-    @property
-    def resident_keys(self) -> set[ExpertKey]:
-        return self.gpu_tier.resident_keys
-
-    @property
-    def pinned_keys(self) -> set[ExpertKey]:
-        return self.gpu_tier.pinned_keys
-
-    @property
-    def locked_keys(self) -> set[ExpertKey]:
-        return self.gpu_tier.locked_keys
 
     def cached_experts_of_layer(self, layer: int) -> frozenset[int]:
         return self.gpu_tier.cached_experts_of_layer(layer)
@@ -173,9 +155,6 @@ class TieredCacheManager:
             self.cpu_tier.access(key)
         return hit
 
-    def touch(self, key: ExpertKey) -> None:
-        self.gpu_tier.touch(key)
-
     def insert(self, key: ExpertKey) -> list[ExpertKey]:
         return self.gpu_tier.insert(key)
 
@@ -184,9 +163,6 @@ class TieredCacheManager:
 
     def would_admit(self, key: ExpertKey, margin: float = 0.0) -> bool:
         return self.gpu_tier.would_admit(key, margin=margin)
-
-    def warm_fill(self, keys: Iterable[ExpertKey]) -> None:
-        self.gpu_tier.warm_fill(keys)
 
     def lock(self, keys: Iterable[ExpertKey]) -> None:
         self.gpu_tier.lock(keys)
@@ -210,19 +186,8 @@ class TieredCacheManager:
     def shards(self) -> list[ExpertCache]:
         return self.gpu_tier.shards
 
-    @property
-    def placement(self):
-        return self.gpu_tier.placement
-
-    @property
-    def num_devices(self) -> int:
-        return self.gpu_tier.num_devices
-
     def device_of(self, key: ExpertKey) -> int:
         return self.gpu_tier.device_of(key)
-
-    def peek_device_of(self, key: ExpertKey) -> int | None:
-        return self.gpu_tier.peek_device_of(key)
 
     def device_experts_of_layer(self, layer: int, device: int) -> frozenset[int]:
         return self.gpu_tier.device_experts_of_layer(layer, device)

@@ -21,7 +21,7 @@ cut that down without changing a single decision:
   timeline delta bound — the baseline makespan minus a provable lower
   bound on the with-expert makespan (built from the same duration
   floats the simulation would add). When even that optimistic gain
-  cannot clear ``min_gain``, the exact simulation is skipped; the
+  cannot exceed zero, the exact simulation is skipped; the
   bound is one-sided, so screening can only drop candidates the exact
   path would also have dropped.
 - *batched scheduler calls*: the base makespans and screening bounds
@@ -117,9 +117,6 @@ class ImpactDrivenPrefetcher:
     confidence_decay:
         Multiplicative per-layer-distance discount on gains, modelling
         the decay of gate-reuse prediction accuracy.
-    min_gain:
-        Candidates whose discounted gain is not strictly above this
-        threshold are dropped.
     disk_fetch_s:
         Estimated disk -> DRAM read time per spilled expert (tiered
         platforms; 0 keeps the two-tier behaviour). Impact simulations
@@ -134,7 +131,6 @@ class ImpactDrivenPrefetcher:
         num_activated: int,
         lookahead: int = 3,
         confidence_decay: float = 0.8,
-        min_gain: float = 0.0,
         disk_fetch_s: float = 0.0,
     ) -> None:
         if lookahead < 1:
@@ -154,7 +150,6 @@ class ImpactDrivenPrefetcher:
         self.num_activated = num_activated
         self.lookahead = lookahead
         self.confidence_decay = confidence_decay
-        self.min_gain = min_gain
         self.disk_fetch_s = disk_fetch_s
 
     # ------------------------------------------------------------------
@@ -255,7 +250,7 @@ class ImpactDrivenPrefetcher:
             )
             for expert in survivors:
                 gain = (base - with_makespans[expert]) * confidence
-                if gain > self.min_gain:
+                if gain > 0.0:
                     cost = self.transfer_time_fn()
                     if expert in spilled:
                         # A spilled expert rides the disk link first —
@@ -281,21 +276,21 @@ class ImpactDrivenPrefetcher:
         confidence: float,
         bounds: dict[int, float],
     ) -> list[int]:
-        """Candidates whose exact simulation could still clear min_gain.
+        """Candidates whose exact simulation could still show a gain.
 
         The upper bound on a candidate's gain is
         ``(base - lower_bound(with-expert makespan)) * confidence``,
         with the lower bounds precomputed in ``bounds``
         (:meth:`~repro.core.hybrid_scheduler.HybridScheduler.screen_prediction_batch`).
-        A candidate is dropped only when even that bound cannot exceed
-        ``min_gain`` — the exact path would have dropped it too, so the
+        A candidate is dropped only when even that bound is not
+        positive — the exact path would have dropped it too, so the
         surviving set yields bit-identical decisions, evaluated in
         candidate order.
         """
         return [
             expert
             for expert in candidates
-            if (base - bounds[expert]) * confidence > self.min_gain
+            if (base - bounds[expert]) * confidence > 0.0
         ]
 
     def select(

@@ -32,6 +32,10 @@ from repro.engine.strategy_base import LayerContext, Strategy
 
 __all__ = ["HybriMoEStrategy"]
 
+#: Relative margin by which a prefetched (speculative) key must outrank
+#: the would-be victim to be admitted.
+PREFETCH_ADMIT_MARGIN = 0.25
+
 
 class HybriMoEStrategy(Strategy):
     """Hybrid scheduling + impact prefetching + MRS caching (§IV)."""
@@ -41,13 +45,11 @@ class HybriMoEStrategy(Strategy):
         scheduling: bool = True,
         prefetching: bool = True,
         caching: bool = True,
-        prefetch_admit_margin: float = 0.25,
     ) -> None:
         super().__init__()
         self.scheduling = scheduling
         self.prefetching = prefetching
         self.caching = caching
-        self.prefetch_admit_margin = prefetch_admit_margin
         self._prefetcher: ImpactDrivenPrefetcher | None = None
         parts = [
             flag_name
@@ -72,7 +74,6 @@ class HybriMoEStrategy(Strategy):
                 transfer_time_fn=lambda: runtime.cost_estimated.transfer_time(shape),
                 num_activated=runtime.model_config.num_activated_experts,
                 lookahead=runtime.config.prefetch_lookahead,
-                confidence_decay=runtime.config.prefetch_confidence_decay,
                 disk_fetch_s=runtime.disk_fetch_est_s,
             )
 
@@ -199,7 +200,7 @@ class HybriMoEStrategy(Strategy):
                 ctx.moe_start, duration, f"refill L{task.layer} E{task.expert}"
             )
             runtime.arrivals[key] = finish
-            shard.insert_if_better(key)
+            shard.insert(key)
             break
 
     def prefetch_requests(
@@ -236,7 +237,7 @@ class HybriMoEStrategy(Strategy):
         gate = runtime.prediction_gate
         for d in decisions:
             key = (d.layer, d.expert)
-            if cache.would_admit(key, margin=self.prefetch_admit_margin):
+            if cache.would_admit(key, margin=PREFETCH_ADMIT_MARGIN):
                 requests.append((d.layer, d.expert))
             elif runtime.tiered and cache.is_spilled(key):
                 # GPU admission lost, but the expert is on disk and the
@@ -250,7 +251,7 @@ class HybriMoEStrategy(Strategy):
                 margin = 0.0
                 if d.confidence is not None and gate is not None:
                     margin = gate.promotion_margin(
-                        self.prefetch_admit_margin, d.confidence
+                        PREFETCH_ADMIT_MARGIN, d.confidence
                     )
                 if cache.dram_would_admit(key, margin=margin):
                     requests.append((d.layer, d.expert, "dram"))

@@ -70,14 +70,10 @@ class EngineConfig:
         Size of the warmup profiling run used for frequency statistics.
     prefetch_lookahead:
         Future layers considered by prefetching strategies (paper: 3).
-    prefetch_confidence_decay:
-        Per-distance gain discount of the impact-driven prefetcher.
     scheduler:
         Configuration of the hybrid scheduler's search.
     mrs_alpha:
         Averaging coefficient of the MRS cache policy (eq. 3).
-    validate_plans:
-        Validate every plan against routing/cache state (cheap; keep on).
     """
 
     cache_ratio: float = 0.5
@@ -87,10 +83,8 @@ class EngineConfig:
     profile_prompt_len: int = 32
     profile_decode_steps: int = 8
     prefetch_lookahead: int = 3
-    prefetch_confidence_decay: float = 0.8
     scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
     mrs_alpha: float = 0.7
-    validate_plans: bool = True
     num_gpus: int = 1
     placement: str = "round_robin"
     cpu_cache_capacity: int | None = None

@@ -420,8 +420,7 @@ class StepPipeline:
         layer = ctx.layer
         cached = ctx.cached_experts
         plan = self.strategy.plan_layer(ctx)
-        if self.config.validate_plans:
-            plan.validate(dict(ctx.activated), set(cached))
+        plan.validate(dict(ctx.activated), set(cached))
 
         used_keys = {(layer, e) for e, _ in ctx.activated if e in cached}
         used_keys.update((layer, t.expert) for t in plan.transfers)

@@ -168,17 +168,6 @@ class CostModel(ABC):
         layers (attention included) on the CPU.
         """
 
-    # Convenience used across schedulers ------------------------------------
-    def device_expert_time(
-        self, device: str, shape: ExpertShape, tokens: int, first_task: bool = False
-    ) -> float:
-        """Dispatch on a device name (``"gpu"`` or ``"cpu"``)."""
-        if device == "gpu":
-            return self.gpu_expert_time(shape, tokens)
-        if device == "cpu":
-            return self.cpu_expert_time(shape, tokens, first_task=first_task)
-        raise ConfigError(f"unknown device {device!r}")
-
 
 def _validate_workload(shape: ExpertShape, tokens: int) -> None:
     if tokens < 0:

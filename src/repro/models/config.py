@@ -116,18 +116,6 @@ class MoEModelConfig:
     def has_shared_experts(self) -> bool:
         return self.num_shared_experts > 0
 
-    def total_expert_params(self) -> int:
-        """Parameters of all experts (routed + shared) across all layers."""
-        routed = self.total_routed_experts * self.routed_expert_shape.param_count
-        shared = 0
-        if self.shared_expert_shape is not None:
-            shared = (
-                self.num_layers
-                * self.num_shared_experts
-                * self.shared_expert_shape.param_count
-            )
-        return routed + shared
-
     def with_layers(self, num_layers: int) -> "MoEModelConfig":
         """Return a copy with a different layer count (for fast tests)."""
         return replace(self, num_layers=num_layers, name=f"{self.name}-l{num_layers}")

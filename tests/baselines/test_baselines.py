@@ -37,7 +37,7 @@ class TestKTransformers:
 
     def test_pinned_count_matches_capacity(self, tiny_config):
         engine = _engine(tiny_config, "ktransformers", cache_ratio=0.25)
-        assert len(engine.runtime.cache.pinned_keys) == engine.runtime.capacity
+        assert len(engine.runtime.cache.shards[0].pinned_keys) == engine.runtime.capacity
 
 
 class TestLlamaCpp:

@@ -1,12 +1,16 @@
 """ExpertCache capacity, pinning, locking and admission control."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.cache.base import make_policy
 from repro.cache.lru import LRUPolicy
 from repro.cache.manager import ExpertCache
 from repro.cache.mrs import MRSPolicy
 from repro.errors import CacheError
+from tests.cache.reference_policies import apply, reference_cache, seeded_history
 
 
 def _cache(capacity=2, pinned=()):
@@ -179,7 +183,7 @@ class TestValidation:
         policy = MRSPolicy(alpha=1.0, top_p=2)
         cache = ExpertCache(2, policy)
         cache.observe_scores(0, np.array([0.8, 0.2]))
-        assert policy.score_of((0, 0)) == pytest.approx(0.8)
+        assert policy.priority((0, 0)) == pytest.approx(0.8)
 
     def test_validate_detects_stale_victim_memo(self):
         """A live memo must be what the policy would choose now."""
@@ -204,32 +208,61 @@ class TestValidation:
             cache.validate()
 
 
-def test_mrs_victim_index_matches_lexsort_under_churn():
-    """The incrementally tracked victim index (``victim_resident``, what
-    the cache consults) picks the lexsort oracle's (``victim``) key
-    through arbitrary insert/access/score/lock churn — ties included,
-    since fresh keys all score 0.0."""
-    rng = np.random.default_rng(7)
-    policy = MRSPolicy(top_p=4)
-    cache = ExpertCache(6, policy)
-    for _ in range(400):
-        op = rng.integers(0, 6)
-        key = (int(rng.integers(0, 3)), int(rng.integers(0, 8)))
-        if op == 0:
-            cache.insert(key)
-        elif op == 1:
-            cache.access(key)
-        elif op == 2:
-            cache.observe_scores(key[0], rng.random(8))
-        elif op == 3:
-            cache.would_admit(key)
-        elif op == 4:
-            cache.lock([key])
-        else:
-            cache.unlock_all()
-        resident, locked = cache.dynamic_keys, cache.locked_keys
-        if resident - locked:
-            assert policy.victim_resident(resident, locked) == policy.victim(
-                resident - locked
-            )
+    def test_validate_detects_policy_view_drift(self):
+        """The policy ranks the residents it was told about: both
+        directions of disagreement with the cache are corruption."""
+        cache = _cache(capacity=2)
+        cache.insert((0, 0))
         cache.validate()
+        cache.policy.on_insert((0, 1), 99)  # in the policy, not resident
+        with pytest.raises(CacheError, match="policy's residents"):
+            cache.validate()
+        cache.policy.forget((0, 1))
+        cache.validate()
+        cache.policy.forget((0, 0))  # resident, unknown to the policy
+        with pytest.raises(CacheError, match="policy's residents"):
+            cache.validate()
+
+
+#: sha256 per policy over the seeded 2 000-operation history (capacity
+#: 6, keys over 3 layers x 8 experts): the evicted-key sequence, every
+#: ``would_admit`` answer, ``rejected_inserts``, the final residents and
+#: the ``CacheStats`` counters. Recorded at the commit before the
+#: policies were rewritten to rank their own residents.
+GOLDEN_EVICTIONS = {
+    "lru": "042f509ad40b1ee294a222ba83b850d1a228f3fc1baccfcf4edd141652d7e44c",
+    "lfu": "729dd373ea895b495384f3719f9fab693e20b575a86bfc3e702f0cdf830a34b9",
+    "mrs": "26817d56ed40c6aa62eb167af89105002ba566302e41fcce0246768a85f43729",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_EVICTIONS))
+def test_eviction_history_matches_golden_and_reference(name):
+    """One seeded history, two checks: the digest recorded before the
+    refactor, and — after every operation — the same answer and the
+    same next victim as the plain-form reference policy."""
+    cache = ExpertCache(6, make_policy(name))
+    reference = reference_cache(6, name)
+    evicted, admits = [], []
+    for op, key, scores in seeded_history(seed=23):
+        answer = apply(cache, op, key, scores)
+        assert answer == apply(reference, op, key, scores), (op, key)
+        assert cache._victim() == reference._victim(), (op, key)
+        cache.validate()
+        if op in ("insert", "insert_if_better"):
+            evicted += answer
+        elif op == "would_admit":
+            admits.append(answer)
+    stats = cache.stats
+    assert stats == reference.stats
+    record = (
+        evicted,
+        admits,
+        stats.rejected_inserts,
+        sorted(cache.dynamic_keys),
+        (stats.hits, stats.misses, stats.insertions, stats.evictions),
+        sorted(stats.per_layer_hits.items()),
+        sorted(stats.per_layer_misses.items()),
+    )
+    assert len(evicted) > 200 and stats.rejected_inserts > 50
+    assert hashlib.sha256(repr(record).encode()).hexdigest() == GOLDEN_EVICTIONS[name]

@@ -8,6 +8,7 @@ from repro.cache.lfu import LFUPolicy
 from repro.cache.lru import LRUPolicy
 from repro.cache.mrs import MRSPolicy
 from repro.errors import CacheError
+from tests.cache.reference_policies import ReferenceMRS
 
 
 class TestLRU:
@@ -16,15 +17,7 @@ class TestLRU:
         policy.on_insert((0, 0), 1)
         policy.on_insert((0, 1), 2)
         policy.on_access((0, 0), 3)
-        assert policy.victim([(0, 0), (0, 1)]) == (0, 1)
-
-    def test_access_unknown_key_raises(self):
-        with pytest.raises(CacheError):
-            LRUPolicy().on_access((0, 0), 1)
-
-    def test_empty_candidates_raise(self):
-        with pytest.raises(CacheError):
-            LRUPolicy().victim([])
+        assert policy.victim(()) == (0, 1)
 
     def test_forget_then_reinsert(self):
         policy = LRUPolicy()
@@ -33,11 +26,17 @@ class TestLRU:
         policy.on_insert((0, 0), 5)
         assert policy.priority((0, 0)) == 5.0
 
-    def test_deterministic_tie_break(self):
+    def test_victim_is_first_unlocked_key_in_use_order(self):
+        """Order of use, not the timestamp, ranks: the cache never
+        repeats one, a bare policy handed equal ones still decides."""
         policy = LRUPolicy()
         policy.on_insert((0, 1), 1)
         policy.on_insert((0, 0), 1)
-        assert policy.victim([(0, 1), (0, 0)]) == (0, 0)
+        policy.on_insert((0, 2), 1)
+        assert policy.victim(()) == (0, 1)
+        assert policy.victim({(0, 1)}) == (0, 0)
+        policy.on_access((0, 0), 1)
+        assert policy.victim({(0, 1)}) == (0, 2)
 
 
 class TestLFU:
@@ -48,7 +47,8 @@ class TestLFU:
         policy.on_access((0, 0), 2)
         policy.on_access((0, 0), 3)
         policy.on_access((0, 1), 4)
-        assert policy.victim([(0, 0), (0, 1)]) == (0, 1)
+        assert policy.victim(()) == (0, 1)
+        assert policy.victim({(0, 1)}) == (0, 0)
 
     def test_counts_survive_eviction(self):
         policy = LFUPolicy()
@@ -56,12 +56,42 @@ class TestLFU:
         policy.on_access((0, 0), 2)
         policy.forget((0, 0))
         assert policy.priority((0, 0)) == 1.0
+        assert (0, 0) not in policy.residents
 
     def test_recency_breaks_count_ties(self):
         policy = LFUPolicy()
         policy.on_insert((0, 0), 1)
         policy.on_insert((0, 1), 2)
-        assert policy.victim([(0, 0), (0, 1)]) == (0, 0)
+        assert policy.victim(()) == (0, 0)
+
+
+@pytest.mark.parametrize("name", ["lru", "lfu", "mrs"])
+class TestContract:
+    """What every policy inherits from ``EvictionPolicy``."""
+
+    def test_no_unlocked_resident_raises(self, name):
+        policy = make_policy(name)
+        with pytest.raises(CacheError, match="no unlocked resident"):
+            policy.victim(())
+        policy.on_insert((0, 0), 1)
+        with pytest.raises(CacheError, match="no unlocked resident"):
+            policy.victim({(0, 0), (4, 4)})
+
+    def test_access_to_unknown_key_raises(self, name):
+        policy = make_policy(name)
+        policy.on_insert((0, 0), 1)
+        policy.forget((0, 0))
+        with pytest.raises(CacheError, match="unknown key"):
+            policy.on_access((0, 0), 2)
+
+    def test_residents_follow_insert_and_forget(self, name):
+        policy = make_policy(name)
+        policy.on_insert((1, 2), 1)
+        policy.on_insert((0, 5), 2)
+        policy.forget((1, 2))
+        policy.forget((3, 3))  # never inserted: ignored
+        assert set(policy.residents) == {(0, 5)}
+        assert policy.victim(()) == (0, 5)
 
 
 class TestMRS:
@@ -70,38 +100,47 @@ class TestMRS:
         policy = MRSPolicy(alpha=0.5, top_p=2)
         scores = np.array([0.5, 0.3, 0.15, 0.05])
         policy.on_scores(0, scores, 1)
-        assert policy.score_of((0, 0)) == pytest.approx(0.25)
-        assert policy.score_of((0, 1)) == pytest.approx(0.15)
+        assert policy.priority((0, 0)) == pytest.approx(0.25)
+        assert policy.priority((0, 1)) == pytest.approx(0.15)
         # Outside top-p: pure decay from zero stays zero.
-        assert policy.score_of((0, 2)) == 0.0
+        assert policy.priority((0, 2)) == 0.0
         policy.on_scores(0, scores, 2)
-        assert policy.score_of((0, 0)) == pytest.approx(0.5 * 0.5 + 0.5 * 0.25)
+        assert policy.priority((0, 0)) == pytest.approx(0.5 * 0.5 + 0.5 * 0.25)
 
     def test_non_top_p_decays(self):
         policy = MRSPolicy(alpha=0.5, top_p=1)
         policy.on_scores(0, np.array([0.9, 0.1]), 1)
         policy.on_scores(0, np.array([0.1, 0.9]), 2)
         # Expert 0 was top once then decayed.
-        assert policy.score_of((0, 0)) == pytest.approx(0.5 * 0.45)
+        assert policy.priority((0, 0)) == pytest.approx(0.5 * 0.45)
 
     def test_victim_is_min_score(self):
         policy = MRSPolicy(alpha=1.0, top_p=4)
         policy.on_scores(0, np.array([0.4, 0.3, 0.2, 0.1]), 1)
         for expert in range(4):
             policy.on_insert((0, expert), 2)
-        assert policy.victim([(0, e) for e in range(4)]) == (0, 3)
+        assert policy.victim(()) == (0, 3)
+        assert policy.victim({(0, 3), (1, 1)}) == (0, 2)
+
+    def test_equal_scores_fall_back_to_recency_then_key(self):
+        policy = MRSPolicy()
+        policy.on_insert((1, 0), 1)
+        policy.on_insert((0, 3), 2)
+        policy.on_insert((0, 1), 2)
+        assert policy.victim(()) == (1, 0)
+        assert policy.victim({(1, 0)}) == (0, 1)
 
     def test_scores_persist_across_eviction(self):
         policy = MRSPolicy(alpha=1.0, top_p=2)
         policy.on_scores(0, np.array([0.7, 0.3]), 1)
         policy.on_insert((0, 0), 2)
         policy.forget((0, 0))
-        assert policy.score_of((0, 0)) == pytest.approx(0.7)
+        assert policy.priority((0, 0)) == pytest.approx(0.7)
 
     def test_top_p_clamped_to_pool(self):
         policy = MRSPolicy(alpha=1.0, top_p=10)
         policy.on_scores(0, np.array([0.6, 0.4]), 1)
-        assert policy.score_of((0, 1)) == pytest.approx(0.4)
+        assert policy.priority((0, 1)) == pytest.approx(0.4)
 
     def test_invalid_params(self):
         with pytest.raises(CacheError):
@@ -119,65 +158,25 @@ class TestMRS:
         policy = MRSPolicy(alpha=1.0, top_p=1)
         policy.on_scores(0, np.array([0.9, 0.1]), 1)
         policy.on_scores(1, np.array([0.2, 0.8]), 2)
-        assert policy.score_of((0, 0)) == pytest.approx(0.9)
-        assert policy.score_of((1, 1)) == pytest.approx(0.8)
+        assert policy.priority((0, 0)) == pytest.approx(0.9)
+        assert policy.priority((1, 1)) == pytest.approx(0.8)
 
-    def test_insert_before_scores_then_fold(self):
-        """A key inserted before its layer was ever scored keeps a zero
-        priority, then folds into the layer array on first scoring."""
+    def test_insert_before_scores_reads_zero_until_scored(self):
+        """A key beyond anything scored so far has priority zero and
+        keeps its residency when the score matrix grows under it."""
         policy = MRSPolicy(alpha=1.0, top_p=2)
         policy.on_insert((3, 5), 1)
         assert policy.priority((3, 5)) == 0.0
-        policy.on_scores(3, np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.7]), 2)
-        assert policy.score_of((3, 5)) == pytest.approx(0.7)
-        assert (3, 5) in policy.priority_snapshot()
+        assert policy.priority((9, 9)) == 0.0
+        policy.on_scores(4, np.full(8, 0.125), 2)
+        assert policy.victim(()) == (3, 5)
+        policy.on_scores(3, np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.7]), 3)
+        assert policy.priority((3, 5)) == pytest.approx(0.7)
 
 
 class TestMRSVectorizedEquivalence:
-    """The numpy MRS must match the historical per-key dict version
-    bit-for-bit: same priorities, same eviction order."""
-
-    class _ReferenceMRS:
-        """The pre-vectorization implementation, kept as the oracle."""
-
-        def __init__(self, alpha, top_p):
-            self.alpha, self.top_p = alpha, top_p
-            self._scores: dict[tuple[int, int], float] = {}
-            self._last_used: dict[tuple[int, int], int] = {}
-
-        def on_insert(self, key, now):
-            self._scores.setdefault(key, 0.0)
-            self._last_used[key] = now
-
-        def on_access(self, key, now):
-            self._last_used[key] = now
-
-        def on_scores(self, layer, scores, now):
-            scores = np.asarray(scores, dtype=np.float64)
-            p = min(self.top_p, scores.size)
-            top = set(int(i) for i in np.argsort(-scores, kind="stable")[:p])
-            for expert in range(scores.size):
-                previous = self._scores.get((layer, expert), 0.0)
-                contribution = float(scores[expert]) if expert in top else 0.0
-                self._scores[(layer, expert)] = (
-                    self.alpha * contribution + (1.0 - self.alpha) * previous
-                )
-
-        def victim(self, candidates):
-            return min(
-                candidates,
-                key=lambda k: (
-                    self._scores.get(k, 0.0),
-                    self._last_used.get(k, -1),
-                    k,
-                ),
-            )
-
-        def priority(self, key):
-            return self._scores.get(key, 0.0)
-
-        def forget(self, key):
-            self._last_used.pop(key, None)
+    """The numpy MRS must match the per-key reference bit-for-bit:
+    same priorities, same eviction order."""
 
     @pytest.mark.parametrize("alpha,top_p", [(0.3, 2), (0.7, 4), (1.0, 1)])
     def test_identical_eviction_order(self, alpha, top_p):
@@ -186,7 +185,7 @@ class TestMRSVectorizedEquivalence:
         rng = random.Random(42)
         nprng = np.random.default_rng(42)
         policy = MRSPolicy(alpha=alpha, top_p=top_p)
-        reference = self._ReferenceMRS(alpha, top_p)
+        reference = ReferenceMRS(alpha, top_p)
         resident: set[tuple[int, int]] = set()
         evictions_new: list[tuple[int, int]] = []
         evictions_ref: list[tuple[int, int]] = []
@@ -207,9 +206,9 @@ class TestMRSVectorizedEquivalence:
                 policy.on_scores(layer, scores, clock)
                 reference.on_scores(layer, scores, clock)
             elif len(resident) > 2:
-                candidates = sorted(resident)
-                victim_new = policy.victim(candidates)
-                victim_ref = reference.victim(candidates)
+                locked = set(rng.sample(sorted(resident), 2))
+                victim_new = policy.victim(locked)
+                victim_ref = reference.victim(locked)
                 evictions_new.append(victim_new)
                 evictions_ref.append(victim_ref)
                 assert policy.priority(victim_new) == reference.priority(victim_ref)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.cache.base import make_policy
 from repro.cache.manager import ExpertCache
+from tests.cache.reference_policies import OPS, apply, reference_cache
 
 _KEYS = st.tuples(st.integers(0, 3), st.integers(0, 7))
 
@@ -55,6 +56,35 @@ class TestCacheInvariants:
         )
 
     @given(
+        history=st.lists(
+            st.tuples(
+                st.sampled_from(OPS),
+                _KEYS,
+                st.lists(st.sampled_from([0.0, 0.125, 0.25, 0.5]), min_size=8, max_size=8),
+            ),
+            max_size=80,
+        ),
+        capacity=st.integers(0, 6),
+        policy_name=st.sampled_from(["lru", "lfu", "mrs"]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_every_answer_and_victim_match_the_plain_reference(
+        self, history, capacity, policy_name
+    ):
+        """Any history of cache operations (scores drawn from four
+        values, so exact ties are the rule): each answer and the next
+        victim equal those of ``tests/cache/reference_policies.py``."""
+        cache = ExpertCache(capacity, make_policy(policy_name))
+        reference = reference_cache(capacity, policy_name)
+        for op, key, scores in history:
+            scores = np.array(scores)
+            assert apply(cache, op, key, scores) == apply(reference, op, key, scores)
+            assert cache._victim() == reference._victim()
+            cache.validate()
+        assert cache.stats == reference.stats
+        assert cache.dynamic_keys == reference.dynamic_keys
+
+    @given(
         ops=cache_operations(),
         pinned=st.sets(_KEYS, min_size=1, max_size=4),
     )
@@ -92,4 +122,4 @@ class TestCacheInvariants:
             policy.on_scores(0, scores, step)
             max_seen = max(max_seen, float(scores.max()))
         for expert in range(8):
-            assert 0.0 <= policy.score_of((0, expert)) <= max_seen + 1e-9
+            assert 0.0 <= policy.priority((0, expert)) <= max_seen + 1e-9

@@ -46,7 +46,7 @@ class TestConstruction:
         manager = make_manager(num_devices=4, capacity=0, pinned=pinned)
         for device, shard in enumerate(manager.shards):
             assert shard.pinned_keys == {(0, e) for e in range(8) if e % 4 == device}
-        assert manager.pinned_keys == set(pinned)
+        assert manager.resident_keys == set(pinned)
 
     def test_warm_fill_respects_per_shard_capacity(self):
         warm = [(0, e) for e in range(16)]
@@ -103,9 +103,8 @@ class TestSingleShard:
         assert manager.access(key) is False
         assert manager.insert(key) == [] and key in manager
         assert manager.access(key) is True
-        manager.touch(key)
         manager.lock([key])
-        assert manager.locked_keys == {key}
+        assert shard.locked_keys == {key}
         manager.unlock_all()
         manager.warm_fill([(1, 1)])
         assert manager.insert_if_better((1, 2)) == []  # LRU: a newcomer never outranks
@@ -141,9 +140,9 @@ class TestRoutingAndMutation:
         manager.insert((0, 0))
         manager.insert((0, 2))  # both home device 0, filling its 1-slot shard?
         manager.lock([(0, 0)])
-        assert (0, 0) in manager.locked_keys
+        assert (0, 0) in manager.shards[0].locked_keys
         manager.unlock_all()
-        assert manager.locked_keys == set()
+        assert manager.shards[0].locked_keys == set()
 
     def test_per_device_capacity_never_exceeded(self):
         """Randomised workload: every shard stays within its budget."""

@@ -32,7 +32,7 @@ class TestTierSemantics:
         tiered = build_tiered()
         tiered.promote_to_dram((0, 2))
         assert (0, 2) not in tiered
-        assert tiered.dram_resident((0, 2))
+        assert (0, 2) in tiered.cpu_tier
         tiered.insert((0, 2))
         assert (0, 2) in tiered
 
@@ -50,7 +50,7 @@ class TestTierSemantics:
         tiered.promote_to_dram((0, 5))
         tiered.promote_to_dram((0, 6))   # evicts the (0, 5) DRAM copy
         assert (0, 5) in tiered          # GPU copy untouched
-        assert not tiered.dram_resident((0, 5))
+        assert (0, 5) not in tiered.cpu_tier
         assert not tiered.is_spilled((0, 5))
 
     def test_dram_would_admit(self):
@@ -93,22 +93,22 @@ class TestStats:
 class TestFacadeForwarding:
     def test_gpu_surface_forwards(self):
         tiered = build_tiered()
-        tiered.warm_fill([(0, 1), (1, 2)])
-        assert len(tiered) == 2
-        assert tiered.capacity == 2
+        tiered.insert((0, 1))
+        tiered.insert_if_better((1, 2))
+        assert tiered.would_admit((1, 3)) is False  # full, LRU never admits
         assert tiered.cached_experts_of_layer(0) == {1}
-        assert tiered.resident_keys == {(0, 1), (1, 2)}
+        assert tiered.gpu_tier.resident_keys == {(0, 1), (1, 2)}
         tiered.lock([(0, 1)])
-        assert tiered.locked_keys == {(0, 1)}
+        assert tiered.gpu_tier.locked_keys == {(0, 1)}
         tiered.unlock_all()
-        assert tiered.locked_keys == set()
+        assert tiered.gpu_tier.locked_keys == set()
         tiered.validate()
 
     def test_sharded_gpu_tier_passthrough(self):
         spec = CacheSpec(4, lambda: make_policy("lru"))
         manager = spec.build_sharded(make_placement("round_robin", 2))
         tiered = TieredCacheManager(manager, ExpertCache(2, make_policy("lru")))
-        assert tiered.num_devices == 2
+        assert tiered.shards is manager.shards
         assert len(tiered.per_device_hit_rates()) == 2
         key = (0, 1)
         assert tiered.device_of(key) == manager.device_of(key)

@@ -38,25 +38,26 @@ class TestCacheConstruction:
         engine = engine_factory(caching=True)
         assert isinstance(engine.runtime.cache.shards[0].policy, MRSPolicy)
         assert engine.runtime.cache.capacity == engine.runtime.capacity
-        assert len(engine.runtime.cache.pinned_keys) == 0
+        assert len(engine.runtime.cache.shards[0].pinned_keys) == 0
 
     def test_caching_false_pins_by_frequency(self, engine_factory):
         engine = engine_factory(caching=False, prefetching=False)
         cache = engine.runtime.cache
         assert cache.capacity == 0
-        assert len(cache.pinned_keys) == engine.runtime.capacity
+        assert len(cache.shards[0].pinned_keys) == engine.runtime.capacity
 
     def test_prefetch_without_caching_gets_scratch(self, engine_factory):
         engine = engine_factory(caching=False, prefetching=True)
         cache = engine.runtime.cache
         assert cache.capacity > 0  # the scratch ring
-        assert len(cache.pinned_keys) == engine.runtime.capacity
+        assert len(cache.shards[0].pinned_keys) == engine.runtime.capacity
 
     def test_mrs_primed_from_warmup(self, engine_factory):
         engine = engine_factory(caching=True)
         policy = engine.runtime.cache.shards[0].policy
-        primed = [s for s in policy.priority_snapshot().values() if s > 0]
-        assert primed  # warmup scores flowed into priorities
+        experts = range(engine.runtime.model_config.num_routed_experts)
+        # warmup scores flowed into priorities
+        assert any(policy.priority((0, expert)) > 0 for expert in experts)
 
     def test_warm_fill_uses_frequency_ranking(self, engine_factory):
         engine = engine_factory(caching=True)

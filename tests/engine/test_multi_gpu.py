@@ -194,7 +194,7 @@ def cache_fingerprint(cache):
     """Residency and counters of every tier, order-normalised."""
     stats = cache.stats
     fingerprint = [
-        tuple(sorted(cache.resident_keys)),
+        tuple(sorted(getattr(cache, "gpu_tier", cache).resident_keys)),
         (stats.hits, stats.misses, stats.insertions, stats.evictions,
          stats.rejected_inserts),
         tuple(sorted(stats.per_layer_hits.items())),

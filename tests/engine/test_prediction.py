@@ -61,7 +61,7 @@ def result_fingerprint(result):
 def cache_fingerprint(cache):
     stats = cache.stats
     fingerprint = [
-        tuple(sorted(cache.resident_keys)),
+        tuple(sorted(getattr(cache, "gpu_tier", cache).resident_keys)),
         (stats.hits, stats.misses, stats.insertions, stats.evictions,
          stats.rejected_inserts),
     ]

@@ -211,13 +211,13 @@ class TestSpillMechanics:
         runtime.pending_dram = {early: 1.0, late: 5.0}
 
         pipeline._commit_landed_promotions(0.5)   # neither read landed
-        assert not cache.dram_resident(early) and not cache.dram_resident(late)
+        assert early not in cache.cpu_tier and late not in cache.cpu_tier
         pipeline._commit_landed_promotions(2.0)   # only the early one
-        assert cache.dram_resident(early)
-        assert not cache.dram_resident(late)
+        assert early in cache.cpu_tier
+        assert late not in cache.cpu_tier
         assert runtime.pending_dram == {late: 5.0}
         pipeline._commit_landed_promotions(5.0)   # boundary: ready <= now
-        assert cache.dram_resident(late)
+        assert late in cache.cpu_tier
         assert runtime.pending_dram == {}
 
     def test_layer_staging_supersedes_pending_prefetch(self, tiny_config):
@@ -226,7 +226,7 @@ class TestSpillMechanics:
         key = (0, 7)
         runtime.pending_dram = {key: 99.0}
         engine.pipeline._promote_spilled(0, frozenset({7}))
-        assert runtime.cache.dram_resident(key)
+        assert key in runtime.cache.cpu_tier
         assert key not in runtime.pending_dram
 
     def test_mrs_dram_tier_policy(self, tiny_config, prompt_tokens):

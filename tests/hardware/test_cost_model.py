@@ -109,12 +109,6 @@ class TestRooflineShapes:
         with pytest.raises(ConfigError):
             cost.gpu_expert_time(SHAPE, -1)
 
-    def test_device_dispatch(self, cost):
-        assert cost.device_expert_time("gpu", SHAPE, 4) == cost.gpu_expert_time(SHAPE, 4)
-        assert cost.device_expert_time("cpu", SHAPE, 4) == cost.cpu_expert_time(SHAPE, 4)
-        with pytest.raises(ConfigError):
-            cost.device_expert_time("npu", SHAPE, 4)
-
     @given(tokens=st.integers(1, 4096))
     @settings(max_examples=50, deadline=None)
     def test_property_durations_positive_and_monotone(self, tokens):

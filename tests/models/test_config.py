@@ -72,14 +72,6 @@ class TestMoEModelConfig:
         assert reduced.num_layers == 2
         assert "l2" in reduced.name
 
-    def test_total_expert_params_counts_shared(self):
-        base = self._config()
-        with_shared = self._config(
-            num_shared_experts=1, shared_expert_shape=ExpertShape(16, 32)
-        )
-        extra = with_shared.total_expert_params() - base.total_expert_params()
-        assert extra == 4 * ExpertShape(16, 32).param_count
-
     def test_describe_mentions_name_and_counts(self):
         text = self._config().describe()
         assert "m" in text and "8 routed" in text
