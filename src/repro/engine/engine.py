@@ -40,8 +40,7 @@ from repro.hardware.simulator import ThreeResourceClock
 from repro.hardware.warmup import WarmupCalibrator
 from repro.models.model import ReferenceMoEModel, SequenceStateStore
 from repro.prediction import ConfidenceGate, available_predictors, make_predictor
-from repro.routing.generator import generate_trace
-from repro.routing.statistics import expert_activation_frequency
+from repro.routing.generator import WarmupProfile, warmup_profile
 from repro.routing.trace import RoutingTrace
 from repro.rng import derive_rng
 
@@ -203,7 +202,6 @@ class EngineRuntime:
         else:
             self.disk_fetch_est_s = 0.0
         self.scheduler = HybridScheduler(self.estimated_oracle, config.scheduler)
-        self._warmup_trace: RoutingTrace | None = None
         # Oracles are frozen value objects deterministic per n_tokens;
         # memoizing them spares StepPipeline rebuilding an identical
         # oracle for every layer of every step. (Reusing the object
@@ -275,21 +273,16 @@ class EngineRuntime:
         total = self.model_config.total_routed_experts
         return int(round(self.config.cache_ratio * total))
 
+    def _warmup_profile(self) -> WarmupProfile:
+        config = self.config
+        return warmup_profile(
+            self.model, config.seed, config.profile_prompt_len, config.profile_decode_steps
+        )
+
     @property
     def warmup_trace(self) -> RoutingTrace:
-        """Profiling trace recorded during the warmup phase (cached)."""
-        if self._warmup_trace is None:
-            rng = derive_rng(self.config.seed, "engine", "profile-tokens")
-            prompt = rng.integers(
-                0, self.model.vocab_size, size=self.config.profile_prompt_len
-            )
-            self._warmup_trace = generate_trace(
-                self.model,
-                prompt,
-                decode_steps=self.config.profile_decode_steps,
-                seed=self.config.seed,
-            )
-        return self._warmup_trace
+        """The model's warmup profiling trace: shared by its engines, read-only."""
+        return self._warmup_profile().trace
 
     def prefetch_hit_rate(self) -> float:
         """Fraction of issued GPU prefetches consumed by their layer.
@@ -303,16 +296,9 @@ class EngineRuntime:
             return 0.0
         return self.prefetch_used / self.prefetch_issued
 
-    def frequency_ranking(self) -> list[tuple[int, int]]:
+    def frequency_ranking(self) -> tuple[tuple[int, int], ...]:
         """``(layer, expert)`` keys by warmup activation frequency, desc."""
-        counts = expert_activation_frequency(self.warmup_trace)
-        keys = [
-            (layer, expert)
-            for layer in range(counts.shape[0])
-            for expert in range(counts.shape[1])
-        ]
-        keys.sort(key=lambda k: (-counts[k[0], k[1]], k[0], k[1]))
-        return keys
+        return self._warmup_profile().ranking
 
 
 class InferenceEngine:

@@ -42,7 +42,7 @@ def cached_trace(
 
     Every consumer (the activation / reuse statistics of Fig. 3a/b, the
     cache replays of Fig. 9 and the MRS ablation) only reads the trace,
-    so one instance serves them all: treat it as read-only.
+    so one instance serves them all; its arrays are read-only.
     """
     model = cached_model(model_name, num_layers, seed)
     rng = derive_rng(seed, "figures", "trace-prompt", model_name)

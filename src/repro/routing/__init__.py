@@ -7,7 +7,7 @@ them to disk, and computes the statistics behind the paper's motivation
 figures (Fig. 3a-c) and the kTransformers frequency-pinning baseline.
 """
 
-from repro.routing.generator import generate_trace
+from repro.routing.generator import WarmupProfile, generate_trace, warmup_profile
 from repro.routing.statistics import (
     activation_cdf,
     adjacent_layer_overlap,
@@ -25,6 +25,8 @@ __all__ = [
     "StepTrace",
     "RoutingTrace",
     "generate_trace",
+    "WarmupProfile",
+    "warmup_profile",
     "activation_cdf",
     "adjacent_layer_overlap",
     "expert_activation_frequency",

@@ -2,23 +2,29 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from weakref import WeakKeyDictionary
+
 import numpy as np
 
 from repro.errors import TraceError
 from repro.models.gating import RouterOutput
 from repro.models.model import ReferenceMoEModel
+from repro.routing.statistics import expert_activation_frequency
 from repro.routing.trace import LayerRouting, RoutingTrace, StepTrace
 from repro.rng import derive_rng
 
-__all__ = ["generate_trace"]
+__all__ = ["generate_trace", "WarmupProfile", "warmup_profile"]
 
 
 def _router_to_layer_routing(layer: int, router: RouterOutput) -> LayerRouting:
-    return LayerRouting(
-        layer=layer,
-        loads=router.loads.astype(np.int64),
-        mean_scores=router.mean_scores().astype(np.float64),
-    )
+    loads = router.loads.astype(np.int64)
+    mean_scores = router.mean_scores().astype(np.float64)
+    # A recorded trace is aliased by many readers (every engine on a model
+    # shares its warmup profile): an in-place write must raise, not corrupt.
+    loads.setflags(write=False)
+    mean_scores.setflags(write=False)
+    return LayerRouting(layer=layer, loads=loads, mean_scores=mean_scores)
 
 
 def generate_trace(
@@ -39,7 +45,7 @@ def generate_trace(
     decode_steps:
         Number of auto-regressive decode tokens to append.
     seed:
-        Seed for the ``"random"`` decode token source.
+        Seed of the decode token draws (``"sampled"`` and ``"random"``).
     decode_token_source:
         ``"sampled"`` (default) feeds seeded temperature samples of the
         model's own continuation — the realistic setting; ``"greedy"``
@@ -51,7 +57,8 @@ def generate_trace(
     Returns
     -------
     RoutingTrace
-        One prefill step followed by ``decode_steps`` decode steps.
+        One prefill step followed by ``decode_steps`` decode steps;
+        its arrays are read-only.
     """
     prompt_tokens = np.asarray(prompt_tokens, dtype=np.int64)
     if prompt_tokens.ndim != 1 or prompt_tokens.size == 0:
@@ -105,3 +112,43 @@ def generate_trace(
         num_activated=model.config.num_activated_experts,
         steps=steps,
     )
+
+
+@dataclass(frozen=True)
+class WarmupProfile:
+    """What the warmup phase (§IV-A) learns about one model's routing.
+
+    ``trace`` is the profiling run, ``counts`` its activations per
+    ``(layer, expert)`` and ``ranking`` every key, most activated first
+    (ties in key order). Every engine on the model aliases one instance,
+    so its arrays are read-only.
+    """
+
+    trace: RoutingTrace
+    counts: np.ndarray
+    ranking: tuple[tuple[int, int], ...]
+
+
+#: Profiles of each live model instance by ``(seed, prompt_len,
+#: decode_steps)``; an entry dies with its model.
+_PROFILES: WeakKeyDictionary[ReferenceMoEModel, dict] = WeakKeyDictionary()
+
+
+def warmup_profile(
+    model: ReferenceMoEModel, seed: int, prompt_len: int, decode_steps: int
+) -> WarmupProfile:
+    """The model's warmup profile, computed on first request: a pure
+    function of the (immutable) weights and the three arguments."""
+    profiles = _PROFILES.setdefault(model, {})
+    key = (seed, prompt_len, decode_steps)
+    if key not in profiles:
+        rng = derive_rng(seed, "engine", "profile-tokens")
+        prompt = rng.integers(0, model.vocab_size, size=prompt_len)
+        trace = generate_trace(model, prompt, decode_steps=decode_steps, seed=seed)
+        counts = expert_activation_frequency(trace)
+        counts.setflags(write=False)
+        # Flat order is (layer, expert) order: a stable sort breaks ties by key.
+        order = np.argsort(-counts, axis=None, kind="stable").tolist()
+        ranking = tuple(divmod(flat, trace.num_experts) for flat in order)
+        profiles[key] = WarmupProfile(trace, counts, ranking)
+    return profiles[key]

@@ -26,6 +26,10 @@ class TestCachedModel:
         trace = cached_trace("deepseek", 2, 4, 0)
         assert trace is cached_trace("deepseek", 2, 4, 0)
         assert trace.num_layers == 2 and len(trace.steps) == 5
+        routing = trace.steps[0].layers[0]
+        for shared in (routing.loads, routing.mean_scores):
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0] = 0
 
     def test_layer_override_respected(self):
         model = cached_model("mixtral", 3, 0)

@@ -31,6 +31,7 @@ def test_report_shape_and_sanity(decode_report):
     report = decode_report
     assert set(report["blas_threads"]) == set(BLAS_THREAD_VARS)
     assert report["workload"] == "decode_hot"
+    assert report["region"] == "chunks"
     # The ledger's smoke size: 2 chunks of an 8-token warm prompt + 16 steps.
     assert report["tokens"] == 2 * (8 + SMOKE.decode_steps)
     assert report["elapsed_s"] > 0.0
@@ -62,6 +63,17 @@ def test_prefill_workload_profiles_the_wide_planner_search():
     ]
     assert [row["ncalls"] for row in plans] == [SMOKE.prompts * NUM_LAYERS]
     assert not any("(make_engine)" in f for f in functions)
+
+
+def test_setup_profiles_prepare_instead_of_the_chunks():
+    """``--setup`` is the other half: engine construction in, steps out —
+    and the shared model of ``prefill_long`` is profiled once."""
+    report = profile_report("prefill_long", smoke=True, top=400, setup=True)
+    assert report["region"] == "setup"
+    calls = {row["function"].rsplit("(", 1)[1][:-1]: row["ncalls"] for row in report["top"]}
+    assert calls["make_engine"] == SMOKE.prompts
+    assert calls["generate_trace"] == 1
+    assert "run_batch" not in calls
 
 
 def test_unknown_workload_is_a_usage_error():

@@ -4,12 +4,14 @@ The first stop when a step-latency regression shows up in the perf
 ledger (``bench/run.py``; see ``docs/BENCHMARKS.md``): the workloads
 are the ledger's own, imported from ``bench/benchlib/workloads.py``, so
 the profile is of exactly the chunks its ``host_tokens_per_s`` row
-times. Set-up (``prepare``) runs outside the profiled region. For an
+times. Set-up (``prepare``) runs outside that region; ``--setup``
+profiles it instead, the in-process part of the ``setup_s`` row. For an
 ad-hoc shape, profile the CLI: ``python -m cProfile -m repro.cli run ...``.
 
 Usage::
 
     python tools/profile_step.py --workload decode_hot --smoke      # top 20 by cumulative time
+    python tools/profile_step.py --workload prefill_long --setup     # where prepare() goes
     python tools/profile_step.py --workload prefill_long --seed 3 --sort tottime --top 40 --out p.prof
 """
 
@@ -34,23 +36,39 @@ sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT / "bench")]
 from benchlib.workloads import FULL, SMOKE, WORKLOADS  # noqa: E402
 
 
-def profile_workload(workload: str, seed: int, smoke: bool) -> tuple[cProfile.Profile, float, int]:
-    """One pass of a ledger workload under the profiler: (profile, seconds, tokens)."""
-    prepared = WORKLOADS[workload].prepare(seed, SMOKE if smoke else FULL)
+def profile_workload(
+    workload: str, seed: int, smoke: bool, setup: bool = False
+) -> tuple[cProfile.Profile, float, int]:
+    """One pass of a ledger workload under the profiler: (profile, seconds, tokens).
+
+    The profiled (and timed) region is the pass's chunks, or with
+    ``setup`` the ``prepare()`` that builds them.
+    """
+    prepare, sizes = WORKLOADS[workload].prepare, SMOKE if smoke else FULL
     profiler = cProfile.Profile()
-    start = time.perf_counter()
-    profiler.enable()
-    for chunk in prepared.chunks:
-        chunk.run()
-    profiler.disable()
+    if setup:
+        start = time.perf_counter()
+        prepared = profiler.runcall(prepare, seed, sizes)
+    else:
+        prepared = prepare(seed, sizes)
+        start = time.perf_counter()
+        profiler.enable()
+        for chunk in prepared.chunks:
+            chunk.run()
+        profiler.disable()
     return profiler, time.perf_counter() - start, sum(chunk.tokens for chunk in prepared.chunks)
 
 
 def profile_report(
-    workload: str, seed: int = 0, smoke: bool = False, top: int = 20, sort: str = "cumulative"
+    workload: str,
+    seed: int = 0,
+    smoke: bool = False,
+    top: int = 20,
+    sort: str = "cumulative",
+    setup: bool = False,
 ) -> dict:
     """Profile one pass; return the machine-readable counterpart of ``main``'s output."""
-    profiler, elapsed, tokens = profile_workload(workload, seed, smoke)
+    profiler, elapsed, tokens = profile_workload(workload, seed, smoke, setup)
     stats = pstats.Stats(profiler).sort_stats(sort)
     rows = [
         {"function": "%s:%d(%s)" % func, "ncalls": stats.stats[func][1],
@@ -60,6 +78,7 @@ def profile_report(
     return {
         "blas_threads": {var: os.environ[var] for var in BLAS_THREAD_VARS},
         "workload": workload,
+        "region": "setup" if setup else "chunks",
         "tokens": tokens,
         "elapsed_s": elapsed,
         "tokens_per_s": tokens / elapsed,
@@ -72,13 +91,18 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", choices=sorted(WORKLOADS), required=True)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--smoke", action="store_true", help="the ledger's smoke sizes")
+    parser.add_argument("--setup", action="store_true", help="profile prepare(), not the chunks")
     parser.add_argument("--top", type=int, default=20, help="rows to print")
     parser.add_argument("--sort", default="cumulative", help="pstats sort key (tottime, ncalls, ...)")
     parser.add_argument("--out", type=Path, default=None, help="also dump raw stats here")
     args = parser.parse_args(argv)
 
-    profiler, elapsed, tokens = profile_workload(args.workload, args.seed, args.smoke)
-    print(f"{args.workload}: {tokens} tokens in {elapsed:.3f}s ({tokens / elapsed:.1f} tokens/s)")
+    profiler, elapsed, tokens = profile_workload(args.workload, args.seed, args.smoke, args.setup)
+    if args.setup:
+        print(f"{args.workload}: set-up for {tokens} tokens in {elapsed:.3f}s")
+    else:
+        rate = tokens / elapsed
+        print(f"{args.workload}: {tokens} tokens in {elapsed:.3f}s ({rate:.1f} tokens/s)")
     print("BLAS threads: " + " ".join(f"{var}={os.environ[var]}" for var in BLAS_THREAD_VARS))
     stats = pstats.Stats(profiler)
     if args.out is not None:
