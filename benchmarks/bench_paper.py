@@ -78,10 +78,10 @@ def _mean_mrs_gap(rows, pick):
     return np.mean([_mrs_gap(rows, pick, model) for model in PAPER_MODELS])
 
 
-def _table3(config: str, column: str, floor: float, paper: float) -> Claim:
+def _table3(config: str, column: str, floor: float, paper: float, op: str = ">") -> Claim:
     return Claim(
         "table3", f"{config}: {column} (x)",
-        lambda rows: _cell(rows, column, config=config), ">", floor, paper,
+        lambda rows: _cell(rows, column, config=config), op, floor, paper,
     )
 
 
@@ -169,14 +169,24 @@ CLAIMS = (
     ),
     # Table III: scheduling is the dominant prefill technique, every
     # decode component is at least neutral, the full system improves
-    # both stages. (The paper's seventh number, +prefetching prefill
-    # 1.06x, has no claim on it.)
+    # both stages. Prefetching must not cost prefill time: HybriMoE
+    # opens no prefetch window in prefill, where the impact estimate
+    # scored top-K experts at full load and ignored the demand
+    # transfers sharing the link (0.992x, and `all` slower than
+    # +scheduling, while it did), so the paper's 1.06x reads 1.00x.
     _table3("baseline+scheduling", "prefill_speedup", 1.1, paper=1.26),
     _table3("baseline+scheduling", "decode_speedup", 0.95, paper=1.46),
+    _table3("baseline+prefetching", "prefill_speedup", 1.0, paper=1.06, op=">="),
     _table3("baseline+prefetching", "decode_speedup", 0.95, paper=1.15),
     _table3("baseline+caching", "decode_speedup", 0.95, paper=1.38),
     _table3("all", "prefill_speedup", 1.1, paper=1.31),
     _table3("all", "decode_speedup", 1.1, paper=1.86),
+    Claim(
+        "table3", "all prefill latency over baseline+scheduling's (x)",
+        lambda rows: _cell(rows, "prefill_latency_s", config="all")
+        / _cell(rows, "prefill_latency_s", config="baseline+scheduling"),
+        "<=", 1.0,
+    ),
     # The full search is never worse than the two-extremes heuristic.
     Claim(
         "ablation_scheduler", "search+steal prefill latency over extremes-only's (x)",

@@ -27,6 +27,7 @@ class AdapMoEStrategy(Strategy):
     """GPU-centric on-demand loading with next-layer prefetching."""
 
     name = "adapmoe"
+    prefetch_stages = frozenset({"prefill", "decode"})
 
     def cache_spec(self) -> CacheSpec:
         runtime = self._runtime()

@@ -15,7 +15,7 @@ All (HybriMoE)                   all True
 
 - **scheduling** — replace the fixed mapping with the schedule-
   simulation planner of §IV-B (transfer search + CPU work stealing);
-- **prefetching** — enable the impact-driven prefetcher of §IV-C;
+- **prefetching** — enable the impact-driven prefetcher of §IV-C (decode);
 - **caching** — replace static frequency pinning with the dynamic
   MRS cache of §IV-D.
 """
@@ -203,6 +203,12 @@ class HybriMoEStrategy(Strategy):
             shard.insert(key)
             break
 
+    @property
+    def prefetch_stages(self) -> frozenset[str]:
+        # Not prefill: at prompt-sized loads the impact estimate found
+        # no gain, or ignored the demand transfers sharing the link.
+        return frozenset({"decode"}) if self.prefetching else frozenset()
+
     def prefetch_requests(
         self,
         ctx: LayerContext,
@@ -211,8 +217,6 @@ class HybriMoEStrategy(Strategy):
         layer_span_s: float = float("inf"),
         backlog_s: float = 0.0,
     ) -> list[tuple]:
-        if not self.prefetching or self._prefetcher is None:
-            return []
         if not self.caching:
             # Without a dynamic cache prefetches land in the small
             # scratch ring; keep to a single-layer lookahead so scratch

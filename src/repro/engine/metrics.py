@@ -575,8 +575,13 @@ class ServingReport:
         return rows
 
     def summary(self) -> dict[str, float | int | str]:
-        """Flat aggregate record for tabulation and benchmarks."""
+        """Flat aggregate record for tabulation and benchmarks; total:
+        NaN window metrics for a report with no request (a fleet replica
+        the router never picked), NaN rates for an empty window."""
         has_completed = self.num_completed > 0
+        nan = float("nan")
+        span = self.makespan if self.requests else nan
+        has_window = span > 0.0  # False for NaN
         record: dict[str, float | int | str] = {
             "model": self.model_name,
             "strategy": self.strategy_name,
@@ -585,11 +590,11 @@ class ServingReport:
             "completed": self.num_completed,
             "timeouts": self.num_timeouts,
             "shed": self.num_shed,
-            "makespan_s": self.makespan,
-            "goodput_rps": self.goodput,
-            "token_throughput": self.token_throughput,
+            "makespan_s": span,
+            "goodput_rps": self.goodput if has_window else nan,
+            "token_throughput": self.token_throughput if has_window else nan,
             "mean_queue_delay_s": (
-                self.mean_queueing_delay if has_completed else float("nan")
+                self.mean_queueing_delay if has_completed else nan
             ),
             "hit_rate": self.hit_rate,
             "preemptions": self.preemptions,
@@ -602,13 +607,13 @@ class ServingReport:
         if has_completed:
             ttft = self.ttft_percentiles()
         else:
-            ttft = {f"p{q}": float("nan") for q in PERCENTILES}
+            ttft = {f"p{q}": nan for q in PERCENTILES}
         for name, value in ttft.items():
             record[f"{name}_ttft_s"] = value
         if any(r.tbt_values for r in self.completed):
             tbt = self.tbt_percentiles()
         else:
-            tbt = {f"p{q}": float("nan") for q in PERCENTILES}
+            tbt = {f"p{q}": nan for q in PERCENTILES}
         for name, value in tbt.items():
             record[f"{name}_tbt_s"] = value
         return record

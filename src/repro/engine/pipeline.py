@@ -512,8 +512,11 @@ class StepPipeline:
         shard; the PCIe budget is probed against the least-backlogged
         link (optimistic — per-key contention is re-checked implicitly
         when the transfer queues on its link). ``ctx`` is the layer's
-        lead context (its lowest device group).
+        lead context (its lowest device group). A stage outside
+        :attr:`Strategy.prefetch_stages` opens no window.
         """
+        if ctx.stage not in self.strategy.prefetch_stages:
+            return
         runtime = self.runtime
         cache = self._cache()
         cfg = self.model.config

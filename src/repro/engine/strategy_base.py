@@ -11,7 +11,8 @@ three decisions to the strategy:
 - :meth:`Strategy.plan_layer` — the per-layer execution plan, invoked
   once per device group (one group on a single GPU);
 - :meth:`Strategy.prefetch_requests` — which experts of future layers
-  to pull over PCIe during idle windows.
+  to pull over PCIe during idle windows, in the stages the strategy
+  declares in :attr:`Strategy.prefetch_stages`.
 """
 
 from __future__ import annotations
@@ -85,6 +86,9 @@ class Strategy(ABC):
 
     #: Short identifier used in configs and result tables.
     name: str = "abstract"
+    #: Stages (``"prefill"`` / ``"decode"``) whose layers open a prefetch
+    #: window; :meth:`prefetch_requests` is called in no other stage.
+    prefetch_stages: frozenset[str] = frozenset()
 
     def __init__(self) -> None:
         self.runtime: "EngineRuntime | None" = None

@@ -226,16 +226,25 @@ class ReferenceMoEModel:
             return emb
         blended = np.empty_like(emb)
         # The recurrence is serial in `prev`; its embedding term is not.
+        # Rows are blended and normalised in place with `rms_norm`'s
+        # floats: `np.mean`'s reduce and float64 quotient, cast back.
         fresh = (1.0 - c) * emb
+        square = np.empty_like(emb[0])
+        real = emb.dtype.type
+        eps = real(_EPS)
+        width = np.intp(emb.shape[1])
         prev = state.input_ema
         for t in range(emb.shape[0]):
+            row = blended[t]
             if prev is None:
-                current = emb[t]
+                row[...] = emb[t]
             else:
-                current = fresh[t] + c * prev
-            current = self.rms_norm(current)
-            blended[t] = current
-            prev = current
+                np.multiply(c, prev, out=row)
+                np.add(fresh[t], row, out=row)
+            np.multiply(row, row, out=square)
+            scale = np.sqrt(real(np.add.reduce(square) / width) + eps)
+            np.divide(row, scale, out=row)
+            prev = row
         if prev is not None:
             state.input_ema = prev.copy()
         return blended

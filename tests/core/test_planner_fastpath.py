@@ -942,7 +942,7 @@ def test_decode_steps_hit_the_memo_and_rarely_simulate():
     result = engine.decode_only(64)
     steps = len(result.decode_steps) + 1  # plus the warm prefill
     info = scheduler.cache_info()
-    assert (info["hits"], info["misses"]) == (1468, 190)
+    assert (info["hits"], info["misses"]) == (1469, 175)
     assert info["hits"] / (info["hits"] + info["misses"]) >= 0.75
     assert len(simulations) <= 5 * steps
 

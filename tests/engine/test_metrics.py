@@ -188,6 +188,32 @@ class TestServingReport:
         with pytest.raises(SimulationError):
             _ = empty.makespan
 
+    def test_empty_report_summary_is_total(self):
+        """A fleet replica that received no request still summarises:
+        the fixed key set, NaN window metrics, zero counts."""
+        summary = ServingReport("t", "s", 0.5, max_batch_size=1).summary()
+        assert list(summary) == list(self._report().summary())
+        for key in ("makespan_s", "goodput_rps", "token_throughput",
+                    "mean_queue_delay_s", "p50_ttft_s", "p99_tbt_s"):
+            assert np.isnan(summary[key]), key
+        assert (summary["requests"], summary["completed"], summary["hit_rate"]) == (
+            0, 0, 0.0,
+        )
+
+    def test_zero_width_window_summary_has_nan_rates(self):
+        """A lone request shed at its arrival instant spans no time:
+        makespan 0, rates NaN rather than a division error."""
+        shed = RequestRecord(
+            request_id=0, prompt_len=4, decode_tokens=0, arrival_time=1.0,
+            prefill_start=None, first_token_time=None, finish_time=1.0,
+            tbt_values=(), status="shed",
+        )
+        report = ServingReport("t", "s", 0.5, max_batch_size=1, requests=[shed])
+        summary = report.summary()
+        assert summary["makespan_s"] == 0.0
+        assert np.isnan(summary["goodput_rps"])
+        assert np.isnan(summary["token_throughput"])
+
 
 class TestDeadlines:
     def test_no_deadline_is_unscored(self):

@@ -206,3 +206,20 @@ class TestPrepareInputs:
             tiny_model.prepare_inputs(tokens, state), expected
         )
         np.testing.assert_array_equal(state.input_ema, expected_state.input_ema)
+
+    @pytest.mark.parametrize("coherence", [0.05, 0.3, 0.9])
+    @pytest.mark.parametrize("d_model", [7, 32, 96])
+    def test_in_place_normalisation_at_any_width(self, tiny_config, d_model, coherence):
+        """The blend normalises rows in place with scalar arithmetic;
+        odd widths and strong or weak coherence still give the
+        ``rms_norm`` floats, across calls that continue one chain."""
+        model = ReferenceMoEModel(
+            tiny_config, d_model=d_model, seed=5, input_coherence=coherence
+        )
+        state, expected_state = model.new_state(), model.new_state()
+        rng = derive_rng(6, "prepare")
+        for n_tokens in (1, 37, 1, 64):
+            tokens = rng.integers(0, 10_000, size=n_tokens)
+            expected = self.token_by_token(model, tokens, expected_state)
+            np.testing.assert_array_equal(model.prepare_inputs(tokens, state), expected)
+            np.testing.assert_array_equal(state.input_ema, expected_state.input_ema)

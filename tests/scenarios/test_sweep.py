@@ -14,6 +14,7 @@ from repro.scenarios import (
     ServingSpec,
     SweepReport,
     WorkloadRecipe,
+    get_scenario,
     run_cell,
     run_sweep,
     sweep_cells,
@@ -106,6 +107,17 @@ class TestCellBitIdentity:
         assert payload["summary"] == sweep_module._jsonify(spec.run().summary())
         assert payload["spec"] == spec.to_dict()
         assert payload["cell"]["scenario"] == "tiny-sweep"
+
+    def test_fleet_cell_with_an_idle_replica(self):
+        """One request over a 2-replica fleet leaves a replica with no
+        request; its per-replica row has null window metrics instead of
+        crashing the payload."""
+        payload = run_cell(get_scenario("skewed-fleet").with_overrides(max_requests=1))
+        rows = payload["per_replica"]
+        assert sorted(row["requests"] for row in rows) == [0, 1]
+        idle = next(row for row in rows if row["requests"] == 0)
+        assert idle["makespan_s"] is None and idle["goodput_rps"] is None
+        assert payload["summary"]["completed"] == 1
 
 
 class TestCompleteness:

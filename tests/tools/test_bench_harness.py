@@ -193,7 +193,7 @@ def test_planner_smoke_run_leaves_the_committed_full_entry_byte_identical(tmp_pa
 
 
 def test_flipping_one_bound_fails_exactly_that_claim(tmp_path, capsys):
-    """Each of the 27 claims is gated on its own: with every bound but
+    """Each of the 29 claims is gated on its own: with every bound but
     one set to hold, the gate prints one ``GATE FAIL:`` line, naming the
     claim whose bound was moved to the wrong side of its number."""
     paper = importlib.import_module("bench_paper")
@@ -218,7 +218,7 @@ def test_flipping_one_bound_fails_exactly_that_claim(tmp_path, capsys):
         )
         return harness.main(bench, ["--check"], root=tmp_path), gate_failures(capsys)
 
-    assert len(holding) == 27
+    assert len(holding) == 29
     assert gate(holding) == (0, [])
     for index, (claim, value) in enumerate(zip(holding, reproduced)):
         flipped = list(holding)

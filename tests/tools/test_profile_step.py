@@ -44,6 +44,17 @@ def test_report_shape_and_sanity(decode_report):
         assert row["cumtime_s"] >= 0.0
 
 
+def test_prefetch_yield_counts_decode_windows_only(decode_report):
+    """HybriMoE opens a window at every decode layer and none in the
+    8-token warm prefills; the impact-driven prefetcher issues at most
+    what it decided."""
+    prefill, decode = (decode_report["prefetch_yield"][s] for s in ("prefill", "decode"))
+    assert prefill == dict.fromkeys(("windows", "select_calls", "decisions", "issued"), 0)
+    assert decode["windows"] == 2 * SMOKE.decode_steps * NUM_LAYERS
+    assert 0 < decode["select_calls"] < decode["windows"]  # the last layer predicts nothing
+    assert 0 < decode["issued"] <= decode["decisions"]
+
+
 def test_top_rows_follow_sort_order(decode_report):
     cumtimes = [row["cumtime_s"] for row in decode_report["top"]]
     assert cumtimes == sorted(cumtimes, reverse=True)
@@ -63,6 +74,11 @@ def test_prefill_workload_profiles_the_wide_planner_search():
     ]
     assert [row["ncalls"] for row in plans] == [SMOKE.prompts * NUM_LAYERS]
     assert not any("(make_engine)" in f for f in functions)
+    # No prefetch window opens in a HybriMoE prefill: gate_scores only routes.
+    gate_calls = [row["ncalls"] for row in report["top"] if "(gate_scores)" in row["function"]]
+    assert gate_calls == [SMOKE.prompts * NUM_LAYERS]
+    assert report["prefetch_yield"]["prefill"]["windows"] == 0
+    assert report["prefetch_yield"]["prefill"]["select_calls"] == 0
 
 
 def test_setup_profiles_prepare_instead_of_the_chunks():

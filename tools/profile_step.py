@@ -8,6 +8,13 @@ times. Set-up (``prepare``) runs outside that region; ``--setup``
 profiles it instead, the in-process part of the ``setup_s`` row. For an
 ad-hoc shape, profile the CLI: ``python -m cProfile -m repro.cli run ...``.
 
+The report ends in a per-stage prefetch-yield block: prefetch windows
+opened (layers of a stage the strategy prefetches in), impact-driven
+``select`` calls, the decisions they returned and the prefetches
+issued. It is counted by wrapping ``StepPipeline._issue_prefetches``
+and ``ImpactDrivenPrefetcher.select`` from here, during the profiled
+pass, so the two wrappers appear in the profile.
+
 Usage::
 
     python tools/profile_step.py --workload decode_hot --smoke      # top 20 by cumulative time
@@ -21,6 +28,7 @@ import os
 import pstats
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 # One BLAS thread unless the caller chose otherwise, set before numpy loads
@@ -35,28 +43,70 @@ sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT / "bench")]
 
 from benchlib.workloads import FULL, SMOKE, WORKLOADS  # noqa: E402
 
+from repro.core.prefetch import ImpactDrivenPrefetcher  # noqa: E402
+from repro.engine.pipeline import StepPipeline  # noqa: E402
+
+STAGES = ("prefill", "decode")
+YIELD_COLUMNS = ("windows", "select_calls", "decisions", "issued")
+
+
+@contextmanager
+def count_prefetch_yield():
+    """Per-stage prefetch-yield counters, filled while the block runs."""
+    counts = {stage: dict.fromkeys(YIELD_COLUMNS, 0) for stage in STAGES}
+    issue, select = StepPipeline._issue_prefetches, ImpactDrivenPrefetcher.select
+    open_rows = []  # the counter row of the window ``select`` runs in
+
+    def counted_issue(pipeline, ctx, z):
+        row = counts[ctx.stage]
+        row["windows"] += ctx.stage in pipeline.strategy.prefetch_stages
+        before = pipeline.runtime.prefetch_issued
+        open_rows.append(row)
+        try:
+            issue(pipeline, ctx, z)
+        finally:
+            open_rows.pop()
+        row["issued"] += pipeline.runtime.prefetch_issued - before
+
+    def counted_select(prefetcher, *args, **kwargs):
+        decisions = select(prefetcher, *args, **kwargs)
+        open_rows[-1]["select_calls"] += 1
+        open_rows[-1]["decisions"] += len(decisions)
+        return decisions
+
+    StepPipeline._issue_prefetches = counted_issue
+    ImpactDrivenPrefetcher.select = counted_select
+    try:
+        yield counts
+    finally:
+        StepPipeline._issue_prefetches, ImpactDrivenPrefetcher.select = issue, select
+
 
 def profile_workload(
     workload: str, seed: int, smoke: bool, setup: bool = False
-) -> tuple[cProfile.Profile, float, int]:
-    """One pass of a ledger workload under the profiler: (profile, seconds, tokens).
+) -> tuple[cProfile.Profile, float, int, dict]:
+    """One pass of a ledger workload under the profiler.
 
+    Returns ``(profile, seconds, tokens, prefetch yield per stage)``.
     The profiled (and timed) region is the pass's chunks, or with
     ``setup`` the ``prepare()`` that builds them.
     """
     prepare, sizes = WORKLOADS[workload].prepare, SMOKE if smoke else FULL
     profiler = cProfile.Profile()
-    if setup:
-        start = time.perf_counter()
-        prepared = profiler.runcall(prepare, seed, sizes)
-    else:
-        prepared = prepare(seed, sizes)
-        start = time.perf_counter()
-        profiler.enable()
-        for chunk in prepared.chunks:
-            chunk.run()
-        profiler.disable()
-    return profiler, time.perf_counter() - start, sum(chunk.tokens for chunk in prepared.chunks)
+    with count_prefetch_yield() as prefetch_yield:
+        if setup:
+            start = time.perf_counter()
+            prepared = profiler.runcall(prepare, seed, sizes)
+        else:
+            prepared = prepare(seed, sizes)
+            start = time.perf_counter()
+            profiler.enable()
+            for chunk in prepared.chunks:
+                chunk.run()
+            profiler.disable()
+        elapsed = time.perf_counter() - start
+    tokens = sum(chunk.tokens for chunk in prepared.chunks)
+    return profiler, elapsed, tokens, prefetch_yield
 
 
 def profile_report(
@@ -68,7 +118,7 @@ def profile_report(
     setup: bool = False,
 ) -> dict:
     """Profile one pass; return the machine-readable counterpart of ``main``'s output."""
-    profiler, elapsed, tokens = profile_workload(workload, seed, smoke, setup)
+    profiler, elapsed, tokens, prefetch_yield = profile_workload(workload, seed, smoke, setup)
     stats = pstats.Stats(profiler).sort_stats(sort)
     rows = [
         {"function": "%s:%d(%s)" % func, "ncalls": stats.stats[func][1],
@@ -83,6 +133,7 @@ def profile_report(
         "elapsed_s": elapsed,
         "tokens_per_s": tokens / elapsed,
         "top": rows,
+        "prefetch_yield": prefetch_yield,
     }
 
 
@@ -97,7 +148,9 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, default=None, help="also dump raw stats here")
     args = parser.parse_args(argv)
 
-    profiler, elapsed, tokens = profile_workload(args.workload, args.seed, args.smoke, args.setup)
+    profiler, elapsed, tokens, prefetch_yield = profile_workload(
+        args.workload, args.seed, args.smoke, args.setup
+    )
     if args.setup:
         print(f"{args.workload}: set-up for {tokens} tokens in {elapsed:.3f}s")
     else:
@@ -109,6 +162,9 @@ def main(argv=None) -> int:
         stats.dump_stats(args.out)
         print(f"raw stats written to {args.out}")
     stats.sort_stats(args.sort).print_stats(args.top)
+    print("prefetch yield  " + "".join(f"{column:>14}" for column in YIELD_COLUMNS))
+    for stage, row in prefetch_yield.items():
+        print(f"  {stage:<14}" + "".join(f"{row[column]:>14}" for column in YIELD_COLUMNS))
     return 0
 
 
