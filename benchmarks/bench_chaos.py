@@ -37,11 +37,7 @@ from chaos import CampaignSpec, run_campaign
 from repro.hardware.faults import HARDWARE_FAULT_KINDS
 
 #: Hard floor: completed goodput under chaos over the fault-free twin.
-#: Per-campaign retention is seed-chaotic: over the full-mode spec at
-#: seeds 0-7 x {diurnal, bursty} it spans 0.485-0.716 (mean 0.579), and
-#: the former 0.5 floor failed 2 of those 16 campaigns even before
-#: HybriMoE stopped prefetching in prefill (mean 0.566 then).
-RETENTION_FLOOR = 0.45
+RETENTION_FLOOR = 0.5
 
 #: Trajectory: mean retention may not regress by more than this factor
 #: versus the committed baseline.

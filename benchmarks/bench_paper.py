@@ -78,10 +78,10 @@ def _mean_mrs_gap(rows, pick):
     return np.mean([_mrs_gap(rows, pick, model) for model in PAPER_MODELS])
 
 
-def _table3(config: str, column: str, floor: float, paper: float, op: str = ">") -> Claim:
+def _table3(config: str, column: str, floor: float, paper: float) -> Claim:
     return Claim(
         "table3", f"{config}: {column} (x)",
-        lambda rows: _cell(rows, column, config=config), op, floor, paper,
+        lambda rows: _cell(rows, column, config=config), ">", floor, paper,
     )
 
 
@@ -176,7 +176,11 @@ CLAIMS = (
     # +scheduling, while it did), so the paper's 1.06x reads 1.00x.
     _table3("baseline+scheduling", "prefill_speedup", 1.1, paper=1.26),
     _table3("baseline+scheduling", "decode_speedup", 0.95, paper=1.46),
-    _table3("baseline+prefetching", "prefill_speedup", 1.0, paper=1.06, op=">="),
+    Claim(
+        "table3", "baseline+prefetching: prefill_speedup (x)",
+        lambda rows: _cell(rows, "prefill_speedup", config="baseline+prefetching"),
+        ">=", 1.0, 1.06,
+    ),
     _table3("baseline+prefetching", "decode_speedup", 0.95, paper=1.15),
     _table3("baseline+caching", "decode_speedup", 0.95, paper=1.38),
     _table3("all", "prefill_speedup", 1.1, paper=1.31),

@@ -50,6 +50,9 @@ class HybriMoEStrategy(Strategy):
         self.scheduling = scheduling
         self.prefetching = prefetching
         self.caching = caching
+        # Not prefill: at prompt-sized loads the impact estimate found
+        # no gain, or ignored the demand transfers sharing the link.
+        self.prefetch_stages = frozenset({"decode"}) if prefetching else frozenset()
         self._prefetcher: ImpactDrivenPrefetcher | None = None
         parts = [
             flag_name
@@ -202,12 +205,6 @@ class HybriMoEStrategy(Strategy):
             runtime.arrivals[key] = finish
             shard.insert(key)
             break
-
-    @property
-    def prefetch_stages(self) -> frozenset[str]:
-        # Not prefill: at prompt-sized loads the impact estimate found
-        # no gain, or ignored the demand transfers sharing the link.
-        return frozenset({"decode"}) if self.prefetching else frozenset()
 
     def prefetch_requests(
         self,
