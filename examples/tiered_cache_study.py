@@ -3,9 +3,11 @@
 Mirrors ``repro figure fig9`` (the GPU cache-policy study) one level
 down the memory hierarchy: instead of sweeping the GPU cache, it sweeps the **CPU DRAM
 tier** — how many routed experts fit in host memory before the rest
-spill to disk — against the spill medium's read bandwidth (NVMe vs
-SATA class), and reports per-tier hit rates, disk traffic and decode
-latency for the HybriMoE strategy.
+spill to disk — against the spill medium's read bandwidth (the
+``paper`` preset's NVMe drive vs the ``disk-slow`` preset's SATA one),
+and reports per-tier hit rates, disk traffic and decode latency for
+the HybriMoE strategy. Any other medium is a profile value:
+``hardware=dataclasses.replace(get_hardware_preset("paper"), disk_bw=...)``.
 
 The shape to look for: the GPU-tier hit rate barely moves (the GPU
 cache is the same size throughout), while the DRAM-tier hit rate — the
@@ -29,11 +31,11 @@ MODEL = "deepseek"
 NUM_LAYERS = 6
 DECODE_STEPS = 24
 GPU_CACHE_RATIO = 0.25
-DISK_BANDWIDTHS = {"nvme (3.2 GB/s)": 3.2e9, "sata (0.5 GB/s)": 0.5e9}
+DISKS = {"nvme (3.2 GB/s)": "paper", "sata (0.5 GB/s)": "disk-slow"}
 DRAM_RATIOS = (1.0, 0.6, 0.4, 0.2)
 
 
-def run_once(cpu_capacity, disk_bandwidth, policy="lru"):
+def run_once(cpu_capacity, hardware, policy="lru"):
     engine = make_engine(
         model=MODEL,
         strategy="hybrimoe",
@@ -41,7 +43,7 @@ def run_once(cpu_capacity, disk_bandwidth, policy="lru"):
         num_layers=NUM_LAYERS,
         cpu_cache_capacity=cpu_capacity,
         cpu_cache_policy=policy,
-        disk_bandwidth=disk_bandwidth,
+        hardware=hardware,
         seed=0,
     )
     result = engine.decode_only(num_steps=DECODE_STEPS)
@@ -67,9 +69,9 @@ def main() -> None:
     rows = []
     for ratio in DRAM_RATIOS:
         capacity = max(1, int(round(ratio * total)))
-        for disk_name, bandwidth in DISK_BANDWIDTHS.items():
+        for disk_name, hardware in DISKS.items():
             row = {"dram": f"{ratio:.0%}", "slots": capacity, "disk": disk_name}
-            row.update(run_once(capacity, bandwidth))
+            row.update(run_once(capacity, hardware))
             rows.append(row)
     print()
     print(
@@ -82,7 +84,7 @@ def main() -> None:
     capacity = max(1, int(round(0.4 * total)))
     for policy in ("lru", "lfu", "mrs"):
         row = {"policy": policy, "slots": capacity}
-        row.update(run_once(capacity, DISK_BANDWIDTHS["nvme (3.2 GB/s)"], policy))
+        row.update(run_once(capacity, "paper", policy))
         policy_rows.append(row)
     print()
     print(

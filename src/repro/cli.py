@@ -357,13 +357,6 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     )
     _knob_flag(
         parser,
-        "--disk-bandwidth",
-        "disk_bandwidth",
-        metavar="BYTES_PER_S",
-        help="override the hardware profile's disk read bandwidth",
-    )
-    _knob_flag(
-        parser,
         "--predictor",
         "predictor",
         choices=available_predictors(),

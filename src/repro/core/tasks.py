@@ -256,9 +256,8 @@ class LayerCostOracle:
     def disk_fetch(self) -> float:
         """Seconds to read one routed expert's weights disk -> DRAM.
 
-        Only valid when the cost model describes a disk tier; the first
-        hop of the disk -> CPU -> GPU transfer chain a spilled expert
-        pays.
+        The first hop of the disk -> CPU -> GPU transfer chain a spilled
+        expert pays.
         """
         return self.cost.disk_transfer_time(self.routed_shape)
 

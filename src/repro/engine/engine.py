@@ -18,7 +18,8 @@ Two cost models are in play, mirroring the real system:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,7 +54,7 @@ class EngineConfig:
 
     The fields this config shares with
     :class:`~repro.scenarios.spec.EngineSpec` — ``cache_ratio``,
-    ``seed``, ``num_gpus`` / ``placement``, the tiered-memory trio
+    ``seed``, ``num_gpus`` / ``placement``, the tiered-memory pair
     and the predictor trio — are documented
     once, on the spec; the range checks below are the spec's
     validation too. The engine-internal knobs have no spec field:
@@ -88,7 +89,6 @@ class EngineConfig:
     placement: str = "round_robin"
     cpu_cache_capacity: int | None = None
     cpu_cache_policy: str = "lru"
-    disk_bandwidth: float | None = None
     predictor: str | None = None
     predict_horizon: int = 4
     confidence_gate: float = 0.6
@@ -103,6 +103,8 @@ class EngineConfig:
             raise ConfigError(
                 f"unknown placement {self.placement!r} (known: {known})"
             )
+        if not math.isfinite(self.noise_sigma):
+            raise ConfigError(f"noise_sigma must be finite, got {self.noise_sigma}")
         if self.noise_sigma < 0:
             raise ConfigError(f"noise_sigma must be non-negative, got {self.noise_sigma}")
         if self.prefetch_lookahead < 1:
@@ -130,16 +132,6 @@ class EngineConfig:
                 f"unknown cpu_cache_policy {self.cpu_cache_policy!r} "
                 f"(known: {known})"
             )
-        if self.disk_bandwidth is not None:
-            if self.disk_bandwidth <= 0:
-                raise ConfigError(
-                    f"disk_bandwidth must be positive, got {self.disk_bandwidth}"
-                )
-            if self.cpu_cache_capacity is None:
-                raise ConfigError(
-                    "disk_bandwidth requires a capacity-limited CPU tier "
-                    "(set cpu_cache_capacity)"
-                )
         if self.predictor is not None and self.predictor not in available_predictors():
             known = ", ".join(available_predictors())
             raise ConfigError(
@@ -194,7 +186,7 @@ class EngineRuntime:
         self._prefetch_pending: set[tuple[int, int]] = set()
         self.cache: ShardedCacheManager | TieredCacheManager | None = None
         #: Planner-side disk -> DRAM read estimate per routed expert
-        #: (0 on two-tier platforms, where disk is never consulted).
+        #: (0 on two-tier engines, where disk is never consulted).
         if config.tiered:
             self.disk_fetch_est_s = cost_estimated.disk_transfer_time(
                 model.config.routed_expert_shape
@@ -324,16 +316,7 @@ class InferenceEngine:
         config: EngineConfig | None = None,
     ) -> None:
         self.config = config or EngineConfig()
-        profile = hardware_profile or paper_testbed()
-        if self.config.disk_bandwidth is not None:
-            profile = replace(profile, disk_bw=self.config.disk_bandwidth)
-        if self.config.tiered and profile.disk_bw is None:
-            raise ConfigError(
-                f"cpu_cache_capacity is set but hardware profile "
-                f"{profile.name!r} models no disk tier; set disk_bandwidth "
-                "or pick a profile with disk_bw"
-            )
-        ground_truth = AnalyticCostModel(profile)
+        ground_truth = AnalyticCostModel(hardware_profile or paper_testbed())
         cost_actual: CostModel = ground_truth
         if self.config.noise_sigma > 0:
             cost_actual = NoisyCostModel(

@@ -8,11 +8,13 @@ load (weight-bandwidth bound at inference batch sizes), CPU time grows
 linearly with load (FLOP bound) with a first-task warmup penalty, and
 PCIe transfer time is constant per expert.
 
-Profiles also describe a disk tier (``disk_bw``), the bottom of the
-tiered memory hierarchy: on platforms whose host DRAM is itself
-capacity-limited, spilled experts pay a constant-per-expert disk read
-on a platform-shared disk link before any CPU compute or PCIe
-transfer (see ``docs/MEMORY.md``).
+A :class:`HardwareProfile` value is the only description of a
+platform: the presets are values, and any other platform is a
+``dataclasses.replace`` of one. Every profile describes a disk tier
+(``disk_bw``), the bottom of the tiered memory hierarchy: on engines
+whose host DRAM is capacity-limited, spilled experts pay a
+constant-per-expert disk read on a platform-shared disk link before any
+CPU compute or PCIe transfer (see ``docs/MEMORY.md``).
 """
 
 from repro.hardware.cost_model import (

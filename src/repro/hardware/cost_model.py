@@ -17,16 +17,16 @@ Durations are in **seconds**; shapes are paper-scale
 :class:`~repro.models.config.ExpertShape` objects, so byte counts match
 the real models (4-bit Marlin quantisation by default).
 
-Profiles may additionally describe a **disk tier** (``disk_bw`` /
+Every profile also describes a **disk tier** (``disk_bw`` /
 ``disk_latency_s``): :meth:`CostModel.disk_transfer_time` is the cost
 of staging one expert's weights disk -> host DRAM, the first hop of the
 disk -> CPU -> GPU transfer chain a tiered-memory engine pays for
-spilled experts. Profiles without ``disk_bw`` keep the paper's two-tier
-assumption and raise on disk queries.
+spilled experts. A two-tier engine never asks for it.
 """
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -75,8 +75,8 @@ class HardwareProfile:
         ~= 4.5 bits).
     disk_bw:
         Effective disk -> host-DRAM read bandwidth in bytes/s (NVMe or
-        SATA SSD), or ``None`` when the platform models no disk tier
-        (the paper's assumption: every expert is DRAM-resident).
+        SATA SSD; the default is the paper rig's NVMe drive). Read only
+        by engines with a capacity-limited DRAM tier.
     disk_latency_s:
         Fixed per-read setup latency of the disk tier.
     """
@@ -92,7 +92,7 @@ class HardwareProfile:
     pcie_bw: float
     pcie_latency_s: float
     bits_per_param: float = 4.5
-    disk_bw: float | None = None
+    disk_bw: float = 3.2e9
     disk_latency_s: float = 100e-6
 
     def __post_init__(self) -> None:
@@ -103,12 +103,8 @@ class HardwareProfile:
             ("cpu_mem_bw", self.cpu_mem_bw),
             ("pcie_bw", self.pcie_bw),
             ("bits_per_param", self.bits_per_param),
+            ("disk_bw", self.disk_bw),
         ]
-        if self.disk_bw is not None:
-            positive_fields.append(("disk_bw", self.disk_bw))
-        for field_name, value in positive_fields:
-            if value <= 0:
-                raise ConfigError(f"{field_name} must be positive, got {value}")
         non_negative_fields = [
             ("gpu_overhead_s", self.gpu_overhead_s),
             ("cpu_task_overhead_s", self.cpu_task_overhead_s),
@@ -116,6 +112,12 @@ class HardwareProfile:
             ("pcie_latency_s", self.pcie_latency_s),
             ("disk_latency_s", self.disk_latency_s),
         ]
+        for field_name, value in positive_fields + non_negative_fields:
+            if not math.isfinite(value):
+                raise ConfigError(f"{field_name} must be finite, got {value}")
+        for field_name, value in positive_fields:
+            if value <= 0:
+                raise ConfigError(f"{field_name} must be positive, got {value}")
         for field_name, value in non_negative_fields:
             if value < 0:
                 raise ConfigError(f"{field_name} must be non-negative, got {value}")
@@ -146,17 +148,9 @@ class CostModel(ABC):
     def transfer_time(self, shape: ExpertShape) -> float:
         """Seconds to move one expert's weights host -> GPU over PCIe."""
 
+    @abstractmethod
     def disk_transfer_time(self, shape: ExpertShape) -> float:
-        """Seconds to read one expert's weights disk -> host DRAM.
-
-        Only meaningful on platforms modelling a disk tier; the default
-        raises so two-tier models fail loudly rather than returning a
-        fictitious duration.
-        """
-        raise ConfigError(
-            f"{type(self).__name__} models no disk tier; use a hardware "
-            "profile with disk_bw set"
-        )
+        """Seconds to read one expert's weights disk -> host DRAM."""
 
     @abstractmethod
     def attention_time(self, d_model: int, tokens: int, device: str = "gpu") -> float:
@@ -215,11 +209,6 @@ class AnalyticCostModel(CostModel):
         return self.profile.pcie_latency_s + self.expert_bytes(shape) / self.profile.pcie_bw
 
     def disk_transfer_time(self, shape: ExpertShape) -> float:
-        if self.profile.disk_bw is None:
-            raise ConfigError(
-                f"hardware profile {self.profile.name!r} models no disk tier "
-                "(disk_bw is None)"
-            )
         return self.profile.disk_latency_s + self.expert_bytes(shape) / self.profile.disk_bw
 
     def attention_time(self, d_model: int, tokens: int, device: str = "gpu") -> float:
@@ -273,7 +262,7 @@ class FittedCostModel(CostModel):
         transfer_times: dict[ExpertShape, float],
         attention_fits: dict[tuple[int, str], LinearFit],
         bytes_per_param: float,
-        disk_transfer_times: dict[ExpertShape, float] | None = None,
+        disk_transfer_times: dict[ExpertShape, float],
     ) -> None:
         self._gpu_fits = dict(gpu_fits)
         self._cpu_fits = dict(cpu_fits)
@@ -281,7 +270,7 @@ class FittedCostModel(CostModel):
         self._transfer_times = dict(transfer_times)
         self._attention_fits = dict(attention_fits)
         self._bytes_per_param = bytes_per_param
-        self._disk_transfer_times = dict(disk_transfer_times or {})
+        self._disk_transfer_times = dict(disk_transfer_times)
 
     def _lookup(self, table: dict, key, kind: str):
         try:

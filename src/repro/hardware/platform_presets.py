@@ -7,16 +7,24 @@ kernels, chosen so the per-expert times land in the ranges the paper
 reports in Fig. 3(e)/(f); absolute wall-clock fidelity is not required
 for the reproduction (we compare schedulers on identical hardware), but
 the *ratios* between CPU compute, GPU compute and PCIe transfer are what
-drive every scheduling decision, so they are matched with care:
+drive every scheduling decision. On ``paper_testbed`` they are
+(``tests/hardware/test_hardware_presets.py`` pins all three per model):
 
-- transferring a large expert costs several times a single-token CPU
-  computation of the same expert (so decode favours CPU compute — the
+- transferring an expert costs ~2.5x a single-token CPU computation of
+  the same expert (so decode favours CPU compute — the
   Fiddler/kTransformers premise);
-- at prefill batch sizes the GPU is one to two orders of magnitude
-  faster per expert than the CPU (so prefill favours transfers);
-- small DeepSeek experts transfer quickly relative to their CPU time,
-  moving the crossover point — which is exactly why the paper evaluates
-  models with heterogeneous expert sizes.
+- at 512-token prefill the GPU is ~130x faster per expert than the CPU
+  (so prefill favours transfers);
+- expert size barely moves the crossover: CPU time first reaches
+  transfer + GPU time at 3 tokens for Mixtral and Qwen2 and at 4 for
+  DeepSeek. Both sides of the first ratio scale with the expert's
+  parameter count, so only the fixed per-task overheads, which weigh
+  more on DeepSeek's small experts, shift it.
+
+The ``cpu-weak``, ``pcie-fast`` and ``disk-slow`` variants are
+``dataclasses.replace`` of it, each changing one resource; ``edge`` is a
+different platform. Any other platform is a ``replace`` away too, e.g.
+``replace(paper_testbed(), disk_bw=1e9)`` for a slower disk.
 
 Every preset also carries a **disk tier** (``disk_bw``): an NVMe-class
 drive on the paper's rig, a SATA-class drive on ``disk-slow``. The disk
@@ -30,6 +38,8 @@ more than keeping them GPU-resident.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 from repro.errors import ConfigError
 from repro.hardware.cost_model import HardwareProfile
@@ -67,40 +77,22 @@ def paper_testbed() -> HardwareProfile:
 def cpu_weak_testbed() -> HardwareProfile:
     """Variant with half the CPU resources (scalability study)."""
     base = paper_testbed()
-    return HardwareProfile(
+    return replace(
+        base,
         name="a6000-xeon5",
-        gpu_flops=base.gpu_flops,
-        gpu_mem_bw=base.gpu_mem_bw,
-        gpu_overhead_s=base.gpu_overhead_s,
         cpu_flops=base.cpu_flops / 2,
         cpu_mem_bw=base.cpu_mem_bw / 2,
-        cpu_task_overhead_s=base.cpu_task_overhead_s,
-        cpu_warmup_s=base.cpu_warmup_s,
-        pcie_bw=base.pcie_bw,
-        pcie_latency_s=base.pcie_latency_s,
-        bits_per_param=base.bits_per_param,
-        disk_bw=base.disk_bw,
-        disk_latency_s=base.disk_latency_s,
     )
 
 
 def pcie_fast_testbed() -> HardwareProfile:
     """Variant with PCIe 4.0-class bandwidth (transfer-rich regime)."""
     base = paper_testbed()
-    return HardwareProfile(
+    return replace(
+        base,
         name="a6000-pcie4",
-        gpu_flops=base.gpu_flops,
-        gpu_mem_bw=base.gpu_mem_bw,
-        gpu_overhead_s=base.gpu_overhead_s,
-        cpu_flops=base.cpu_flops,
-        cpu_mem_bw=base.cpu_mem_bw,
-        cpu_task_overhead_s=base.cpu_task_overhead_s,
-        cpu_warmup_s=base.cpu_warmup_s,
         pcie_bw=2 * base.pcie_bw,
         pcie_latency_s=base.pcie_latency_s / 2,
-        bits_per_param=base.bits_per_param,
-        disk_bw=base.disk_bw,
-        disk_latency_s=base.disk_latency_s,
     )
 
 
@@ -111,19 +103,9 @@ def disk_slow_testbed() -> HardwareProfile:
     NVMe, DRAM-tier eviction quality dominates end-to-end latency once
     the model outgrows host RAM.
     """
-    base = paper_testbed()
-    return HardwareProfile(
+    return replace(
+        paper_testbed(),
         name="a6000-sata",
-        gpu_flops=base.gpu_flops,
-        gpu_mem_bw=base.gpu_mem_bw,
-        gpu_overhead_s=base.gpu_overhead_s,
-        cpu_flops=base.cpu_flops,
-        cpu_mem_bw=base.cpu_mem_bw,
-        cpu_task_overhead_s=base.cpu_task_overhead_s,
-        cpu_warmup_s=base.cpu_warmup_s,
-        pcie_bw=base.pcie_bw,
-        pcie_latency_s=base.pcie_latency_s,
-        bits_per_param=base.bits_per_param,
         disk_bw=0.5e9,            # SATA 3 effective read
         disk_latency_s=150e-6,
     )

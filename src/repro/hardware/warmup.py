@@ -105,18 +105,10 @@ class WarmupCalibrator:
                 self._ground_truth.transfer_time(shape) for _ in range(self._repeats)
             ]
             transfer_times[shape] = float(np.mean(transfers))
-            # Platforms with a disk tier get their disk reads probed
-            # too; two-tier platforms raise, and the fitted model then
-            # raises on disk queries exactly like the ground truth.
-            try:
-                disk_reads = [
-                    self._ground_truth.disk_transfer_time(shape)
-                    for _ in range(self._repeats)
-                ]
-            except ConfigError:
-                pass
-            else:
-                disk_transfer_times[shape] = float(np.mean(disk_reads))
+            disk_reads = [
+                self._ground_truth.disk_transfer_time(shape) for _ in range(self._repeats)
+            ]
+            disk_transfer_times[shape] = float(np.mean(disk_reads))
 
         # Estimate the CPU cold-start penalty by differencing first-task
         # and steady-state probes at one token.

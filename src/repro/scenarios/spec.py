@@ -237,10 +237,6 @@ class EngineSpec(_Spec):
     cpu_cache_policy:
         Eviction policy of the DRAM tier, from the same registry as
         the GPU tier (``"lru"``, ``"lfu"``, ``"mrs"``).
-    disk_bandwidth:
-        Override of the hardware profile's disk read bandwidth in
-        bytes/s (e.g. to model SATA vs NVMe without a new profile).
-        Requires a capacity-limited CPU tier.
     predictor:
         Cross-layer expert predictor driving confidence-gated deep
         prefetching (``"frequency"`` or ``"transition"``; see
@@ -267,7 +263,6 @@ class EngineSpec(_Spec):
     placement: str = "round_robin"
     cpu_cache_capacity: int | None = None
     cpu_cache_policy: str = "lru"
-    disk_bandwidth: float | None = None
     predictor: str | None = None
     predict_horizon: int = 4
     confidence_gate: float = 0.6

@@ -93,6 +93,12 @@ class TestEngineConfigValidation:
         with pytest.raises(ConfigError):
             EngineConfig(noise_sigma=-0.5)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_noise_sigma_must_be_finite(self, value):
+        with pytest.raises(ConfigError, match="noise_sigma must be finite") as err:
+            EngineConfig(noise_sigma=value)
+        assert "\n" not in str(err.value)
+
     def test_lookahead_bounds(self):
         with pytest.raises(ConfigError):
             EngineConfig(prefetch_lookahead=0)

@@ -122,8 +122,8 @@ class TestKnobWiring:
             make_engine(max_batch_size=4)
 
     def test_out_of_range_knob_rejected_before_building(self):
-        with pytest.raises(ConfigError, match="disk_bandwidth requires"):
-            make_fleet(disk_bandwidth=1e9)
+        with pytest.raises(ConfigError, match="cpu_cache_capacity must be non-negative"):
+            make_fleet(cpu_cache_capacity=-1)
 
     def test_live_objects_may_accompany_a_spec(self):
         from repro.hardware.faults import HardwareFault, HardwareFaultSchedule

@@ -14,6 +14,8 @@ Two contracts are pinned here:
   one GPU and on a sharded fleet.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,7 @@ from repro.workloads.generator import serving_workload
 STRATEGIES = ["hybrimoe", "ktransformers", "adapmoe", "llamacpp", "ondemand"]
 
 
-def build_engine(tiny_config, strategy_name, **overrides):
+def build_engine(tiny_config, strategy_name, profile=None, **overrides):
     model = ReferenceMoEModel(tiny_config, seed=0)
     config = EngineConfig(
         cache_ratio=0.25,
@@ -37,7 +39,7 @@ def build_engine(tiny_config, strategy_name, **overrides):
         **overrides,
     )
     return InferenceEngine(
-        model, make_strategy(strategy_name), paper_testbed(), config
+        model, make_strategy(strategy_name), profile or paper_testbed(), config
     )
 
 
@@ -247,48 +249,14 @@ class TestConfigKnobs:
         with pytest.raises(ConfigError):
             EngineConfig(cpu_cache_capacity=4, cpu_cache_policy="fifo")
 
-    def test_disk_bandwidth_requires_cpu_tier(self):
-        with pytest.raises(ConfigError):
-            EngineConfig(disk_bandwidth=1e9)
-
-    def test_non_positive_disk_bandwidth_rejected(self):
-        with pytest.raises(ConfigError):
-            EngineConfig(cpu_cache_capacity=4, disk_bandwidth=0.0)
-
-    def test_profile_without_disk_rejected_when_tiered(self, tiny_config):
-        from dataclasses import replace
-
-        model = ReferenceMoEModel(tiny_config, seed=0)
-        profile = replace(paper_testbed(), disk_bw=None)
-        config = EngineConfig(
-            cpu_cache_capacity=4, profile_prompt_len=8, profile_decode_steps=2
-        )
-        with pytest.raises(ConfigError):
-            InferenceEngine(model, make_strategy("hybrimoe"), profile, config)
-
-    def test_disk_bandwidth_override_restores_disk(self, tiny_config, prompt_tokens):
-        from dataclasses import replace
-
-        model = ReferenceMoEModel(tiny_config, seed=0)
-        profile = replace(paper_testbed(), disk_bw=None)
-        config = EngineConfig(
-            cpu_cache_capacity=4,
-            disk_bandwidth=1e9,
-            profile_prompt_len=8,
-            profile_decode_steps=2,
-        )
-        engine = InferenceEngine(model, make_strategy("hybrimoe"), profile, config)
-        engine.generate(prompt_tokens, decode_steps=2)
-        assert len(engine.runtime.clock.disk.intervals) > 0
-
     def test_slower_disk_slower_run(self, tiny_config, prompt_tokens):
         ends = []
         for bandwidth in (20e9, 0.2e9):
             engine = build_engine(
                 tiny_config,
                 "ondemand",
+                replace(paper_testbed(), disk_bw=bandwidth),
                 cpu_cache_capacity=2,
-                disk_bandwidth=bandwidth,
             )
             result = engine.generate(prompt_tokens, decode_steps=4)
             ends.append(result.decode_steps[-1].end)

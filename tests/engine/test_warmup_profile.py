@@ -4,12 +4,14 @@ by every engine on the model instance, and gone when the model is."""
 
 import gc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import repro.routing.generator as generator
 from repro.engine.factory import available_strategies, make_engine, make_fleet
+from repro.hardware.platform_presets import get_hardware_preset
 from repro.models.model import ReferenceMoEModel
 from repro.models.presets import get_preset
 from repro.routing.generator import warmup_profile
@@ -84,7 +86,10 @@ def step_rows(result):
 PLATFORMS = {
     "1gpu": {},
     "2gpu": {"num_gpus": 2},
-    "tiered": {"cpu_cache_capacity": 12, "disk_bandwidth": 2e9},
+    "tiered": {
+        "cpu_cache_capacity": 12,
+        "hardware": replace(get_hardware_preset("paper"), disk_bw=2e9),
+    },
 }
 
 

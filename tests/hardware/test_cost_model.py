@@ -1,5 +1,7 @@
 """Cost-model semantics: roofline shapes, calibration, noise."""
 
+from dataclasses import fields, replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,7 @@ def cost() -> AnalyticCostModel:
 
 
 SHAPE = ExpertShape(2048, 1408)
+NUMERIC_FIELDS = [f.name for f in fields(HardwareProfile) if f.name != "name"]
 
 
 class TestProfileValidation:
@@ -53,6 +56,38 @@ class TestProfileValidation:
                 pcie_bw=1,
                 pcie_latency_s=0,
             )
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", NUMERIC_FIELDS)
+    def test_non_finite_field_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be finite") as err:
+            replace(paper_testbed(), **{field: value})
+        assert "\n" not in str(err.value)
+
+    def test_disk_tier_always_present(self):
+        profile = HardwareProfile(
+            name="no-disk-given",
+            gpu_flops=1,
+            gpu_mem_bw=1,
+            gpu_overhead_s=0,
+            cpu_flops=1,
+            cpu_mem_bw=1,
+            cpu_task_overhead_s=0,
+            cpu_warmup_s=0,
+            pcie_bw=1,
+            pcie_latency_s=0,
+        )
+        assert profile.disk_bw == paper_testbed().disk_bw
+        assert AnalyticCostModel(profile).disk_transfer_time(SHAPE) > 0
+
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_non_positive_disk_bw_rejected(self, value):
+        with pytest.raises(ConfigError, match="disk_bw must be positive"):
+            replace(paper_testbed(), disk_bw=value)
+
+    def test_disk_bw_none_no_longer_means_no_disk(self):
+        with pytest.raises(TypeError):
+            replace(paper_testbed(), disk_bw=None)
 
 
 class TestRooflineShapes:

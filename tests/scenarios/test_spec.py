@@ -25,7 +25,6 @@ class TestEngineSpec:
             placement="layer_striped",
             cpu_cache_capacity=16,
             cpu_cache_policy="mrs",
-            disk_bandwidth=1e9,
         )
         data = json.loads(json.dumps(spec.to_dict()))
         assert EngineSpec.from_dict(data) == spec
@@ -47,7 +46,7 @@ class TestEngineSpec:
             {"placement": "nope"},
             {"cpu_cache_policy": "fifo"},
             {"cpu_cache_capacity": -1},
-            {"cpu_cache_capacity": 4, "disk_bandwidth": 0.0},
+            {"confidence_gate": float("nan")},
         ],
     )
     def test_invalid_fields_raise_at_construction(self, kwargs):
@@ -57,14 +56,14 @@ class TestEngineSpec:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"disk_bandwidth": 1e9},  # needs a capacity-limited CPU tier
             {"cpu_cache_capacity": 0},  # the degenerate GPU-or-disk config
             {"cache_ratio": 0.0},  # no GPU cache at all
+            {"cache_ratio": float("nan")},
         ],
     )
     def test_spec_and_config_agree_eagerly(self, kwargs):
         """Shared fields are accepted or rejected exactly as EngineConfig
-        does, at construction (these three used to disagree)."""
+        does, at construction (the first two used to disagree)."""
         try:
             EngineConfig(**kwargs)
         except ConfigError:

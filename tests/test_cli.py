@@ -48,12 +48,12 @@ class TestKnobFlags:
 
     #: The public option strings at the commit that introduced the
     #: spec-derived parser (less ``--engine`` / ``--planner``, which
-    #: went with the second engine core); flag spellings are API.
+    #: went with the second engine core, and ``--disk-bandwidth``, which
+    #: a hardware profile replaced); flag spellings are API.
     RUN_OPTIONS = {
         "--cache-ratio", "--confidence-gate", "--cpu-cache-capacity",
-        "--cpu-cache-policy", "--decode-steps", "--disk-bandwidth",
-        "--hardware", "--help", "--model", "--num-gpus", "--num-layers",
-        "--placement", "--predict-horizon", "--predictor",
+        "--cpu-cache-policy", "--decode-steps", "--hardware", "--help",
+        "--model", "--num-gpus", "--num-layers", "--placement", "--predict-horizon", "--predictor",
         "--prompt-len", "--seed", "--strategy",
     }
     SERVE_OPTIONS = (RUN_OPTIONS - {"--prompt-len"}) | {
@@ -270,8 +270,8 @@ class TestCommands:
                 "2",
                 "--cpu-cache-capacity",
                 "4",
-                "--disk-bandwidth",
-                "1e9",
+                "--hardware",
+                "disk-slow",
             ]
         )
         assert code == 0
