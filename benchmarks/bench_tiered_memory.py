@@ -55,7 +55,7 @@ def _tier_and_disk_columns(serving) -> dict:
     return {
         "hit_gpu_tier": tier_rates["gpu"],
         "hit_dram_tier": tier_rates["cpu"],
-        "disk_reads": len(disk.intervals),
+        "disk_reads": len(disk),
         "disk_busy_s": disk.busy_time(),
     }
 

@@ -53,7 +53,7 @@ def run_once(cpu_capacity, hardware, policy="lru"):
     return {
         "gpu_hit": rates["gpu"],
         "dram_hit": rates["cpu"],
-        "disk_reads": len(disk.intervals),
+        "disk_reads": len(disk),
         "disk_busy_s": disk.busy_time(),
         "mean_tbt_s": result.mean_tbt,
     }

@@ -428,7 +428,7 @@ def _print_tier_table(engine) -> None:
     ]
     print(format_table(rows, title="per-tier cache"))
     disk = runtime.clock.disk
-    print(f"disk link: {len(disk.intervals)} reads, {disk.busy_time():.4f}s busy")
+    print(f"disk link: {len(disk)} reads, {disk.busy_time():.4f}s busy")
 
 
 def _parse_priority_mix(text: str | None) -> dict[str, float] | None:

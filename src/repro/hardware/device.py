@@ -13,13 +13,17 @@ bisect to the overlapping slice instead of rescanning the whole ledger.
 The bisected sum adds exactly the same floats in exactly the same order
 as a full linear scan of ``intervals`` (skipped intervals contribute
 nothing), so the two agree bit-for-bit; the property test in
-``tests/hardware/test_device.py`` holds it to that brute-force sum, and
-:meth:`ResourceTimeline.validate` checks the parallel arrays the bisection
-reads against the interval ledger.
+``tests/hardware/test_device.py`` holds it to that brute-force sum.
+
+The ledger is columnar: starts and finishes in two ``array("d")``
+columns and labels in a list holding one string object per distinct
+label, about 26 bytes per reservation. ``intervals`` materialises
+:class:`TimelineInterval` rows on read; ``len()`` counts without them.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
@@ -58,11 +62,14 @@ class ResourceTimeline:
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._intervals: list[TimelineInterval] = []
-        # Parallel start/finish arrays (both non-decreasing by
-        # construction) backing the bisected accounting queries.
-        self._starts: list[float] = []
-        self._finishes: list[float] = []
+        # One column per field, one row per positive-duration
+        # reservation. Starts and finishes are non-decreasing by
+        # construction, so the accounting queries bisect them; each
+        # label is stored as the first-seen string of its value.
+        self._starts = array("d")
+        self._finishes = array("d")
+        self._labels: list[str] = []
+        self._label_table: dict[str, str] = {}
         self._available_at = 0.0
         #: Optional advance hook set by the owning clock: called after
         #: every reservation that moves ``available_at`` forward, so
@@ -76,8 +83,12 @@ class ResourceTimeline:
 
     @property
     def intervals(self) -> list[TimelineInterval]:
-        """All reserved intervals, in start order (copy-safe view)."""
-        return list(self._intervals)
+        """All reserved intervals, in start order (a fresh list per read)."""
+        return list(map(TimelineInterval, self._starts, self._finishes, self._labels))
+
+    def __len__(self) -> int:
+        """Number of recorded intervals, without materialising them."""
+        return len(self._labels)
 
     def reserve(self, earliest_start: float, duration: float, label: str) -> tuple[float, float]:
         """Reserve ``duration`` seconds at or after ``earliest_start``.
@@ -86,22 +97,25 @@ class ResourceTimeline:
         -------
         tuple
             The committed ``(start, finish)`` times. Work queues behind
-            any previously reserved interval.
+            any previously reserved interval. An infinite ``duration`` is
+            legal (a dead resource); a negative or NaN one is not.
         """
-        if duration < 0:
+        # ``not x >= bound``, not ``x < bound``: a comparison with NaN is
+        # always false, so only this form rejects it.
+        if not duration >= 0.0:
             raise SimulationError(
-                f"{self.name}: negative duration {duration} for {label!r}"
+                f"{self.name}: negative or NaN duration {duration} for {label!r}"
             )
-        if earliest_start < -_TIME_TOLERANCE:
+        if not earliest_start >= -_TIME_TOLERANCE:
             raise SimulationError(
-                f"{self.name}: negative start time {earliest_start} for {label!r}"
+                f"{self.name}: negative or NaN start time {earliest_start} for {label!r}"
             )
         start = max(self._available_at, earliest_start)
         finish = start + duration
         if duration > 0.0:
-            self._intervals.append(TimelineInterval(start, finish, label))
             self._starts.append(start)
             self._finishes.append(finish)
+            self._labels.append(self._label_table.setdefault(label, label))
         if finish > self._available_at:
             self._available_at = finish
             if self._observer is not None:
@@ -142,21 +156,24 @@ class ResourceTimeline:
         return self.busy_time(window_start, window_end) / span
 
     def validate(self) -> None:
-        """Check the no-overlap invariant and the bisection arrays.
-
-        ``_starts`` / ``_finishes`` are what :meth:`busy_time` reads;
-        they must mirror the interval ledger exactly. Raises on
-        violation.
+        """Check the columns: equal lengths, non-decreasing starts and
+        finishes (what :meth:`busy_time` bisects) and no overlap beyond
+        ``_TIME_TOLERANCE``. Raises on violation.
         """
-        for prev, curr in zip(self._intervals, self._intervals[1:]):
-            if curr.start < prev.finish - _TIME_TOLERANCE:
-                raise SimulationError(
-                    f"{self.name}: interval {curr.label!r} starts at {curr.start} "
-                    f"before {prev.label!r} finishes at {prev.finish}"
-                )
-        if self._starts != [i.start for i in self._intervals] or (
-            self._finishes != [i.finish for i in self._intervals]
-        ):
+        starts, finishes, labels = self._starts, self._finishes, self._labels
+        if not len(starts) == len(finishes) == len(labels):
             raise SimulationError(
-                f"{self.name}: bisection arrays diverge from the interval ledger"
+                f"{self.name}: column lengths differ: {len(starts)} starts, "
+                f"{len(finishes)} finishes, {len(labels)} labels"
             )
+        for i in range(1, len(labels)):
+            if starts[i] < starts[i - 1] or finishes[i] < finishes[i - 1]:
+                raise SimulationError(
+                    f"{self.name}: interval {labels[i]!r} runs backwards from "
+                    f"{labels[i - 1]!r}"
+                )
+            if starts[i] < finishes[i - 1] - _TIME_TOLERANCE:
+                raise SimulationError(
+                    f"{self.name}: interval {labels[i]!r} starts at {starts[i]} "
+                    f"before {labels[i - 1]!r} finishes at {finishes[i - 1]}"
+                )

@@ -115,7 +115,7 @@ class TestSpillMechanics:
         engine = build_engine(tiny_config, strategy_name, cpu_cache_capacity=4)
         result = engine.generate(prompt_tokens, decode_steps=4)
         disk = engine.runtime.clock.disk
-        assert disk is not None and len(disk.intervals) > 0
+        assert disk is not None and len(disk) > 0
         assert disk.busy_time() > 0.0
         # Spilling slows the run down relative to unbounded DRAM.
         baseline = build_engine(tiny_config, strategy_name)
@@ -151,7 +151,7 @@ class TestSpillMechanics:
                 (
                     result_fingerprint(result),
                     sorted(cache.cpu_tier.resident_keys),
-                    len(engine.runtime.clock.disk.intervals),
+                    len(engine.runtime.clock.disk),
                 )
             )
         assert fingerprints[0] == fingerprints[1]
@@ -161,7 +161,7 @@ class TestSpillMechanics:
         engine = build_engine(tiny_config, "hybrimoe", cpu_cache_capacity=0)
         result = engine.generate(prompt_tokens, decode_steps=2)
         assert result.total_misses > 0
-        assert len(engine.runtime.clock.disk.intervals) > 0
+        assert len(engine.runtime.clock.disk) > 0
         assert len(engine.runtime.cache.cpu_tier) == 0
 
     def test_sharded_fleet_with_tiered_memory(self, tiny_config, prompt_tokens):
@@ -170,7 +170,7 @@ class TestSpillMechanics:
         )
         engine.generate(prompt_tokens, decode_steps=4)
         clock = engine.runtime.clock
-        assert len(clock.disk.intervals) > 0
+        assert len(clock.disk) > 0
         clock.validate()
         cache = engine.runtime.cache
         cache.validate()

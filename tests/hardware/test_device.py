@@ -1,5 +1,8 @@
 """Resource timeline invariants."""
 
+import math
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +37,92 @@ class TestReserve:
     def test_negative_start_rejected(self):
         with pytest.raises(SimulationError):
             ResourceTimeline("gpu").reserve(-1.0, 1.0, "bad")
+
+    def test_nan_duration_rejected(self):
+        """``NaN > 0.0`` is false: unchecked, a NaN duration would record
+        nothing and hand back a NaN finish."""
+        timeline = ResourceTimeline("pcie")
+        with pytest.raises(SimulationError, match=r"^pcie: .*NaN duration nan for 'xfer L0 E1'$"):
+            timeline.reserve(0.0, math.nan, "xfer L0 E1")
+        assert timeline.available_at == 0.0 and len(timeline) == 0
+
+    def test_nan_start_rejected(self):
+        """``max(0.0, nan)`` is ``0.0``: unchecked, a NaN start would be
+        silently coerced to ``available_at``."""
+        timeline = ResourceTimeline("cpu")
+        with pytest.raises(SimulationError, match=r"^cpu: .*NaN start time nan for 'cpu L2 E3'$"):
+            timeline.reserve(math.nan, 1.0, "cpu L2 E3")
+        assert timeline.available_at == 0.0 and len(timeline) == 0
+
+    def test_infinite_duration_is_a_dead_resource(self):
+        timeline = ResourceTimeline("gpu")
+        assert timeline.reserve(1.0, math.inf, "dead") == (1.0, math.inf)
+        assert timeline.available_at == math.inf
+        assert timeline.reserve(0.0, 1.0, "never") == (math.inf, math.inf)
+        timeline.validate()
+
+    def test_len_counts_recorded_intervals(self):
+        timeline = ResourceTimeline("disk")
+        assert len(timeline) == 0
+        timeline.reserve(0.0, 1.0, "a")
+        timeline.reserve(0.0, 0.0, "noop")
+        timeline.reserve(5.0, 1.0, "a")
+        assert len(timeline) == len(timeline.intervals) == 2
+
+
+class TestColumns:
+    def test_memory_per_reservation(self):
+        """The ledger stores columns, not an object per reservation:
+        20 000 reservations over 64 distinct labels (each label freshly
+        formatted, as the engine's callers do) cost <= 40 bytes each.
+        A frozen dataclass per interval with its own label cost 205."""
+        calls = 20_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            timeline = ResourceTimeline("gpu")
+            for i in range(calls):
+                timeline.reserve(0.0, 1e-3, f"gpu L{i % 8} E{i % 64}")
+            allocated = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(timeline) == calls
+        assert allocated / calls <= 40
+
+    @given(
+        calls=st.lists(
+            st.tuples(
+                st.floats(0.0, 20.0),
+                st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+                st.integers(0, 4),
+            ),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_property_intervals_are_the_positive_reservations(self, calls):
+        """``intervals`` is every positive-duration reservation's
+        ``(start, finish, label)``, in order; zero durations, gaps and
+        queueing included. Each label is the first-seen string object
+        of its value."""
+        timeline = ResourceTimeline("x")
+        available = 0.0
+        expected, first_seen = [], {}
+        for earliest, duration, k in calls:
+            label = "".join(["label ", str(k)])  # a fresh object per call
+            start = max(available, earliest)
+            finish = start + duration
+            assert timeline.reserve(earliest, duration, label) == (start, finish)
+            if duration > 0.0:
+                expected.append((start, finish, label))
+                first_seen.setdefault(label, label)
+            available = max(available, finish)
+        timeline.validate()
+        intervals = timeline.intervals
+        assert [(i.start, i.finish, i.label) for i in intervals] == expected
+        assert len(timeline) == len(expected)
+        assert all(i.label is first_seen[i.label] for i in intervals)
+        assert timeline.intervals is not intervals  # a copy per read
 
 
 class TestAccounting:
@@ -103,15 +192,22 @@ class TestAccounting:
 
 
 class TestValidate:
-    def test_detects_bisection_arrays_out_of_sync(self):
-        for corrupt in (
-            lambda t: t._starts.pop(),
-            lambda t: t._finishes.__setitem__(0, 0.25),
-        ):
-            timeline = ResourceTimeline("gpu")
-            timeline.reserve(0.0, 1.0, "a")
-            timeline.reserve(2.0, 1.0, "b")
+    @pytest.mark.parametrize(
+        ("corrupt", "message"),
+        [
+            (lambda t: t._starts.pop(), "column lengths differ"),
+            (lambda t: t._labels.append("c"), "column lengths differ"),
+            (lambda t: t._starts.__setitem__(1, -0.5), "'b' runs backwards"),
+            (lambda t: t._finishes.__setitem__(1, 0.5), "'b' runs backwards"),
+            (lambda t: t._starts.__setitem__(1, 0.5), "'b' starts at 0.5 before 'a'"),
+        ],
+        ids=["short-starts", "extra-label", "decreasing-start", "decreasing-finish", "overlap"],
+    )
+    def test_detects_corrupt_columns(self, corrupt, message):
+        timeline = ResourceTimeline("gpu")
+        timeline.reserve(0.0, 1.0, "a")
+        timeline.reserve(2.0, 1.0, "b")
+        timeline.validate()
+        corrupt(timeline)
+        with pytest.raises(SimulationError, match=message):
             timeline.validate()
-            corrupt(timeline)
-            with pytest.raises(SimulationError, match="bisection arrays"):
-                timeline.validate()

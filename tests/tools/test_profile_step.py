@@ -17,7 +17,12 @@ import pytest
 TOOLS = Path(__file__).resolve().parents[2] / "tools"
 sys.path.insert(0, str(TOOLS))
 
-from profile_step import BLAS_THREAD_VARS, profile_report  # noqa: E402
+from profile_step import (  # noqa: E402
+    BLAS_THREAD_VARS,
+    count_reserve_calls,
+    memory_report,
+    profile_report,
+)
 
 from benchlib.workloads import NUM_LAYERS, SMOKE  # noqa: E402  (path set by profile_step)
 
@@ -90,6 +95,49 @@ def test_setup_profiles_prepare_instead_of_the_chunks():
     assert calls["make_engine"] == SMOKE.prompts
     assert calls["generate_trace"] == 1
     assert "run_batch" not in calls
+
+
+def test_reserve_counter_counts_every_call_and_restores_the_method():
+    from repro.hardware.device import ResourceTimeline
+
+    reserve = ResourceTimeline.reserve
+    timeline = ResourceTimeline("gpu")
+    with count_reserve_calls() as counts:
+        timeline.reserve(0.0, 1.0, "a")
+        timeline.reserve(0.0, 0.0, "noop")  # counted, though it records nothing
+    timeline.reserve(0.0, 1.0, "after")
+    assert counts == {"reserve": 2}
+    assert ResourceTimeline.reserve is reserve
+
+
+def test_memory_report_traces_the_chunks(capsys):
+    """``--memory``: peak traced MB, the ledger's reservations and the
+    live allocation sites, largest first."""
+    report = memory_report("decode_hot", smoke=True, top=5)
+    assert report["tokens"] == 2 * (8 + SMOKE.decode_steps)
+    assert report["peak_traced_mb"] > 0.0
+    # Every decode layer reserves at least its attention interval.
+    assert report["reserve_calls"] >= 2 * SMOKE.decode_steps * NUM_LAYERS
+    assert 0 < len(report["top"]) <= 5
+    sizes = [row["size_kb"] for row in report["top"]]
+    assert sizes == sorted(sizes, reverse=True)
+    assert all(":" in row["site"] and row["count"] >= 1 for row in report["top"])
+
+    from profile_step import main
+
+    assert main(["--workload", "decode_hot", "--smoke", "--memory", "--top", "3"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "peak traced" in out[0]
+    assert out[2] == f"ResourceTimeline.reserve calls: {report['reserve_calls']}"
+    assert len(out) == 5 + 3
+
+
+def test_memory_and_setup_are_exclusive():
+    from profile_step import main
+
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--workload", "decode_hot", "--memory", "--setup"])
+    assert excinfo.value.code == 2
 
 
 def test_unknown_workload_is_a_usage_error():

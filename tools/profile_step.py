@@ -15,10 +15,17 @@ issued. It is counted by wrapping ``StepPipeline._issue_prefetches``
 and ``ImpactDrivenPrefetcher.select`` from here, during the profiled
 pass, so the two wrappers appear in the profile.
 
+``--memory`` runs the same chunks under ``tracemalloc`` instead of
+cProfile and prints the peak traced memory, the number of
+``ResourceTimeline.reserve`` calls (one ledger row each at most) and the
+allocation sites, by line, still holding the most memory at the end of
+the pass: the attribution of the ledger's ``host_peak_rss_mb`` row.
+
 Usage::
 
     python tools/profile_step.py --workload decode_hot --smoke      # top 20 by cumulative time
     python tools/profile_step.py --workload prefill_long --setup     # where prepare() goes
+    python tools/profile_step.py --workload serve_poisson --memory   # what the pass keeps in memory
     python tools/profile_step.py --workload prefill_long --seed 3 --sort tottime --top 40 --out p.prof
 """
 
@@ -28,6 +35,7 @@ import os
 import pstats
 import sys
 import time
+import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -45,6 +53,7 @@ from benchlib.workloads import FULL, SMOKE, WORKLOADS  # noqa: E402
 
 from repro.core.prefetch import ImpactDrivenPrefetcher  # noqa: E402
 from repro.engine.pipeline import StepPipeline  # noqa: E402
+from repro.hardware.device import ResourceTimeline  # noqa: E402
 
 STAGES = ("prefill", "decode")
 YIELD_COLUMNS = ("windows", "select_calls", "decisions", "issued")
@@ -80,6 +89,54 @@ def count_prefetch_yield():
         yield counts
     finally:
         StepPipeline._issue_prefetches, ImpactDrivenPrefetcher.select = issue, select
+
+
+@contextmanager
+def count_reserve_calls():
+    """``ResourceTimeline.reserve`` calls made while the block runs."""
+    counts = {"reserve": 0}
+    reserve = ResourceTimeline.reserve
+
+    def counted_reserve(timeline, *args, **kwargs):
+        counts["reserve"] += 1
+        return reserve(timeline, *args, **kwargs)
+
+    ResourceTimeline.reserve = counted_reserve
+    try:
+        yield counts
+    finally:
+        ResourceTimeline.reserve = reserve
+
+
+def memory_report(workload: str, seed: int = 0, smoke: bool = False, top: int = 10) -> dict:
+    """One pass of a ledger workload's chunks under ``tracemalloc``.
+
+    Set-up runs untraced. Returns the peak traced MB (MiB, like the
+    ledger's ``host_peak_rss_mb``), the ``reserve`` calls and the
+    ``top`` allocation sites by live size at the end of the pass.
+    """
+    prepared = WORKLOADS[workload].prepare(seed, SMOKE if smoke else FULL)
+    with count_reserve_calls() as counts:
+        tracemalloc.start()
+        try:
+            for chunk in prepared.chunks:
+                chunk.run()
+            peak = tracemalloc.get_traced_memory()[1]
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+    snapshot = snapshot.filter_traces([tracemalloc.Filter(False, tracemalloc.__file__)])
+    sites = [
+        {"site": str(stat.traceback[0]), "size_kb": stat.size / 1024, "count": stat.count}
+        for stat in snapshot.statistics("lineno")[:top]
+    ]
+    return {
+        "workload": workload,
+        "tokens": sum(chunk.tokens for chunk in prepared.chunks),
+        "peak_traced_mb": peak / 2**20,
+        "reserve_calls": counts["reserve"],
+        "top": sites,
+    }
 
 
 def profile_workload(
@@ -142,12 +199,27 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", choices=sorted(WORKLOADS), required=True)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--smoke", action="store_true", help="the ledger's smoke sizes")
-    parser.add_argument("--setup", action="store_true", help="profile prepare(), not the chunks")
+    region = parser.add_mutually_exclusive_group()
+    region.add_argument("--setup", action="store_true", help="profile prepare(), not the chunks")
+    region.add_argument(
+        "--memory", action="store_true", help="trace the chunks' allocations, not their time"
+    )
     parser.add_argument("--top", type=int, default=20, help="rows to print")
     parser.add_argument("--sort", default="cumulative", help="pstats sort key (tottime, ncalls, ...)")
     parser.add_argument("--out", type=Path, default=None, help="also dump raw stats here")
     args = parser.parse_args(argv)
 
+    blas = "BLAS threads: " + " ".join(f"{var}={os.environ[var]}" for var in BLAS_THREAD_VARS)
+    if args.memory:
+        report = memory_report(args.workload, args.seed, args.smoke, args.top)
+        print(f"{args.workload}: {report['tokens']} tokens, "
+              f"peak traced {report['peak_traced_mb']:.2f} MB over the chunks")
+        print(blas)
+        print(f"ResourceTimeline.reserve calls: {report['reserve_calls']}")
+        print(f"top allocation sites, live at the end of the pass\n{'KiB':>10}{'blocks':>10}  site")
+        for row in report["top"]:
+            print(f"{row['size_kb']:>10.1f}{row['count']:>10}  {row['site']}")
+        return 0
     profiler, elapsed, tokens, prefetch_yield = profile_workload(
         args.workload, args.seed, args.smoke, args.setup
     )
@@ -156,7 +228,7 @@ def main(argv=None) -> int:
     else:
         rate = tokens / elapsed
         print(f"{args.workload}: {tokens} tokens in {elapsed:.3f}s ({rate:.1f} tokens/s)")
-    print("BLAS threads: " + " ".join(f"{var}={os.environ[var]}" for var in BLAS_THREAD_VARS))
+    print(blas)
     stats = pstats.Stats(profiler)
     if args.out is not None:
         stats.dump_stats(args.out)
