@@ -78,8 +78,7 @@ SMOKE = {
 
 
 def _campaign_record(result) -> dict:
-    hardware = result.hardware_faults or ()
-    schedule = result.fault_schedule or ()
+    faults = result.faults or ()
     merged = result.report.merged
     return {
         "seed": result.spec.seed,
@@ -88,8 +87,8 @@ def _campaign_record(result) -> dict:
         "outcomes": result.outcome_counts(),
         "retries": merged.num_retries,
         "failovers": result.report.num_failovers,
-        "replica_fault_kinds": sorted({f.kind for f in schedule}),
-        "hardware_fault_kinds": sorted({f.kind for f in hardware}),
+        "replica_fault_kinds": sorted({f.kind for f in faults if not f.degrades}),
+        "hardware_fault_kinds": sorted({f.kind for f in faults if f.degrades}),
         "degradation_events": sum(
             len(rep.degradations) for _, rep in result.report.per_replica
         ),

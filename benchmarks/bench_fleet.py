@@ -36,8 +36,8 @@ import harness
 
 from repro.engine.factory import make_fleet
 from repro.fleet.autoscale import AutoscaleConfig
-from repro.fleet.faults import FaultSchedule, ReplicaFault
 from repro.fleet.router import available_routers
+from repro.hardware.faults import Fault, FaultSchedule
 from repro.workloads.generator import (
     bursty_arrivals,
     poisson_arrivals,
@@ -187,7 +187,7 @@ def _bench_skewed(smoke: bool) -> dict:
 # scenario: failover (crash mid-burst)
 # ----------------------------------------------------------------------
 
-def _failover_fleet(fault_schedule=None):
+def _failover_fleet(faults=None):
     p = FAILOVER
     return make_fleet(
         model=p["model"],
@@ -198,7 +198,7 @@ def _failover_fleet(fault_schedule=None):
         max_batch_size=p["max_batch_size"],
         replicas=p["replicas"],
         router="round_robin",
-        fault_schedule=fault_schedule,
+        faults=faults,
     )
 
 
@@ -216,7 +216,7 @@ def run_failover() -> dict:
 
     clean = _failover_fleet().serve_trace(trace())
     crash_at = clean.merged.first_arrival + clean.merged.makespan / 2
-    schedule = FaultSchedule([ReplicaFault(replica=0, at_time=crash_at)])
+    schedule = FaultSchedule([Fault("crash", replica=0, at_time=crash_at)])
     crashed = _failover_fleet(schedule).serve_trace(trace())
     return {
         "params": {**p, "crash_at": crash_at},

@@ -62,14 +62,8 @@ from repro.engine import (
     make_serving_engine,
     make_strategy,
 )
-from repro.fleet import (
-    AutoscaleConfig,
-    FaultSchedule,
-    FleetReport,
-    FleetRouter,
-    ReplicaFault,
-    available_routers,
-)
+from repro.fleet import AutoscaleConfig, FleetReport, FleetRouter, available_routers
+from repro.hardware.faults import Fault, FaultSchedule
 from repro.serving import Request, ServingConfig, ServingEngine
 from repro.errors import (
     CacheError,
@@ -118,8 +112,8 @@ __all__ = [
     "ServingEngine",
     "FleetRouter",
     "FleetReport",
+    "Fault",
     "FaultSchedule",
-    "ReplicaFault",
     "AutoscaleConfig",
     "ServingConfig",
     "ServingReport",

@@ -43,13 +43,8 @@ from repro.errors import ConfigError
 from repro.experiments.figures import ARTIFACTS, FULL_SCALE, QUICK_SCALE
 from repro.experiments.reporting import format_table
 from repro.experiments.runner import run_workload
-from repro.fleet.faults import FaultSchedule, ReplicaFault
 from repro.fleet.router import available_routers
-from repro.hardware.faults import (
-    HARDWARE_FAULT_KINDS,
-    HardwareFault,
-    HardwareFaultSchedule,
-)
+from repro.hardware.faults import HARDWARE_FAULT_KINDS, FaultSchedule
 from repro.hardware.platform_presets import HARDWARE_PRESETS
 from repro.models.presets import MODEL_PRESETS, get_preset
 from repro.prediction import available_predictors
@@ -451,79 +446,6 @@ def _parse_priority_mix(text: str | None) -> dict[str, float] | None:
     return mix
 
 
-def _parse_fault_spec(
-    text: str | None,
-) -> tuple[FaultSchedule | None, HardwareFaultSchedule | None]:
-    """Parse ``--fault-spec`` into (replica, hardware) fault schedules.
-
-    Grammar per comma-separated entry:
-    ``kind:replica:at[:duration[:severity]]`` — ``crash`` takes no
-    duration, ``slow`` takes exactly a duration, the hardware kinds
-    take a duration and (``link_degrade``/``gpu_straggler``) a
-    severity.
-    """
-    if text is None:
-        return None, None
-    replica_faults: list[ReplicaFault] = []
-    hardware_faults: list[HardwareFault] = []
-    for part in text.split(","):
-        fields = [f.strip() for f in part.strip().split(":")]
-        if len(fields) < 3:
-            raise ConfigError(
-                f"bad --fault-spec entry {part.strip()!r}; expected "
-                f"kind:replica:at[:duration[:severity]]"
-            )
-        kind = fields[0]
-        try:
-            replica = int(fields[1])
-            at_time = float(fields[2])
-            rest = [float(f) for f in fields[3:]]
-        except ValueError:
-            raise ConfigError(
-                f"bad --fault-spec numbers in {part.strip()!r}"
-            ) from None
-        if kind == "crash":
-            if rest:
-                raise ConfigError(
-                    f"crash faults take no duration/severity: {part.strip()!r}"
-                )
-            replica_faults.append(
-                ReplicaFault(replica=replica, at_time=at_time, kind="crash")
-            )
-        elif kind == "slow":
-            if len(rest) != 1:
-                raise ConfigError(
-                    f"slow faults need exactly a duration: {part.strip()!r}"
-                )
-            replica_faults.append(
-                ReplicaFault(
-                    replica=replica, at_time=at_time, kind="slow", duration=rest[0]
-                )
-            )
-        elif kind in HARDWARE_FAULT_KINDS:
-            if not 1 <= len(rest) <= 2:
-                raise ConfigError(
-                    f"hardware faults need a duration and optionally a "
-                    f"severity: {part.strip()!r}"
-                )
-            hardware_faults.append(
-                HardwareFault(
-                    kind=kind,
-                    at_time=at_time,
-                    duration=rest[0],
-                    severity=rest[1] if len(rest) == 2 else 1.0,
-                    replica=replica,
-                )
-            )
-        else:
-            known = "crash, slow, " + ", ".join(HARDWARE_FAULT_KINDS)
-            raise ConfigError(f"unknown fault kind {kind!r} (known: {known})")
-    return (
-        FaultSchedule(replica_faults) if replica_faults else None,
-        HardwareFaultSchedule(hardware_faults) if hardware_faults else None,
-    )
-
-
 def _parse_shed(text: str) -> tuple[int, int | None]:
     """Parse ``--shed DEPTH[:RESUME]`` into the watermark pair."""
     depth_text, _, resume_text = text.partition(":")
@@ -554,12 +476,11 @@ def _serve_trace(args: argparse.Namespace, seed: int, vocab_size: int):
     )
 
 
-def _cmd_serve_fleet(args: argparse.Namespace, spec: FleetSpec) -> int:
+def _cmd_serve_fleet(
+    args: argparse.Namespace, spec: FleetSpec, faults: FaultSchedule | None
+) -> int:
     """``serve --replicas M``: route the trace through a replica fleet."""
-    fault_schedule, hardware_faults = _parse_fault_spec(args.fault_spec)
-    fleet = make_fleet(
-        spec=spec, fault_schedule=fault_schedule, hardware_faults=hardware_faults
-    )
+    fleet = make_fleet(spec=spec, faults=faults)
     engine, serving = spec.engine, spec.serving
     report = fleet.serve_trace(
         _serve_trace(args, engine.seed, fleet.replicas[0].engine.model.vocab_size)
@@ -587,26 +508,16 @@ def _cmd_serve_fleet(args: argparse.Namespace, spec: FleetSpec) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     spec = _fleet_spec(args)
+    faults = None if args.fault_spec is None else FaultSchedule.parse(args.fault_spec)
     if spec.replicas > 1:
-        return _cmd_serve_fleet(args, spec)
-    fault_schedule, hardware_faults = _parse_fault_spec(args.fault_spec)
-    if fault_schedule is not None:
-        raise ConfigError(
-            "crash/slow faults are replica faults; they need --replicas > 1"
-        )
-    if hardware_faults is not None and any(
-        f.replica != 0 for f in hardware_faults
-    ):
-        raise ConfigError(
-            "hardware faults on replica != 0 need --replicas > 1"
-        )
+        return _cmd_serve_fleet(args, spec, faults)
     if spec.max_retries > 0:
         raise ConfigError(
             "--max-retries needs --replicas > 1 (retries are re-routed "
             "through the fleet)"
         )
     engine = spec.engine
-    serving = make_serving_engine(spec=spec.serving, hardware_faults=hardware_faults)
+    serving = make_serving_engine(spec=spec.serving, faults=faults)
     report = serving.serve_trace(
         _serve_trace(args, engine.seed, serving.engine.model.vocab_size)
     )

@@ -150,11 +150,9 @@ class SchedulerConfig:
         an ablation.
     allow_cpu_steal:
         Allow an idle CPU to take low-load *cached* experts from the
-        GPU queue (the paper's CPU priority rule, second clause).
-    steal_margin:
-        Fractional safety margin on the steal-benefit test; a steal
-        happens only if the CPU would finish the stolen expert before
-        ``(1 - margin) *`` the GPU's estimated finish time.
+        GPU queue (the paper's CPU priority rule, second clause): a
+        steal happens only if the CPU would finish the stolen expert
+        before the GPU's estimated finish time.
     plan_cache_size:
         Entries of the bounded LRU memo over ``plan()`` /
         ``simulate_makespan()`` results. ``0`` disables memoization.
@@ -163,14 +161,9 @@ class SchedulerConfig:
 
     search_transfers: bool = True
     allow_cpu_steal: bool = True
-    steal_margin: float = 0.0
     plan_cache_size: int = 1024
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.steal_margin < 1.0:
-            raise SchedulingError(
-                f"steal_margin must be in [0, 1), got {self.steal_margin}"
-            )
         if self.plan_cache_size < 0:
             raise SchedulingError(
                 f"plan_cache_size must be non-negative, got {self.plan_cache_size}"
@@ -955,7 +948,6 @@ class HybridScheduler:
         # experts never become stealable.
         n_stealable = len(pool)
         can_steal = self.config.allow_cpu_steal
-        steal_factor = 1.0 - self.config.steal_margin
         while True:
             while next_arrival < n_arrivals and arrival_times[next_arrival] <= t_gpu:
                 slot = arrival_slots[next_arrival]
@@ -991,7 +983,7 @@ class HybridScheduler:
                     finish += gpu_dur[queued]
                 for j in range(next_arrival, n_arrivals):
                     finish = max(finish, arrival_times[j]) + gpu_dur[arrival_slots[j]]
-                if t_cpu + duration >= finish * steal_factor:
+                if t_cpu + duration >= finish:
                     can_steal = False
                 else:
                     del pool[pick]

@@ -464,7 +464,7 @@ class InferenceEngine:
         estimate). Applying the neutral state to a never-degraded
         engine is a bit-exact no-op: nothing is invalidated and every
         duration stays byte-identical, which is what keeps an unfired
-        :class:`~repro.hardware.faults.HardwareFaultSchedule`
+        :class:`~repro.hardware.faults.FaultSchedule`
         indistinguishable from no schedule.
         """
         actual: DegradedCostModel = self.runtime.cost_actual

@@ -183,7 +183,7 @@ def make_serving_engine(
     strategy: str | Strategy | None = None,
     *,
     hardware: str | HardwareProfile | None = None,
-    hardware_faults=None,
+    faults=None,
     serving_config=None,
     engine_config: EngineConfig | None = None,
     strategy_kwargs: dict | None = None,
@@ -202,10 +202,9 @@ def make_serving_engine(
 
     ``serving_config`` replaces the
     :class:`~repro.serving.scheduler.ServingConfig` the knobs describe;
-    ``hardware_faults`` injects a sub-replica
-    :class:`~repro.hardware.faults.HardwareFaultSchedule` (replica-0
-    windows apply). The remaining parameters are those of
-    :func:`make_engine`.
+    ``faults`` injects a :class:`~repro.hardware.faults.FaultSchedule`
+    of hardware windows on replica 0. The remaining parameters are
+    those of :func:`make_engine`.
     """
     # Imported lazily: repro.serving builds on repro.engine, so a
     # top-level import here would be circular.
@@ -221,7 +220,7 @@ def make_serving_engine(
     )
     if serving_config is None:
         serving_config = spec.serving_config()
-    return ServingEngine(engine, serving_config, hardware_faults=hardware_faults)
+    return ServingEngine(engine, serving_config, faults=faults)
 
 
 def make_fleet(
@@ -229,9 +228,8 @@ def make_fleet(
     strategy: str | Strategy | None = None,
     *,
     hardware: str | HardwareProfile | None = None,
-    fault_schedule=None,
+    faults=None,
     autoscale=None,
-    hardware_faults=None,
     serving_config=None,
     engine_config: EngineConfig | None = None,
     strategy_kwargs: dict | None = None,
@@ -249,12 +247,11 @@ def make_fleet(
     engine specs it composes (documented on those classes); ``spec``
     takes a ready ``FleetSpec`` instead.
 
-    ``fault_schedule`` injects replica crashes / slow windows,
-    ``hardware_faults`` sub-replica resource degradation (link / disk
-    / straggler windows) and ``autoscale`` enables threshold
-    autoscaling of the active pool — live schedule objects, which may
-    accompany a ``spec``. The remaining parameters are those of
-    :func:`make_serving_engine`.
+    ``faults`` injects a :class:`~repro.hardware.faults.FaultSchedule`
+    (replica crashes, slow windows and link / disk / straggler
+    degradation) and ``autoscale`` enables threshold autoscaling of the
+    active pool — live objects, which may accompany a ``spec``. The
+    remaining parameters are those of :func:`make_serving_engine`.
 
     A fleet of one replica is bit-identical to the bare serving engine
     under every routing policy — the fleet equivalence tests pin this.
@@ -289,9 +286,8 @@ def make_fleet(
         replicas=spec.replicas,
         policy=spec.router,
         config=serving_config,
-        fault_schedule=fault_schedule,
+        faults=faults,
         autoscale=autoscale,
-        hardware_faults=hardware_faults,
         max_retries=spec.max_retries,
         retry_backoff_s=spec.retry_backoff_s,
     )

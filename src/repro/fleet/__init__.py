@@ -4,8 +4,8 @@ The cluster layer above :mod:`repro.serving`: a
 :class:`~repro.fleet.fleet.FleetRouter` fronts M replica engines with a
 pluggable :class:`~repro.fleet.router.RoutingPolicy` (``round_robin``,
 ``least_loaded``, ``cache_affinity``), injects replica faults from a
-:class:`~repro.fleet.faults.FaultSchedule` (crashes fail in-flight work
-over to survivors without loss), threshold-autoscales the active pool
+:class:`~repro.hardware.faults.FaultSchedule` (crashes fail in-flight
+work over to survivors without loss), threshold-autoscales the active pool
 (:class:`~repro.fleet.autoscale.AutoscaleConfig`) against diurnal and
 bursty arrival traces, and merges per-replica serving reports into one
 fleet-wide view.
@@ -27,7 +27,6 @@ Quickstart::
 """
 
 from repro.fleet.autoscale import AutoscaleConfig, AutoscaleEvent
-from repro.fleet.faults import FaultSchedule, ReplicaFault
 from repro.fleet.fleet import FleetReport, FleetRouter, Replica, RoutingDecision
 from repro.fleet.router import (
     CacheAffinityPolicy,
@@ -49,8 +48,6 @@ __all__ = [
     "CacheAffinityPolicy",
     "available_routers",
     "make_router",
-    "FaultSchedule",
-    "ReplicaFault",
     "AutoscaleConfig",
     "AutoscaleEvent",
 ]

@@ -4,9 +4,10 @@
 identical replica :class:`~repro.engine.engine.InferenceEngine`\\ s
 (each with its own expert cache, hybrid scheduler and simulated
 clock), routes every arriving request to one replica via a pluggable
-:class:`~repro.fleet.router.RoutingPolicy`, injects replica faults
-from a :class:`~repro.fleet.faults.FaultSchedule` (crashes fail work
-over to the survivors; slow windows black replicas out of routing),
+:class:`~repro.fleet.router.RoutingPolicy`, injects faults from a
+:class:`~repro.hardware.faults.FaultSchedule` (crashes fail work over
+to the survivors; slow windows black replicas out of routing; hardware
+windows degrade a replica and steer work away from it),
 and threshold-autoscales the active pool against the arrival trace.
 
 ## Time and determinism
@@ -42,9 +43,8 @@ from repro.engine.engine import InferenceEngine
 from repro.engine.metrics import ServingReport
 from repro.errors import ConfigError, SimulationError
 from repro.fleet.autoscale import AutoscaleConfig, AutoscaleEvent
-from repro.fleet.faults import FaultSchedule, ReplicaFault
 from repro.fleet.router import RoutingPolicy, make_router
-from repro.hardware.faults import HardwareFaultSchedule
+from repro.hardware.faults import Fault, FaultSchedule
 from repro.routing.statistics import predicted_routing_profile
 from repro.serving.engine import requests_from_trace
 from repro.serving.request import Request, RequestStatus
@@ -60,12 +60,19 @@ class Replica:
 
     ``active`` tracks autoscaling (inactive replicas take no new
     requests but drain what they hold); a crashed replica's session is
-    ``dead`` and the replica never serves again.
+    ``dead`` and the replica never serves again. ``faults`` is the
+    fleet's whole schedule; each session applies this replica's part.
     """
 
-    def __init__(self, replica_id: int, factory: Callable[[], InferenceEngine]):
+    def __init__(
+        self,
+        replica_id: int,
+        factory: Callable[[], InferenceEngine],
+        faults: FaultSchedule | None = None,
+    ):
         self.replica_id = replica_id
         self._factory = factory
+        self.faults = faults
         self._engine: InferenceEngine | None = None
         self.session: ServingSession | None = None
         self.active = False
@@ -95,27 +102,20 @@ class Replica:
         """In-flight (submitted, unfinished) requests on this replica."""
         return len(self.session.in_flight()) if self.session is not None else 0
 
-    def start_session(
-        self,
-        config: ServingConfig,
-        solo: bool,
-        origin: float,
-        hardware_faults: HardwareFaultSchedule | None = None,
-    ) -> None:
+    def start_session(self, config: ServingConfig, solo: bool, origin: float) -> None:
         """Open a fresh serving session (one per fleet serve).
 
         ``origin`` is the fleet-wide wall clock — shared by every
         replica session of a serve, so trace time means the same thing
         on each replica even when their engine clocks drifted apart
-        over earlier serves. ``hardware_faults`` is this replica's
-        slice of the fleet schedule (already ``for_replica``-filtered).
+        over earlier serves.
         """
         self.session = ServingSession(
             self.engine,
             config,
             solo=solo,
             origin=origin,
-            hardware_faults=hardware_faults,
+            faults=self.faults,
             replica_id=self.replica_id,
         )
 
@@ -188,17 +188,16 @@ class FleetRouter:
         :func:`~repro.fleet.router.available_routers`) or instance.
     config:
         Per-replica serving knobs (each session gets the same config).
-    fault_schedule:
-        Scheduled crashes / slow windows; ``None`` injects nothing.
+    faults:
+        Scheduled faults; ``None`` injects nothing. Crashes fail a
+        replica's work over, slow windows black it out of routing, and
+        each replica session applies its own hardware windows (link
+        degradation, disk stalls, GPU stragglers) at step boundaries;
+        the router also steers new work away from currently-degraded
+        replicas while healthy alternatives exist.
     autoscale:
         Threshold autoscaling config; ``None`` keeps all M replicas
         active for the whole run.
-    hardware_faults:
-        Sub-replica hardware fault schedule (link degradation, disk
-        stalls, GPU stragglers). Each replica session applies its own
-        slice at step boundaries; the router additionally steers new
-        work away from currently-degraded replicas while healthy
-        alternatives exist. ``None`` injects nothing.
     max_retries:
         Retry budget per request for timeout re-submission. A request
         timing out with retries left is re-enqueued (and re-routed like
@@ -217,9 +216,8 @@ class FleetRouter:
         replicas: int = 2,
         policy: str | RoutingPolicy = "round_robin",
         config: ServingConfig | None = None,
-        fault_schedule: FaultSchedule | None = None,
+        faults: FaultSchedule | None = None,
         autoscale: AutoscaleConfig | None = None,
-        hardware_faults: HardwareFaultSchedule | None = None,
         max_retries: int = 0,
         retry_backoff_s: float = 0.5,
     ) -> None:
@@ -240,28 +238,22 @@ class FleetRouter:
             )
         self.config = config or ServingConfig()
         self.policy = make_router(policy) if isinstance(policy, str) else policy
-        self.fault_schedule = fault_schedule or FaultSchedule()
-        for fault in self.fault_schedule:
+        self.faults = faults or FaultSchedule()
+        for fault in self.faults:
             if fault.replica >= replicas:
                 raise ConfigError(
-                    f"fault targets replica {fault.replica} but the pool has "
-                    f"{replicas} replicas"
+                    f"{fault.kind} fault targets replica {fault.replica} but "
+                    f"the pool has {replicas} replicas"
                 )
-        self.hardware_faults = hardware_faults
-        if hardware_faults is not None:
-            for fault in hardware_faults:
-                if fault.replica >= replicas:
-                    raise ConfigError(
-                        f"hardware fault targets replica {fault.replica} but "
-                        f"the pool has {replicas} replicas"
-                    )
         self.max_retries = max_retries
         self.retry_backoff_s = retry_backoff_s
         self.autoscale = autoscale
-        self.replicas = [Replica(i, engine_factory) for i in range(replicas)]
+        self.replicas = [
+            Replica(i, engine_factory, faults) for i in range(replicas)
+        ]
         self._profiles: dict[bytes, np.ndarray] = {}
         # Mutable per-serve state, (re)initialised in serve().
-        self._pending_crashes: list[ReplicaFault] = []
+        self._pending_crashes: list[Fault] = []
         self._heap: list[tuple[float, int, Request]] = []
         self._seq = 0
         self._decisions: list[RoutingDecision] = []
@@ -326,15 +318,10 @@ class FleetRouter:
             default=0.0,
         )
         for replica in self.replicas[:initial_active]:
-            replica.start_session(
-                self.config,
-                solo,
-                self._origin,
-                self._replica_faults(replica.replica_id),
-            )
+            replica.start_session(self.config, solo, self._origin)
             replica.active = True
         self.policy.reset()
-        self._pending_crashes = list(self.fault_schedule.crashes())
+        self._pending_crashes = list(self.faults.crashes())
         self._heap = []
         self._seq = 0
         self._decisions = []
@@ -378,12 +365,6 @@ class FleetRouter:
     # ------------------------------------------------------------------
     # event loop internals
     # ------------------------------------------------------------------
-    def _replica_faults(self, replica_id: int) -> HardwareFaultSchedule | None:
-        """One replica's slice of the hardware fault schedule (or None)."""
-        if self.hardware_faults is None:
-            return None
-        return self.hardware_faults.for_replica(replica_id)
-
     def _push(self, request: Request) -> None:
         """Queue an arrival; the sequence number makes heap order total."""
         heapq.heappush(self._heap, (request.arrival_time, self._seq, request))
@@ -571,19 +552,11 @@ class FleetRouter:
             for replica in live:
                 replica.active = True
             candidates = live
-        healthy = [
-            r
-            for r in candidates
-            if not self.fault_schedule.blacked_out(r.replica_id, t)
-        ]
-        candidates = healthy or candidates
-        if self.hardware_faults is not None:
-            clean = [
-                r
-                for r in candidates
-                if not self.hardware_faults.degraded(r.replica_id, t)
-            ]
-            candidates = clean or candidates
+        # Slow blackouts first, then hardware degradation: each stage is
+        # undone when it would leave nothing routable.
+        for excluded in (self.faults.blacked_out, self.faults.degraded):
+            kept = [r for r in candidates if not excluded(r.replica_id, t)]
+            candidates = kept or candidates
         return candidates
 
     def _route(self, request: Request, t: float) -> None:
@@ -627,12 +600,7 @@ class FleetRouter:
             if standby is None:
                 return
             if standby.session is None:
-                standby.start_session(
-                    self.config,
-                    self._solo,
-                    self._origin,
-                    self._replica_faults(standby.replica_id),
-                )
+                standby.start_session(self.config, self._solo, self._origin)
             standby.active = True
             self._events.append(
                 AutoscaleEvent(

@@ -26,12 +26,13 @@ from repro.hardware.cost_model import (
 )
 from repro.hardware.device import ResourceTimeline, TimelineInterval
 from repro.hardware.faults import (
+    FAULT_KINDS,
     HARDWARE_FAULT_KINDS,
     DegradationEvent,
     DegradationState,
     DegradedCostModel,
-    HardwareFault,
-    HardwareFaultSchedule,
+    Fault,
+    FaultSchedule,
 )
 from repro.hardware.platform_presets import (
     HARDWARE_PRESETS,
@@ -51,9 +52,10 @@ __all__ = [
     "FittedCostModel",
     "NoisyCostModel",
     "HardwareProfile",
+    "FAULT_KINDS",
     "HARDWARE_FAULT_KINDS",
-    "HardwareFault",
-    "HardwareFaultSchedule",
+    "Fault",
+    "FaultSchedule",
     "DegradationState",
     "DegradationEvent",
     "DegradedCostModel",

@@ -1,27 +1,23 @@
-"""Sub-replica hardware fault injection: fail-slow resource degradation.
+"""Fault injection: one schedule of replica and sub-replica faults.
 
-PR 7's :class:`~repro.fleet.faults.FaultSchedule` models *fail-stop*
-faults (a replica crashes or is blacked out whole). Real deployments
-degrade long before that: a PCIe link throttles, the disk tier stalls,
-one GPU straggles. This module injects such **sub-replica** faults as
-windows during which a specific resource of a specific replica runs
-degraded, while the replica keeps serving.
+A :class:`FaultSchedule` declares what goes wrong, on which replica and
+when; the serving and fleet loops observe it at step boundaries and
+never mutate it, so a schedule whose faults never become due leaves a
+run **bit-identical** to running with no schedule at all (the failover
+and degraded-serving suites pin this). Five kinds of :class:`Fault`:
 
-The mechanism is a mutable :class:`DegradedCostModel` wrapper around
-both of an engine's cost models (actual *and* estimated). Every
-duration the clock charges and every duration the planner reasons
-about flows through the same wrapper, so the hybrid scheduler
-**re-costs against the degraded link** — under a straggler GPU the
-eq. (2) search naturally shifts expert work to the CPU, exactly the
-adaptivity the paper's cost model (§IV) enables. The serving session
-applies the schedule's state at each **step boundary** (the same
-observation discipline replica crashes use), and fault checking never
-mutates schedule state — a schedule whose windows never cover the run
-leaves every duration bit-identical to running with no schedule at all
-(test-enforced like ``FaultSchedule``).
-
-Three fault kinds:
-
+- ``"crash"`` — the replica dies permanently at ``at_time``. The fleet
+  aborts its serving session at the first step boundary at or after
+  the fault instant, re-routes every in-flight request (queued,
+  mid-prefill, decoding or preempted) to the surviving replicas, and
+  increments each re-routed request's
+  :attr:`~repro.serving.request.Request.num_failovers`. Requests that
+  finished before the crash keep their records.
+- ``"slow"`` — a routing blackout: during ``[at_time, at_time +
+  duration)`` the front-end router stops sending the replica new
+  requests (a health-check tripping on elevated latency). The replica
+  keeps serving what it already holds and rejoins the routable set
+  when the window closes.
 - ``"link_degrade"`` — the PCIe link runs at ``severity`` (in (0, 1))
   of its effective bandwidth: every host->GPU transfer duration scales
   by ``1 / severity`` for the window.
@@ -34,6 +30,24 @@ Three fault kinds:
   attention) runs ``severity`` (> 1) times slower. CPU compute is
   untouched — which is what lets the scheduler route around the
   straggler.
+
+Crash and slow are *fail-stop* faults of a whole replica and need a
+fleet. The last three (:data:`HARDWARE_FAULT_KINDS`) degrade one
+resource while the replica keeps serving. Their mechanism is a mutable
+:class:`DegradedCostModel` wrapper around both of an engine's cost
+models (actual *and* estimated): every duration the clock charges and
+every duration the planner reasons about flows through the same
+wrapper, so the hybrid scheduler **re-costs against the degraded
+link** — under a straggler GPU the eq. (2) search naturally shifts
+expert work to the CPU, exactly the adaptivity the paper's cost model
+(§IV) enables.
+
+**Precedence**: a crash scheduled inside (or before) a slow window
+wins — the replica dies at the crash instant, its in-flight work fails
+over, and the rest of the slow window is moot: a dead replica is never
+routable again, blackout or not (liveness is checked before blackout
+in the fleet's routing filter). A replica that degrades, blacks out,
+then dies is the classic fail-slow-then-fail-stop sequence.
 """
 
 from __future__ import annotations
@@ -46,89 +60,102 @@ from repro.hardware.cost_model import CostModel
 from repro.models.config import ExpertShape
 
 __all__ = [
+    "FAULT_KINDS",
     "HARDWARE_FAULT_KINDS",
-    "HardwareFault",
+    "Fault",
+    "FaultSchedule",
     "DegradationState",
     "NEUTRAL_STATE",
     "DegradationEvent",
-    "HardwareFaultSchedule",
     "DegradedCostModel",
 ]
 
 HARDWARE_FAULT_KINDS = ("link_degrade", "disk_stall", "gpu_straggler")
+FAULT_KINDS = ("crash", "slow", *HARDWARE_FAULT_KINDS)
 
 
 @dataclass(frozen=True)
-class HardwareFault:
-    """One scheduled resource-degradation window on one replica.
+class Fault:
+    """One scheduled fault on one replica.
+
+    The fields follow the ``--fault-spec`` grammar
+    ``kind:replica:at[:duration[:severity]]``.
 
     Parameters
     ----------
     kind:
-        One of :data:`HARDWARE_FAULT_KINDS`.
+        One of :data:`FAULT_KINDS`.
+    replica:
+        Target replica id (index into the fleet's replica pool; 0 for a
+        bare serving engine).
     at_time:
-        Window start, in the same trace-relative seconds as request
-        arrivals (and :class:`~repro.fleet.faults.ReplicaFault`).
+        Simulated instant the fault strikes, in the same trace-relative
+        seconds as request arrival times.
     duration:
-        Window length in seconds (all hardware faults are windows —
-        permanent resource loss is a crash's job).
+        Window length in seconds: positive for every kind but
+        ``crash``, which is permanent and takes none. ``inf`` is a
+        window that never closes.
     severity:
         - ``link_degrade``: remaining PCIe bandwidth fraction in
           (0, 1) — transfers slow down by ``1 / severity``;
         - ``gpu_straggler``: compute slowdown multiplier > 1;
-        - ``disk_stall``: unused (must stay at the default 1.0) — the
-          stall's strength is its duration.
-    replica:
-        Target replica id (0 for a bare serving engine).
+        - every other kind: unused (must stay at the default 1.0).
     """
 
     kind: str
+    replica: int
     at_time: float
-    duration: float
+    duration: float = 0.0
     severity: float = 1.0
-    replica: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in HARDWARE_FAULT_KINDS:
-            known = ", ".join(HARDWARE_FAULT_KINDS)
-            raise ConfigError(
-                f"unknown hardware fault kind {self.kind!r} (known: {known})"
-            )
+        # Each test is written so that NaN fails it.
+        if self.kind not in FAULT_KINDS:
+            known = ", ".join(FAULT_KINDS)
+            raise ConfigError(f"unknown fault kind {self.kind!r} (known: {known})")
         if self.replica < 0:
+            raise ConfigError(f"fault replica must be non-negative, got {self.replica}")
+        if not self.at_time >= 0:
+            raise ConfigError(f"fault at_time must be non-negative, got {self.at_time}")
+        if self.kind == "crash":
+            if self.duration != 0.0:
+                raise ConfigError(
+                    f"crash faults take no duration (a crash is permanent), "
+                    f"got {self.duration}"
+                )
+        elif not self.duration > 0:
             raise ConfigError(
-                f"fault replica must be non-negative, got {self.replica}"
+                f"{self.kind} fault needs a positive duration, got {self.duration}"
             )
-        if self.at_time < 0:
+        if self.kind == "link_degrade":
+            if not 0.0 < self.severity < 1.0:
+                raise ConfigError(
+                    f"link_degrade severity is the remaining bandwidth fraction "
+                    f"and must be in (0, 1), got {self.severity}"
+                )
+        elif self.kind == "gpu_straggler":
+            if not self.severity > 1.0:
+                raise ConfigError(
+                    f"gpu_straggler severity is a slowdown multiplier and must "
+                    f"be > 1, got {self.severity}"
+                )
+        elif self.severity != 1.0:
             raise ConfigError(
-                f"fault at_time must be non-negative, got {self.at_time}"
-            )
-        if self.duration <= 0:
-            raise ConfigError(
-                f"hardware fault needs a positive duration, got {self.duration}"
-            )
-        if self.kind == "link_degrade" and not 0.0 < self.severity < 1.0:
-            raise ConfigError(
-                f"link_degrade severity is the remaining bandwidth fraction "
-                f"and must be in (0, 1), got {self.severity}"
-            )
-        if self.kind == "gpu_straggler" and self.severity <= 1.0:
-            raise ConfigError(
-                f"gpu_straggler severity is a slowdown multiplier and must "
-                f"be > 1, got {self.severity}"
-            )
-        if self.kind == "disk_stall" and self.severity != 1.0:
-            raise ConfigError(
-                f"disk_stall ignores severity (its strength is its duration); "
-                f"leave it at 1.0, got {self.severity}"
+                f"{self.kind} ignores severity; leave it at 1.0, got {self.severity}"
             )
 
     @property
+    def degrades(self) -> bool:
+        """Whether this is a sub-replica hardware fault."""
+        return self.kind in HARDWARE_FAULT_KINDS
+
+    @property
     def end_time(self) -> float:
-        """First instant past the window."""
+        """First instant past the window (``at_time`` for a crash)."""
         return self.at_time + self.duration
 
     def active(self, time: float) -> bool:
-        """Whether the window covers the instant ``time``."""
+        """Whether the window covers the instant ``time`` (never for a crash)."""
         return self.at_time <= time < self.end_time
 
 
@@ -177,81 +204,125 @@ class DegradationEvent:
 
 
 @dataclass(frozen=True)
-class HardwareFaultSchedule:
-    """An immutable collection of scheduled hardware faults.
+class FaultSchedule:
+    """An immutable collection of scheduled faults of every kind.
 
-    Validation rejects two faults of the same kind on the same replica
-    whose windows overlap (including exact duplicates) — the composed
-    severity of overlapping same-kind windows would be ambiguous.
-    Different kinds compose freely: slowdown multipliers multiply and
-    disk stalls take the longest remaining window.
+    Faults are kept sorted by ``(at_time, replica, kind)`` so crash
+    firing order is deterministic when several replicas die at once.
+    Validation rejects exact duplicates (two faults of one kind on one
+    replica at one instant), a second crash on a replica (a crash is
+    permanent), and two hardware faults of one kind on one replica
+    whose windows overlap — the composed severity would be ambiguous.
+    Slow windows may overlap; different kinds compose freely: slowdown
+    multipliers multiply and disk stalls take the longest remaining
+    window.
     """
 
-    faults: tuple[HardwareFault, ...] = ()
+    faults: tuple[Fault, ...] = ()
 
-    def __init__(self, faults: Iterable[HardwareFault] = ()) -> None:
-        ordered = tuple(
-            sorted(faults, key=lambda f: (f.at_time, f.replica, f.kind))
-        )
-        last_seen: dict[tuple[int, str], HardwareFault] = {}
+    def __init__(self, faults: Iterable[Fault] = ()) -> None:
+        ordered = tuple(sorted(faults, key=lambda f: (f.at_time, f.replica, f.kind)))
+        seen: set[tuple[int, str, float]] = set()
+        crashed: set[int] = set()
+        last_window: dict[tuple[int, str], Fault] = {}
         for fault in ordered:
-            key = (fault.replica, fault.kind)
-            previous = last_seen.get(key)
-            if previous is not None and fault.at_time < previous.end_time:
+            key = (fault.replica, fault.kind, fault.at_time)
+            if key in seen:
                 raise ConfigError(
-                    f"overlapping {fault.kind!r} windows on replica "
-                    f"{fault.replica}: [{previous.at_time}, {previous.end_time}) "
-                    f"and [{fault.at_time}, {fault.end_time})"
+                    f"duplicate {fault.kind!r} fault on replica "
+                    f"{fault.replica} at t={fault.at_time}"
                 )
-            last_seen[key] = fault
+            seen.add(key)
+            if fault.kind == "crash":
+                if fault.replica in crashed:
+                    raise ConfigError(
+                        f"replica {fault.replica} has more than one scheduled "
+                        f"crash (a crash is permanent)"
+                    )
+                crashed.add(fault.replica)
+            elif fault.degrades:
+                previous = last_window.get((fault.replica, fault.kind))
+                if previous is not None and fault.at_time < previous.end_time:
+                    raise ConfigError(
+                        f"overlapping {fault.kind!r} windows on replica "
+                        f"{fault.replica}: [{previous.at_time}, {previous.end_time}) "
+                        f"and [{fault.at_time}, {fault.end_time})"
+                    )
+                last_window[fault.replica, fault.kind] = fault
         object.__setattr__(self, "faults", ordered)
 
-    def __iter__(self) -> Iterator[HardwareFault]:
+    @classmethod
+    def parse(cls, text: str) -> "FaultSchedule":
+        """Parse comma-separated ``kind:replica:at[:duration[:severity]]``.
+
+        Every malformed entry raises a one-line
+        :class:`~repro.errors.ConfigError`; the per-kind rules are
+        :class:`Fault`'s.
+        """
+        faults = []
+        for part in text.split(","):
+            entry = part.strip()
+            fields = [f.strip() for f in entry.split(":")]
+            if not 3 <= len(fields) <= 5:
+                raise ConfigError(
+                    f"bad fault spec entry {entry!r}; expected "
+                    f"kind:replica:at[:duration[:severity]]"
+                )
+            kind, replica, *times = fields
+            try:
+                faults.append(Fault(kind, int(replica), *(float(t) for t in times)))
+            except ValueError:
+                raise ConfigError(f"bad fault spec numbers in {entry!r}") from None
+        return cls(faults)
+
+    def __iter__(self) -> Iterator[Fault]:
         return iter(self.faults)
 
     def __len__(self) -> int:
         return len(self.faults)
 
-    def for_replica(self, replica: int) -> "HardwareFaultSchedule":
-        """The sub-schedule targeting one replica (ids preserved)."""
-        return HardwareFaultSchedule(
-            f for f in self.faults if f.replica == replica
+    def crashes(self) -> tuple[Fault, ...]:
+        """Crash faults in firing order."""
+        return tuple(f for f in self.faults if f.kind == "crash")
+
+    def blacked_out(self, replica: int, time: float) -> bool:
+        """Whether ``replica`` sits in any slow window at ``time``."""
+        return any(
+            f.replica == replica and f.kind == "slow" and f.active(time)
+            for f in self.faults
         )
 
-    def active_faults(
-        self, replica: int, time: float
-    ) -> tuple[HardwareFault, ...]:
-        """Faults whose windows cover ``time`` on ``replica``."""
+    def degrading(self, replica: int, time: float) -> tuple[Fault, ...]:
+        """Hardware faults whose windows cover ``time`` on ``replica``."""
         return tuple(
-            f for f in self.faults if f.replica == replica and f.active(time)
+            f
+            for f in self.faults
+            if f.replica == replica and f.degrades and f.active(time)
         )
 
     def degraded(self, replica: int, time: float) -> bool:
-        """Whether any fault window covers ``time`` on ``replica``.
+        """Whether any hardware fault window covers ``time`` on ``replica``.
 
         The fleet router uses this to steer new work away from a
         degraded replica while alternatives exist (a soft blackout:
         degraded replicas are readmitted when nothing else is
         routable — degraded capacity beats dropping the request).
         """
-        return any(
-            f.replica == replica and f.active(time) for f in self.faults
-        )
+        return bool(self.degrading(replica, time))
 
     def state_at(self, time: float, replica: int = 0) -> DegradationState:
         """The combined degradation on ``replica`` at instant ``time``.
 
         Slowdown multipliers of concurrently-active faults multiply
         (only *different* kinds can overlap); the disk stall charges
-        the longest remaining window. Outside every window this is the
-        neutral state — applying it is a bit-exact no-op.
+        the longest remaining window. Crash and slow faults never
+        degrade. Outside every window this is the neutral state —
+        applying it is a bit-exact no-op.
         """
         gpu = 1.0
         pcie = 1.0
         stall = 0.0
-        for fault in self.faults:
-            if fault.replica != replica or not fault.active(time):
-                continue
+        for fault in self.degrading(replica, time):
             if fault.kind == "gpu_straggler":
                 gpu *= fault.severity
             elif fault.kind == "link_degrade":
@@ -275,7 +346,7 @@ class DegradedCostModel(CostModel):
     :meth:`set_state` applies a non-neutral state. In the neutral
     state every method returns the base model's float **unchanged**
     (no arithmetic applied), which is what makes an unfired
-    :class:`HardwareFaultSchedule` bit-identical to no schedule.
+    :class:`FaultSchedule` bit-identical to no schedule.
 
     The slowdown applies to the whole duration including fixed
     overheads — an effective-bandwidth/effective-throughput model,

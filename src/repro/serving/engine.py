@@ -45,7 +45,7 @@ from typing import Iterable
 from repro.engine.engine import InferenceEngine
 from repro.engine.metrics import ServingReport
 from repro.errors import ConfigError
-from repro.hardware.faults import HardwareFaultSchedule
+from repro.hardware.faults import FaultSchedule
 from repro.serving.request import Request
 from repro.serving.scheduler import ServingConfig
 from repro.serving.session import ServingSession
@@ -94,9 +94,10 @@ class ServingEngine:
     config:
         Serving knobs (batch ceiling, decode token source, chunked
         prefill, preemption, timeouts, overload shedding).
-    hardware_faults:
-        Optional sub-replica hardware fault schedule (replica-0 faults
-        apply — a bare engine is its own replica 0). ``None`` (default)
+    faults:
+        Optional schedule of hardware faults on replica 0 (a bare engine
+        is its own replica 0). Crash and slow faults, and faults on any
+        other replica, need a fleet and are rejected. ``None`` (default)
         injects nothing and is bit-identical to an unfired schedule.
     """
 
@@ -104,11 +105,22 @@ class ServingEngine:
         self,
         engine: InferenceEngine,
         config: ServingConfig | None = None,
-        hardware_faults: HardwareFaultSchedule | None = None,
+        faults: FaultSchedule | None = None,
     ) -> None:
+        for fault in faults or ():
+            if not fault.degrades:
+                raise ConfigError(
+                    f"{fault.kind} faults act on fleet replicas; they need a "
+                    f"fleet (--replicas > 1)"
+                )
+            if fault.replica != 0:
+                raise ConfigError(
+                    f"faults on replica {fault.replica} need a fleet "
+                    f"(--replicas > 1); a bare serving engine is replica 0"
+                )
         self.engine = engine
         self.config = config or ServingConfig()
-        self.hardware_faults = hardware_faults
+        self.faults = faults
 
     # ------------------------------------------------------------------
     def serve(self, requests: Iterable[Request]) -> ServingReport:
@@ -132,7 +144,7 @@ class ServingEngine:
             self.engine,
             self.config,
             pending,
-            hardware_faults=self.hardware_faults,
+            faults=self.faults,
         )
         try:
             while session.step():

@@ -33,7 +33,7 @@ from repro.engine.engine import InferenceEngine
 from repro.engine.metrics import GenerationResult, ServingReport, StepMetrics
 from repro.engine.pipeline import SequenceStep
 from repro.errors import ConfigError
-from repro.hardware.faults import DegradationEvent, HardwareFaultSchedule
+from repro.hardware.faults import DegradationEvent, FaultSchedule
 from repro.rng import derive_rng
 from repro.serving.request import Request, RequestStatus
 from repro.serving.scheduler import ContinuousBatchingScheduler, ServingConfig
@@ -82,18 +82,17 @@ class ServingSession:
         session so all sessions (and the merged report) live on a
         single fleet-wide time base even when replica clocks drifted
         apart over earlier serves.
-    hardware_faults:
-        Sub-replica hardware-fault schedule applied to this session's
-        engine at step boundaries (link degradation, disk stalls, GPU
-        stragglers). ``None`` (default) applies nothing — bit-identical
-        to an unfaulted run, which is what the no-fire equivalence
-        tests pin. The fleet passes each replica its
-        :meth:`~repro.hardware.faults.HardwareFaultSchedule.for_replica`
-        slice.
+    faults:
+        Fault schedule whose hardware windows on ``replica_id`` (link
+        degradation, disk stalls, GPU stragglers) this session applies
+        to its engine at step boundaries; crash and slow faults are the
+        fleet's to act on. ``None`` (default) applies nothing —
+        bit-identical to an unfaulted run, which is what the no-fire
+        equivalence tests pin. The fleet passes every replica its whole
+        schedule.
     replica_id:
         Fleet replica index this session serves (0 on a bare engine);
-        selects which faults of ``hardware_faults`` apply and labels
-        degradation-log events.
+        selects which faults apply and labels degradation-log events.
     """
 
     def __init__(
@@ -103,12 +102,12 @@ class ServingSession:
         requests: Iterable[Request] = (),
         solo: bool | None = None,
         origin: float | None = None,
-        hardware_faults: HardwareFaultSchedule | None = None,
+        faults: FaultSchedule | None = None,
         replica_id: int = 0,
     ) -> None:
         self.engine = engine
         self.config = config or ServingConfig()
-        self.hardware_faults = hardware_faults
+        self.faults = faults
         self.replica_id = replica_id
         self.scheduler = ContinuousBatchingScheduler(self.config)
         # Arrival times are trace-relative; on a warm engine (a second
@@ -387,12 +386,12 @@ class ServingSession:
         every boundary, which is re-costing churn, not a transition
         worth logging.
         """
-        schedule = self.hardware_faults
+        schedule = self.faults
         if schedule is None:
             return
         state = schedule.state_at(now, self.replica_id)
         self.engine.set_degradation(state)
-        active = schedule.active_faults(self.replica_id, now)
+        active = schedule.degrading(self.replica_id, now)
         if active != self._active_faults:
             self._active_faults = active
             self.degradation_log.append(

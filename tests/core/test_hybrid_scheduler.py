@@ -196,7 +196,7 @@ class TestSearch:
 
     def test_invalid_config(self):
         with pytest.raises(SchedulingError):
-            SchedulerConfig(steal_margin=1.5)
+            SchedulerConfig(plan_cache_size=-1)
 
     def test_search_beats_or_matches_extremes(self, toy_oracle_factory):
         scheduler = HybridScheduler(toy_oracle_factory)

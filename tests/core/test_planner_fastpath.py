@@ -71,7 +71,7 @@ _MODEL = MoEModelConfig(
 )
 
 
-def _scheduler_pair(gpu, cpu, transfer, warmup, steal, margin, gpu_per_token=0.0):
+def _scheduler_pair(gpu, cpu, transfer, warmup, steal, gpu_per_token=0.0):
     """The production planner and the oracle over one cost model."""
     cost = _RandomCost(gpu, cpu, transfer, warmup, gpu_per_token)
 
@@ -79,11 +79,10 @@ def _scheduler_pair(gpu, cpu, transfer, warmup, steal, margin, gpu_per_token=0.0
         return LayerCostOracle.for_model(cost, _MODEL, n_tokens)
 
     fast = HybridScheduler(
-        factory, SchedulerConfig(allow_cpu_steal=steal, steal_margin=margin)
+        factory, SchedulerConfig(allow_cpu_steal=steal)
     )
     reference = ReferencePlanner(
-        factory,
-        SchedulerConfig(allow_cpu_steal=steal, steal_margin=margin, plan_cache_size=0),
+        factory, SchedulerConfig(allow_cpu_steal=steal, plan_cache_size=0)
     )
     return fast, reference
 
@@ -98,13 +97,15 @@ _ACTIVATION = st.one_of(
 )
 #: Cached sets leave up to 48 (or all) of the activated experts uncached.
 _CACHED = st.sets(_EXPERTS, max_size=40)
+#: In-flight arrival offsets; ``inf`` is a transfer that never lands.
+_OFFSET = st.one_of(st.floats(0.0, 400.0), st.just(float("inf")))
 
 
 class TestFastPathEquality:
     @given(
         loads=_ACTIVATION,
         cached_mask=_CACHED,
-        inflight_raw=st.dictionaries(_EXPERTS, st.floats(0.0, 400.0), max_size=8),
+        inflight_raw=st.dictionaries(_EXPERTS, _OFFSET, max_size=8),
         spilled=st.sets(_EXPERTS, max_size=24),
         disk_fetch_s=st.sampled_from([0.0, 0.5, 7.0]),
         gpu=st.floats(0.1, 5.0),
@@ -112,10 +113,9 @@ class TestFastPathEquality:
         cpu=st.floats(0.1, 5.0),
         transfer=st.floats(0.1, 10.0),
         warmup=st.floats(0.0, 2.0),
-        pcie_backlog=st.floats(0.0, 12.0),
+        pcie_backlog=st.one_of(st.floats(0.0, 12.0), st.just(float("inf"))),
         cpu_backlog=st.floats(0.0, 12.0),
         steal=st.booleans(),
-        margin=st.sampled_from([0.0, 0.1, 0.3]),
         include_shared=st.booleans(),
         n_tokens=st.sampled_from([1, 4, 128]),
     )
@@ -135,7 +135,6 @@ class TestFastPathEquality:
         pcie_backlog,
         cpu_backlog,
         steal,
-        margin,
         include_shared,
         n_tokens,
     ):
@@ -144,7 +143,7 @@ class TestFastPathEquality:
         steal order, transfers, ``after_transfer`` flags,
         ``metadata["stolen"]`` and the makespan float."""
         fast, reference = _scheduler_pair(
-            gpu, cpu, transfer, warmup, steal, margin, gpu_per_token
+            gpu, cpu, transfer, warmup, steal, gpu_per_token
         )
         activated = sorted(loads.items())
         cached = cached_mask & set(loads)
@@ -165,6 +164,17 @@ class TestFastPathEquality:
         # The memoized replay is bit-identical too.
         assert fast.plan(*args, **kwargs) == plan_ref
 
+    def test_expert_arriving_at_inf_is_still_dispatched(self):
+        """An in-flight expert that never lands is still run, at ``inf``:
+        both planners return the same valid plan with makespan ``inf``."""
+        fast, reference = _scheduler_pair(1.0, 2.5, 4.0, 0.0, True)
+        args = (0, [(1, 1), (2, 1)], {1, 2}, 1)
+        kwargs = dict(pcie_backlog=1.0, inflight={1: float("inf")})
+        plan = reference.plan(*args, **kwargs)
+        plan.validate({1: 1, 2: 1}, {1, 2})
+        assert plan.estimated_makespan == float("inf")
+        assert plan == fast.plan(*args, **kwargs)
+
     @given(
         loads=_ACTIVATION,
         cached_mask=_CACHED,
@@ -178,7 +188,7 @@ class TestFastPathEquality:
     def test_makespans_bit_identical(
         self, loads, cached_mask, gpu, cpu, transfer, quick, cpu_backlog
     ):
-        fast, reference = _scheduler_pair(gpu, cpu, transfer, 0.0, True, 0.0)
+        fast, reference = _scheduler_pair(gpu, cpu, transfer, 0.0, True)
         activated = sorted(loads.items())
         cached = cached_mask & set(loads)
         mk_fast = fast.simulate_makespan(
@@ -202,7 +212,7 @@ class TestFastPathEquality:
     ):
         """The prefetcher's screening bound never exceeds the exact
         quick makespan (the property that makes screening exact)."""
-        fast, _ = _scheduler_pair(gpu, cpu, transfer, 0.0, True, 0.0)
+        fast, _ = _scheduler_pair(gpu, cpu, transfer, 0.0, True)
         activated = sorted(loads.items())
         cached = cached_mask & set(loads)
         bound = fast.quick_makespan_lower_bound(activated, cached, 4)
@@ -250,7 +260,7 @@ class TestProbeSeededPruning:
         """Flat (one- or two-level) loads put plateaus of equal
         makespans under the search; the probe lands inside them and
         the plan must still be the reference's fewest-transfers one."""
-        fast, reference = _scheduler_pair(gpu, cpu, transfer, 0.0, steal, 0.0)
+        fast, reference = _scheduler_pair(gpu, cpu, transfer, 0.0, steal)
         activated = [(e, levels[e % len(levels)]) for e in range(n)]
         cached = set(range(0, 2 * min(n_cached, n // 2), 2))
         inflight = {e: 1.5 * (i + 1) for i, e in enumerate(sorted(cached)[:n_inflight])}
@@ -271,7 +281,6 @@ class TestProbeSeededPruning:
         cpu=st.one_of(_GRID_COST, st.just(0.0)),
         transfer=_GRID_COST,
         warmup=st.sampled_from([0.0, 0.5]),
-        margin=st.sampled_from([0.0, 0.1]),
         backlogs=st.tuples(
             st.sampled_from([0.0, 0.5, 3.0]), st.sampled_from([0.0, 0.25, 6.0])
         ),
@@ -281,7 +290,7 @@ class TestProbeSeededPruning:
     )
     @settings(max_examples=150, deadline=None)
     def test_every_allocation_simulates_bit_identically(
-        self, n, n_cached, levels, gpu, gpu_per_token, cpu, transfer, warmup, margin,
+        self, n, n_cached, levels, gpu, gpu_per_token, cpu, transfer, warmup,
         backlogs, n_inflight, spilled, include_shared,
     ):
         """Not just the winner: with the search pinned to one transfer
@@ -290,7 +299,7 @@ class TestProbeSeededPruning:
         cost grid where GPU and CPU events coincide to the bit (steal
         ties, simultaneous arrivals, zero-length CPU jobs)."""
         fast, reference = _scheduler_pair(
-            gpu, cpu, transfer, warmup, True, margin, gpu_per_token
+            gpu, cpu, transfer, warmup, True, gpu_per_token
         )
         # The memo key cannot see the pinned transfer count.
         fast = HybridScheduler(
@@ -315,7 +324,7 @@ class TestProbeSeededPruning:
         cached: transfer counts 10..19 all reach the minimal makespan
         20.0 exactly (each extra transfer is offset by one more CPU
         steal). The plan must transfer 10."""
-        fast, reference = _scheduler_pair(1.0, 0.5, 1.0, 0.0, True, 0.0)
+        fast, reference = _scheduler_pair(1.0, 0.5, 1.0, 0.0, True)
         activated = [(e, 4) for e in range(29)]
         cached = set(range(28, 10, -2))
         loads, _, _ = reference._validated_inputs(activated, cached, 0.0, 0.0, None)
@@ -383,7 +392,7 @@ class TestProbeSeededPruning:
         """``quick_screen`` / ``quick_makespans_with`` run the one
         search routine: their floats are ``simulate_makespan(quick=True)``
         of the fast *and* of the reference path."""
-        fast, reference = _scheduler_pair(gpu, cpu, transfer, 0.0, True, 0.0)
+        fast, reference = _scheduler_pair(gpu, cpu, transfer, 0.0, True)
         activated = sorted(loads.items())
         cached = cached_mask & set(loads)
         candidates = [e for e in loads if e not in cached][:6]
@@ -775,7 +784,6 @@ class TestPlanMemo:
         pcie_backlog=st.floats(0.0, 12.0),
         cpu_backlog=st.floats(0.0, 12.0),
         steal=st.booleans(),
-        margin=st.sampled_from([0.0, 0.1, 0.3]),
         include_shared=st.booleans(),
         n_tokens=st.sampled_from([1, 4, 128]),
         quick=st.booleans(),
@@ -785,7 +793,7 @@ class TestPlanMemo:
     def test_relabelled_layer_hits_and_equals_the_reference(
         self, loads, cached_mask, inflight_raw, spilled, disk_fetch_s, gpu,
         gpu_per_token, cpu, transfer, warmup, pcie_backlog, cpu_backlog, steal,
-        margin, include_shared, n_tokens, quick, labels,
+        include_shared, n_tokens, quick, labels,
     ):
         """The ``test_plans_bit_identical`` space, asked twice: once to
         prime the memo, then as the same shape under a random strictly
@@ -794,7 +802,7 @@ class TestPlanMemo:
         answer is a memo hit, translated to the new ids — and must be
         what the reference planner computes from scratch for them."""
         fast, reference = _scheduler_pair(
-            gpu, cpu, transfer, warmup, steal, margin, gpu_per_token
+            gpu, cpu, transfer, warmup, steal, gpu_per_token
         )
         experts = sorted(loads)
         relabel = dict(zip(experts, sorted(labels[: len(experts)])))

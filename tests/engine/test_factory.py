@@ -126,12 +126,12 @@ class TestKnobWiring:
             make_fleet(cpu_cache_capacity=-1)
 
     def test_live_objects_may_accompany_a_spec(self):
-        from repro.hardware.faults import HardwareFault, HardwareFaultSchedule
+        from repro.hardware.faults import Fault, FaultSchedule
 
-        faults = HardwareFaultSchedule(
-            [HardwareFault(kind="gpu_straggler", at_time=0.0, duration=1.0, severity=2.0)]
+        faults = FaultSchedule(
+            [Fault("gpu_straggler", 0, at_time=0.0, duration=1.0, severity=2.0)]
         )
         spec = ServingSpec(engine=EngineSpec(num_layers=2))
-        assert make_serving_engine(spec=spec, hardware_faults=faults) is not None
+        assert make_serving_engine(spec=spec, faults=faults) is not None
         with pytest.raises(ConfigError, match="fold these arguments.*strategy"):
             make_serving_engine(spec=spec, strategy=make_strategy("ondemand"))

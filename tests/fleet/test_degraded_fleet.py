@@ -1,7 +1,7 @@
 """Fleet degraded-mode: steering, retries, and chaos invariants.
 
 Fleet-level counterpart of ``tests/serving/test_degraded_serving.py``:
-hardware fault schedules sliced per replica, router steering away from
+one fault schedule applied per replica, router steering away from
 degraded replicas, timeout retry-with-backoff re-routing, and a small
 seeded chaos campaign run through the ``tools/chaos.py`` harness with
 its invariant checker.
@@ -14,7 +14,7 @@ import pytest
 
 from repro.engine.factory import make_fleet
 from repro.errors import ConfigError
-from repro.hardware.faults import HardwareFault, HardwareFaultSchedule
+from repro.hardware.faults import Fault, FaultSchedule
 from repro.workloads.generator import serving_workload
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tools"))
@@ -54,59 +54,41 @@ class TestFleetScheduleTransparency:
     def test_unfired_hardware_schedule_bit_identical(self):
         baseline = _fleet(router="cache_affinity").serve_trace(_trace())
         horizon = baseline.merged.last_finish + 50.0
-        schedule = HardwareFaultSchedule(
+        schedule = FaultSchedule(
             [
-                HardwareFault(
-                    kind="gpu_straggler",
-                    at_time=horizon,
-                    duration=5.0,
-                    severity=2.0,
-                    replica=0,
-                ),
-                HardwareFault(
-                    kind="link_degrade",
-                    at_time=horizon,
-                    duration=5.0,
-                    severity=0.5,
-                    replica=1,
-                ),
+                Fault("gpu_straggler", 0, horizon, duration=5.0, severity=2.0),
+                Fault("link_degrade", 1, horizon, duration=5.0, severity=0.5),
             ]
         )
-        shadowed = _fleet(
-            router="cache_affinity", hardware_faults=schedule
-        ).serve_trace(_trace())
+        shadowed = _fleet(router="cache_affinity", faults=schedule).serve_trace(
+            _trace()
+        )
         assert shadowed.merged.requests == baseline.merged.requests
         assert shadowed.decisions == baseline.decisions
         assert shadowed.merged.degradations == []
 
     def test_fault_beyond_pool_rejected(self):
-        schedule = HardwareFaultSchedule(
-            [
-                HardwareFault(
-                    kind="disk_stall", at_time=1.0, duration=1.0, replica=5
-                )
-            ]
-        )
-        with pytest.raises(ConfigError, match="replica 5"):
-            _fleet(hardware_faults=schedule)
+        schedule = FaultSchedule([Fault("disk_stall", 5, at_time=1.0, duration=1.0)])
+        with pytest.raises(ConfigError, match="disk_stall fault targets replica 5"):
+            _fleet(faults=schedule)
 
 
 class TestDegradationSteering:
     def test_router_avoids_degraded_replica_in_window(self):
         baseline = _fleet().serve_trace(_trace())
         window = (0.25, baseline.merged.last_finish + 1.0)
-        schedule = HardwareFaultSchedule(
+        schedule = FaultSchedule(
             [
-                HardwareFault(
-                    kind="gpu_straggler",
+                Fault(
+                    "gpu_straggler",
+                    0,
                     at_time=window[0],
                     duration=window[1] - window[0],
                     severity=8.0,
-                    replica=0,
                 )
             ]
         )
-        report = _fleet(hardware_faults=schedule).serve_trace(_trace())
+        report = _fleet(faults=schedule).serve_trace(_trace())
         assert sorted(r.request_id for r in report.merged.requests) == list(
             range(len(ARRIVALS))
         )
@@ -116,19 +98,13 @@ class TestDegradationSteering:
 
     def test_degraded_replica_readmitted_when_alone(self):
         # Both replicas degraded: steering must not strand requests.
-        schedule = HardwareFaultSchedule(
+        schedule = FaultSchedule(
             [
-                HardwareFault(
-                    kind="gpu_straggler",
-                    at_time=0.0,
-                    duration=1e6,
-                    severity=2.0,
-                    replica=r,
-                )
+                Fault("gpu_straggler", r, 0.0, duration=1e6, severity=2.0)
                 for r in (0, 1)
             ]
         )
-        report = _fleet(hardware_faults=schedule).serve_trace(_trace())
+        report = _fleet(faults=schedule).serve_trace(_trace())
         assert report.merged.num_completed == len(ARRIVALS)
 
 

@@ -13,7 +13,7 @@ import pytest
 
 from repro.engine.factory import make_fleet
 from repro.errors import ConfigError, SimulationError
-from repro.fleet.faults import FaultSchedule, ReplicaFault
+from repro.hardware.faults import Fault, FaultSchedule
 from repro.workloads.generator import serving_workload
 
 MODEL = "mixtral"
@@ -23,7 +23,7 @@ VOCAB = 512
 ARRIVALS = [0.0, 0.02, 0.04, 0.06, 0.3, 0.32, 0.34, 0.36]
 
 
-def _fleet(fault_schedule=None, replicas=2, router="round_robin"):
+def _fleet(faults=None, replicas=2, router="round_robin"):
     return make_fleet(
         model=MODEL,
         strategy="hybrimoe",
@@ -33,7 +33,7 @@ def _fleet(fault_schedule=None, replicas=2, router="round_robin"):
         max_batch_size=MAX_BATCH,
         replicas=replicas,
         router=router,
-        fault_schedule=fault_schedule,
+        faults=faults,
     )
 
 
@@ -61,8 +61,8 @@ def probe():
 
 
 def _crash_run(at_time):
-    schedule = FaultSchedule([ReplicaFault(replica=0, at_time=at_time)])
-    return _fleet(fault_schedule=schedule).serve_trace(_trace())
+    schedule = FaultSchedule([Fault("crash", replica=0, at_time=at_time)])
+    return _fleet(faults=schedule).serve_trace(_trace())
 
 
 def assert_lossless(report, num_requests=len(ARRIVALS)):
@@ -133,12 +133,12 @@ class TestCrashFailover:
     def test_all_replicas_crashed_raises(self):
         schedule = FaultSchedule(
             [
-                ReplicaFault(replica=0, at_time=0.001),
-                ReplicaFault(replica=1, at_time=0.001),
+                Fault("crash", replica=0, at_time=0.001),
+                Fault("crash", replica=1, at_time=0.001),
             ]
         )
         with pytest.raises(SimulationError, match="every fleet replica"):
-            _fleet(fault_schedule=schedule).serve_trace(_trace())
+            _fleet(faults=schedule).serve_trace(_trace())
 
 
 class TestScheduleTransparency:
@@ -147,13 +147,11 @@ class TestScheduleTransparency:
         horizon = fault_free.merged.last_finish + 50.0
         schedule = FaultSchedule(
             [
-                ReplicaFault(replica=1, at_time=horizon),
-                ReplicaFault(
-                    replica=0, at_time=horizon, kind="slow", duration=5.0
-                ),
+                Fault("crash", replica=1, at_time=horizon),
+                Fault("slow", replica=0, at_time=horizon, duration=5.0),
             ]
         )
-        report = _fleet(fault_schedule=schedule).serve_trace(_trace())
+        report = _fleet(faults=schedule).serve_trace(_trace())
         assert report.merged.requests == fault_free.merged.requests
         assert report.decisions == fault_free.decisions
         assert dict(report.per_replica)[0].requests == dict(
@@ -164,16 +162,9 @@ class TestScheduleTransparency:
         fault_free, _ = probe
         window = (0.25, fault_free.merged.last_finish + 1.0)
         schedule = FaultSchedule(
-            [
-                ReplicaFault(
-                    replica=0,
-                    at_time=window[0],
-                    kind="slow",
-                    duration=window[1] - window[0],
-                )
-            ]
+            [Fault("slow", 0, at_time=window[0], duration=window[1] - window[0])]
         )
-        report = _fleet(fault_schedule=schedule).serve_trace(_trace())
+        report = _fleet(faults=schedule).serve_trace(_trace())
         assert_lossless(report)
         assert report.num_failovers == 0  # blackouts shed no work
         for decision in report.decisions:
@@ -181,9 +172,9 @@ class TestScheduleTransparency:
                 assert decision.replica != 0
 
     def test_fault_beyond_pool_rejected(self):
-        schedule = FaultSchedule([ReplicaFault(replica=5, at_time=1.0)])
-        with pytest.raises(ConfigError, match="fault targets replica 5"):
-            _fleet(fault_schedule=schedule)
+        schedule = FaultSchedule([Fault("crash", replica=5, at_time=1.0)])
+        with pytest.raises(ConfigError, match="crash fault targets replica 5"):
+            _fleet(faults=schedule)
 
 
 class TestScheduleValidation:
@@ -191,8 +182,8 @@ class TestScheduleValidation:
         with pytest.raises(ConfigError, match="duplicate"):
             FaultSchedule(
                 [
-                    ReplicaFault(replica=0, at_time=1.0),
-                    ReplicaFault(replica=0, at_time=1.0),
+                    Fault("crash", replica=0, at_time=1.0),
+                    Fault("crash", replica=0, at_time=1.0),
                 ]
             )
 
@@ -200,12 +191,8 @@ class TestScheduleValidation:
         with pytest.raises(ConfigError, match="duplicate"):
             FaultSchedule(
                 [
-                    ReplicaFault(
-                        replica=0, at_time=1.0, kind="slow", duration=1.0
-                    ),
-                    ReplicaFault(
-                        replica=0, at_time=1.0, kind="slow", duration=2.0
-                    ),
+                    Fault("slow", replica=0, at_time=1.0, duration=1.0),
+                    Fault("slow", replica=0, at_time=1.0, duration=2.0),
                 ]
             )
 
@@ -213,16 +200,16 @@ class TestScheduleValidation:
         with pytest.raises(ConfigError, match="more than one scheduled"):
             FaultSchedule(
                 [
-                    ReplicaFault(replica=0, at_time=1.0),
-                    ReplicaFault(replica=0, at_time=2.0),
+                    Fault("crash", replica=0, at_time=1.0),
+                    Fault("crash", replica=0, at_time=2.0),
                 ]
             )
 
     def test_same_fault_different_replicas_allowed(self):
         schedule = FaultSchedule(
             [
-                ReplicaFault(replica=0, at_time=1.0),
-                ReplicaFault(replica=1, at_time=1.0),
+                Fault("crash", replica=0, at_time=1.0),
+                Fault("crash", replica=1, at_time=1.0),
             ]
         )
         assert len(schedule) == 2
@@ -233,8 +220,8 @@ class TestScheduleValidation:
         # sequence and must construct fine.
         schedule = FaultSchedule(
             [
-                ReplicaFault(replica=0, at_time=1.0, kind="slow", duration=5.0),
-                ReplicaFault(replica=0, at_time=3.0),
+                Fault("slow", replica=0, at_time=1.0, duration=5.0),
+                Fault("crash", replica=0, at_time=3.0),
             ]
         )
         assert len(schedule.crashes()) == 1

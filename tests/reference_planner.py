@@ -297,12 +297,14 @@ class ReferencePlanner(HybridScheduler):
         while True:
             absorb_arrivals(t_gpu)
             # --- candidate GPU action -------------------------------------
+            # A start of ``inf`` is still an action (an expert arriving
+            # at ``inf`` runs then); ``None`` means there is none.
             if gpu_pool:
                 gpu_start = t_gpu
             elif arrival_idx < len(arrivals):
                 gpu_start = max(t_gpu, arrivals[arrival_idx][0])
             else:
-                gpu_start = float("inf")
+                gpu_start = None
             # --- candidate CPU action -------------------------------------
             steal_candidates = [e for e in gpu_pool if e in cached_experts]
             cpu_can_steal = (
@@ -311,14 +313,12 @@ class ReferencePlanner(HybridScheduler):
                 and cpu_idx >= len(cpu_jobs)
                 and bool(steal_candidates)
             )
-            if cpu_idx < len(cpu_jobs):
-                cpu_start = t_cpu
-            elif cpu_can_steal:
+            if cpu_idx < len(cpu_jobs) or cpu_can_steal:
                 cpu_start = t_cpu
             else:
-                cpu_start = float("inf")
+                cpu_start = None
 
-            if gpu_start == float("inf") and cpu_start == float("inf"):
+            if gpu_start is None and cpu_start is None:
                 break
 
             # Tie-break: a beneficial CPU steal commits before the GPU's
@@ -326,7 +326,9 @@ class ReferencePlanner(HybridScheduler):
             # expert sooner than the GPU would clear its queue, holding
             # the expert hostage on the GPU only inflates the makespan.
             cpu_wins_tie = gpu_start == cpu_start and cpu_idx >= len(cpu_jobs)
-            if gpu_start <= cpu_start and not cpu_wins_tie:
+            if cpu_start is None or (
+                gpu_start is not None and gpu_start <= cpu_start and not cpu_wins_tie
+            ):
                 absorb_arrivals(gpu_start)
                 if not gpu_pool:
                     raise SchedulingError("simulation invariant: empty GPU pool at dispatch")
@@ -348,8 +350,7 @@ class ReferencePlanner(HybridScheduler):
                     duration = oracle.cpu_compute(
                         loads[candidate], first_task=not cpu_order
                     )
-                    threshold = gpu_finish_estimate() * (1.0 - self.config.steal_margin)
-                    if t_cpu + duration >= threshold:
+                    if t_cpu + duration >= gpu_finish_estimate():
                         cpu_finished = True
                         continue
                     gpu_pool.remove(candidate)

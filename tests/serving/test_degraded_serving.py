@@ -1,8 +1,8 @@
 """Degraded-mode serving: schedule transparency, timeouts, shedding.
 
 The transparency suite is the acceptance criterion of the sub-replica
-fault work: a :class:`~repro.hardware.faults.HardwareFaultSchedule`
-whose windows never cover the run must leave the serving report
+fault work: a :class:`~repro.hardware.faults.FaultSchedule` whose
+windows never cover the run must leave the serving report
 **bit-identical** to running with no schedule at all — for every
 strategy, on the production and on the reference planner. The degradation
 hook threads through the cost models, scheduler memos and prefetchers
@@ -14,7 +14,7 @@ import pytest
 
 from repro.engine.factory import make_serving_engine
 from repro.errors import ConfigError
-from repro.hardware.faults import HardwareFault, HardwareFaultSchedule
+from repro.hardware.faults import Fault, FaultSchedule
 from repro.serving import ServingConfig
 from repro.serving.request import Request
 from repro.serving.session import _remove_by_identity
@@ -58,18 +58,11 @@ def _trace(priority_mix=None, arrivals=ARRIVALS):
 def _far_schedule(last_finish):
     """All three fault kinds, every window past the end of the run."""
     horizon = last_finish + 50.0
-    return HardwareFaultSchedule(
+    return FaultSchedule(
         [
-            HardwareFault(
-                kind="link_degrade", at_time=horizon, duration=5.0, severity=0.5
-            ),
-            HardwareFault(kind="disk_stall", at_time=horizon, duration=5.0),
-            HardwareFault(
-                kind="gpu_straggler",
-                at_time=horizon,
-                duration=5.0,
-                severity=2.0,
-            ),
+            Fault("link_degrade", 0, horizon, duration=5.0, severity=0.5),
+            Fault("disk_stall", 0, horizon, duration=5.0),
+            Fault("gpu_straggler", 0, horizon, duration=5.0, severity=2.0),
         ]
     )
 
@@ -82,9 +75,9 @@ class TestScheduleTransparency:
     def test_unfired_schedule_bit_identical(self, strategy, reference_planner):
         baseline = _engine(strategy, reference_planner).serve_trace(_trace())
         schedule = _far_schedule(baseline.last_finish)
-        shadowed = _engine(
-            strategy, reference_planner, hardware_faults=schedule
-        ).serve_trace(_trace())
+        shadowed = _engine(strategy, reference_planner, faults=schedule).serve_trace(
+            _trace()
+        )
         assert shadowed.requests == baseline.requests
         assert shadowed.degradations == []
         assert shadowed.total_hits == baseline.total_hits
@@ -92,17 +85,18 @@ class TestScheduleTransparency:
 
     def test_fired_schedule_slows_and_logs(self):
         baseline = _engine().serve_trace(_trace())
-        schedule = HardwareFaultSchedule(
+        schedule = FaultSchedule(
             [
-                HardwareFault(
-                    kind="gpu_straggler",
-                    at_time=0.0,
+                Fault(
+                    "gpu_straggler",
+                    0,
+                    0.0,
                     duration=baseline.last_finish + 1.0,
                     severity=4.0,
                 )
             ]
         )
-        degraded = _engine(hardware_faults=schedule).serve_trace(_trace())
+        degraded = _engine(faults=schedule).serve_trace(_trace())
         assert degraded.last_finish > baseline.last_finish
         # Entry into the window is logged with the non-neutral state.
         assert degraded.degradations
@@ -111,19 +105,26 @@ class TestScheduleTransparency:
     def test_recovery_is_logged(self):
         baseline = _engine().serve_trace(_trace())
         window = baseline.makespan / 4
-        schedule = HardwareFaultSchedule(
-            [
-                HardwareFault(
-                    kind="gpu_straggler",
-                    at_time=0.0,
-                    duration=window,
-                    severity=4.0,
-                )
-            ]
+        schedule = FaultSchedule(
+            [Fault("gpu_straggler", 0, 0.0, duration=window, severity=4.0)]
         )
-        degraded = _engine(hardware_faults=schedule).serve_trace(_trace())
+        degraded = _engine(faults=schedule).serve_trace(_trace())
         assert len(degraded.degradations) >= 2
         assert degraded.degradations[-1].state.is_neutral
+
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            (Fault("crash", 0, 1.0), "crash faults act on fleet replicas"),
+            (Fault("slow", 0, 1.0, duration=1.0), "slow faults act on fleet replicas"),
+            (Fault("disk_stall", 1, 1.0, duration=1.0), "faults on replica 1 need a fleet"),
+        ],
+    )
+    def test_fleet_only_faults_rejected(self, fault, message):
+        with pytest.raises(ConfigError, match=message) as err:
+            _engine(faults=FaultSchedule([fault]))
+        assert "\n" not in str(err.value)
 
 
 class TestRequestTimeouts:

@@ -364,7 +364,15 @@ class TestServeValidation:
 
     def test_malformed_fault_spec_rejected(self, capsys):
         err = self._error(capsys, "--fault-spec", "crash:0")
-        assert "bad --fault-spec" in err
+        assert "bad fault spec entry 'crash:0'" in err
+
+    def test_nan_fault_time_rejected(self, capsys):
+        err = self._error(capsys, "--fault-spec", "crash:0:nan")
+        assert "at_time must be non-negative, got nan" in err
+
+    def test_nan_fault_severity_rejected(self, capsys):
+        err = self._error(capsys, "--fault-spec", "gpu_straggler:0:0:1:nan")
+        assert "must be > 1, got nan" in err
 
     def test_malformed_shed_rejected(self, capsys):
         err = self._error(capsys, "--shed", "many")

@@ -1,9 +1,8 @@
 """Chaos harness: seeded fault campaigns with fleet invariant checking.
 
-Generates randomized-but-reproducible degraded-mode campaigns — replica
-crashes and slow windows (:class:`~repro.fleet.faults.FaultSchedule`)
-composed with sub-replica hardware faults
-(:class:`~repro.hardware.faults.HardwareFaultSchedule`), request
+Generates randomized-but-reproducible degraded-mode campaigns — one
+:class:`~repro.hardware.faults.FaultSchedule` of replica crashes, slow
+windows and sub-replica hardware faults, composed with request
 timeouts, retry-with-backoff and overload shedding — runs them against
 a replica fleet on a diurnal or bursty trace, and checks the fleet's
 safety invariants on the resulting reports:
@@ -21,7 +20,7 @@ safety invariants on the resulting reports:
    the same multiset of request ids as the per-replica reports
    combined; merging neither drops nor invents records.
 
-Fault draws are rejection-resampled against the schedules' own
+Fault draws are rejection-resampled against the schedule's own
 validation (no overlapping same-kind hardware windows, no double
 crashes), and at least one replica is always kept crash-free so the
 fleet retains capacity. Everything derives from the campaign seed —
@@ -47,12 +46,8 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.engine.factory import make_fleet  # noqa: E402
 from repro.errors import ConfigError  # noqa: E402
-from repro.fleet.faults import FaultSchedule, ReplicaFault  # noqa: E402
 from repro.fleet.fleet import FleetReport  # noqa: E402
-from repro.hardware.faults import (  # noqa: E402
-    HardwareFault,
-    HardwareFaultSchedule,
-)
+from repro.hardware.faults import Fault, FaultSchedule  # noqa: E402
 from repro.serving.request import TERMINAL_STATUSES  # noqa: E402
 from repro.workloads.generator import (  # noqa: E402
     bursty_arrivals,
@@ -63,7 +58,7 @@ from repro.workloads.generator import (  # noqa: E402
 __all__ = [
     "CampaignSpec",
     "CampaignResult",
-    "generate_fault_schedules",
+    "generate_faults",
     "check_invariants",
     "run_campaign",
 ]
@@ -132,8 +127,7 @@ class CampaignResult:
     spec: CampaignSpec
     report: FleetReport
     clean_report: FleetReport
-    fault_schedule: FaultSchedule | None
-    hardware_faults: HardwareFaultSchedule | None
+    faults: FaultSchedule | None
     violations: tuple[str, ...]
 
     @property
@@ -153,7 +147,7 @@ class CampaignResult:
 # campaign generation
 # ----------------------------------------------------------------------
 
-def _draw_hardware_fault(rng: random.Random, spec: CampaignSpec) -> HardwareFault:
+def _draw_hardware_fault(rng: random.Random, spec: CampaignSpec) -> Fault:
     kind = rng.choice(("link_degrade", "disk_stall", "gpu_straggler"))
     at_time = rng.uniform(0.0, 0.8 * spec.horizon_s)
     duration = rng.uniform(0.1 * spec.horizon_s, 0.4 * spec.horizon_s)
@@ -163,27 +157,27 @@ def _draw_hardware_fault(rng: random.Random, spec: CampaignSpec) -> HardwareFaul
         severity = rng.uniform(1.5, 4.0)
     else:
         severity = 1.0
-    return HardwareFault(
+    return Fault(
         kind=kind,
+        replica=rng.randrange(spec.replicas),
         at_time=at_time,
         duration=duration,
         severity=severity,
-        replica=rng.randrange(spec.replicas),
     )
 
 
-def generate_fault_schedules(
+def generate_faults(
     spec: CampaignSpec,
     horizon: float | None = None,
-) -> tuple[FaultSchedule | None, HardwareFaultSchedule | None]:
-    """Draw the campaign's fault schedules from its seed.
+) -> FaultSchedule | None:
+    """Draw the campaign's fault schedule from its seed.
 
     Crash targets are sampled without replacement from at most
-    ``replicas - 1`` replicas; hardware faults are rejection-resampled
-    against :class:`HardwareFaultSchedule`'s overlap validation (a draw
-    that cannot fit after the redraw budget is dropped — the campaign
-    then simply carries fewer faults, which the caller can see in the
-    returned schedules). ``horizon`` overrides ``spec.horizon_s`` as
+    ``replicas - 1`` replicas; slow and hardware faults are
+    rejection-resampled against :class:`FaultSchedule`'s validation (a
+    draw that cannot fit after the redraw budget is dropped — the
+    campaign then simply carries fewer faults, which the caller can see
+    in the returned schedule). ``horizon`` overrides ``spec.horizon_s`` as
     the fault-window bound — :func:`run_campaign` passes the actual
     trace's arrival span so windows intersect the run.
     """
@@ -192,46 +186,39 @@ def generate_fault_schedules(
     rng = random.Random(f"chaos-{spec.seed}")
     if horizon is not None:
         spec = replace(spec, horizon_s=horizon)
-    replica_faults: list[ReplicaFault] = []
+    faults: list[Fault] = []
     crash_targets = rng.sample(range(spec.replicas), spec.num_crashes)
     for replica in crash_targets:
-        replica_faults.append(
-            ReplicaFault(
+        faults.append(
+            Fault(
+                kind="crash",
                 replica=replica,
                 at_time=rng.uniform(0.2 * spec.horizon_s, 0.8 * spec.horizon_s),
-                kind="crash",
             )
         )
-    for _ in range(spec.num_slow):
-        for _ in range(_MAX_DRAWS):
-            candidate = ReplicaFault(
-                replica=rng.randrange(spec.replicas),
-                at_time=rng.uniform(0.0, 0.8 * spec.horizon_s),
-                kind="slow",
-                duration=rng.uniform(0.1 * spec.horizon_s, 0.4 * spec.horizon_s),
-            )
-            try:
-                FaultSchedule([*replica_faults, candidate])
-            except ConfigError:
-                continue
-            replica_faults.append(candidate)
-            break
 
-    hardware: list[HardwareFault] = []
-    for _ in range(spec.num_hardware):
-        for _ in range(_MAX_DRAWS):
-            candidate = _draw_hardware_fault(rng, spec)
-            try:
-                HardwareFaultSchedule([*hardware, candidate])
-            except ConfigError:
-                continue
-            hardware.append(candidate)
-            break
+    def draw_slow() -> Fault:
+        return Fault(
+            kind="slow",
+            replica=rng.randrange(spec.replicas),
+            at_time=rng.uniform(0.0, 0.8 * spec.horizon_s),
+            duration=rng.uniform(0.1 * spec.horizon_s, 0.4 * spec.horizon_s),
+        )
 
-    return (
-        FaultSchedule(replica_faults) if replica_faults else None,
-        HardwareFaultSchedule(hardware) if hardware else None,
-    )
+    for draw, count in (
+        (draw_slow, spec.num_slow),
+        (lambda: _draw_hardware_fault(rng, spec), spec.num_hardware),
+    ):
+        for _ in range(count):
+            for _ in range(_MAX_DRAWS):
+                candidate = draw()
+                try:
+                    FaultSchedule([*faults, candidate])
+                except ConfigError:
+                    continue
+                faults.append(candidate)
+                break
+    return FaultSchedule(faults) if faults else None
 
 
 def _campaign_trace(spec: CampaignSpec):
@@ -261,10 +248,7 @@ def _campaign_trace(spec: CampaignSpec):
 
 
 def _campaign_fleet(
-    spec: CampaignSpec,
-    fault_schedule: FaultSchedule | None,
-    hardware_faults: HardwareFaultSchedule | None,
-    resilience: bool,
+    spec: CampaignSpec, faults: FaultSchedule | None, resilience: bool
 ):
     return make_fleet(
         model=spec.model,
@@ -275,8 +259,7 @@ def _campaign_fleet(
         max_batch_size=spec.max_batch_size,
         replicas=spec.replicas,
         router=spec.router,
-        fault_schedule=fault_schedule,
-        hardware_faults=hardware_faults,
+        faults=faults,
         request_timeout_s=spec.request_timeout_s if resilience else None,
         shed_queue_depth=spec.shed_queue_depth if resilience else None,
         max_retries=spec.max_retries if resilience else 0,
@@ -356,14 +339,9 @@ def run_campaign(spec: CampaignSpec) -> CampaignResult:
     """
     trace = _campaign_trace(spec)
     span = max(entry.arrival_time for entry in trace)
-    fault_schedule, hardware_faults = generate_fault_schedules(
-        spec, horizon=max(span, 1e-3)
-    )
-    chaos_fleet = _campaign_fleet(
-        spec, fault_schedule, hardware_faults, resilience=True
-    )
-    report = chaos_fleet.serve_trace(trace)
-    clean_fleet = _campaign_fleet(spec, None, None, resilience=False)
+    faults = generate_faults(spec, horizon=max(span, 1e-3))
+    report = _campaign_fleet(spec, faults, resilience=True).serve_trace(trace)
+    clean_fleet = _campaign_fleet(spec, None, resilience=False)
     clean_report = clean_fleet.serve_trace(_campaign_trace(spec))
 
     violations = check_invariants(spec.num_requests, report)
@@ -375,8 +353,7 @@ def run_campaign(spec: CampaignSpec) -> CampaignResult:
         spec=spec,
         report=report,
         clean_report=clean_report,
-        fault_schedule=fault_schedule,
-        hardware_faults=hardware_faults,
+        faults=faults,
         violations=tuple(violations),
     )
 
@@ -384,8 +361,9 @@ def run_campaign(spec: CampaignSpec) -> CampaignResult:
 def _describe(result: CampaignResult) -> str:
     spec = result.spec
     counts = result.outcome_counts()
-    n_replica = len(result.fault_schedule or ())
-    n_hw = len(result.hardware_faults or ())
+    faults = result.faults or ()
+    n_hw = sum(f.degrades for f in faults)
+    n_replica = len(faults) - n_hw
     return (
         f"seed {spec.seed}: {spec.trace_kind} trace, "
         f"{n_replica} replica + {n_hw} hardware faults -> "
@@ -421,9 +399,7 @@ def main(argv=None) -> int:
         result = run_campaign(spec)
         print(_describe(result))
         if args.verbose:
-            for fault in result.fault_schedule or ():
-                print(f"    {fault}")
-            for fault in result.hardware_faults or ():
+            for fault in result.faults or ():
                 print(f"    {fault}")
         for violation in result.violations:
             failures += 1
