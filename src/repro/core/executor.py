@@ -4,7 +4,7 @@
 on the engine's :class:`~repro.hardware.simulator.ThreeResourceClock`
 using the *actual* cost model. The planner's simulation used estimated
 durations; execution re-derives every duration from ground truth, so
-estimate-vs-reality gaps (warmup fitting error, injected noise) show up
+estimate-vs-reality gaps (warmup fitting error, degraded hardware) show up
 as schedule slack or overruns exactly as they would on hardware.
 
 Dependencies honoured:

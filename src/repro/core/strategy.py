@@ -96,8 +96,7 @@ class HybriMoEStrategy(Strategy):
         if self.caching:
             def primed_mrs() -> MRSPolicy:
                 policy = MRSPolicy(
-                    alpha=runtime.config.mrs_alpha,
-                    top_p=2 * runtime.model_config.num_activated_experts,
+                    top_p=2 * runtime.model_config.num_activated_experts
                 )
                 # Prime MRS priorities from the warmup phase so the first
                 # eviction decisions already reflect observed scores — the

@@ -10,15 +10,14 @@ plan validity, lock/arrival semantics and collects TTFT/TBT metrics.
 
 Two cost models are in play, mirroring the real system:
 
-- the **actual** model (analytic roofline, optionally noise-wrapped)
-  drives executed durations;
+- the **actual** model (the analytic roofline) drives executed
+  durations;
 - the **estimated** model (fitted by the warmup phase, §IV-A) drives
   every scheduling decision.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +33,7 @@ from repro.engine.metrics import GenerationResult, StepMetrics
 from repro.engine.pipeline import StepPipeline
 from repro.engine.strategy_base import Strategy
 from repro.errors import ConfigError
-from repro.hardware.cost_model import AnalyticCostModel, CostModel, NoisyCostModel
+from repro.hardware.cost_model import AnalyticCostModel, CostModel
 from repro.hardware.faults import DegradationState, DegradedCostModel
 from repro.hardware.platform_presets import paper_testbed
 from repro.hardware.simulator import ThreeResourceClock
@@ -64,27 +63,21 @@ class EngineConfig:
     calibrate:
         Fit the planner's cost model via the warmup phase; when False
         the planner sees ground-truth durations (an idealised planner).
-    noise_sigma:
-        Log-normal sigma of execution-time noise (0 = deterministic).
     profile_prompt_len / profile_decode_steps:
         Size of the warmup profiling run used for frequency statistics.
     prefetch_lookahead:
         Future layers considered by prefetching strategies (paper: 3).
     scheduler:
         Configuration of the hybrid scheduler's search.
-    mrs_alpha:
-        Averaging coefficient of the MRS cache policy (eq. 3).
     """
 
     cache_ratio: float = 0.5
     seed: int = 0
     calibrate: bool = True
-    noise_sigma: float = 0.0
     profile_prompt_len: int = 32
     profile_decode_steps: int = 8
     prefetch_lookahead: int = 3
     scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
-    mrs_alpha: float = 0.7
     num_gpus: int = 1
     placement: str = "round_robin"
     cpu_cache_capacity: int | None = None
@@ -103,10 +96,6 @@ class EngineConfig:
             raise ConfigError(
                 f"unknown placement {self.placement!r} (known: {known})"
             )
-        if not math.isfinite(self.noise_sigma):
-            raise ConfigError(f"noise_sigma must be finite, got {self.noise_sigma}")
-        if self.noise_sigma < 0:
-            raise ConfigError(f"noise_sigma must be non-negative, got {self.noise_sigma}")
         if self.prefetch_lookahead < 1:
             raise ConfigError(
                 f"prefetch_lookahead must be >= 1, got {self.prefetch_lookahead}"
@@ -119,8 +108,6 @@ class EngineConfig:
             raise ConfigError(
                 f"profile_decode_steps must be positive, got {self.profile_decode_steps}"
             )
-        if not 0.0 <= self.mrs_alpha <= 1.0:
-            raise ConfigError(f"mrs_alpha must be in [0, 1], got {self.mrs_alpha}")
         if self.cpu_cache_capacity is not None and self.cpu_cache_capacity < 0:
             raise ConfigError(
                 f"cpu_cache_capacity must be non-negative, got "
@@ -196,9 +183,7 @@ class EngineRuntime:
         self.scheduler = HybridScheduler(self.estimated_oracle, config.scheduler)
         # Oracles are frozen value objects deterministic per n_tokens;
         # memoizing them spares StepPipeline rebuilding an identical
-        # oracle for every layer of every step. (Reusing the object
-        # never changes noisy-model draws — those happen per duration
-        # call, not per oracle construction.)
+        # oracle for every layer of every step.
         self._oracle_memo: dict[tuple[str, int], LayerCostOracle] = {}
 
     # ------------------------------------------------------------------
@@ -316,18 +301,13 @@ class InferenceEngine:
         config: EngineConfig | None = None,
     ) -> None:
         self.config = config or EngineConfig()
-        ground_truth = AnalyticCostModel(hardware_profile or paper_testbed())
-        cost_actual: CostModel = ground_truth
-        if self.config.noise_sigma > 0:
-            cost_actual = NoisyCostModel(
-                ground_truth, self.config.noise_sigma, seed=self.config.seed
-            )
+        cost_actual = AnalyticCostModel(hardware_profile or paper_testbed())
         if self.config.calibrate:
-            cost_estimated: CostModel = WarmupCalibrator(ground_truth).calibrate(
+            cost_estimated: CostModel = WarmupCalibrator(cost_actual).calibrate(
                 model.config
             )
         else:
-            cost_estimated = ground_truth
+            cost_estimated = cost_actual
 
         self.model = model
         self.strategy = strategy
@@ -395,10 +375,7 @@ class InferenceEngine:
         """
         policy_kwargs = {}
         if self.config.cpu_cache_policy == "mrs":
-            policy_kwargs = {
-                "alpha": self.config.mrs_alpha,
-                "top_p": 2 * self.model.config.num_activated_experts,
-            }
+            policy_kwargs = {"top_p": 2 * self.model.config.num_activated_experts}
         tier = ExpertCache(
             self.config.cpu_cache_capacity,
             make_policy(self.config.cpu_cache_policy, **policy_kwargs),
@@ -413,23 +390,17 @@ class InferenceEngine:
         self,
         prompt_tokens: np.ndarray,
         decode_steps: int = 0,
-        decode_token_source: str = "sampled",
     ) -> GenerationResult:
         """Run one prefill over the prompt plus ``decode_steps`` tokens.
 
-        Decode tokens are the model's own continuations — sampled with
-        a seeded temperature by default (``"greedy"`` collapses the
-        functional model to a fixed point, which makes decode routing
+        Decode tokens are the model's own continuations, sampled with a
+        seeded temperature (greedy decoding collapses the functional
+        model to a fixed point, which makes decode routing
         unrealistically cache-friendly).
         """
         prompt_tokens = np.asarray(prompt_tokens, dtype=np.int64)
         if prompt_tokens.ndim != 1 or prompt_tokens.size == 0:
             raise ConfigError("prompt_tokens must be a non-empty 1-D id array")
-        if decode_token_source not in ("sampled", "greedy"):
-            raise ConfigError(
-                f"decode_token_source must be 'sampled' or 'greedy', got "
-                f"{decode_token_source!r}"
-            )
         result = GenerationResult(
             model_name=self.model.config.name,
             strategy_name=self.strategy.name,
@@ -441,10 +412,7 @@ class InferenceEngine:
         result.prefill = metrics
         last_hidden = hidden[-1]
         for _ in range(decode_steps):
-            if decode_token_source == "greedy":
-                token = self.model.greedy_next_token(last_hidden)
-            else:
-                token = self.model.sample_next_token(last_hidden, sample_rng)
+            token = self.model.sample_next_token(last_hidden, sample_rng)
             hidden, metrics = self._run_step(np.array([token]), "decode")
             last_hidden = hidden[-1]
             result.decode_steps.append(metrics)

@@ -60,7 +60,9 @@ def make_strategy(name: str, **kwargs) -> Strategy:
     return cls(**kwargs)
 
 
-def _resolve_spec(who: str, spec_type, spec, knobs: dict, model, strategy, hardware, **configs):
+def _resolve_spec(
+    who: str, spec_type, spec, knobs: dict, model, strategy, hardware, engine_config
+):
     """The spec a factory call describes, plus its live objects.
 
     ``knobs`` are the call's loose keywords. ``model`` / ``strategy``
@@ -69,9 +71,10 @@ def _resolve_spec(who: str, spec_type, spec, knobs: dict, model, strategy, hardw
     build, returned by name (``None`` where the spec decides).
 
     A ``spec`` *is* the configuration: mixing it with knob keywords,
-    live model/strategy/hardware objects or ready-made ``configs``
-    would create two sources of truth (and silently ignore one), so
-    any of them alongside ``spec`` is an error naming the offenders.
+    live model/strategy/hardware objects or a ready-made
+    ``engine_config`` would create two sources of truth (and silently
+    ignore one), so any of them alongside ``spec`` is an error naming
+    the offenders.
     Schedules and ``*_kwargs`` carry nothing a spec could, and may
     accompany one.
     """
@@ -88,9 +91,8 @@ def _resolve_spec(who: str, spec_type, spec, knobs: dict, model, strategy, hardw
         raise ConfigError(
             f"{who} spec must be a {spec_type.__name__}, got {type(spec).__name__}"
         )
-    clash = sorted(
-        [*knobs, *(n for n, v in {**live, **configs}.items() if v is not None)]
-    )
+    given = {**live, "engine_config": engine_config}
+    clash = sorted([*knobs, *(n for n, v in given.items() if v is not None)])
     if clash:
         raise ConfigError(
             f"{who}(spec=...) replaces the keyword configuration; "
@@ -173,7 +175,7 @@ def make_engine(
 
     spec, live = _resolve_spec(
         "make_engine", EngineSpec, spec, knobs, model, strategy, hardware,
-        engine_config=engine_config,
+        engine_config,
     )
     return _build_engine(spec, engine_config, strategy_kwargs, model_kwargs, **live)
 
@@ -184,7 +186,6 @@ def make_serving_engine(
     *,
     hardware: str | HardwareProfile | None = None,
     faults=None,
-    serving_config=None,
     engine_config: EngineConfig | None = None,
     strategy_kwargs: dict | None = None,
     model_kwargs: dict | None = None,
@@ -200,8 +201,6 @@ def make_serving_engine(
     :class:`~repro.scenarios.spec.EngineSpec` it composes (documented
     on those classes); ``spec`` takes a ready ``ServingSpec`` instead.
 
-    ``serving_config`` replaces the
-    :class:`~repro.serving.scheduler.ServingConfig` the knobs describe;
     ``faults`` injects a :class:`~repro.hardware.faults.FaultSchedule`
     of hardware windows on replica 0. The remaining parameters are
     those of :func:`make_engine`.
@@ -213,14 +212,12 @@ def make_serving_engine(
 
     spec, live = _resolve_spec(
         "make_serving_engine", ServingSpec, spec, knobs, model, strategy, hardware,
-        engine_config=engine_config, serving_config=serving_config,
+        engine_config,
     )
     engine = _build_engine(
         spec.engine, engine_config, strategy_kwargs, model_kwargs, **live
     )
-    if serving_config is None:
-        serving_config = spec.serving_config()
-    return ServingEngine(engine, serving_config, faults=faults)
+    return ServingEngine(engine, spec, faults=faults)
 
 
 def make_fleet(
@@ -230,7 +227,6 @@ def make_fleet(
     hardware: str | HardwareProfile | None = None,
     faults=None,
     autoscale=None,
-    serving_config=None,
     engine_config: EngineConfig | None = None,
     strategy_kwargs: dict | None = None,
     model_kwargs: dict | None = None,
@@ -263,7 +259,7 @@ def make_fleet(
 
     spec, live = _resolve_spec(
         "make_fleet", FleetSpec, spec, knobs, model, strategy, hardware,
-        engine_config=engine_config, serving_config=serving_config,
+        engine_config,
     )
     if live["strategy"] is not None and spec.replicas > 1:
         raise ConfigError(
@@ -279,13 +275,11 @@ def make_fleet(
     def engine_factory() -> InferenceEngine:
         return _build_engine(spec.engine, engine_config, strategy_kwargs, None, **live)
 
-    if serving_config is None:
-        serving_config = spec.serving.serving_config()
     return FleetRouter(
         engine_factory,
         replicas=spec.replicas,
         policy=spec.router,
-        config=serving_config,
+        config=spec.serving,
         faults=faults,
         autoscale=autoscale,
         max_retries=spec.max_retries,

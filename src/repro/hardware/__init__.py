@@ -22,7 +22,6 @@ from repro.hardware.cost_model import (
     CostModel,
     FittedCostModel,
     HardwareProfile,
-    NoisyCostModel,
 )
 from repro.hardware.device import ResourceTimeline, TimelineInterval
 from repro.hardware.faults import (
@@ -50,7 +49,6 @@ __all__ = [
     "CostModel",
     "AnalyticCostModel",
     "FittedCostModel",
-    "NoisyCostModel",
     "HardwareProfile",
     "FAULT_KINDS",
     "HARDWARE_FAULT_KINDS",

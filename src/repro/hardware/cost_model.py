@@ -1,17 +1,17 @@
 """Roofline cost models for expert compute and transfer.
 
 The scheduler never touches wall-clock time: every duration comes from a
-:class:`CostModel`. Three implementations are provided:
+:class:`CostModel`. Two implementations are provided:
 
 - :class:`AnalyticCostModel` — ground truth derived from a
   :class:`HardwareProfile` (peak FLOPs, memory and PCIe bandwidths,
   per-task overheads) via a max(bandwidth, compute) roofline;
 - :class:`FittedCostModel` — per-shape linear fits produced by the
   warmup phase (:mod:`repro.hardware.warmup`), mirroring how the real
-  HybriMoE system estimates durations from profiling rather than specs;
-- :class:`NoisyCostModel` — wraps another model with multiplicative
-  log-normal noise for robustness experiments (planner estimates then
-  systematically disagree with executed durations).
+  HybriMoE system estimates durations from profiling rather than specs.
+  The fit is affine while the roofline is a max of two terms, so the
+  planner's estimates differ from executed durations, as a deployed
+  system's do.
 
 Durations are in **seconds**; shapes are paper-scale
 :class:`~repro.models.config.ExpertShape` objects, so byte counts match
@@ -32,14 +32,12 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigError
 from repro.models.config import ExpertShape
-from repro.rng import derive_rng
 
 __all__ = [
     "HardwareProfile",
     "CostModel",
     "AnalyticCostModel",
     "FittedCostModel",
-    "NoisyCostModel",
 ]
 
 
@@ -307,44 +305,3 @@ class FittedCostModel(CostModel):
             raise ConfigError(f"tokens must be non-negative, got {tokens}")
         return self._lookup(self._attention_fits, (d_model, device), "attention")(tokens)
 
-
-class NoisyCostModel(CostModel):
-    """Multiplicative log-normal noise around a base model.
-
-    Used for robustness experiments: the planner holds the noiseless
-    estimates while execution draws noisy durations, so schedules are
-    evaluated under estimation error. Draws are deterministic given the
-    seed and a call counter.
-    """
-
-    def __init__(self, base: CostModel, sigma: float, seed: int = 0) -> None:
-        if sigma < 0:
-            raise ConfigError(f"noise sigma must be non-negative, got {sigma}")
-        self._base = base
-        self._sigma = sigma
-        self._rng = derive_rng(seed, "cost-noise")
-
-    def _jitter(self, value: float) -> float:
-        if self._sigma == 0.0 or value == 0.0:
-            return value
-        return value * float(self._rng.lognormal(mean=0.0, sigma=self._sigma))
-
-    def expert_bytes(self, shape: ExpertShape) -> float:
-        return self._base.expert_bytes(shape)
-
-    def gpu_expert_time(self, shape: ExpertShape, tokens: int) -> float:
-        return self._jitter(self._base.gpu_expert_time(shape, tokens))
-
-    def cpu_expert_time(
-        self, shape: ExpertShape, tokens: int, first_task: bool = False
-    ) -> float:
-        return self._jitter(self._base.cpu_expert_time(shape, tokens, first_task))
-
-    def transfer_time(self, shape: ExpertShape) -> float:
-        return self._jitter(self._base.transfer_time(shape))
-
-    def disk_transfer_time(self, shape: ExpertShape) -> float:
-        return self._jitter(self._base.disk_transfer_time(shape))
-
-    def attention_time(self, d_model: int, tokens: int, device: str = "gpu") -> float:
-        return self._jitter(self._base.attention_time(d_model, tokens, device))

@@ -21,10 +21,10 @@ from __future__ import annotations
 import dataclasses
 import re
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import ConfigError
-from repro.scenarios.spec import FleetSpec, WorkloadRecipe
+from repro.scenarios.spec import FleetSpec, WorkloadRecipe, _Spec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.metrics import ServingReport
@@ -38,7 +38,7 @@ _NAME_RE = re.compile(r"^[a-z0-9][a-z0-9_-]*$")
 
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(_Spec):
     """One declarative serving scenario.
 
     Attributes
@@ -68,20 +68,11 @@ class ScenarioSpec:
     seeds: tuple[int, ...] = (0,)
 
     def __post_init__(self) -> None:
-        if not _NAME_RE.match(self.name):
+        super().__post_init__()
+        if not _NAME_RE.fullmatch(self.name):
             raise ConfigError(
                 f"scenario name {self.name!r} must match {_NAME_RE.pattern} "
                 f"(it becomes sweep-cell file names)"
-            )
-        if not isinstance(self.workload, WorkloadRecipe):
-            raise ConfigError(
-                f"ScenarioSpec.workload must be a WorkloadRecipe, got "
-                f"{type(self.workload).__name__}"
-            )
-        if not isinstance(self.fleet, FleetSpec):
-            raise ConfigError(
-                f"ScenarioSpec.fleet must be a FleetSpec, got "
-                f"{type(self.fleet).__name__}"
             )
         seeds = tuple(int(s) for s in self.seeds)
         if not seeds:
@@ -158,47 +149,6 @@ class ScenarioSpec:
         if not changes:
             return self
         return dataclasses.replace(self, **changes)
-
-    # ------------------------------------------------------------------
-    # serialization
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-JSON representation; inverse of :meth:`from_dict`."""
-        return {
-            "name": self.name,
-            "description": self.description,
-            "seeds": list(self.seeds),
-            "workload": self.workload.to_dict(),
-            "fleet": self.fleet.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
-        """Rebuild a scenario from :meth:`to_dict` output."""
-        if not isinstance(data, Mapping):
-            raise ConfigError(
-                f"ScenarioSpec.from_dict needs a mapping, got {type(data).__name__}"
-            )
-        known = {"name", "description", "seeds", "workload", "fleet"}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ConfigError(
-                f"unknown ScenarioSpec keys: {', '.join(unknown)} "
-                f"(known: {', '.join(sorted(known))})"
-            )
-        if "name" not in data or "workload" not in data:
-            raise ConfigError("ScenarioSpec.from_dict needs 'name' and 'workload'")
-        kwargs: dict[str, Any] = {
-            "name": data["name"],
-            "workload": WorkloadRecipe.from_dict(data["workload"]),
-        }
-        if "fleet" in data:
-            kwargs["fleet"] = FleetSpec.from_dict(data["fleet"])
-        if "description" in data:
-            kwargs["description"] = str(data["description"])
-        if "seeds" in data:
-            kwargs["seeds"] = tuple(int(s) for s in data["seeds"])
-        return cls(**kwargs)
 
     # ------------------------------------------------------------------
     # execution

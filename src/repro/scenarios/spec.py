@@ -17,12 +17,15 @@ class docstring. ``make_engine`` / ``make_serving_engine`` /
 a spec (:func:`spec_from_knobs`); ``cli run|serve`` derive their flags'
 types and defaults from the fields (:func:`knob_fields`). Every spec
 
-- validates eagerly — a bad name or range raises
-  :class:`~repro.errors.ConfigError` at construction, not at build time
-  deep inside a sweep worker. Fields a spec shares with the runtime
-  config it describes (:class:`~repro.engine.engine.EngineConfig`,
-  :class:`~repro.serving.scheduler.ServingConfig`) are checked by
-  building that config, so spec and config cannot disagree;
+- validates eagerly — a value of the wrong type, a bad name or a bad
+  range raises a one-line :class:`~repro.errors.ConfigError` at
+  construction, not at build time deep inside a sweep worker. Each
+  field's annotation is its type contract, checked once in the spec
+  base class. :class:`ServingSpec` *is* a
+  :class:`~repro.serving.scheduler.ServingConfig` (it inherits the
+  serving knobs and adds ``engine``); the fields :class:`EngineSpec`
+  shares with :class:`~repro.engine.engine.EngineConfig` are checked
+  by building that config, so spec and config cannot disagree;
 - round-trips through plain JSON dicts: ``Spec.from_dict(s.to_dict())
   == s`` and ``s.to_dict()`` contains only JSON primitives — this is
   what lets the sweep runner ship specs to worker processes and stamp
@@ -36,16 +39,22 @@ types and defaults from the fields (:func:`knob_fields`). Every spec
 from __future__ import annotations
 
 import dataclasses
+import functools
+import inspect
+import numbers
+import types
+import typing
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.errors import ConfigError
+from repro.serving.scheduler import ServingConfig
+from repro.workloads import generator as wg
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.engine import EngineConfig, InferenceEngine
     from repro.fleet.fleet import FleetRouter
     from repro.serving.engine import ServingEngine
-    from repro.serving.scheduler import ServingConfig
     from repro.workloads.generator import ArrivedWorkload
 
 __all__ = [
@@ -58,6 +67,11 @@ __all__ = [
 ]
 
 
+def _listed(names) -> str:
+    """Names joined for a one-line error, control characters escaped."""
+    return ", ".join(sorted(repr(str(name))[1:-1] for name in names))
+
+
 def _check_dict_keys(cls, data: Mapping[str, Any]) -> None:
     """Reject unknown keys so typos fail loudly instead of silently."""
     if not isinstance(data, Mapping):
@@ -65,11 +79,10 @@ def _check_dict_keys(cls, data: Mapping[str, Any]) -> None:
             f"{cls.__name__}.from_dict needs a mapping, got {type(data).__name__}"
         )
     known = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - known)
+    unknown = set(data) - known
     if unknown:
         raise ConfigError(
-            f"unknown {cls.__name__} keys: {', '.join(unknown)} "
-            f"(known: {', '.join(sorted(known))})"
+            f"unknown {cls.__name__} keys: {_listed(unknown)} (known: {_listed(known)})"
         )
 
 
@@ -93,20 +106,60 @@ def _check_name(what: str, name: str, known) -> None:
         )
 
 
-def _shared_fields(spec, config_type) -> dict[str, Any]:
-    """The values of ``spec``'s fields that ``config_type`` also declares."""
-    shared = {f.name for f in dataclasses.fields(config_type)}
+def _describe(hint) -> str:
+    """A field annotation in words, for the type-mismatch error."""
+    if hint is type(None):
+        return "None"
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        return " or ".join(_describe(arg) for arg in args)
+    if origin is tuple:
+        return f"a list of {args[0].__name__}"
+    if origin is dict:
+        return "a mapping"
+    name = hint.__name__
+    return f"{'an' if name[0] in 'aeiouAEIOU' else 'a'} {name}"
+
+
+def _conforms(value, hint) -> bool:
+    """Whether ``value`` has the type a spec field annotation names.
+
+    A ``bool`` is not an ``int``, an ``int`` is a ``float``, and a
+    ``tuple[X, ...]`` field also takes a JSON list.
+    """
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if hint is Any:
+        return True
+    if hint is type(None):
+        return value is None
+    if origin in (typing.Union, types.UnionType):
+        return any(_conforms(value, arg) for arg in args)
+    if origin is tuple:
+        return isinstance(value, (tuple, list)) and all(
+            _conforms(item, args[0]) for item in value
+        )
+    if origin is dict:
+        return isinstance(value, Mapping)
+    if hint is int or hint is float:
+        number = numbers.Integral if hint is int else numbers.Real
+        return isinstance(value, number) and not isinstance(value, bool)
+    return isinstance(value, hint)
+
+
+@functools.cache
+def _hints(spec_type) -> dict[str, Any]:
+    """Each field of ``spec_type`` with its resolved annotation."""
+    hints = typing.get_type_hints(spec_type)
+    return {f.name: hints[f.name] for f in dataclasses.fields(spec_type)}
+
+
+def _nested(spec_type) -> dict[str, type]:
+    """The fields of ``spec_type`` that hold another spec, with its class."""
     return {
-        f.name: getattr(spec, f.name)
-        for f in dataclasses.fields(spec)
-        if f.name in shared
+        name: hint
+        for name, hint in _hints(spec_type).items()
+        if isinstance(hint, type) and issubclass(hint, _Spec)
     }
-
-
-def _nested_spec(spec_field: dataclasses.Field):
-    """The spec class a composing field (``engine`` / ``serving``) holds."""
-    factory = spec_field.default_factory
-    return factory if dataclasses.is_dataclass(factory) else None
 
 
 def knob_fields(spec_type) -> dict[str, dataclasses.Field]:
@@ -116,13 +169,13 @@ def knob_fields(spec_type) -> dict[str, dataclasses.Field]:
     :func:`~repro.engine.factory.make_fleet`: the fleet's own fields,
     its serving spec's and that one's engine spec's.
     """
+    nested = _nested(spec_type)
     knobs: dict[str, dataclasses.Field] = {}
     for spec_field in dataclasses.fields(spec_type):
-        nested = _nested_spec(spec_field)
-        if nested is None:
-            knobs[spec_field.name] = spec_field
+        if spec_field.name in nested:
+            knobs.update(knob_fields(nested[spec_field.name]))
         else:
-            knobs.update(knob_fields(nested))
+            knobs[spec_field.name] = spec_field
     return knobs
 
 
@@ -142,12 +195,9 @@ def spec_from_knobs(spec_type, knobs: Mapping[str, Any], who: str):
         )
 
     def build(cls):
-        kwargs = {}
+        kwargs = {name: build(nested) for name, nested in _nested(cls).items()}
         for spec_field in dataclasses.fields(cls):
-            nested = _nested_spec(spec_field)
-            if nested is not None:
-                kwargs[spec_field.name] = build(nested)
-            elif spec_field.name in knobs:
+            if spec_field.name in knobs:
                 kwargs[spec_field.name] = knobs[spec_field.name]
         return cls(**kwargs)
 
@@ -155,24 +205,43 @@ def spec_from_knobs(spec_type, knobs: Mapping[str, Any], who: str):
 
 
 class _Spec:
-    """JSON round-trip shared by the three composing specs.
+    """Type checks and the JSON round-trip, shared by every spec.
 
-    ``to_dict`` lists a spec's own knobs first and the spec it composes
-    (``engine`` / ``serving``) last, recursively; ``from_dict`` is its
-    inverse and rejects unknown keys so typos fail loudly.
+    Construction first checks each field's value against the field's
+    annotation (see :func:`_conforms`), so a JSON value of the wrong
+    type fails as a one-line :class:`~repro.errors.ConfigError` before
+    any range check compares it; then the next ``__post_init__`` in
+    the MRO (a runtime config's range checks) runs.
+
+    A field annotated with another spec class (``engine`` / ``serving``
+    / ``workload`` / ``fleet``) composes that spec. ``to_dict`` lists a
+    spec's own fields first and the specs it composes last,
+    recursively; ``from_dict`` is its inverse and rejects unknown keys
+    so typos fail loudly.
     """
+
+    def __post_init__(self) -> None:
+        for name, hint in _hints(type(self)).items():
+            value = getattr(self, name)
+            if not _conforms(value, hint):
+                raise ConfigError(
+                    f"{type(self).__name__}.{name} must be {_describe(hint)}, "
+                    f"got {type(value).__name__} {value!r:.60}"
+                )
+        checks = getattr(super(), "__post_init__", None)
+        if checks is not None:
+            checks()
 
     def to_dict(self) -> dict[str, Any]:
         """Plain-JSON representation; inverse of :meth:`from_dict`."""
-        fields = dataclasses.fields(self)
+        nested = _nested(type(self))
         data = {
             f.name: _plain(getattr(self, f.name))
-            for f in fields
-            if _nested_spec(f) is None
+            for f in dataclasses.fields(self)
+            if f.name not in nested
         }
-        for f in fields:
-            if _nested_spec(f) is not None:
-                data[f.name] = getattr(self, f.name).to_dict()
+        for name in nested:
+            data[name] = getattr(self, name).to_dict()
         return data
 
     @classmethod
@@ -180,10 +249,20 @@ class _Spec:
         """Rebuild a spec from :meth:`to_dict` output (unknown keys rejected)."""
         _check_dict_keys(cls, data)
         data = dict(data)
-        for f in dataclasses.fields(cls):
-            nested = _nested_spec(f)
-            if nested is not None and f.name in data:
-                data[f.name] = nested.from_dict(data[f.name])
+        missing = [
+            f.name
+            for f in dataclasses.fields(cls)
+            if f.name not in data
+            and f.default is dataclasses.MISSING
+            and f.default_factory is dataclasses.MISSING
+        ]
+        if missing:
+            raise ConfigError(
+                f"{cls.__name__}.from_dict needs {', '.join(map(repr, missing))}"
+            )
+        for name, nested in _nested(cls).items():
+            if name in data:
+                data[name] = nested.from_dict(data[name])
         return cls(**data)
 
 
@@ -214,7 +293,8 @@ class EngineSpec(_Spec):
     hardware:
         Hardware preset name (``"paper"``, ``"disk-slow"``, ``"edge"``, ...).
     seed:
-        Root seed for the model weights, profiling workloads and noise.
+        Root seed for the model weights, profiling workloads and decode
+        sampling.
     num_gpus:
         Simulated GPU devices. The expert cache is one shard per
         device (one :class:`~repro.cache.manager.ExpertCache` each,
@@ -268,6 +348,7 @@ class EngineSpec(_Spec):
     confidence_gate: float = 0.6
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         # Imported here: these packages sit below the factory stack,
         # which imports this module lazily.
         from repro.engine.factory import available_strategies
@@ -291,7 +372,14 @@ class EngineSpec(_Spec):
         """
         from repro.engine.engine import EngineConfig
 
-        return EngineConfig(**_shared_fields(self, EngineConfig))
+        shared = {f.name for f in dataclasses.fields(EngineConfig)}
+        return EngineConfig(
+            **{
+                f.name: getattr(self, f.name)
+                for f in dataclasses.fields(self)
+                if f.name in shared
+            }
+        )
 
     def build(self) -> "InferenceEngine":
         """Construct the engine this spec describes (via ``make_engine``)."""
@@ -301,43 +389,19 @@ class EngineSpec(_Spec):
 
 
 @dataclass(frozen=True)
-class ServingSpec(_Spec):
+class ServingSpec(_Spec, ServingConfig):
     """Declarative recipe for a continuous-batching serving engine.
 
-    Composes an :class:`EngineSpec` with the serving-loop knobs — the
-    extra keywords of :func:`~repro.engine.factory.make_serving_engine`
-    and the ``serving`` / ``resilience`` flags of ``cli serve``. Each
-    knob is the :class:`~repro.serving.scheduler.ServingConfig` field
-    of the same name, documented there; the defaults keep the
-    historical FCFS loop bit-identically.
+    A :class:`~repro.serving.scheduler.ServingConfig` plus the
+    :class:`EngineSpec` it serves on: the serving-loop knobs are the
+    inherited config fields (documented there), and they are the extra
+    keywords of :func:`~repro.engine.factory.make_serving_engine` and
+    the ``serving`` / ``resilience`` flags of ``cli serve``. The spec
+    is itself the config the serving engine runs with. The defaults
+    keep the historical FCFS loop bit-identically.
     """
 
     engine: EngineSpec = field(default_factory=EngineSpec)
-    max_batch_size: int = 8
-    prefill_chunk_tokens: int | None = None
-    preemption: bool = False
-    request_timeout_s: float | None = None
-    shed_queue_depth: int | None = None
-    shed_resume_depth: int | None = None
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.engine, EngineSpec):
-            raise ConfigError(
-                f"ServingSpec.engine must be an EngineSpec, got "
-                f"{type(self.engine).__name__}"
-            )
-        self.serving_config()
-
-    def serving_config(self) -> "ServingConfig":
-        """The :class:`~repro.serving.scheduler.ServingConfig` equivalent.
-
-        Built from the shared fields, exactly as
-        :meth:`EngineSpec.engine_config` — the config's checks are the
-        spec's range validation.
-        """
-        from repro.serving.scheduler import ServingConfig
-
-        return ServingConfig(**_shared_fields(self, ServingConfig))
 
     def build(self) -> "ServingEngine":
         """Construct the serving engine (via ``make_serving_engine``)."""
@@ -382,13 +446,9 @@ class FleetSpec(_Spec):
     retry_backoff_s: float = 0.5
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         from repro.fleet.router import available_routers
 
-        if not isinstance(self.serving, ServingSpec):
-            raise ConfigError(
-                f"FleetSpec.serving must be a ServingSpec, got "
-                f"{type(self.serving).__name__}"
-            )
         if self.replicas < 1:
             raise ConfigError(f"replicas must be >= 1, got {self.replicas}")
         _check_name("router", self.router, available_routers())
@@ -419,55 +479,81 @@ class FleetSpec(_Spec):
 # ----------------------------------------------------------------------
 # workload recipes
 # ----------------------------------------------------------------------
-#: Per-kind parameter contract: (required keys, optional keys). The
-#: builder functions own value validation; the recipe owns key hygiene
-#: so a typo'd parameter fails at spec construction.
-_RECIPE_KINDS: dict[str, tuple[frozenset[str], frozenset[str]]] = {
-    "poisson": (
-        frozenset({"num_requests", "arrival_rate"}),
-        frozenset({"decode_steps", "priority_mix", "class_deadlines", "datasets"}),
-    ),
+def _explicit_trace(
+    arrival_times,
+    decode_steps: int = wg.DEFAULT_DECODE_STEPS,
+    datasets: tuple[str, ...] = wg.DEFAULT_DATASETS,
+    *,
+    vocab_size: int,
+    seed: int,
+) -> "list[ArrivedWorkload]":
+    """Entries from explicit arrival instants, preserving trace order.
+
+    Unlike :func:`~repro.workloads.generator.serving_workload`
+    (which *rejects* non-monotone traces up front), this path keeps
+    the entries in trace order and lets
+    :func:`~repro.serving.engine.requests_from_trace` emit its
+    reorder ``UserWarning`` at serve time — the scenario layer
+    records that warning in the cell output rather than swallowing
+    or pre-empting it. A monotone trace builds exactly what
+    ``serving_workload(arrival_times=...)`` does.
+    """
+    from repro.workloads.datasets import DATASET_PROFILES, sample_prompt
+
+    times = [float(t) for t in arrival_times]
+    if not times:
+        raise ConfigError("trace workload needs at least one arrival time")
+    for dataset in datasets:
+        if dataset not in DATASET_PROFILES:
+            raise ConfigError(f"unknown dataset {dataset!r}")
+    entries = []
+    for index, at_time in enumerate(times):
+        dataset = datasets[index % len(datasets)]
+        tokens = sample_prompt(dataset, vocab_size, seed=seed, index=index)
+        entries.append(
+            wg.ArrivedWorkload(
+                arrival_time=at_time,
+                workload=wg.WorkloadSpec(
+                    kind="decode" if decode_steps > 0 else "prefill",
+                    dataset=dataset,
+                    prompt_tokens=tokens,
+                    decode_steps=decode_steps,
+                ),
+            )
+        )
+    return entries
+
+
+#: Each workload kind: the params its recipes must give, and its
+#: builders. With two builders, the first draws the arrival instants and
+#: the second serves them as ``arrival_times``. Every other param, and
+#: every default, is the builders' own: a recipe accepts exactly their
+#: keywords and passes on only the params it was given.
+_RECIPE_BUILDERS: dict[str, tuple[tuple[str, ...], tuple[Any, ...]]] = {
+    "poisson": (("num_requests", "arrival_rate"), (wg.serving_workload,)),
     "diurnal": (
-        frozenset({"num_requests", "base_rate", "peak_rate"}),
-        frozenset(
-            {"period", "decode_steps", "priority_mix", "class_deadlines", "datasets"}
-        ),
+        ("num_requests", "base_rate", "peak_rate"),
+        (wg.diurnal_arrivals, wg.serving_workload),
     ),
     "bursty": (
-        frozenset({"num_requests", "base_rate", "burst_rate"}),
-        frozenset(
-            {
-                "burst_every",
-                "burst_duration",
-                "decode_steps",
-                "priority_mix",
-                "class_deadlines",
-                "datasets",
-            }
-        ),
+        ("num_requests", "base_rate", "burst_rate"),
+        (wg.bursty_arrivals, wg.serving_workload),
     ),
-    "trace": (
-        frozenset({"arrival_times"}),
-        frozenset({"decode_steps", "datasets"}),
-    ),
-    "skewed": (
-        frozenset({"num_requests", "arrival_rate"}),
-        frozenset({"num_profiles", "decode_steps", "prompt_length", "dataset"}),
-    ),
-    "chat": (
-        frozenset({"num_sessions"}),
-        frozenset(
-            {
-                "turns_per_session",
-                "session_rate",
-                "think_time_s",
-                "user_tokens",
-                "decode_steps",
-                "dataset",
-            }
-        ),
-    ),
+    "trace": (("arrival_times",), (_explicit_trace,)),
+    "skewed": (("num_requests", "arrival_rate"), (wg.skewed_serving_workload,)),
+    "chat": (("num_sessions",), (wg.chat_serving_workload,)),
 }
+
+#: Builder keywords a recipe fills in itself: the build seed and vocab.
+_SUPPLIED = frozenset({"seed", "vocab_size"})
+#: A trace's arrival instants come from exactly one source — the
+#: required params or the first builder — so the alternatives go unused.
+_ARRIVAL_KEYS = frozenset({"arrival_rate", "arrival_times"})
+
+
+def _keywords(builder) -> frozenset[str]:
+    return frozenset(inspect.signature(builder).parameters)
+
 
 #: Parameters clamped by :meth:`WorkloadRecipe.capped` — the sweep
 #: runner's ``--requests`` / ``--steps`` smoke caps.
@@ -476,7 +562,7 @@ _STEP_CAP_KEYS = ("decode_steps",)
 
 
 @dataclass(frozen=True)
-class WorkloadRecipe:
+class WorkloadRecipe(_Spec):
     """Declarative request-trace description: an arrival *kind* + params.
 
     ``kind`` selects the generator in :mod:`repro.workloads.generator`:
@@ -494,33 +580,31 @@ class WorkloadRecipe:
     chat       :func:`~repro.workloads.generator.chat_serving_workload`
     ========== =========================================================
 
-    ``params`` must use each builder's keyword names; unknown or
-    missing-required keys raise at construction. The build seed comes
-    from the scenario (not the recipe), so one recipe replays under
-    every sweep seed.
+    ``params`` must use the builders' keyword names; unknown or
+    missing-required keys raise at construction, and a param left out
+    takes its builder's default. The builders check the values. The
+    build seed comes from the scenario (not the recipe), so one recipe
+    replays under every sweep seed.
     """
 
     kind: str
     params: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in _RECIPE_KINDS:
-            known = ", ".join(sorted(_RECIPE_KINDS))
+        super().__post_init__()
+        if self.kind not in _RECIPE_BUILDERS:
+            known = ", ".join(sorted(_RECIPE_BUILDERS))
             raise ConfigError(f"unknown workload kind {self.kind!r} (known: {known})")
-        if not isinstance(self.params, Mapping):
-            raise ConfigError(
-                f"WorkloadRecipe params must be a mapping, got "
-                f"{type(self.params).__name__}"
-            )
-        required, optional = _RECIPE_KINDS[self.kind]
+        required, builders = _RECIPE_BUILDERS[self.kind]
+        accepted = frozenset().union(*map(_keywords, builders))
+        accepted -= _SUPPLIED | (_ARRIVAL_KEYS - set(required))
         keys = set(self.params)
-        unknown = sorted(keys - required - optional)
-        if unknown:
+        if keys - accepted:
             raise ConfigError(
-                f"unknown {self.kind!r} workload params: {', '.join(unknown)} "
-                f"(known: {', '.join(sorted(required | optional))})"
+                f"unknown {self.kind!r} workload params: {_listed(keys - accepted)} "
+                f"(known: {_listed(accepted)})"
             )
-        missing = sorted(required - keys)
+        missing = sorted(set(required) - keys)
         if missing:
             raise ConfigError(
                 f"{self.kind!r} workload is missing required params: "
@@ -529,17 +613,6 @@ class WorkloadRecipe:
         # Freeze a JSON-plain copy so to_dict() is stable and callers
         # can't alias internal state through the constructor argument.
         object.__setattr__(self, "params", _plain(dict(self.params)))
-
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-JSON representation; inverse of :meth:`from_dict`."""
-        return {"kind": self.kind, "params": _plain(dict(self.params))}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "WorkloadRecipe":
-        """Rebuild a recipe from :meth:`to_dict` output."""
-        _check_dict_keys(cls, data)
-        data = dict(data)
-        return cls(kind=data.get("kind", ""), params=data.get("params", {}))
 
     def capped(
         self, max_requests: int | None = None, max_steps: int | None = None
@@ -574,130 +647,9 @@ class WorkloadRecipe:
         recipe under the same seed always yields the same trace, which
         is what makes sweep cells resumable and replays byte-identical.
         """
-        from repro.workloads import generator as wg
-
-        p = dict(self.params)
-        decode_steps = int(p.pop("decode_steps", 16))
-        if self.kind == "poisson":
-            return wg.serving_workload(
-                num_requests=int(p.pop("num_requests")),
-                arrival_rate=float(p.pop("arrival_rate")),
-                decode_steps=decode_steps,
-                vocab_size=vocab_size,
-                seed=seed,
-                **self._mix_kwargs(p),
-            )
-        if self.kind == "diurnal":
-            num_requests = int(p.pop("num_requests"))
-            times = wg.diurnal_arrivals(
-                num_requests,
-                base_rate=float(p.pop("base_rate")),
-                peak_rate=float(p.pop("peak_rate")),
-                period=float(p.pop("period", 60.0)),
-                seed=seed,
-            )
-            return wg.serving_workload(
-                arrival_times=times,
-                decode_steps=decode_steps,
-                vocab_size=vocab_size,
-                seed=seed,
-                **self._mix_kwargs(p),
-            )
-        if self.kind == "bursty":
-            num_requests = int(p.pop("num_requests"))
-            times = wg.bursty_arrivals(
-                num_requests,
-                base_rate=float(p.pop("base_rate")),
-                burst_rate=float(p.pop("burst_rate")),
-                burst_every=float(p.pop("burst_every", 30.0)),
-                burst_duration=float(p.pop("burst_duration", 5.0)),
-                seed=seed,
-            )
-            return wg.serving_workload(
-                arrival_times=times,
-                decode_steps=decode_steps,
-                vocab_size=vocab_size,
-                seed=seed,
-                **self._mix_kwargs(p),
-            )
-        if self.kind == "trace":
-            return self._explicit_trace(decode_steps, seed, vocab_size, p)
-        if self.kind == "skewed":
-            return wg.skewed_serving_workload(
-                num_requests=int(p.pop("num_requests")),
-                arrival_rate=float(p.pop("arrival_rate")),
-                num_profiles=int(p.pop("num_profiles", 2)),
-                decode_steps=decode_steps,
-                vocab_size=vocab_size,
-                dataset=p.pop("dataset", "chatgpt-prompts"),
-                prompt_length=p.pop("prompt_length", None),
-                seed=seed,
-            )
-        # kind == "chat" (the registry rejected everything else)
-        return wg.chat_serving_workload(
-            num_sessions=int(p.pop("num_sessions")),
-            turns_per_session=int(p.pop("turns_per_session", 3)),
-            session_rate=float(p.pop("session_rate", 0.5)),
-            think_time_s=float(p.pop("think_time_s", 2.0)),
-            user_tokens=int(p.pop("user_tokens", 16)),
-            decode_steps=decode_steps,
-            vocab_size=vocab_size,
-            dataset=p.pop("dataset", "chatgpt-prompts"),
-            seed=seed,
-        )
-
-    @staticmethod
-    def _mix_kwargs(params: dict[str, Any]) -> dict[str, Any]:
-        """The optional serving_workload kwargs shared by arrival kinds."""
-        kwargs: dict[str, Any] = {}
-        if params.get("priority_mix") is not None:
-            kwargs["priority_mix"] = {
-                str(k): float(v) for k, v in params["priority_mix"].items()
-            }
-        if params.get("class_deadlines") is not None:
-            kwargs["class_deadlines"] = {
-                str(k): float(v) for k, v in params["class_deadlines"].items()
-            }
-        if params.get("datasets") is not None:
-            kwargs["datasets"] = tuple(params["datasets"])
-        return kwargs
-
-    def _explicit_trace(
-        self, decode_steps: int, seed: int, vocab_size: int, params: dict[str, Any]
-    ) -> "list[ArrivedWorkload]":
-        """Entries from explicit arrival instants, preserving trace order.
-
-        Unlike :func:`~repro.workloads.generator.serving_workload`
-        (which *rejects* non-monotone traces up front), this path keeps
-        the entries in trace order and lets
-        :func:`~repro.serving.engine.requests_from_trace` emit its
-        reorder ``UserWarning`` at serve time — the scenario layer
-        records that warning in the cell output rather than swallowing
-        or pre-empting it.
-        """
-        from repro.workloads.datasets import DATASET_PROFILES, sample_prompt
-        from repro.workloads.generator import ArrivedWorkload, WorkloadSpec
-
-        times = [float(t) for t in params.pop("arrival_times")]
-        if not times:
-            raise ConfigError("trace workload needs at least one arrival time")
-        datasets = tuple(params.pop("datasets", ("mtbench", "vicuna", "chatgpt-prompts")))
-        for dataset in datasets:
-            if dataset not in DATASET_PROFILES:
-                raise ConfigError(f"unknown dataset {dataset!r}")
-        entries = []
-        for index, at_time in enumerate(times):
-            dataset = datasets[index % len(datasets)]
-            tokens = sample_prompt(dataset, vocab_size, seed=seed, index=index)
-            entries.append(
-                ArrivedWorkload(
-                    arrival_time=at_time,
-                    workload=WorkloadSpec(
-                        kind="decode" if decode_steps > 0 else "prefill",
-                        dataset=dataset,
-                        prompt_tokens=tokens,
-                        decode_steps=decode_steps,
-                    ),
-                )
-            )
-        return entries
+        *arrivals, builder = _RECIPE_BUILDERS[self.kind][1]
+        params = dict(self.params)
+        for draw in arrivals:
+            own = {key: params.pop(key) for key in _keywords(draw) & set(self.params)}
+            params["arrival_times"] = draw(**own, seed=seed)
+        return builder(**params, vocab_size=vocab_size, seed=seed)

@@ -54,9 +54,6 @@ class ServingConfig:
         decode step's batch size ceiling). A request mid-chunked-prefill
         counts against the ceiling — it will decode as soon as its
         prefill completes.
-    decode_token_source:
-        ``"sampled"`` (default, matches ``InferenceEngine.generate``) or
-        ``"greedy"``.
     prefill_chunk_tokens:
         Split a prompt longer than this many tokens into prefill
         slices of at most this size whenever an **SLO-class** request
@@ -98,7 +95,6 @@ class ServingConfig:
     """
 
     max_batch_size: int = 8
-    decode_token_source: str = "sampled"
     prefill_chunk_tokens: int | None = None
     preemption: bool = False
     request_timeout_s: float | None = None
@@ -109,11 +105,6 @@ class ServingConfig:
         if self.max_batch_size < 1:
             raise ConfigError(
                 f"max_batch_size must be >= 1, got {self.max_batch_size}"
-            )
-        if self.decode_token_source not in ("sampled", "greedy"):
-            raise ConfigError(
-                f"decode_token_source must be 'sampled' or 'greedy', got "
-                f"{self.decode_token_source!r}"
             )
         if self.prefill_chunk_tokens is not None and self.prefill_chunk_tokens < 1:
             raise ConfigError(

@@ -709,12 +709,9 @@ class ServingSession:
         batch: list[SequenceStep] = []
         for request in self.running:
             assert request.last_hidden is not None
-            if self.config.decode_token_source == "greedy":
-                token = model.greedy_next_token(request.last_hidden)
-            else:
-                token = model.sample_next_token(
-                    request.last_hidden, self.samplers[request.request_id]
-                )
+            token = model.sample_next_token(
+                request.last_hidden, self.samplers[request.request_id]
+            )
             request.output_tokens.append(token)
             batch.append(
                 SequenceStep(

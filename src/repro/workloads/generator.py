@@ -23,6 +23,8 @@ from repro.workloads.datasets import (
 __all__ = [
     "PRIORITY_CLASSES",
     "DEFAULT_PRIORITY",
+    "DEFAULT_DATASETS",
+    "DEFAULT_DECODE_STEPS",
     "WorkloadSpec",
     "prefill_workloads",
     "decode_workload",
@@ -45,6 +47,11 @@ PRIORITY_CLASSES: tuple[str, ...] = ("batch", "interactive")
 
 #: Class used when a trace or request does not specify one.
 DEFAULT_PRIORITY = "batch"
+
+#: Prompt datasets a trace cycles through, and tokens each request
+#: decodes, unless a builder is told otherwise.
+DEFAULT_DATASETS: tuple[str, ...] = ("mtbench", "vicuna", "chatgpt-prompts")
+DEFAULT_DECODE_STEPS = 16
 
 
 @dataclass(frozen=True)
@@ -72,7 +79,7 @@ def prefill_workloads(
     bucket: int,
     n_samples: int = 1,
     vocab_size: int = 512,
-    datasets: tuple[str, ...] = ("mtbench", "vicuna", "chatgpt-prompts"),
+    datasets: tuple[str, ...] = DEFAULT_DATASETS,
     seed: int = 0,
 ) -> list[WorkloadSpec]:
     """Prefill workloads with lengths around a Fig. 7 bucket.
@@ -358,9 +365,9 @@ def serving_workload(
     num_requests: int | None = None,
     arrival_rate: float | None = None,
     arrival_times=None,
-    decode_steps: int = 16,
+    decode_steps: int = DEFAULT_DECODE_STEPS,
     vocab_size: int = 512,
-    datasets: tuple[str, ...] = ("mtbench", "vicuna", "chatgpt-prompts"),
+    datasets: tuple[str, ...] = DEFAULT_DATASETS,
     seed: int = 0,
     priority_mix: dict[str, float] | None = None,
     class_deadlines: dict[str, float] | None = None,
@@ -524,7 +531,7 @@ def skewed_serving_workload(
     arrival_rate: float | None = None,
     arrival_times=None,
     num_profiles: int = 2,
-    decode_steps: int = 16,
+    decode_steps: int = DEFAULT_DECODE_STEPS,
     vocab_size: int = 512,
     dataset: str = "chatgpt-prompts",
     prompt_length: int | None = None,

@@ -150,6 +150,15 @@ class TestMRS:
         with pytest.raises(CacheError):
             MRSPolicy(top_p=0)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.1])
+    def test_alpha_outside_eq3_range_rejected(self, alpha):
+        """Eq. (3) needs alpha in (0, 1]: 0 would never learn a score."""
+        with pytest.raises(CacheError, match=r"alpha must be in \(0, 1\]"):
+            MRSPolicy(alpha=alpha)
+
+    def test_alpha_one_accepted(self):
+        assert MRSPolicy(alpha=1.0).alpha == 1.0
+
     def test_scores_must_be_1d(self):
         with pytest.raises(CacheError):
             MRSPolicy().on_scores(0, np.ones((2, 2)), 1)

@@ -33,10 +33,6 @@ class TestGenerate:
         with pytest.raises(ConfigError):
             small_engine.generate(np.array([], dtype=np.int64))
 
-    def test_bad_token_source_rejected(self, small_engine, prompt_tokens):
-        with pytest.raises(ConfigError):
-            small_engine.generate(prompt_tokens, decode_token_source="beam")
-
     def test_timeline_invariants_after_run(self, small_engine, prompt_tokens):
         small_engine.generate(prompt_tokens, decode_steps=4)
         small_engine.runtime.clock.validate()
@@ -89,16 +85,6 @@ class TestEngineConfigValidation:
         with pytest.raises(ConfigError):
             EngineConfig(cache_ratio=1.5)
 
-    def test_noise_sigma_bounds(self):
-        with pytest.raises(ConfigError):
-            EngineConfig(noise_sigma=-0.5)
-
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    def test_noise_sigma_must_be_finite(self, value):
-        with pytest.raises(ConfigError, match="noise_sigma must be finite") as err:
-            EngineConfig(noise_sigma=value)
-        assert "\n" not in str(err.value)
-
     def test_lookahead_bounds(self):
         with pytest.raises(ConfigError):
             EngineConfig(prefetch_lookahead=0)
@@ -113,33 +99,21 @@ class TestEngineConfigValidation:
         with pytest.raises(ConfigError):
             EngineConfig(profile_decode_steps=value)
 
-    @pytest.mark.parametrize("value", [-0.1, 1.1])
-    def test_mrs_alpha_bounds(self, value):
-        with pytest.raises(ConfigError):
-            EngineConfig(mrs_alpha=value)
-
-    @pytest.mark.parametrize("value", [0.0, 0.7, 1.0])
-    def test_mrs_alpha_endpoints_accepted(self, value):
-        assert EngineConfig(mrs_alpha=value).mrs_alpha == value
-
 
 class TestNoiseRobustness:
-    def test_noisy_execution_still_valid(self, tiny_config, prompt_tokens):
-        """Estimate-vs-reality gaps must not break any invariant."""
-        model = ReferenceMoEModel(tiny_config, seed=0)
-        config = EngineConfig(
-            cache_ratio=0.5,
-            seed=0,
-            noise_sigma=0.3,
-            profile_prompt_len=8,
-            profile_decode_steps=2,
-        )
-        engine = InferenceEngine(
-            model, make_strategy("hybrimoe"), paper_testbed(), config
-        )
-        result = engine.generate(prompt_tokens, decode_steps=4)
-        engine.runtime.clock.validate()
+    def test_estimate_gap_keeps_invariants(self, small_engine, prompt_tokens):
+        """The calibrated planner plans against fitted durations that
+        differ from the executed roofline ones; that estimate-vs-reality
+        gap must not break any clock invariant."""
+        result = small_engine.generate(prompt_tokens, decode_steps=4)
+        small_engine.runtime.clock.validate()
         assert result.ttft > 0
+        runtime = small_engine.runtime
+        shape = runtime.model_config.routed_expert_shape
+        for tokens in (1, 2, 3):
+            assert runtime.cost_estimated.gpu_expert_time(
+                shape, tokens
+            ) != runtime.cost_actual.gpu_expert_time(shape, tokens)
 
 
 class TestUncalibratedPlanner:

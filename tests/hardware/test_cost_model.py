@@ -1,4 +1,4 @@
-"""Cost-model semantics: roofline shapes, calibration, noise."""
+"""Cost-model semantics: roofline shapes and calibration."""
 
 from dataclasses import fields, replace
 
@@ -10,7 +10,6 @@ from repro.errors import ConfigError
 from repro.hardware.cost_model import (
     AnalyticCostModel,
     HardwareProfile,
-    NoisyCostModel,
 )
 from repro.hardware.platform_presets import paper_testbed
 from repro.models.config import ExpertShape
@@ -156,27 +155,3 @@ class TestRooflineShapes:
         assert cost.gpu_expert_time(SHAPE, tokens + 1) >= cost.gpu_expert_time(
             SHAPE, tokens
         )
-
-
-class TestNoisyCostModel:
-    def test_zero_sigma_is_identity(self, cost):
-        noisy = NoisyCostModel(cost, sigma=0.0)
-        assert noisy.cpu_expert_time(SHAPE, 8) == cost.cpu_expert_time(SHAPE, 8)
-
-    def test_noise_changes_durations(self, cost):
-        noisy = NoisyCostModel(cost, sigma=0.2, seed=1)
-        draws = {noisy.cpu_expert_time(SHAPE, 8) for _ in range(8)}
-        assert len(draws) > 1
-
-    def test_noise_preserves_positivity(self, cost):
-        noisy = NoisyCostModel(cost, sigma=0.5, seed=2)
-        for _ in range(50):
-            assert noisy.transfer_time(SHAPE) > 0
-
-    def test_negative_sigma_rejected(self, cost):
-        with pytest.raises(ConfigError):
-            NoisyCostModel(cost, sigma=-0.1)
-
-    def test_bytes_not_jittered(self, cost):
-        noisy = NoisyCostModel(cost, sigma=0.5, seed=3)
-        assert noisy.expert_bytes(SHAPE) == cost.expert_bytes(SHAPE)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.hardware.cost_model import AnalyticCostModel, NoisyCostModel
+from repro.hardware.cost_model import AnalyticCostModel
 from repro.hardware.platform_presets import paper_testbed
 from repro.hardware.warmup import WarmupCalibrator
 from repro.models.config import ExpertShape
@@ -60,21 +60,11 @@ class TestCalibration:
         with pytest.raises(ConfigError, match="calibration"):
             fitted.gpu_expert_time(ExpertShape(123, 456), 4)
 
-    def test_noisy_truth_with_repeats_converges(self, truth):
-        noisy = NoisyCostModel(truth, sigma=0.05, seed=0)
-        fitted = WarmupCalibrator(noisy, repeats=16).calibrate(get_preset("deepseek"))
-        shape = get_preset("deepseek").routed_expert_shape
-        assert fitted.cpu_expert_time(shape, 64) == pytest.approx(
-            truth.cpu_expert_time(shape, 64), rel=0.4
-        )
-
     def test_invalid_probe_config(self, truth):
         with pytest.raises(ConfigError):
             WarmupCalibrator(truth, probe_tokens=())
         with pytest.raises(ConfigError):
             WarmupCalibrator(truth, probe_tokens=(0,))
-        with pytest.raises(ConfigError):
-            WarmupCalibrator(truth, repeats=0)
 
 
 class TestPresets:

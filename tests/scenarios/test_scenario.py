@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.factory import make_serving_engine
 from repro.errors import ConfigError
@@ -15,6 +17,35 @@ from repro.scenarios import (
     WorkloadRecipe,
     get_scenario,
 )
+
+
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(tree, prefix=()):
+    """The path of every value below the root of a JSON tree."""
+    items = tree.items() if isinstance(tree, dict) else enumerate(tree)
+    paths = []
+    for key, value in items:
+        paths.append(prefix + (key,))
+        if isinstance(value, (dict, list)):
+            paths.extend(_paths(value, prefix + (key,)))
+    return paths
+
+
+def _put(tree, path, value):
+    for key in path[:-1]:
+        tree = tree[key]
+    tree[path[-1]] = value
 
 
 def _tiny(name="tiny", **fleet_kwargs):
@@ -61,6 +92,47 @@ class TestScenarioSpec:
         data["extra"] = 1
         with pytest.raises(ConfigError, match="unknown ScenarioSpec keys"):
             ScenarioSpec.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            (("name",), 5),
+            (("fleet", "replicas"), "2"),
+            (("fleet", "serving", "max_batch_size"), None),
+            (("seeds",), "ab"),
+            (("seeds", 0), 1.5),
+            (("seeds", 0), True),
+            (("fleet", "serving", "engine", "num_gpus"), 2.5),
+            (("fleet", "serving", "preemption"), 1),
+            (("workload", "kind"), ["poisson"]),
+            (("workload", "params"), None),
+        ],
+    )
+    def test_wrong_json_type_is_a_one_line_config_error(self, path, value):
+        data = _tiny().to_dict()
+        _put(data, path, value)
+        with pytest.raises(ConfigError, match="must be") as excinfo:
+            ScenarioSpec.from_dict(data)
+        assert "\n" not in str(excinfo.value)
+
+    def test_int_accepted_as_float(self):
+        data = _tiny().to_dict()
+        data["fleet"]["serving"]["engine"]["cache_ratio"] = 1
+        assert ScenarioSpec.from_dict(data).fleet.engine.cache_ratio == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_any_json_value_anywhere_is_a_spec_or_a_one_line_error(self, data):
+        """Swap one value of a valid spec's JSON for any JSON value: the
+        result loads, or fails as a one-line ConfigError — never any
+        other exception. Recipe param values are the builders' to check
+        at build time, so they load whatever they hold."""
+        tree = get_scenario(data.draw(st.sampled_from(BUILTIN_SCENARIOS))).to_dict()
+        _put(tree, data.draw(st.sampled_from(_paths(tree))), data.draw(_JSON))
+        try:
+            ScenarioSpec.from_dict(tree)
+        except ConfigError as err:
+            assert "\n" not in str(err)
 
     @pytest.mark.parametrize("removed", ["engine_fast_path", "planner_fast_path"])
     def test_from_dict_rejects_removed_engine_switches(self, removed):

@@ -1,6 +1,8 @@
 """Config specs: validation, JSON round-trips, factory equivalence."""
 
 import json
+import pickle
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,6 +11,9 @@ from repro.engine.engine import EngineConfig
 from repro.engine.factory import make_engine, make_fleet, make_serving_engine
 from repro.errors import ConfigError
 from repro.scenarios import EngineSpec, FleetSpec, ServingSpec, WorkloadRecipe
+from repro.scenarios.spec import _RECIPE_BUILDERS
+from repro.serving.scheduler import ServingConfig
+from repro.workloads import generator as wg
 from repro.workloads.generator import serving_workload
 
 
@@ -104,11 +109,13 @@ class TestServingSpec:
         with pytest.raises(ConfigError):
             ServingSpec(shed_resume_depth=4)  # resume without depth
 
-    def test_serving_config_equivalent(self):
+    def test_declares_only_engine_beyond_serving_config(self):
+        """The serving knobs are ServingConfig's fields, declared once."""
+        own = {f.name for f in fields(ServingSpec)} - {f.name for f in fields(ServingConfig)}
+        assert own == {"engine"}
         spec = ServingSpec(max_batch_size=2, preemption=True)
-        config = spec.serving_config()
-        assert config.max_batch_size == 2
-        assert config.preemption is True
+        assert isinstance(spec, ServingConfig)
+        assert (spec.max_batch_size, spec.preemption) == (2, True)
 
 
 class TestFleetSpec:
@@ -139,6 +146,43 @@ class TestFleetSpec:
     def test_engine_shortcut(self):
         spec = FleetSpec(serving=ServingSpec(engine=EngineSpec(seed=9)))
         assert spec.engine.seed == 9
+
+
+#: Per recipe kind: only its required params, and the trace its builder
+#: (or arrival builder + serving_workload) gives for them at a seed.
+_REQUIRED_ONLY = {
+    "poisson": (
+        {"num_requests": 3, "arrival_rate": 4.0},
+        lambda seed: wg.serving_workload(num_requests=3, arrival_rate=4.0, seed=seed),
+    ),
+    "diurnal": (
+        {"num_requests": 3, "base_rate": 1.0, "peak_rate": 5.0},
+        lambda seed: wg.serving_workload(
+            arrival_times=wg.diurnal_arrivals(3, 1.0, 5.0, seed=seed), seed=seed
+        ),
+    ),
+    "bursty": (
+        {"num_requests": 3, "base_rate": 1.0, "burst_rate": 9.0},
+        lambda seed: wg.serving_workload(
+            arrival_times=wg.bursty_arrivals(3, 1.0, 9.0, seed=seed), seed=seed
+        ),
+    ),
+    # A monotone explicit trace is what serving_workload builds from it.
+    "trace": (
+        {"arrival_times": [0.0, 0.25, 1.5]},
+        lambda seed: wg.serving_workload(arrival_times=[0.0, 0.25, 1.5], seed=seed),
+    ),
+    "skewed": (
+        {"num_requests": 3, "arrival_rate": 4.0},
+        lambda seed: wg.skewed_serving_workload(
+            num_requests=3, arrival_rate=4.0, seed=seed
+        ),
+    ),
+    "chat": (
+        {"num_sessions": 2},
+        lambda seed: wg.chat_serving_workload(num_sessions=2, seed=seed),
+    ),
+}
 
 
 class TestWorkloadRecipe:
@@ -179,6 +223,18 @@ class TestWorkloadRecipe:
             np.testing.assert_array_equal(
                 b.workload.prompt_tokens, d.workload.prompt_tokens
             )
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("kind", sorted(_RECIPE_BUILDERS))
+    def test_required_params_build_the_builders_trace(self, kind, seed):
+        """A recipe given only its required params takes every other
+        value from its builder: same trace as calling the builder."""
+        params, direct = _REQUIRED_ONLY[kind]
+        built = WorkloadRecipe(kind=kind, params=params).build(seed=seed)
+        assert pickle.dumps(built) == pickle.dumps(direct(seed))
+
+    def test_every_kind_has_a_builder_case(self):
+        assert set(_REQUIRED_ONLY) == set(_RECIPE_BUILDERS)
 
     def test_capped_clamps_only_downward(self):
         recipe = WorkloadRecipe(

@@ -35,10 +35,6 @@ class TestServingConfig:
         with pytest.raises(ConfigError):
             ServingConfig(max_batch_size=0)
 
-    def test_bad_token_source_rejected(self):
-        with pytest.raises(ConfigError):
-            ServingConfig(decode_token_source="argmax")
-
     def test_zero_chunk_rejected(self):
         with pytest.raises(ConfigError):
             ServingConfig(prefill_chunk_tokens=0)
