@@ -6,6 +6,7 @@ way; these helpers keep that construction in one place.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import TYPE_CHECKING
 
 from repro.baselines.adapmoe import AdapMoEStrategy
@@ -99,6 +100,20 @@ def _resolve_spec(
             f"fold these arguments into the spec: {', '.join(clash)}"
         )
     return spec, live
+
+
+def _loop_config(spec: "ServingSpec"):
+    """The plain serving-loop config of ``spec``, without its engine.
+
+    The runtime gets only the knobs it runs with: the spec's
+    ``engine`` need not describe the engine actually built, which live
+    ``model`` / ``hardware`` objects or an ``engine_config`` replace.
+    """
+    from repro.serving.scheduler import ServingConfig
+
+    return ServingConfig(
+        **{f.name: getattr(spec, f.name) for f in dataclasses.fields(ServingConfig)}
+    )
 
 
 def _build_model(spec: "EngineSpec", model_kwargs: dict | None) -> ReferenceMoEModel:
@@ -217,7 +232,7 @@ def make_serving_engine(
     engine = _build_engine(
         spec.engine, engine_config, strategy_kwargs, model_kwargs, **live
     )
-    return ServingEngine(engine, spec, faults=faults)
+    return ServingEngine(engine, _loop_config(spec), faults=faults)
 
 
 def make_fleet(
@@ -279,7 +294,7 @@ def make_fleet(
         engine_factory,
         replicas=spec.replicas,
         policy=spec.router,
-        config=spec.serving,
+        config=_loop_config(spec.serving),
         faults=faults,
         autoscale=autoscale,
         max_retries=spec.max_retries,

@@ -110,13 +110,15 @@ def _describe(hint) -> str:
     """A field annotation in words, for the type-mismatch error."""
     if hint is type(None):
         return "None"
+    if hint is Any:
+        return "anything"
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
         return " or ".join(_describe(arg) for arg in args)
     if origin is tuple:
         return f"a list of {args[0].__name__}"
     if origin is dict:
-        return "a mapping"
+        return f"a mapping of {args[0].__name__} to {_describe(args[1])}"
     name = hint.__name__
     return f"{'an' if name[0] in 'aeiouAEIOU' else 'a'} {name}"
 
@@ -124,8 +126,9 @@ def _describe(hint) -> str:
 def _conforms(value, hint) -> bool:
     """Whether ``value`` has the type a spec field annotation names.
 
-    A ``bool`` is not an ``int``, an ``int`` is a ``float``, and a
-    ``tuple[X, ...]`` field also takes a JSON list.
+    A ``bool`` is not an ``int``, an ``int`` is a ``float``, a
+    ``tuple[X, ...]`` field also takes a JSON list, and a ``dict[K, V]``
+    field any mapping of ``K`` keys to ``V`` values.
     """
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if hint is Any:
@@ -139,7 +142,10 @@ def _conforms(value, hint) -> bool:
             _conforms(item, args[0]) for item in value
         )
     if origin is dict:
-        return isinstance(value, Mapping)
+        return isinstance(value, Mapping) and all(
+            _conforms(key, args[0]) and _conforms(item, args[1])
+            for key, item in value.items()
+        )
     if hint is int or hint is float:
         number = numbers.Integral if hint is int else numbers.Real
         return isinstance(value, number) and not isinstance(value, bool)
@@ -396,8 +402,8 @@ class ServingSpec(_Spec, ServingConfig):
     :class:`EngineSpec` it serves on: the serving-loop knobs are the
     inherited config fields (documented there), and they are the extra
     keywords of :func:`~repro.engine.factory.make_serving_engine` and
-    the ``serving`` / ``resilience`` flags of ``cli serve``. The spec
-    is itself the config the serving engine runs with. The defaults
+    the ``serving`` / ``resilience`` flags of ``cli serve``. The serving
+    engine runs with the plain ``ServingConfig`` part. The defaults
     keep the historical FCFS loop bit-identically.
     """
 
@@ -486,7 +492,7 @@ def _explicit_trace(
     *,
     vocab_size: int,
     seed: int,
-) -> "list[ArrivedWorkload]":
+) -> list[wg.ArrivedWorkload]:
     """Entries from explicit arrival instants, preserving trace order.
 
     Unlike :func:`~repro.workloads.generator.serving_workload`
@@ -544,8 +550,9 @@ _RECIPE_BUILDERS: dict[str, tuple[tuple[str, ...], tuple[Any, ...]]] = {
     "chat": (("num_sessions",), (wg.chat_serving_workload,)),
 }
 
-#: Builder keywords a recipe fills in itself: the build seed and vocab.
-_SUPPLIED = frozenset({"seed", "vocab_size"})
+#: Builder keywords that are not recipe params: a recipe fills in the
+#: build seed and vocab itself, and its trace starts at time zero.
+_NOT_RECIPE_PARAMS = frozenset({"seed", "vocab_size", "start"})
 #: A trace's arrival instants come from exactly one source — the
 #: required params or the first builder — so the alternatives go unused.
 _ARRIVAL_KEYS = frozenset({"arrival_rate", "arrival_times"})
@@ -553,6 +560,23 @@ _ARRIVAL_KEYS = frozenset({"arrival_rate", "arrival_times"})
 
 def _keywords(builder) -> frozenset[str]:
     return frozenset(inspect.signature(builder).parameters)
+
+
+@functools.cache
+def _recipe_params(kind: str) -> dict[str, Any]:
+    """Each param a ``kind`` recipe accepts, with its builder's annotation.
+
+    A keyword two builders share takes the first builder's annotation;
+    an unannotated keyword takes any value.
+    """
+    required, builders = _RECIPE_BUILDERS[kind]
+    excluded = _NOT_RECIPE_PARAMS | (_ARRIVAL_KEYS - set(required))
+    params: dict[str, Any] = {}
+    for builder in builders:
+        hints = typing.get_type_hints(builder)
+        for name in _keywords(builder) - excluded:
+            params.setdefault(name, hints.get(name, Any))
+    return params
 
 
 #: Parameters clamped by :meth:`WorkloadRecipe.capped` — the sweep
@@ -581,8 +605,9 @@ class WorkloadRecipe(_Spec):
     ========== =========================================================
 
     ``params`` must use the builders' keyword names; unknown or
-    missing-required keys raise at construction, and a param left out
-    takes its builder's default. The builders check the values. The
+    missing-required keys, and values of a type the builder's
+    annotation does not allow, raise at construction. A param left out
+    takes its builder's default; the builders check the ranges. The
     build seed comes from the scenario (not the recipe), so one recipe
     replays under every sweep seed.
     """
@@ -595,13 +620,13 @@ class WorkloadRecipe(_Spec):
         if self.kind not in _RECIPE_BUILDERS:
             known = ", ".join(sorted(_RECIPE_BUILDERS))
             raise ConfigError(f"unknown workload kind {self.kind!r} (known: {known})")
-        required, builders = _RECIPE_BUILDERS[self.kind]
-        accepted = frozenset().union(*map(_keywords, builders))
-        accepted -= _SUPPLIED | (_ARRIVAL_KEYS - set(required))
+        required = _RECIPE_BUILDERS[self.kind][0]
+        accepted = _recipe_params(self.kind)
         keys = set(self.params)
-        if keys - accepted:
+        unknown = keys - set(accepted)
+        if unknown:
             raise ConfigError(
-                f"unknown {self.kind!r} workload params: {_listed(keys - accepted)} "
+                f"unknown {self.kind!r} workload params: {_listed(unknown)} "
                 f"(known: {_listed(accepted)})"
             )
         missing = sorted(set(required) - keys)
@@ -610,6 +635,13 @@ class WorkloadRecipe(_Spec):
                 f"{self.kind!r} workload is missing required params: "
                 f"{', '.join(missing)}"
             )
+        for name, value in self.params.items():
+            if not _conforms(value, accepted[name]):
+                raise ConfigError(
+                    f"{self.kind!r} workload param {name} must be "
+                    f"{_describe(accepted[name])}, got {type(value).__name__} "
+                    f"{value!r:.60}"
+                )
         # Freeze a JSON-plain copy so to_dict() is stable and callers
         # can't alias internal state through the constructor argument.
         object.__setattr__(self, "params", _plain(dict(self.params)))

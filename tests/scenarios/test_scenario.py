@@ -106,6 +106,9 @@ class TestScenarioSpec:
             (("fleet", "serving", "preemption"), 1),
             (("workload", "kind"), ["poisson"]),
             (("workload", "params"), None),
+            (("workload", "params", "num_requests"), 3.0),
+            (("workload", "params", "arrival_rate"), "4"),
+            (("workload", "params", "decode_steps"), True),
         ],
     )
     def test_wrong_json_type_is_a_one_line_config_error(self, path, value):
@@ -125,8 +128,9 @@ class TestScenarioSpec:
     def test_any_json_value_anywhere_is_a_spec_or_a_one_line_error(self, data):
         """Swap one value of a valid spec's JSON for any JSON value: the
         result loads, or fails as a one-line ConfigError — never any
-        other exception. Recipe param values are the builders' to check
-        at build time, so they load whatever they hold."""
+        other exception. A recipe param is checked against its builder's
+        annotation; its range stays the builder's to check at build
+        time."""
         tree = get_scenario(data.draw(st.sampled_from(BUILTIN_SCENARIOS))).to_dict()
         _put(tree, data.draw(st.sampled_from(_paths(tree))), data.draw(_JSON))
         try:

@@ -209,6 +209,32 @@ class TestWorkloadRecipe:
         with pytest.raises(ConfigError, match="missing required params"):
             WorkloadRecipe(kind="poisson", params={"num_requests": 4})
 
+    @pytest.mark.parametrize("kind", ["diurnal", "bursty"])
+    def test_arrival_start_is_not_a_param(self, kind):
+        """A trace starts at time zero: the arrival builders' ``start``
+        keyword is not a recipe param."""
+        rate = "peak_rate" if kind == "diurnal" else "burst_rate"
+        params = {"num_requests": 4, "base_rate": 1.0, rate: 2.0, "start": 1.0}
+        with pytest.raises(ConfigError, match=f"unknown '{kind}' workload params"):
+            WorkloadRecipe(kind=kind, params=params)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"num_requests": 3.0, "arrival_rate": 4.0},
+            {"num_requests": 3, "arrival_rate": "4"},
+            {"num_requests": 3, "arrival_rate": 4.0, "priority_mix": {"batch": "1"}},
+        ],
+    )
+    def test_wrong_param_type_rejected(self, params):
+        with pytest.raises(ConfigError, match="'poisson' workload param .* must be"):
+            WorkloadRecipe(kind="poisson", params=params)
+
+    def test_int_param_accepted_as_float(self):
+        recipe = WorkloadRecipe(kind="poisson", params={"num_requests": 3, "arrival_rate": 4})
+        direct = serving_workload(num_requests=3, arrival_rate=4.0, seed=2)
+        assert pickle.dumps(recipe.build(seed=2)) == pickle.dumps(direct)
+
     def test_build_matches_generator(self):
         recipe = WorkloadRecipe(
             kind="poisson",
