@@ -42,7 +42,6 @@ import time
 import harness
 
 from repro.core.hybrid_scheduler import HybridScheduler, SchedulerConfig
-from repro.engine.engine import EngineConfig
 from repro.engine.factory import make_engine
 from repro.models.presets import get_preset
 from repro.rng import derive_rng
@@ -99,9 +98,7 @@ def _make_recording_engine(num_gpus: int, num_layers: int):
         cache_ratio=0.25,
         num_layers=num_layers,
         seed=0,
-        engine_config=EngineConfig(
-            cache_ratio=0.25, seed=0, num_gpus=num_gpus
-        ),
+        num_gpus=num_gpus,
     )
 
 

@@ -9,7 +9,8 @@ This package implements the paper's primary contribution:
   that fills the CPU/GPU/PCIe timelines, and a search over transfer
   allocations that minimises estimated makespan;
 - :mod:`repro.core.executor` — replays a plan against the engine's
-  discrete-event clock with the *actual* cost model;
+  discrete-event clock with the *actual* cost model; the clock's
+  labelled timelines are the record of what ran;
 - :mod:`repro.core.prefetch` — the impact-driven prefetcher of §IV-C,
   ranking candidate experts of the next layers by simulated makespan
   reduction;
@@ -18,7 +19,7 @@ This package implements the paper's primary contribution:
   Table III ablation.
 """
 
-from repro.core.executor import LayerExecutionResult, TaskRecord, execute_plan
+from repro.core.executor import LayerExecutionResult, execute_plan
 from repro.core.hybrid_scheduler import HybridScheduler, SchedulerConfig
 from repro.core.prefetch import ImpactDrivenPrefetcher, PrefetchDecision, PredictedLayer
 from repro.core.tasks import (
@@ -38,7 +39,6 @@ __all__ = [
     "HybridScheduler",
     "SchedulerConfig",
     "execute_plan",
-    "TaskRecord",
     "LayerExecutionResult",
     "ImpactDrivenPrefetcher",
     "PrefetchDecision",

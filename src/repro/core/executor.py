@@ -18,41 +18,23 @@ Dependencies honoured:
   staged disk -> DRAM on the clock's shared disk link; its PCIe
   transfer and/or CPU compute cannot start before that read finishes.
 
-:class:`TaskRecord` materialization is **opt-out**: records feed tests,
-debug reporting and post-hoc analysis, never the timeline state itself
-(every ``reserve`` carries the same label and duration either way), so
-the engine executes plans with ``collect_records=False`` and skips the
-per-task record objects. The in-flight arrivals map is never copied: the
+The clock's timelines are the one record of what ran: every reservation
+is labelled ``xfer|gpu|cpu|disk L{layer} E{expert}`` (the shared block
+is expert ``-1``). The in-flight arrivals map is never copied: the
 plan's own transfers go to a local overlay that shadows it on lookup.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.tasks import Device, ExecutionPlan, LayerCostOracle
 from repro.errors import SchedulingError
 from repro.hardware.simulator import ThreeResourceClock
 
-__all__ = ["TaskRecord", "LayerExecutionResult", "execute_plan"]
+__all__ = ["LayerExecutionResult", "execute_plan"]
 
 _NO_ARRIVALS: dict[tuple[int, int], float] = {}
-
-
-@dataclass(frozen=True)
-class TaskRecord:
-    """One executed operation with committed timeline placement."""
-
-    resource: str
-    layer: int
-    expert: int
-    kind: str  # "compute" | "transfer" | "shared"
-    start: float
-    finish: float
-
-    @property
-    def duration(self) -> float:
-        return self.finish - self.start
 
 
 @dataclass
@@ -63,24 +45,11 @@ class LayerExecutionResult:
     start_time: float
     compute_end: float
     transfer_end: float
-    records: list[TaskRecord] = field(default_factory=list)
-    _by_resource: dict[str, list[TaskRecord]] | None = field(
-        default=None, repr=False, compare=False
-    )
 
     @property
     def makespan(self) -> float:
         """Wall time from phase start to last compute finish."""
         return self.compute_end - self.start_time
-
-    def records_on(self, resource: str) -> list[TaskRecord]:
-        """Records of one resource, grouped lazily on first access."""
-        if self._by_resource is None:
-            grouped: dict[str, list[TaskRecord]] = {}
-            for record in self.records:
-                grouped.setdefault(record.resource, []).append(record)
-            self._by_resource = grouped
-        return list(self._by_resource.get(resource, ()))
 
 
 def execute_plan(
@@ -91,7 +60,6 @@ def execute_plan(
     external_arrivals: dict[tuple[int, int], float] | None = None,
     device: int = 0,
     spilled: frozenset[int] | set[int] | None = None,
-    collect_records: bool = True,
 ) -> LayerExecutionResult:
     """Execute a validated plan, reserving real timeline intervals.
 
@@ -120,15 +88,11 @@ def execute_plan(
         platforms): each first reserves a disk read on ``clock.disk``,
         gating its PCIe transfer or CPU compute. ``None``/empty keeps
         the historical two-tier execution byte-for-byte.
-    collect_records:
-        Materialize a :class:`TaskRecord` per operation. Timelines,
-        arrivals and the returned end times are identical either way;
-        the engine passes ``False``.
 
     Returns
     -------
     LayerExecutionResult
-        Committed task records plus the layer's compute end time.
+        The layer's compute and transfer end times.
     """
     if start_time < 0:
         raise SchedulingError(f"start_time must be non-negative, got {start_time}")
@@ -137,7 +101,6 @@ def execute_plan(
         raise SchedulingError(
             "plan has spilled experts but the clock models no disk tier"
         )
-    records: list[TaskRecord] = []
     # This plan's own transfers shadow external prefetch arrivals; the
     # external map is never written and never copied.
     local_arrivals: dict[tuple[int, int], float] = {}
@@ -154,14 +117,9 @@ def execute_plan(
 
     def stage_from_disk(layer: int, expert: int) -> float:
         """Reserve the disk -> DRAM read; returns its finish time."""
-        start, finish = clock.disk.reserve(
+        return clock.disk.reserve(
             start_time, oracle.disk_fetch(), f"disk L{layer} E{expert}"
-        )
-        if collect_records:
-            records.append(
-                TaskRecord("disk", layer, expert, "disk_fetch", start, finish)
-            )
-        return finish
+        )[1]
 
     # --- PCIe: on-demand transfers, in plan order ----------------------
     transfer_end = start_time
@@ -169,18 +127,11 @@ def execute_plan(
         earliest = start_time
         if transfer.expert in spilled:
             earliest = max(earliest, stage_from_disk(transfer.layer, transfer.expert))
-        duration = oracle.transfer()
-        start, finish = pcie_timeline.reserve(
-            earliest, duration, f"xfer L{transfer.layer} E{transfer.expert}"
+        _, finish = pcie_timeline.reserve(
+            earliest, oracle.transfer(), f"xfer L{transfer.layer} E{transfer.expert}"
         )
         local_arrivals[(transfer.layer, transfer.expert)] = finish
         transfer_end = max(transfer_end, finish)
-        if collect_records:
-            records.append(
-                TaskRecord(
-                    "pcie", transfer.layer, transfer.expert, "transfer", start, finish
-                )
-            )
 
     # --- GPU compute ----------------------------------------------------
     compute_end = start_time
@@ -188,19 +139,13 @@ def execute_plan(
         if task.is_shared:
             duration = oracle.shared_compute(Device.GPU)
             earliest = start_time
-            kind = "shared"
         else:
             duration = oracle.gpu_compute(task.load)
             earliest = max(start_time, arrival_of(task.layer, task.expert))
-            kind = "compute"
-        start, finish = gpu_timeline.reserve(
+        _, finish = gpu_timeline.reserve(
             earliest, duration, f"gpu L{task.layer} E{task.expert}"
         )
         compute_end = max(compute_end, finish)
-        if collect_records:
-            records.append(
-                TaskRecord("gpu", task.layer, task.expert, kind, start, finish)
-            )
 
     # --- CPU compute ----------------------------------------------------
     first_cpu = True
@@ -208,28 +153,21 @@ def execute_plan(
         earliest = start_time
         if task.is_shared:
             duration = oracle.shared_compute(Device.CPU, first_task=first_cpu)
-            kind = "shared"
         else:
             if task.expert in spilled:
                 # The CPU computes in place from DRAM: a spilled expert
                 # must be staged off disk before its compute can start.
                 earliest = max(earliest, stage_from_disk(task.layer, task.expert))
             duration = oracle.cpu_compute(task.load, first_task=first_cpu)
-            kind = "compute"
         first_cpu = False
-        start, finish = clock.cpu.reserve(
+        _, finish = clock.cpu.reserve(
             earliest, duration, f"cpu L{task.layer} E{task.expert}"
         )
         compute_end = max(compute_end, finish)
-        if collect_records:
-            records.append(
-                TaskRecord("cpu", task.layer, task.expert, kind, start, finish)
-            )
 
     return LayerExecutionResult(
         layer=plan.layer,
         start_time=start_time,
         compute_end=compute_end,
         transfer_end=transfer_end,
-        records=records,
     )

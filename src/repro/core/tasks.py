@@ -19,7 +19,7 @@ from repro.models.config import ExpertShape, MoEModelConfig
 
 __all__ = ["Device", "ComputeTask", "TransferTask", "ExecutionPlan", "LayerCostOracle"]
 
-#: Expert id used for the fused shared-experts block in task records.
+#: Expert id used for the fused shared-experts block in plans and labels.
 SHARED_BLOCK = -1
 
 
@@ -101,26 +101,6 @@ class ExecutionPlan:
     estimated_makespan: float = 0.0
     metadata: dict = field(default_factory=dict)
 
-    def clone(self) -> "ExecutionPlan":
-        """Independent copy sharing only the immutable task objects.
-
-        For a caller that hands one plan to several consumers, each
-        free to mutate its lists or metadata. Tasks themselves are
-        frozen dataclasses and safe to share.
-        """
-        return ExecutionPlan(
-            layer=self.layer,
-            n_tokens=self.n_tokens,
-            gpu_tasks=list(self.gpu_tasks),
-            cpu_tasks=list(self.cpu_tasks),
-            transfers=list(self.transfers),
-            estimated_makespan=self.estimated_makespan,
-            metadata={
-                key: list(value) if isinstance(value, list) else value
-                for key, value in self.metadata.items()
-            },
-        )
-
     def routed_compute_tasks(self) -> list[ComputeTask]:
         """All routed (non-shared) compute tasks, GPU then CPU order."""
         return [t for t in self.gpu_tasks + self.cpu_tasks if not t.is_shared]
@@ -128,13 +108,6 @@ class ExecutionPlan:
     def computed_experts(self) -> list[int]:
         """Routed expert ids computed by this plan (order of appearance)."""
         return [t.expert for t in self.routed_compute_tasks()]
-
-    def device_of(self, expert: int) -> Device:
-        """Device assigned to a routed expert; raises if absent."""
-        for task in self.routed_compute_tasks():
-            if task.expert == expert:
-                return task.device
-        raise SchedulingError(f"expert {expert} not present in plan for layer {self.layer}")
 
     def transferred_experts(self) -> list[int]:
         return [t.expert for t in self.transfers]
@@ -276,9 +249,3 @@ class LayerCostOracle:
         )
         rest = self.cost.cpu_expert_time(self.shared_shape, self.n_tokens)
         return first + (self.num_shared - 1) * rest
-
-    def compute(self, device: Device, load: int, first_task: bool = False) -> float:
-        """Routed-expert duration on either device."""
-        if device == Device.GPU:
-            return self.gpu_compute(load)
-        return self.cpu_compute(load, first_task=first_task)

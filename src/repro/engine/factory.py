@@ -14,7 +14,7 @@ from repro.baselines.ktransformers import KTransformersStrategy
 from repro.baselines.llamacpp import LlamaCppStrategy
 from repro.baselines.ondemand import OnDemandStrategy
 from repro.core.strategy import HybriMoEStrategy
-from repro.engine.engine import EngineConfig, InferenceEngine
+from repro.engine.engine import InferenceEngine
 from repro.engine.strategy_base import Strategy
 from repro.errors import ConfigError
 from repro.hardware.cost_model import HardwareProfile
@@ -61,9 +61,7 @@ def make_strategy(name: str, **kwargs) -> Strategy:
     return cls(**kwargs)
 
 
-def _resolve_spec(
-    who: str, spec_type, spec, knobs: dict, model, strategy, hardware, engine_config
-):
+def _resolve_spec(who: str, spec_type, spec, knobs: dict, model, strategy, hardware):
     """The spec a factory call describes, plus its live objects.
 
     ``knobs`` are the call's loose keywords. ``model`` / ``strategy``
@@ -71,13 +69,12 @@ def _resolve_spec(
     instances they are live objects replacing what the spec would
     build, returned by name (``None`` where the spec decides).
 
-    A ``spec`` *is* the configuration: mixing it with knob keywords,
-    live model/strategy/hardware objects or a ready-made
-    ``engine_config`` would create two sources of truth (and silently
-    ignore one), so any of them alongside ``spec`` is an error naming
-    the offenders.
-    Schedules and ``*_kwargs`` carry nothing a spec could, and may
-    accompany one.
+    A ``spec`` *is* the configuration: mixing it with knob keywords or
+    live model/strategy/hardware objects would create two sources of
+    truth (and silently ignore one), so any of them alongside ``spec``
+    is an error naming the offenders.
+    Schedules and ``strategy_kwargs`` carry nothing a spec could, and
+    may accompany one.
     """
     live = {"model": model, "strategy": strategy, "hardware": hardware}
     for name, value in live.items():
@@ -92,8 +89,7 @@ def _resolve_spec(
         raise ConfigError(
             f"{who} spec must be a {spec_type.__name__}, got {type(spec).__name__}"
         )
-    given = {**live, "engine_config": engine_config}
-    clash = sorted([*knobs, *(n for n, v in given.items() if v is not None)])
+    clash = sorted([*knobs, *(n for n, v in live.items() if v is not None)])
     if clash:
         raise ConfigError(
             f"{who}(spec=...) replaces the keyword configuration; "
@@ -107,7 +103,7 @@ def _loop_config(spec: "ServingSpec"):
 
     The runtime gets only the knobs it runs with: the spec's
     ``engine`` need not describe the engine actually built, which live
-    ``model`` / ``hardware`` objects or an ``engine_config`` replace.
+    ``model`` / ``hardware`` objects replace.
     """
     from repro.serving.scheduler import ServingConfig
 
@@ -116,35 +112,29 @@ def _loop_config(spec: "ServingSpec"):
     )
 
 
-def _build_model(spec: "EngineSpec", model_kwargs: dict | None) -> ReferenceMoEModel:
+def _build_model(spec: "EngineSpec") -> ReferenceMoEModel:
     return ReferenceMoEModel(
-        get_preset(spec.model, num_layers=spec.num_layers),
-        seed=spec.seed,
-        **(model_kwargs or {}),
+        get_preset(spec.model, num_layers=spec.num_layers), seed=spec.seed
     )
 
 
 def _build_engine(
     spec: "EngineSpec",
-    engine_config: EngineConfig | None,
     strategy_kwargs: dict | None,
-    model_kwargs: dict | None,
     model=None,
     strategy=None,
     hardware=None,
 ) -> InferenceEngine:
     """Build the engine ``spec`` describes around any live objects given."""
     if model is None:
-        model = _build_model(spec, model_kwargs)
+        model = _build_model(spec)
     if strategy is None:
         strategy = make_strategy(spec.strategy, **(strategy_kwargs or {}))
     elif strategy_kwargs:
         raise ConfigError("strategy_kwargs only apply when strategy is a name")
     if hardware is None:
         hardware = get_hardware_preset(spec.hardware)
-    if engine_config is None:
-        engine_config = spec.engine_config()
-    return InferenceEngine(model, strategy, hardware, engine_config)
+    return InferenceEngine(model, strategy, hardware, spec.engine_config())
 
 
 def make_engine(
@@ -152,9 +142,7 @@ def make_engine(
     strategy: str | Strategy | None = None,
     *,
     hardware: str | HardwareProfile | None = None,
-    engine_config: EngineConfig | None = None,
     strategy_kwargs: dict | None = None,
-    model_kwargs: dict | None = None,
     spec: "EngineSpec | None" = None,
     **knobs,
 ) -> InferenceEngine:
@@ -178,21 +166,16 @@ def make_engine(
         A preset name (a knob like any other) or a live object: a
         ready-made functional model, strategy instance or
         :class:`~repro.hardware.cost_model.HardwareProfile`.
-    engine_config:
-        Full engine configuration; replaces the
-        :class:`~repro.engine.engine.EngineConfig` the knobs describe
-        (``seed`` still seeds a model built here).
-    strategy_kwargs / model_kwargs:
-        Extra constructor arguments for a strategy / functional model
-        built here from a name.
+    strategy_kwargs:
+        Extra constructor arguments for a strategy built here from a
+        name.
     """
     from repro.scenarios.spec import EngineSpec
 
     spec, live = _resolve_spec(
-        "make_engine", EngineSpec, spec, knobs, model, strategy, hardware,
-        engine_config,
+        "make_engine", EngineSpec, spec, knobs, model, strategy, hardware
     )
-    return _build_engine(spec, engine_config, strategy_kwargs, model_kwargs, **live)
+    return _build_engine(spec, strategy_kwargs, **live)
 
 
 def make_serving_engine(
@@ -201,9 +184,7 @@ def make_serving_engine(
     *,
     hardware: str | HardwareProfile | None = None,
     faults=None,
-    engine_config: EngineConfig | None = None,
     strategy_kwargs: dict | None = None,
-    model_kwargs: dict | None = None,
     spec: "ServingSpec | None" = None,
     **knobs,
 ):
@@ -226,12 +207,9 @@ def make_serving_engine(
     from repro.serving.engine import ServingEngine
 
     spec, live = _resolve_spec(
-        "make_serving_engine", ServingSpec, spec, knobs, model, strategy, hardware,
-        engine_config,
+        "make_serving_engine", ServingSpec, spec, knobs, model, strategy, hardware
     )
-    engine = _build_engine(
-        spec.engine, engine_config, strategy_kwargs, model_kwargs, **live
-    )
+    engine = _build_engine(spec.engine, strategy_kwargs, **live)
     return ServingEngine(engine, _loop_config(spec), faults=faults)
 
 
@@ -242,9 +220,7 @@ def make_fleet(
     hardware: str | HardwareProfile | None = None,
     faults=None,
     autoscale=None,
-    engine_config: EngineConfig | None = None,
     strategy_kwargs: dict | None = None,
-    model_kwargs: dict | None = None,
     spec: "FleetSpec | None" = None,
     **knobs,
 ):
@@ -273,8 +249,7 @@ def make_fleet(
     from repro.scenarios.spec import FleetSpec
 
     spec, live = _resolve_spec(
-        "make_fleet", FleetSpec, spec, knobs, model, strategy, hardware,
-        engine_config,
+        "make_fleet", FleetSpec, spec, knobs, model, strategy, hardware
     )
     if live["strategy"] is not None and spec.replicas > 1:
         raise ConfigError(
@@ -285,10 +260,10 @@ def make_fleet(
         # Strategy instances hold per-engine state, so each replica
         # builds its own; the functional model is stateless per forward
         # and shared across the pool.
-        live["model"] = _build_model(spec.engine, model_kwargs)
+        live["model"] = _build_model(spec.engine)
 
     def engine_factory() -> InferenceEngine:
-        return _build_engine(spec.engine, engine_config, strategy_kwargs, None, **live)
+        return _build_engine(spec.engine, strategy_kwargs, **live)
 
     return FleetRouter(
         engine_factory,

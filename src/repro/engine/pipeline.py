@@ -433,7 +433,6 @@ class StepPipeline:
             runtime.arrivals,
             device=ctx.device_id,
             spilled=ctx.spilled_experts,
-            collect_records=False,
         )
         self._promote_spilled(layer, ctx.spilled_experts)
         self.strategy.after_layer(ctx, plan)

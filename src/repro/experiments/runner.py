@@ -7,8 +7,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.engine.factory import make_engine
+from repro.engine.engine import InferenceEngine
+from repro.engine.factory import make_strategy
 from repro.engine.metrics import GenerationResult
+from repro.hardware.platform_presets import get_hardware_preset
 from repro.models.model import ReferenceMoEModel
 from repro.models.presets import get_preset
 from repro.rng import derive_rng
@@ -73,12 +75,11 @@ def run_workload(
     spec = EngineSpec(
         model=model, num_layers=num_layers, strategy=strategy, cache_ratio=cache_ratio, seed=seed
     )
-    engine = make_engine(
-        model=cached_model(model, num_layers, seed),
-        strategy=strategy,
-        hardware=spec.hardware,
-        engine_config=dataclasses.replace(spec.engine_config(), **engine_overrides),
-        strategy_kwargs=strategy_kwargs,
+    engine = InferenceEngine(
+        cached_model(model, num_layers, seed),
+        make_strategy(strategy, **(strategy_kwargs or {})),
+        get_hardware_preset(spec.hardware),
+        dataclasses.replace(spec.engine_config(), **engine_overrides),
     )
     return engine.generate(
         np.asarray(workload.prompt_tokens), decode_steps=workload.decode_steps

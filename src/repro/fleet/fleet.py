@@ -34,6 +34,7 @@ earlier queued arrival than every pending fleet event).
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -232,9 +233,9 @@ class FleetRouter:
             raise ConfigError(
                 f"max_retries must be non-negative, got {max_retries}"
             )
-        if retry_backoff_s <= 0:
+        if not 0.0 < retry_backoff_s < math.inf:
             raise ConfigError(
-                f"retry_backoff_s must be positive, got {retry_backoff_s}"
+                f"retry_backoff_s must be positive and finite, got {retry_backoff_s}"
             )
         self.config = config or ServingConfig()
         self.policy = make_router(policy) if isinstance(policy, str) else policy

@@ -15,6 +15,10 @@ platform: the presets are values, and any other platform is a
 whose host DRAM is capacity-limited, spilled experts pay a
 constant-per-expert disk read on a platform-shared disk link before any
 CPU compute or PCIe transfer (see ``docs/MEMORY.md``).
+
+A :class:`ThreeResourceClock` owns one :class:`ResourceTimeline` per
+GPU, PCIe link, the CPU and (tiered platforms) the disk link; every
+reservation on them is a labelled interval, the record of what ran.
 """
 
 from repro.hardware.cost_model import (
@@ -42,7 +46,7 @@ from repro.hardware.platform_presets import (
     paper_testbed,
     pcie_fast_testbed,
 )
-from repro.hardware.simulator import Resource, ThreeResourceClock
+from repro.hardware.simulator import ThreeResourceClock
 from repro.hardware.warmup import WarmupCalibrator
 
 __all__ = [
@@ -59,7 +63,6 @@ __all__ = [
     "DegradedCostModel",
     "ResourceTimeline",
     "TimelineInterval",
-    "Resource",
     "ThreeResourceClock",
     "WarmupCalibrator",
     "HARDWARE_PRESETS",

@@ -32,21 +32,11 @@ barrier — reads overlap the next layer's attention. Without the flag
 from __future__ import annotations
 
 import heapq
-from enum import Enum
 
 from repro.errors import SimulationError
 from repro.hardware.device import ResourceTimeline
 
-__all__ = ["Resource", "ThreeResourceClock"]
-
-
-class Resource(str, Enum):
-    """The resource kinds of the hybrid platform."""
-
-    GPU = "gpu"
-    CPU = "cpu"
-    PCIE = "pcie"
-    DISK = "disk"
+__all__ = ["ThreeResourceClock"]
 
 
 class ThreeResourceClock:
@@ -62,11 +52,11 @@ class ThreeResourceClock:
         Model a platform-shared disk -> host link (the third tier of
         the memory hierarchy). ``clock.disk`` is ``None`` when False.
 
-    The frontier queries (``compute_frontier`` / ``frontier`` /
-    ``min_pcie_available_at``) are cached: event-driven running maxima
-    plus a lazy min-heap over the PCIe links, so no call rescans the
-    per-device timelines. Frontiers are pure max/min selections over
-    the ``available_at`` floats — no arithmetic — and
+    The frontier queries (``compute_frontier`` /
+    ``min_pcie_available_at``) are cached: an event-driven running
+    maximum plus a lazy min-heap over the PCIe links, so no call
+    rescans the per-device timelines. Frontiers are pure max/min
+    selections over the ``available_at`` floats — no arithmetic — and
     :meth:`validate` checks every cached answer against that rescan.
     """
 
@@ -88,15 +78,14 @@ class ThreeResourceClock:
         self.disk: ResourceTimeline | None = (
             ResourceTimeline("disk") if disk else None
         )
-        # Event-driven frontier caches: every timeline notifies the
-        # clock when its available_at advances. The compute/full
-        # frontiers are running maxima (available_at is monotone
-        # per timeline, so the max only ever moves forward); the
-        # PCIe minimum is a lazily-invalidated heap of
+        # Event-driven frontier caches: compute and PCIe timelines
+        # notify the clock when their available_at advances. The
+        # compute frontier is a running maximum (available_at is
+        # monotone per timeline, so the max only ever moves forward);
+        # the PCIe minimum is a lazily-invalidated heap of
         # (available_at, device) events - stale entries are popped
         # on read by comparing against the link's live value.
-        self._compute_frontier_cache = 0.0
-        self._frontier_cache = 0.0
+        self._compute_frontier = 0.0
         self._pcie_heap: list[tuple[float, int]] = [
             (0.0, g) for g in range(num_gpus)
         ]
@@ -105,27 +94,17 @@ class ThreeResourceClock:
             timeline._observer = self._on_compute_advance
         for g, link in enumerate(self.pcie_links):
             link._observer = self._make_pcie_observer(g)
-        if self.disk is not None:
-            self.disk._observer = self._on_link_advance
 
     # ------------------------------------------------------------------
     # frontier cache maintenance
     # ------------------------------------------------------------------
     def _on_compute_advance(self, available_at: float) -> None:
-        if available_at > self._compute_frontier_cache:
-            self._compute_frontier_cache = available_at
-        if available_at > self._frontier_cache:
-            self._frontier_cache = available_at
-
-    def _on_link_advance(self, available_at: float) -> None:
-        if available_at > self._frontier_cache:
-            self._frontier_cache = available_at
+        if available_at > self._compute_frontier:
+            self._compute_frontier = available_at
 
     def _make_pcie_observer(self, device: int):
         def observer(available_at: float) -> None:
             heapq.heappush(self._pcie_heap, (available_at, device))
-            if available_at > self._frontier_cache:
-                self._frontier_cache = available_at
 
         return observer
 
@@ -158,24 +137,6 @@ class ThreeResourceClock:
                 f"device {device} out of range for {self.num_gpus} GPUs"
             )
 
-    def timeline(self, resource: Resource, device: int = 0) -> ResourceTimeline:
-        """The ledger of one resource (GPU/PCIe resolve per ``device``)."""
-        if resource == Resource.GPU:
-            return self.gpu_timeline(device)
-        if resource == Resource.CPU:
-            return self.cpu
-        if resource == Resource.DISK:
-            return self.disk_timeline()
-        return self.pcie_timeline(device)
-
-    def disk_timeline(self) -> ResourceTimeline:
-        """The platform-shared disk -> host link (tiered memory only)."""
-        if self.disk is None:
-            raise SimulationError(
-                "clock models no disk tier; construct with disk=True"
-            )
-        return self.disk
-
     # ------------------------------------------------------------------
     # frontiers
     # ------------------------------------------------------------------
@@ -188,12 +149,7 @@ class ThreeResourceClock:
         for every device — the MoE outputs of all experts are needed
         before the next layer's attention can run.
         """
-        return self._compute_frontier_cache
-
-    @property
-    def frontier(self) -> float:
-        """Earliest time every resource (links included) is free."""
-        return self._frontier_cache
+        return self._compute_frontier
 
     @property
     def min_pcie_available_at(self) -> float:
@@ -220,15 +176,6 @@ class ThreeResourceClock:
         disk tier a ``disk`` entry is added (absent otherwise, keeping
         two-tier summaries schema-identical to the historical ones).
         """
-        if self.num_gpus == 1:
-            summary = {
-                "gpu": self.gpu.utilization(window_start, window_end),
-                "cpu": self.cpu.utilization(window_start, window_end),
-                "pcie": self.pcie.utilization(window_start, window_end),
-            }
-            if self.disk is not None:
-                summary["disk"] = self.disk.utilization(window_start, window_end)
-            return summary
         gpu_utils = [t.utilization(window_start, window_end) for t in self.gpus]
         pcie_utils = [t.utilization(window_start, window_end) for t in self.pcie_links]
         summary = {
@@ -238,16 +185,17 @@ class ThreeResourceClock:
         }
         if self.disk is not None:
             summary["disk"] = self.disk.utilization(window_start, window_end)
-        for g, (gu, pu) in enumerate(zip(gpu_utils, pcie_utils)):
-            summary[f"gpu{g}"] = gu
-            summary[f"pcie{g}"] = pu
+        if self.num_gpus > 1:
+            for g, (gu, pu) in enumerate(zip(gpu_utils, pcie_utils)):
+                summary[f"gpu{g}"] = gu
+                summary[f"pcie{g}"] = pu
         return summary
 
     def validate(self) -> None:
         """Validate every timeline and the cached frontiers.
 
-        The cached compute/full frontiers and the PCIe-heap minimum
-        must equal a rescan of the timelines' ``available_at``.
+        The cached compute frontier and the PCIe-heap minimum must
+        equal a rescan of the timelines' ``available_at``.
         """
         compute = [*self.gpus, self.cpu]
         timelines = [*compute, *self.pcie_links]
@@ -257,7 +205,6 @@ class ThreeResourceClock:
             timeline.validate()
         expected = {
             "compute_frontier": max(t.available_at for t in compute),
-            "frontier": max(t.available_at for t in timelines),
             "min_pcie_available_at": min(
                 t.available_at for t in self.pcie_links
             ),

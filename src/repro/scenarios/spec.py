@@ -41,6 +41,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import inspect
+import math
 import numbers
 import types
 import typing
@@ -460,9 +461,10 @@ class FleetSpec(_Spec):
         _check_name("router", self.router, available_routers())
         if self.max_retries < 0:
             raise ConfigError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.retry_backoff_s <= 0:
+        if not 0.0 < self.retry_backoff_s < math.inf:
             raise ConfigError(
-                f"retry_backoff_s must be positive, got {self.retry_backoff_s}"
+                f"retry_backoff_s must be positive and finite, got "
+                f"{self.retry_backoff_s}"
             )
 
     @property

@@ -32,6 +32,7 @@ preempted)`` so the policy is unit-testable without an engine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -111,10 +112,14 @@ class ServingConfig:
                 f"prefill_chunk_tokens must be >= 1 (or None), got "
                 f"{self.prefill_chunk_tokens}"
             )
-        if self.request_timeout_s is not None and self.request_timeout_s <= 0:
+        # ``not 0 < x < inf``, not ``x <= 0``: NaN fails every
+        # comparison, so only this form rejects it (None = no timeout).
+        if self.request_timeout_s is not None and not (
+            0.0 < self.request_timeout_s < math.inf
+        ):
             raise ConfigError(
-                f"request_timeout_s must be positive (or None), got "
-                f"{self.request_timeout_s}"
+                f"request_timeout_s must be positive and finite (or None), "
+                f"got {self.request_timeout_s}"
             )
         if self.shed_queue_depth is not None and self.shed_queue_depth < 1:
             raise ConfigError(

@@ -1,4 +1,8 @@
-"""Plan executor: dependency and timeline semantics."""
+"""Plan executor: dependency and timeline semantics.
+
+The clock's timelines are the record of what ran: each reservation is
+one interval labelled ``xfer|gpu|cpu|disk L{layer} E{expert}``.
+"""
 
 import pytest
 
@@ -29,9 +33,10 @@ class TestExecutePlan:
             gpu_tasks=[ComputeTask(0, 1, 2, Device.GPU, after_transfer=True)],
             transfers=[TransferTask(0, 1, 2)],
         )
-        result = execute_plan(plan, clock, oracle, start_time=0.0)
-        gpu = result.records_on("gpu")[0]
-        pcie = result.records_on("pcie")[0]
+        execute_plan(plan, clock, oracle, start_time=0.0)
+        (gpu,) = clock.gpu.intervals
+        (pcie,) = clock.pcie.intervals
+        assert (gpu.label, pcie.label) == ("gpu L0 E1", "xfer L0 E1")
         assert gpu.start == pytest.approx(pcie.finish)
 
     def test_cpu_first_task_warmup(self, tiny_config):
@@ -45,8 +50,8 @@ class TestExecutePlan:
             n_tokens=1,
             cpu_tasks=[ComputeTask(0, 0, 2, Device.CPU), ComputeTask(0, 1, 2, Device.CPU)],
         )
-        result = execute_plan(plan, clock, oracle, start_time=0.0)
-        first, second = result.records_on("cpu")
+        execute_plan(plan, clock, oracle, start_time=0.0)
+        first, second = clock.cpu.intervals
         assert first.duration == pytest.approx(second.duration + 1.0)
 
     def test_serial_order_preserved(self, oracle):
@@ -59,8 +64,9 @@ class TestExecutePlan:
                 ComputeTask(0, 1, 1, Device.GPU),
             ],
         )
-        result = execute_plan(plan, clock, oracle, start_time=0.0)
-        first, second = result.records_on("gpu")
+        execute_plan(plan, clock, oracle, start_time=0.0)
+        first, second = clock.gpu.intervals
+        assert (first.label, second.label) == ("gpu L0 E0", "gpu L0 E1")
         assert second.start >= first.finish
 
     def test_external_arrival_gates_gpu(self, oracle):
@@ -70,10 +76,10 @@ class TestExecutePlan:
             n_tokens=1,
             gpu_tasks=[ComputeTask(0, 5, 2, Device.GPU)],
         )
-        result = execute_plan(
+        execute_plan(
             plan, clock, oracle, start_time=0.0, external_arrivals={(0, 5): 7.0}
         )
-        assert result.records_on("gpu")[0].start == pytest.approx(7.0)
+        assert clock.gpu.intervals[0].start == pytest.approx(7.0)
 
     def test_start_time_respected_everywhere(self, oracle):
         clock = ThreeResourceClock()
@@ -84,9 +90,11 @@ class TestExecutePlan:
             cpu_tasks=[ComputeTask(0, 1, 1, Device.CPU)],
             transfers=[TransferTask(0, 2, 1)],
         )
-        result = execute_plan(plan, clock, oracle, start_time=4.0)
-        for record in result.records:
-            assert record.start >= 4.0
+        execute_plan(plan, clock, oracle, start_time=4.0)
+        rows = [i for t in (clock.gpu, clock.cpu, clock.pcie) for i in t.intervals]
+        assert len(rows) == 3
+        for row in rows:
+            assert row.start >= 4.0
 
     def test_shared_block_on_cpu(self, oracle):
         clock = ThreeResourceClock()
@@ -95,8 +103,8 @@ class TestExecutePlan:
             n_tokens=1,
             cpu_tasks=[ComputeTask(0, SHARED_BLOCK, 1, Device.CPU)],
         )
-        result = execute_plan(plan, clock, oracle, start_time=0.0)
-        assert result.records_on("cpu")[0].kind == "shared"
+        execute_plan(plan, clock, oracle, start_time=0.0)
+        assert [i.label for i in clock.cpu.intervals] == [f"cpu L0 E{SHARED_BLOCK}"]
 
     def test_negative_start_rejected(self, oracle):
         with pytest.raises(SchedulingError):

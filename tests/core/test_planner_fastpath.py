@@ -24,8 +24,10 @@ from repro.core.hybrid_scheduler import (
     _scan_candidates,
 )
 from repro.core.tasks import LayerCostOracle
-from repro.engine.engine import EngineConfig
-from repro.engine.factory import available_strategies, make_engine
+from repro.engine.engine import EngineConfig, InferenceEngine
+from repro.engine.factory import available_strategies, make_engine, make_strategy
+from repro.experiments.runner import cached_model
+from repro.hardware.platform_presets import get_hardware_preset
 from repro.engine.strategy_base import LayerContext
 from repro.models.config import ExpertShape, MoEModelConfig
 from repro.rng import derive_rng
@@ -537,7 +539,7 @@ def _engine_pair(strategy_name):
                 _TINY, d_model=16, d_ff=32, vocab_size=128, seed=0
             ),
             strategy=strategy_name,
-            engine_config=EngineConfig(cache_ratio=0.5),
+            cache_ratio=0.5,
         )
         for _ in range(2)
     ]
@@ -612,7 +614,8 @@ def test_end_to_end_sharded_identical(prompt_tokens):
             model="deepseek",
             strategy="hybrimoe",
             num_layers=2,
-            engine_config=EngineConfig(cache_ratio=0.25, num_gpus=2),
+            cache_ratio=0.25,
+            num_gpus=2,
         )
         if reference:
             install_reference_planner(engine)
@@ -959,10 +962,11 @@ def test_engine_threads_scheduler_config():
     """``EngineConfig.scheduler`` is the runtime planner's config as
     given."""
     for planner in (SchedulerConfig(), SchedulerConfig(plan_cache_size=0)):
-        engine = make_engine(
-            model="deepseek",
-            num_layers=2,
-            engine_config=EngineConfig(scheduler=planner),
+        engine = InferenceEngine(
+            cached_model("deepseek", 2, 0),
+            make_strategy("hybrimoe"),
+            get_hardware_preset("paper"),
+            EngineConfig(scheduler=planner),
         )
         assert engine.runtime.scheduler.config is planner
     assert EngineConfig().scheduler.plan_cache_size > 0

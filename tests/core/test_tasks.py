@@ -93,13 +93,6 @@ class TestPlanValidation:
         plan = _plan(gpu=[ComputeTask(0, SHARED_BLOCK, 4, Device.GPU), _gpu(0, 2)])
         plan.validate({0: 2}, {0})
 
-    def test_device_of(self):
-        plan = _plan(gpu=[_gpu(0, 2)], cpu=[_cpu(1, 1)])
-        assert plan.device_of(0) == Device.GPU
-        assert plan.device_of(1) == Device.CPU
-        with pytest.raises(SchedulingError):
-            plan.device_of(7)
-
 
 class TestLayerCostOracle:
     def test_shared_compute_zero_without_shared(self, toy_cost, tiny_config):
@@ -129,8 +122,3 @@ class TestLayerCostOracle:
         assert oracle.cpu_compute(2, first_task=True) == pytest.approx(
             oracle.cpu_compute(2) + 1.0
         )
-
-    def test_compute_dispatch(self, toy_oracle_factory):
-        oracle = toy_oracle_factory(4)
-        assert oracle.compute(Device.GPU, 3) == oracle.gpu_compute(3)
-        assert oracle.compute(Device.CPU, 3) == oracle.cpu_compute(3)

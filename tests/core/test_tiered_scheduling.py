@@ -189,21 +189,16 @@ class TestExecutorDiskChains:
             disk_fetch_s=oracle.disk_fetch(),
         )
         clock = ThreeResourceClock(disk=True)
-        result = execute_plan(
-            plan, clock, oracle, start_time=0.0, spilled=frozenset({0, 1})
-        )
-        disk_records = [r for r in result.records if r.resource == "disk"]
-        assert disk_records, "spilled experts must reserve disk reads"
-        by_expert = {r.expert: r for r in disk_records}
-        for record in result.records:
-            if record.resource == "pcie" and record.expert in by_expert:
-                assert record.start >= by_expert[record.expert].finish
-            if (
-                record.resource == "cpu"
-                and record.kind == "compute"
-                and record.expert in by_expert
-            ):
-                assert record.start >= by_expert[record.expert].finish
+        execute_plan(plan, clock, oracle, start_time=0.0, spilled=frozenset({0, 1}))
+        read_done = {
+            i.label.replace("disk", ""): i.finish for i in clock.disk.intervals
+        }
+        assert read_done, "spilled experts must reserve disk reads"
+        for kind, timeline in (("xfer", clock.pcie), ("cpu", clock.cpu)):
+            for interval in timeline.intervals:
+                expert = interval.label.replace(kind, "")
+                if expert in read_done:
+                    assert interval.start >= read_done[expert]
         clock.validate()
 
     def test_disk_reads_serialise_on_one_link(self, toy_oracle_factory):
@@ -242,9 +237,12 @@ class TestExecutorDiskChains:
         )
         with_disk = ThreeResourceClock(disk=True)
         without = ThreeResourceClock()
-        r1 = execute_plan(plan.clone(), with_disk, oracle, 0.0, spilled=frozenset())
-        r2 = execute_plan(plan.clone(), without, oracle, 0.0)
-        assert r1.records == r2.records
+        r1 = execute_plan(plan, with_disk, oracle, 0.0, spilled=frozenset())
+        r2 = execute_plan(plan, without, oracle, 0.0)
+        assert r1 == r2
+        for name in ("gpu", "cpu", "pcie"):
+            timeline = getattr(with_disk, name)
+            assert timeline.intervals == getattr(without, name).intervals
         assert with_disk.disk.intervals == []
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.engine.engine import EngineConfig
 from repro.engine.factory import (
     available_strategies,
     make_engine,
@@ -116,6 +117,19 @@ class TestKnobWiring:
             factory(cach_ratio=0.3)
         assert "\n" not in str(err.value)
         assert factory.__name__ in str(err.value)
+
+    @pytest.mark.parametrize("factory", [make_engine, make_serving_engine, make_fleet])
+    @pytest.mark.parametrize(
+        "keyword, value",
+        [("engine_config", EngineConfig()), ("model_kwargs", {"input_coherence": 0.5})],
+    )
+    def test_second_configuration_is_an_unknown_knob(self, factory, keyword, value):
+        """Knobs (or a spec) are the one configuration: a ready-made
+        ``EngineConfig`` or extra model arguments beside them are
+        rejected, not silently preferred."""
+        with pytest.raises(ConfigError, match=f"unknown knob.*{keyword}") as err:
+            factory(cache_ratio=0.25, num_layers=2, **{keyword: value})
+        assert "\n" not in str(err.value)
 
     def test_knob_of_a_higher_layer_is_unknown_below_it(self):
         with pytest.raises(ConfigError, match="unknown knob.*max_batch_size"):

@@ -229,7 +229,7 @@ def clock_fingerprint(clock):
         ),
         tuple(tl.available_at for tl in timelines),
         clock.compute_frontier,
-        clock.frontier,
+        max(tl.available_at for tl in timelines),
         clock.min_pcie_available_at,
     )
 

@@ -5,8 +5,7 @@ import dataclasses
 import pytest
 
 from repro.core.hybrid_scheduler import SchedulerConfig
-from repro.engine.engine import EngineConfig
-from repro.engine.factory import make_engine
+from repro.engine.engine import EngineConfig, InferenceEngine
 from repro.experiments.runner import cached_model, cached_trace, run_workload
 from repro.workloads import decode_workload, prefill_workloads
 
@@ -57,11 +56,11 @@ class TestRunWorkload:
 
         configs = []
 
-        def spy(**kwargs):
-            configs.append(kwargs["engine_config"])
-            return make_engine(**kwargs)
+        def spy(model, strategy, hardware, config):
+            configs.append(config)
+            return InferenceEngine(model, strategy, hardware, config)
 
-        monkeypatch.setattr(runner, "make_engine", spy)
+        monkeypatch.setattr(runner, "InferenceEngine", spy)
         scheduler = SchedulerConfig(search_transfers=False)
         result = run_workload(
             "deepseek", "hybrimoe", 0.9, decode_workload(2, seed=0), num_layers=2, seed=7,

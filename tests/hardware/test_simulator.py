@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.hardware.simulator import Resource, ThreeResourceClock
+from repro.hardware.simulator import ThreeResourceClock
 
 
 class TestClock:
@@ -13,21 +13,26 @@ class TestClock:
         clock.cpu.reserve(0.0, 2.0, "c")
         clock.pcie.reserve(0.0, 10.0, "x")
         assert clock.compute_frontier == pytest.approx(2.0)
-        assert clock.frontier == pytest.approx(10.0)
-
-    def test_timeline_lookup(self):
-        clock = ThreeResourceClock()
-        assert clock.timeline(Resource.GPU) is clock.gpu
-        assert clock.timeline(Resource.CPU) is clock.cpu
-        assert clock.timeline(Resource.PCIE) is clock.pcie
 
     def test_utilization_summary_keys(self):
         clock = ThreeResourceClock()
         clock.gpu.reserve(0.0, 1.0, "g")
         summary = clock.utilization_summary(0.0, 2.0)
-        assert set(summary) == {"gpu", "cpu", "pcie"}
+        assert list(summary) == ["gpu", "cpu", "pcie"]
         assert summary["gpu"] == pytest.approx(0.5)
         assert summary["cpu"] == 0.0
+
+    def test_one_gpu_summary_is_that_device(self):
+        """One device: no per-device keys, and the mean of one
+        utilisation is that utilisation, bit for bit."""
+        clock = ThreeResourceClock(disk=True)
+        clock.gpu.reserve(0.1, 0.3, "g")
+        clock.pcie.reserve(0.0, 0.7, "x")
+        clock.disk.reserve(0.2, 0.4, "d")
+        summary = clock.utilization_summary(0.05, 0.95)
+        assert list(summary) == ["gpu", "cpu", "pcie", "disk"]
+        assert summary["gpu"] == clock.gpu.utilization(0.05, 0.95)
+        assert summary["pcie"] == clock.pcie.utilization(0.05, 0.95)
 
     def test_validate_passes_on_clean_clock(self):
         clock = ThreeResourceClock()
@@ -57,7 +62,6 @@ class TestMultiGpuClock:
         clock.cpu.reserve(0.0, 2.0, "c")
         clock.pcie_links[1].reserve(0.0, 9.0, "x1")
         assert clock.compute_frontier == pytest.approx(3.0)
-        assert clock.frontier == pytest.approx(9.0)
         assert clock.min_pcie_available_at == pytest.approx(0.0)
 
     def test_utilization_reports_per_device(self):
@@ -90,20 +94,13 @@ class TestValidateCachedFrontiers:
         clock.disk.reserve(0.0, 12.0, "d")
         clock.validate()
         assert clock.compute_frontier == 3.0
-        assert clock.frontier == 12.0
         assert clock.min_pcie_available_at == 4.0
         return clock
 
     def test_stale_compute_frontier(self):
         clock = self._clock()
-        clock._compute_frontier_cache = 2.0
+        clock._compute_frontier = 2.0
         with pytest.raises(SimulationError, match="compute_frontier"):
-            clock.validate()
-
-    def test_stale_full_frontier(self):
-        clock = self._clock()
-        clock._frontier_cache = 9.0
-        with pytest.raises(SimulationError, match="cached frontier"):
             clock.validate()
 
     def test_pcie_heap_lost_an_event(self):

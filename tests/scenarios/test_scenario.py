@@ -118,6 +118,23 @@ class TestScenarioSpec:
             ScenarioSpec.from_dict(data)
         assert "\n" not in str(excinfo.value)
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    @pytest.mark.parametrize(
+        "path", [("fleet", "serving", "request_timeout_s"), ("fleet", "retry_backoff_s")]
+    )
+    def test_non_finite_timeout_or_backoff_is_a_one_line_error(self, path, literal):
+        """A NaN timeout never fires; a NaN / inf backoff schedules retries
+        at NaN / inf. Both JSON spellings fail to load (``null`` is how a
+        spec says "no timeout")."""
+        data = _tiny().to_dict()
+        _put(data, path, "@")
+        text = json.dumps(data).replace('"@"', literal)
+        with pytest.raises(
+            ConfigError, match=f"{path[-1]} must be positive and finite"
+        ) as excinfo:
+            ScenarioSpec.from_dict(json.loads(text))
+        assert "\n" not in str(excinfo.value)
+
     def test_int_accepted_as_float(self):
         data = _tiny().to_dict()
         data["fleet"]["serving"]["engine"]["cache_ratio"] = 1

@@ -374,6 +374,20 @@ class TestServeValidation:
         err = self._error(capsys, "--fault-spec", "gpu_straggler:0:0:1:nan")
         assert "must be > 1, got nan" in err
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--request-timeout", "nan", "request_timeout_s"),
+            ("--request-timeout", "inf", "request_timeout_s"),
+            ("--retry-backoff", "nan", "retry_backoff_s"),
+            ("--retry-backoff", "inf", "retry_backoff_s"),
+        ],
+    )
+    def test_non_finite_timeout_or_backoff_rejected(self, capsys, flag, value, field):
+        err = self._error(capsys, flag, value)
+        assert f"{field} must be positive and finite" in err
+        assert f"got {value}" in err
+
     def test_malformed_shed_rejected(self, capsys):
         err = self._error(capsys, "--shed", "many")
         assert "bad --shed" in err

@@ -19,7 +19,7 @@ sys.path.insert(0, str(TOOLS))
 
 from profile_step import (  # noqa: E402
     BLAS_THREAD_VARS,
-    count_reserve_calls,
+    ledger_rows,
     memory_report,
     profile_report,
 )
@@ -97,27 +97,28 @@ def test_setup_profiles_prepare_instead_of_the_chunks():
     assert "run_batch" not in calls
 
 
-def test_reserve_counter_counts_every_call_and_restores_the_method():
-    from repro.hardware.device import ResourceTimeline
+def test_ledger_rows_count_every_timeline_of_each_engine_once():
+    from repro import make_engine
 
-    reserve = ResourceTimeline.reserve
-    timeline = ResourceTimeline("gpu")
-    with count_reserve_calls() as counts:
-        timeline.reserve(0.0, 1.0, "a")
-        timeline.reserve(0.0, 0.0, "noop")  # counted, though it records nothing
-    timeline.reserve(0.0, 1.0, "after")
-    assert counts == {"reserve": 2}
-    assert ResourceTimeline.reserve is reserve
+    engine = make_engine(num_layers=2, num_gpus=2, cpu_cache_capacity=4)
+    clock = engine.runtime.clock
+    assert ledger_rows([engine]) == 0
+    clock.gpus[1].reserve(0.0, 1.0, "g")
+    clock.pcie_links[0].reserve(0.0, 1.0, "x")
+    clock.cpu.reserve(0.0, 1.0, "c")
+    clock.disk.reserve(0.0, 1.0, "d")
+    clock.cpu.reserve(0.0, 0.0, "noop")  # zero duration: no row
+    assert ledger_rows([engine, engine]) == 4  # a shared engine counts once
 
 
 def test_memory_report_traces_the_chunks(capsys):
-    """``--memory``: peak traced MB, the ledger's reservations and the
-    live allocation sites, largest first."""
+    """``--memory``: peak traced MB, the ledger rows the pass added and
+    the live allocation sites, largest first."""
     report = memory_report("decode_hot", smoke=True, top=5)
     assert report["tokens"] == 2 * (8 + SMOKE.decode_steps)
     assert report["peak_traced_mb"] > 0.0
-    # Every decode layer reserves at least its attention interval.
-    assert report["reserve_calls"] >= 2 * SMOKE.decode_steps * NUM_LAYERS
+    # Every decode layer adds at least its attention interval.
+    assert report["ledger_rows"] >= 2 * SMOKE.decode_steps * NUM_LAYERS
     assert 0 < len(report["top"]) <= 5
     sizes = [row["size_kb"] for row in report["top"]]
     assert sizes == sorted(sizes, reverse=True)
@@ -128,7 +129,7 @@ def test_memory_report_traces_the_chunks(capsys):
     assert main(["--workload", "decode_hot", "--smoke", "--memory", "--top", "3"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert "peak traced" in out[0]
-    assert out[2] == f"ResourceTimeline.reserve calls: {report['reserve_calls']}"
+    assert out[2] == f"resource-ledger rows added: {report['ledger_rows']}"
     assert len(out) == 5 + 3
 
 

@@ -16,10 +16,11 @@ and ``ImpactDrivenPrefetcher.select`` from here, during the profiled
 pass, so the two wrappers appear in the profile.
 
 ``--memory`` runs the same chunks under ``tracemalloc`` instead of
-cProfile and prints the peak traced memory, the number of
-``ResourceTimeline.reserve`` calls (one ledger row each at most) and the
-allocation sites, by line, still holding the most memory at the end of
-the pass: the attribution of the ledger's ``host_peak_rss_mb`` row.
+cProfile and prints the peak traced memory, the resource-ledger rows the
+pass added (``len()`` over every timeline of each chunk engine's clock,
+after minus before) and the allocation sites, by line, still holding the
+most memory at the end of the pass: the attribution of the ledger's
+``host_peak_rss_mb`` row.
 
 Usage::
 
@@ -53,7 +54,6 @@ from benchlib.workloads import FULL, SMOKE, WORKLOADS  # noqa: E402
 
 from repro.core.prefetch import ImpactDrivenPrefetcher  # noqa: E402
 from repro.engine.pipeline import StepPipeline  # noqa: E402
-from repro.hardware.device import ResourceTimeline  # noqa: E402
 
 STAGES = ("prefill", "decode")
 YIELD_COLUMNS = ("windows", "select_calls", "decisions", "issued")
@@ -91,40 +91,36 @@ def count_prefetch_yield():
         StepPipeline._issue_prefetches, ImpactDrivenPrefetcher.select = issue, select
 
 
-@contextmanager
-def count_reserve_calls():
-    """``ResourceTimeline.reserve`` calls made while the block runs."""
-    counts = {"reserve": 0}
-    reserve = ResourceTimeline.reserve
-
-    def counted_reserve(timeline, *args, **kwargs):
-        counts["reserve"] += 1
-        return reserve(timeline, *args, **kwargs)
-
-    ResourceTimeline.reserve = counted_reserve
-    try:
-        yield counts
-    finally:
-        ResourceTimeline.reserve = reserve
+def ledger_rows(engines) -> int:
+    """Intervals held by every timeline of each distinct engine's clock."""
+    total = 0
+    for engine in {id(e): e for e in engines}.values():
+        clock = engine.runtime.clock
+        timelines = [*clock.gpus, clock.cpu, *clock.pcie_links]
+        if clock.disk is not None:
+            timelines.append(clock.disk)
+        total += sum(len(timeline) for timeline in timelines)
+    return total
 
 
 def memory_report(workload: str, seed: int = 0, smoke: bool = False, top: int = 10) -> dict:
     """One pass of a ledger workload's chunks under ``tracemalloc``.
 
     Set-up runs untraced. Returns the peak traced MB (MiB, like the
-    ledger's ``host_peak_rss_mb``), the ``reserve`` calls and the
-    ``top`` allocation sites by live size at the end of the pass.
+    ledger's ``host_peak_rss_mb``), the ledger rows the pass added and
+    the ``top`` allocation sites by live size at the end of the pass.
     """
     prepared = WORKLOADS[workload].prepare(seed, SMOKE if smoke else FULL)
-    with count_reserve_calls() as counts:
-        tracemalloc.start()
-        try:
-            for chunk in prepared.chunks:
-                chunk.run()
-            peak = tracemalloc.get_traced_memory()[1]
-            snapshot = tracemalloc.take_snapshot()
-        finally:
-            tracemalloc.stop()
+    engines = [chunk.engine for chunk in prepared.chunks]
+    rows_before = ledger_rows(engines)
+    tracemalloc.start()
+    try:
+        for chunk in prepared.chunks:
+            chunk.run()
+        peak = tracemalloc.get_traced_memory()[1]
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
     snapshot = snapshot.filter_traces([tracemalloc.Filter(False, tracemalloc.__file__)])
     sites = [
         {"site": str(stat.traceback[0]), "size_kb": stat.size / 1024, "count": stat.count}
@@ -134,7 +130,7 @@ def memory_report(workload: str, seed: int = 0, smoke: bool = False, top: int = 
         "workload": workload,
         "tokens": sum(chunk.tokens for chunk in prepared.chunks),
         "peak_traced_mb": peak / 2**20,
-        "reserve_calls": counts["reserve"],
+        "ledger_rows": ledger_rows(engines) - rows_before,
         "top": sites,
     }
 
@@ -215,7 +211,7 @@ def main(argv=None) -> int:
         print(f"{args.workload}: {report['tokens']} tokens, "
               f"peak traced {report['peak_traced_mb']:.2f} MB over the chunks")
         print(blas)
-        print(f"ResourceTimeline.reserve calls: {report['reserve_calls']}")
+        print(f"resource-ledger rows added: {report['ledger_rows']}")
         print(f"top allocation sites, live at the end of the pass\n{'KiB':>10}{'blocks':>10}  site")
         for row in report["top"]:
             print(f"{row['size_kb']:>10.1f}{row['count']:>10}  {row['site']}")
