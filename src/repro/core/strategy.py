@@ -18,6 +18,12 @@ All (HybriMoE)                   all True
 - **prefetching** — enable the impact-driven prefetcher of §IV-C (decode);
 - **caching** — replace static frequency pinning with the dynamic
   MRS cache of §IV-D.
+
+``scheduler`` (the §IV-B search's
+:class:`~repro.core.hybrid_scheduler.SchedulerConfig`) and
+``lookahead`` (layers a §IV-C window predicts, the paper's 3) are
+HybriMoE's own policy: the strategy builds the planner it plans and
+prefetches with and publishes it as ``runtime.scheduler``.
 """
 
 from __future__ import annotations
@@ -26,9 +32,11 @@ from repro.cache.lfu import LFUPolicy
 from repro.cache.mrs import MRSPolicy
 from repro.cache.sharded import CacheSpec
 from repro.core.fixed_plan import fixed_mapping_plan
+from repro.core.hybrid_scheduler import HybridScheduler, SchedulerConfig
 from repro.core.prefetch import ImpactDrivenPrefetcher, PredictedLayer
 from repro.core.tasks import ExecutionPlan
 from repro.engine.strategy_base import LayerContext, Strategy
+from repro.errors import ConfigError
 
 __all__ = ["HybriMoEStrategy"]
 
@@ -45,8 +53,14 @@ class HybriMoEStrategy(Strategy):
         scheduling: bool = True,
         prefetching: bool = True,
         caching: bool = True,
+        scheduler: SchedulerConfig = SchedulerConfig(),
+        lookahead: int = 3,
     ) -> None:
+        if lookahead < 1:
+            raise ConfigError(f"lookahead must be >= 1, got {lookahead}")
         super().__init__()
+        self.scheduler_config = scheduler
+        self.prefetch_lookahead = lookahead
         self.scheduling = scheduling
         self.prefetching = prefetching
         self.caching = caching
@@ -70,17 +84,23 @@ class HybriMoEStrategy(Strategy):
     # ------------------------------------------------------------------
     def setup(self) -> None:
         runtime = self._runtime()
+        runtime.scheduler = HybridScheduler(
+            runtime.estimated_oracle, self.scheduler_config
+        )
         if self.prefetching:
             shape = runtime.model_config.routed_expert_shape
             self._prefetcher = ImpactDrivenPrefetcher(
                 scheduler=runtime.scheduler,
                 transfer_time_fn=lambda: runtime.cost_estimated.transfer_time(shape),
                 num_activated=runtime.model_config.num_activated_experts,
-                lookahead=runtime.config.prefetch_lookahead,
+                lookahead=self.prefetch_lookahead,
                 disk_fetch_s=runtime.disk_fetch_est_s,
             )
 
     def on_costs_changed(self) -> None:
+        # The planner's plan memo and duration tables cache raw floats
+        # of the old costs.
+        self._runtime().scheduler.invalidate_costs()
         # The prefetcher froze the disk-read lead-time estimate at
         # setup; under a disk-stall window the runtime's recomputed
         # estimate includes the stall, so budgeting stays honest. The
@@ -115,7 +135,7 @@ class HybriMoEStrategy(Strategy):
             # every baseline uses for on-demand loads, the scratch is not
             # charged against the expert-cache budget.
             k = runtime.model_config.num_activated_experts
-            scratch = max(1, 2 * k * runtime.config.prefetch_lookahead)
+            scratch = 2 * k * self.prefetch_lookahead
             return CacheSpec(scratch, LFUPolicy, pinned=ranking[:capacity])
         # Static frequency pinning (the kTransformers cache behaviour).
         return CacheSpec(0, LFUPolicy, pinned=ranking[:capacity])

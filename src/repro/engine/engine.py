@@ -18,7 +18,7 @@ Two cost models are in play, mirroring the real system:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from repro.cache.manager import ExpertCache
 from repro.cache.placement import available_placements, make_placement
 from repro.cache.sharded import ShardedCacheManager
 from repro.cache.tiered import TieredCacheManager
-from repro.core.hybrid_scheduler import HybridScheduler, SchedulerConfig
+from repro.core.hybrid_scheduler import HybridScheduler
 from repro.core.tasks import LayerCostOracle
 from repro.engine.metrics import GenerationResult, StepMetrics
 from repro.engine.pipeline import StepPipeline
@@ -49,35 +49,63 @@ __all__ = ["EngineConfig", "EngineRuntime", "InferenceEngine"]
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Engine-level knobs shared by all strategies.
+    """The knobs every engine reads, whatever its strategy.
 
-    The fields this config shares with
-    :class:`~repro.scenarios.spec.EngineSpec` — ``cache_ratio``,
-    ``seed``, ``num_gpus`` / ``placement``, the tiered-memory pair
-    and the predictor trio — are documented
-    once, on the spec; the range checks below are the spec's
-    validation too. The engine-internal knobs have no spec field:
+    :class:`~repro.scenarios.spec.EngineSpec` inherits these fields
+    (and the range checks below); a framework's own policy — HybriMoE's
+    planner search and prefetch lookahead — is an argument of its
+    strategy instead.
 
     Attributes
     ----------
-    calibrate:
-        Fit the planner's cost model via the warmup phase; when False
-        the planner sees ground-truth durations (an idealised planner).
-    profile_prompt_len / profile_decode_steps:
-        Size of the warmup profiling run used for frequency statistics.
-    prefetch_lookahead:
-        Future layers considered by prefetching strategies (paper: 3).
-    scheduler:
-        Configuration of the hybrid scheduler's search.
+    cache_ratio:
+        Fraction of all routed experts that fit in GPU memory (the
+        paper's "GPU expert cache ratio": 25/50/75%).
+    seed:
+        Root seed for the model weights, profiling workloads and decode
+        sampling.
+    num_gpus:
+        Simulated GPU devices. The expert cache is one shard per
+        device (one :class:`~repro.cache.manager.ExpertCache` each,
+        the aggregate ``cache_ratio`` budget split evenly) and the
+        pipeline dispatches each expert to its home device; 1 (the
+        paper's testbed) is one shard holding everything.
+    placement:
+        Expert-placement policy routing keys to home devices:
+        ``"round_robin"`` (by expert id), ``"layer_striped"`` (by
+        layer) or ``"load_aware"`` (sticky least-loaded). Never
+        consulted with one GPU.
+    cpu_cache_capacity:
+        Routed-expert slots of host DRAM (the CPU tier of the memory
+        hierarchy). ``None`` (default) keeps the paper's unbounded CPU
+        store — bit-identical to the historical two-tier engine,
+        test-enforced. An integer caps DRAM residency: experts outside
+        both caches are **spilled to disk** and pay a disk read (on the
+        clock's shared disk link) before any CPU compute or PCIe
+        transfer.
+    cpu_cache_policy:
+        Eviction policy of the DRAM tier, from the same registry as
+        the GPU tier (``"lru"``, ``"lfu"``, ``"mrs"``).
+    predictor:
+        Cross-layer expert predictor driving confidence-gated deep
+        prefetching (``"frequency"`` or ``"transition"``; see
+        :mod:`repro.prediction`). ``None`` (default) keeps the
+        historical gate-reuse heuristic — bit-identical to the pre-
+        predictor engine across every strategy, test-enforced.
+    predict_horizon:
+        Deepest lookahead distance a confident predictor may extend
+        prefetching to (beyond the strategy's
+        :attr:`~repro.engine.strategy_base.Strategy.prefetch_lookahead`
+        to matter).
+    confidence_gate:
+        Calibrated-confidence threshold of the
+        :class:`~repro.prediction.gate.ConfidenceGate`. Confidence is
+        strictly below 1, so ``1.0`` never fires — the equivalence
+        oracle the bit-identity tests use.
     """
 
     cache_ratio: float = 0.5
     seed: int = 0
-    calibrate: bool = True
-    profile_prompt_len: int = 32
-    profile_decode_steps: int = 8
-    prefetch_lookahead: int = 3
-    scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
     num_gpus: int = 1
     placement: str = "round_robin"
     cpu_cache_capacity: int | None = None
@@ -95,18 +123,6 @@ class EngineConfig:
             known = ", ".join(available_placements())
             raise ConfigError(
                 f"unknown placement {self.placement!r} (known: {known})"
-            )
-        if self.prefetch_lookahead < 1:
-            raise ConfigError(
-                f"prefetch_lookahead must be >= 1, got {self.prefetch_lookahead}"
-            )
-        if self.profile_prompt_len <= 0:
-            raise ConfigError(
-                f"profile_prompt_len must be positive, got {self.profile_prompt_len}"
-            )
-        if self.profile_decode_steps <= 0:
-            raise ConfigError(
-                f"profile_decode_steps must be positive, got {self.profile_decode_steps}"
             )
         if self.cpu_cache_capacity is not None and self.cpu_cache_capacity < 0:
             raise ConfigError(
@@ -148,6 +164,7 @@ class EngineRuntime:
         config: EngineConfig,
         cost_actual: CostModel,
         cost_estimated: CostModel,
+        profile_sizes: tuple[int, int],
     ) -> None:
         self.model = model
         self.model_config = model.config
@@ -180,7 +197,11 @@ class EngineRuntime:
             )
         else:
             self.disk_fetch_est_s = 0.0
-        self.scheduler = HybridScheduler(self.estimated_oracle, config.scheduler)
+        #: Size ``(prompt_len, decode_steps)`` of the warmup profiling run.
+        self.profile_sizes = profile_sizes
+        #: The planner a strategy built and plans with, published for
+        #: observers (HybriMoE's hybrid scheduler; None for baselines).
+        self.scheduler: HybridScheduler | None = None
         # Oracles are frozen value objects deterministic per n_tokens;
         # memoizing them spares StepPipeline rebuilding an identical
         # oracle for every layer of every step.
@@ -228,14 +249,14 @@ class EngineRuntime:
         """Drop every cached cost-model *output* (the model changed).
 
         Called when a degradation state lands on the engine's cost
-        models: the hybrid scheduler's plan memo and duration tables
-        cache raw floats and must be rebuilt against the new costs, and
-        the scalar disk-read estimate is recomputed. The oracle memo
+        models: the scalar disk-read estimate is recomputed (a
+        strategy's own caches, such as the hybrid scheduler's plan memo,
+        are its :meth:`~repro.engine.strategy_base.Strategy.on_costs_changed`
+        business). The oracle memo
         stays — :class:`~repro.core.tasks.LayerCostOracle` delegates
         every call to the (mutated-in-place) cost model, so cached
         oracles are never stale.
         """
-        self.scheduler.invalidate_costs()
         if self.config.tiered:
             self.disk_fetch_est_s = self.cost_estimated.disk_transfer_time(
                 self.model_config.routed_expert_shape
@@ -251,10 +272,7 @@ class EngineRuntime:
         return int(round(self.config.cache_ratio * total))
 
     def _warmup_profile(self) -> WarmupProfile:
-        config = self.config
-        return warmup_profile(
-            self.model, config.seed, config.profile_prompt_len, config.profile_decode_steps
-        )
+        return warmup_profile(self.model, self.config.seed, *self.profile_sizes)
 
     @property
     def warmup_trace(self) -> RoutingTrace:
@@ -290,7 +308,12 @@ class InferenceEngine:
     hardware_profile:
         Platform description; defaults to the paper's testbed.
     config:
-        Engine knobs (cache ratio, seeds, calibration, ...).
+        Engine knobs (cache ratio, seed, topology, ...).
+    profile_prompt_len / profile_decode_steps:
+        Size of the warmup profiling run behind the frequency ranking,
+        MRS priming and predictor fit. Constructor arguments, not
+        knobs: no factory, spec or flag sets them, and tests shrink
+        them to keep small engines fast.
     """
 
     def __init__(
@@ -299,15 +322,18 @@ class InferenceEngine:
         strategy: Strategy,
         hardware_profile=None,
         config: EngineConfig | None = None,
+        *,
+        profile_prompt_len: int = 32,
+        profile_decode_steps: int = 8,
     ) -> None:
+        if profile_prompt_len <= 0 or profile_decode_steps <= 0:
+            raise ConfigError(
+                f"warmup profile sizes must be positive, got "
+                f"{profile_prompt_len}/{profile_decode_steps}"
+            )
         self.config = config or EngineConfig()
         cost_actual = AnalyticCostModel(hardware_profile or paper_testbed())
-        if self.config.calibrate:
-            cost_estimated: CostModel = WarmupCalibrator(cost_actual).calibrate(
-                model.config
-            )
-        else:
-            cost_estimated = cost_actual
+        cost_estimated = WarmupCalibrator(cost_actual).calibrate(model.config)
 
         self.model = model
         self.strategy = strategy
@@ -323,6 +349,7 @@ class InferenceEngine:
             self.config,
             DegradedCostModel(cost_actual),
             DegradedCostModel(cost_estimated),
+            (profile_prompt_len, profile_decode_steps),
         )
         strategy.bind(self.runtime)
         # One cache wiring for every platform: one shard per GPU behind
@@ -425,11 +452,11 @@ class InferenceEngine:
         """Apply a hardware degradation state to both cost models.
 
         Returns True when the state actually changed — in which case
-        every cache of cost-model outputs is invalidated (the hybrid
-        scheduler's plan memo and duration tables, the scalar disk-read
-        estimate) and the strategy is notified so it can refresh any
-        cost-derived knobs of its own (the prefetcher's disk lead-time
-        estimate). Applying the neutral state to a never-degraded
+        the runtime's scalar disk-read estimate is recomputed and the
+        strategy is notified so it can drop or refresh what it derived
+        from the old costs (HybriMoE: its planner's plan memo and
+        duration tables, the prefetcher's disk lead-time estimate).
+        Applying the neutral state to a never-degraded
         engine is a bit-exact no-op: nothing is invalidated and every
         duration stays byte-identical, which is what keeps an unfired
         :class:`~repro.hardware.faults.FaultSchedule`
@@ -444,10 +471,10 @@ class InferenceEngine:
             self.strategy.on_costs_changed()
         return changed
 
-    def decode_only(self, num_steps: int, warm_prompt_len: int = 8) -> GenerationResult:
-        """Convenience: tiny prefill then ``num_steps`` decode tokens."""
+    def decode_only(self, num_steps: int) -> GenerationResult:
+        """Convenience: an 8-token prefill then ``num_steps`` decode tokens."""
         rng = derive_rng(self.config.seed, "engine", "decode-only-prompt")
-        prompt = rng.integers(0, self.model.vocab_size, size=warm_prompt_len)
+        prompt = rng.integers(0, self.model.vocab_size, size=8)
         return self.generate(prompt, decode_steps=num_steps)
 
     # ------------------------------------------------------------------

@@ -14,7 +14,7 @@ from repro.baselines.ktransformers import KTransformersStrategy
 from repro.baselines.llamacpp import LlamaCppStrategy
 from repro.baselines.ondemand import OnDemandStrategy
 from repro.core.strategy import HybriMoEStrategy
-from repro.engine.engine import InferenceEngine
+from repro.engine.engine import EngineConfig, InferenceEngine
 from repro.engine.strategy_base import Strategy
 from repro.errors import ConfigError
 from repro.hardware.cost_model import HardwareProfile
@@ -98,18 +98,23 @@ def _resolve_spec(who: str, spec_type, spec, knobs: dict, model, strategy, hardw
     return spec, live
 
 
-def _loop_config(spec: "ServingSpec"):
-    """The plain serving-loop config of ``spec``, without its engine.
+def _config_part(spec, config_type):
+    """The plain ``config_type`` part of ``spec``, which inherits it.
 
-    The runtime gets only the knobs it runs with: the spec's
-    ``engine`` need not describe the engine actually built, which live
-    ``model`` / ``hardware`` objects replace.
+    A runtime gets only the knobs it runs with: a spec's preset names
+    (or a serving spec's ``engine``) need not describe the system
+    actually built, which live ``model`` / ``hardware`` objects replace.
     """
+    return config_type(
+        **{f.name: getattr(spec, f.name) for f in dataclasses.fields(config_type)}
+    )
+
+
+def _loop_config(spec: "ServingSpec"):
+    """The plain serving-loop config of ``spec``, without its engine."""
     from repro.serving.scheduler import ServingConfig
 
-    return ServingConfig(
-        **{f.name: getattr(spec, f.name) for f in dataclasses.fields(ServingConfig)}
-    )
+    return _config_part(spec, ServingConfig)
 
 
 def _build_model(spec: "EngineSpec") -> ReferenceMoEModel:
@@ -134,7 +139,7 @@ def _build_engine(
         raise ConfigError("strategy_kwargs only apply when strategy is a name")
     if hardware is None:
         hardware = get_hardware_preset(spec.hardware)
-    return InferenceEngine(model, strategy, hardware, spec.engine_config())
+    return InferenceEngine(model, strategy, hardware, _config_part(spec, EngineConfig))
 
 
 def make_engine(
@@ -153,7 +158,8 @@ def make_engine(
     **knobs:
         Any field of :class:`~repro.scenarios.spec.EngineSpec`, by
         name (``cache_ratio=0.25``, ``num_gpus=2``, ...) — the spec
-        class documents each knob, its default and its range. The
+        and the :class:`~repro.engine.engine.EngineConfig` it inherits
+        document each knob, its default and its range. The
         keywords are folded into a spec, so an unknown or out-of-range
         one raises :class:`~repro.errors.ConfigError` before anything
         is built.
@@ -168,7 +174,8 @@ def make_engine(
         :class:`~repro.hardware.cost_model.HardwareProfile`.
     strategy_kwargs:
         Extra constructor arguments for a strategy built here from a
-        name.
+        name: HybriMoE's Table III toggles, its planner ``scheduler``
+        and prefetch ``lookahead``.
     """
     from repro.scenarios.spec import EngineSpec
 

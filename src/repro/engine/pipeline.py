@@ -142,11 +142,6 @@ class StepPipeline:
             raise ConfigError("engine runtime has no cache bound")
         return cache
 
-    @property
-    def config(self):
-        """The engine configuration (knobs shared by every step)."""
-        return self.runtime.config
-
     # ------------------------------------------------------------------
     def run_step(
         self, tokens: np.ndarray, state: DecodeState, stage: str
@@ -521,13 +516,13 @@ class StepPipeline:
         cfg = self.model.config
         num_layers = cfg.num_layers
         gate = runtime.prediction_gate
-        # The heuristic window is `prefetch_lookahead`; a confident
-        # predictor extends it up to its calibrated depth (capped by
-        # `predict_horizon` via the predictor's own horizon) — the
-        # lead-time hint of the confidence gate. With no gate bound (or
-        # one that never fires) `depth == prefetch_lookahead` and every
+        # The heuristic window is the strategy's `prefetch_lookahead`; a
+        # confident predictor extends it up to its calibrated depth
+        # (capped by `predict_horizon` via the predictor's own horizon)
+        # — the lead-time hint of the confidence gate. With no gate
+        # bound (or one that never fires) `depth == lookahead` and every
         # line below computes exactly the historical floats.
-        depth = self.config.prefetch_lookahead
+        lookahead = depth = self.strategy.prefetch_lookahead
         if gate is not None:
             depth = max(depth, gate.confident_depth(ctx.layer))
         predictions: list[PredictedLayer] = []
@@ -541,7 +536,7 @@ class StepPipeline:
             confidence = None
             if gate is not None:
                 scores, confidence = gate.advise(ctx.layer, distance, scores)
-            if distance > self.config.prefetch_lookahead and confidence is None:
+            if distance > lookahead and confidence is None:
                 # Beyond the heuristic window only gate-backed
                 # predictions ride; an unconfident deep layer is noise.
                 continue

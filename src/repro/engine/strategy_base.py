@@ -12,7 +12,8 @@ three decisions to the strategy:
   once per device group (one group on a single GPU);
 - :meth:`Strategy.prefetch_requests` — which experts of future layers
   to pull over PCIe during idle windows, in the stages the strategy
-  declares in :attr:`Strategy.prefetch_stages`.
+  declares in :attr:`Strategy.prefetch_stages`, over its
+  :attr:`Strategy.prefetch_lookahead` next layers.
 """
 
 from __future__ import annotations
@@ -89,6 +90,9 @@ class Strategy(ABC):
     #: Stages (``"prefill"`` / ``"decode"``) whose layers open a prefetch
     #: window; :meth:`prefetch_requests` is called in no other stage.
     prefetch_stages: frozenset[str] = frozenset()
+    #: Future layers a prefetch window predicts heuristically (the
+    #: paper's 3); a confident predictor may reach deeper.
+    prefetch_lookahead: int = 3
 
     def __init__(self) -> None:
         self.runtime: "EngineRuntime | None" = None

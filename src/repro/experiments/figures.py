@@ -252,24 +252,22 @@ def replay_cache_hit_rate(
     trace: RoutingTrace,
     capacity: int,
     policy_name: str,
-    mrs_alpha: float = 0.7,
-    top_p_factor: int = 2,
+    **policy_kwargs,
 ) -> float:
     """Replay a routing trace through a cache and measure decode hits.
 
     Misses insert the expert (modelling the on-demand load), exactly
     the access pattern Fig. 9 isolates. The prefill step warms the
-    cache; only decode accesses count. An MRS policy accumulates the
-    top ``top_p_factor * num_activated`` scores per layer (the paper
-    sets ``p = 2K``, §IV-D).
+    cache; only decode accesses count. ``policy_kwargs`` reach the
+    policy's constructor; an MRS policy accumulates the top
+    ``2 * num_activated`` scores per layer unless given ``top_p`` (the
+    paper sets ``p = 2K``, §IV-D).
     """
     if capacity <= 0:
         raise ConfigError(f"capacity must be positive, got {capacity}")
     if policy_name == "mrs":
-        policy = make_policy("mrs", alpha=mrs_alpha, top_p=top_p_factor * trace.num_activated)
-    else:
-        policy = make_policy(policy_name)
-    cache = ExpertCache(capacity, policy)
+        policy_kwargs.setdefault("top_p", 2 * trace.num_activated)
+    cache = ExpertCache(capacity, make_policy(policy_name, **policy_kwargs))
 
     # Initial residency: the most frequently activated experts.
     counts = expert_activation_frequency(trace)
@@ -327,7 +325,7 @@ def _variant_latencies(
     """``(name, prefill TTFT, decode mean TBT)`` of HybriMoE at a 25% cache per variant.
 
     A variant is the :func:`run_workload` keywords that set it apart
-    (``strategy_kwargs=`` or an engine override).
+    (its ``strategy_kwargs=``).
     """
     prefill = prefill_workloads(prefill_len, seed=seed)[0]
     decode = decode_workload(scale.decode_steps, seed=seed)
@@ -379,7 +377,9 @@ def table3_ablation(
 def ablation_scheduler(scale: ExperimentScale = QUICK_SCALE, seed: int = 0) -> list[dict]:
     """Transfer search and CPU stealing, toggled independently (DeepSeek)."""
     variants = {
-        name: {"scheduler": SchedulerConfig(search_transfers=search, allow_cpu_steal=steal)}
+        name: {"strategy_kwargs": {
+            "scheduler": SchedulerConfig(search_transfers=search, allow_cpu_steal=steal)
+        }}
         for name, search, steal in (
             ("search+steal", True, True),
             ("search-only", True, False),
@@ -399,7 +399,8 @@ def ablation_prefetch(scale: ExperimentScale = QUICK_SCALE, seed: int = 0) -> li
     rows = []
     for depth in (1, 2, 3):
         result = run_workload(
-            "deepseek", "hybrimoe", 0.25, decode, scale.num_layers, seed, prefetch_lookahead=depth
+            "deepseek", "hybrimoe", 0.25, decode, scale.num_layers, seed,
+            strategy_kwargs={"lookahead": depth},
         )
         rows.append(
             {"lookahead": depth, "decode_latency_s": float(result.mean_tbt),
@@ -419,7 +420,9 @@ def ablation_mrs(scale: ExperimentScale = QUICK_SCALE, seed: int = 0) -> list[di
     capacity = _capacity(trace, 0.3)
     return [
         {"alpha": alpha, "top_p_factor": factor,
-         "hit_rate": replay_cache_hit_rate(trace, capacity, "mrs", alpha, factor)}
+         "hit_rate": replay_cache_hit_rate(
+             trace, capacity, "mrs", alpha=alpha, top_p=factor * trace.num_activated
+         )}
         for alpha, factor in product((0.1, 0.3, 0.5, 0.9), (1, 2, 4))
     ]
 

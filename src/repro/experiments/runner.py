@@ -2,21 +2,17 @@
 
 from __future__ import annotations
 
-import dataclasses
 from functools import lru_cache
 
 import numpy as np
 
-from repro.engine.engine import InferenceEngine
-from repro.engine.factory import make_strategy
+from repro.engine.factory import make_engine
 from repro.engine.metrics import GenerationResult
-from repro.hardware.platform_presets import get_hardware_preset
 from repro.models.model import ReferenceMoEModel
 from repro.models.presets import get_preset
 from repro.rng import derive_rng
 from repro.routing.generator import generate_trace
 from repro.routing.trace import RoutingTrace
-from repro.scenarios.spec import EngineSpec
 from repro.workloads.generator import WorkloadSpec
 
 __all__ = ["run_workload", "cached_model", "cached_trace"]
@@ -60,26 +56,21 @@ def run_workload(
     num_layers: int | None = None,
     seed: int = 0,
     strategy_kwargs: dict | None = None,
-    **engine_overrides,
 ) -> GenerationResult:
     """Run one workload on a fresh engine and return its metrics.
 
     Every run constructs a new engine (cold clock, freshly warmed
     cache) on the paper's hardware so results are independent, as the
-    paper's per-configuration measurements are. ``engine_overrides``
-    replace :class:`~repro.engine.engine.EngineConfig` fields no
-    :class:`~repro.scenarios.spec.EngineSpec` knob reaches
-    (``scheduler=``, ``prefetch_lookahead=``) on the configuration the
-    positional arguments describe.
+    paper's per-configuration measurements are. ``strategy_kwargs``
+    are the strategy's constructor arguments (HybriMoE's Table III
+    toggles, its ``scheduler`` and ``lookahead``).
     """
-    spec = EngineSpec(
-        model=model, num_layers=num_layers, strategy=strategy, cache_ratio=cache_ratio, seed=seed
-    )
-    engine = InferenceEngine(
+    engine = make_engine(
         cached_model(model, num_layers, seed),
-        make_strategy(strategy, **(strategy_kwargs or {})),
-        get_hardware_preset(spec.hardware),
-        dataclasses.replace(spec.engine_config(), **engine_overrides),
+        strategy,
+        cache_ratio=cache_ratio,
+        seed=seed,
+        strategy_kwargs=strategy_kwargs,
     )
     return engine.generate(
         np.asarray(workload.prompt_tokens), decode_steps=workload.decode_steps

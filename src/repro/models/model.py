@@ -255,9 +255,7 @@ class ReferenceMoEModel:
         scale = np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + _EPS)
         return x / scale
 
-    def attention(
-        self, x: np.ndarray, layer: int, state: DecodeState, update_state: bool = True
-    ) -> np.ndarray:
+    def attention(self, x: np.ndarray, layer: int, state: DecodeState) -> np.ndarray:
         """Causal mean-context attention stub with residual connection.
 
         Each token attends to the running mean of all normalised inputs
@@ -272,8 +270,7 @@ class ReferenceMoEModel:
         cumulative = np.cumsum(normed, axis=0) + prior_sum
         counts = prior_count + np.arange(1, x.shape[0] + 1, dtype=np.float32)
         ctx = cumulative / counts[:, None]
-        if update_state:
-            state.ctx_sum[layer] = cumulative[-1].copy()
+        state.ctx_sum[layer] = cumulative[-1].copy()
         attn_out = ctx @ self._layers[layer].w_attn
         return x + self.residual_scale * attn_out
 

@@ -104,20 +104,20 @@ def activation_cdf(trace: RoutingTrace) -> tuple[np.ndarray, np.ndarray]:
 
 
 def synthetic_neuron_activation_cdf(
-    n_neurons: int = 4096, zipf_exponent: float = 1.2, seed: int = 0
+    n_neurons: int = 4096, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Synthetic stand-in for the OPT neuron-activation CDF of Fig. 3a.
 
     PowerInfer-style neuron-level sparsity is highly skewed (a few hot
     neurons dominate). Absent the OPT model, we model neuron activation
-    frequencies with a Zipf law, which reproduces the qualitative
-    contrast against the near-uniform expert curve.
+    frequencies with a Zipf law of exponent 1.2, which reproduces the
+    qualitative contrast against the near-uniform expert curve.
     """
     if n_neurons <= 0:
         raise TraceError(f"n_neurons must be positive, got {n_neurons}")
     rng = derive_rng(seed, "synthetic-neuron-cdf")
     ranks = np.arange(1, n_neurons + 1, dtype=np.float64)
-    freqs = ranks ** (-zipf_exponent)
+    freqs = ranks ** -1.2
     freqs *= 1.0 + 0.05 * rng.standard_normal(n_neurons)
     freqs = np.clip(freqs, 1e-9, None)
     ordered = np.sort(freqs)[::-1]

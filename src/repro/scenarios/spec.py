@@ -21,11 +21,11 @@ types and defaults from the fields (:func:`knob_fields`). Every spec
   range raises a one-line :class:`~repro.errors.ConfigError` at
   construction, not at build time deep inside a sweep worker. Each
   field's annotation is its type contract, checked once in the spec
-  base class. :class:`ServingSpec` *is* a
-  :class:`~repro.serving.scheduler.ServingConfig` (it inherits the
-  serving knobs and adds ``engine``); the fields :class:`EngineSpec`
-  shares with :class:`~repro.engine.engine.EngineConfig` are checked
-  by building that config, so spec and config cannot disagree;
+  base class. :class:`EngineSpec` *is* an
+  :class:`~repro.engine.engine.EngineConfig` and :class:`ServingSpec`
+  a :class:`~repro.serving.scheduler.ServingConfig`: each inherits its
+  runtime config's knobs and range checks and adds only what names the
+  system around them, so spec and config cannot disagree;
 - round-trips through plain JSON dicts: ``Spec.from_dict(s.to_dict())
   == s`` and ``s.to_dict()`` contains only JSON primitives — this is
   what lets the sweep runner ship specs to worker processes and stamp
@@ -48,12 +48,13 @@ import typing
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping
 
+from repro.engine.engine import EngineConfig
 from repro.errors import ConfigError
 from repro.serving.scheduler import ServingConfig
 from repro.workloads import generator as wg
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.engine import EngineConfig, InferenceEngine
+    from repro.engine.engine import InferenceEngine
     from repro.fleet.fleet import FleetRouter
     from repro.serving.engine import ServingEngine
     from repro.workloads.generator import ArrivedWorkload
@@ -274,17 +275,18 @@ class _Spec:
 
 
 @dataclass(frozen=True)
-class EngineSpec(_Spec):
+class EngineSpec(_Spec, EngineConfig):
     """Declarative recipe for one :class:`~repro.engine.engine.InferenceEngine`.
 
-    The engine knobs, declared once: these fields are the keyword
-    namespace of :func:`~repro.engine.factory.make_engine` and the
-    engine flags of ``cli run|serve``. A spec only admits *preset
-    names* (never model/strategy/profile instances), so it is pure data
-    — comparable, hashable and JSON-round-trippable. Fields shared with
-    :class:`~repro.engine.engine.EngineConfig` (everything from
-    ``cache_ratio`` down) carry that config's ranges:
-    :meth:`engine_config` builds it at construction.
+    An :class:`~repro.engine.engine.EngineConfig` plus the presets it
+    runs on: the engine knobs are the inherited config fields
+    (documented, and range-checked, there), and with the four below
+    they are the keyword namespace of
+    :func:`~repro.engine.factory.make_engine` and the engine flags of
+    ``cli run|serve``. The engine runs with the plain ``EngineConfig``
+    part. A spec only admits *preset names* (never
+    model/strategy/profile instances), so it is pure data —
+    comparable, hashable and JSON-round-trippable.
 
     Attributes
     ----------
@@ -294,65 +296,14 @@ class EngineSpec(_Spec):
         Optional layer-count override for fast runs.
     strategy:
         Strategy short name (``"hybrimoe"``, ``"ondemand"``, ...).
-    cache_ratio:
-        Fraction of all routed experts that fit in GPU memory (the
-        paper's "GPU expert cache ratio": 25/50/75%).
     hardware:
         Hardware preset name (``"paper"``, ``"disk-slow"``, ``"edge"``, ...).
-    seed:
-        Root seed for the model weights, profiling workloads and decode
-        sampling.
-    num_gpus:
-        Simulated GPU devices. The expert cache is one shard per
-        device (one :class:`~repro.cache.manager.ExpertCache` each,
-        the aggregate ``cache_ratio`` budget split evenly) and the
-        pipeline dispatches each expert to its home device; 1 (the
-        paper's testbed) is one shard holding everything.
-    placement:
-        Expert-placement policy routing keys to home devices:
-        ``"round_robin"`` (by expert id), ``"layer_striped"`` (by
-        layer) or ``"load_aware"`` (sticky least-loaded). Never
-        consulted with one GPU.
-    cpu_cache_capacity:
-        Routed-expert slots of host DRAM (the CPU tier of the memory
-        hierarchy). ``None`` (default) keeps the paper's unbounded CPU
-        store — bit-identical to the historical two-tier engine,
-        test-enforced. An integer caps DRAM residency: experts outside
-        both caches are **spilled to disk** and pay a disk read (on the
-        clock's shared disk link) before any CPU compute or PCIe
-        transfer.
-    cpu_cache_policy:
-        Eviction policy of the DRAM tier, from the same registry as
-        the GPU tier (``"lru"``, ``"lfu"``, ``"mrs"``).
-    predictor:
-        Cross-layer expert predictor driving confidence-gated deep
-        prefetching (``"frequency"`` or ``"transition"``; see
-        :mod:`repro.prediction`). ``None`` (default) keeps the
-        historical gate-reuse heuristic — bit-identical to the pre-
-        predictor engine across every strategy, test-enforced.
-    predict_horizon:
-        Deepest lookahead distance a confident predictor may extend
-        prefetching to (>= ``prefetch_lookahead`` to matter).
-    confidence_gate:
-        Calibrated-confidence threshold of the
-        :class:`~repro.prediction.gate.ConfidenceGate`. Confidence is
-        strictly below 1, so ``1.0`` never fires — the equivalence
-        oracle the bit-identity tests use.
     """
 
     model: str = "deepseek"
     num_layers: int | None = None
     strategy: str = "hybrimoe"
-    cache_ratio: float = 0.5
     hardware: str = "paper"
-    seed: int = 0
-    num_gpus: int = 1
-    placement: str = "round_robin"
-    cpu_cache_capacity: int | None = None
-    cpu_cache_policy: str = "lru"
-    predictor: str | None = None
-    predict_horizon: int = 4
-    confidence_gate: float = 0.6
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -367,26 +318,6 @@ class EngineSpec(_Spec):
         _check_name("hardware preset", self.hardware, HARDWARE_PRESETS)
         if self.num_layers is not None and self.num_layers < 1:
             raise ConfigError(f"num_layers must be >= 1, got {self.num_layers}")
-        self.engine_config()
-
-    def engine_config(self) -> "EngineConfig":
-        """The :class:`~repro.engine.engine.EngineConfig` equivalent.
-
-        Every field the two classes share is copied over (the rest of
-        the config keeps its defaults), so a knob added to both is
-        threaded with no further edit — and the config's own checks
-        are the spec's range validation.
-        """
-        from repro.engine.engine import EngineConfig
-
-        shared = {f.name for f in dataclasses.fields(EngineConfig)}
-        return EngineConfig(
-            **{
-                f.name: getattr(self, f.name)
-                for f in dataclasses.fields(self)
-                if f.name in shared
-            }
-        )
 
     def build(self) -> "InferenceEngine":
         """Construct the engine this spec describes (via ``make_engine``)."""

@@ -8,6 +8,7 @@ the continuous-batching serving loop consumes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,9 +155,13 @@ class ArrivedWorkload:
     tbt_deadline: float | None = None
 
     def __post_init__(self) -> None:
-        if self.arrival_time < 0:
+        # Every serving trace passes here: a NaN or infinite instant
+        # (a NaN rate, an underflowing one, a typed trace) stops at one
+        # check instead of surfacing as a NaN makespan.
+        if not 0 <= self.arrival_time < math.inf:
             raise ConfigError(
-                f"arrival_time must be non-negative, got {self.arrival_time}"
+                f"arrival_time must be non-negative and finite, got "
+                f"{self.arrival_time}"
             )
         if self.tbt_deadline is not None and self.tbt_deadline <= 0:
             raise ConfigError(
@@ -175,15 +180,19 @@ def poisson_arrivals(
     """
     if num_requests <= 0:
         raise ConfigError(f"num_requests must be positive, got {num_requests}")
-    if rate <= 0:
-        raise ConfigError(f"arrival rate must be positive, got {rate}")
-    if start < 0:
-        raise ConfigError(f"start must be non-negative, got {start}")
+    if not 0 < rate < math.inf:
+        raise ConfigError(f"arrival rate must be positive and finite, got {rate}")
+    _check_start(start)
     rng = derive_rng(
         seed, "workload", "arrivals", "poisson", num_requests, repr(float(rate))
     )
     gaps = rng.exponential(scale=1.0 / rate, size=num_requests)
     return start + np.cumsum(gaps)
+
+
+def _check_start(start: float) -> None:
+    if not 0 <= start < math.inf:
+        raise ConfigError(f"start must be non-negative and finite, got {start}")
 
 
 def _thinned_arrivals(
@@ -207,6 +216,10 @@ def _thinned_arrivals(
     accepted = 0
     while accepted < num_requests:
         t += rng.exponential(scale=1.0 / max_rate)
+        if t == math.inf:
+            # A rate so small its gaps overflow: no candidate is ever
+            # accepted, so stop instead of drawing forever.
+            raise ConfigError(f"arrival instants overflow at rate {max_rate}")
         if rng.random() * max_rate <= rate_fn(t):
             times[accepted] = t
             accepted += 1
@@ -231,14 +244,13 @@ def diurnal_arrivals(
     """
     if num_requests <= 0:
         raise ConfigError(f"num_requests must be positive, got {num_requests}")
-    if base_rate <= 0 or peak_rate < base_rate:
+    if not 0 < base_rate <= peak_rate < math.inf:
         raise ConfigError(
-            f"need 0 < base_rate <= peak_rate, got {base_rate}/{peak_rate}"
+            f"need 0 < base_rate <= peak_rate < inf, got {base_rate}/{peak_rate}"
         )
-    if period <= 0:
-        raise ConfigError(f"period must be positive, got {period}")
-    if start < 0:
-        raise ConfigError(f"start must be non-negative, got {start}")
+    if not 0 < period < math.inf:
+        raise ConfigError(f"period must be positive and finite, got {period}")
+    _check_start(start)
     mid = (base_rate + peak_rate) / 2.0
     swing = (peak_rate - base_rate) / 2.0
 
@@ -274,17 +286,16 @@ def bursty_arrivals(
     """
     if num_requests <= 0:
         raise ConfigError(f"num_requests must be positive, got {num_requests}")
-    if base_rate <= 0 or burst_rate < base_rate:
+    if not 0 < base_rate <= burst_rate < math.inf:
         raise ConfigError(
-            f"need 0 < base_rate <= burst_rate, got {base_rate}/{burst_rate}"
+            f"need 0 < base_rate <= burst_rate < inf, got {base_rate}/{burst_rate}"
         )
-    if burst_every <= 0 or not 0 < burst_duration <= burst_every:
+    if not 0 < burst_duration <= burst_every:
         raise ConfigError(
             f"need 0 < burst_duration <= burst_every, got "
             f"{burst_duration}/{burst_every}"
         )
-    if start < 0:
-        raise ConfigError(f"start must be non-negative, got {start}")
+    _check_start(start)
 
     def rate(t: float) -> float:
         return burst_rate if (t % burst_every) < burst_duration else base_rate
@@ -483,8 +494,10 @@ def chat_serving_workload(
         raise ConfigError(
             f"turns_per_session must be positive, got {turns_per_session}"
         )
-    if think_time_s <= 0:
-        raise ConfigError(f"think_time_s must be positive, got {think_time_s}")
+    if not 0 < think_time_s < math.inf:
+        raise ConfigError(
+            f"think_time_s must be positive and finite, got {think_time_s}"
+        )
     if user_tokens <= 0:
         raise ConfigError(f"user_tokens must be positive, got {user_tokens}")
     if decode_steps < 0:

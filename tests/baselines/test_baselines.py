@@ -6,15 +6,15 @@ from repro.engine.engine import EngineConfig, InferenceEngine
 from repro.engine.factory import make_strategy
 from repro.hardware.platform_presets import paper_testbed
 from repro.models.model import ReferenceMoEModel
+from tests.conftest import SMALL_PROFILE
 
 
 def _engine(tiny_config, strategy_name, cache_ratio=0.5, **strategy_kwargs):
     model = ReferenceMoEModel(tiny_config, seed=0)
-    config = EngineConfig(
-        cache_ratio=cache_ratio, seed=0, profile_prompt_len=8, profile_decode_steps=2
-    )
+    config = EngineConfig(cache_ratio=cache_ratio, seed=0)
     return InferenceEngine(
-        model, make_strategy(strategy_name, **strategy_kwargs), paper_testbed(), config
+        model, make_strategy(strategy_name, **strategy_kwargs), paper_testbed(), config,
+        **SMALL_PROFILE,
     )
 
 

@@ -11,6 +11,10 @@ from repro.hardware.platform_presets import paper_testbed
 from repro.models.config import ExpertShape, MoEModelConfig
 from repro.models.model import ReferenceMoEModel
 
+#: Warmup profile size of the small test engines, and of the goldens
+#: recorded on them: ``InferenceEngine(..., **SMALL_PROFILE)``.
+SMALL_PROFILE = {"profile_prompt_len": 8, "profile_decode_steps": 2}
+
 
 @pytest.fixture
 def tiny_config() -> MoEModelConfig:

@@ -24,10 +24,8 @@ from repro.core.hybrid_scheduler import (
     _scan_candidates,
 )
 from repro.core.tasks import LayerCostOracle
-from repro.engine.engine import EngineConfig, InferenceEngine
 from repro.engine.factory import available_strategies, make_engine, make_strategy
 from repro.experiments.runner import cached_model
-from repro.hardware.platform_presets import get_hardware_preset
 from repro.engine.strategy_base import LayerContext
 from repro.models.config import ExpertShape, MoEModelConfig
 from repro.rng import derive_rng
@@ -958,18 +956,16 @@ def test_decode_steps_hit_the_memo_and_rarely_simulate():
     assert len(simulations) <= 5 * steps
 
 
-def test_engine_threads_scheduler_config():
-    """``EngineConfig.scheduler`` is the runtime planner's config as
-    given."""
+def test_strategy_threads_scheduler_config():
+    """HybriMoE's ``scheduler`` argument is the config of the planner it
+    builds and publishes as ``runtime.scheduler``."""
     for planner in (SchedulerConfig(), SchedulerConfig(plan_cache_size=0)):
-        engine = InferenceEngine(
-            cached_model("deepseek", 2, 0),
-            make_strategy("hybrimoe"),
-            get_hardware_preset("paper"),
-            EngineConfig(scheduler=planner),
+        engine = make_engine(
+            cached_model("deepseek", 2, 0), make_strategy("hybrimoe", scheduler=planner)
         )
         assert engine.runtime.scheduler.config is planner
-    assert EngineConfig().scheduler.plan_cache_size > 0
+        assert engine.strategy._prefetcher.scheduler is engine.runtime.scheduler
+    assert make_strategy("hybrimoe").scheduler_config.plan_cache_size > 0
 
 
 def test_runtime_memoizes_oracles():

@@ -3,11 +3,18 @@
 import numpy as np
 import pytest
 
+from repro.baselines.adapmoe import AdapMoEStrategy
+from repro.baselines.ktransformers import KTransformersStrategy
+from repro.baselines.llamacpp import LlamaCppStrategy
+from repro.baselines.ondemand import OnDemandStrategy
 from repro.cache.mrs import MRSPolicy
+from repro.core.hybrid_scheduler import SchedulerConfig
 from repro.core.strategy import HybriMoEStrategy
 from repro.engine.engine import EngineConfig, InferenceEngine
+from repro.errors import ConfigError
 from repro.hardware.platform_presets import paper_testbed
 from repro.models.model import ReferenceMoEModel
+from tests.conftest import SMALL_PROFILE
 
 
 @pytest.fixture
@@ -15,9 +22,8 @@ def engine_factory(tiny_config):
     def build(**strategy_kwargs):
         model = ReferenceMoEModel(tiny_config, seed=0)
         strategy = HybriMoEStrategy(**strategy_kwargs)
-        config = EngineConfig(cache_ratio=0.5, seed=0, profile_prompt_len=8,
-                              profile_decode_steps=2)
-        return InferenceEngine(model, strategy, paper_testbed(), config)
+        config = EngineConfig(cache_ratio=0.5, seed=0)
+        return InferenceEngine(model, strategy, paper_testbed(), config, **SMALL_PROFILE)
 
     return build
 
@@ -31,6 +37,39 @@ class TestNames:
         assert (
             HybriMoEStrategy(False, False, False).name == "hybrimoe[baseline]"
         )
+
+
+class TestPolicyArguments:
+    """The planner search and the lookahead are HybriMoE's arguments."""
+
+    @pytest.mark.parametrize("prefetching", [True, False])
+    @pytest.mark.parametrize("lookahead", [0, -1])
+    def test_lookahead_below_one_rejected_at_construction(self, lookahead, prefetching):
+        with pytest.raises(ConfigError, match="lookahead must be >= 1") as err:
+            HybriMoEStrategy(prefetching=prefetching, lookahead=lookahead)
+        assert "\n" not in str(err.value)
+
+    def test_builds_and_publishes_its_planner(self, engine_factory):
+        planner = SchedulerConfig(allow_cpu_steal=False)
+        engine = engine_factory(scheduler=planner)
+        assert engine.runtime.scheduler.config is planner
+        assert engine.strategy._prefetcher.scheduler is engine.runtime.scheduler
+
+    @pytest.mark.parametrize("lookahead", [1, 2])
+    def test_scratch_ring_sized_by_lookahead(self, engine_factory, lookahead):
+        engine = engine_factory(caching=False, prefetching=True, lookahead=lookahead)
+        k = engine.runtime.model_config.num_activated_experts
+        assert engine.runtime.cache.capacity == 2 * k * lookahead
+
+    @pytest.mark.parametrize(
+        "strategy", [KTransformersStrategy, AdapMoEStrategy, LlamaCppStrategy, OnDemandStrategy]
+    )
+    def test_baselines_build_no_planner(self, tiny_config, strategy):
+        engine = InferenceEngine(
+            ReferenceMoEModel(tiny_config, seed=0), strategy(), **SMALL_PROFILE
+        )
+        assert engine.runtime.scheduler is None
+        engine.generate(np.arange(8), decode_steps=1)
 
 
 class TestCacheConstruction:
@@ -69,17 +108,14 @@ class TestCacheConstruction:
 class TestToggleBehaviour:
     def test_baseline_matches_ktransformers_latency(self, tiny_config):
         """All toggles off must reproduce the kTransformers baseline."""
-        from repro.baselines.ktransformers import KTransformersStrategy
-
         results = {}
         for name, strategy in (
             ("baseline", HybriMoEStrategy(False, False, False)),
             ("ktrans", KTransformersStrategy()),
         ):
             model = ReferenceMoEModel(tiny_config, seed=0)
-            config = EngineConfig(cache_ratio=0.5, seed=0, profile_prompt_len=8,
-                                  profile_decode_steps=2)
-            engine = InferenceEngine(model, strategy, paper_testbed(), config)
+            config = EngineConfig(cache_ratio=0.5, seed=0)
+            engine = InferenceEngine(model, strategy, paper_testbed(), config, **SMALL_PROFILE)
             results[name] = engine.generate(np.arange(16), decode_steps=4)
         assert results["baseline"].ttft == pytest.approx(results["ktrans"].ttft)
         assert results["baseline"].mean_tbt == pytest.approx(
@@ -113,9 +149,8 @@ class TestToggleBehaviour:
         # Low ratio so decode misses exist to refill.
         model = ReferenceMoEModel(tiny_config, seed=0)
         strategy = HybriMoEStrategy(scheduling=False, prefetching=False, caching=True)
-        config = EngineConfig(cache_ratio=0.25, seed=0, profile_prompt_len=8,
-                              profile_decode_steps=2)
-        engine = InferenceEngine(model, strategy, paper_testbed(), config)
+        config = EngineConfig(cache_ratio=0.25, seed=0)
+        engine = InferenceEngine(model, strategy, paper_testbed(), config, **SMALL_PROFILE)
         engine.generate(np.arange(16), decode_steps=8)
         labels = [iv.label for iv in engine.runtime.clock.pcie.intervals]
         assert any("refill" in label for label in labels)

@@ -24,6 +24,7 @@ from repro.hardware.platform_presets import paper_testbed
 from repro.models.config import ExpertShape, MoEModelConfig
 from repro.models.gating import route_tokens
 from repro.models.model import ReferenceMoEModel
+from tests.conftest import SMALL_PROFILE
 
 
 def config(num_experts: int, k: int, num_layers: int = 1) -> MoEModelConfig:
@@ -114,10 +115,9 @@ class TestGroupedCombineEqualsReference:
             EngineConfig(
                 cache_ratio=0.25,
                 seed=0,
-                profile_prompt_len=8,
-                profile_decode_steps=2,
                 num_gpus=num_gpus,
             ),
+            **SMALL_PROFILE,
         )
         rng = np.random.default_rng(seed)
         prompts = [rng.integers(0, model.vocab_size, size=size) for size in sizes]
@@ -184,9 +184,8 @@ def test_one_contiguous_expert_call_per_activated_expert():
         model,
         make_strategy("hybrimoe"),
         paper_testbed(),
-        EngineConfig(
-            cache_ratio=0.5, seed=0, profile_prompt_len=8, profile_decode_steps=2
-        ),
+        EngineConfig(cache_ratio=0.5, seed=0),
+        **SMALL_PROFILE,
     )
     routers, calls = [], []
     route, expert_forward = model.route, model.expert_forward

@@ -8,16 +8,15 @@ from repro.engine.factory import make_strategy
 from repro.errors import ConfigError
 from repro.hardware.platform_presets import paper_testbed
 from repro.models.model import ReferenceMoEModel
+from tests.conftest import SMALL_PROFILE
 
 
 @pytest.fixture
 def small_engine(tiny_config):
     model = ReferenceMoEModel(tiny_config, seed=0)
-    config = EngineConfig(
-        cache_ratio=0.5, seed=0, profile_prompt_len=8, profile_decode_steps=2
-    )
+    config = EngineConfig(cache_ratio=0.5, seed=0)
     return InferenceEngine(
-        model, make_strategy("hybrimoe"), paper_testbed(), config
+        model, make_strategy("hybrimoe"), paper_testbed(), config, **SMALL_PROFILE
     )
 
 
@@ -66,11 +65,9 @@ class TestDeterminism:
     def test_same_seed_same_latency(self, tiny_config, prompt_tokens):
         def run():
             model = ReferenceMoEModel(tiny_config, seed=0)
-            config = EngineConfig(
-                cache_ratio=0.5, seed=0, profile_prompt_len=8, profile_decode_steps=2
-            )
+            config = EngineConfig(cache_ratio=0.5, seed=0)
             engine = InferenceEngine(
-                model, make_strategy("hybrimoe"), paper_testbed(), config
+                model, make_strategy("hybrimoe"), paper_testbed(), config, **SMALL_PROFILE
             )
             return engine.generate(prompt_tokens, decode_steps=3)
 
@@ -85,19 +82,27 @@ class TestEngineConfigValidation:
         with pytest.raises(ConfigError):
             EngineConfig(cache_ratio=1.5)
 
-    def test_lookahead_bounds(self):
-        with pytest.raises(ConfigError):
-            EngineConfig(prefetch_lookahead=0)
+
+class TestWarmupProfileSize:
+    """The profiling run's size is an engine constructor argument."""
 
     @pytest.mark.parametrize("value", [0, -4])
-    def test_profile_prompt_len_must_be_positive(self, value):
-        with pytest.raises(ConfigError):
-            EngineConfig(profile_prompt_len=value)
+    def test_profile_prompt_len_must_be_positive(self, tiny_model, value):
+        with pytest.raises(ConfigError, match="warmup profile sizes"):
+            InferenceEngine(tiny_model, make_strategy("hybrimoe"), profile_prompt_len=value)
 
     @pytest.mark.parametrize("value", [0, -1])
-    def test_profile_decode_steps_must_be_positive(self, value):
-        with pytest.raises(ConfigError):
-            EngineConfig(profile_decode_steps=value)
+    def test_profile_decode_steps_must_be_positive(self, tiny_model, value):
+        with pytest.raises(ConfigError, match="warmup profile sizes"):
+            InferenceEngine(tiny_model, make_strategy("hybrimoe"), profile_decode_steps=value)
+
+    def test_sizes_pick_the_profile(self, tiny_model):
+        engine = InferenceEngine(
+            tiny_model, make_strategy("ondemand"), profile_prompt_len=8, profile_decode_steps=2
+        )
+        trace = engine.runtime.warmup_trace
+        assert engine.runtime.profile_sizes == (8, 2)
+        assert trace.steps[0].n_tokens == 8 and len(trace.steps) == 3
 
 
 class TestNoiseRobustness:
@@ -114,23 +119,6 @@ class TestNoiseRobustness:
             assert runtime.cost_estimated.gpu_expert_time(
                 shape, tokens
             ) != runtime.cost_actual.gpu_expert_time(shape, tokens)
-
-
-class TestUncalibratedPlanner:
-    def test_ground_truth_planner_runs(self, tiny_config, prompt_tokens):
-        model = ReferenceMoEModel(tiny_config, seed=0)
-        config = EngineConfig(
-            cache_ratio=0.5,
-            seed=0,
-            calibrate=False,
-            profile_prompt_len=8,
-            profile_decode_steps=2,
-        )
-        engine = InferenceEngine(
-            model, make_strategy("hybrimoe"), paper_testbed(), config
-        )
-        result = engine.generate(prompt_tokens, decode_steps=2)
-        assert result.ttft > 0
 
 
 class TestRuntime:

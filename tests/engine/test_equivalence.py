@@ -13,6 +13,7 @@ from repro.engine.engine import EngineConfig, InferenceEngine
 from repro.engine.factory import make_strategy
 from repro.hardware.platform_presets import paper_testbed
 from repro.models.model import ReferenceMoEModel
+from tests.conftest import SMALL_PROFILE
 
 STRATEGIES = ["hybrimoe", "ktransformers", "adapmoe", "llamacpp", "ondemand"]
 
@@ -25,11 +26,9 @@ def test_prefill_hidden_states_match_reference(
     ref_hidden, _, _ = reference.forward(prompt_tokens)
 
     model = ReferenceMoEModel(tiny_config, seed=0)
-    config = EngineConfig(
-        cache_ratio=0.25, seed=0, profile_prompt_len=8, profile_decode_steps=2
-    )
+    config = EngineConfig(cache_ratio=0.25, seed=0)
     engine = InferenceEngine(
-        model, make_strategy(strategy_name), paper_testbed(), config
+        model, make_strategy(strategy_name), paper_testbed(), config, **SMALL_PROFILE
     )
     hidden, _ = engine._run_step(prompt_tokens, "prefill")
     np.testing.assert_allclose(hidden, ref_hidden, rtol=1e-5, atol=1e-6)
@@ -50,11 +49,9 @@ def test_decode_trajectory_matches_reference(tiny_config, prompt_tokens, strateg
         last = hidden[-1]
 
     model = ReferenceMoEModel(tiny_config, seed=0)
-    config = EngineConfig(
-        cache_ratio=0.25, seed=0, profile_prompt_len=8, profile_decode_steps=2
-    )
+    config = EngineConfig(cache_ratio=0.25, seed=0)
     engine = InferenceEngine(
-        model, make_strategy(strategy_name), paper_testbed(), config
+        model, make_strategy(strategy_name), paper_testbed(), config, **SMALL_PROFILE
     )
     eng_hidden, _ = engine._run_step(prompt_tokens, "prefill")
     eng_tokens = []
@@ -73,11 +70,9 @@ def test_equivalence_holds_at_all_cache_ratios(tiny_config, prompt_tokens, cache
     reference = ReferenceMoEModel(tiny_config, seed=0)
     ref_hidden, _, _ = reference.forward(prompt_tokens)
     model = ReferenceMoEModel(tiny_config, seed=0)
-    config = EngineConfig(
-        cache_ratio=cache_ratio, seed=0, profile_prompt_len=8, profile_decode_steps=2
-    )
+    config = EngineConfig(cache_ratio=cache_ratio, seed=0)
     engine = InferenceEngine(
-        model, make_strategy("hybrimoe"), paper_testbed(), config
+        model, make_strategy("hybrimoe"), paper_testbed(), config, **SMALL_PROFILE
     )
     hidden, _ = engine._run_step(prompt_tokens, "prefill")
     np.testing.assert_allclose(hidden, ref_hidden, rtol=1e-5, atol=1e-6)

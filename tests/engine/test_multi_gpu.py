@@ -37,6 +37,7 @@ from repro.models.model import ReferenceMoEModel
 from repro.serving.engine import ServingEngine
 from repro.serving.request import Request
 from repro.workloads.generator import serving_workload
+from tests.conftest import SMALL_PROFILE
 
 STRATEGIES = ["hybrimoe", "ktransformers", "adapmoe", "llamacpp", "ondemand"]
 
@@ -46,12 +47,10 @@ def build_engine(tiny_config, strategy_name, **overrides):
     config = EngineConfig(
         cache_ratio=0.25,
         seed=0,
-        profile_prompt_len=8,
-        profile_decode_steps=2,
         **overrides,
     )
     return InferenceEngine(
-        model, make_strategy(strategy_name), paper_testbed(), config
+        model, make_strategy(strategy_name), paper_testbed(), config, **SMALL_PROFILE
     )
 
 
@@ -334,19 +333,13 @@ class TestMultiGpuDispatch:
         capacity 0; prefetches must never pay for transfers they can't
         land (the insert would be rejected)."""
         model = ReferenceMoEModel(tiny_config, seed=0)
-        config = EngineConfig(
-            cache_ratio=0.25,
-            seed=0,
-            profile_prompt_len=8,
-            profile_decode_steps=2,
-            prefetch_lookahead=1,
-            num_gpus=8,
-        )
+        config = EngineConfig(cache_ratio=0.25, seed=0, num_gpus=8)
         engine = InferenceEngine(
             model,
-            make_strategy("hybrimoe", caching=False, prefetching=True),
+            make_strategy("hybrimoe", caching=False, prefetching=True, lookahead=1),
             paper_testbed(),
             config,
+            **SMALL_PROFILE,
         )
         cache = engine.runtime.cache
         zero_cap = [g for g, shard in enumerate(cache.shards) if shard.capacity == 0]

@@ -15,6 +15,7 @@ from repro.engine.engine import EngineConfig, InferenceEngine
 from repro.engine.factory import make_strategy
 from repro.hardware.platform_presets import paper_testbed
 from repro.models.model import ReferenceMoEModel
+from tests.conftest import SMALL_PROFILE
 
 STRATEGIES = ["hybrimoe", "ktransformers", "adapmoe", "llamacpp", "ondemand"]
 
@@ -27,12 +28,10 @@ def build_engine(tiny_config, strategy_name, cpu_capacity=None, **config_overrid
     config = EngineConfig(
         cache_ratio=0.25,
         seed=0,
-        profile_prompt_len=8,
-        profile_decode_steps=2,
         **overrides,
     )
     return InferenceEngine(
-        model, make_strategy(strategy_name), paper_testbed(), config
+        model, make_strategy(strategy_name), paper_testbed(), config, **SMALL_PROFILE
     )
 
 

@@ -4,8 +4,8 @@
 prefetch window; in any other stage ``StepPipeline._issue_prefetches``
 returns before it scores a single future layer. Counted here through
 ``gate_scores``: routing calls it once per layer, and each open window
-once more per predicted layer, ``min(prefetch_lookahead, layers left)``
-of them (no predictor bound).
+once more per predicted layer, ``min(strategy.prefetch_lookahead,
+layers left)`` of them (no predictor bound).
 """
 
 import numpy as np
@@ -17,25 +17,25 @@ from repro.engine.engine import EngineConfig, InferenceEngine
 from repro.engine.factory import make_strategy
 from repro.hardware.platform_presets import paper_testbed
 from repro.models.model import ReferenceMoEModel
+from tests.conftest import SMALL_PROFILE
 
 NUM_LAYERS = 5
+#: The lookahead both prefetching strategies default to (the paper's 3).
 LOOKAHEAD = 3
-#: gate_scores calls of one step that opens a window at every layer.
-WINDOW_CALLS = sum(
-    min(LOOKAHEAD, NUM_LAYERS - 1 - layer) for layer in range(NUM_LAYERS)
-)
+
+
+def window_calls(lookahead: int = LOOKAHEAD) -> int:
+    """gate_scores calls of one step that opens a window at every layer."""
+    return sum(min(lookahead, NUM_LAYERS - 1 - layer) for layer in range(NUM_LAYERS))
+
+
+WINDOW_CALLS = window_calls()
 
 
 def build_engine(tiny_config, strategy):
     model = ReferenceMoEModel(tiny_config.with_layers(NUM_LAYERS), seed=0)
-    config = EngineConfig(
-        cache_ratio=0.5,
-        seed=0,
-        profile_prompt_len=8,
-        profile_decode_steps=2,
-        prefetch_lookahead=LOOKAHEAD,
-    )
-    return InferenceEngine(model, strategy, paper_testbed(), config)
+    config = EngineConfig(cache_ratio=0.5, seed=0)
+    return InferenceEngine(model, strategy, paper_testbed(), config, **SMALL_PROFILE)
 
 
 def gate_calls_per_step(engine, decode_steps=3):
@@ -77,6 +77,10 @@ class TestDeclarations:
         for build in NON_PREFETCHING.values():
             assert build().prefetch_stages == frozenset()
 
+    def test_lookahead_defaults(self):
+        assert HybriMoEStrategy().prefetch_lookahead == LOOKAHEAD
+        assert AdapMoEStrategy().prefetch_lookahead == LOOKAHEAD
+
 
 class TestWindowCalls:
     @pytest.mark.parametrize(
@@ -88,6 +92,15 @@ class TestWindowCalls:
         assert gate_calls_per_step(engine) == [
             ("prefill", NUM_LAYERS),
             *[("decode", NUM_LAYERS + WINDOW_CALLS)] * 3,
+        ]
+
+    @pytest.mark.parametrize("lookahead", [1, 2])
+    def test_hybrimoe_lookahead_sets_window_depth(self, tiny_config, lookahead):
+        engine = build_engine(tiny_config, make_strategy("hybrimoe", lookahead=lookahead))
+        assert engine.strategy._prefetcher.lookahead == lookahead
+        assert gate_calls_per_step(engine) == [
+            ("prefill", NUM_LAYERS),
+            *[("decode", NUM_LAYERS + window_calls(lookahead))] * 3,
         ]
 
     def test_hybrimoe_prefill_issues_no_prefetch(self, tiny_config):

@@ -25,6 +25,7 @@ from repro.errors import ConfigError
 from repro.hardware.platform_presets import paper_testbed
 from repro.models.model import ReferenceMoEModel
 from repro.workloads.generator import serving_workload
+from tests.conftest import SMALL_PROFILE
 
 STRATEGIES = ["hybrimoe", "ktransformers", "adapmoe", "llamacpp", "ondemand"]
 
@@ -34,12 +35,10 @@ def build_engine(tiny_config, strategy_name, profile=None, **overrides):
     config = EngineConfig(
         cache_ratio=0.25,
         seed=0,
-        profile_prompt_len=8,
-        profile_decode_steps=2,
         **overrides,
     )
     return InferenceEngine(
-        model, make_strategy(strategy_name), profile or paper_testbed(), config
+        model, make_strategy(strategy_name), profile or paper_testbed(), config, **SMALL_PROFILE
     )
 
 

@@ -1,11 +1,9 @@
 """Experiment runner: model memoisation and configuration plumbing."""
 
-import dataclasses
-
 import pytest
 
 from repro.core.hybrid_scheduler import SchedulerConfig
-from repro.engine.engine import EngineConfig, InferenceEngine
+from repro.engine.factory import make_engine
 from repro.experiments.runner import cached_model, cached_trace, run_workload
 from repro.workloads import decode_workload, prefill_workloads
 
@@ -51,28 +49,33 @@ class TestRunWorkload:
         )
         assert len(result.decode_steps) == 3
 
-    def test_engine_config_overrides(self, monkeypatch):
+    def test_builds_through_make_engine(self, monkeypatch):
+        """One construction path: HybriMoE's planner config and lookahead
+        reach the engine as strategy arguments."""
         from repro.experiments import runner
 
-        configs = []
+        calls, engines = [], []
 
-        def spy(model, strategy, hardware, config):
-            configs.append(config)
-            return InferenceEngine(model, strategy, hardware, config)
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs))
+            engines.append(make_engine(*args, **kwargs))
+            return engines[-1]
 
-        monkeypatch.setattr(runner, "InferenceEngine", spy)
+        monkeypatch.setattr(runner, "make_engine", spy)
         scheduler = SchedulerConfig(search_transfers=False)
+        strategy_kwargs = {"lookahead": 1, "scheduler": scheduler}
         result = run_workload(
             "deepseek", "hybrimoe", 0.9, decode_workload(2, seed=0), num_layers=2, seed=7,
-            prefetch_lookahead=1, scheduler=scheduler,
+            strategy_kwargs=strategy_kwargs,
         )
-        (config,) = configs
-        assert (config.prefetch_lookahead, config.scheduler) == (1, scheduler)
-        assert (config.cache_ratio, config.seed) == (0.9, 7)
+        ((args, kwargs),) = calls
+        assert args == (cached_model("deepseek", 2, 7), "hybrimoe")
+        assert kwargs == {"cache_ratio": 0.9, "seed": 7, "strategy_kwargs": strategy_kwargs}
+        (engine,) = engines
+        assert engine.runtime.scheduler.config is scheduler
+        assert engine.strategy.prefetch_lookahead == 1
+        assert (engine.config.cache_ratio, engine.config.seed) == (0.9, 7)
         assert result.cache_ratio == pytest.approx(0.9)
-        assert config == dataclasses.replace(
-            EngineConfig(cache_ratio=0.9, seed=7), prefetch_lookahead=1, scheduler=scheduler
-        )
 
     def test_strategy_kwargs_reach_strategy(self):
         workload = decode_workload(2, seed=0)

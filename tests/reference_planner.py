@@ -433,9 +433,12 @@ def install_reference_planner(engine):
     """Swap a built engine's planner for the oracle, memo off.
 
     Replaces the runtime's scheduler and the prefetcher's reference to
-    it — the two holders an engine has — and returns the engine.
+    it — the two holders an engine has — and returns the engine. A
+    strategy that built no planner (every baseline) is left as is.
     """
     runtime = engine.runtime
+    if runtime.scheduler is None:
+        return engine
     reference = ReferencePlanner(
         runtime.estimated_oracle,
         dataclasses.replace(runtime.scheduler.config, plan_cache_size=0),

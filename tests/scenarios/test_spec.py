@@ -75,7 +75,21 @@ class TestEngineSpec:
             with pytest.raises(ConfigError):
                 EngineSpec(**kwargs)
         else:
-            assert EngineSpec(**kwargs).engine_config() == EngineConfig(**kwargs)
+            spec = EngineSpec(**kwargs)
+            assert isinstance(spec, EngineConfig)
+            config = EngineConfig(**kwargs)
+            assert all(getattr(spec, f.name) == getattr(config, f.name) for f in fields(config))
+
+    def test_declares_only_presets_beyond_engine_config(self):
+        """The engine knobs are EngineConfig's fields, declared once."""
+        own = {f.name for f in fields(EngineSpec)} - {f.name for f in fields(EngineConfig)}
+        assert own == {"model", "num_layers", "strategy", "hardware"}
+        assert {f.name for f in fields(EngineConfig)} == {
+            "cache_ratio", "seed", "num_gpus", "placement", "cpu_cache_capacity",
+            "cpu_cache_policy", "predictor", "predict_horizon", "confidence_gate",
+        }
+        engine = EngineSpec(num_layers=2, cache_ratio=0.25, num_gpus=2).build()
+        assert engine.config == EngineConfig(cache_ratio=0.25, num_gpus=2)
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError, match="unknown EngineSpec keys"):

@@ -22,17 +22,17 @@ from repro.models.model import ReferenceMoEModel
 from repro.rng import derive_rng
 from repro.serving import Request, ServingConfig, ServingEngine
 from repro.workloads.generator import sample_prompt
+from tests.conftest import SMALL_PROFILE
 
 
 def _fresh_engine(tiny_config, strategy="hybrimoe", cache_ratio=0.25, seed=0):
-    config = EngineConfig(
-        cache_ratio=cache_ratio, seed=seed, profile_prompt_len=8, profile_decode_steps=2
-    )
+    config = EngineConfig(cache_ratio=cache_ratio, seed=seed)
     return InferenceEngine(
         ReferenceMoEModel(tiny_config, seed=seed),
         make_strategy(strategy),
         paper_testbed(),
         config,
+        **SMALL_PROFILE,
     )
 
 

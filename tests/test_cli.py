@@ -388,6 +388,17 @@ class TestServeValidation:
         assert f"{field} must be positive and finite" in err
         assert f"got {value}" in err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--arrival-rate", "nan", "arrival rate must be positive and finite, got nan"),
+            ("--arrival-trace", "0,nan", "arrival_time must be non-negative and finite"),
+            ("--arrival-trace", "0,inf", "arrival_time must be non-negative and finite"),
+        ],
+    )
+    def test_non_finite_arrivals_rejected(self, capsys, flag, value, message):
+        assert message in self._error(capsys, flag, value)
+
     def test_malformed_shed_rejected(self, capsys):
         err = self._error(capsys, "--shed", "many")
         assert "bad --shed" in err

@@ -1,17 +1,25 @@
 """Arrival processes: Poisson determinism, trace validation, serving traces."""
 
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigError
+from repro.scenarios import WorkloadRecipe
 from repro.workloads.generator import (
     DEFAULT_PRIORITY,
     ArrivedWorkload,
     WorkloadSpec,
+    bursty_arrivals,
     chat_serving_workload,
+    decode_workload,
+    diurnal_arrivals,
     poisson_arrivals,
     priority_assignment,
     serving_workload,
+    skewed_serving_workload,
     trace_arrivals,
 )
 
@@ -252,3 +260,107 @@ class TestChatServingWorkload:
     def test_invalid_arguments(self, kwargs):
         with pytest.raises(ConfigError):
             chat_serving_workload(**kwargs)
+
+
+@contextlib.contextmanager
+def _bounded(seconds: float = 5.0):
+    """Fail a call that would loop forever instead of hanging the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+NAN, INF = float("nan"), float("inf")
+#: A positive rate whose exponential gaps overflow to inf.
+UNDERFLOW = 1e-320
+
+
+class TestNonFiniteArrivalInputs:
+    """NaN / inf rates, periods and instants are one-line ConfigErrors."""
+
+    @staticmethod
+    def _rejected(build, match=None):
+        with _bounded(), pytest.raises(ConfigError, match=match) as err:
+            build()
+        assert "\n" not in str(err.value)
+
+    @pytest.mark.parametrize("rate", [NAN, INF])
+    def test_poisson_rate(self, rate):
+        self._rejected(lambda: poisson_arrivals(4, rate), "positive and finite")
+
+    @pytest.mark.parametrize("start", [NAN, INF])
+    def test_poisson_start(self, start):
+        self._rejected(lambda: poisson_arrivals(4, 1.0, start=start), "start")
+
+    @pytest.mark.parametrize("rate", [NAN, INF, UNDERFLOW])
+    def test_serving_workload_rate(self, rate):
+        self._rejected(lambda: serving_workload(num_requests=3, arrival_rate=rate))
+
+    @pytest.mark.parametrize("rate", [NAN, INF, UNDERFLOW])
+    def test_skewed_workload_rate(self, rate):
+        self._rejected(lambda: skewed_serving_workload(num_requests=3, arrival_rate=rate))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"session_rate": NAN},
+            {"session_rate": UNDERFLOW},
+            {"think_time_s": NAN},
+            {"think_time_s": INF},
+        ],
+    )
+    def test_chat_workload(self, kwargs):
+        self._rejected(lambda: chat_serving_workload(num_sessions=2, **kwargs))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"base_rate": NAN, "peak_rate": 2.0},
+            {"base_rate": 1.0, "peak_rate": NAN},
+            {"base_rate": 1.0, "peak_rate": INF},
+            {"base_rate": 1.0, "peak_rate": 2.0, "period": NAN},
+            {"base_rate": 1.0, "peak_rate": 2.0, "period": INF},
+            {"base_rate": UNDERFLOW, "peak_rate": UNDERFLOW},
+        ],
+    )
+    def test_diurnal(self, kwargs):
+        self._rejected(lambda: diurnal_arrivals(3, **kwargs))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"base_rate": NAN, "burst_rate": 2.0},
+            {"base_rate": 1.0, "burst_rate": INF},
+            {"base_rate": 1.0, "burst_rate": 2.0, "burst_duration": NAN},
+        ],
+    )
+    def test_bursty(self, kwargs):
+        self._rejected(lambda: bursty_arrivals(3, **kwargs))
+
+    def test_diurnal_recipe(self):
+        recipe = WorkloadRecipe(
+            "diurnal", {"num_requests": 2, "base_rate": NAN, "peak_rate": 2.0}
+        )
+        self._rejected(recipe.build)
+
+    @pytest.mark.parametrize("instant", [NAN, INF])
+    def test_explicit_trace(self, instant):
+        self._rejected(
+            lambda: serving_workload(arrival_times=[0.0, instant]), "non-negative and finite"
+        )
+
+    @pytest.mark.parametrize("instant", [NAN, INF])
+    def test_arrived_workload(self, instant):
+        workload = decode_workload(1)
+        self._rejected(
+            lambda: ArrivedWorkload(arrival_time=instant, workload=workload),
+            "non-negative and finite",
+        )
