@@ -62,7 +62,7 @@ from repro.engine import (
     make_serving_engine,
     make_strategy,
 )
-from repro.fleet import AutoscaleConfig, FleetReport, FleetRouter, available_routers
+from repro.fleet import AutoscaleConfig, FleetConfig, FleetReport, FleetRouter, available_routers
 from repro.hardware.faults import Fault, FaultSchedule
 from repro.serving import Request, ServingConfig, ServingEngine
 from repro.errors import (
@@ -116,6 +116,7 @@ __all__ = [
     "FaultSchedule",
     "AutoscaleConfig",
     "ServingConfig",
+    "FleetConfig",
     "ServingReport",
     "Request",
     "EngineConfig",

@@ -381,21 +381,21 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
 def _fleet_spec(args: argparse.Namespace) -> FleetSpec:
     """The one spec a ``run`` / ``serve`` namespace describes.
 
-    ``run`` reads only its ``.engine``. The CLI differs from
-    :class:`FleetSpec` in a single default: without ``--replicas`` it
-    serves on the bare engine (``replicas=1``).
+    ``run`` reads only its ``.engine``. Every default is the spec's
+    own, so without ``--replicas`` it serves on the bare engine
+    (``FleetConfig.replicas`` is 1).
     """
     valid = knob_fields(FleetSpec)
-    knobs = {"replicas": 1, **{k: v for k, v in vars(args).items() if k in valid}}
+    knobs = {k: v for k, v in vars(args).items() if k in valid}
     if getattr(args, "shed", None) is not None:
         knobs["shed_queue_depth"], knobs["shed_resume_depth"] = _parse_shed(args.shed)
-    if knobs["replicas"] < 1:
-        raise ConfigError(f"--replicas must be >= 1, got {knobs['replicas']}")
     return spec_from_knobs(FleetSpec, knobs, "repro")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     spec = _fleet_spec(args).engine
+    if args.prompt_len < 1:
+        raise ConfigError(f"--prompt-len must be >= 1, got {args.prompt_len}")
     engine = make_engine(spec=spec)
     rng = derive_rng(spec.seed, "cli", "prompt")
     prompt = rng.integers(0, engine.model.vocab_size, size=args.prompt_len)
@@ -463,7 +463,13 @@ def _serve_trace(args: argparse.Namespace, seed: int, vocab_size: int):
     """The arrival trace ``serve`` replays (explicit instants or Poisson)."""
     arrival_times, arrival_rate = None, args.arrival_rate
     if args.arrival_trace is not None:
-        arrival_times = [float(t) for t in args.arrival_trace.split(",")]
+        try:
+            arrival_times = [float(t) for t in args.arrival_trace.split(",")]
+        except ValueError:
+            raise ConfigError(
+                f"bad --arrival-trace {args.arrival_trace!r}; expected "
+                f"comma-separated instants in seconds"
+            ) from None
         arrival_rate = None
     return serving_workload(
         num_requests=args.num_requests,

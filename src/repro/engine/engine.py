@@ -428,6 +428,8 @@ class InferenceEngine:
         prompt_tokens = np.asarray(prompt_tokens, dtype=np.int64)
         if prompt_tokens.ndim != 1 or prompt_tokens.size == 0:
             raise ConfigError("prompt_tokens must be a non-empty 1-D id array")
+        if decode_steps < 0:
+            raise ConfigError(f"decode_steps must be >= 0, got {decode_steps}")
         result = GenerationResult(
             model_name=self.model.config.name,
             strategy_name=self.strategy.name,

@@ -110,13 +110,6 @@ def _config_part(spec, config_type):
     )
 
 
-def _loop_config(spec: "ServingSpec"):
-    """The plain serving-loop config of ``spec``, without its engine."""
-    from repro.serving.scheduler import ServingConfig
-
-    return _config_part(spec, ServingConfig)
-
-
 def _build_model(spec: "EngineSpec") -> ReferenceMoEModel:
     return ReferenceMoEModel(
         get_preset(spec.model, num_layers=spec.num_layers), seed=spec.seed
@@ -212,12 +205,13 @@ def make_serving_engine(
     # top-level import here would be circular.
     from repro.scenarios.spec import ServingSpec
     from repro.serving.engine import ServingEngine
+    from repro.serving.scheduler import ServingConfig
 
     spec, live = _resolve_spec(
         "make_serving_engine", ServingSpec, spec, knobs, model, strategy, hardware
     )
     engine = _build_engine(spec.engine, strategy_kwargs, **live)
-    return ServingEngine(engine, _loop_config(spec), faults=faults)
+    return ServingEngine(engine, _config_part(spec, ServingConfig), faults=faults)
 
 
 def make_fleet(
@@ -237,9 +231,9 @@ def make_fleet(
     engines are produced lazily, each exactly as :func:`make_engine`
     would build it — every replica gets the same model, strategy,
     hardware, seed and cache configuration. ``**knobs`` are the fields
-    of :class:`~repro.scenarios.spec.FleetSpec` and of the serving and
-    engine specs it composes (documented on those classes); ``spec``
-    takes a ready ``FleetSpec`` instead.
+    of :class:`~repro.scenarios.spec.FleetSpec` (its own are the
+    :class:`~repro.fleet.fleet.FleetConfig` knobs) and of the serving
+    and engine specs it composes; ``spec`` takes a ready ``FleetSpec``.
 
     ``faults`` injects a :class:`~repro.hardware.faults.FaultSchedule`
     (replica crashes, slow windows and link / disk / straggler
@@ -252,8 +246,9 @@ def make_fleet(
     """
     # Imported lazily: repro.fleet builds on repro.engine, so a
     # top-level import here would be circular.
-    from repro.fleet.fleet import FleetRouter
+    from repro.fleet.fleet import FleetConfig, FleetRouter
     from repro.scenarios.spec import FleetSpec
+    from repro.serving.scheduler import ServingConfig
 
     spec, live = _resolve_spec(
         "make_fleet", FleetSpec, spec, knobs, model, strategy, hardware
@@ -274,11 +269,8 @@ def make_fleet(
 
     return FleetRouter(
         engine_factory,
-        replicas=spec.replicas,
-        policy=spec.router,
-        config=_loop_config(spec.serving),
+        _config_part(spec, FleetConfig),
+        _config_part(spec.serving, ServingConfig),
         faults=faults,
         autoscale=autoscale,
-        max_retries=spec.max_retries,
-        retry_backoff_s=spec.retry_backoff_s,
     )

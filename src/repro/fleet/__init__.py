@@ -27,7 +27,7 @@ Quickstart::
 """
 
 from repro.fleet.autoscale import AutoscaleConfig, AutoscaleEvent
-from repro.fleet.fleet import FleetReport, FleetRouter, Replica, RoutingDecision
+from repro.fleet.fleet import FleetConfig, FleetReport, FleetRouter, Replica, RoutingDecision
 from repro.fleet.router import (
     CacheAffinityPolicy,
     LeastLoadedPolicy,
@@ -38,6 +38,7 @@ from repro.fleet.router import (
 )
 
 __all__ = [
+    "FleetConfig",
     "FleetRouter",
     "FleetReport",
     "Replica",

@@ -63,7 +63,7 @@ class AutoscaleConfig:
                 f"need 0 <= low_watermark < high_watermark, got "
                 f"{self.low_watermark}/{self.high_watermark}"
             )
-        if self.cooldown < 0:
+        if not self.cooldown >= 0:  # NaN fails, too
             raise ConfigError(f"cooldown must be non-negative, got {self.cooldown}")
 
 

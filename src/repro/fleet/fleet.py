@@ -44,7 +44,7 @@ from repro.engine.engine import InferenceEngine
 from repro.engine.metrics import ServingReport
 from repro.errors import ConfigError, SimulationError
 from repro.fleet.autoscale import AutoscaleConfig, AutoscaleEvent
-from repro.fleet.router import RoutingPolicy, make_router
+from repro.fleet.router import make_router
 from repro.hardware.faults import Fault, FaultSchedule
 from repro.routing.statistics import predicted_routing_profile
 from repro.serving.engine import requests_from_trace
@@ -53,7 +53,7 @@ from repro.serving.scheduler import ServingConfig
 from repro.serving.session import ServingSession
 from repro.workloads.generator import ArrivedWorkload
 
-__all__ = ["Replica", "RoutingDecision", "FleetReport", "FleetRouter"]
+__all__ = ["Replica", "RoutingDecision", "FleetReport", "FleetConfig", "FleetRouter"]
 
 
 class Replica:
@@ -170,35 +170,24 @@ class FleetReport:
         return record
 
 
-class FleetRouter:
-    """Front-end router over a pool of replica serving engines.
+@dataclass(frozen=True)
+class FleetConfig:
+    """Knobs of the fleet front end (the replica pool and its router).
 
-    Parameters
+    :class:`~repro.scenarios.spec.FleetSpec` inherits these fields and
+    their checks, adding only the serving spec every replica runs.
+
+    Attributes
     ----------
-    engine_factory:
-        Zero-argument callable building one replica engine. Called once
-        per replica, lazily (standby replicas are only built when
-        autoscaling activates them). Factories must build *identical*
-        engines — the fleet reports a single merged
-        :class:`~repro.engine.metrics.ServingReport`, which requires a
-        homogeneous pool.
     replicas:
-        Pool size M (the autoscaling ceiling).
-    policy:
-        Routing policy name (see
-        :func:`~repro.fleet.router.available_routers`) or instance.
-    config:
-        Per-replica serving knobs (each session gets the same config).
-    faults:
-        Scheduled faults; ``None`` injects nothing. Crashes fail a
-        replica's work over, slow windows black it out of routing, and
-        each replica session applies its own hardware windows (link
-        degradation, disk stalls, GPU stragglers) at step boundaries;
-        the router also steers new work away from currently-degraded
-        replicas while healthy alternatives exist.
-    autoscale:
-        Threshold autoscaling config; ``None`` keeps all M replicas
-        active for the whole run.
+        Replica pool size M (the autoscaling ceiling). To the scenario
+        layer and the CLI, ``1`` means the bare single engine (a
+        :class:`~repro.serving.engine.ServingEngine` and its
+        ``ServingReport``): bit-identical to a one-replica fleet, but
+        the report types differ.
+    router:
+        Routing policy name, one of
+        :func:`~repro.fleet.router.available_routers`.
     max_retries:
         Retry budget per request for timeout re-submission. A request
         timing out with retries left is re-enqueued (and re-routed like
@@ -211,46 +200,78 @@ class FleetRouter:
         observed.
     """
 
+    replicas: int = 1
+    router: str = "round_robin"
+    max_retries: int = 0
+    retry_backoff_s: float = 0.5
+
+    def __post_init__(self) -> None:
+        if self.replicas < 1:
+            raise ConfigError(f"replicas must be >= 1, got {self.replicas}")
+        make_router(self.router)  # an unknown name raises, listing the known
+        if self.max_retries < 0:
+            raise ConfigError(f"max_retries must be >= 0, got {self.max_retries}")
+        if not 0.0 < self.retry_backoff_s < math.inf:  # NaN fails, too
+            raise ConfigError(
+                f"retry_backoff_s must be positive and finite, got "
+                f"{self.retry_backoff_s}"
+            )
+
+
+class FleetRouter:
+    """Front-end router over a pool of replica serving engines.
+
+    Parameters
+    ----------
+    engine_factory:
+        Zero-argument callable building one replica engine. Called once
+        per replica, lazily (standby replicas are only built when
+        autoscaling activates them). Factories must build *identical*
+        engines — the fleet reports a single merged
+        :class:`~repro.engine.metrics.ServingReport`, which requires a
+        homogeneous pool.
+    config:
+        The fleet knobs: pool size, routing policy and retry budget.
+    serving:
+        Per-replica serving knobs (each session gets the same config).
+    faults:
+        Scheduled faults; ``None`` injects nothing. Crashes fail a
+        replica's work over, slow windows black it out of routing, and
+        each replica session applies its own hardware windows (link
+        degradation, disk stalls, GPU stragglers) at step boundaries;
+        the router also steers new work away from currently-degraded
+        replicas while healthy alternatives exist.
+    autoscale:
+        Threshold autoscaling config; ``None`` keeps all M replicas
+        active for the whole run.
+    """
+
     def __init__(
         self,
         engine_factory: Callable[[], InferenceEngine],
-        replicas: int = 2,
-        policy: str | RoutingPolicy = "round_robin",
-        config: ServingConfig | None = None,
+        config: FleetConfig,
+        serving: ServingConfig,
         faults: FaultSchedule | None = None,
         autoscale: AutoscaleConfig | None = None,
-        max_retries: int = 0,
-        retry_backoff_s: float = 0.5,
     ) -> None:
-        if replicas < 1:
-            raise ConfigError(f"fleet needs at least one replica, got {replicas}")
-        if autoscale is not None and autoscale.max_replicas > replicas:
+        if autoscale is not None and autoscale.max_replicas > config.replicas:
             raise ConfigError(
                 f"autoscale.max_replicas ({autoscale.max_replicas}) exceeds the "
-                f"replica pool ({replicas})"
+                f"replica pool ({config.replicas})"
             )
-        if max_retries < 0:
-            raise ConfigError(
-                f"max_retries must be non-negative, got {max_retries}"
-            )
-        if not 0.0 < retry_backoff_s < math.inf:
-            raise ConfigError(
-                f"retry_backoff_s must be positive and finite, got {retry_backoff_s}"
-            )
-        self.config = config or ServingConfig()
-        self.policy = make_router(policy) if isinstance(policy, str) else policy
+        self.config = config
+        self.serving = serving
+        self.policy = make_router(config.router)
         self.faults = faults or FaultSchedule()
         for fault in self.faults:
-            if fault.replica >= replicas:
+            if fault.replica >= config.replicas:
                 raise ConfigError(
                     f"{fault.kind} fault targets replica {fault.replica} but "
-                    f"the pool has {replicas} replicas"
+                    f"the pool has {config.replicas} replicas"
                 )
-        self.max_retries = max_retries
-        self.retry_backoff_s = retry_backoff_s
         self.autoscale = autoscale
         self.replicas = [
-            Replica(i, engine_factory, faults) for i in range(replicas)
+            Replica(i, engine_factory, faults) for i in range(config.replicas)
         ]
         self._profiles: dict[bytes, np.ndarray] = {}
         # Mutable per-serve state, (re)initialised in serve().
@@ -262,11 +283,6 @@ class FleetRouter:
         self._last_scale_time: float | None = None
 
     # ------------------------------------------------------------------
-    @property
-    def num_replicas(self) -> int:
-        """Replica pool size (the autoscaling ceiling)."""
-        return len(self.replicas)
-
     def routing_profile(self, request: Request) -> np.ndarray:
         """Predicted ``(layer, expert)`` routing loads of a request.
 
@@ -302,7 +318,7 @@ class FleetRouter:
         solo = len(pending) == 1
         self._solo = solo
         initial_active = (
-            self.autoscale.min_replicas if self.autoscale else self.num_replicas
+            self.autoscale.min_replicas if self.autoscale else self.config.replicas
         )
         for replica in self.replicas:
             replica.active = False
@@ -319,7 +335,7 @@ class FleetRouter:
             default=0.0,
         )
         for replica in self.replicas[:initial_active]:
-            replica.start_session(self.config, solo, self._origin)
+            replica.start_session(self.serving, solo, self._origin)
             replica.active = True
         self.policy.reset()
         self._pending_crashes = list(self.faults.crashes())
@@ -464,11 +480,11 @@ class FleetRouter:
         session = replica.session
         pushed = False
         for request in session.claim_fresh_timeouts():
-            if request.num_retries >= self.max_retries:
+            if request.num_retries >= self.config.max_retries:
                 continue
             session.reclaim(request)
             assert request.finish_time is not None
-            backoff = self.retry_backoff_s * (2.0 ** request.num_retries)
+            backoff = self.config.retry_backoff_s * (2.0 ** request.num_retries)
             arrival = (request.finish_time - self._origin) + backoff
             self._push(request.clone_for_retry(arrival))
             pushed = True
@@ -601,7 +617,7 @@ class FleetRouter:
             if standby is None:
                 return
             if standby.session is None:
-                standby.start_session(self.config, self._solo, self._origin)
+                standby.start_session(self.serving, self._solo, self._origin)
             standby.active = True
             self._events.append(
                 AutoscaleEvent(

@@ -82,11 +82,11 @@ class RoundRobinPolicy(RoutingPolicy):
         chosen = min(
             candidates,
             key=lambda rep: (
-                (rep.replica_id - self._cursor) % fleet.num_replicas,
+                (rep.replica_id - self._cursor) % fleet.config.replicas,
                 rep.replica_id,
             ),
         )
-        self._cursor = (chosen.replica_id + 1) % fleet.num_replicas
+        self._cursor = (chosen.replica_id + 1) % fleet.config.replicas
         return chosen
 
 
@@ -211,7 +211,6 @@ class CacheAffinityPolicy(RoutingPolicy):
                 overlap = float(profile[layer, sorted(resident)].sum())
                 excess += overlap - layer_mass * len(resident) / num_experts
         return excess / mass if mass else 0.0
-
 
 
 _ROUTERS: dict[str, type[RoutingPolicy]] = {

@@ -21,10 +21,8 @@ __all__ = ["BUILTIN_SCENARIOS"]
 
 
 def _serving(engine: EngineSpec, **serving_kwargs) -> FleetSpec:
-    """A single-engine (replicas=1) system around ``engine``."""
-    return FleetSpec(
-        serving=ServingSpec(engine=engine, **serving_kwargs), replicas=1
-    )
+    """A single-engine (one replica) system around ``engine``."""
+    return FleetSpec(serving=ServingSpec(engine=engine, **serving_kwargs))
 
 
 register_scenario(

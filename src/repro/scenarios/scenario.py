@@ -48,9 +48,10 @@ class ScenarioSpec(_Spec):
     workload:
         The request trace to serve (a :class:`WorkloadRecipe`).
     fleet:
-        The system to serve it on. ``fleet.replicas == 1`` means the
-        bare single serving engine (reports a ``ServingReport``);
-        above 1 a router fronts the replica pool (``FleetReport``).
+        The system to serve it on. ``fleet.replicas == 1`` (the
+        :class:`~repro.fleet.fleet.FleetConfig` default) means the bare
+        single serving engine (reports a ``ServingReport``); above 1 a
+        router fronts the replica pool (``FleetReport``).
     description:
         One line for ``cli scenarios list``.
     seeds:
@@ -61,9 +62,7 @@ class ScenarioSpec(_Spec):
 
     name: str
     workload: WorkloadRecipe
-    fleet: FleetSpec = field(
-        default_factory=lambda: FleetSpec(replicas=1)
-    )
+    fleet: FleetSpec = field(default_factory=FleetSpec)
     description: str = ""
     seeds: tuple[int, ...] = (0,)
 

@@ -21,11 +21,11 @@ types and defaults from the fields (:func:`knob_fields`). Every spec
   range raises a one-line :class:`~repro.errors.ConfigError` at
   construction, not at build time deep inside a sweep worker. Each
   field's annotation is its type contract, checked once in the spec
-  base class. :class:`EngineSpec` *is* an
-  :class:`~repro.engine.engine.EngineConfig` and :class:`ServingSpec`
-  a :class:`~repro.serving.scheduler.ServingConfig`: each inherits its
-  runtime config's knobs and range checks and adds only what names the
-  system around them, so spec and config cannot disagree;
+  base class. :class:`EngineSpec`, :class:`ServingSpec` and
+  :class:`FleetSpec` each *is* its runtime config (``EngineConfig``,
+  ``ServingConfig``, ``FleetConfig``): it inherits the config's knobs
+  and range checks and adds only what names the system around them,
+  so spec and config cannot disagree;
 - round-trips through plain JSON dicts: ``Spec.from_dict(s.to_dict())
   == s`` and ``s.to_dict()`` contains only JSON primitives — this is
   what lets the sweep runner ship specs to worker processes and stamp
@@ -41,7 +41,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import inspect
-import math
 import numbers
 import types
 import typing
@@ -50,12 +49,12 @@ from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.engine.engine import EngineConfig
 from repro.errors import ConfigError
+from repro.fleet.fleet import FleetConfig, FleetRouter
 from repro.serving.scheduler import ServingConfig
 from repro.workloads import generator as wg
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.engine import InferenceEngine
-    from repro.fleet.fleet import FleetRouter
     from repro.serving.engine import ServingEngine
     from repro.workloads.generator import ArrivedWorkload
 
@@ -92,9 +91,7 @@ def _plain(value):
     """Coerce a spec field value to JSON-representable primitives."""
     if hasattr(value, "item"):  # numpy scalar
         return value.item()
-    if isinstance(value, tuple):
-        return [_plain(v) for v in value]
-    if isinstance(value, list):
+    if isinstance(value, (tuple, list)):
         return [_plain(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _plain(v) for k, v in value.items()}
@@ -349,54 +346,25 @@ class ServingSpec(_Spec, ServingConfig):
 
 
 @dataclass(frozen=True)
-class FleetSpec(_Spec):
+class FleetSpec(_Spec, FleetConfig):
     """Declarative recipe for an M-replica serving fleet.
 
-    Composes a per-replica :class:`ServingSpec` with the fleet-level
-    knobs — the extra keywords of
-    :func:`~repro.engine.factory.make_fleet` and the ``fleet`` /
-    retry flags of ``cli serve``.
+    A :class:`~repro.fleet.fleet.FleetConfig` plus the
+    :class:`ServingSpec` every replica runs: the fleet knobs are the
+    inherited config fields (documented, and range-checked, there), and
+    they are the extra keywords of
+    :func:`~repro.engine.factory.make_fleet` and the ``fleet`` / retry
+    flags of ``cli serve``. The router runs with the plain
+    ``FleetConfig`` part.
 
     Attributes
     ----------
     serving:
         The serving engine every replica runs (a homogeneous pool,
         required for the merged fleet report).
-    replicas:
-        Replica pool size. ``1`` is meaningful to the scenario layer
-        and the CLI: it means "serve on the bare single engine" (a
-        :class:`~repro.serving.engine.ServingEngine`, reporting a
-        ``ServingReport``), not a one-replica fleet — the two are
-        bit-identical, but the report types differ.
-    router:
-        Routing policy: ``"round_robin"``, ``"least_loaded"`` or
-        ``"cache_affinity"``.
-    max_retries / retry_backoff_s:
-        Timeout retry budget per request and the base backoff (retry
-        ``n`` waits ``backoff * 2**(n-1)``); retries are re-routed
-        like failovers.
     """
 
     serving: ServingSpec = field(default_factory=ServingSpec)
-    replicas: int = 2
-    router: str = "round_robin"
-    max_retries: int = 0
-    retry_backoff_s: float = 0.5
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        from repro.fleet.router import available_routers
-
-        if self.replicas < 1:
-            raise ConfigError(f"replicas must be >= 1, got {self.replicas}")
-        _check_name("router", self.router, available_routers())
-        if self.max_retries < 0:
-            raise ConfigError(f"max_retries must be >= 0, got {self.max_retries}")
-        if not 0.0 < self.retry_backoff_s < math.inf:
-            raise ConfigError(
-                f"retry_backoff_s must be positive and finite, got "
-                f"{self.retry_backoff_s}"
-            )
 
     @property
     def engine(self) -> EngineSpec:
@@ -518,6 +486,16 @@ _REQUEST_CAP_KEYS = ("num_requests", "num_sessions")
 _STEP_CAP_KEYS = ("decode_steps",)
 
 
+def _clamped(params: dict[str, Any], max_requests: int | None, max_steps: int | None):
+    """``params`` with request/session counts and decode steps capped."""
+    caps = dict.fromkeys(_REQUEST_CAP_KEYS, max_requests)
+    caps.update(dict.fromkeys(_STEP_CAP_KEYS, max_steps))
+    return {
+        key: value if caps.get(key) is None or value is None else min(value, caps[key])
+        for key, value in params.items()
+    }
+
+
 @dataclass(frozen=True)
 class WorkloadRecipe(_Spec):
     """Declarative request-trace description: an arrival *kind* + params.
@@ -540,9 +518,11 @@ class WorkloadRecipe(_Spec):
     ``params`` must use the builders' keyword names; unknown or
     missing-required keys, and values of a type the builder's
     annotation does not allow, raise at construction. A param left out
-    takes its builder's default; the builders check the ranges. The
-    build seed comes from the scenario (not the recipe), so one recipe
-    replays under every sweep seed.
+    takes its builder's default; the builders check the ranges, also at
+    construction: the recipe builds itself once with its counts capped
+    to one request and one decode step. The build seed comes from the
+    scenario (not the recipe), so one recipe replays under every sweep
+    seed.
     """
 
     kind: str
@@ -578,6 +558,12 @@ class WorkloadRecipe(_Spec):
         # Freeze a JSON-plain copy so to_dict() is stable and callers
         # can't alias internal state through the constructor argument.
         object.__setattr__(self, "params", _plain(dict(self.params)))
+        # The builders own the ranges: a one-request dry run applies
+        # them now rather than inside a sweep worker.
+        try:
+            self._build(_clamped(self.params, 1, 1), seed=0, vocab_size=512)
+        except ConfigError as exc:
+            raise ConfigError(f"{self.kind!r} workload: {exc}") from None
 
     def capped(
         self, max_requests: int | None = None, max_steps: int | None = None
@@ -590,20 +576,13 @@ class WorkloadRecipe(_Spec):
         no-op, so capped replays of an already-small scenario are
         byte-identical to uncapped ones.
         """
-        params = dict(self.params)
-        if max_requests is not None:
-            if max_requests < 1:
-                raise ConfigError(f"max_requests must be >= 1, got {max_requests}")
-            for key in _REQUEST_CAP_KEYS:
-                if params.get(key) is not None:
-                    params[key] = min(int(params[key]), max_requests)
-        if max_steps is not None:
-            if max_steps < 0:
-                raise ConfigError(f"max_steps must be >= 0, got {max_steps}")
-            for key in _STEP_CAP_KEYS:
-                if params.get(key) is not None:
-                    params[key] = min(int(params[key]), max_steps)
-        return WorkloadRecipe(kind=self.kind, params=params)
+        if max_requests is not None and max_requests < 1:
+            raise ConfigError(f"max_requests must be >= 1, got {max_requests}")
+        if max_steps is not None and max_steps < 0:
+            raise ConfigError(f"max_steps must be >= 0, got {max_steps}")
+        return WorkloadRecipe(
+            kind=self.kind, params=_clamped(self.params, max_requests, max_steps)
+        )
 
     def build(self, seed: int = 0, vocab_size: int = 512) -> "list[ArrivedWorkload]":
         """Materialise the recipe as a serving trace.
@@ -612,9 +591,16 @@ class WorkloadRecipe(_Spec):
         recipe under the same seed always yields the same trace, which
         is what makes sweep cells resumable and replays byte-identical.
         """
+        return self._build(self.params, seed, vocab_size)
+
+    def _build(
+        self, params: dict[str, Any], seed: int, vocab_size: int
+    ) -> "list[ArrivedWorkload]":
+        """The trace this recipe's builders give for ``params``."""
         *arrivals, builder = _RECIPE_BUILDERS[self.kind][1]
-        params = dict(self.params)
+        given = set(params)
+        params = dict(params)
         for draw in arrivals:
-            own = {key: params.pop(key) for key in _keywords(draw) & set(self.params)}
+            own = {key: params.pop(key) for key in _keywords(draw) & given}
             params["arrival_times"] = draw(**own, seed=seed)
         return builder(**params, vocab_size=vocab_size, seed=seed)

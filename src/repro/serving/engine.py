@@ -57,8 +57,8 @@ __all__ = ["ServingEngine", "requests_from_trace"]
 def requests_from_trace(entries: Iterable[ArrivedWorkload]) -> list[Request]:
     """Materialise serving-trace entries as requests (ids = trace order).
 
-    Arrival instants are validated: a negative arrival raises
-    :class:`~repro.errors.ConfigError`, and a non-monotone trace (an
+    Every :class:`~repro.workloads.generator.ArrivedWorkload` already
+    holds a non-negative, finite instant. A non-monotone trace (an
     entry arriving before its predecessor) is accepted with a
     ``UserWarning`` — the serving loop orders admission by arrival
     time, so the trace is effectively sorted, but out-of-order traces
@@ -66,9 +66,6 @@ def requests_from_trace(entries: Iterable[ArrivedWorkload]) -> list[Request]:
     """
     entries = list(entries)
     arrivals = [float(e.arrival_time) for e in entries]
-    if any(a < 0 for a in arrivals):
-        bad = min(arrivals)
-        raise ConfigError(f"arrival times must be non-negative, got {bad}")
     if any(b < a for a, b in zip(arrivals, arrivals[1:])):
         warnings.warn(
             "serving trace arrival times are not non-decreasing; the serving "
@@ -92,8 +89,8 @@ class ServingEngine:
         times shift onto the warm clock and cache stats are reported as
         deltas — but residency carries over, by design.
     config:
-        Serving knobs (batch ceiling, decode token source, chunked
-        prefill, preemption, timeouts, overload shedding).
+        Serving knobs (batch ceiling, chunked prefill, preemption,
+        timeouts, overload shedding).
     faults:
         Optional schedule of hardware faults on replica 0 (a bare engine
         is its own replica 0). Crash and slow faults, and faults on any

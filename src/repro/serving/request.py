@@ -172,7 +172,7 @@ class Request:
                 f"got {self.arrival_time}"
             )
         priority_rank(self.priority)  # validates the class name
-        if self.tbt_deadline is not None and self.tbt_deadline <= 0:
+        if self.tbt_deadline is not None and not self.tbt_deadline > 0:
             raise ConfigError(
                 f"request {self.request_id}: tbt_deadline must be positive, "
                 f"got {self.tbt_deadline}"

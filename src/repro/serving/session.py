@@ -64,8 +64,8 @@ class ServingSession:
     engine:
         The engine whose pipeline, cache and clock this run drives.
     config:
-        Serving knobs (batch ceiling, decode token source, chunked
-        prefill, preemption).
+        Serving knobs (batch ceiling, chunked prefill, preemption,
+        timeouts, overload shedding).
     requests:
         Initial request batch (more can arrive via :meth:`submit`).
     solo:

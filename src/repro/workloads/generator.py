@@ -163,7 +163,8 @@ class ArrivedWorkload:
                 f"arrival_time must be non-negative and finite, got "
                 f"{self.arrival_time}"
             )
-        if self.tbt_deadline is not None and self.tbt_deadline <= 0:
+        # ``not x > 0``, not ``x <= 0``: NaN fails every comparison.
+        if self.tbt_deadline is not None and not self.tbt_deadline > 0:
             raise ConfigError(
                 f"tbt_deadline must be positive, got {self.tbt_deadline}"
             )
@@ -353,13 +354,13 @@ def priority_assignment(
             raise ConfigError(
                 f"unknown priority class {name!r} in priority_mix (known: {known})"
             )
-        if fraction < 0:
+        if not fraction >= 0:  # NaN fails, too
             raise ConfigError(
                 f"priority_mix fraction for {name!r} must be non-negative, "
                 f"got {fraction}"
             )
     total = float(sum(priority_mix.values()))
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:
         raise ConfigError(f"priority_mix fractions must sum to 1, got {total}")
     # Stable class order (precedence order) regardless of dict order.
     names = [c for c in PRIORITY_CLASSES if c in priority_mix]

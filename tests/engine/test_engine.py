@@ -32,6 +32,15 @@ class TestGenerate:
         with pytest.raises(ConfigError):
             small_engine.generate(np.array([], dtype=np.int64))
 
+    def test_negative_decode_steps_rejected_before_running(
+        self, small_engine, prompt_tokens
+    ):
+        with pytest.raises(ConfigError, match="decode_steps must be >= 0, got -1"):
+            small_engine.generate(prompt_tokens, decode_steps=-1)
+        with pytest.raises(ConfigError, match="decode_steps must be >= 0, got -2"):
+            small_engine.decode_only(num_steps=-2)
+        assert small_engine.runtime.clock.compute_frontier == 0.0
+
     def test_timeline_invariants_after_run(self, small_engine, prompt_tokens):
         small_engine.generate(prompt_tokens, decode_steps=4)
         small_engine.runtime.clock.validate()

@@ -82,9 +82,9 @@ def _built_value(system, knob: str):
         }
         return spec_only[knob]() if knob in spec_only else getattr(engine.config, knob)
     if knob in ServingSpec.__dataclass_fields__:
-        return getattr(system.config, knob)
+        return getattr(getattr(system, "serving", system.config), knob)
     fleet_only = {"replicas": lambda: len(system.replicas), "router": lambda: system.policy.name}
-    return fleet_only[knob]() if knob in fleet_only else getattr(system, knob)
+    return fleet_only[knob]() if knob in fleet_only else getattr(system.config, knob)
 
 
 def _factory_knobs():
@@ -137,7 +137,7 @@ class TestKnobWiring:
 
     def test_out_of_range_knob_rejected_before_building(self):
         with pytest.raises(ConfigError, match="cpu_cache_capacity must be non-negative"):
-            make_fleet(cpu_cache_capacity=-1)
+            make_fleet(cpu_cache_capacity=-1, replicas=2)
 
     def test_live_objects_may_accompany_a_spec(self):
         from repro.hardware.faults import Fault, FaultSchedule

@@ -153,6 +153,7 @@ class TestAutoscaling:
             (dict(min_replicas=3, max_replicas=2), "max_replicas"),
             (dict(high_watermark=1.0, low_watermark=1.0), "low_watermark"),
             (dict(cooldown=-1.0), "cooldown"),
+            (dict(cooldown=float("nan")), "cooldown"),
         ],
     )
     def test_config_validation(self, kwargs, match):

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.factory import make_fleet
+from repro.fleet import FleetConfig
 from repro.fleet.router import (
     LeastLoadedPolicy,
     RoundRobinPolicy,
@@ -129,7 +130,7 @@ class _StubReplica:
 
 class _StubFleet:
     def __init__(self, num_replicas):
-        self.num_replicas = num_replicas
+        self.config = FleetConfig(replicas=num_replicas)
 
 
 class TestPolicyUnits:

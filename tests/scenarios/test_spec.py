@@ -10,11 +10,26 @@ import pytest
 from repro.engine.engine import EngineConfig
 from repro.engine.factory import make_engine, make_fleet, make_serving_engine
 from repro.errors import ConfigError
+from repro.fleet import FleetConfig
 from repro.scenarios import EngineSpec, FleetSpec, ServingSpec, WorkloadRecipe
 from repro.scenarios.spec import _RECIPE_BUILDERS
 from repro.serving.scheduler import ServingConfig
 from repro.workloads import generator as wg
 from repro.workloads.generator import serving_workload
+
+
+@pytest.mark.parametrize(
+    "spec_type, config_type, own",
+    [
+        (EngineSpec, EngineConfig, {"model", "num_layers", "strategy", "hardware"}),
+        (ServingSpec, ServingConfig, {"engine"}),
+        (FleetSpec, FleetConfig, {"serving"}),
+    ],
+)
+def test_spec_declares_only_what_its_config_lacks(spec_type, config_type, own):
+    """Each runtime config's knobs are declared once: its spec inherits them."""
+    assert issubclass(spec_type, config_type)
+    assert {f.name for f in fields(spec_type)} - {f.name for f in fields(config_type)} == own
 
 
 class TestEngineSpec:
@@ -80,10 +95,7 @@ class TestEngineSpec:
             config = EngineConfig(**kwargs)
             assert all(getattr(spec, f.name) == getattr(config, f.name) for f in fields(config))
 
-    def test_declares_only_presets_beyond_engine_config(self):
-        """The engine knobs are EngineConfig's fields, declared once."""
-        own = {f.name for f in fields(EngineSpec)} - {f.name for f in fields(EngineConfig)}
-        assert own == {"model", "num_layers", "strategy", "hardware"}
+    def test_engine_runs_the_plain_engine_config(self):
         assert {f.name for f in fields(EngineConfig)} == {
             "cache_ratio", "seed", "num_gpus", "placement", "cpu_cache_capacity",
             "cpu_cache_policy", "predictor", "predict_horizon", "confidence_gate",
@@ -123,10 +135,7 @@ class TestServingSpec:
         with pytest.raises(ConfigError):
             ServingSpec(shed_resume_depth=4)  # resume without depth
 
-    def test_declares_only_engine_beyond_serving_config(self):
-        """The serving knobs are ServingConfig's fields, declared once."""
-        own = {f.name for f in fields(ServingSpec)} - {f.name for f in fields(ServingConfig)}
-        assert own == {"engine"}
+    def test_is_a_serving_config(self):
         spec = ServingSpec(max_batch_size=2, preemption=True)
         assert isinstance(spec, ServingConfig)
         assert (spec.max_batch_size, spec.preemption) == (2, True)
@@ -158,7 +167,7 @@ class TestFleetSpec:
             FleetSpec(**kwargs)
 
     def test_engine_shortcut(self):
-        spec = FleetSpec(serving=ServingSpec(engine=EngineSpec(seed=9)))
+        spec = FleetSpec(serving=ServingSpec(engine=EngineSpec(seed=9)), replicas=2)
         assert spec.engine.seed == 9
 
 
@@ -243,6 +252,46 @@ class TestWorkloadRecipe:
     def test_wrong_param_type_rejected(self, params):
         with pytest.raises(ConfigError, match="'poisson' workload param .* must be"):
             WorkloadRecipe(kind="poisson", params=params)
+
+    @pytest.mark.parametrize(
+        "kind, params, message",
+        [
+            ("poisson", {"num_requests": -3, "arrival_rate": 1.0}, "num_requests"),
+            ("poisson", {"num_requests": 3, "arrival_rate": -1.0}, "arrival rate"),
+            (
+                "poisson",
+                {"num_requests": 3, "arrival_rate": 1.0, "decode_steps": -1},
+                "decode_steps",
+            ),
+            (
+                "poisson",
+                {"num_requests": 3, "arrival_rate": 1.0, "priority_mix": {"batch": 0.5}},
+                "priority_mix",
+            ),
+            (
+                "poisson",
+                {
+                    "num_requests": 3,
+                    "arrival_rate": 1.0,
+                    "priority_mix": {"interactive": 1.0},
+                    "class_deadlines": {"interactive": float("nan")},
+                },
+                "tbt_deadline",
+            ),
+            ("diurnal", {"num_requests": 0, "base_rate": 1.0, "peak_rate": 2.0}, "num_requests"),
+            ("bursty", {"num_requests": 3, "base_rate": 1.0, "burst_rate": -2.0}, "rate"),
+            ("trace", {"arrival_times": []}, "at least one arrival"),
+            ("trace", {"arrival_times": [0.0], "datasets": ["nope"]}, "unknown dataset"),
+            ("skewed", {"num_requests": 3, "arrival_rate": 0.0}, "arrival rate"),
+            ("chat", {"num_sessions": 0}, "num_sessions"),
+        ],
+    )
+    def test_out_of_range_param_rejected_at_construction(self, kind, params, message):
+        """The builders' own range checks run when the recipe is made,
+        not first inside a sweep worker."""
+        with pytest.raises(ConfigError, match=f"'{kind}' workload: .*{message}") as err:
+            WorkloadRecipe(kind=kind, params=params)
+        assert "\n" not in str(err.value)
 
     def test_int_param_accepted_as_float(self):
         recipe = WorkloadRecipe(kind="poisson", params={"num_requests": 3, "arrival_rate": 4})
@@ -361,7 +410,9 @@ class TestFactorySpecEquivalence:
         spec = {
             make_engine: EngineSpec(num_layers=2),
             make_serving_engine: ServingSpec(engine=EngineSpec(num_layers=2)),
-            make_fleet: FleetSpec(serving=ServingSpec(engine=EngineSpec(num_layers=2))),
+            make_fleet: FleetSpec(
+                serving=ServingSpec(engine=EngineSpec(num_layers=2)), replicas=2
+            ),
         }[factory]
         with pytest.raises(ConfigError, match="fold these arguments"):
             factory(cache_ratio=0.9, spec=spec)

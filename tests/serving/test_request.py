@@ -42,6 +42,11 @@ class TestValidation:
         with pytest.raises(ConfigError):
             _request(arrival_time=-0.1)
 
+    @pytest.mark.parametrize("deadline", [0.0, -1.0, float("nan")])
+    def test_non_positive_or_nan_deadline_rejected(self, deadline):
+        with pytest.raises(ConfigError, match="tbt_deadline must be positive"):
+            _request(tbt_deadline=deadline)
+
     def test_prompt_cast_to_int64(self):
         request = _request(prompt_tokens=[1, 2, 3])
         assert request.prompt_tokens.dtype == np.int64

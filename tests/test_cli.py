@@ -338,7 +338,7 @@ class TestServeValidation:
 
     def test_zero_replicas_rejected(self, capsys):
         err = self._error(capsys, "--replicas", "0")
-        assert "--replicas must be >= 1" in err
+        assert "replicas must be >= 1, got 0" in err
 
     def test_unknown_router_rejected(self, capsys):
         err = self._error(capsys, "--replicas", "2", "--router", "wormhole")
@@ -402,6 +402,33 @@ class TestServeValidation:
     def test_malformed_shed_rejected(self, capsys):
         err = self._error(capsys, "--shed", "many")
         assert "bad --shed" in err
+
+    @pytest.mark.parametrize("trace", ["abc", "1,,2"])
+    def test_malformed_arrival_trace_rejected(self, capsys, trace):
+        err = self._error(capsys, "--arrival-trace", trace)
+        assert f"bad --arrival-trace '{trace}'" in err
+
+    def test_nan_priority_fraction_rejected(self, capsys):
+        err = self._error(capsys, "--priority-mix", "interactive=nan,batch=1")
+        assert "priority_mix fraction for 'interactive'" in err
+
+
+class TestRunValidation:
+    """``run`` input mistakes exit 2 with a one-line ``error:`` message."""
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--prompt-len", "-1", "--prompt-len must be >= 1, got -1"),
+            ("--prompt-len", "0", "--prompt-len must be >= 1, got 0"),
+            ("--decode-steps", "-1", "decode_steps must be >= 0, got -1"),
+        ],
+    )
+    def test_bad_size_rejected(self, capsys, flag, value, message):
+        assert main(["run", "--num-layers", "2", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
 
 
 class TestServeDegraded:

@@ -144,6 +144,8 @@ class TestPriorityAssignment:
             {"urgent": 1.0},
             {"interactive": 0.5, "batch": 0.6},
             {"interactive": -0.5, "batch": 1.5},
+            {"interactive": float("nan"), "batch": 1.0},
+            {"interactive": float("nan")},
         ],
     )
     def test_invalid_mix_rejected(self, mix):
@@ -175,8 +177,9 @@ class TestPriorityAssignment:
                 class_deadlines={"urgent": 0.1},
             )
 
-    def test_bad_deadline_rejected(self):
-        with pytest.raises(ConfigError):
+    @pytest.mark.parametrize("deadline", [0.0, float("nan")])
+    def test_bad_deadline_rejected(self, deadline):
+        with pytest.raises(ConfigError, match="tbt_deadline must be positive"):
             ArrivedWorkload(
                 arrival_time=0.0,
                 workload=WorkloadSpec(
@@ -185,7 +188,17 @@ class TestPriorityAssignment:
                     prompt_tokens=np.arange(4),
                     decode_steps=2,
                 ),
-                tbt_deadline=0.0,
+                tbt_deadline=deadline,
+            )
+
+    def test_nan_class_deadline_rejected(self):
+        """A NaN deadline would make every request of its class miss."""
+        with pytest.raises(ConfigError, match="tbt_deadline must be positive"):
+            serving_workload(
+                num_requests=4,
+                arrival_rate=1.0,
+                priority_mix={"interactive": 1.0},
+                class_deadlines={"interactive": float("nan")},
             )
 
 
@@ -346,10 +359,11 @@ class TestNonFiniteArrivalInputs:
         self._rejected(lambda: bursty_arrivals(3, **kwargs))
 
     def test_diurnal_recipe(self):
-        recipe = WorkloadRecipe(
-            "diurnal", {"num_requests": 2, "base_rate": NAN, "peak_rate": 2.0}
+        self._rejected(
+            lambda: WorkloadRecipe(
+                "diurnal", {"num_requests": 2, "base_rate": NAN, "peak_rate": 2.0}
+            )
         )
-        self._rejected(recipe.build)
 
     @pytest.mark.parametrize("instant", [NAN, INF])
     def test_explicit_trace(self, instant):
