@@ -20,7 +20,7 @@ from repro.errors import ConfigError
 from repro.hardware.cost_model import HardwareProfile
 from repro.hardware.platform_presets import get_hardware_preset
 from repro.models.model import ReferenceMoEModel
-from repro.models.presets import get_preset
+from repro.models.presets import preset_model
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.scenarios.spec import EngineSpec, FleetSpec, ServingSpec
@@ -110,12 +110,6 @@ def _config_part(spec, config_type):
     )
 
 
-def _build_model(spec: "EngineSpec") -> ReferenceMoEModel:
-    return ReferenceMoEModel(
-        get_preset(spec.model, num_layers=spec.num_layers), seed=spec.seed
-    )
-
-
 def _build_engine(
     spec: "EngineSpec",
     strategy_kwargs: dict | None,
@@ -125,7 +119,7 @@ def _build_engine(
 ) -> InferenceEngine:
     """Build the engine ``spec`` describes around any live objects given."""
     if model is None:
-        model = _build_model(spec)
+        model = preset_model(spec.model, spec.num_layers, spec.seed)
     if strategy is None:
         strategy = make_strategy(spec.strategy, **(strategy_kwargs or {}))
     elif strategy_kwargs:
@@ -164,7 +158,9 @@ def make_engine(
     model / strategy / hardware:
         A preset name (a knob like any other) or a live object: a
         ready-made functional model, strategy instance or
-        :class:`~repro.hardware.cost_model.HardwareProfile`.
+        :class:`~repro.hardware.cost_model.HardwareProfile`. Engines
+        built by name on one ``(model, num_layers, seed)`` share one
+        :func:`~repro.models.presets.preset_model` while any lives.
     strategy_kwargs:
         Extra constructor arguments for a strategy built here from a
         name: HybriMoE's Table III toggles, its planner ``scheduler``
@@ -229,9 +225,10 @@ def make_fleet(
 
     Builds a :class:`~repro.fleet.fleet.FleetRouter` whose replica
     engines are produced lazily, each exactly as :func:`make_engine`
-    would build it — every replica gets the same model, strategy,
-    hardware, seed and cache configuration. ``**knobs`` are the fields
-    of :class:`~repro.scenarios.spec.FleetSpec` (its own are the
+    would build it — every replica runs on one shared model and gets
+    its own strategy instance of the same hardware, seed and cache
+    configuration. ``**knobs`` are the fields of
+    :class:`~repro.scenarios.spec.FleetSpec` (its own are the
     :class:`~repro.fleet.fleet.FleetConfig` knobs) and of the serving
     and engine specs it composes; ``spec`` takes a ready ``FleetSpec``.
 
@@ -258,12 +255,6 @@ def make_fleet(
             "pass the strategy by name for a multi-replica fleet: a shared "
             "strategy instance would leak scheduler state across replicas"
         )
-    if live["model"] is None:
-        # Strategy instances hold per-engine state, so each replica
-        # builds its own; the functional model is stateless per forward
-        # and shared across the pool.
-        live["model"] = _build_model(spec.engine)
-
     def engine_factory() -> InferenceEngine:
         return _build_engine(spec.engine, strategy_kwargs, **live)
 

@@ -9,7 +9,7 @@ import numpy as np
 from repro.engine.factory import make_engine
 from repro.engine.metrics import GenerationResult
 from repro.models.model import ReferenceMoEModel
-from repro.models.presets import get_preset
+from repro.models.presets import preset_model
 from repro.rng import derive_rng
 from repro.routing.generator import generate_trace
 from repro.routing.trace import RoutingTrace
@@ -22,14 +22,12 @@ __all__ = ["run_workload", "cached_model", "cached_trace"]
 def cached_model(
     model_name: str, num_layers: int | None, seed: int
 ) -> ReferenceMoEModel:
-    """Memoised functional-model construction.
-
-    Model weights are immutable and decode state lives outside the
-    model, so engines can safely share one instance; the grids in
-    Figs. 7/8 reuse each (model, seed) dozens of times.
+    """The model of ``make_engine(model=model_name, num_layers, seed)``,
+    kept alive: the grids in Figs. 7/8 reuse each (model, seed) dozens
+    of times, one engine at a time, and :func:`preset_model` keeps a
+    model only while an engine holds it.
     """
-    config = get_preset(model_name, num_layers=num_layers)
-    return ReferenceMoEModel(config, seed=seed)
+    return preset_model(model_name, num_layers, seed)
 
 
 @lru_cache(maxsize=16)

@@ -26,6 +26,7 @@ cheap; the *cost model* uses the paper-scale shapes from the
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,6 +152,8 @@ class ReferenceMoEModel:
             np.float32
         )
         self._layers = [self._init_layer(layer) for layer in range(config.num_layers)]
+        for array in self.weights():
+            array.setflags(write=False)
 
     def _init_layer(self, layer: int) -> LayerWeights:
         cfg = self.config
@@ -183,6 +186,14 @@ class ReferenceMoEModel:
             for s in range(cfg.num_shared_experts)
         ]
         return LayerWeights(w_attn=w_attn, w_gate=w_gate, routed=routed, shared=shared)
+
+    def weights(self) -> Iterator[np.ndarray]:
+        """Every weight array, each read-only: engines share one model."""
+        yield self._embedding
+        for layer in self._layers:
+            yield from (layer.w_attn, layer.w_gate)
+            for expert in (*layer.routed, *layer.shared):
+                yield from (expert.w_gate, expert.w_up, expert.w_down)
 
     # ------------------------------------------------------------------
     # basic blocks

@@ -11,14 +11,17 @@ Shared size       /         3584x20480  2048x1408
 Routed size       4096x14336  3584x18944  2048x1408
 ================  ========  ========  ==========
 
-``*_sim`` helpers return layer-reduced copies for fast tests; the full
-presets are used by the cost model and the benchmark harness.
+``get_preset(name, num_layers)`` returns layer-reduced copies for fast
+tests; :func:`preset_model` builds (and shares) their functional models.
 """
 
 from __future__ import annotations
 
+from weakref import WeakValueDictionary
+
 from repro.errors import ConfigError
 from repro.models.config import ExpertShape, MoEModelConfig
+from repro.models.model import ReferenceMoEModel
 
 __all__ = [
     "mixtral_8x7b",
@@ -26,6 +29,7 @@ __all__ = [
     "deepseek_v2_lite",
     "MODEL_PRESETS",
     "get_preset",
+    "preset_model",
 ]
 
 
@@ -85,7 +89,8 @@ def get_preset(name: str, num_layers: int | None = None) -> MoEModelConfig:
         One of ``"mixtral"``, ``"qwen2"``, ``"deepseek"``.
     num_layers:
         When given, return a layer-reduced copy (used by fast tests and
-        CI-sized benchmark runs).
+        CI-sized benchmark runs); the preset's own depth returns the
+        preset itself, so both spellings name one architecture.
     """
     try:
         factory = MODEL_PRESETS[name]
@@ -93,6 +98,20 @@ def get_preset(name: str, num_layers: int | None = None) -> MoEModelConfig:
         known = ", ".join(sorted(MODEL_PRESETS))
         raise ConfigError(f"unknown model preset {name!r} (known: {known})") from None
     config = factory()
-    if num_layers is not None:
+    if num_layers not in (None, config.num_layers):
         config = config.with_layers(num_layers)
     return config
+
+
+#: Live models by ``(config, seed)``; an entry dies with its last holder.
+_MODELS: WeakValueDictionary[tuple, ReferenceMoEModel] = WeakValueDictionary()
+
+
+def preset_model(name: str, num_layers: int | None = None, seed: int = 0) -> ReferenceMoEModel:
+    """The preset's functional model, one instance per key while anything
+    holds it: engines built by name share its read-only weights and its
+    warmup profile, and a second build is a dictionary lookup."""
+    config = get_preset(name, num_layers)
+    if (model := _MODELS.get((config, seed))) is None:
+        model = _MODELS[config, seed] = ReferenceMoEModel(config, seed=seed)
+    return model

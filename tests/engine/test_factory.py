@@ -1,5 +1,8 @@
 """Factory construction paths."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,8 @@ from repro.engine.factory import (
 from repro.errors import ConfigError
 from repro.hardware.cost_model import AnalyticCostModel
 from repro.hardware.platform_presets import get_hardware_preset
+from repro.models.model import ReferenceMoEModel
+from repro.models.presets import get_preset, preset_model
 from repro.scenarios.spec import EngineSpec, FleetSpec, ServingSpec, knob_fields
 
 
@@ -40,6 +45,11 @@ class TestMakeEngine:
     def test_model_instance_passthrough(self, tiny_model):
         engine = make_engine(model=tiny_model, num_layers=None)
         assert engine.model is tiny_model
+
+    def test_live_preset_model_bypasses_the_registry(self):
+        live = ReferenceMoEModel(get_preset("qwen2", num_layers=2), seed=31)
+        assert make_engine(model=live, seed=31).model is live
+        assert preset_model("qwen2", 2, 31) is not live
 
     def test_strategy_kwargs_with_instance_rejected(self, tiny_model):
         strategy = make_strategy("ondemand")
@@ -149,3 +159,37 @@ class TestKnobWiring:
         assert make_serving_engine(spec=spec, faults=faults) is not None
         with pytest.raises(ConfigError, match="fold these arguments.*strategy"):
             make_serving_engine(spec=spec, strategy=make_strategy("ondemand"))
+
+
+class TestSharedModel:
+    """Engines built by name on one ``(model, num_layers, seed)`` run
+    on one model instance, and behave as if each had its own."""
+
+    KNOBS = dict(model="qwen2", num_layers=2, seed=33, cache_ratio=0.5)
+
+    def test_fleet_replicas_share_one_model(self):
+        fleet = make_fleet(replicas=2, **self.KNOBS)
+        engines = [replica.engine for replica in fleet.replicas]
+        assert len({id(engine) for engine in engines}) == 2
+        assert engines[0].model is engines[1].model
+
+    def test_serving_beside_a_twin_equals_serving_alone(self):
+        from repro.workloads import serving_workload
+
+        def serve(serving):
+            trace = serving_workload(num_requests=6, arrival_rate=8.0, decode_steps=4)
+            return serving.serve_trace(trace).per_request_rows()
+
+        alone = make_serving_engine(max_batch_size=4, **self.KNOBS)
+        model_ref = weakref.ref(alone.engine.model)
+        rows = serve(alone)
+        del alone
+        gc.collect()
+        assert model_ref() is None  # the twins below build a fresh model
+
+        first = make_serving_engine(max_batch_size=4, **self.KNOBS)
+        serve(first)  # uses the model and its profile before they are shared
+        second = make_serving_engine(max_batch_size=4, **self.KNOBS)
+        assert second.engine.model is first.engine.model
+        assert len(rows) == 6
+        assert serve(second) == rows

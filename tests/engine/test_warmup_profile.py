@@ -62,6 +62,13 @@ class TestProfiledOnce:
         assert others[1].trace.steps[0].n_tokens == 9
         assert others[2].trace.num_steps == 1 + 3
 
+    def test_engines_built_by_name_share_one_run(self, trace_runs):
+        engines = [
+            make_engine(model="qwen2", num_layers=2, seed=41) for _ in range(2)
+        ]
+        assert engines[0].model is engines[1].model
+        assert trace_runs == [id(engines[0].model)]
+
     def test_equal_models_are_profiled_separately(self, tiny_config, trace_runs):
         a, b = (ReferenceMoEModel(tiny_config, seed=0) for _ in range(2))
         assert warmup_profile(a, 0, 8, 2) is not warmup_profile(b, 0, 8, 2)

@@ -32,6 +32,10 @@ class TestCachedModel:
         model = cached_model("mixtral", 3, 0)
         assert model.config.num_layers == 3
 
+    def test_is_the_model_engines_built_by_name_run_on(self):
+        model = cached_model("qwen2", 2, 5)
+        assert make_engine(model="qwen2", num_layers=2, seed=5).model is model
+
 
 class TestRunWorkload:
     def test_prefill_workload(self):

@@ -39,6 +39,17 @@ class TestConstruction:
         hb, _, _ = b.forward(prompt_tokens)
         assert not np.allclose(ha, hb)
 
+    def test_weights_are_read_only(self, tiny_model):
+        """Engines share one model, so no in-place write may reach it."""
+        cfg = tiny_model.config
+        experts = cfg.num_routed_experts + cfg.num_shared_experts
+        arrays = list(tiny_model.weights())
+        assert len(arrays) == 1 + cfg.num_layers * (2 + 3 * experts)
+        assert any(a is tiny_model._layers[0].shared[0].w_down for a in arrays)
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] += 1
+
 
 class TestForward:
     def test_forward_shapes(self, tiny_model, prompt_tokens):

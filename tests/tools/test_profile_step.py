@@ -130,7 +130,22 @@ def test_memory_report_traces_the_chunks(capsys):
     out = capsys.readouterr().out.splitlines()
     assert "peak traced" in out[0]
     assert out[2] == f"resource-ledger rows added: {report['ledger_rows']}"
-    assert len(out) == 5 + 3
+    assert out[3].startswith(f"models behind the engines: {report['models']}, ")
+    assert len(out) == 6 + 3
+
+
+def test_memory_report_counts_the_shared_model_once():
+    """``serve_poisson`` builds three serving engines by name plus a
+    check engine; all run on one model, whose weights the report sizes."""
+    from repro import get_preset
+
+    report = memory_report("serve_poisson", smoke=True, top=1)
+    assert report["models"] == 1
+    config = get_preset("deepseek")
+    experts = config.num_routed_experts + config.num_shared_experts
+    # Three float32 32 x 64 matrices per expert, plus attention, gates
+    # and the embedding.
+    assert report["weights_mb"] > NUM_LAYERS * experts * 3 * 32 * 64 * 4 / 2**20
 
 
 def test_memory_and_setup_are_exclusive():

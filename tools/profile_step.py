@@ -16,11 +16,12 @@ and ``ImpactDrivenPrefetcher.select`` from here, during the profiled
 pass, so the two wrappers appear in the profile.
 
 ``--memory`` runs the same chunks under ``tracemalloc`` instead of
-cProfile and prints the peak traced memory, the resource-ledger rows the
-pass added (``len()`` over every timeline of each chunk engine's clock,
-after minus before) and the allocation sites, by line, still holding the
-most memory at the end of the pass: the attribution of the ledger's
-``host_peak_rss_mb`` row.
+cProfile and prints the peak traced memory, the distinct models behind
+the chunk engines and their weight bytes (built in set-up, so outside
+the trace), the resource-ledger rows the pass added (``len()`` over
+every timeline of each chunk engine's clock, after minus before) and
+the allocation sites, by line, still holding the most memory at the end
+of the pass: the attribution of the ledger's ``host_peak_rss_mb`` row.
 
 Usage::
 
@@ -107,11 +108,13 @@ def memory_report(workload: str, seed: int = 0, smoke: bool = False, top: int = 
     """One pass of a ledger workload's chunks under ``tracemalloc``.
 
     Set-up runs untraced. Returns the peak traced MB (MiB, like the
-    ledger's ``host_peak_rss_mb``), the ledger rows the pass added and
-    the ``top`` allocation sites by live size at the end of the pass.
+    ledger's ``host_peak_rss_mb``), the distinct models the chunk
+    engines run on and their weight MB, the ledger rows the pass added
+    and the ``top`` allocation sites by live size at the end of the pass.
     """
     prepared = WORKLOADS[workload].prepare(seed, SMOKE if smoke else FULL)
     engines = [chunk.engine for chunk in prepared.chunks]
+    models = {id(engine.model): engine.model for engine in engines}.values()
     rows_before = ledger_rows(engines)
     tracemalloc.start()
     try:
@@ -130,6 +133,8 @@ def memory_report(workload: str, seed: int = 0, smoke: bool = False, top: int = 
         "workload": workload,
         "tokens": sum(chunk.tokens for chunk in prepared.chunks),
         "peak_traced_mb": peak / 2**20,
+        "models": len(models),
+        "weights_mb": sum(w.nbytes for m in models for w in m.weights()) / 2**20,
         "ledger_rows": ledger_rows(engines) - rows_before,
         "top": sites,
     }
@@ -212,6 +217,8 @@ def main(argv=None) -> int:
               f"peak traced {report['peak_traced_mb']:.2f} MB over the chunks")
         print(blas)
         print(f"resource-ledger rows added: {report['ledger_rows']}")
+        print(f"models behind the engines: {report['models']}, "
+              f"{report['weights_mb']:.2f} MB of weights")
         print(f"top allocation sites, live at the end of the pass\n{'KiB':>10}{'blocks':>10}  site")
         for row in report["top"]:
             print(f"{row['size_kb']:>10.1f}{row['count']:>10}  {row['site']}")
