@@ -14,9 +14,11 @@ priority. Eviction removes the expert with the *minimum* S, hence the
 name "Minus Recent Score".
 
 Priorities live in one ``[layer, expert]`` matrix grown on demand (a
-never-scored expert reads 0.0), residency in a boolean mask of the same
-shape: the eq. (3) update is one vectorized expression over a row, the
-victim one masked ``min`` over the matrix. The arithmetic is the IEEE-754
+never-scored expert reads 0.0), residency in a boolean mask and last
+use in a stamp matrix of the same shape: the eq. (3) update is one
+vectorized expression over a row (or, priming from a warmup trace, over
+a step's whole block), the victim a masked ``min`` of the scores and
+a masked ``argmin`` of the tied stamps. The arithmetic is the IEEE-754
 double operations of the per-key form in
 ``tests/cache/reference_policies.py``, so priorities and eviction order
 are bit-identical to it (test-enforced).
@@ -61,23 +63,30 @@ class MRSPolicy(EvictionPolicy):
         #: of them are resident; both ``[layer, expert]``.
         self._scores = np.zeros((0, 0), dtype=np.float64)
         self._resident = np.zeros((0, 0), dtype=bool)
+        self._stamp = np.zeros((0, 0), dtype=np.int64)  # last use of residents
 
     def _cover(self, layers: int, experts: int) -> None:
-        """Grow both matrices to at least ``layers`` x ``experts``."""
+        """Grow the matrices to at least ``layers`` x ``experts``."""
         rows, cols = self._scores.shape
         if layers <= rows and experts <= cols:
             return
         shape = (max(layers, rows), max(experts, cols))
-        scores = np.zeros(shape, dtype=np.float64)
-        scores[:rows, :cols] = self._scores
-        resident = np.zeros(shape, dtype=bool)
-        resident[:rows, :cols] = self._resident
-        self._scores, self._resident = scores, resident
+        grown = []
+        for old in (self._scores, self._resident, self._stamp):
+            new = np.zeros(shape, dtype=old.dtype)
+            new[:rows, :cols] = old
+            grown.append(new)
+        self._scores, self._resident, self._stamp = grown
 
     def on_insert(self, key: ExpertKey, now: int) -> None:
         super().on_insert(key, now)
         self._cover(key[0] + 1, key[1] + 1)
         self._resident[key] = True
+        self._stamp[key] = now
+
+    def on_access(self, key: ExpertKey, now: int) -> None:
+        super().on_access(key, now)
+        self._stamp[key] = now
 
     def on_scores(self, layer: int, scores: np.ndarray, now: int) -> None:
         """Apply eq. (3) to every expert of ``layer``.
@@ -98,6 +107,17 @@ class MRSPolicy(EvictionPolicy):
         row = self._scores[layer, : scores.size]
         row[:] = self.alpha * contribution + (1.0 - self.alpha) * row
 
+    def on_step_scores(self, block: np.ndarray) -> None:
+        """:meth:`on_scores` of every row ``l`` of a ``(layers, experts)``
+        block as layer ``l``'s, bit-equal: the rows update independently."""
+        block = np.asarray(block, dtype=np.float64)
+        self._cover(*block.shape)
+        top = np.argsort(-block, axis=1, kind="stable")[:, : self.top_p]
+        contribution = np.zeros_like(block)
+        np.put_along_axis(contribution, top, np.take_along_axis(block, top, 1), 1)
+        scores = self._scores[: block.shape[0], : block.shape[1]]
+        scores[:] = self.alpha * contribution + (1.0 - self.alpha) * scores
+
     def victim(self, locked: Collection[ExpertKey]) -> ExpertKey:
         """The unlocked resident of minimum score.
 
@@ -111,10 +131,9 @@ class MRSPolicy(EvictionPolicy):
         lowest = ranked.min(initial=np.inf)
         if lowest == np.inf:
             raise CacheError("MRS victim requested with no unlocked resident")
-        tied = [(int(layer), int(expert)) for layer, expert in np.argwhere(ranked == lowest)]
-        if len(tied) == 1:
-            return tied[0]
-        return min(tied, key=lambda key: (self._last_used[key], key))
+        # argmin takes the first minimum, so equal stamps go to the lowest key.
+        stamps = np.where(ranked == lowest, self._stamp, np.iinfo(np.int64).max)
+        return divmod(int(stamps.argmin()), stamps.shape[1])
 
     def priority(self, key: ExpertKey) -> float:
         layer, expert = key

@@ -251,6 +251,8 @@ class ShardedCacheManager:
         return self.shards[device].would_admit(key, margin=margin)
 
     def warm_fill(self, keys: Iterable[ExpertKey]) -> None:
+        if self._solo is not None:
+            return self._solo.warm_fill(keys)
         for key in keys:
             self.shard_of(key).warm_fill([key])
 

@@ -121,11 +121,8 @@ class HybriMoEStrategy(Strategy):
                 # Prime MRS priorities from the warmup phase so the first
                 # eviction decisions already reflect observed scores — the
                 # paper's warmup collects exactly this signal (§IV-A).
-                clock = 0
                 for step in runtime.warmup_trace.steps:
-                    for routing in step.layers:
-                        clock += 1
-                        policy.on_scores(routing.layer, routing.mean_scores, clock)
+                    policy.on_step_scores([routing.mean_scores for routing in step.layers])
                 return policy
 
             return CacheSpec(capacity, primed_mrs, warm=ranking)

@@ -158,9 +158,10 @@ def make_engine(
     model / strategy / hardware:
         A preset name (a knob like any other) or a live object: a
         ready-made functional model, strategy instance or
-        :class:`~repro.hardware.cost_model.HardwareProfile`. Engines
-        built by name on one ``(model, num_layers, seed)`` share one
-        :func:`~repro.models.presets.preset_model` while any lives.
+        :class:`~repro.hardware.cost_model.HardwareProfile`. A model
+        by name comes from :func:`~repro.models.presets.preset_model`;
+        engines on equal models, by name or live, share one weight set
+        and warmup profile while any lives.
     strategy_kwargs:
         Extra constructor arguments for a strategy built here from a
         name: HybriMoE's Table III toggles, its planner ``scheduler``
@@ -225,7 +226,7 @@ def make_fleet(
 
     Builds a :class:`~repro.fleet.fleet.FleetRouter` whose replica
     engines are produced lazily, each exactly as :func:`make_engine`
-    would build it — every replica runs on one shared model and gets
+    would build it — every replica runs on one weight set and gets
     its own strategy instance of the same hardware, seed and cache
     configuration. ``**knobs`` are the fields of
     :class:`~repro.scenarios.spec.FleetSpec` (its own are the

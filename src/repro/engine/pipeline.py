@@ -452,8 +452,8 @@ class StepPipeline:
 
         Sort-once dispatch (``router.dispatch``): one gather lays the
         token rows out grouped by expert, each expert runs
-        ``model.expert_forward`` once on its contiguous slice, in
-        ascending expert id, one broadcast multiply applies the routing
+        ``model.expert_forward`` in place on its contiguous slice, in
+        ascending expert id, one in-place multiply applies the routing
         weights, and ``k`` passes accumulate the result — pass ``j``
         adds every token's contribution from its ``j``-th smallest
         expert id. Per output element these are the additions
@@ -484,16 +484,15 @@ class StepPipeline:
             return out
         dispatch = router.dispatch
         grouped = z.take(dispatch.tokens, axis=0)
-        weighted = np.empty_like(grouped)
         offsets = dispatch.offsets.tolist()
         for expert in experts:
             start, stop = offsets[expert], offsets[expert + 1]
-            weighted[start:stop] = model.expert_forward(
+            grouped[start:stop] = model.expert_forward(
                 grouped[start:stop], layer, expert
             )
-        weighted *= dispatch.weights[:, None].astype(dtype, copy=False)
+        grouped *= dispatch.weights[:, None].astype(dtype, copy=False)
         for positions in dispatch.slots:
-            out += weighted.take(positions, axis=0)
+            out += grouped.take(positions, axis=0)
         return out
 
     def _issue_prefetches(self, ctx: LayerContext, z: np.ndarray) -> None:

@@ -8,7 +8,6 @@ import numpy as np
 
 from repro.engine.factory import make_engine
 from repro.engine.metrics import GenerationResult
-from repro.models.model import ReferenceMoEModel
 from repro.models.presets import preset_model
 from repro.rng import derive_rng
 from repro.routing.generator import generate_trace
@@ -18,16 +17,11 @@ from repro.workloads.generator import WorkloadSpec
 __all__ = ["run_workload", "cached_model", "cached_trace"]
 
 
-@lru_cache(maxsize=16)
-def cached_model(
-    model_name: str, num_layers: int | None, seed: int
-) -> ReferenceMoEModel:
-    """The model of ``make_engine(model=model_name, num_layers, seed)``,
-    kept alive: the grids in Figs. 7/8 reuse each (model, seed) dozens
-    of times, one engine at a time, and :func:`preset_model` keeps a
-    model only while an engine holds it.
-    """
-    return preset_model(model_name, num_layers, seed)
+#: ``preset_model(model_name, num_layers, seed)``, kept alive: the grids in
+#: Figs. 7/8 reuse each (model, seed) dozens of times, one engine at a time,
+#: and a weight set (with its warmup profile) lives only while a model on it
+#: does. Engines built by name meanwhile run on the pinned weight set.
+cached_model = lru_cache(maxsize=16)(preset_model)
 
 
 @lru_cache(maxsize=16)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from weakref import WeakValueDictionary
 
 import numpy as np
 
@@ -42,6 +43,7 @@ __all__ = [
     "LayerWeights",
     "ReferenceMoEModel",
     "SequenceStateStore",
+    "WeightSet",
 ]
 
 _EPS = 1e-6
@@ -87,6 +89,18 @@ class LayerWeights:
     shared: list[ExpertWeights]
 
 
+@dataclass(frozen=True, eq=False)  # hashed by identity: keys weak maps
+class WeightSet:
+    """The embedding and every layer's weights: what equal models share."""
+
+    embedding: np.ndarray
+    layers: tuple[LayerWeights, ...]
+
+
+#: Live weight sets by ``(config, d_model, d_ff, vocab_size, seed)``.
+_WEIGHT_SETS: WeakValueDictionary[tuple, WeightSet] = WeakValueDictionary()
+
+
 class ReferenceMoEModel:
     """A functional MoE transformer used as the routing/numerics substrate.
 
@@ -100,7 +114,9 @@ class ReferenceMoEModel:
     vocab_size:
         Size of the synthetic token vocabulary.
     seed:
-        Root seed; all weights derive deterministically from it.
+        Root seed; all weights derive deterministically from it. Equal
+        models (by the five arguments above) run on one read-only
+        :class:`WeightSet`, built only when no live model holds it.
     gate_temperature:
         Softmax temperature of the router. Higher values flatten expert
         usage (MoE-like, Fig. 3a); lower values concentrate it.
@@ -147,13 +163,18 @@ class ReferenceMoEModel:
         self.residual_scale = residual_scale
         self.input_coherence = input_coherence
 
-        emb_rng = derive_rng(seed, "model", config.name, "embedding")
-        self._embedding = emb_rng.normal(0.0, 1.0, size=(vocab_size, d_model)).astype(
-            np.float32
-        )
-        self._layers = [self._init_layer(layer) for layer in range(config.num_layers)]
-        for array in self.weights():
-            array.setflags(write=False)
+        key = (config, d_model, d_ff, vocab_size, seed)
+        self.weight_set = _WEIGHT_SETS.get(key)
+        if self.weight_set is None:
+            emb_rng = derive_rng(seed, "model", config.name, "embedding")
+            embedding = emb_rng.normal(0.0, 1.0, size=(vocab_size, d_model))
+            self.weight_set = _WEIGHT_SETS[key] = WeightSet(
+                embedding.astype(np.float32),
+                tuple(self._init_layer(layer) for layer in range(config.num_layers)),
+            )
+            for array in self.weights():
+                array.setflags(write=False)
+        self._embedding, self._layers = self.weight_set.embedding, self.weight_set.layers
 
     def _init_layer(self, layer: int) -> LayerWeights:
         cfg = self.config
@@ -188,9 +209,9 @@ class ReferenceMoEModel:
         return LayerWeights(w_attn=w_attn, w_gate=w_gate, routed=routed, shared=shared)
 
     def weights(self) -> Iterator[np.ndarray]:
-        """Every weight array, each read-only: engines share one model."""
-        yield self._embedding
-        for layer in self._layers:
+        """Every weight array of the weight set, each read-only."""
+        yield self.weight_set.embedding
+        for layer in self.weight_set.layers:
             yield from (layer.w_attn, layer.w_gate)
             for expert in (*layer.routed, *layer.shared):
                 yield from (expert.w_gate, expert.w_up, expert.w_down)

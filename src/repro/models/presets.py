@@ -12,12 +12,10 @@ Routed size       4096x14336  3584x18944  2048x1408
 ================  ========  ========  ==========
 
 ``get_preset(name, num_layers)`` returns layer-reduced copies for fast
-tests; :func:`preset_model` builds (and shares) their functional models.
+tests; :func:`preset_model` builds their functional models.
 """
 
 from __future__ import annotations
-
-from weakref import WeakValueDictionary
 
 from repro.errors import ConfigError
 from repro.models.config import ExpertShape, MoEModelConfig
@@ -103,15 +101,8 @@ def get_preset(name: str, num_layers: int | None = None) -> MoEModelConfig:
     return config
 
 
-#: Live models by ``(config, seed)``; an entry dies with its last holder.
-_MODELS: WeakValueDictionary[tuple, ReferenceMoEModel] = WeakValueDictionary()
-
-
 def preset_model(name: str, num_layers: int | None = None, seed: int = 0) -> ReferenceMoEModel:
-    """The preset's functional model, one instance per key while anything
-    holds it: engines built by name share its read-only weights and its
-    warmup profile, and a second build is a dictionary lookup."""
-    config = get_preset(name, num_layers)
-    if (model := _MODELS.get((config, seed))) is None:
-        model = _MODELS[config, seed] = ReferenceMoEModel(config, seed=seed)
-    return model
+    """The preset's functional model: the one by-name builder. Equal
+    models share one read-only weight set and its warmup profile while
+    any lives, so a second build costs no weights and no profiling."""
+    return ReferenceMoEModel(get_preset(name, num_layers), seed=seed)

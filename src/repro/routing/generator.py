@@ -9,7 +9,7 @@ import numpy as np
 
 from repro.errors import TraceError
 from repro.models.gating import RouterOutput
-from repro.models.model import ReferenceMoEModel
+from repro.models.model import ReferenceMoEModel, WeightSet
 from repro.routing.statistics import expert_activation_frequency
 from repro.routing.trace import LayerRouting, RoutingTrace, StepTrace
 from repro.rng import derive_rng
@@ -120,8 +120,8 @@ class WarmupProfile:
 
     ``trace`` is the profiling run, ``counts`` its activations per
     ``(layer, expert)`` and ``ranking`` every key, most activated first
-    (ties in key order). Every engine on the model aliases one instance,
-    so its arrays are read-only.
+    (ties in key order). Every engine on equal models aliases one
+    instance, so its arrays are read-only.
     """
 
     trace: RoutingTrace
@@ -129,18 +129,20 @@ class WarmupProfile:
     ranking: tuple[tuple[int, int], ...]
 
 
-#: Profiles of each live model instance by ``(seed, prompt_len,
-#: decode_steps)``; an entry dies with its model.
-_PROFILES: WeakKeyDictionary[ReferenceMoEModel, dict] = WeakKeyDictionary()
+#: Profiles of each live weight set by the model's forward parameters
+#: and ``(seed, prompt_len, decode_steps)``; an entry dies with its set.
+_PROFILES: WeakKeyDictionary[WeightSet, dict] = WeakKeyDictionary()
 
 
 def warmup_profile(
     model: ReferenceMoEModel, seed: int, prompt_len: int, decode_steps: int
 ) -> WarmupProfile:
     """The model's warmup profile, computed on first request: a pure
-    function of the (immutable) weights and the three arguments."""
-    profiles = _PROFILES.setdefault(model, {})
-    key = (seed, prompt_len, decode_steps)
+    function of the (immutable) weights, the forward parameters and the
+    three arguments, so equal models share it."""
+    profiles = _PROFILES.setdefault(model.weight_set, {})
+    forward = (model.gate_temperature, model.residual_scale, model.input_coherence)
+    key = (*forward, seed, prompt_len, decode_steps)
     if key not in profiles:
         rng = derive_rng(seed, "engine", "profile-tokens")
         prompt = rng.integers(0, model.vocab_size, size=prompt_len)

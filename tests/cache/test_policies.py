@@ -230,6 +230,41 @@ class TestMRSVectorizedEquivalence:
             assert policy.priority(key) == reference.priority(key)
 
 
+class TestMRSStepPriming:
+    """``on_step_scores`` is the per-layer ``on_scores`` replay of a
+    step, done as one block: the scores must be bit-identical."""
+
+    @staticmethod
+    def replay(blocks, top_p):
+        replayed, primed = MRSPolicy(top_p=top_p), MRSPolicy(top_p=top_p)
+        clock = 0
+        for block in blocks:
+            for layer, scores in enumerate(block):
+                clock += 1
+                replayed.on_scores(layer, scores, clock)
+            primed.on_step_scores(block)
+        return replayed, primed, clock
+
+    def test_an_engine_primes_as_the_72_call_replay(self):
+        from repro.engine.factory import make_engine
+
+        engine = make_engine(model="deepseek", num_layers=8, seed=3, cache_ratio=0.5)
+        blocks = [
+            [routing.mean_scores for routing in step.layers]
+            for step in engine.runtime.warmup_trace.steps
+        ]
+        replayed, _, calls = self.replay(blocks, top_p=12)
+        assert calls == 72
+        assert np.array_equal(engine.runtime.cache.shards[0].policy._scores, replayed._scores)
+
+    @pytest.mark.parametrize("top_p", [1, 3, 10, 12])
+    def test_ties_and_narrow_pools_match(self, top_p):
+        rng = np.random.default_rng(7)
+        blocks = [np.round(rng.random((4, 10)), 1) for _ in range(6)]  # many ties
+        replayed, primed, _ = self.replay(blocks, top_p)
+        assert np.array_equal(primed._scores, replayed._scores)
+
+
 class TestFactory:
     @pytest.mark.parametrize("name,cls", [("lru", LRUPolicy), ("lfu", LFUPolicy), ("mrs", MRSPolicy)])
     def test_make_policy(self, name, cls):

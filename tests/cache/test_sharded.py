@@ -114,6 +114,26 @@ class TestSingleShard:
         manager.validate()
 
 
+    def test_warm_fill_hands_the_whole_ranking_to_the_shard(self, monkeypatch):
+        """One call with every key, leaving residency, the logical clock
+        and the policy's state as a per-key fill leaves them."""
+        warm = [(layer, expert) for expert in range(5) for layer in range(3)]
+        manager = ShardedCacheManager([ExpertCache(9, MRSPolicy())], _UnaskedPlacement(1))
+        per_key = ExpertCache(9, MRSPolicy())
+        for key in warm:
+            per_key.warm_fill([key])
+        shard, calls = manager.shards[0], []
+        real = shard.warm_fill
+        monkeypatch.setattr(shard, "warm_fill", lambda keys: calls.append(keys) or real(keys))
+        manager.warm_fill(warm)
+        assert calls == [warm]
+        assert shard.resident_keys == per_key.resident_keys
+        assert shard._clock == per_key._clock == 9
+        assert list(shard.policy.residents) == list(per_key.policy.residents)
+        for name in ("_scores", "_resident", "_stamp"):
+            assert np.array_equal(getattr(shard.policy, name), getattr(per_key.policy, name))
+
+
 class TestRoutingAndMutation:
     def test_operations_route_to_home_shard(self):
         manager = make_manager(num_devices=2, capacity=4)

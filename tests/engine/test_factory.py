@@ -46,10 +46,11 @@ class TestMakeEngine:
         engine = make_engine(model=tiny_model, num_layers=None)
         assert engine.model is tiny_model
 
-    def test_live_preset_model_bypasses_the_registry(self):
+    def test_live_model_shares_weights_with_the_preset(self):
         live = ReferenceMoEModel(get_preset("qwen2", num_layers=2), seed=31)
         assert make_engine(model=live, seed=31).model is live
-        assert preset_model("qwen2", 2, 31) is not live
+        by_name = preset_model("qwen2", 2, 31)
+        assert by_name is not live and by_name.weight_set is live.weight_set
 
     def test_strategy_kwargs_with_instance_rejected(self, tiny_model):
         strategy = make_strategy("ondemand")
@@ -163,15 +164,15 @@ class TestKnobWiring:
 
 class TestSharedModel:
     """Engines built by name on one ``(model, num_layers, seed)`` run
-    on one model instance, and behave as if each had its own."""
+    on one weight set, and behave as if each had its own."""
 
     KNOBS = dict(model="qwen2", num_layers=2, seed=33, cache_ratio=0.5)
 
-    def test_fleet_replicas_share_one_model(self):
+    def test_fleet_replicas_share_one_weight_set(self):
         fleet = make_fleet(replicas=2, **self.KNOBS)
         engines = [replica.engine for replica in fleet.replicas]
         assert len({id(engine) for engine in engines}) == 2
-        assert engines[0].model is engines[1].model
+        assert engines[0].model.weight_set is engines[1].model.weight_set
 
     def test_serving_beside_a_twin_equals_serving_alone(self):
         from repro.workloads import serving_workload
@@ -181,15 +182,15 @@ class TestSharedModel:
             return serving.serve_trace(trace).per_request_rows()
 
         alone = make_serving_engine(max_batch_size=4, **self.KNOBS)
-        model_ref = weakref.ref(alone.engine.model)
+        weights_ref = weakref.ref(alone.engine.model.weight_set)
         rows = serve(alone)
         del alone
         gc.collect()
-        assert model_ref() is None  # the twins below build a fresh model
+        assert weights_ref() is None  # the twins below build fresh weights
 
         first = make_serving_engine(max_batch_size=4, **self.KNOBS)
         serve(first)  # uses the model and its profile before they are shared
         second = make_serving_engine(max_batch_size=4, **self.KNOBS)
-        assert second.engine.model is first.engine.model
+        assert second.engine.model.weight_set is first.engine.model.weight_set
         assert len(rows) == 6
         assert serve(second) == rows

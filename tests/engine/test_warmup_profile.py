@@ -1,6 +1,7 @@
-"""The warmup profile is a per-model artifact: computed once per
-``(seed, profile_prompt_len, profile_decode_steps)``, aliased read-only
-by every engine on the model instance, and gone when the model is."""
+"""The warmup profile is a per-weight-set artifact: computed once per
+forward parameters and ``(seed, profile_prompt_len,
+profile_decode_steps)``, aliased read-only by every engine on an equal
+model however it was built, and gone when the last such model is."""
 
 import gc
 import weakref
@@ -9,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import repro.models.model as model_module
 import repro.routing.generator as generator
 from repro.engine.factory import available_strategies, make_engine, make_fleet
 from repro.hardware.platform_presets import get_hardware_preset
@@ -66,13 +68,47 @@ class TestProfiledOnce:
         engines = [
             make_engine(model="qwen2", num_layers=2, seed=41) for _ in range(2)
         ]
-        assert engines[0].model is engines[1].model
+        assert engines[0].model.weight_set is engines[1].model.weight_set
         assert trace_runs == [id(engines[0].model)]
 
-    def test_equal_models_are_profiled_separately(self, tiny_config, trace_runs):
-        a, b = (ReferenceMoEModel(tiny_config, seed=0) for _ in range(2))
-        assert warmup_profile(a, 0, 8, 2) is not warmup_profile(b, 0, 8, 2)
+    def test_equal_models_share_one_profile(self, tiny_config, trace_runs):
+        # A seed no other test keeps a model of alive.
+        a, b = (ReferenceMoEModel(tiny_config, seed=101) for _ in range(2))
+        assert a is not b
+        assert warmup_profile(a, 0, 8, 2) is warmup_profile(b, 0, 8, 2)
+        assert trace_runs == [id(a)]
+
+    def test_forward_parameters_split_the_profile_not_the_weights(
+        self, tiny_config, trace_runs
+    ):
+        a = ReferenceMoEModel(tiny_config, seed=103)
+        b = ReferenceMoEModel(tiny_config, seed=103, input_coherence=0.6)
+        assert b.weight_set is a.weight_set
+        pa, pb = warmup_profile(a, 0, 8, 2), warmup_profile(b, 0, 8, 2)
+        assert pa is not pb
         assert trace_runs == [id(a), id(b)]
+        assert not np.array_equal(pa.counts, pb.counts)
+
+    def test_an_equal_model_built_directly_builds_and_profiles_nothing(
+        self, trace_runs, monkeypatch
+    ):
+        """The ``prefill_long`` shape: the perf ledger builds a live model
+        on every pass (bench/benchlib/workloads.py) while the previous
+        pass's still lives."""
+        first = make_engine(model=small_model(seed=7), cache_ratio=0.5, seed=7)
+        experts = []
+        real = model_module.init_expert
+
+        def counting(*args, **kwargs):
+            experts.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(model_module, "init_expert", counting)
+        runs_before = list(trace_runs)
+        again = make_engine(model=small_model(seed=7), cache_ratio=0.5, seed=7)
+        assert again.model is not first.model
+        assert experts == [] and trace_runs == runs_before
+        assert again.runtime.warmup_trace is first.runtime.warmup_trace
 
     def test_fleet_replicas_share_one_run(self, trace_runs):
         fleet = make_fleet(
@@ -103,20 +139,24 @@ PLATFORMS = {
 @pytest.mark.parametrize("platform", PLATFORMS)
 @pytest.mark.parametrize("strategy", available_strategies())
 def test_aliased_profile_equals_a_private_one(strategy, platform):
-    """An engine on an already-profiled shared model steps exactly as
-    one that profiled its own equal model."""
+    """An engine on an already-profiled shared weight set steps exactly
+    as one that built and profiled its own."""
     knobs = dict(strategy=strategy, cache_ratio=0.25, seed=0, **PLATFORMS[platform])
-    shared = small_model()
+    shared = small_model(seed=9)
     first = make_engine(model=shared, **knobs)
     first.generate(np.arange(8), decode_steps=2)  # uses the profile before it is aliased
-    aliased = make_engine(model=shared, **knobs)
-    private = make_engine(model=small_model(), **knobs)
+    aliased = make_engine(model=small_model(seed=9), **knobs)
+    assert aliased.model.weight_set is shared.weight_set
     assert aliased.runtime.warmup_trace is first.runtime.warmup_trace
-    assert private.runtime.warmup_trace is not first.runtime.warmup_trace
 
     prompt = np.arange(24) % shared.vocab_size
     rows = step_rows(aliased.generate(prompt, decode_steps=16))
     assert len(rows) == 17
+    weights_ref = weakref.ref(shared.weight_set)
+    del shared, first, aliased
+    gc.collect()
+    assert weights_ref() is None  # the private engine builds and profiles afresh
+    private = make_engine(model=small_model(seed=9), **knobs)
     assert rows == step_rows(private.generate(prompt, decode_steps=16))
 
 
@@ -130,14 +170,18 @@ def test_ranking_is_count_descending_with_ties_in_key_order(tiny_model):
     assert {type(i) for key in profile.ranking for i in key} == {int}
 
 
-def test_profile_dies_with_its_model(tiny_config):
-    model = ReferenceMoEModel(tiny_config, seed=0)
+def test_profile_dies_with_the_last_model_on_its_weights(tiny_config):
+    model = ReferenceMoEModel(tiny_config, seed=11)
+    twin = ReferenceMoEModel(tiny_config, seed=11)
     profile = warmup_profile(model, 0, 8, 2)
     trace_ref = weakref.ref(profile.trace)
-    model_ref = weakref.ref(model)
+    weights_ref = weakref.ref(model.weight_set)
     del model, profile
     gc.collect()
-    assert model_ref() is None
+    assert trace_ref() is warmup_profile(twin, 0, 8, 2).trace
+    del twin
+    gc.collect()
+    assert weights_ref() is None
     assert trace_ref() is None
 
 

@@ -32,9 +32,10 @@ class TestCachedModel:
         model = cached_model("mixtral", 3, 0)
         assert model.config.num_layers == 3
 
-    def test_is_the_model_engines_built_by_name_run_on(self):
+    def test_pins_the_weights_engines_built_by_name_run_on(self):
         model = cached_model("qwen2", 2, 5)
-        assert make_engine(model="qwen2", num_layers=2, seed=5).model is model
+        engine = make_engine(model="qwen2", num_layers=2, seed=5)
+        assert engine.model.weight_set is model.weight_set
 
 
 class TestRunWorkload:

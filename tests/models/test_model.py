@@ -1,5 +1,8 @@
 """Tests of the functional reference model and its routing dynamics."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -49,6 +52,47 @@ class TestConstruction:
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] += 1
+
+
+class TestWeightSet:
+    """Equal models run on one read-only weight set, however they are
+    built, and the set lives exactly as long as some model on it."""
+
+    def test_equal_constructions_alias_every_array(self, tiny_config):
+        a = ReferenceMoEModel(tiny_config, seed=5)
+        b = ReferenceMoEModel(tiny_config, seed=5, input_coherence=0.0)
+        assert b.weight_set is a.weight_set
+        pairs = list(zip(a.weights(), b.weights(), strict=True))
+        assert len(pairs) == 1 + tiny_config.num_layers * (2 + 3 * 9)
+        assert all(x is y for x, y in pairs)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda config: ReferenceMoEModel(config, seed=6),
+            lambda config: ReferenceMoEModel(config, seed=5, d_model=24),
+            lambda config: ReferenceMoEModel(config, seed=5, d_ff=48),
+            lambda config: ReferenceMoEModel(config, seed=5, vocab_size=256),
+            lambda config: ReferenceMoEModel(config.with_layers(4), seed=5),
+        ],
+        ids=["seed", "d_model", "d_ff", "vocab_size", "config"],
+    )
+    def test_a_different_key_gets_its_own_set(self, tiny_config, build):
+        a = ReferenceMoEModel(tiny_config, seed=5)
+        b = build(tiny_config)
+        assert b.weight_set is not a.weight_set
+        assert not any(x is y for x, y in zip(a.weights(), b.weights()))
+
+    def test_set_dies_with_its_last_model(self, tiny_config):
+        a = ReferenceMoEModel(tiny_config, seed=5)
+        b = ReferenceMoEModel(tiny_config, seed=5)
+        ref = weakref.ref(a.weight_set)
+        del a
+        gc.collect()
+        assert ref() is b.weight_set
+        del b
+        gc.collect()
+        assert ref() is None
 
 
 class TestForward:

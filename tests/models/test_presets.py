@@ -1,5 +1,5 @@
 """Table II presets must match the paper exactly, and each preset key
-has one live functional model."""
+has one live weight set."""
 
 import gc
 import weakref
@@ -69,28 +69,29 @@ class TestRegistry:
 
 
 class TestPresetModel:
-    """Engines built by name share one model per ``(preset, seed)``
+    """Models built by name share one weight set per ``(preset, seed)``
     while any of them holds it; nothing else keeps it alive."""
 
-    def test_same_key_same_model_while_an_engine_lives(self):
+    def test_same_key_same_weights_while_an_engine_lives(self):
         engine = make_engine(model="qwen2", num_layers=2, seed=21)
-        assert preset_model("qwen2", 2, 21) is engine.model
-        assert make_engine(model="qwen2", num_layers=2, seed=21).model is engine.model
+        weights = engine.model.weight_set
+        assert preset_model("qwen2", 2, 21).weight_set is weights
+        assert make_engine(model="qwen2", num_layers=2, seed=21).model.weight_set is weights
 
-    def test_full_depth_spellings_share_one_model(self):
+    def test_full_depth_spellings_share_one_weight_set(self):
         model = preset_model("mixtral", seed=21)
-        assert preset_model("mixtral", num_layers=32, seed=21) is model
+        assert preset_model("mixtral", num_layers=32, seed=21).weight_set is model.weight_set
 
     @pytest.mark.parametrize(
         "other", [("qwen2", 2, 22), ("qwen2", 3, 21), ("mixtral", 2, 21)]
     )
-    def test_a_different_key_is_a_different_model(self, other):
+    def test_a_different_key_is_a_different_weight_set(self, other):
         model = preset_model("qwen2", 2, 21)
-        assert preset_model(*other) is not model
+        assert preset_model(*other).weight_set is not model.weight_set
 
     def test_entry_dies_with_the_last_holder(self):
         engine = make_engine(model="qwen2", num_layers=2, seed=23)
-        ref = weakref.ref(engine.model)
+        ref = weakref.ref(engine.model.weight_set)
         del engine
         gc.collect()
         assert ref() is None

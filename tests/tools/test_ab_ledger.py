@@ -1,0 +1,94 @@
+"""The pair summariser of ``tools/ab_ledger.py``, on canned contract lines."""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tools"))
+
+from ab_ledger import contract_metrics, format_table, spread, summarise  # noqa: E402
+
+BETTER = {"host_peak_rss_mb": "lower", "host_tokens_per_s": "higher", "sim_latency_ms": "lower"}
+
+
+def contract(rss, tok, latency=78.1, correct=True):
+    """A ``bench/run.py`` report tail: a report line, then the contract line."""
+    metrics = {
+        "host_peak_rss_mb": {"value": rss, "unit": "MB"},
+        "host_tokens_per_s": {"value": tok, "unit": "tok/s"},
+        "sim_latency_ms": {"value": latency, "unit": "ms"},
+    }
+    line = {"correct": correct, "attempted": 24, "failed": 0, "metrics": metrics}
+    return "workload prefill_long  seed 3\n" + json.dumps(line) + "\n"
+
+
+def pairs_of(parent, change):
+    return [(contract_metrics(p), contract_metrics(c)) for p, c in zip(parent, change)]
+
+
+def test_contract_metrics_reads_the_last_line():
+    assert contract_metrics(contract(87.4, 7000.0)) == {
+        "host_peak_rss_mb": 87.4, "host_tokens_per_s": 7000.0, "sim_latency_ms": 78.1,
+    }
+
+
+def test_a_failed_run_is_refused():
+    with pytest.raises(ValueError, match="failed its checks"):
+        contract_metrics(contract(87.4, 7000.0, correct=False))
+
+
+def test_spread_is_median_and_quartiles():
+    assert spread([3.0]) == (3.0, 3.0, 3.0)
+    median, q1, q3 = spread([1.0, 2.0, 3.0, 4.0, 5.0])
+    assert (median, q1, q3) == (3.0, 1.5, 4.5)
+
+
+def test_a_clear_gain_in_every_pair_is_better():
+    parent = [contract(87.2 + 0.05 * i, 7000.0 + 10 * i) for i in range(10)]
+    change = [contract(64.8 + 0.05 * i, 7000.0 + 10 * (9 - i)) for i in range(10)]
+    rows = {row["metric"]: row for row in summarise(pairs_of(parent, change), BETTER)["rows"]}
+    rss = rows["host_peak_rss_mb"]
+    assert rss["wins"] == 10 and rss["pairs"] == 10
+    assert rss["verdict"] == "better"
+    assert rss["ratio"] == pytest.approx(rss["change"][0] / rss["parent"][0])
+    assert rss["ratio"] < 0.76
+    # Same medians, wins split by the pairing: no verdict.
+    tok = rows["host_tokens_per_s"]
+    assert tok["ratio"] == pytest.approx(1.0)
+    assert tok["wins"] == 5 and tok["verdict"] == "unresolved"
+    # Equal in every run: neither won nor lost.
+    assert rows["sim_latency_ms"]["wins"] == 0
+    assert rows["sim_latency_ms"]["verdict"] == "unresolved"
+
+
+def test_a_clear_loss_is_worse_and_a_narrow_one_unresolved():
+    parent = [contract(80.0, 7000.0 + 100 * i) for i in range(10)]
+    worse = [contract(80.0, 6000.0 + 100 * i) for i in range(10)]
+    rows = {r["metric"]: r for r in summarise(pairs_of(parent, worse), BETTER)["rows"]}
+    assert rows["host_tokens_per_s"]["wins"] == 0
+    assert rows["host_tokens_per_s"]["verdict"] == "worse"
+    # Lost every pair, but by less than the parent's quartile spread.
+    narrow = [contract(80.0, 6990.0 + 100 * i) for i in range(10)]
+    rows = {r["metric"]: r for r in summarise(pairs_of(parent, narrow), BETTER)["rows"]}
+    assert rows["host_tokens_per_s"]["verdict"] == "unresolved"
+
+
+def test_a_moving_sim_metric_is_named():
+    parent = [contract(80.0, 7000.0) for _ in range(3)]
+    change = [contract(80.0, 7000.0), contract(80.0, 7000.0, latency=78.2), contract(80.0, 7000.0)]
+    summary = summarise(pairs_of(parent, change), BETTER)
+    assert summary["sim_differs"] == ["sim_latency_ms"]
+    assert format_table(summary).splitlines()[-1] == "sim_* DIFFER: sim_latency_ms"
+    steady = summarise(pairs_of(parent, parent), BETTER)
+    assert steady["sim_differs"] == []
+    assert format_table(steady).splitlines()[-1] == "sim_* identical in every run"
+
+
+def test_table_has_one_row_per_metric():
+    parent = [contract(87.0, 7000.0), contract(88.0, 7100.0)]
+    change = [contract(65.0, 7050.0), contract(66.0, 7000.0)]
+    lines = format_table(summarise(pairs_of(parent, change), BETTER)).splitlines()
+    assert len(lines) == 1 + len(BETTER) + 1
+    assert lines[1].startswith("host_peak_rss_mb") and lines[1].endswith("2/2   better")

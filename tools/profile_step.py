@@ -16,18 +16,20 @@ and ``ImpactDrivenPrefetcher.select`` from here, during the profiled
 pass, so the two wrappers appear in the profile.
 
 ``--memory`` runs the same chunks under ``tracemalloc`` instead of
-cProfile and prints the peak traced memory, the distinct models behind
-the chunk engines and their weight bytes (built in set-up, so outside
-the trace), the resource-ledger rows the pass added (``len()`` over
-every timeline of each chunk engine's clock, after minus before) and
-the allocation sites, by line, still holding the most memory at the end
-of the pass: the attribution of the ledger's ``host_peak_rss_mb`` row.
+cProfile and prints the peak traced memory, the minor page faults the
+chunks took (the ``ru_minflt`` delta, tracemalloc's own bookkeeping
+included), the distinct weight sets behind the chunk engines and their
+bytes (built in set-up, so outside the trace), the resource-ledger rows
+the pass added (``len()`` over every timeline of each chunk engine's
+clock, after minus before) and the allocation sites, by line, still
+holding the most memory at the end of the pass: the attribution of the
+ledger's ``host_peak_rss_mb`` row.
 
 Usage::
 
     python tools/profile_step.py --workload decode_hot --smoke      # top 20 by cumulative time
     python tools/profile_step.py --workload prefill_long --setup     # where prepare() goes
-    python tools/profile_step.py --workload serve_poisson --memory   # what the pass keeps in memory
+    python tools/profile_step.py --workload serve_poisson --memory   # what the pass keeps, its faults
     python tools/profile_step.py --workload prefill_long --seed 3 --sort tottime --top 40 --out p.prof
 """
 
@@ -35,6 +37,7 @@ import argparse
 import cProfile
 import os
 import pstats
+import resource
 import sys
 import time
 import tracemalloc
@@ -108,18 +111,22 @@ def memory_report(workload: str, seed: int = 0, smoke: bool = False, top: int = 
     """One pass of a ledger workload's chunks under ``tracemalloc``.
 
     Set-up runs untraced. Returns the peak traced MB (MiB, like the
-    ledger's ``host_peak_rss_mb``), the distinct models the chunk
-    engines run on and their weight MB, the ledger rows the pass added
-    and the ``top`` allocation sites by live size at the end of the pass.
+    ledger's ``host_peak_rss_mb``), the minor page faults of the chunks,
+    the distinct weight sets the chunk engines run on and their MB, the
+    ledger rows the pass added and the ``top`` allocation sites by live
+    size at the end of the pass.
     """
     prepared = WORKLOADS[workload].prepare(seed, SMOKE if smoke else FULL)
     engines = [chunk.engine for chunk in prepared.chunks]
-    models = {id(engine.model): engine.model for engine in engines}.values()
+    # One model per distinct weight set, to size the set through.
+    models = {id(e.model.weight_set): e.model for e in engines}.values()
     rows_before = ledger_rows(engines)
     tracemalloc.start()
     try:
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         for chunk in prepared.chunks:
             chunk.run()
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
         peak = tracemalloc.get_traced_memory()[1]
         snapshot = tracemalloc.take_snapshot()
     finally:
@@ -133,7 +140,8 @@ def memory_report(workload: str, seed: int = 0, smoke: bool = False, top: int = 
         "workload": workload,
         "tokens": sum(chunk.tokens for chunk in prepared.chunks),
         "peak_traced_mb": peak / 2**20,
-        "models": len(models),
+        "minor_faults": faults,
+        "weight_sets": len(models),
         "weights_mb": sum(w.nbytes for m in models for w in m.weights()) / 2**20,
         "ledger_rows": ledger_rows(engines) - rows_before,
         "top": sites,
@@ -217,8 +225,8 @@ def main(argv=None) -> int:
               f"peak traced {report['peak_traced_mb']:.2f} MB over the chunks")
         print(blas)
         print(f"resource-ledger rows added: {report['ledger_rows']}")
-        print(f"models behind the engines: {report['models']}, "
-              f"{report['weights_mb']:.2f} MB of weights")
+        print(f"weight sets behind the engines: {report['weight_sets']}, "
+              f"{report['weights_mb']:.2f} MB; minor page faults: {report['minor_faults']}")
         print(f"top allocation sites, live at the end of the pass\n{'KiB':>10}{'blocks':>10}  site")
         for row in report["top"]:
             print(f"{row['size_kb']:>10.1f}{row['count']:>10}  {row['site']}")
