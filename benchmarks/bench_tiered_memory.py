@@ -6,7 +6,7 @@ DRAM-resident. This benchmark serves one Poisson trace per strategy on
 a platform whose **CPU DRAM tier is capacity-limited** (a fraction of
 the experts fit in host memory; the rest spill to an NVMe-class disk),
 and reports goodput, tail TBT and per-tier cache hit rates plus the
-disk link's traffic.
+disk link's traffic and the GPU -> DRAM demotions on the PCIe links.
 
 Claim checked (the scale-out analogue of Fig. 8/9 under memory
 pressure): hybrid scheduling + MRS caching (hybrimoe) sustains at
@@ -57,6 +57,11 @@ def _tier_and_disk_columns(serving) -> dict:
         "hit_dram_tier": tier_rates["cpu"],
         "disk_reads": len(disk),
         "disk_busy_s": disk.busy_time(),
+        "demotions": sum(
+            row.label.startswith("demote ")
+            for link in runtime.clock.pcie_links
+            for row in link.intervals
+        ),
     }
 
 
@@ -98,6 +103,11 @@ def run(smoke: bool) -> tuple[dict, list[str]]:
             "DRAM-constrained config produced no disk traffic — the tier "
             "cap is not binding and the race is vacuous"
         )
+    if not hybrimoe["demotions"] > 0:
+        failures.append(
+            "hybrimoe demoted no GPU eviction into DRAM — the exclusive "
+            "DRAM tier's demotion path never ran"
+        )
     return {"dram_slots": dram_slots, "rows": rows}, failures
 
 
@@ -115,6 +125,7 @@ def render(payload: dict) -> str:
             "hit_dram_tier",
             "disk_reads",
             "disk_busy_s",
+            "demotions",
         ],
         title=(
             f"tiered-memory serving race — deepseek @ {CACHE_RATIO:.0%} GPU "

@@ -30,7 +30,7 @@ cache's:
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,6 +113,9 @@ class ExpertCache:
         self._by_layer: dict[int, set[int]] = {}
         for layer, expert in self._pinned:
             self._by_layer.setdefault(layer, set()).add(expert)
+        #: ``(key, resident)`` after each dynamic insert or eviction; set
+        #: only by a tiered manager on its tiers.
+        self.on_residency: Callable[[ExpertKey, bool], None] | None = None
 
     # ------------------------------------------------------------------
     # queries
@@ -204,13 +207,18 @@ class ExpertCache:
                 raise CacheError(f"policy chose non-resident victim {victim}")
             self._evict(victim)
             evicted.append(victim)
+        self._add(key)
+        self.stats.insertions += 1
+        return evicted
+
+    def _add(self, key: ExpertKey) -> None:
         self._clock += 1
         self._version += 1
         self._resident.add(key)
         self._by_layer.setdefault(key[0], set()).add(key[1])
         self.policy.on_insert(key, self._clock)
-        self.stats.insertions += 1
-        return evicted
+        if self.on_residency is not None:
+            self.on_residency(key, True)
 
     def _evict(self, key: ExpertKey) -> None:
         if key in self._pinned:
@@ -224,6 +232,8 @@ class ExpertCache:
             bucket.discard(key[1])
         self.policy.forget(key)
         self.stats.evictions += 1
+        if self.on_residency is not None:
+            self.on_residency(key, False)
 
     def would_admit(self, key: ExpertKey, margin: float = 0.0) -> bool:
         """Whether :meth:`insert_if_better` would currently admit ``key``.
@@ -272,13 +282,8 @@ class ExpertCache:
         for key in keys:
             if len(self._resident) >= self.capacity:
                 break
-            if key in self:
-                continue
-            self._clock += 1
-            self._version += 1
-            self._resident.add(key)
-            self._by_layer.setdefault(key[0], set()).add(key[1])
-            self.policy.on_insert(key, self._clock)
+            if key not in self:
+                self._add(key)
 
     # ------------------------------------------------------------------
     # locking & scores

@@ -32,11 +32,16 @@ stay authoritative for the paper's hit-rate figures; the DRAM tier
 keeps its own counters, where an *access* is recorded only for GPU
 misses — its hit rate is therefore the fraction of GPU misses served
 from DRAM rather than disk.
+
+The DRAM tier is **lazily exclusive**: when full it evicts its oldest
+*shadow* (a copy of a GPU-resident expert) first, and an expert a GPU
+shard evicts and DRAM lacks is **demoted** into DRAM, not dropped.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
+from functools import partial
 
 import numpy as np
 
@@ -72,6 +77,15 @@ class TieredCacheManager:
             raise CacheError("the DRAM tier does not support pinned keys")
         self.gpu_tier = gpu_tier
         self.cpu_tier = cpu_tier
+        #: DRAM copies of GPU-resident experts, oldest first (a dict as
+        #: an insertion-ordered set).
+        self._shadows = dict.fromkeys(sorted(cpu_tier.resident_keys & gpu_tier.resident_keys))
+        #: ``(key, device)`` demotions the engine has yet to charge to a
+        #: PCIe link (it clears the list when it does).
+        self.demotions: list[tuple[ExpertKey, int]] = []
+        cpu_tier.on_residency = partial(self._residency_changed, gpu_tier, None)
+        for device, shard in enumerate(getattr(gpu_tier, "shards", [gpu_tier])):
+            shard.on_residency = partial(self._residency_changed, cpu_tier, device)
 
     # ------------------------------------------------------------------
     # tier queries
@@ -95,11 +109,28 @@ class TieredCacheManager:
     def promote_to_dram(self, key: ExpertKey) -> list[ExpertKey]:
         """Make ``key`` DRAM-resident (after a disk read has been paid).
 
-        Returns the DRAM keys evicted to make room. Evicting a DRAM
-        copy of a GPU-resident expert is legal — the GPU copy is
-        independent — but re-fetching it later costs a disk read.
+        Returns the DRAM keys evicted to make room: the oldest shadow
+        while any is left (its GPU copy stays), else the DRAM policy's
+        victim, so experts only DRAM holds go to disk last.
         """
-        return self.cpu_tier.insert(key)
+        cpu = self.cpu_tier
+        evicted = []
+        if self._shadows and key not in cpu and len(cpu) >= cpu.capacity:
+            evicted.append(next(iter(self._shadows)))
+            cpu.evict_explicit(evicted[0])
+        return evicted + cpu.insert(key)
+
+    def _residency_changed(self, other, device: int | None, key: ExpertKey, resident: bool) -> None:
+        """Keep shadows exact; demote what GPU ``device`` evicts alone."""
+        if resident:
+            if key in other:
+                self._shadows[key] = None
+        elif key in self._shadows:
+            del self._shadows[key]
+        elif device is not None:
+            self.promote_to_dram(key)
+            if key in self.cpu_tier:
+                self.demotions.append((key, device))
 
     def dram_would_admit(self, key: ExpertKey, margin: float = 0.0) -> bool:
         """Whether a speculative DRAM promotion of ``key`` makes sense.
@@ -205,3 +236,6 @@ class TieredCacheManager:
         """Validate both tiers' capacity/pinning/placement invariants."""
         self.gpu_tier.validate()
         self.cpu_tier.validate()
+        stale = self._shadows.keys() ^ (self.cpu_tier.resident_keys & self.gpu_tier.resident_keys)
+        if stale:
+            raise CacheError(f"shadow set out of sync: {sorted(stale)}")

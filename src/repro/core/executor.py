@@ -16,7 +16,8 @@ Dependencies honoured:
   GPU tasks through the ``arrivals`` map;
 - on a tiered-memory platform, a **spilled** expert's weights are first
   staged disk -> DRAM on the clock's shared disk link; its PCIe
-  transfer and/or CPU compute cannot start before that read finishes.
+  transfer and/or CPU compute cannot start before that read finishes,
+  or before a read already in flight (a prefetch's staging).
 
 The clock's timelines are the one record of what ran: every reservation
 is labelled ``xfer|gpu|cpu|disk L{layer} E{expert}`` (the shared block
@@ -60,6 +61,7 @@ def execute_plan(
     external_arrivals: dict[tuple[int, int], float] | None = None,
     device: int = 0,
     spilled: frozenset[int] | set[int] | None = None,
+    staging: dict[tuple[int, int], float] | None = None,
 ) -> LayerExecutionResult:
     """Execute a validated plan, reserving real timeline intervals.
 
@@ -88,6 +90,9 @@ def execute_plan(
         platforms): each first reserves a disk read on ``clock.disk``,
         gating its PCIe transfer or CPU compute. ``None``/empty keeps
         the historical two-tier execution byte-for-byte.
+    staging:
+        Finish times of disk reads in flight by ``(layer, expert)``: a
+        spilled expert here waits for its read, reserving none. Never written.
 
     Returns
     -------
@@ -105,6 +110,7 @@ def execute_plan(
     # external map is never written and never copied.
     local_arrivals: dict[tuple[int, int], float] = {}
     external = external_arrivals or _NO_ARRIVALS
+    staging = staging or _NO_ARRIVALS
     gpu_timeline = clock.gpu_timeline(device)
     pcie_timeline = clock.pcie_timeline(device)
 
@@ -116,7 +122,10 @@ def execute_plan(
         return external.get(key, start_time)
 
     def stage_from_disk(layer: int, expert: int) -> float:
-        """Reserve the disk -> DRAM read; returns its finish time."""
+        """Finish time of the expert's disk read (in flight, else new)."""
+        ready = staging.get((layer, expert))
+        if ready is not None:
+            return ready
         return clock.disk.reserve(
             start_time, oracle.disk_fetch(), f"disk L{layer} E{expert}"
         )[1]

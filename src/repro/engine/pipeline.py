@@ -366,10 +366,10 @@ class StepPipeline:
     def _promote_spilled(self, layer: int, spilled: frozenset[int]) -> None:
         """DRAM-insert every spilled expert the layer just staged.
 
-        The plan covers all activated experts, so each spilled one paid
-        a disk read (for its CPU compute or its transfer chain); its
-        weights now sit in host DRAM and the tier's policy decides what
-        they displace. Ascending expert id keeps runs deterministic.
+        The plan covers all activated experts, so each spilled one was
+        read off disk — by the layer, or by a staging in flight that it
+        waited on and consumes here — and the tier decides what it
+        displaces. Ascending expert id keeps runs deterministic.
         """
         if not spilled:
             return
@@ -377,9 +377,17 @@ class StepPipeline:
         for expert in sorted(spilled):
             key = (layer, expert)
             cache.promote_to_dram(key)
-            # The layer just paid its own read; a prefetch staging of
-            # the same key still in flight is superseded.
             self.runtime.pending_dram.pop(key, None)
+
+    def _charge_demotions(self, now: float) -> None:
+        """Charge each GPU -> DRAM demotion one expert transfer on its link."""
+        runtime = self.runtime
+        if runtime.tiered:
+            demotions = self._cache().demotions
+            duration = runtime.cost_actual.transfer_time(self.model.config.routed_expert_shape)
+            for (layer, expert), gpu in demotions:
+                runtime.clock.pcie_links[gpu].reserve(now, duration, f"demote L{layer} E{expert}")
+            demotions.clear()
 
     @staticmethod
     def _device_groups(
@@ -428,9 +436,11 @@ class StepPipeline:
             runtime.arrivals,
             device=ctx.device_id,
             spilled=ctx.spilled_experts,
+            staging=runtime.pending_dram,
         )
         self._promote_spilled(layer, ctx.spilled_experts)
         self.strategy.after_layer(ctx, plan)
+        self._charge_demotions(ctx.moe_start)
         shard.unlock_all()
         return plan
 
@@ -626,3 +636,4 @@ class StepPipeline:
             shard.insert(key)
             runtime.prefetch_issued += 1
             runtime._prefetch_pending.add(key)
+        self._charge_demotions(ctx.moe_start)

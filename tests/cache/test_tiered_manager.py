@@ -53,6 +53,39 @@ class TestTierSemantics:
         assert (0, 5) not in tiered.cpu_tier
         assert not tiered.is_spilled((0, 5))
 
+    def test_full_dram_evicts_a_shadow_before_dram_only_keys(self):
+        tiered = build_tiered(gpu_capacity=2, cpu_capacity=3)
+        tiered.promote_to_dram((0, 0))   # DRAM-only, least recently used
+        tiered.insert((0, 1))
+        tiered.insert((0, 2))
+        tiered.promote_to_dram((0, 2))   # shadows, oldest first
+        tiered.promote_to_dram((0, 1))
+        assert list(tiered._shadows) == [(0, 2), (0, 1)]
+        assert tiered.promote_to_dram((0, 3)) == [(0, 2)]
+        assert tiered.promote_to_dram((0, 4)) == [(0, 1)]
+        # No shadow left: the DRAM policy picks among DRAM-only keys.
+        assert tiered.promote_to_dram((0, 5)) == [(0, 0)]
+        tiered.validate()
+
+    def test_gpu_eviction_demotes_into_dram(self):
+        tiered = build_tiered(gpu_capacity=1, cpu_capacity=2)
+        tiered.insert((0, 1))
+        tiered.promote_to_dram((0, 2))
+        assert tiered.insert((0, 3)) == [(0, 1)]   # GPU LRU evicts (0, 1)
+        assert (0, 1) in tiered.cpu_tier and not tiered.is_spilled((0, 1))
+        assert tiered.demotions == [((0, 1), 0)]
+        tiered.validate()
+
+    def test_gpu_eviction_of_a_shadow_demotes_nothing(self):
+        tiered = build_tiered(gpu_capacity=1, cpu_capacity=2)
+        tiered.insert((0, 1))
+        tiered.promote_to_dram((0, 1))
+        tiered.insert((0, 3))
+        assert (0, 1) in tiered.cpu_tier
+        assert tiered.demotions == []
+        assert not tiered._shadows
+        tiered.validate()
+
     def test_dram_would_admit(self):
         tiered = build_tiered(cpu_capacity=1)
         assert tiered.dram_would_admit((0, 1))
@@ -168,4 +201,43 @@ class TestSpilledExpertsSetForm:
         assert tiered.spilled_experts(layer, experts) == expected
         assert tiered.spilled_experts(layer, (e for e in experts)) == expected
         assert getattr(manager.placement, "assignments", None) == routed
+        tiered.validate()
+
+
+class TestShadowSet:
+    @given(
+        history=st.lists(
+            st.tuples(st.sampled_from(["insert", "evict", "promote"]), _KEYS),
+            max_size=60,
+        ),
+        num_devices=st.integers(1, 3),
+        placement=st.sampled_from(["round_robin", "layer_striped", "load_aware"]),
+        gpu_capacity=st.integers(0, 5),
+        cpu_capacity=st.integers(0, 5),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_incremental_shadows_equal_dram_and_gpu_residents(
+        self, history, num_devices, placement, gpu_capacity, cpu_capacity
+    ):
+        """Kept incrementally through GPU inserts, GPU evictions (which
+        demote) and DRAM promotions, the shadow set is always the DRAM
+        residents the GPU also holds."""
+        spec = CacheSpec(gpu_capacity, lambda: make_policy("lru"))
+        manager = spec.build_sharded(make_placement(placement, num_devices))
+        cpu = ExpertCache(cpu_capacity, make_policy("lru"))
+        tiered = TieredCacheManager(manager, cpu)
+        for op, key in history:
+            if op == "insert":
+                tiered.insert(key)
+            elif op == "promote":
+                tiered.promote_to_dram(key)
+            elif key in tiered:
+                manager.shard_of(key).evict_explicit(key)
+                assert key in cpu or cpu_capacity == 0
+            for demoted, device in tiered.demotions:
+                assert demoted in cpu and demoted not in tiered
+                assert manager.device_of(demoted) == device
+            tiered.demotions.clear()
+            assert set(tiered._shadows) == cpu.resident_keys & manager.resident_keys
+            assert len(cpu) <= cpu_capacity
         tiered.validate()

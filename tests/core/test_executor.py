@@ -115,6 +115,39 @@ class TestExecutePlan:
                 start_time=-1.0,
             )
 
+    @pytest.mark.parametrize("on_cpu", [False, True])
+    def test_spilled_expert_waits_on_inflight_staging(self, oracle, on_cpu):
+        """A spilled expert whose disk read is already in flight waits
+        for that read and reserves no second one; others still read."""
+        clock = ThreeResourceClock(disk=True)
+        if on_cpu:
+            plan = ExecutionPlan(
+                layer=2,
+                n_tokens=1,
+                cpu_tasks=[ComputeTask(2, 4, 1, Device.CPU), ComputeTask(2, 6, 1, Device.CPU)],
+            )
+            timeline, kind = clock.cpu, "cpu"
+        else:
+            plan = ExecutionPlan(
+                layer=2,
+                n_tokens=1,
+                gpu_tasks=[
+                    ComputeTask(2, 4, 1, Device.GPU, after_transfer=True),
+                    ComputeTask(2, 6, 1, Device.GPU, after_transfer=True),
+                ],
+                transfers=[TransferTask(2, 4, 1), TransferTask(2, 6, 1)],
+            )
+            timeline, kind = clock.pcie, "xfer"
+        staging = {(2, 4): 9.0}
+        execute_plan(
+            plan, clock, oracle, start_time=1.0, spilled={4, 6}, staging=staging
+        )
+        assert [row.label for row in clock.disk.intervals] == ["disk L2 E6"]
+        rows = {row.label: row for row in timeline.intervals}
+        assert rows[f"{kind} L2 E4"].start >= 9.0
+        assert rows[f"{kind} L2 E6"].start >= clock.disk.intervals[0].finish
+        assert staging == {(2, 4): 9.0}
+
     def test_makespan_accounting(self, oracle):
         clock = ThreeResourceClock()
         plan = ExecutionPlan(

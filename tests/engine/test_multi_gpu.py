@@ -95,7 +95,7 @@ GOLDEN_1GPU = {
     "llamacpp": "7114db76919cbb05",
     "ondemand": "fc26bd7833819517",
 }
-GOLDEN_1GPU_TIERED_HYBRIMOE = "d2f9e066314e5dfc"  # cpu_cache_capacity=4
+GOLDEN_1GPU_TIERED_HYBRIMOE = "1f1b757a76075d7e"  # cpu_cache_capacity=4
 #: ``digest(serving_fingerprint(...))`` of ``test_serving_matches_golden``'s
 #: three-request trace on the unsharded 1-GPU engine at commit da91b70,
 #: the last one that had it (``sharded_cache=True`` gave the same there).
@@ -115,13 +115,18 @@ PLATFORMS = {
 #: clock_fingerprint)`` after ``generate(prompt_tokens, decode_steps=4)``,
 #: recorded at commit 9c58829 from ``EngineConfig(engine_fast_path=False)``
 #: — the reference engine core, deleted by the next commit. (The fast
-#: core gave the same 60 digests there.)
+#: core gave the same 60 digests there.) The three-tier rows of the
+#: strategies that evict from the GPU cache or prefetch (hybrimoe,
+#: adapmoe, ondemand) were re-recorded once, when the DRAM tier became
+#: lazily exclusive (shadows evicted first, GPU evictions demoted) and a
+#: layer started waiting on an in-flight staging instead of re-reading
+#: it; ``GOLDEN_1GPU_TIERED_HYBRIMOE`` moved with them.
 GOLDEN_CORE = {
     "hybrimoe": {
         "1gpu-two-tier": ("396d3a203bf9d148", "696bb04e4ab82640", "8ffcd1d17cf6274b"),
         "2gpu-two-tier": ("a71b7a7525c5a208", "d18453bf24a428a4", "377797a68a8c58f5"),
-        "1gpu-three-tier": ("d2f9e066314e5dfc", "3a205600cbeb6fa1", "93660cd50d72c2a4"),
-        "2gpu-three-tier": ("9af723f7c5a0e796", "87d6237adc330591", "8b0d41cd136483e4"),
+        "1gpu-three-tier": ("1f1b757a76075d7e", "498a7f9876697b3d", "10adbdf3e8c78056"),
+        "2gpu-three-tier": ("0d8915e34454e991", "fbb63e2a2a1e0b13", "bcca9f48b47aa41c"),
     },
     "ktransformers": {
         "1gpu-two-tier": ("4ebb02ab915ded97", "137fbb764b1f6f0e", "6a28a3ebd4155958"),
@@ -132,8 +137,8 @@ GOLDEN_CORE = {
     "adapmoe": {
         "1gpu-two-tier": ("c7678859b8eef1e4", "4d7d1d3d9f8fdf87", "4b1c1ae0c06b017f"),
         "2gpu-two-tier": ("dedfb082cab06841", "5e9fe8303e7ea8ba", "5c89757a9c0f0526"),
-        "1gpu-three-tier": ("931ba5ee4395167d", "49ffe710d0cfd812", "b44838e34282bccb"),
-        "2gpu-three-tier": ("e6e31604ee95470a", "49d73f80452878dc", "4cf04133d11014e2"),
+        "1gpu-three-tier": ("3e5e42c86ac76fcd", "c06b014b7402bbae", "9339782af9ced0e6"),
+        "2gpu-three-tier": ("03ead553d9c5eb32", "25eca314a54a05eb", "7b6863d086ee01d4"),
     },
     "llamacpp": {
         "1gpu-two-tier": ("7114db76919cbb05", "8ff568246a7c0877", "ef0a6a4016f120fb"),
@@ -144,8 +149,8 @@ GOLDEN_CORE = {
     "ondemand": {
         "1gpu-two-tier": ("fc26bd7833819517", "a12d91a0729c7c7b", "782b8b7656e2b9e1"),
         "2gpu-two-tier": ("b111e9cb2c7af7ea", "3d9d45aab720b439", "2f0d661714786ce2"),
-        "1gpu-three-tier": ("26e7acc4dec42b70", "71834a36e522bf04", "13ea507c0ac2428c"),
-        "2gpu-three-tier": ("3938044218ab91c0", "515707a815a4fd7e", "f4e48e290fb0970a"),
+        "1gpu-three-tier": ("e2d04119b118c0aa", "0335f5495bdd66bc", "b8ed0153b807693d"),
+        "2gpu-three-tier": ("1407d2fabc05cce9", "6396568d81d21b1c", "c30ff36bec807df6"),
     },
 }
 

@@ -221,14 +221,61 @@ class TestSpillMechanics:
         assert late in cache.cpu_tier
         assert runtime.pending_dram == {}
 
-    def test_layer_staging_supersedes_pending_prefetch(self, tiny_config):
+    def test_layer_waits_on_inflight_staging(self, tiny_config, prompt_tokens):
+        """A layer that uses an expert a prefetch is still staging waits
+        for that read, adds no disk row of its own, and consumes it."""
         engine = build_engine(tiny_config, "hybrimoe", cpu_cache_capacity=4)
         runtime = engine.runtime
-        key = (0, 7)
-        runtime.pending_dram = {key: 99.0}
-        engine.pipeline._promote_spilled(0, frozenset({7}))
-        assert key in runtime.cache.cpu_tier
-        assert key not in runtime.pending_dram
+        ready = 0.5  # long after the prefill's first MoE phase starts
+        staged = {
+            (0, expert): ready
+            for expert in runtime.cache.spilled_experts(
+                0, range(tiny_config.num_routed_experts)
+            )
+        }
+        runtime.pending_dram = dict(staged)
+        engine._run_step(prompt_tokens, "prefill")
+        clock = runtime.clock
+        assert not any(row.label.startswith("disk L0 ") for row in clock.disk.intervals)
+        used = {}
+        for row in clock.pcie.intervals + clock.cpu.intervals:
+            kind, layer, expert = row.label.split()
+            key = (int(layer[1:]), int(expert[1:]))
+            if kind in ("xfer", "cpu") and key in staged:
+                used[key] = row.start
+        assert used
+        assert min(used.values()) >= ready
+        assert not used.keys() & runtime.pending_dram.keys()
+
+    def test_gpu_eviction_is_demoted_over_its_link(self, tiny_config):
+        """An expert a GPU shard evicts and DRAM lacks becomes
+        DRAM-resident, paid by one ``demote`` row on its own link."""
+        engine = build_engine(
+            tiny_config, "ondemand", num_gpus=2, cpu_cache_capacity=4
+        )
+        runtime = engine.runtime
+        cache = runtime.cache
+        key = next(
+            key
+            for key in sorted(cache.gpu_tier.resident_keys)
+            if key not in cache.cpu_tier
+        )
+        device = cache.device_of(key)
+        cache.shards[device].evict_explicit(key)
+        engine.pipeline._charge_demotions(0.25)
+        assert key in cache.cpu_tier and not cache.is_spilled(key)
+        rows = [
+            [row for row in link.intervals if row.label.startswith("demote")]
+            for link in runtime.clock.pcie_links
+        ]
+        (row,) = rows[device]
+        assert rows[1 - device] == []
+        assert row.label == f"demote L{key[0]} E{key[1]}"
+        assert (row.start, row.finish) == (
+            0.25,
+            0.25 + runtime.cost_actual.transfer_time(tiny_config.routed_expert_shape),
+        )
+        cache.validate()
 
     def test_mrs_dram_tier_policy(self, tiny_config, prompt_tokens):
         engine = build_engine(
