@@ -113,8 +113,7 @@ class ExpertCache:
         self._by_layer: dict[int, set[int]] = {}
         for layer, expert in self._pinned:
             self._by_layer.setdefault(layer, set()).add(expert)
-        #: ``(key, resident)`` after each dynamic insert or eviction; set
-        #: only by a tiered manager on its tiers.
+        #: ``(key, resident)`` hook after each dynamic insert or eviction (tiered tiers only).
         self.on_residency: Callable[[ExpertKey, bool], None] | None = None
 
     # ------------------------------------------------------------------

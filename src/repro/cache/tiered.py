@@ -34,8 +34,8 @@ misses — its hit rate is therefore the fraction of GPU misses served
 from DRAM rather than disk.
 
 The DRAM tier is **lazily exclusive**: when full it evicts its oldest
-*shadow* (a copy of a GPU-resident expert) first, and an expert a GPU
-shard evicts and DRAM lacks is **demoted** into DRAM, not dropped.
+*shadow* (a copy of a GPU-resident expert) first, and a GPU eviction DRAM
+lacks is queued on ``demotions`` for the engine to copy into DRAM.
 """
 
 from __future__ import annotations
@@ -77,11 +77,9 @@ class TieredCacheManager:
             raise CacheError("the DRAM tier does not support pinned keys")
         self.gpu_tier = gpu_tier
         self.cpu_tier = cpu_tier
-        #: DRAM copies of GPU-resident experts, oldest first (a dict as
-        #: an insertion-ordered set).
+        #: DRAM copies of GPU-resident experts, oldest first (ordered set).
         self._shadows = dict.fromkeys(sorted(cpu_tier.resident_keys & gpu_tier.resident_keys))
-        #: ``(key, device)`` demotions the engine has yet to charge to a
-        #: PCIe link (it clears the list when it does).
+        #: ``(key, device)`` GPU evictions for the engine to copy into DRAM.
         self.demotions: list[tuple[ExpertKey, int]] = []
         cpu_tier.on_residency = partial(self._residency_changed, gpu_tier, None)
         for device, shard in enumerate(getattr(gpu_tier, "shards", [gpu_tier])):
@@ -107,7 +105,7 @@ class TieredCacheManager:
         )
 
     def promote_to_dram(self, key: ExpertKey) -> list[ExpertKey]:
-        """Make ``key`` DRAM-resident (after a disk read has been paid).
+        """Make ``key`` DRAM-resident (once its disk read or demotion landed).
 
         Returns the DRAM keys evicted to make room: the oldest shadow
         while any is left (its GPU copy stays), else the DRAM policy's
@@ -121,16 +119,14 @@ class TieredCacheManager:
         return evicted + cpu.insert(key)
 
     def _residency_changed(self, other, device: int | None, key: ExpertKey, resident: bool) -> None:
-        """Keep shadows exact; demote what GPU ``device`` evicts alone."""
+        """Keep shadows exact; queue a demotion of what GPU ``device`` evicts alone."""
         if resident:
             if key in other:
                 self._shadows[key] = None
         elif key in self._shadows:
             del self._shadows[key]
-        elif device is not None:
-            self.promote_to_dram(key)
-            if key in self.cpu_tier:
-                self.demotions.append((key, device))
+        elif device is not None and self.cpu_tier.capacity > 0:
+            self.demotions.append((key, device))
 
     def dram_would_admit(self, key: ExpertKey, margin: float = 0.0) -> bool:
         """Whether a speculative DRAM promotion of ``key`` makes sense.
@@ -144,9 +140,9 @@ class TieredCacheManager:
         (:meth:`~repro.cache.manager.ExpertCache.would_admit`).
         Confidence-gated prefetching passes a margin shrinking with
         prediction confidence, so only well-earned deep predictions
-        churn DRAM residency.
+        churn DRAM residency (any margin admits while a shadow would go).
         """
-        if margin <= 0.0:
+        if margin <= 0.0 or self._shadows:
             return self.cpu_tier.capacity > 0 and key not in self.cpu_tier
         return self.cpu_tier.would_admit(key, margin=margin)
 

@@ -17,7 +17,7 @@ Dependencies honoured:
 - on a tiered-memory platform, a **spilled** expert's weights are first
   staged disk -> DRAM on the clock's shared disk link; its PCIe
   transfer and/or CPU compute cannot start before that read finishes,
-  or before a read already in flight (a prefetch's staging).
+  nor any expert's before its copy into DRAM in flight (``staging``) lands.
 
 The clock's timelines are the one record of what ran: every reservation
 is labelled ``xfer|gpu|cpu|disk L{layer} E{expert}`` (the shared block
@@ -91,8 +91,8 @@ def execute_plan(
         gating its PCIe transfer or CPU compute. ``None``/empty keeps
         the historical two-tier execution byte-for-byte.
     staging:
-        Finish times of disk reads in flight by ``(layer, expert)``: a
-        spilled expert here waits for its read, reserving none. Never written.
+        Landing times of copies into DRAM in flight by ``(layer, expert)``:
+        an expert here waits for its copy (a spilled one reads no disk). Never written.
 
     Returns
     -------
@@ -121,11 +121,13 @@ def execute_plan(
             return when
         return external.get(key, start_time)
 
-    def stage_from_disk(layer: int, expert: int) -> float:
-        """Finish time of the expert's disk read (in flight, else new)."""
+    def in_dram(layer: int, expert: int) -> float:
+        """When the weights are in DRAM: a copy in flight lands, else a spilled one is read."""
         ready = staging.get((layer, expert))
         if ready is not None:
             return ready
+        if expert not in spilled:
+            return start_time
         return clock.disk.reserve(
             start_time, oracle.disk_fetch(), f"disk L{layer} E{expert}"
         )[1]
@@ -134,8 +136,8 @@ def execute_plan(
     transfer_end = start_time
     for transfer in plan.transfers:
         earliest = start_time
-        if transfer.expert in spilled:
-            earliest = max(earliest, stage_from_disk(transfer.layer, transfer.expert))
+        if staging or transfer.expert in spilled:
+            earliest = max(earliest, in_dram(transfer.layer, transfer.expert))
         _, finish = pcie_timeline.reserve(
             earliest, oracle.transfer(), f"xfer L{transfer.layer} E{transfer.expert}"
         )
@@ -163,10 +165,10 @@ def execute_plan(
         if task.is_shared:
             duration = oracle.shared_compute(Device.CPU, first_task=first_cpu)
         else:
-            if task.expert in spilled:
+            if staging or task.expert in spilled:
                 # The CPU computes in place from DRAM: a spilled expert
                 # must be staged off disk before its compute can start.
-                earliest = max(earliest, stage_from_disk(task.layer, task.expert))
+                earliest = max(earliest, in_dram(task.layer, task.expert))
             duration = oracle.cpu_compute(task.load, first_task=first_cpu)
         first_cpu = False
         _, finish = clock.cpu.reserve(

@@ -341,27 +341,32 @@ class StepPipeline:
 
     # ------------------------------------------------------------------
     def _commit_landed_promotions(self, now: float) -> None:
-        """Flip DRAM residency for prefetch stagings that have landed.
+        """Flip DRAM residency for stagings that have landed.
 
         A prefetch-issued disk read is in flight until its reserved
         finish time; an expert becomes DRAM-resident only for layers
         whose MoE phase starts after that — otherwise a backlogged disk
         link could make spilled weights usable before they exist in
-        host memory. Commits run in (finish, key) order so runs stay
-        deterministic.
+        host memory. (A demotion holds its slot from the start; landing
+        only ends its wait.) Commits run in (finish, key) order so runs
+        stay deterministic.
         """
         runtime = self.runtime
         if not runtime.pending_dram:
             return
-        cache = self._cache()
         landed = sorted(
             (ready, key)
             for key, ready in runtime.pending_dram.items()
             if ready <= now
         )
         for ready, key in landed:
-            del runtime.pending_dram[key]
-            cache.promote_to_dram(key)
+            if runtime.pending_dram.pop(key, None) is not None:
+                self._promote(key)
+
+    def _promote(self, key: tuple[int, int]) -> None:
+        """DRAM-insert ``key``, dropping any demotion in flight it evicts."""
+        for victim in self._cache().promote_to_dram(key):
+            self.runtime.pending_dram.pop(victim, None)
 
     def _promote_spilled(self, layer: int, spilled: frozenset[int]) -> None:
         """DRAM-insert every spilled expert the layer just staged.
@@ -371,23 +376,25 @@ class StepPipeline:
         waited on and consumes here — and the tier decides what it
         displaces. Ascending expert id keeps runs deterministic.
         """
-        if not spilled:
-            return
-        cache = self._cache()
         for expert in sorted(spilled):
-            key = (layer, expert)
-            cache.promote_to_dram(key)
-            self.runtime.pending_dram.pop(key, None)
+            self._promote((layer, expert))
+            self.runtime.pending_dram.pop((layer, expert), None)
 
     def _charge_demotions(self, now: float) -> None:
-        """Charge each GPU -> DRAM demotion one expert transfer on its link."""
+        """Copy each GPU -> DRAM demotion over its link: it takes its DRAM
+        slot now and is usable once the row lands (``pending_dram``). A key
+        already in flight is left to that copy."""
         runtime = self.runtime
-        if runtime.tiered:
-            demotions = self._cache().demotions
-            duration = runtime.cost_actual.transfer_time(self.model.config.routed_expert_shape)
-            for (layer, expert), gpu in demotions:
-                runtime.clock.pcie_links[gpu].reserve(now, duration, f"demote L{layer} E{expert}")
-            demotions.clear()
+        if not runtime.tiered or not (demotions := self._cache().demotions):
+            return
+        duration = runtime.cost_actual.transfer_time(self.model.config.routed_expert_shape)
+        for (layer, expert), gpu in demotions:
+            if (layer, expert) not in runtime.pending_dram:
+                runtime.pending_dram[layer, expert] = runtime.clock.pcie_links[gpu].reserve(
+                    now, duration, f"demote L{layer} E{expert}"
+                )[1]
+                self._promote((layer, expert))
+        demotions.clear()
 
     @staticmethod
     def _device_groups(
@@ -601,23 +608,18 @@ class StepPipeline:
             # a "dram" request stops there (staging without spending
             # PCIe bandwidth or a GPU slot). DRAM residency flips when
             # a later layer starts past the read's finish time
-            # (_commit_landed_promotions); a key already staging is
-            # never re-read.
+            # (_commit_landed_promotions); a key already staging or
+            # demoted is never re-read, and waits for its copy to land.
             ready = ctx.moe_start
-            if runtime.tiered and cache.is_spilled(key):
-                pending_ready = runtime.pending_dram.get(key)
-                if pending_ready is None:
-                    disk_duration = runtime.cost_actual.disk_transfer_time(
-                        cfg.routed_expert_shape
-                    )
-                    _, ready = runtime.clock.disk.reserve(
-                        ctx.moe_start,
-                        disk_duration,
-                        f"disk L{future_layer} E{expert}",
-                    )
-                    runtime.pending_dram[key] = ready
-                else:
-                    ready = max(ctx.moe_start, pending_ready)
+            pending_ready = runtime.pending_dram.get(key)
+            if pending_ready is not None:
+                ready = max(ctx.moe_start, pending_ready)
+            elif runtime.tiered and cache.is_spilled(key):
+                disk_duration = runtime.cost_actual.disk_transfer_time(cfg.routed_expert_shape)
+                _, ready = runtime.clock.disk.reserve(
+                    ctx.moe_start, disk_duration, f"disk L{future_layer} E{expert}"
+                )
+                runtime.pending_dram[key] = ready
             if target == "dram":
                 continue
             device = cache.device_of(key)
@@ -634,6 +636,6 @@ class StepPipeline:
             )
             runtime.arrivals[key] = finish
             shard.insert(key)
+            self._charge_demotions(ctx.moe_start)
             runtime.prefetch_issued += 1
             runtime._prefetch_pending.add(key)
-        self._charge_demotions(ctx.moe_start)

@@ -67,14 +67,21 @@ class TestTierSemantics:
         assert tiered.promote_to_dram((0, 5)) == [(0, 0)]
         tiered.validate()
 
-    def test_gpu_eviction_demotes_into_dram(self):
+    def test_gpu_eviction_queues_a_demotion(self):
+        """The evicted key is spilled until the engine's copy lands."""
         tiered = build_tiered(gpu_capacity=1, cpu_capacity=2)
         tiered.insert((0, 1))
         tiered.promote_to_dram((0, 2))
         assert tiered.insert((0, 3)) == [(0, 1)]   # GPU LRU evicts (0, 1)
-        assert (0, 1) in tiered.cpu_tier and not tiered.is_spilled((0, 1))
         assert tiered.demotions == [((0, 1), 0)]
+        assert (0, 1) not in tiered.cpu_tier and tiered.is_spilled((0, 1))
         tiered.validate()
+
+    def test_no_demotion_without_a_dram_tier(self):
+        tiered = build_tiered(gpu_capacity=1, cpu_capacity=0)
+        tiered.insert((0, 1))
+        tiered.insert((0, 3))
+        assert tiered.demotions == []
 
     def test_gpu_eviction_of_a_shadow_demotes_nothing(self):
         tiered = build_tiered(gpu_capacity=1, cpu_capacity=2)
@@ -94,6 +101,19 @@ class TestTierSemantics:
         assert tiered.dram_would_admit((0, 2))      # evict-and-admit
         zero = build_tiered(cpu_capacity=0)
         assert not zero.dram_would_admit((0, 1))
+
+    def test_dram_would_admit_with_margin_displaces_a_shadow(self):
+        """A full tier holding a shadow admits at any margin: the copy
+        it displaces is the shadow, not the policy's victim."""
+        tiered = build_tiered(gpu_capacity=2, cpu_capacity=2)
+        tiered.promote_to_dram((0, 0))   # DRAM-only: the LRU victim
+        tiered.insert((0, 1))
+        tiered.promote_to_dram((0, 1))   # shadow
+        assert not tiered.cpu_tier.would_admit((0, 5), margin=0.5)
+        assert tiered.dram_would_admit((0, 5), margin=0.5)
+        assert tiered.promote_to_dram((0, 5)) == [(0, 1)]
+        # No shadow left: the margin is judged against the victim again.
+        assert not tiered.dram_would_admit((0, 6), margin=0.5)
 
     def test_dram_tier_rejects_pinned_keys(self):
         gpu = ExpertCache(2, make_policy("lru"))
@@ -219,8 +239,8 @@ class TestShadowSet:
     def test_incremental_shadows_equal_dram_and_gpu_residents(
         self, history, num_devices, placement, gpu_capacity, cpu_capacity
     ):
-        """Kept incrementally through GPU inserts, GPU evictions (which
-        demote) and DRAM promotions, the shadow set is always the DRAM
+        """Kept incrementally through GPU inserts, GPU evictions (whose
+        demotions land as DRAM promotions) and DRAM promotions, the shadow set is always the DRAM
         residents the GPU also holds."""
         spec = CacheSpec(gpu_capacity, lambda: make_policy("lru"))
         manager = spec.build_sharded(make_placement(placement, num_devices))
@@ -233,10 +253,13 @@ class TestShadowSet:
                 tiered.promote_to_dram(key)
             elif key in tiered:
                 manager.shard_of(key).evict_explicit(key)
-                assert key in cpu or cpu_capacity == 0
+                assert key in cpu or tiered.demotions or cpu_capacity == 0
             for demoted, device in tiered.demotions:
-                assert demoted in cpu and demoted not in tiered
+                assert demoted not in cpu and demoted not in tiered
                 assert manager.device_of(demoted) == device
+            # Each queued demotion lands before the next operation.
+            for demoted, _ in tiered.demotions:
+                tiered.promote_to_dram(demoted)
             tiered.demotions.clear()
             assert set(tiered._shadows) == cpu.resident_keys & manager.resident_keys
             assert len(cpu) <= cpu_capacity

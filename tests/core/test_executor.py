@@ -148,6 +148,25 @@ class TestExecutePlan:
         assert rows[f"{kind} L2 E6"].start >= clock.disk.intervals[0].finish
         assert staging == {(2, 4): 9.0}
 
+    def test_dram_resident_expert_waits_on_its_copy(self, oracle):
+        """An expert whose copy into DRAM is still in flight (a
+        demotion) waits for it, though it is not spilled; others don't."""
+        clock = ThreeResourceClock(disk=True)
+        plan = ExecutionPlan(
+            layer=2,
+            n_tokens=1,
+            gpu_tasks=[ComputeTask(2, 4, 1, Device.GPU, after_transfer=True)],
+            transfers=[TransferTask(2, 4, 1)],
+            cpu_tasks=[ComputeTask(2, 6, 1, Device.CPU), ComputeTask(2, 5, 1, Device.CPU)],
+        )
+        staging = {(2, 4): 9.0, (2, 5): 7.0}
+        execute_plan(plan, clock, oracle, start_time=1.0, spilled=set(), staging=staging)
+        assert not clock.disk.intervals
+        rows = {row.label: row for row in clock.pcie.intervals + clock.cpu.intervals}
+        assert rows["xfer L2 E4"].start == 9.0
+        assert rows["cpu L2 E5"].start == 7.0
+        assert rows["cpu L2 E6"].start < 7.0
+
     def test_makespan_accounting(self, oracle):
         clock = ThreeResourceClock()
         plan = ExecutionPlan(

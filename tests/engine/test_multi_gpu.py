@@ -95,7 +95,7 @@ GOLDEN_1GPU = {
     "llamacpp": "7114db76919cbb05",
     "ondemand": "fc26bd7833819517",
 }
-GOLDEN_1GPU_TIERED_HYBRIMOE = "1f1b757a76075d7e"  # cpu_cache_capacity=4
+GOLDEN_1GPU_TIERED_HYBRIMOE = "1dfd44626ba50237"  # cpu_cache_capacity=4
 #: ``digest(serving_fingerprint(...))`` of ``test_serving_matches_golden``'s
 #: three-request trace on the unsharded 1-GPU engine at commit da91b70,
 #: the last one that had it (``sharded_cache=True`` gave the same there).
@@ -118,15 +118,16 @@ PLATFORMS = {
 #: core gave the same 60 digests there.) The three-tier rows of the
 #: strategies that evict from the GPU cache or prefetch (hybrimoe,
 #: adapmoe, ondemand) were re-recorded once, when the DRAM tier became
-#: lazily exclusive (shadows evicted first, GPU evictions demoted) and a
+#: lazily exclusive (shadows evicted first, GPU evictions demoted over
+#: PCIe, usable once the copy lands) and a
 #: layer started waiting on an in-flight staging instead of re-reading
 #: it; ``GOLDEN_1GPU_TIERED_HYBRIMOE`` moved with them.
 GOLDEN_CORE = {
     "hybrimoe": {
         "1gpu-two-tier": ("396d3a203bf9d148", "696bb04e4ab82640", "8ffcd1d17cf6274b"),
         "2gpu-two-tier": ("a71b7a7525c5a208", "d18453bf24a428a4", "377797a68a8c58f5"),
-        "1gpu-three-tier": ("1f1b757a76075d7e", "498a7f9876697b3d", "10adbdf3e8c78056"),
-        "2gpu-three-tier": ("0d8915e34454e991", "fbb63e2a2a1e0b13", "bcca9f48b47aa41c"),
+        "1gpu-three-tier": ("1dfd44626ba50237", "1b81752f4cce9ba6", "9fe5462f8c99aa72"),
+        "2gpu-three-tier": ("b104c3eeb8107238", "e18c01380a1886da", "42e3248788cd538f"),
     },
     "ktransformers": {
         "1gpu-two-tier": ("4ebb02ab915ded97", "137fbb764b1f6f0e", "6a28a3ebd4155958"),
@@ -137,8 +138,8 @@ GOLDEN_CORE = {
     "adapmoe": {
         "1gpu-two-tier": ("c7678859b8eef1e4", "4d7d1d3d9f8fdf87", "4b1c1ae0c06b017f"),
         "2gpu-two-tier": ("dedfb082cab06841", "5e9fe8303e7ea8ba", "5c89757a9c0f0526"),
-        "1gpu-three-tier": ("3e5e42c86ac76fcd", "c06b014b7402bbae", "9339782af9ced0e6"),
-        "2gpu-three-tier": ("03ead553d9c5eb32", "25eca314a54a05eb", "7b6863d086ee01d4"),
+        "1gpu-three-tier": ("4fcd5374f2fe85c8", "c06b014b7402bbae", "c871ecf32e5fe0f7"),
+        "2gpu-three-tier": ("fb4b70fd2cf8b5cb", "25eca314a54a05eb", "4ccf355cef255222"),
     },
     "llamacpp": {
         "1gpu-two-tier": ("7114db76919cbb05", "8ff568246a7c0877", "ef0a6a4016f120fb"),
@@ -149,8 +150,8 @@ GOLDEN_CORE = {
     "ondemand": {
         "1gpu-two-tier": ("fc26bd7833819517", "a12d91a0729c7c7b", "782b8b7656e2b9e1"),
         "2gpu-two-tier": ("b111e9cb2c7af7ea", "3d9d45aab720b439", "2f0d661714786ce2"),
-        "1gpu-three-tier": ("e2d04119b118c0aa", "0335f5495bdd66bc", "b8ed0153b807693d"),
-        "2gpu-three-tier": ("1407d2fabc05cce9", "6396568d81d21b1c", "c30ff36bec807df6"),
+        "1gpu-three-tier": ("4cdd8fbaf5d4a9c9", "bbd622eb27bbc74b", "0f9ffad81b7bdb5d"),
+        "2gpu-three-tier": ("18c2df47391823e5", "e5d4819fc1b81b3e", "f6e74ae416db88ad"),
     },
 }
 

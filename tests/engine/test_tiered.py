@@ -248,8 +248,9 @@ class TestSpillMechanics:
         assert not used.keys() & runtime.pending_dram.keys()
 
     def test_gpu_eviction_is_demoted_over_its_link(self, tiny_config):
-        """An expert a GPU shard evicts and DRAM lacks becomes
-        DRAM-resident, paid by one ``demote`` row on its own link."""
+        """An expert a GPU shard evicts and DRAM lacks takes a DRAM slot
+        at once, copied by one ``demote`` row on its own link; its wait
+        ends when that row finishes."""
         engine = build_engine(
             tiny_config, "ondemand", num_gpus=2, cpu_cache_capacity=4
         )
@@ -263,7 +264,6 @@ class TestSpillMechanics:
         device = cache.device_of(key)
         cache.shards[device].evict_explicit(key)
         engine.pipeline._charge_demotions(0.25)
-        assert key in cache.cpu_tier and not cache.is_spilled(key)
         rows = [
             [row for row in link.intervals if row.label.startswith("demote")]
             for link in runtime.clock.pcie_links
@@ -275,7 +275,86 @@ class TestSpillMechanics:
             0.25,
             0.25 + runtime.cost_actual.transfer_time(tiny_config.routed_expert_shape),
         )
+        assert runtime.pending_dram == {key: row.finish}
+        assert key in cache.cpu_tier and cache.demotions == []
+        engine.pipeline._commit_landed_promotions(row.finish)
+        assert key in cache.cpu_tier and runtime.pending_dram == {}
         cache.validate()
+
+    def test_dram_eviction_drops_a_demotion_in_flight(self, tiny_config):
+        """A demoted expert that DRAM evicts before its copy lands is
+        spilled again: no pending copy keeps it in memory."""
+        engine = build_engine(
+            tiny_config, "ondemand", num_gpus=2, cpu_cache_capacity=4
+        )
+        runtime = engine.runtime
+        cache = runtime.cache
+        key = next(
+            key
+            for key in sorted(cache.gpu_tier.resident_keys)
+            if key not in cache.cpu_tier
+        )
+        cache.shards[cache.device_of(key)].evict_explicit(key)
+        engine.pipeline._charge_demotions(0.25)
+        assert key in runtime.pending_dram
+        spilled = cache.spilled_experts(2, range(tiny_config.num_routed_experts))
+        engine.pipeline._promote_spilled(2, spilled)   # more than 4 keys
+        assert key not in cache.cpu_tier and cache.is_spilled(key)
+        assert key not in runtime.pending_dram
+        cache.validate()
+
+    def test_eviction_of_a_key_in_flight_charges_no_demotion(self, tiny_config):
+        """A GPU eviction of a key whose disk read is still in flight
+        leaves it to that read: no ``demote`` row, same landing time."""
+        engine = build_engine(tiny_config, "hybrimoe", cpu_cache_capacity=4)
+        runtime = engine.runtime
+        cache = runtime.cache
+        key = next(
+            key
+            for key in sorted(cache.gpu_tier.resident_keys)
+            if key not in cache.cpu_tier
+        )
+        runtime.pending_dram[key] = 3.0
+        cache.shards[0].evict_explicit(key)
+        engine.pipeline._charge_demotions(0.25)
+        assert runtime.pending_dram == {key: 3.0}
+        assert not runtime.clock.pcie.intervals
+        assert cache.demotions == []
+
+    def test_demoted_expert_is_used_only_after_its_copy(
+        self, tiny_config, prompt_tokens
+    ):
+        """Experts evicted behind a PCIe backlog are DRAM-resident, but
+        the next layers use them (CPU compute or transfer) no earlier
+        than their ``demote`` rows finish, and never read them off disk."""
+        engine = build_engine(tiny_config, "hybrimoe", cpu_cache_capacity=12)
+        runtime = engine.runtime
+        cache = runtime.cache
+        clock = runtime.clock
+        clock.pcie.reserve(0.0, 0.5, "backlog")
+        # Layer 1's GPU residents lose their DRAM copies, then the GPU
+        # evicts them: each is demoted behind the backlog.
+        for expert in sorted(cache.gpu_tier.cached_experts_of_layer(1)):
+            cache.cpu_tier.evict_explicit((1, expert))
+            cache.shards[0].evict_explicit((1, expert))
+        engine.pipeline._charge_demotions(0.0)
+        landing = dict(runtime.pending_dram)
+        assert len(landing) == 4 and min(landing.values()) > 0.5
+        assert landing.keys() <= cache.cpu_tier.resident_keys
+        engine._run_step(prompt_tokens, "prefill")
+        used = {}
+        for row in clock.pcie.intervals + clock.cpu.intervals:
+            kind, *where = row.label.split()
+            if kind in ("xfer", "cpu") and len(where) == 2:
+                key = (int(where[0][1:]), int(where[1][1:]))
+                if key in landing:
+                    used[key] = row.start
+        assert used
+        assert all(start >= landing[key] for key, start in used.items())
+        assert not any(
+            row.label in {f"disk L{layer} E{expert}" for layer, expert in landing}
+            for row in clock.disk.intervals
+        )
 
     def test_mrs_dram_tier_policy(self, tiny_config, prompt_tokens):
         engine = build_engine(
