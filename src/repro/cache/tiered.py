@@ -128,23 +128,14 @@ class TieredCacheManager:
         elif device is not None and self.cpu_tier.capacity > 0:
             self.demotions.append((key, device))
 
-    def dram_would_admit(self, key: ExpertKey, margin: float = 0.0) -> bool:
+    def dram_would_admit(self, key: ExpertKey) -> bool:
         """Whether a speculative DRAM promotion of ``key`` makes sense.
 
-        With ``margin=0`` (the default): plain insertion semantics —
-        any non-resident key is admitted as long as the tier has slots
-        at all (evicting the policy's victim when full), the classic
-        behaviour of an OS page cache. A positive ``margin`` makes the
-        promotion policy-aware: when the tier is full, ``key`` must
-        outrank the would-be victim by the relative margin
-        (:meth:`~repro.cache.manager.ExpertCache.would_admit`).
-        Confidence-gated prefetching passes a margin shrinking with
-        prediction confidence, so only well-earned deep predictions
-        churn DRAM residency (any margin admits while a shadow would go).
+        Plain insertion semantics: any non-resident key is admitted as
+        long as the tier has slots at all (evicting the policy's victim
+        when full), the classic behaviour of an OS page cache.
         """
-        if margin <= 0.0 or self._shadows:
-            return self.cpu_tier.capacity > 0 and key not in self.cpu_tier
-        return self.cpu_tier.would_admit(key, margin=margin)
+        return self.cpu_tier.capacity > 0 and key not in self.cpu_tier
 
     def tier_stats(self) -> dict[str, CacheStats]:
         """Counters per tier (``gpu`` aggregate and ``cpu``)."""

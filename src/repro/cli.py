@@ -47,7 +47,6 @@ from repro.fleet.router import available_routers
 from repro.hardware.faults import HARDWARE_FAULT_KINDS, FaultSchedule
 from repro.hardware.platform_presets import HARDWARE_PRESETS
 from repro.models.presets import MODEL_PRESETS, get_preset
-from repro.prediction import available_predictors
 from repro.rng import derive_rng
 from repro.scenarios.spec import (
     EngineSpec,
@@ -240,15 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: each scenario's own seed list)",
     )
     sweep.add_argument(
-        "--predictors",
-        default=None,
-        metavar="NAMES",
-        help="comma-separated predictor override axis; 'none' means "
-        "predictor off, so 'none,transition' races the heuristic "
-        "against the predictor cell-for-cell "
-        "(default: each scenario's own setting)",
-    )
-    sweep.add_argument(
         "--out",
         required=True,
         metavar="DIR",
@@ -349,32 +339,6 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
         "cpu_cache_policy",
         choices=available_policies(),
         help="eviction policy of the DRAM tier",
-    )
-    _knob_flag(
-        parser,
-        "--predictor",
-        "predictor",
-        choices=available_predictors(),
-        help="cross-layer expert predictor driving confidence-gated deep "
-        "prefetching (default: off — the heuristic prefetcher, "
-        "bit-identical to the historical engine)",
-    )
-    _knob_flag(
-        parser,
-        "--predict-horizon",
-        "predict_horizon",
-        metavar="LAYERS",
-        help="deepest lookahead distance a confident predictor may "
-        "extend prefetching to",
-    )
-    _knob_flag(
-        parser,
-        "--confidence-gate",
-        "confidence_gate",
-        metavar="THRESHOLD",
-        help="calibrated-confidence threshold in [0, 1] the predictor "
-        "must clear before it influences prefetch decisions (1.0 "
-        "never fires)",
     )
 
 
@@ -617,19 +581,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         seeds = [int(s) for s in seeds_text] if seeds_text is not None else None
     except ValueError:
         raise ConfigError(f"bad --seeds value {args.seeds!r}; expected integers") from None
-    predictors_text = _split_csv(args.predictors)
-    predictors = (
-        [None if name == "none" else name for name in predictors_text]
-        if predictors_text is not None
-        else None
-    )
     report = run_sweep(
         _split_csv(args.scenarios),
         args.out,
         strategies=_split_csv(args.strategies),
         hardware=_split_csv(args.hardware),
         seeds=seeds,
-        predictors=predictors,
         processes=args.processes,
         max_requests=args.requests,
         max_steps=args.steps,

@@ -70,12 +70,6 @@ class PredictedLayer:
         Expert ids of that layer resident in *no* memory tier (tiered
         platforms only): their impact simulations carry the disk-fetch
         surcharge, and a granted prefetch first stages them into DRAM.
-    confidence:
-        Calibrated confidence of a gate-backed prediction
-        (:class:`~repro.prediction.gate.ConfidenceGate`), or ``None``
-        for the historical heuristic prediction. When set it replaces
-        the distance-decay discount on gains and licenses distances
-        beyond the heuristic ``lookahead``.
     """
 
     layer: int
@@ -83,7 +77,6 @@ class PredictedLayer:
     n_tokens: int
     cached_experts: frozenset[int]
     spilled_experts: frozenset[int] = frozenset()
-    confidence: float | None = None
 
 
 @dataclass(frozen=True)
@@ -95,7 +88,6 @@ class PrefetchDecision:
     gain: float
     cost: float
     distance: int
-    confidence: float | None = None
 
 
 class ImpactDrivenPrefetcher:
@@ -188,18 +180,15 @@ class ImpactDrivenPrefetcher:
     ) -> list[PrefetchDecision]:
         """Simulate the impact of each candidate expert, best first.
 
-        A prediction within ``lookahead`` is the historical heuristic:
-        its gain is discounted by ``confidence_decay ** (distance-1)``.
-        A prediction carrying a gate-calibrated ``confidence`` uses
-        that value instead — and is the only kind admitted *beyond*
-        ``lookahead`` (predictor-earned lead time).
+        Only predictions within ``lookahead`` are considered, and each
+        one's gain is discounted by ``confidence_decay ** (distance-1)``.
         """
         prepared: list[tuple[PredictedLayer, int, list, set, list]] = []
         for prediction in predictions:
             distance = prediction.layer - current_layer
             if distance < 1:
                 continue
-            if prediction.confidence is None and distance > self.lookahead:
+            if distance > self.lookahead:
                 continue
             activated = self.predicted_activation(prediction)
             cached = set(prediction.cached_experts)
@@ -232,10 +221,7 @@ class ImpactDrivenPrefetcher:
             bounds,
         ) in zip(prepared, screens):
             spilled = prediction.spilled_experts
-            if prediction.confidence is not None:
-                confidence = prediction.confidence
-            else:
-                confidence = self.confidence_decay ** (distance - 1)
+            confidence = self.confidence_decay ** (distance - 1)
             survivors = self._screen(candidates, base, confidence, bounds)
             if not survivors:
                 continue
@@ -263,7 +249,6 @@ class ImpactDrivenPrefetcher:
                             gain=gain,
                             cost=cost,
                             distance=distance,
-                            confidence=prediction.confidence,
                         )
                     )
         decisions.sort(key=lambda d: (-d.gain, d.distance, d.layer, d.expert))

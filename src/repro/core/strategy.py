@@ -251,25 +251,18 @@ class HybriMoEStrategy(Strategy):
         runtime = self._runtime()
         cache = runtime.cache
         requests: list[tuple] = []
-        gate = runtime.prediction_gate
         for d in decisions:
             key = (d.layer, d.expert)
             if cache.would_admit(key, margin=PREFETCH_ADMIT_MARGIN):
                 requests.append((d.layer, d.expert))
-            elif runtime.tiered and cache.is_spilled(key):
+            elif (
+                runtime.tiered
+                and cache.is_spilled(key)
+                and cache.dram_would_admit(key)
+            ):
                 # GPU admission lost, but the expert is on disk and the
                 # impact simulation still found it valuable: promote it
                 # into DRAM only, so a later miss is a PCIe transfer or
                 # in-place CPU compute instead of a full disk chain.
-                # Heuristic decisions promote unconditionally (margin
-                # 0, the historical behaviour); gate-backed ones apply
-                # the gate's confidence-scaled admission margin so only
-                # well-earned deep predictions churn DRAM.
-                margin = 0.0
-                if d.confidence is not None and gate is not None:
-                    margin = gate.promotion_margin(
-                        PREFETCH_ADMIT_MARGIN, d.confidence
-                    )
-                if cache.dram_would_admit(key, margin=margin):
-                    requests.append((d.layer, d.expert, "dram"))
+                requests.append((d.layer, d.expert, "dram"))
         return requests

@@ -39,7 +39,6 @@ from repro.hardware.platform_presets import paper_testbed
 from repro.hardware.simulator import ThreeResourceClock
 from repro.hardware.warmup import WarmupCalibrator
 from repro.models.model import ReferenceMoEModel, SequenceStateStore
-from repro.prediction import ConfidenceGate, available_predictors, make_predictor
 from repro.routing.generator import WarmupProfile, warmup_profile
 from repro.routing.trace import RoutingTrace
 from repro.rng import derive_rng
@@ -86,22 +85,6 @@ class EngineConfig:
     cpu_cache_policy:
         Eviction policy of the DRAM tier, from the same registry as
         the GPU tier (``"lru"``, ``"lfu"``, ``"mrs"``).
-    predictor:
-        Cross-layer expert predictor driving confidence-gated deep
-        prefetching (``"frequency"`` or ``"transition"``; see
-        :mod:`repro.prediction`). ``None`` (default) keeps the
-        historical gate-reuse heuristic — bit-identical to the pre-
-        predictor engine across every strategy, test-enforced.
-    predict_horizon:
-        Deepest lookahead distance a confident predictor may extend
-        prefetching to (beyond the strategy's
-        :attr:`~repro.engine.strategy_base.Strategy.prefetch_lookahead`
-        to matter).
-    confidence_gate:
-        Calibrated-confidence threshold of the
-        :class:`~repro.prediction.gate.ConfidenceGate`. Confidence is
-        strictly below 1, so ``1.0`` never fires — the equivalence
-        oracle the bit-identity tests use.
     """
 
     cache_ratio: float = 0.5
@@ -110,9 +93,6 @@ class EngineConfig:
     placement: str = "round_robin"
     cpu_cache_capacity: int | None = None
     cpu_cache_policy: str = "lru"
-    predictor: str | None = None
-    predict_horizon: int = 4
-    confidence_gate: float = 0.6
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.cache_ratio <= 1.0:
@@ -134,19 +114,6 @@ class EngineConfig:
             raise ConfigError(
                 f"unknown cpu_cache_policy {self.cpu_cache_policy!r} "
                 f"(known: {known})"
-            )
-        if self.predictor is not None and self.predictor not in available_predictors():
-            known = ", ".join(available_predictors())
-            raise ConfigError(
-                f"unknown predictor {self.predictor!r} (known: {known})"
-            )
-        if self.predict_horizon < 1:
-            raise ConfigError(
-                f"predict_horizon must be >= 1, got {self.predict_horizon}"
-            )
-        if not 0.0 <= self.confidence_gate <= 1.0:
-            raise ConfigError(
-                f"confidence_gate must be in [0, 1], got {self.confidence_gate}"
             )
 
     @property
@@ -178,10 +145,6 @@ class EngineRuntime:
         #: when a layer starts after the read has landed — the DRAM
         #: analogue of the GPU tier's ``arrivals`` gating.
         self.pending_dram: dict[tuple[int, int], float] = {}
-        #: Confidence gate over the configured cross-layer predictor
-        #: (bound by :class:`InferenceEngine`; None keeps the
-        #: historical heuristic-only prefetch path).
-        self.prediction_gate: ConfidenceGate | None = None
         #: Prefetch effectiveness accounting (pure observation — no
         #: code path consults these): GPU prefetches issued, and how
         #: many were still resident when their layer activated them.
@@ -283,9 +246,7 @@ class EngineRuntime:
         """Fraction of issued GPU prefetches consumed by their layer.
 
         A prefetch counts as used when the expert was still resident
-        the first time its layer activated it — the benchmark signal
-        behind the predictor accuracy -> goodput sensitivity study.
-        Returns 0 when nothing was prefetched.
+        the first time its layer activated it. Returns 0 when nothing was prefetched.
         """
         if self.prefetch_issued == 0:
             return 0.0
@@ -310,10 +271,10 @@ class InferenceEngine:
     config:
         Engine knobs (cache ratio, seed, topology, ...).
     profile_prompt_len / profile_decode_steps:
-        Size of the warmup profiling run behind the frequency ranking,
-        MRS priming and predictor fit. Constructor arguments, not
-        knobs: no factory, spec or flag sets them, and tests shrink
-        them to keep small engines fast.
+        Size of the warmup profiling run behind the frequency ranking
+        and MRS priming. Constructor arguments, not knobs: no factory,
+        spec or flag sets them, and tests shrink them to keep small
+        engines fast.
     """
 
     def __init__(
@@ -365,23 +326,6 @@ class InferenceEngine:
         else:
             self.runtime.cache = gpu_cache
         self.runtime.cache.validate()
-        if self.config.predictor is not None:
-            # The predictor bulk-fits on the warmup trace (the same
-            # profiling signal frequency pinning and MRS priming use)
-            # and keeps learning online from every executed layer. Its
-            # gate only changes scheduling once calibrated confidence
-            # clears the threshold, so a fresh engine behaves exactly
-            # like the heuristic one until trust is earned.
-            predictor = make_predictor(
-                self.config.predictor,
-                num_layers=model.config.num_layers,
-                num_experts=model.config.num_routed_experts,
-                horizon=self.config.predict_horizon,
-            )
-            predictor.fit_trace(self.runtime.warmup_trace)
-            self.runtime.prediction_gate = ConfidenceGate(
-                predictor, threshold=self.config.confidence_gate
-            )
         #: Batch-capable step executor; the serving layer drives it
         #: directly with many concurrent sequence states.
         self.pipeline = StepPipeline(model, strategy, self.runtime)

@@ -241,13 +241,6 @@ class StepPipeline:
                 )
             else:
                 spilled = frozenset()
-            if runtime.prediction_gate is not None:
-                # Feed the predictor every executed layer's activation
-                # set — the online observation stream its transition
-                # statistics and calibration are fit from.
-                runtime.prediction_gate.observe(
-                    layer, (expert for expert, _ in activated)
-                )
             for expert, _ in activated:
                 key = (layer, expert)
                 hit = cache.access(key)
@@ -531,31 +524,15 @@ class StepPipeline:
         cache = self._cache()
         cfg = self.model.config
         num_layers = cfg.num_layers
-        gate = runtime.prediction_gate
-        # The heuristic window is the strategy's `prefetch_lookahead`; a
-        # confident predictor extends it up to its calibrated depth
-        # (capped by `predict_horizon` via the predictor's own horizon)
-        # — the lead-time hint of the confidence gate. With no gate
-        # bound (or one that never fires) `depth == lookahead` and every
-        # line below computes exactly the historical floats.
-        lookahead = depth = self.strategy.prefetch_lookahead
-        if gate is not None:
-            depth = max(depth, gate.confident_depth(ctx.layer))
+        lookahead = self.strategy.prefetch_lookahead
         predictions: list[PredictedLayer] = []
-        for distance in range(1, depth + 1):
+        for distance in range(1, lookahead + 1):
             future = ctx.layer + distance
             if future >= num_layers:
                 break
             scores = self.model.gate_scores(z, future)
             # A single row is its own mean, bit for bit.
             scores = scores[0] if len(scores) == 1 else scores.mean(axis=0)
-            confidence = None
-            if gate is not None:
-                scores, confidence = gate.advise(ctx.layer, distance, scores)
-            if distance > lookahead and confidence is None:
-                # Beyond the heuristic window only gate-backed
-                # predictions ride; an unconfident deep layer is noise.
-                continue
             if runtime.tiered:
                 future_spilled = cache.spilled_experts(
                     future, range(cfg.num_routed_experts)
@@ -569,7 +546,6 @@ class StepPipeline:
                     n_tokens=ctx.n_tokens,
                     cached_experts=cache.cached_experts_of_layer(future),
                     spilled_experts=future_spilled,
-                    confidence=confidence,
                 )
             )
         if not predictions:
@@ -587,7 +563,7 @@ class StepPipeline:
             0.0,
             runtime.clock.min_pcie_available_at - runtime.clock.compute_frontier,
         )
-        budget = depth * max(layer_span, attn_est) - backlog
+        budget = lookahead * max(layer_span, attn_est) - backlog
         if budget <= 0:
             return
         requests = self.strategy.prefetch_requests(

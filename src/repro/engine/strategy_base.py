@@ -90,8 +90,7 @@ class Strategy(ABC):
     #: Stages (``"prefill"`` / ``"decode"``) whose layers open a prefetch
     #: window; :meth:`prefetch_requests` is called in no other stage.
     prefetch_stages: frozenset[str] = frozenset()
-    #: Future layers a prefetch window predicts heuristically (the
-    #: paper's 3); a confident predictor may reach deeper.
+    #: Future layers a prefetch window predicts (the paper's 3).
     prefetch_lookahead: int = 3
 
     def __init__(self) -> None:

@@ -1,10 +1,10 @@
-"""Routing traces: capture, persistence and statistics.
+"""Routing traces: capture and statistics.
 
 The scheduling system consumes *routing decisions* (which experts each
 token activates, with what scores). This package records those decisions
-from :class:`~repro.models.model.ReferenceMoEModel` runs, round-trips
-them to disk, and computes the statistics behind the paper's motivation
-figures (Fig. 3a-c) and the kTransformers frequency-pinning baseline.
+from :class:`~repro.models.model.ReferenceMoEModel` runs and computes
+the statistics behind the paper's motivation figures (Fig. 3a-c) and
+the kTransformers frequency-pinning baseline.
 """
 
 from repro.routing.generator import WarmupProfile, generate_trace, warmup_profile

@@ -22,7 +22,6 @@ __all__ = [
     "prefill_load_distribution",
     "adjacent_layer_overlap",
     "expert_activation_frequency",
-    "expert_transition_counts",
     "gate_reuse_accuracy",
     "predicted_routing_profile",
 ]
@@ -41,42 +40,6 @@ def expert_activation_frequency(trace: RoutingTrace) -> np.ndarray:
     for step in trace.steps:
         for routing in step.layers:
             counts[routing.layer] += (routing.loads > 0).astype(np.int64)
-    return counts
-
-
-def expert_transition_counts(trace: RoutingTrace, distance: int = 1) -> np.ndarray:
-    """Cross-layer co-activation counts per ``(layer, expert, expert)``.
-
-    Entry ``[l, a, b]`` counts the steps in which expert ``a`` was
-    activated at layer ``l`` *and* expert ``b`` at layer
-    ``l + distance``. This is the transition statistic
-    :class:`~repro.prediction.transition.TransitionPredictor` fits
-    online; extracting it from a recorded trace here gives tests and
-    analyses an independent ground truth.
-
-    Returns
-    -------
-    numpy.ndarray
-        Integer array of shape
-        ``(num_layers - distance, num_experts, num_experts)``.
-    """
-    if distance < 1:
-        raise TraceError(f"distance must be >= 1, got {distance}")
-    if distance >= trace.num_layers:
-        raise TraceError(
-            f"distance {distance} leaves no layer pairs in a "
-            f"{trace.num_layers}-layer trace"
-        )
-    counts = np.zeros(
-        (trace.num_layers - distance, trace.num_experts, trace.num_experts),
-        dtype=np.int64,
-    )
-    for step in trace.steps:
-        for layer in range(trace.num_layers - distance):
-            sources = np.flatnonzero(step.layers[layer].loads > 0)
-            targets = np.flatnonzero(step.layers[layer + distance].loads > 0)
-            if sources.size and targets.size:
-                counts[layer][np.ix_(sources, targets)] += 1
     return counts
 
 

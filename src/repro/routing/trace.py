@@ -1,4 +1,4 @@
-"""Routing trace containers and persistence.
+"""Routing trace containers.
 
 A :class:`RoutingTrace` is a sequence of :class:`StepTrace` objects (one
 per forward pass: a whole prefill batch or a single decode token), each
@@ -10,7 +10,6 @@ frequency-based baselines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -116,62 +115,3 @@ class RoutingTrace:
 
     def prefill_steps(self) -> list[StepTrace]:
         return [step for step in self.steps if step.kind == _PREFILL]
-
-    # ------------------------------------------------------------------
-    # persistence (single .npz file)
-    # ------------------------------------------------------------------
-    def save(self, path: str | Path) -> None:
-        """Serialise the trace to a compressed ``.npz`` file."""
-        loads = np.stack(
-            [np.stack([lr.loads for lr in step.layers]) for step in self.steps]
-        )
-        scores = np.stack(
-            [np.stack([lr.mean_scores for lr in step.layers]) for step in self.steps]
-        )
-        kinds = np.array([step.kind for step in self.steps])
-        n_tokens = np.array([step.n_tokens for step in self.steps], dtype=np.int64)
-        np.savez_compressed(
-            Path(path),
-            model_name=np.array(self.model_name),
-            num_layers=np.int64(self.num_layers),
-            num_experts=np.int64(self.num_experts),
-            num_activated=np.int64(self.num_activated),
-            loads=loads,
-            scores=scores,
-            kinds=kinds,
-            n_tokens=n_tokens,
-        )
-
-    @classmethod
-    def load(cls, path: str | Path) -> "RoutingTrace":
-        """Load a trace previously written by :meth:`save`."""
-        path = Path(path)
-        if not path.exists():
-            raise TraceError(f"trace file not found: {path}")
-        with np.load(path, allow_pickle=False) as data:
-            loads = data["loads"]
-            scores = data["scores"]
-            kinds = [str(k) for k in data["kinds"]]
-            n_tokens = data["n_tokens"]
-            steps = [
-                StepTrace(
-                    kind=kinds[s],
-                    n_tokens=int(n_tokens[s]),
-                    layers=[
-                        LayerRouting(
-                            layer=layer,
-                            loads=loads[s, layer],
-                            mean_scores=scores[s, layer],
-                        )
-                        for layer in range(loads.shape[1])
-                    ],
-                )
-                for s in range(loads.shape[0])
-            ]
-            return cls(
-                model_name=str(data["model_name"]),
-                num_layers=int(data["num_layers"]),
-                num_experts=int(data["num_experts"]),
-                num_activated=int(data["num_activated"]),
-                steps=steps,
-            )

@@ -106,7 +106,6 @@ class ScenarioSpec(_Spec):
         strategy: str | None = None,
         hardware: str | None = None,
         seed: int | None = None,
-        predictor: str | None = None,
         max_requests: int | None = None,
         max_steps: int | None = None,
     ) -> "ScenarioSpec":
@@ -114,13 +113,9 @@ class ScenarioSpec(_Spec):
 
         ``strategy`` / ``hardware`` replace the engine's; ``seed``
         pins ``seeds`` to that single seed (and the engine seed with
-        it); ``predictor`` switches on a cross-layer expert predictor
-        (``None`` leaves the scenario's own setting untouched — the
-        predictor-off cell is every scenario's default, so there is no
-        "force off" override); ``max_requests`` / ``max_steps`` cap
-        the workload size (smoke runs). Validation reruns on the
-        result, so an override naming an unknown strategy or preset
-        raises immediately.
+        it); ``max_requests`` / ``max_steps`` cap the workload size
+        (smoke runs). Validation reruns on the result, so an override
+        naming an unknown strategy or preset raises immediately.
         """
         engine = self.fleet.engine
         engine_changes: dict[str, Any] = {}
@@ -130,8 +125,6 @@ class ScenarioSpec(_Spec):
             engine_changes["hardware"] = hardware
         if seed is not None:
             engine_changes["seed"] = int(seed)
-        if predictor is not None:
-            engine_changes["predictor"] = predictor
         changes: dict[str, Any] = {}
         if engine_changes:
             serving = dataclasses.replace(

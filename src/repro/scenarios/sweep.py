@@ -44,7 +44,7 @@ __all__ = ["SWEEP_SCHEMA_VERSION", "SweepReport", "run_sweep", "sweep_cells"]
 
 #: Bump when the cell / merged payload layout changes; resuming over
 #: cells of another schema re-runs them.
-SWEEP_SCHEMA_VERSION = 2
+SWEEP_SCHEMA_VERSION = 3
 
 _CELL_DIR = "cells"
 _MERGED_NAME = "sweep.json"
@@ -91,20 +91,14 @@ def _cell_meta(spec: ScenarioSpec, scenario_name: str) -> dict[str, Any]:
         "strategy": spec.strategy,
         "hardware": spec.hardware,
         "seed": int(spec.seeds[0]),
-        "predictor": spec.fleet.engine.predictor,
     }
 
 
 def _cell_id(meta: Mapping[str, Any]) -> str:
-    cell_id = (
+    return (
         f"{meta['scenario']}__{meta['strategy']}__{meta['hardware']}"
         f"__seed{meta['seed']}"
     )
-    # Predictor-off cells keep the historical id (and file name), so a
-    # pre-axis sweep directory resumes cleanly after a schema re-run.
-    if meta.get("predictor") is not None:
-        cell_id += f"__{meta['predictor']}"
-    return cell_id
 
 
 def sweep_cells(
@@ -112,7 +106,6 @@ def sweep_cells(
     strategies: Sequence[str] | None = None,
     hardware: Sequence[str] | None = None,
     seeds: Sequence[int] | None = None,
-    predictors: Sequence[str | None] | None = None,
     max_requests: int | None = None,
     max_steps: int | None = None,
 ) -> list[tuple[str, dict[str, Any], ScenarioSpec]]:
@@ -121,10 +114,8 @@ def sweep_cells(
     ``scenarios`` entries are registry names or literal specs. A
     ``None`` axis keeps each scenario's own value (its configured
     strategy / hardware / seed list); an explicit axis applies to every
-    scenario. The ``predictors`` axis admits ``None`` entries meaning
-    "predictor off" — ``(None, "transition")`` races the heuristic
-    against the predictor cell-for-cell. Cells are returned sorted by
-    cell id — the deterministic order the merged report uses.
+    scenario. Cells are returned sorted by cell id — the deterministic
+    order the merged report uses.
     """
     if not scenarios:
         raise ConfigError("sweep needs at least one scenario")
@@ -140,28 +131,25 @@ def sweep_cells(
         strategy_axis = list(strategies) if strategies else [None]
         hardware_axis = list(hardware) if hardware else [None]
         seed_axis = [int(s) for s in seeds] if seeds else list(base.seeds)
-        predictor_axis = list(predictors) if predictors else [None]
         for strategy in strategy_axis:
             for hw in hardware_axis:
                 for seed in seed_axis:
-                    for predictor in predictor_axis:
-                        spec = base.with_overrides(
-                            strategy=strategy,
-                            hardware=hw,
-                            seed=seed,
-                            predictor=predictor,
-                            max_requests=max_requests,
-                            max_steps=max_steps,
+                    spec = base.with_overrides(
+                        strategy=strategy,
+                        hardware=hw,
+                        seed=seed,
+                        max_requests=max_requests,
+                        max_steps=max_steps,
+                    )
+                    meta = _cell_meta(spec, base.name)
+                    cell_id = _cell_id(meta)
+                    if cell_id in seen:
+                        raise ConfigError(
+                            f"duplicate sweep cell {cell_id!r} (the same "
+                            f"scenario appears twice on the grid)"
                         )
-                        meta = _cell_meta(spec, base.name)
-                        cell_id = _cell_id(meta)
-                        if cell_id in seen:
-                            raise ConfigError(
-                                f"duplicate sweep cell {cell_id!r} (the same "
-                                f"scenario appears twice on the grid)"
-                            )
-                        seen.add(cell_id)
-                        cells.append((cell_id, meta, spec))
+                    seen.add(cell_id)
+                    cells.append((cell_id, meta, spec))
     cells.sort(key=lambda c: c[0])
     return cells
 
@@ -257,7 +245,6 @@ class SweepReport:
         strategy: str | None = None,
         hardware: str | None = None,
         seed: int | None = None,
-        predictor: str | None = None,
     ) -> dict[str, Any]:
         """The unique cell matching the given coordinates."""
         matches = [
@@ -267,7 +254,6 @@ class SweepReport:
             and (strategy is None or c["cell"]["strategy"] == strategy)
             and (hardware is None or c["cell"]["hardware"] == hardware)
             and (seed is None or c["cell"]["seed"] == seed)
-            and (predictor is None or c["cell"].get("predictor") == predictor)
         ]
         if len(matches) != 1:
             raise ConfigError(
@@ -287,7 +273,6 @@ class SweepReport:
                     "strategy": cell["cell"]["strategy"],
                     "hardware": cell["cell"]["hardware"],
                     "seed": cell["cell"]["seed"],
-                    "predictor": cell["cell"].get("predictor"),
                     "kind": cell.get("kind", ""),
                     "requests": summary.get("requests"),
                     "completed": summary.get("completed"),
@@ -356,7 +341,6 @@ def run_sweep(
     strategies: Sequence[str] | None = None,
     hardware: Sequence[str] | None = None,
     seeds: Sequence[int] | None = None,
-    predictors: Sequence[str | None] | None = None,
     processes: int = 1,
     max_requests: int | None = None,
     max_steps: int | None = None,
@@ -374,9 +358,8 @@ def run_sweep(
         the merged report in ``out_dir/sweep.json``. Re-running with
         the same directory resumes — completed cells are skipped and
         the merged report is byte-identical to an uninterrupted run.
-    strategies / hardware / seeds / predictors:
-        Override axes; ``None`` keeps each scenario's own value. The
-        ``predictors`` axis admits ``None`` entries ("predictor off").
+    strategies / hardware / seeds:
+        Override axes; ``None`` keeps each scenario's own value.
     processes:
         Worker processes for pending cells (1 = run serially in this
         process; results are identical either way).
@@ -398,7 +381,6 @@ def run_sweep(
         strategies=strategies,
         hardware=hardware,
         seeds=seeds,
-        predictors=predictors,
         max_requests=max_requests,
         max_steps=max_steps,
     )

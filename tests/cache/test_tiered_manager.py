@@ -102,19 +102,6 @@ class TestTierSemantics:
         zero = build_tiered(cpu_capacity=0)
         assert not zero.dram_would_admit((0, 1))
 
-    def test_dram_would_admit_with_margin_displaces_a_shadow(self):
-        """A full tier holding a shadow admits at any margin: the copy
-        it displaces is the shadow, not the policy's victim."""
-        tiered = build_tiered(gpu_capacity=2, cpu_capacity=2)
-        tiered.promote_to_dram((0, 0))   # DRAM-only: the LRU victim
-        tiered.insert((0, 1))
-        tiered.promote_to_dram((0, 1))   # shadow
-        assert not tiered.cpu_tier.would_admit((0, 5), margin=0.5)
-        assert tiered.dram_would_admit((0, 5), margin=0.5)
-        assert tiered.promote_to_dram((0, 5)) == [(0, 1)]
-        # No shadow left: the margin is judged against the victim again.
-        assert not tiered.dram_would_admit((0, 6), margin=0.5)
-
     def test_dram_tier_rejects_pinned_keys(self):
         gpu = ExpertCache(2, make_policy("lru"))
         cpu = ExpertCache(2, make_policy("lru"), pinned=[(0, 0)])

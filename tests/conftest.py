@@ -108,7 +108,6 @@ KNOB_SAMPLES = {
     "placement": {"placement": "layer_striped"},
     "cpu_cache_capacity": {"cpu_cache_capacity": 4},
     "cpu_cache_policy": {"cpu_cache_policy": "lfu"},
-    "predictor": {"predictor": "frequency"},
     "prefill_chunk_tokens": {"prefill_chunk_tokens": 32},
     "request_timeout_s": {"request_timeout_s": 5.0},
     "shed_queue_depth": {"shed_queue_depth": 12},

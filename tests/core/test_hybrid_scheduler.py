@@ -206,3 +206,19 @@ class TestSearch:
         quick = scheduler.simulate_makespan(activated, cached, 1, quick=True)
         assert full <= quick + 1e-12
 
+
+    def test_screen_batch_equals_per_call_screen(self, scheduler):
+        """The batched screen must be float-equal to the scalar calls."""
+        items = [
+            ([(0, 1), (1, 1)], {0}, 1, [2, 3], frozenset()),
+            ([(2, 1), (3, 1)], set(), 1, [0], frozenset({3})),
+            ([(1, 4)], {1, 2}, 4, [], frozenset()),
+        ]
+        batched = scheduler.screen_prediction_batch(items, disk_fetch_s=0.5)
+        for item, got in zip(items, batched):
+            activated, cached, n_tokens, candidates, spilled = item
+            want = scheduler.quick_screen(
+                activated, cached, n_tokens, candidates,
+                spilled=spilled, disk_fetch_s=0.5,
+            )
+            assert got == want

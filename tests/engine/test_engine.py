@@ -144,3 +144,10 @@ class TestRuntime:
 
     def test_warmup_trace_cached(self, small_engine):
         assert small_engine.runtime.warmup_trace is small_engine.runtime.warmup_trace
+
+    def test_prefetch_hit_rate_counts_issued_prefetches(self, small_engine, prompt_tokens):
+        runtime = small_engine.runtime
+        assert runtime.prefetch_hit_rate() == 0.0  # nothing issued yet
+        small_engine.generate(prompt_tokens, decode_steps=12)
+        assert runtime.prefetch_issued > 0
+        assert 0.0 <= runtime.prefetch_hit_rate() <= 1.0

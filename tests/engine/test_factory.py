@@ -142,6 +142,12 @@ class TestKnobWiring:
             factory(cache_ratio=0.25, num_layers=2, **{keyword: value})
         assert "\n" not in str(err.value)
 
+    @pytest.mark.parametrize("factory", [make_engine, make_serving_engine, make_fleet])
+    def test_removed_predictor_knob_is_unknown(self, factory):
+        with pytest.raises(ConfigError, match=r"unknown knob\(s\) predictor \(") as err:
+            factory(num_layers=2, predictor="transition")
+        assert "\n" not in str(err.value)
+
     def test_knob_of_a_higher_layer_is_unknown_below_it(self):
         with pytest.raises(ConfigError, match="unknown knob.*max_batch_size"):
             make_engine(max_batch_size=4)

@@ -5,7 +5,7 @@ prefetch window; in any other stage ``StepPipeline._issue_prefetches``
 returns before it scores a single future layer. Counted here through
 ``gate_scores``: routing calls it once per layer, and each open window
 once more per predicted layer, ``min(strategy.prefetch_lookahead,
-layers left)`` of them (no predictor bound).
+layers left)`` of them.
 """
 
 import numpy as np

@@ -9,7 +9,6 @@ from repro.routing.statistics import (
     activation_cdf,
     adjacent_layer_overlap,
     expert_activation_frequency,
-    expert_transition_counts,
     gate_reuse_accuracy,
     prefill_load_distribution,
     reuse_probability_by_rank,
@@ -124,42 +123,3 @@ class TestGateReuse:
     def test_empty_prompt(self, tiny_model):
         with pytest.raises(TraceError):
             gate_reuse_accuracy(tiny_model, np.array([], dtype=np.int64))
-
-
-class TestTransitionCounts:
-    def test_shape_and_totals(self, trace):
-        counts = expert_transition_counts(trace)
-        assert counts.shape == (
-            trace.num_layers - 1,
-            trace.num_experts,
-            trace.num_experts,
-        )
-        assert counts.dtype == np.int64
-        assert (counts >= 0).all()
-        # Each observation contributes |sources| * |targets| pairs, at
-        # most E^2 per step per layer pair (prefill steps activate the
-        # union of every token's top-k, so the bound is E, not k).
-        total_steps = trace.num_steps * (trace.num_layers - 1)
-        assert counts.sum() <= total_steps * trace.num_experts**2
-
-    def test_distance_two_shrinks_layer_axis(self, trace):
-        counts = expert_transition_counts(trace, distance=2)
-        assert counts.shape[0] == trace.num_layers - 2
-
-    def test_pairs_come_from_activated_sets(self, trace):
-        """Every counted pair must be an observed (source, target) pair."""
-        counts = expert_transition_counts(trace)
-        expected = np.zeros_like(counts)
-        for step in trace.steps:
-            for layer in range(trace.num_layers - 1):
-                sources = np.flatnonzero(step.layers[layer].loads > 0)
-                targets = np.flatnonzero(step.layers[layer + 1].loads > 0)
-                if sources.size and targets.size:
-                    expected[layer][np.ix_(sources, targets)] += 1
-        np.testing.assert_array_equal(counts, expected)
-
-    def test_invalid_distance(self, trace):
-        with pytest.raises(TraceError):
-            expert_transition_counts(trace, distance=0)
-        with pytest.raises(TraceError):
-            expert_transition_counts(trace, distance=trace.num_layers)

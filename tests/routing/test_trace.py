@@ -1,4 +1,4 @@
-"""Trace container invariants and npz round-trip."""
+"""Trace container invariants."""
 
 import numpy as np
 import pytest
@@ -72,21 +72,3 @@ class TestRoutingTrace:
         trace = _trace()
         assert len(trace.prefill_steps()) == 1
         assert len(trace.decode_steps()) == 1
-
-    def test_roundtrip(self, tmp_path):
-        trace = _trace()
-        path = tmp_path / "trace.npz"
-        trace.save(path)
-        loaded = RoutingTrace.load(path)
-        assert loaded.model_name == trace.model_name
-        assert loaded.num_steps == trace.num_steps
-        for orig, new in zip(trace.steps, loaded.steps):
-            assert orig.kind == new.kind
-            assert orig.n_tokens == new.n_tokens
-            for a, b in zip(orig.layers, new.layers):
-                np.testing.assert_array_equal(a.loads, b.loads)
-                np.testing.assert_allclose(a.mean_scores, b.mean_scores)
-
-    def test_load_missing_file(self, tmp_path):
-        with pytest.raises(TraceError):
-            RoutingTrace.load(tmp_path / "absent.npz")

@@ -3,8 +3,7 @@
 A sweep's resumability and the bit-identity guarantees of the engine
 both rest on one property: running the same (scenario, strategy, seed)
 cell twice yields byte-identical payloads. This suite replays every
-registered scenario across all five strategies (predictor off — the
-default) at smoke scale and compares the full JSON cell payloads,
+registered scenario across all five strategies at smoke scale and compares the full JSON cell payloads,
 which embed the spec, per-request rows, class summaries and warnings.
 """
 

@@ -66,7 +66,7 @@ class TestEngineSpec:
             {"placement": "nope"},
             {"cpu_cache_policy": "fifo"},
             {"cpu_cache_capacity": -1},
-            {"confidence_gate": float("nan")},
+            {"cache_ratio": float("nan")},
         ],
     )
     def test_invalid_fields_raise_at_construction(self, kwargs):
@@ -98,7 +98,7 @@ class TestEngineSpec:
     def test_engine_runs_the_plain_engine_config(self):
         assert {f.name for f in fields(EngineConfig)} == {
             "cache_ratio", "seed", "num_gpus", "placement", "cpu_cache_capacity",
-            "cpu_cache_policy", "predictor", "predict_horizon", "confidence_gate",
+            "cpu_cache_policy",
         }
         engine = EngineSpec(num_layers=2, cache_ratio=0.25, num_gpus=2).build()
         assert engine.config == EngineConfig(cache_ratio=0.25, num_gpus=2)
@@ -106,6 +106,14 @@ class TestEngineSpec:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError, match="unknown EngineSpec keys"):
             EngineSpec.from_dict({"modle": "deepseek"})
+
+    def test_removed_predictor_key_is_unknown(self):
+        """The cross-layer predictors are gone: a spec file that still
+        names one fails in one line instead of running without it."""
+        data = {**EngineSpec().to_dict(), "predictor": "transition"}
+        with pytest.raises(ConfigError, match=r"unknown EngineSpec keys: predictor \(") as err:
+            EngineSpec.from_dict(data)
+        assert "\n" not in str(err.value)
 
     def test_spec_is_hashable(self):
         assert len({EngineSpec(), EngineSpec(), EngineSpec(seed=1)}) == 2

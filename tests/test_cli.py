@@ -16,10 +16,11 @@ class TestParser:
             build_parser().parse_args(["run", "--model", "gpt5"])
 
     @pytest.mark.parametrize("command", ["run", "serve"])
-    @pytest.mark.parametrize("flag", ["--engine", "--planner"])
-    def test_removed_core_switches_are_usage_errors(self, command, flag, capsys):
-        """The engine has one core: the old switches exit 2 with
-        argparse's one-line error, not a traceback."""
+    @pytest.mark.parametrize("switch", ["engine", "planner", "predictor"])
+    def test_removed_core_switches_are_usage_errors(self, command, switch, capsys):
+        """The engine has one core and no cross-layer predictor: the old
+        switches exit 2 with argparse's one-line error, not a traceback."""
+        flag = f"--{switch}"
         with pytest.raises(SystemExit) as excinfo:
             main([command, flag, "reference"])
         assert excinfo.value.code == 2
@@ -48,13 +49,13 @@ class TestKnobFlags:
 
     #: The public option strings at the commit that introduced the
     #: spec-derived parser (less ``--engine`` / ``--planner``, which
-    #: went with the second engine core, and ``--disk-bandwidth``, which
-    #: a hardware profile replaced); flag spellings are API.
+    #: went with the second engine core, ``--disk-bandwidth``, which a
+    #: hardware profile replaced, and the three predictor flags, which
+    #: went with the cross-layer predictors); flag spellings are API.
     RUN_OPTIONS = {
-        "--cache-ratio", "--confidence-gate", "--cpu-cache-capacity",
-        "--cpu-cache-policy", "--decode-steps", "--hardware", "--help",
-        "--model", "--num-gpus", "--num-layers", "--placement", "--predict-horizon", "--predictor",
-        "--prompt-len", "--seed", "--strategy",
+        "--cache-ratio", "--cpu-cache-capacity", "--cpu-cache-policy",
+        "--decode-steps", "--hardware", "--help", "--model", "--num-gpus",
+        "--num-layers", "--placement", "--prompt-len", "--seed", "--strategy",
     }
     SERVE_OPTIONS = (RUN_OPTIONS - {"--prompt-len"}) | {
         "--arrival-rate", "--arrival-trace", "--fault-spec", "--max-batch-size",
@@ -467,6 +468,15 @@ class TestScenariosCommand:
         assert "chat-multiturn" in out and "edge-decode" in out
         assert "skewed-fleet" in out and "fleet" in out
 
+    def test_scenarios_list_sorted(self, capsys):
+        """The registry listing is name-sorted (and so deterministic)."""
+        from repro.scenarios import available_scenarios
+
+        assert main(["scenarios", "list"]) == 0
+        out = capsys.readouterr().out
+        positions = [out.index(name) for name in available_scenarios()]
+        assert positions == sorted(positions)
+
     def test_scenarios_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main(["scenarios"])
@@ -506,6 +516,16 @@ class TestSweepCommand:
         assert self._sweep(tmp_path, "--strategies", "hybrimoe,ondemand") == 0
         out = capsys.readouterr().out
         assert "hybrimoe" in out and "ondemand" in out
+
+    @pytest.mark.parametrize("axis", ["predictors"])
+    def test_removed_axis_is_a_usage_error(self, tmp_path, capsys, axis):
+        flag = f"--{axis}"
+        with pytest.raises(SystemExit) as excinfo:
+            self._sweep(tmp_path, flag, "none,transition")
+        assert excinfo.value.code == 2
+        error = capsys.readouterr().err.strip().splitlines()[-1]
+        assert error.startswith("repro: error: unrecognized arguments")
+        assert flag in error
 
     def test_unknown_scenario_exits_2_with_one_line_error(self, tmp_path, capsys):
         code = main(

@@ -23,7 +23,7 @@ import harness  # noqa: E402
 from repro.experiments.figures import ARTIFACTS, ExperimentScale  # noqa: E402
 
 FACTOR = 1.25
-TRAJECTORY_BENCHES = ("planner", "serving", "fleet", "predictor", "chaos")
+TRAJECTORY_BENCHES = ("planner", "serving", "fleet", "chaos")
 
 
 def fake_bench(value=1.0, failures=(), seen=None, **fields):
