@@ -32,7 +32,7 @@ cut that down without changing a single decision:
   the per-call ``simulate_makespan(quick=True)`` /
   ``quick_makespan_lower_bound`` methods, which
   ``tests/core/test_planner_fastpath.py`` and
-  ``tests/engine/test_prediction.py`` compare them with.
+  ``tests/core/test_hybrid_scheduler.py`` compare them with.
 - *memoized simulations*: the scheduler's plan memo covers the quick
   screens and impact simulations. It is keyed on a predicted layer's
   shape (loads and cached flags in id order, candidates as ranks), not

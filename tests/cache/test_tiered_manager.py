@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.base import make_policy
+from repro.cache.base import available_policies, make_policy
 from repro.cache.manager import ExpertCache
 from repro.cache.placement import make_placement
 from repro.cache.sharded import CacheSpec
@@ -102,6 +102,24 @@ class TestTierSemantics:
         zero = build_tiered(cpu_capacity=0)
         assert not zero.dram_would_admit((0, 1))
 
+    @pytest.mark.parametrize("policy", available_policies())
+    def test_full_dram_tier_admits_below_its_residents(self, policy):
+        """Promotion has page-cache semantics: a full DRAM tier admits a
+        key it does not hold even when its policy ranks the key below
+        every resident (where ``insert_if_better`` would refuse)."""
+        tiered = build_tiered(gpu_capacity=1, cpu_capacity=2, cpu_policy=policy)
+        residents = [(0, 1), (0, 2)]
+        for key in residents:
+            tiered.promote_to_dram(key)
+        for _ in range(3):
+            for key in residents:
+                assert tiered.access(key) is False   # GPU miss, DRAM hit
+        assert not tiered.cpu_tier.would_admit((0, 3))
+        assert tiered.dram_would_admit((0, 3))
+        (evicted,) = tiered.promote_to_dram((0, 3))
+        assert evicted in residents
+        tiered.validate()
+
     def test_dram_tier_rejects_pinned_keys(self):
         gpu = ExpertCache(2, make_policy("lru"))
         cpu = ExpertCache(2, make_policy("lru"), pinned=[(0, 0)])
@@ -169,6 +187,37 @@ class TestFacadeForwarding:
 
 
 _KEYS = st.tuples(st.integers(0, 2), st.integers(0, 9))
+
+
+class TestDramWouldAdmit:
+    @pytest.mark.parametrize("policy", available_policies())
+    @given(
+        history=st.lists(
+            st.tuples(st.sampled_from(["insert", "promote", "access"]), _KEYS),
+            max_size=40,
+        ),
+        gpu_capacity=st.integers(0, 4),
+        cpu_capacity=st.integers(0, 4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_is_non_residency_in_a_nonempty_dram_tier(
+        self, policy, history, gpu_capacity, cpu_capacity
+    ):
+        """On any history, under every DRAM policy, a promotion makes
+        sense exactly for the keys a DRAM tier with slots does not hold."""
+        tiered = build_tiered(gpu_capacity, cpu_capacity, cpu_policy=policy)
+        for op, key in history:
+            if op == "insert":
+                tiered.insert(key)
+            elif op == "promote":
+                tiered.promote_to_dram(key)
+            else:
+                tiered.access(key)
+        for layer in range(3):
+            for expert in range(10):
+                key = (layer, expert)
+                want = cpu_capacity > 0 and key not in tiered.cpu_tier
+                assert tiered.dram_would_admit(key) is want
 
 
 class TestSpilledExpertsSetForm:

@@ -88,6 +88,65 @@ class TestImpactRanking:
         assert decisions == []
 
 
+class TestDistanceWindow:
+    """A prediction ``distance`` layers ahead counts only for ``1 <=
+    distance <= lookahead``, its gain discounted by
+    ``confidence_decay ** (distance - 1)`` (gate-reuse accuracy decays
+    with distance)."""
+
+    SCORES = [0.5, 0.3, 0.1, 0.1]
+
+    @staticmethod
+    def _gains(prefetcher, predictions, current_layer):
+        return [
+            (d.distance, d.expert, d.gain)
+            for d in prefetcher.evaluate_candidates(predictions, current_layer)
+        ]
+
+    @pytest.mark.parametrize("decay", [0.5, 0.8, 1.0])
+    @pytest.mark.parametrize("distance", [1, 2, 3])
+    def test_gain_is_discounted_by_decay_power(self, scheduler, decay, distance):
+        undiscounted = ImpactDrivenPrefetcher(scheduler, lambda: 3.0, 2, 3, 1.0)
+        discounted = ImpactDrivenPrefetcher(scheduler, lambda: 3.0, 2, 3, decay)
+        predictions = [_prediction(distance, self.SCORES)]
+        want = [
+            (distance, expert, gain * decay ** (distance - 1))
+            for _, expert, gain in self._gains(undiscounted, predictions, 0)
+        ]
+        assert want
+        assert self._gains(discounted, predictions, 0) == want
+
+    @pytest.mark.parametrize("lookahead", [1, 2, 3, 4])
+    def test_only_layers_within_lookahead_are_candidates(self, scheduler, lookahead):
+        prefetcher = ImpactDrivenPrefetcher(scheduler, lambda: 3.0, 2, lookahead, 0.8)
+        predictions = [_prediction(layer, self.SCORES) for layer in range(1, 7)]
+        decisions = prefetcher.evaluate_candidates(predictions, current_layer=0)
+        assert {d.distance for d in decisions} == set(range(1, lookahead + 1))
+        assert all(d.layer == d.distance for d in decisions)
+
+    @pytest.mark.parametrize("current_layer", [2, 3])
+    def test_current_and_past_layers_are_ignored(self, prefetcher, current_layer):
+        predictions = [_prediction(2, self.SCORES)]
+        assert prefetcher.evaluate_candidates(predictions, current_layer) == []
+
+    @pytest.mark.parametrize("current_layer", [1, 2, 5])
+    def test_decisions_depend_on_distance_not_on_layer_index(
+        self, prefetcher, current_layer
+    ):
+        """The toy oracle costs every layer alike, so shifting the window
+        changes each decision's layer and nothing else."""
+        shifted = [
+            _prediction(current_layer + distance, scores)
+            for distance, scores in ((1, self.SCORES), (2, [0.4, 0.4, 0.1, 0.1]))
+        ]
+        at_zero = [
+            _prediction(distance, p.scores) for distance, p in enumerate(shifted, 1)
+        ]
+        assert self._gains(prefetcher, shifted, current_layer) == self._gains(
+            prefetcher, at_zero, 0
+        )
+
+
 class TestSelection:
     def test_budget_limits_count(self, prefetcher):
         predictions = [
@@ -96,6 +155,19 @@ class TestSelection:
         ]
         within = prefetcher.select(predictions, 0, budget_s=3.5)
         assert len(within) == 1  # one 3.0-unit transfer fits
+
+    @pytest.mark.parametrize("transfers", [1, 2, 3, 4])
+    def test_equal_cost_selection_is_the_ranking_prefix(self, prefetcher, transfers):
+        """Every candidate costs one 3.0-unit transfer: a budget of
+        ``transfers`` of them buys the best ``transfers`` candidates."""
+        predictions = [
+            _prediction(1, [0.5, 0.3, 0.1, 0.1]),
+            _prediction(2, [0.1, 0.1, 0.4, 0.4]),
+        ]
+        ranking = prefetcher.evaluate_candidates(predictions, 0)
+        assert len(ranking) >= 3
+        chosen = prefetcher.select(predictions, 0, budget_s=3.0 * transfers + 1.0)
+        assert chosen == ranking[:transfers]
 
     def test_zero_budget_selects_nothing(self, prefetcher):
         assert prefetcher.select([_prediction(1, [1, 0, 0, 0])], 0, 0.0) == []

@@ -9,7 +9,7 @@ from repro.baselines.llamacpp import LlamaCppStrategy
 from repro.baselines.ondemand import OnDemandStrategy
 from repro.cache.mrs import MRSPolicy
 from repro.core.hybrid_scheduler import SchedulerConfig
-from repro.core.strategy import HybriMoEStrategy
+from repro.core.strategy import PREFETCH_ADMIT_MARGIN, HybriMoEStrategy
 from repro.engine.engine import EngineConfig, InferenceEngine
 from repro.errors import ConfigError
 from repro.hardware.platform_presets import paper_testbed
@@ -154,3 +154,114 @@ class TestToggleBehaviour:
         engine.generate(np.arange(16), decode_steps=8)
         labels = [iv.label for iv in engine.runtime.clock.pcie.intervals]
         assert any("refill" in label for label in labels)
+
+
+
+def _prefetch_rounds(engine, check, decode_steps=12):
+    """Run ``generate``, calling ``check(ctx, decisions, requests)`` as
+    each ``prefetch_requests`` call returns — ``decisions`` are what
+    the prefetcher selected, and the cache is still in the state the
+    strategy decided on. Returns the number of calls."""
+    strategy = engine.strategy
+    select = strategy._prefetcher.select
+    prefetch_requests = strategy.prefetch_requests
+    selected = []
+    calls = 0
+
+    def recording_select(*args, **kwargs):
+        selected.append(select(*args, **kwargs))
+        return selected[-1]
+
+    def checking_requests(ctx, *args, **kwargs):
+        nonlocal calls
+        selected.clear()
+        requests = prefetch_requests(ctx, *args, **kwargs)
+        (decisions,) = selected
+        check(ctx, decisions, requests)
+        calls += 1
+        return requests
+
+    strategy._prefetcher.select = recording_select
+    strategy.prefetch_requests = checking_requests
+    engine.generate(np.arange(24), decode_steps=decode_steps)
+    return calls
+
+
+def _prefetch_engine(tiny_config, strategy, cache_ratio, **config):
+    model = ReferenceMoEModel(tiny_config.with_layers(5), seed=0)
+    config = EngineConfig(cache_ratio=cache_ratio, seed=0, **config)
+    return InferenceEngine(model, strategy, paper_testbed(), config, **SMALL_PROFILE)
+
+
+class TestPrefetchRequests:
+    """Which selected prefetch decisions become transfer requests.
+
+    A decision is requested into the GPU cache when it passes admission
+    with :data:`PREFETCH_ADMIT_MARGIN`. Failing that, on tiered memory a
+    spilled expert is promoted into DRAM alone — whenever the DRAM tier
+    has slots, whatever its policy thinks of the victim. Every other
+    decision is dropped.
+    """
+
+    @staticmethod
+    def _check_admission(cache, tiered):
+        dram_requests = []
+
+        def check(ctx, decisions, requests):
+            keys = [(d.layer, d.expert) for d in decisions]
+            targets = {tuple(r[:2]): (r[2] if len(r) > 2 else "gpu") for r in requests}
+            # Requests keep the decisions' rank order, each key once.
+            assert len(targets) == len(requests)
+            assert list(targets) == [key for key in keys if key in targets]
+            for key in keys:
+                gpu_ok = cache.would_admit(key, margin=PREFETCH_ADMIT_MARGIN)
+                promotable = (
+                    tiered
+                    and cache.is_spilled(key)
+                    and cache.cpu_tier.capacity > 0
+                    and key not in cache.cpu_tier
+                )
+                want = "gpu" if gpu_ok else "dram" if promotable else None
+                assert targets.get(key) == want, (ctx.layer, key)
+            dram_requests.extend(k for k, t in targets.items() if t == "dram")
+
+        return check, dram_requests
+
+    @pytest.mark.parametrize("num_gpus", [1, 2])
+    @pytest.mark.parametrize("cpu_cache_capacity", [2, 8])
+    @pytest.mark.parametrize("policy", ["lru", "lfu", "mrs"])
+    def test_tiered_requests(self, tiny_config, policy, cpu_cache_capacity, num_gpus):
+        engine = _prefetch_engine(
+            tiny_config, HybriMoEStrategy(), 0.25, num_gpus=num_gpus,
+            cpu_cache_capacity=cpu_cache_capacity, cpu_cache_policy=policy,
+        )
+        check, dram_requests = self._check_admission(engine.runtime.cache, tiered=True)
+        assert _prefetch_rounds(engine, check) > 0
+        assert dram_requests  # the DRAM-only branch was exercised
+
+    @pytest.mark.parametrize("num_gpus", [1, 2])
+    @pytest.mark.parametrize("cache_ratio", [0.25, 0.5])
+    def test_untiered_requests_only_gpu_admissions(self, tiny_config, cache_ratio, num_gpus):
+        engine = _prefetch_engine(
+            tiny_config, HybriMoEStrategy(), cache_ratio, num_gpus=num_gpus
+        )
+        check, dram_requests = self._check_admission(engine.runtime.cache, tiered=False)
+        assert _prefetch_rounds(engine, check) > 0
+        assert dram_requests == []
+
+    @pytest.mark.parametrize("cpu_cache_capacity", [None, 4])
+    def test_without_caching_every_decision_of_the_next_layer(
+        self, tiny_config, cpu_cache_capacity
+    ):
+        """Prefetches land in the scratch ring: one layer ahead only, no
+        admission check, no DRAM-only promotion."""
+        engine = _prefetch_engine(
+            tiny_config, HybriMoEStrategy(caching=False), 0.25,
+            cpu_cache_capacity=cpu_cache_capacity,
+        )
+
+        def check(ctx, decisions, requests):
+            assert all(d.layer == ctx.layer + 1 for d in decisions)
+            assert requests == [(d.layer, d.expert) for d in decisions]
+
+        assert _prefetch_rounds(engine, check) > 0

@@ -32,9 +32,9 @@ def window_calls(lookahead: int = LOOKAHEAD) -> int:
 WINDOW_CALLS = window_calls()
 
 
-def build_engine(tiny_config, strategy):
+def build_engine(tiny_config, strategy, **config):
     model = ReferenceMoEModel(tiny_config.with_layers(NUM_LAYERS), seed=0)
-    config = EngineConfig(cache_ratio=0.5, seed=0)
+    config = EngineConfig(cache_ratio=0.5, seed=0, **config)
     return InferenceEngine(model, strategy, paper_testbed(), config, **SMALL_PROFILE)
 
 
@@ -124,3 +124,97 @@ class TestWindowCalls:
             ("prefill", NUM_LAYERS),
             *[("decode", NUM_LAYERS)] * 3,
         ]
+
+
+def prefetch_calls(engine, decode_steps=3):
+    """``(ctx, predictions, budget_s, layer_span_s, backlog_s)`` of every
+    ``prefetch_requests`` call of one ``generate``."""
+    strategy = engine.strategy
+    prefetch_requests = strategy.prefetch_requests
+    calls = []
+
+    def recording(ctx, predictions, budget_s, layer_span_s, backlog_s):
+        calls.append((ctx, predictions, budget_s, layer_span_s, backlog_s))
+        return prefetch_requests(
+            ctx, predictions, budget_s, layer_span_s=layer_span_s, backlog_s=backlog_s
+        )
+
+    strategy.prefetch_requests = recording
+    engine.generate(np.arange(16), decode_steps=decode_steps)
+    return calls
+
+
+class TestWindowShape:
+    """A window opened at layer ``l`` predicts layers ``l+1 ..
+    min(l+lookahead, last layer)`` and budgets ``lookahead`` layer spans
+    of PCIe time, less the link's backlog."""
+
+    @pytest.mark.parametrize("lookahead", [1, 2, 3, 4, 5])
+    def test_window_predicts_the_next_lookahead_layers(self, tiny_config, lookahead):
+        engine = build_engine(tiny_config, make_strategy("hybrimoe", lookahead=lookahead))
+        calls = prefetch_calls(engine)
+        assert calls
+        for ctx, predictions, *_ in calls:
+            last = min(ctx.layer + lookahead, NUM_LAYERS - 1)
+            assert [p.layer for p in predictions] == list(range(ctx.layer + 1, last + 1))
+            assert all(p.n_tokens == ctx.n_tokens for p in predictions)
+
+    @pytest.mark.parametrize("cpu_cache_capacity", [None, 4], ids=["untiered", "tiered"])
+    @pytest.mark.parametrize("lookahead", [1, 2, 3, 4, 5])
+    def test_budget_is_lookahead_spans_less_backlog(
+        self, tiny_config, lookahead, cpu_cache_capacity
+    ):
+        engine = build_engine(
+            tiny_config,
+            make_strategy("hybrimoe", lookahead=lookahead),
+            cpu_cache_capacity=cpu_cache_capacity,
+        )
+        calls = prefetch_calls(engine)
+        assert calls
+        for _ctx, _predictions, budget, layer_span, backlog in calls:
+            assert backlog >= 0.0
+            assert budget == lookahead * layer_span - backlog
+            assert budget > 0.0
+        if cpu_cache_capacity is not None:
+            # Spilled experts queue PCIe work behind disk reads: the
+            # backlog term is exercised, not just zero.
+            assert any(backlog > 0.0 for *_, backlog in calls)
+
+    def test_adapmoe_windows_in_both_stages(self, tiny_config):
+        engine = build_engine(tiny_config, AdapMoEStrategy())
+        calls = prefetch_calls(engine)
+        assert {ctx.stage for ctx, *_ in calls} == {"prefill", "decode"}
+        for ctx, predictions, *_ in calls:
+            last = min(ctx.layer + LOOKAHEAD, NUM_LAYERS - 1)
+            assert [p.layer for p in predictions] == list(range(ctx.layer + 1, last + 1))
+
+    @pytest.mark.parametrize("cpu_cache_capacity", [None, 4])
+    def test_predictions_carry_the_live_residency(self, tiny_config, cpu_cache_capacity):
+        """Cached experts are the GPU tier's residents of that layer and
+        spilled ones are resident in no tier; untiered, none spill."""
+        model = ReferenceMoEModel(tiny_config.with_layers(NUM_LAYERS), seed=0)
+        config = EngineConfig(cache_ratio=0.25, seed=0, cpu_cache_capacity=cpu_cache_capacity)
+        engine = InferenceEngine(
+            model, HybriMoEStrategy(), paper_testbed(), config, **SMALL_PROFILE
+        )
+        cache = engine.runtime.cache
+        strategy = engine.strategy
+        prefetch_requests = strategy.prefetch_requests
+        spilled_seen = []
+
+        def checking(ctx, predictions, budget_s, **kwargs):
+            experts = range(tiny_config.num_routed_experts)
+            for p in predictions:
+                assert p.cached_experts == cache.cached_experts_of_layer(p.layer)
+                if cpu_cache_capacity is None:
+                    assert p.spilled_experts == frozenset()
+                else:
+                    assert p.spilled_experts == cache.spilled_experts(p.layer, experts)
+                    assert not p.spilled_experts & p.cached_experts
+                spilled_seen.append(p.spilled_experts)
+            return prefetch_requests(ctx, predictions, budget_s, **kwargs)
+
+        strategy.prefetch_requests = checking
+        engine.generate(np.arange(16), decode_steps=3)
+        assert spilled_seen
+        assert any(spilled_seen) == (cpu_cache_capacity is not None)

@@ -14,6 +14,7 @@ from repro.routing.statistics import (
     reuse_probability_by_rank,
     synthetic_neuron_activation_cdf,
 )
+from repro.routing.trace import LayerRouting, RoutingTrace, StepTrace
 
 
 @pytest.fixture
@@ -93,6 +94,38 @@ class TestLayerOverlap:
     def test_distance_validation(self, trace):
         with pytest.raises(TraceError):
             adjacent_layer_overlap(trace, distance=0)
+
+
+def _alternating_trace(num_layers=4):
+    """One decode step: even layers activate experts {0, 1}, odd layers
+    {1, 2} — Jaccard overlap 1 at even distances, 1/3 at odd ones."""
+    layers = [
+        LayerRouting(
+            layer=layer,
+            loads=np.array([1, 1, 0, 0] if layer % 2 == 0 else [0, 1, 1, 0]),
+            mean_scores=np.full(4, 0.25),
+        )
+        for layer in range(num_layers)
+    ]
+    return RoutingTrace(
+        model_name="alternating",
+        num_layers=num_layers,
+        num_experts=4,
+        num_activated=2,
+        steps=[StepTrace(kind="decode", n_tokens=1, layers=layers)],
+    )
+
+
+class TestLayerOverlapValues:
+    @pytest.mark.parametrize("distance, overlap", [(1, 1 / 3), (2, 1.0), (3, 1 / 3)])
+    def test_mean_jaccard_of_layer_pairs(self, distance, overlap):
+        assert adjacent_layer_overlap(_alternating_trace(), distance) == pytest.approx(
+            overlap
+        )
+
+    def test_distance_past_the_last_layer_has_no_pairs(self):
+        with pytest.raises(TraceError, match="no layer pairs"):
+            adjacent_layer_overlap(_alternating_trace(), distance=4)
 
 
 class TestFrequency:

@@ -155,10 +155,11 @@ class TestScenarioSpec:
         except ConfigError as err:
             assert "\n" not in str(err)
 
-    @pytest.mark.parametrize("removed", ["engine_fast_path", "planner_fast_path"])
+    @pytest.mark.parametrize("removed", ["engine_fast_path", "planner_fast_path", "predictor"])
     def test_from_dict_rejects_removed_engine_switches(self, removed):
         """A spec file or sweep cell saved while the engine still had a
-        second core names its switch: that is an unknown key now."""
+        second core, or a cross-layer predictor, names its switch: that
+        is an unknown key now."""
         data = _tiny().to_dict()
         data["fleet"]["serving"]["engine"][removed] = True
         for load, payload in (

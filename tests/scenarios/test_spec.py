@@ -107,12 +107,22 @@ class TestEngineSpec:
         with pytest.raises(ConfigError, match="unknown EngineSpec keys"):
             EngineSpec.from_dict({"modle": "deepseek"})
 
-    def test_removed_predictor_key_is_unknown(self):
+    @pytest.mark.parametrize(
+        "spec_type, path",
+        [(EngineSpec, ()), (ServingSpec, ("engine",)), (FleetSpec, ("serving", "engine"))],
+        ids=["engine", "serving", "fleet"],
+    )
+    def test_removed_predictor_key_is_unknown(self, spec_type, path):
         """The cross-layer predictors are gone: a spec file that still
-        names one fails in one line instead of running without it."""
-        data = {**EngineSpec().to_dict(), "predictor": "transition"}
+        names one fails in one line instead of running without it, at
+        whatever depth its engine section sits."""
+        data = spec_type().to_dict()
+        engine = data
+        for key in path:
+            engine = engine[key]
+        engine["predictor"] = "transition"
         with pytest.raises(ConfigError, match=r"unknown EngineSpec keys: predictor \(") as err:
-            EngineSpec.from_dict(data)
+            spec_type.from_dict(data)
         assert "\n" not in str(err.value)
 
     def test_spec_is_hashable(self):

@@ -8,12 +8,14 @@ import pytest
 from repro.engine.factory import make_serving_engine
 from repro.errors import ConfigError
 from repro.scenarios import (
+    SWEEP_SCHEMA_VERSION,
     EngineSpec,
     FleetSpec,
     ScenarioSpec,
     ServingSpec,
     SweepReport,
     WorkloadRecipe,
+    available_scenarios,
     get_scenario,
     run_cell,
     run_sweep,
@@ -72,6 +74,19 @@ class TestSweepCells:
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError, match="at least one scenario"):
             sweep_cells([])
+
+    @pytest.mark.parametrize("name", available_scenarios())
+    def test_cell_id_is_the_four_coordinates(self, name):
+        """A cell is named by scenario, strategy, hardware and seed —
+        nothing else varies across a sweep grid."""
+        cells = sweep_cells([name])
+        assert [meta["seed"] for _, meta, _ in cells] == list(get_scenario(name).seeds)
+        for cell_id, meta, spec in cells:
+            assert list(meta) == ["scenario", "strategy", "hardware", "seed"]
+            assert cell_id == (
+                f"{name}__{spec.strategy}__{spec.hardware}__seed{spec.seeds[0]}"
+            )
+            assert spec.seeds == (meta["seed"],)
 
     def test_registry_names_resolve(self):
         cells = sweep_cells(["chat-multiturn"])
@@ -194,6 +209,22 @@ class TestResumability:
         lines = []
         rerun = run_sweep([_tiny()], tmp_path, log=lines.append)
         assert any(line.startswith("[done]") for line in lines)
+        assert rerun.to_json() == report.to_json()
+
+    def test_cell_of_an_older_schema_is_rerun(self, tmp_path):
+        """A cell written before the grid lost its predictor axis carries
+        the older schema and a ``predictor`` coordinate: not trusted."""
+        report = run_sweep([_tiny()], tmp_path)
+        cell_path = next((tmp_path / "cells").glob("*.json"))
+        old = json.loads(cell_path.read_text())
+        old["schema"] = SWEEP_SCHEMA_VERSION - 1
+        old["cell"]["predictor"] = None
+        cell_path.write_text(json.dumps(old))
+
+        lines = []
+        rerun = run_sweep([_tiny()], tmp_path, log=lines.append)
+        assert any(line.startswith("[done]") for line in lines)
+        assert not any(line.startswith("[skip]") for line in lines)
         assert rerun.to_json() == report.to_json()
 
     def test_corrupt_cell_file_is_rerun(self, tmp_path):

@@ -16,7 +16,9 @@ class TestParser:
             build_parser().parse_args(["run", "--model", "gpt5"])
 
     @pytest.mark.parametrize("command", ["run", "serve"])
-    @pytest.mark.parametrize("switch", ["engine", "planner", "predictor"])
+    @pytest.mark.parametrize(
+        "switch", ["engine", "planner", "predictor", "predict-horizon", "confidence-gate"]
+    )
     def test_removed_core_switches_are_usage_errors(self, command, switch, capsys):
         """The engine has one core and no cross-layer predictor: the old
         switches exit 2 with argparse's one-line error, not a traceback."""
@@ -517,7 +519,7 @@ class TestSweepCommand:
         out = capsys.readouterr().out
         assert "hybrimoe" in out and "ondemand" in out
 
-    @pytest.mark.parametrize("axis", ["predictors"])
+    @pytest.mark.parametrize("axis", ["predictors", "predictor"])
     def test_removed_axis_is_a_usage_error(self, tmp_path, capsys, axis):
         flag = f"--{axis}"
         with pytest.raises(SystemExit) as excinfo:
