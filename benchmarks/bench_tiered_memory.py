@@ -6,14 +6,16 @@ DRAM-resident. This benchmark serves one Poisson trace per strategy on
 a platform whose **CPU DRAM tier is capacity-limited** (a fraction of
 the experts fit in host memory; the rest spill to an NVMe-class disk),
 and reports goodput, tail TBT and per-tier cache hit rates plus the
-disk link's traffic and the GPU -> DRAM demotions on the PCIe links.
+disk link's traffic, the GPU -> DRAM demotions on the PCIe links and
+the clock's copy audit (uses of an expert that start before its copy
+lands).
 
 Claim checked (the scale-out analogue of Fig. 8/9 under memory
 pressure): hybrid scheduling + MRS caching (hybrimoe) sustains at
 least on-demand GPU loading's goodput when experts spill — schedule
 simulation folds the disk -> CPU -> GPU chains into its transfer
 search, and tier-aware prefetching pays disk reads off the critical
-path.
+path. Every strategy must pass the copy audit with no violation.
 
 Claims-only (no committed baseline): the full mode races all five
 strategies at bench scale, ``--smoke`` the headline pair on a reduced
@@ -62,6 +64,7 @@ def _tier_and_disk_columns(serving) -> dict:
             for link in runtime.clock.pcie_links
             for row in link.intervals
         ),
+        "copy_violations": len(runtime.clock.audit_copies()),
     }
 
 
@@ -103,6 +106,12 @@ def run(smoke: bool) -> tuple[dict, list[str]]:
             "DRAM-constrained config produced no disk traffic — the tier "
             "cap is not binding and the race is vacuous"
         )
+    for row in rows:
+        if not row["copy_violations"] == 0:
+            failures.append(
+                f"{row['strategy']} used {row['copy_violations']} expert copies "
+                "before they landed (ThreeResourceClock.audit_copies)"
+            )
     if not hybrimoe["demotions"] > 0:
         failures.append(
             "hybrimoe demoted no GPU eviction into DRAM — the exclusive "
@@ -126,6 +135,7 @@ def render(payload: dict) -> str:
             "disk_reads",
             "disk_busy_s",
             "demotions",
+            "copy_violations",
         ],
         title=(
             f"tiered-memory serving race — deepseek @ {CACHE_RATIO:.0%} GPU "

@@ -35,7 +35,9 @@ from DRAM rather than disk.
 
 The DRAM tier is **lazily exclusive**: when full it evicts its oldest
 *shadow* (a copy of a GPU-resident expert) first, and a GPU eviction DRAM
-lacks is queued on ``demotions`` for the engine to copy into DRAM.
+lacks is queued on ``demotions`` for the engine to copy into DRAM. A
+prefetch's disk read in flight is in ``staging`` until it takes its DRAM
+slot at landing (:meth:`TieredCacheManager.promote_to_dram`).
 """
 
 from __future__ import annotations
@@ -81,6 +83,8 @@ class TieredCacheManager:
         self._shadows = dict.fromkeys(sorted(cpu_tier.resident_keys & gpu_tier.resident_keys))
         #: ``(key, device)`` GPU evictions for the engine to copy into DRAM.
         self.demotions: list[tuple[ExpertKey, int]] = []
+        #: Spilled keys whose prefetch disk read is in flight: no second read.
+        self.staging: set[ExpertKey] = set()
         cpu_tier.on_residency = partial(self._residency_changed, gpu_tier, None)
         for device, shard in enumerate(getattr(gpu_tier, "shards", [gpu_tier])):
             shard.on_residency = partial(self._residency_changed, cpu_tier, device)
@@ -112,6 +116,7 @@ class TieredCacheManager:
         victim, so experts only DRAM holds go to disk last.
         """
         cpu = self.cpu_tier
+        self.staging.discard(key)
         evicted = []
         if self._shadows and key not in cpu and len(cpu) >= cpu.capacity:
             evicted.append(next(iter(self._shadows)))

@@ -10,19 +10,18 @@ as schedule slack or overruns exactly as they would on hardware.
 Dependencies honoured:
 
 - tasks on one resource run serially in plan order;
-- a GPU compute task flagged ``after_transfer`` cannot start before its
-  transfer finishes;
-- externally in-flight arrivals (prefetches from earlier layers) gate
-  GPU tasks through the ``arrivals`` map;
-- on a tiered-memory platform, a **spilled** expert's weights are first
-  staged disk -> DRAM on the clock's shared disk link; its PCIe
-  transfer and/or CPU compute cannot start before that read finishes,
-  nor any expert's before its copy into DRAM in flight (``staging``) lands.
+- every copy goes through :meth:`ThreeResourceClock.copy
+  <repro.hardware.simulator.ThreeResourceClock.copy>`, which records its
+  landing in ``clock.landing``: a GPU task waits for its expert's GPU
+  landing (this plan's transfer or an earlier prefetch or refill), and a
+  transfer or CPU task for its DRAM landing (a demotion or staging in
+  flight);
+- on a tiered-memory platform, a **spilled** expert is first read
+  disk -> DRAM on the clock's shared disk link.
 
 The clock's timelines are the one record of what ran: every reservation
 is labelled ``xfer|gpu|cpu|disk L{layer} E{expert}`` (the shared block
-is expert ``-1``). The in-flight arrivals map is never copied: the
-plan's own transfers go to a local overlay that shadows it on lookup.
+is expert ``-1``).
 """
 
 from __future__ import annotations
@@ -34,8 +33,6 @@ from repro.errors import SchedulingError
 from repro.hardware.simulator import ThreeResourceClock
 
 __all__ = ["LayerExecutionResult", "execute_plan"]
-
-_NO_ARRIVALS: dict[tuple[int, int], float] = {}
 
 
 @dataclass
@@ -58,10 +55,8 @@ def execute_plan(
     clock: ThreeResourceClock,
     oracle: LayerCostOracle,
     start_time: float,
-    external_arrivals: dict[tuple[int, int], float] | None = None,
     device: int = 0,
     spilled: frozenset[int] | set[int] | None = None,
-    staging: dict[tuple[int, int], float] | None = None,
 ) -> LayerExecutionResult:
     """Execute a validated plan, reserving real timeline intervals.
 
@@ -70,29 +65,23 @@ def execute_plan(
     plan:
         The per-layer plan (already validated by the engine).
     clock:
-        The engine's absolute-time resource ledger.
+        The engine's absolute-time resource ledger; its ``landing`` map
+        gates every use of an expert on the copy that brought it.
     oracle:
         Duration oracle bound to the *actual* cost model.
     start_time:
         Earliest moment any MoE work of this layer may begin (the end of
         the layer's attention phase: routing is only known then).
-    external_arrivals:
-        Completion times of in-flight transfers issued by earlier
-        layers' prefetches, keyed by ``(layer, expert)``. A GPU task for
-        such an expert waits for its arrival.
     device:
         GPU device this plan is bound to: its compute tasks reserve on
         ``clock.gpus[device]`` and its transfers on that device's PCIe
         link. CPU tasks always run on the shared CPU timeline, so
         multi-device plans executed in sequence serialise there.
     spilled:
-        Expert ids of this layer resident in no memory tier (tiered
-        platforms): each first reserves a disk read on ``clock.disk``,
-        gating its PCIe transfer or CPU compute. ``None``/empty keeps
+        Expert ids of this layer to read off disk first (tiered
+        platforms): each reserves a ``disk`` row on ``clock.disk``
+        before its PCIe transfer or CPU compute. ``None``/empty keeps
         the historical two-tier execution byte-for-byte.
-    staging:
-        Landing times of copies into DRAM in flight by ``(layer, expert)``:
-        an expert here waits for its copy (a spilled one reads no disk). Never written.
 
     Returns
     -------
@@ -106,42 +95,16 @@ def execute_plan(
         raise SchedulingError(
             "plan has spilled experts but the clock models no disk tier"
         )
-    # This plan's own transfers shadow external prefetch arrivals; the
-    # external map is never written and never copied.
-    local_arrivals: dict[tuple[int, int], float] = {}
-    external = external_arrivals or _NO_ARRIVALS
-    staging = staging or _NO_ARRIVALS
+    landing = clock.landing
     gpu_timeline = clock.gpu_timeline(device)
-    pcie_timeline = clock.pcie_timeline(device)
-
-    def arrival_of(layer: int, expert: int) -> float:
-        key = (layer, expert)
-        when = local_arrivals.get(key)
-        if when is not None:
-            return when
-        return external.get(key, start_time)
-
-    def in_dram(layer: int, expert: int) -> float:
-        """When the weights are in DRAM: a copy in flight lands, else a spilled one is read."""
-        ready = staging.get((layer, expert))
-        if ready is not None:
-            return ready
-        if expert not in spilled:
-            return start_time
-        return clock.disk.reserve(
-            start_time, oracle.disk_fetch(), f"disk L{layer} E{expert}"
-        )[1]
 
     # --- PCIe: on-demand transfers, in plan order ----------------------
     transfer_end = start_time
     for transfer in plan.transfers:
-        earliest = start_time
-        if staging or transfer.expert in spilled:
-            earliest = max(earliest, in_dram(transfer.layer, transfer.expert))
-        _, finish = pcie_timeline.reserve(
-            earliest, oracle.transfer(), f"xfer L{transfer.layer} E{transfer.expert}"
-        )
-        local_arrivals[(transfer.layer, transfer.expert)] = finish
+        key = (transfer.layer, transfer.expert)
+        if transfer.expert in spilled:
+            clock.copy("disk", key, start_time, oracle.disk_fetch())
+        finish = clock.copy("xfer", key, start_time, oracle.transfer(), device)
         transfer_end = max(transfer_end, finish)
 
     # --- GPU compute ----------------------------------------------------
@@ -152,7 +115,7 @@ def execute_plan(
             earliest = start_time
         else:
             duration = oracle.gpu_compute(task.load)
-            earliest = max(start_time, arrival_of(task.layer, task.expert))
+            earliest = max(start_time, landing.get(((task.layer, task.expert), "gpu"), 0.0))
         _, finish = gpu_timeline.reserve(
             earliest, duration, f"gpu L{task.layer} E{task.expert}"
         )
@@ -165,10 +128,12 @@ def execute_plan(
         if task.is_shared:
             duration = oracle.shared_compute(Device.CPU, first_task=first_cpu)
         else:
-            if staging or task.expert in spilled:
-                # The CPU computes in place from DRAM: a spilled expert
-                # must be staged off disk before its compute can start.
-                earliest = max(earliest, in_dram(task.layer, task.expert))
+            # The CPU computes in place from DRAM: it waits for the
+            # expert's copy there (a spilled one is read off disk first).
+            key = (task.layer, task.expert)
+            if task.expert in spilled:
+                clock.copy("disk", key, start_time, oracle.disk_fetch())
+            earliest = max(start_time, landing.get((key, "dram"), 0.0))
             duration = oracle.cpu_compute(task.load, first_task=first_cpu)
         first_cpu = False
         _, finish = clock.cpu.reserve(

@@ -214,11 +214,10 @@ class HybriMoEStrategy(Strategy):
             key = (task.layer, task.expert)
             if not shard.would_admit(key):
                 continue
+            # The copy waits for the key's DRAM landing: a spilled miss
+            # is refilled only once its disk read has finished.
             duration = runtime.cost_actual.transfer_time(shape)
-            _, finish = link.reserve(
-                ctx.moe_start, duration, f"refill L{task.layer} E{task.expert}"
-            )
-            runtime.arrivals[key] = finish
+            runtime.clock.copy("refill", key, ctx.moe_start, duration, ctx.device_id)
             shard.insert(key)
             break
 

@@ -139,12 +139,6 @@ class EngineRuntime:
         self.cost_actual = cost_actual
         self.cost_estimated = cost_estimated
         self.clock = ThreeResourceClock(config.num_gpus, disk=config.tiered)
-        self.arrivals: dict[tuple[int, int], float] = {}
-        #: In-flight disk -> DRAM stagings issued by prefetching, keyed
-        #: by expert with the read's finish time. Residency flips only
-        #: when a layer starts after the read has landed — the DRAM
-        #: analogue of the GPU tier's ``arrivals`` gating.
-        self.pending_dram: dict[tuple[int, int], float] = {}
         #: Prefetch effectiveness accounting (pure observation — no
         #: code path consults these): GPU prefetches issued, and how
         #: many were still resident when their layer activated them.

@@ -274,7 +274,7 @@ class StepPipeline:
                         for expert, _ in group
                         if expert in cached
                         and (
-                            offset := runtime.arrivals.get((layer, expert), 0.0)
+                            offset := clock.landing.get(((layer, expert), "gpu"), 0.0)
                             - attn_end
                         )
                         > 0.0
@@ -334,32 +334,25 @@ class StepPipeline:
 
     # ------------------------------------------------------------------
     def _commit_landed_promotions(self, now: float) -> None:
-        """Flip DRAM residency for stagings that have landed.
+        """Give each prefetch staging that has landed its DRAM slot.
 
         A prefetch-issued disk read is in flight until its reserved
         finish time; an expert becomes DRAM-resident only for layers
         whose MoE phase starts after that — otherwise a backlogged disk
         link could make spilled weights usable before they exist in
-        host memory. (A demotion holds its slot from the start; landing
-        only ends its wait.) Commits run in (finish, key) order so runs
-        stay deterministic.
+        host memory. (A demotion or a layer's own read holds its slot
+        from the start; ``clock.landing`` gates its use.) Commits run in
+        (landing, key) order so runs stay deterministic.
         """
-        runtime = self.runtime
-        if not runtime.pending_dram:
-            return
+        cache = self._cache()
+        landing = self.runtime.clock.landing
         landed = sorted(
-            (ready, key)
-            for key, ready in runtime.pending_dram.items()
-            if ready <= now
+            (landing[key, "dram"], key)
+            for key in cache.staging
+            if landing[key, "dram"] <= now
         )
-        for ready, key in landed:
-            if runtime.pending_dram.pop(key, None) is not None:
-                self._promote(key)
-
-    def _promote(self, key: tuple[int, int]) -> None:
-        """DRAM-insert ``key``, dropping any demotion in flight it evicts."""
-        for victim in self._cache().promote_to_dram(key):
-            self.runtime.pending_dram.pop(victim, None)
+        for _, key in landed:
+            cache.promote_to_dram(key)
 
     def _promote_spilled(self, layer: int, spilled: frozenset[int]) -> None:
         """DRAM-insert every spilled expert the layer just staged.
@@ -369,25 +362,24 @@ class StepPipeline:
         waited on and consumes here — and the tier decides what it
         displaces. Ascending expert id keeps runs deterministic.
         """
+        cache = self._cache()
         for expert in sorted(spilled):
-            self._promote((layer, expert))
-            self.runtime.pending_dram.pop((layer, expert), None)
+            cache.promote_to_dram((layer, expert))
 
     def _charge_demotions(self, now: float) -> None:
         """Copy each GPU -> DRAM demotion over its link: it takes its DRAM
-        slot now and is usable once the row lands (``pending_dram``). A key
-        already in flight is left to that copy."""
+        slot now and is usable once the ``demote`` row lands. A key whose
+        disk read is in flight is left to that read."""
         runtime = self.runtime
-        if not runtime.tiered or not (demotions := self._cache().demotions):
+        cache = self._cache()
+        if not runtime.tiered or not cache.demotions:
             return
         duration = runtime.cost_actual.transfer_time(self.model.config.routed_expert_shape)
-        for (layer, expert), gpu in demotions:
-            if (layer, expert) not in runtime.pending_dram:
-                runtime.pending_dram[layer, expert] = runtime.clock.pcie_links[gpu].reserve(
-                    now, duration, f"demote L{layer} E{expert}"
-                )[1]
-                self._promote((layer, expert))
-        demotions.clear()
+        for key, gpu in cache.demotions:
+            if key not in cache.staging:
+                runtime.clock.copy("demote", key, now, duration, gpu)
+                cache.promote_to_dram(key)
+        cache.demotions.clear()
 
     @staticmethod
     def _device_groups(
@@ -428,15 +420,18 @@ class StepPipeline:
         used_keys = {(layer, e) for e, _ in ctx.activated if e in cached}
         used_keys.update((layer, t.expert) for t in plan.transfers)
         shard.lock(used_keys)
+        # A spilled expert whose prefetch staging is in flight waits for
+        # that read instead of reading it again.
+        to_read = ctx.spilled_experts
+        if to_read and (staging := self._cache().staging):
+            to_read = frozenset(e for e in to_read if (layer, e) not in staging)
         execute_plan(
             plan,
             runtime.clock,
             runtime.actual_oracle(ctx.n_tokens),
             ctx.moe_start,
-            runtime.arrivals,
             device=ctx.device_id,
-            spilled=ctx.spilled_experts,
-            staging=runtime.pending_dram,
+            spilled=to_read,
         )
         self._promote_spilled(layer, ctx.spilled_experts)
         self.strategy.after_layer(ctx, plan)
@@ -574,9 +569,8 @@ class StepPipeline:
             backlog_s=backlog,
         )
         for request in requests:
-            future_layer, expert = request[0], request[1]
+            key = (request[0], request[1])
             target = request[2] if len(request) > 2 else "gpu"
-            key = (future_layer, expert)
             if key in cache:
                 continue
             # A spilled expert is staged disk -> DRAM first; a GPU-bound
@@ -584,18 +578,12 @@ class StepPipeline:
             # a "dram" request stops there (staging without spending
             # PCIe bandwidth or a GPU slot). DRAM residency flips when
             # a later layer starts past the read's finish time
-            # (_commit_landed_promotions); a key already staging or
-            # demoted is never re-read, and waits for its copy to land.
-            ready = ctx.moe_start
-            pending_ready = runtime.pending_dram.get(key)
-            if pending_ready is not None:
-                ready = max(ctx.moe_start, pending_ready)
-            elif runtime.tiered and cache.is_spilled(key):
+            # (_commit_landed_promotions); a key already staging is
+            # never re-read.
+            if runtime.tiered and key not in cache.staging and cache.is_spilled(key):
                 disk_duration = runtime.cost_actual.disk_transfer_time(cfg.routed_expert_shape)
-                _, ready = runtime.clock.disk.reserve(
-                    ctx.moe_start, disk_duration, f"disk L{future_layer} E{expert}"
-                )
-                runtime.pending_dram[key] = ready
+                runtime.clock.copy("disk", key, ctx.moe_start, disk_duration)
+                cache.staging.add(key)
             if target == "dram":
                 continue
             device = cache.device_of(key)
@@ -607,10 +595,7 @@ class StepPipeline:
             if shard.capacity == 0:
                 continue
             duration = runtime.cost_actual.transfer_time(cfg.routed_expert_shape)
-            _, finish = runtime.clock.pcie_links[device].reserve(
-                ready, duration, f"prefetch L{future_layer} E{expert}"
-            )
-            runtime.arrivals[key] = finish
+            runtime.clock.copy("prefetch", key, ctx.moe_start, duration, device)
             shard.insert(key)
             self._charge_demotions(ctx.moe_start)
             runtime.prefetch_issued += 1

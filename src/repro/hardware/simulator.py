@@ -27,16 +27,35 @@ spilled expert into DRAM before it can be CPU-computed or ride a PCIe
 link to a GPU. Like PCIe, the disk link is excluded from the layer
 barrier — reads overlap the next layer's attention. Without the flag
 (the default) no disk timeline exists and the clock is unchanged.
+
+Every expert copy — ``disk`` (disk -> DRAM), ``xfer`` / ``prefetch`` /
+``refill`` (DRAM -> GPU) and ``demote`` (GPU -> DRAM) — is reserved by
+:meth:`ThreeResourceClock.copy`, which starts the row no earlier than
+the key's landing in its source tier and records the new landing in
+the one map ``landing``. :meth:`ThreeResourceClock.audit_copies` checks
+the ledger for any use of an expert that starts before its copy lands.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 
 from repro.errors import SimulationError
 from repro.hardware.device import ResourceTimeline
 
 __all__ = ["ThreeResourceClock"]
+
+#: Row kind -> (source tier, target tier) of an expert copy; disk has no source.
+_COPY_TIERS = {
+    "disk": (None, "dram"),
+    "demote": ("gpu", "dram"),
+    "xfer": ("dram", "gpu"),
+    "prefetch": ("dram", "gpu"),
+    "refill": ("dram", "gpu"),
+}
+#: Row kinds that use an expert's host copy: they must start after it lands.
+_USES = frozenset(("xfer", "prefetch", "refill", "cpu"))
 
 
 class ThreeResourceClock:
@@ -78,6 +97,9 @@ class ThreeResourceClock:
         self.disk: ResourceTimeline | None = (
             ResourceTimeline("disk") if disk else None
         )
+        #: Landing time of each expert's latest copy into a tier, keyed by
+        #: ``((layer, expert), "dram" | "gpu")``; written only by :meth:`copy`.
+        self.landing: dict[tuple[tuple[int, int], str], float] = {}
         # Event-driven frontier caches: compute and PCIe timelines
         # notify the clock when their available_at advances. The
         # compute frontier is a running maximum (available_at is
@@ -136,6 +158,35 @@ class ThreeResourceClock:
             raise SimulationError(
                 f"device {device} out of range for {self.num_gpus} GPUs"
             )
+
+    # ------------------------------------------------------------------
+    # expert copies
+    # ------------------------------------------------------------------
+    def copy(
+        self,
+        kind: str,
+        key: tuple[int, int],
+        earliest: float,
+        duration: float,
+        device: int = 0,
+    ) -> float:
+        """Reserve one ``kind L{layer} E{expert}`` copy row; return its landing.
+
+        A ``disk`` read rides the shared disk link; every other kind rides
+        GPU ``device``'s PCIe link and starts no earlier than ``key``'s
+        landing in its source tier (DRAM for a load, the GPU for a
+        ``demote``). The landing replaces the key's entry for the target
+        tier in ``landing``.
+        """
+        source, target = _COPY_TIERS[kind]
+        if source is None:
+            lane = self.disk
+        else:
+            lane = self.pcie_links[device]
+            earliest = max(earliest, self.landing.get((key, source), earliest))
+        ready = lane.reserve(earliest, duration, f"{kind} L{key[0]} E{key[1]}")[1]
+        self.landing[key, target] = ready
+        return ready
 
     # ------------------------------------------------------------------
     # frontiers
@@ -215,3 +266,34 @@ class ThreeResourceClock:
                 raise SimulationError(
                     f"cached {name} {cached} != rescanned {rescanned}"
                 )
+
+    def audit_copies(self) -> list[tuple[str, float, float]]:
+        """Every use of an expert that starts before its host copy lands.
+
+        A use is an ``xfer``, ``prefetch``, ``refill`` or ``cpu`` row. It
+        violates the landing rule when it starts before the finish of the
+        latest ``disk`` or ``demote`` row of the same key that started no
+        later than it. Returns ``(use label, use start, landing)`` per
+        violation, one timeline after another; empty on a sound ledger.
+        """
+        copies: dict[str, list[tuple[float, float]]] = {}
+        uses: list[tuple[str, str, float]] = []
+        timelines = [*self.gpus, self.cpu, *self.pcie_links]
+        if self.disk is not None:
+            timelines.append(self.disk)
+        for timeline in timelines:
+            for row in timeline.intervals:
+                kind, _, where = row.label.partition(" ")
+                if kind in ("disk", "demote"):
+                    copies.setdefault(where, []).append((row.start, row.finish))
+                elif kind in _USES:
+                    uses.append((row.label, where, row.start))
+        # One key's copies come from the disk and from demoting links.
+        landings = {where: sorted(rows) for where, rows in copies.items()}
+        starts = {where: [start for start, _ in rows] for where, rows in landings.items()}
+        violations = []
+        for label, where, start in uses:
+            i = bisect_right(starts.get(where, ()), start)
+            if i and start < (landed := landings[where][i - 1][1]):
+                violations.append((label, start, landed))
+        return violations

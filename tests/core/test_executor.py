@@ -76,9 +76,8 @@ class TestExecutePlan:
             n_tokens=1,
             gpu_tasks=[ComputeTask(0, 5, 2, Device.GPU)],
         )
-        execute_plan(
-            plan, clock, oracle, start_time=0.0, external_arrivals={(0, 5): 7.0}
-        )
+        clock.landing[(0, 5), "gpu"] = 7.0
+        execute_plan(plan, clock, oracle, start_time=0.0)
         assert clock.gpu.intervals[0].start == pytest.approx(7.0)
 
     def test_start_time_respected_everywhere(self, oracle):
@@ -117,8 +116,9 @@ class TestExecutePlan:
 
     @pytest.mark.parametrize("on_cpu", [False, True])
     def test_spilled_expert_waits_on_inflight_staging(self, oracle, on_cpu):
-        """A spilled expert whose disk read is already in flight waits
-        for that read and reserves no second one; others still read."""
+        """An expert whose disk read is already in flight waits for that
+        read and reserves no second one; a spilled one reads, and its
+        landing joins the map."""
         clock = ThreeResourceClock(disk=True)
         if on_cpu:
             plan = ExecutionPlan(
@@ -138,15 +138,16 @@ class TestExecutePlan:
                 transfers=[TransferTask(2, 4, 1), TransferTask(2, 6, 1)],
             )
             timeline, kind = clock.pcie, "xfer"
-        staging = {(2, 4): 9.0}
-        execute_plan(
-            plan, clock, oracle, start_time=1.0, spilled={4, 6}, staging=staging
-        )
-        assert [row.label for row in clock.disk.intervals] == ["disk L2 E6"]
+        clock.landing[(2, 4), "dram"] = 9.0
+        execute_plan(plan, clock, oracle, start_time=1.0, spilled={6})
+        (read,) = clock.disk.intervals
+        assert read.label == "disk L2 E6"
         rows = {row.label: row for row in timeline.intervals}
         assert rows[f"{kind} L2 E4"].start >= 9.0
-        assert rows[f"{kind} L2 E6"].start >= clock.disk.intervals[0].finish
-        assert staging == {(2, 4): 9.0}
+        assert rows[f"{kind} L2 E6"].start >= read.finish
+        assert clock.landing[(2, 4), "dram"] == 9.0
+        assert clock.landing[(2, 6), "dram"] == read.finish
+        assert not clock.audit_copies()
 
     def test_dram_resident_expert_waits_on_its_copy(self, oracle):
         """An expert whose copy into DRAM is still in flight (a
@@ -159,8 +160,8 @@ class TestExecutePlan:
             transfers=[TransferTask(2, 4, 1)],
             cpu_tasks=[ComputeTask(2, 6, 1, Device.CPU), ComputeTask(2, 5, 1, Device.CPU)],
         )
-        staging = {(2, 4): 9.0, (2, 5): 7.0}
-        execute_plan(plan, clock, oracle, start_time=1.0, spilled=set(), staging=staging)
+        clock.landing.update({((2, 4), "dram"): 9.0, ((2, 5), "dram"): 7.0})
+        execute_plan(plan, clock, oracle, start_time=1.0, spilled=set())
         assert not clock.disk.intervals
         rows = {row.label: row for row in clock.pcie.intervals + clock.cpu.intervals}
         assert rows["xfer L2 E4"].start == 9.0

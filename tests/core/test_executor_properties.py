@@ -187,10 +187,10 @@ def test_every_task_is_one_labelled_row_in_plan_order(
     _, factory = _setup(gpu, cpu, transfer, disk)
     oracle = factory(plan.n_tokens)
     clock = ThreeResourceClock(disk=True)
-    result = execute_plan(
-        plan, clock, oracle, start_time=start, external_arrivals=arrivals, spilled=spilled
-    )
+    clock.landing.update({(key, "gpu"): ready for key, ready in arrivals.items()})
+    result = execute_plan(plan, clock, oracle, start_time=start, spilled=spilled)
     clock.validate()
+    assert not clock.audit_copies()
 
     def duration(task):
         if task.is_shared:
@@ -213,6 +213,10 @@ def test_every_task_is_one_labelled_row_in_plan_order(
     }
     for timeline, want in expected.items():
         assert [i.label for i in timeline.intervals] == want, timeline.name
+    for row in clock.gpu.intervals:
+        kind, layer, expert = row.label.split()
+        landed = clock.landing.get(((int(layer[1:]), int(expert[1:])), "gpu"), 0.0)
+        assert row.start >= landed
 
     finishes = [i.finish for t in (clock.gpu, clock.cpu) for i in t.intervals]
     latest = max(finishes, default=start)

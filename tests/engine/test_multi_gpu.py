@@ -456,7 +456,7 @@ def test_inflight_scan_is_skipped_only_when_empty(
 ):
     """The pipeline skips a group's in-flight scan when the device's
     PCIe link is idle at ``moe_start``. Every context it hands out must
-    carry what the full scan over ``runtime.arrivals`` finds."""
+    carry what the full scan over the GPU landings in ``clock.landing`` finds."""
     engine = make_engine(
         model="deepseek",
         strategy=strategy_name,
@@ -474,7 +474,10 @@ def test_inflight_scan_is_skipped_only_when_empty(
             (expert, offset)
             for expert, _ in ctx.activated
             if expert in ctx.cached_experts
-            and (offset := runtime.arrivals.get((ctx.layer, expert), 0.0) - ctx.moe_start)
+            and (
+                offset := runtime.clock.landing.get(((ctx.layer, expert), "gpu"), 0.0)
+                - ctx.moe_start
+            )
             > 0.0
         )
         assert ctx.inflight_offsets == scanned

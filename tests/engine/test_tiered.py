@@ -18,6 +18,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.engine import EngineConfig, InferenceEngine
 from repro.engine.factory import make_engine, make_serving_engine, make_strategy
@@ -121,6 +123,7 @@ class TestSpillMechanics:
         base_result = baseline.generate(prompt_tokens, decode_steps=4)
         assert result.decode_steps[-1].end > base_result.decode_steps[-1].end
         engine.runtime.clock.validate()
+        assert engine.runtime.clock.audit_copies() == []
         engine.runtime.cache.validate()
 
     def test_staged_experts_are_promoted_to_dram(self, tiny_config, prompt_tokens):
@@ -161,6 +164,7 @@ class TestSpillMechanics:
         result = engine.generate(prompt_tokens, decode_steps=2)
         assert result.total_misses > 0
         assert len(engine.runtime.clock.disk) > 0
+        assert engine.runtime.clock.audit_copies() == []
         assert len(engine.runtime.cache.cpu_tier) == 0
 
     def test_sharded_fleet_with_tiered_memory(self, tiny_config, prompt_tokens):
@@ -171,6 +175,7 @@ class TestSpillMechanics:
         clock = engine.runtime.clock
         assert len(clock.disk) > 0
         clock.validate()
+        assert clock.audit_copies() == []
         cache = engine.runtime.cache
         cache.validate()
         assert len(cache.per_device_hit_rates()) == 2
@@ -192,6 +197,7 @@ class TestSpillMechanics:
         rates = serving.engine.runtime.cache.per_tier_hit_rates()
         assert set(rates) == {"gpu", "cpu"}
         serving.engine.runtime.clock.validate()
+        assert serving.engine.runtime.clock.audit_copies() == []
 
     def test_inflight_dram_staging_gates_residency(self, tiny_config):
         """A prefetch-issued disk read flips DRAM residency only once a
@@ -209,17 +215,21 @@ class TestSpillMechanics:
         )
         early, late = spilled_keys[0], spilled_keys[1]
         assert cache.is_spilled(early) and cache.is_spilled(late)
-        runtime.pending_dram = {early: 1.0, late: 5.0}
+        landing = {(early, "dram"): 1.0, (late, "dram"): 5.0}
+        runtime.clock.landing.update(landing)
+        cache.staging.update((early, late))
 
         pipeline._commit_landed_promotions(0.5)   # neither read landed
         assert early not in cache.cpu_tier and late not in cache.cpu_tier
         pipeline._commit_landed_promotions(2.0)   # only the early one
         assert early in cache.cpu_tier
         assert late not in cache.cpu_tier
-        assert runtime.pending_dram == {late: 5.0}
+        assert cache.staging == {late}
         pipeline._commit_landed_promotions(5.0)   # boundary: ready <= now
         assert late in cache.cpu_tier
-        assert runtime.pending_dram == {}
+        assert cache.staging == set()
+        # Promotion moves residency only: the landings stay in the map.
+        assert runtime.clock.landing == landing
 
     def test_layer_waits_on_inflight_staging(self, tiny_config, prompt_tokens):
         """A layer that uses an expert a prefetch is still staging waits
@@ -233,7 +243,8 @@ class TestSpillMechanics:
                 0, range(tiny_config.num_routed_experts)
             )
         }
-        runtime.pending_dram = dict(staged)
+        runtime.clock.landing.update({(key, "dram"): ready for key in staged})
+        runtime.cache.staging.update(staged)
         engine._run_step(prompt_tokens, "prefill")
         clock = runtime.clock
         assert not any(row.label.startswith("disk L0 ") for row in clock.disk.intervals)
@@ -245,7 +256,8 @@ class TestSpillMechanics:
                 used[key] = row.start
         assert used
         assert min(used.values()) >= ready
-        assert not used.keys() & runtime.pending_dram.keys()
+        assert not used.keys() & runtime.cache.staging
+        assert all(clock.landing[key, "dram"] == ready for key in staged)
 
     def test_gpu_eviction_is_demoted_over_its_link(self, tiny_config):
         """An expert a GPU shard evicts and DRAM lacks takes a DRAM slot
@@ -275,15 +287,17 @@ class TestSpillMechanics:
             0.25,
             0.25 + runtime.cost_actual.transfer_time(tiny_config.routed_expert_shape),
         )
-        assert runtime.pending_dram == {key: row.finish}
+        assert runtime.clock.landing == {(key, "dram"): row.finish}
         assert key in cache.cpu_tier and cache.demotions == []
         engine.pipeline._commit_landed_promotions(row.finish)
-        assert key in cache.cpu_tier and runtime.pending_dram == {}
+        assert key in cache.cpu_tier and cache.staging == set()
+        assert runtime.clock.landing == {(key, "dram"): row.finish}
         cache.validate()
 
     def test_dram_eviction_drops_a_demotion_in_flight(self, tiny_config):
         """A demoted expert that DRAM evicts before its copy lands is
-        spilled again: no pending copy keeps it in memory."""
+        spilled again: no staging keeps it in memory, so its next use
+        reads it off disk; the copy's landing stays in the map."""
         engine = build_engine(
             tiny_config, "ondemand", num_gpus=2, cpu_cache_capacity=4
         )
@@ -296,11 +310,12 @@ class TestSpillMechanics:
         )
         cache.shards[cache.device_of(key)].evict_explicit(key)
         engine.pipeline._charge_demotions(0.25)
-        assert key in runtime.pending_dram
+        landed = runtime.clock.landing[key, "dram"]
         spilled = cache.spilled_experts(2, range(tiny_config.num_routed_experts))
         engine.pipeline._promote_spilled(2, spilled)   # more than 4 keys
         assert key not in cache.cpu_tier and cache.is_spilled(key)
-        assert key not in runtime.pending_dram
+        assert key not in cache.staging
+        assert runtime.clock.landing[key, "dram"] == landed
         cache.validate()
 
     def test_eviction_of_a_key_in_flight_charges_no_demotion(self, tiny_config):
@@ -314,10 +329,12 @@ class TestSpillMechanics:
             for key in sorted(cache.gpu_tier.resident_keys)
             if key not in cache.cpu_tier
         )
-        runtime.pending_dram[key] = 3.0
+        runtime.clock.landing[key, "dram"] = 3.0
+        cache.staging.add(key)
         cache.shards[0].evict_explicit(key)
         engine.pipeline._charge_demotions(0.25)
-        assert runtime.pending_dram == {key: 3.0}
+        assert runtime.clock.landing == {(key, "dram"): 3.0}
+        assert cache.staging == {key}
         assert not runtime.clock.pcie.intervals
         assert cache.demotions == []
 
@@ -338,7 +355,8 @@ class TestSpillMechanics:
             cache.cpu_tier.evict_explicit((1, expert))
             cache.shards[0].evict_explicit((1, expert))
         engine.pipeline._charge_demotions(0.0)
-        landing = dict(runtime.pending_dram)
+        landing = {key: ready for (key, _), ready in clock.landing.items()}
+        assert {tier for _, tier in clock.landing} == {"dram"}
         assert len(landing) == 4 and min(landing.values()) > 0.5
         assert landing.keys() <= cache.cpu_tier.resident_keys
         engine._run_step(prompt_tokens, "prefill")
@@ -351,10 +369,34 @@ class TestSpillMechanics:
                     used[key] = row.start
         assert used
         assert all(start >= landing[key] for key, start in used.items())
+        assert clock.audit_copies() == []
         assert not any(
             row.label in {f"disk L{layer} E{expert}" for layer, expert in landing}
             for row in clock.disk.intervals
         )
+
+    @pytest.mark.parametrize("capacity", [0, 4])
+    def test_refill_waits_for_the_layers_disk_read(self, capacity):
+        """A spilled, CPU-computed miss refilled in the same layer rides
+        PCIe only once its ``disk`` row has finished."""
+        engine = make_engine(
+            model="deepseek", num_layers=4, cache_ratio=0.25, cpu_cache_capacity=capacity
+        )
+        engine.generate(np.arange(16), decode_steps=16)
+        clock = engine.runtime.clock
+        checked = 0
+        for row in clock.pcie.intervals:
+            kind, where = row.label.split(" ", 1)
+            reads = [
+                read
+                for read in clock.disk.intervals
+                if read.label == f"disk {where}" and read.start <= row.start
+            ]
+            if kind == "refill" and reads:
+                assert row.start >= reads[-1].finish, row.label
+                checked += 1
+        assert checked
+        assert clock.audit_copies() == []
 
     def test_mrs_dram_tier_policy(self, tiny_config, prompt_tokens):
         engine = build_engine(
@@ -363,6 +405,33 @@ class TestSpillMechanics:
         engine.generate(prompt_tokens, decode_steps=3)
         assert engine.runtime.cache.cpu_tier.policy.name == "mrs"
         engine.runtime.cache.validate()
+
+
+@given(
+    strategy_name=st.sampled_from(["hybrimoe", "adapmoe", "ondemand"]),
+    num_gpus=st.integers(1, 2),
+    capacity=st.integers(0, 6),
+    policy=st.sampled_from(["lru", "lfu", "mrs"]),
+    seed=st.integers(0, 3),
+)
+@settings(max_examples=25, deadline=None)
+def test_no_expert_is_used_before_it_lands(strategy_name, num_gpus, capacity, policy, seed):
+    """The copy audit finds nothing on small tiered engines: every
+    transfer, prefetch, refill and CPU compute of an expert starts after
+    the disk read or demotion that brought it into DRAM."""
+    engine = make_engine(
+        model="deepseek",
+        strategy=strategy_name,
+        num_layers=4,
+        cache_ratio=0.25,
+        num_gpus=num_gpus,
+        cpu_cache_capacity=capacity,
+        cpu_cache_policy=policy,
+        seed=seed,
+    )
+    engine.generate(np.arange(8), decode_steps=8)
+    assert engine.runtime.clock.audit_copies() == []
+    engine.runtime.cache.validate()
 
 
 class TestConfigKnobs:

@@ -116,3 +116,44 @@ class TestValidateCachedFrontiers:
         clock.cpu.reserve(0.0, 20.0, "c2")
         with pytest.raises(SimulationError, match="compute_frontier"):
             clock.validate()
+
+
+class TestCopies:
+    def test_copy_waits_for_its_source_tier(self):
+        """A load waits for the key's DRAM landing and a demotion for its
+        GPU landing; each records its own landing under the same label
+        scheme the ledger uses."""
+        clock = ThreeResourceClock(num_gpus=2, disk=True)
+        key = (3, 7)
+        read = clock.copy("disk", key, 0.5, 2.0)
+        assert read == 2.5 and clock.landing == {(key, "dram"): 2.5}
+        loaded = clock.copy("prefetch", key, 1.0, 0.25, device=1)
+        assert loaded == 2.75 and clock.landing[key, "gpu"] == 2.75
+        demoted = clock.copy("demote", key, 0.0, 0.25, device=0)
+        assert demoted == 3.0 and clock.landing[key, "dram"] == 3.0
+        assert [row.label for row in clock.disk.intervals] == ["disk L3 E7"]
+        assert [row.label for row in clock.pcie_links[1].intervals] == ["prefetch L3 E7"]
+        assert [row.label for row in clock.pcie_links[0].intervals] == ["demote L3 E7"]
+        assert clock.audit_copies() == []
+
+    @pytest.mark.parametrize("kind", ["xfer", "prefetch", "refill", "cpu"])
+    def test_audit_flags_a_use_before_landing(self, kind):
+        clock = ThreeResourceClock(disk=True)
+        clock.disk.reserve(1.0, 2.0, "disk L0 E5")
+        lane = clock.cpu if kind == "cpu" else clock.pcie
+        lane.reserve(2.0, 0.5, f"{kind} L0 E5")   # lands at 3.0
+        lane.reserve(3.0, 0.5, f"{kind} L0 E5")
+        lane.reserve(3.5, 0.5, f"{kind} L0 E6")   # another key: no copy
+        assert clock.audit_copies() == [(f"{kind} L0 E5", 2.0, 3.0)]
+
+    def test_audit_takes_the_latest_copy_started_before_the_use(self):
+        """A use started before a later copy is judged by the earlier
+        one; a demotion in flight counts like a disk read."""
+        clock = ThreeResourceClock(disk=True)
+        clock.disk.reserve(0.0, 1.0, "disk L1 E2")
+        clock.pcie.reserve(1.0, 1.0, "xfer L1 E2")      # after the read: fine
+        clock.pcie.reserve(2.0, 1.0, "demote L1 E2")    # lands at 3.0
+        clock.cpu.reserve(2.5, 0.1, "cpu L1 E2")        # before the demotion lands
+        clock.cpu.reserve(3.0, 0.1, "cpu L1 E2")
+        clock.cpu.reserve(3.1, 0.1, "cpu L1 E-1")       # the shared block
+        assert clock.audit_copies() == [("cpu L1 E2", 2.5, 3.0)]

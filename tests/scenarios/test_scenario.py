@@ -211,6 +211,15 @@ class TestScenarioSpec:
         spec = _tiny()
         assert spec.run().summary() == spec.run(seed=0).summary()
 
+    def test_disk_slow_spill_uses_no_expert_before_it_lands(self):
+        """The spill-hostile builtin passes the clock's copy audit."""
+        spec = get_scenario("disk-slow-spill")
+        system = spec.build_system()
+        system.serve_trace(spec.build_trace())
+        clock = system.engine.runtime.clock
+        assert len(clock.disk) > 0
+        assert clock.audit_copies() == []
+
     def test_seed_changes_outcome(self):
         spec = _tiny()
         arrivals = lambda s: [e.arrival_time for e in spec.build_trace(s)]  # noqa: E731
