@@ -6,9 +6,9 @@ DRAM-resident. This benchmark serves one Poisson trace per strategy on
 a platform whose **CPU DRAM tier is capacity-limited** (a fraction of
 the experts fit in host memory; the rest spill to an NVMe-class disk),
 and reports goodput, tail TBT and per-tier cache hit rates plus the
-disk link's traffic, the GPU -> DRAM demotions on the PCIe links and
-the clock's copy audit (uses of an expert that start before its copy
-lands).
+disk link's traffic, the GPU -> DRAM demotions on the device-to-host
+PCIe lanes and the clock's copy audit (uses of an expert that start
+before its copy lands).
 
 Claim checked (the scale-out analogue of Fig. 8/9 under memory
 pressure): hybrid scheduling + MRS caching (hybrimoe) sustains at
@@ -61,7 +61,7 @@ def _tier_and_disk_columns(serving) -> dict:
         "disk_busy_s": disk.busy_time(),
         "demotions": sum(
             row.label.startswith("demote ")
-            for link in runtime.clock.pcie_links
+            for link in runtime.clock.d2h_links
             for row in link.intervals
         ),
         "copy_violations": len(runtime.clock.audit_copies()),

@@ -35,9 +35,10 @@ from DRAM rather than disk.
 
 The DRAM tier is **lazily exclusive**: when full it evicts its oldest
 *shadow* (a copy of a GPU-resident expert) first, and a GPU eviction DRAM
-lacks is queued on ``demotions`` for the engine to copy into DRAM. A
-prefetch's disk read in flight is in ``staging`` until it takes its DRAM
-slot at landing (:meth:`TieredCacheManager.promote_to_dram`).
+lacks is queued on ``demotions`` for the engine to copy into DRAM. Every
+copy into DRAM — a disk read or a demotion — takes its slot when it is
+reserved (:meth:`TieredCacheManager.promote_to_dram`); the engine clock's
+landing map gates its use.
 """
 
 from __future__ import annotations
@@ -83,8 +84,6 @@ class TieredCacheManager:
         self._shadows = dict.fromkeys(sorted(cpu_tier.resident_keys & gpu_tier.resident_keys))
         #: ``(key, device)`` GPU evictions for the engine to copy into DRAM.
         self.demotions: list[tuple[ExpertKey, int]] = []
-        #: Spilled keys whose prefetch disk read is in flight: no second read.
-        self.staging: set[ExpertKey] = set()
         cpu_tier.on_residency = partial(self._residency_changed, gpu_tier, None)
         for device, shard in enumerate(getattr(gpu_tier, "shards", [gpu_tier])):
             shard.on_residency = partial(self._residency_changed, cpu_tier, device)
@@ -109,14 +108,13 @@ class TieredCacheManager:
         )
 
     def promote_to_dram(self, key: ExpertKey) -> list[ExpertKey]:
-        """Make ``key`` DRAM-resident (once its disk read or demotion landed).
+        """Make ``key`` DRAM-resident as its disk read or demotion is reserved.
 
         Returns the DRAM keys evicted to make room: the oldest shadow
         while any is left (its GPU copy stays), else the DRAM policy's
         victim, so experts only DRAM holds go to disk last.
         """
         cpu = self.cpu_tier
-        self.staging.discard(key)
         evicted = []
         if self._shadows and key not in cpu and len(cpu) >= cpu.capacity:
             evicted.append(next(iter(self._shadows)))

@@ -235,7 +235,6 @@ class StepPipeline:
             active = active_ids.tolist()
             activated = tuple(zip(active, router.loads[active_ids].tolist()))
             if runtime.tiered:
-                self._commit_landed_promotions(attn_end)
                 spilled = cache.spilled_experts(
                     layer, (expert for expert, _ in activated)
                 )
@@ -333,33 +332,11 @@ class StepPipeline:
         return BatchStepResult(hidden=hidden, metrics=metrics)
 
     # ------------------------------------------------------------------
-    def _commit_landed_promotions(self, now: float) -> None:
-        """Give each prefetch staging that has landed its DRAM slot.
-
-        A prefetch-issued disk read is in flight until its reserved
-        finish time; an expert becomes DRAM-resident only for layers
-        whose MoE phase starts after that — otherwise a backlogged disk
-        link could make spilled weights usable before they exist in
-        host memory. (A demotion or a layer's own read holds its slot
-        from the start; ``clock.landing`` gates its use.) Commits run in
-        (landing, key) order so runs stay deterministic.
-        """
-        cache = self._cache()
-        landing = self.runtime.clock.landing
-        landed = sorted(
-            (landing[key, "dram"], key)
-            for key in cache.staging
-            if landing[key, "dram"] <= now
-        )
-        for _, key in landed:
-            cache.promote_to_dram(key)
-
     def _promote_spilled(self, layer: int, spilled: frozenset[int]) -> None:
         """DRAM-insert every spilled expert the layer just staged.
 
         The plan covers all activated experts, so each spilled one was
-        read off disk — by the layer, or by a staging in flight that it
-        waited on and consumes here — and the tier decides what it
+        read off disk by the layer, and the tier decides what it
         displaces. Ascending expert id keeps runs deterministic.
         """
         cache = self._cache()
@@ -367,18 +344,17 @@ class StepPipeline:
             cache.promote_to_dram((layer, expert))
 
     def _charge_demotions(self, now: float) -> None:
-        """Copy each GPU -> DRAM demotion over its link: it takes its DRAM
-        slot now and is usable once the ``demote`` row lands. A key whose
-        disk read is in flight is left to that read."""
+        """Copy each GPU -> DRAM demotion over its link's device-to-host
+        lane: it takes its DRAM slot now and is usable once the
+        ``demote`` row lands."""
         runtime = self.runtime
         cache = self._cache()
         if not runtime.tiered or not cache.demotions:
             return
         duration = runtime.cost_actual.transfer_time(self.model.config.routed_expert_shape)
         for key, gpu in cache.demotions:
-            if key not in cache.staging:
-                runtime.clock.copy("demote", key, now, duration, gpu)
-                cache.promote_to_dram(key)
+            runtime.clock.copy("demote", key, now, duration, gpu)
+            cache.promote_to_dram(key)
         cache.demotions.clear()
 
     @staticmethod
@@ -420,18 +396,13 @@ class StepPipeline:
         used_keys = {(layer, e) for e, _ in ctx.activated if e in cached}
         used_keys.update((layer, t.expert) for t in plan.transfers)
         shard.lock(used_keys)
-        # A spilled expert whose prefetch staging is in flight waits for
-        # that read instead of reading it again.
-        to_read = ctx.spilled_experts
-        if to_read and (staging := self._cache().staging):
-            to_read = frozenset(e for e in to_read if (layer, e) not in staging)
         execute_plan(
             plan,
             runtime.clock,
             runtime.actual_oracle(ctx.n_tokens),
             ctx.moe_start,
             device=ctx.device_id,
-            spilled=to_read,
+            spilled=ctx.spilled_experts,
         )
         self._promote_spilled(layer, ctx.spilled_experts)
         self.strategy.after_layer(ctx, plan)
@@ -576,14 +547,13 @@ class StepPipeline:
             # A spilled expert is staged disk -> DRAM first; a GPU-bound
             # prefetch then rides PCIe *after* the disk read lands, and
             # a "dram" request stops there (staging without spending
-            # PCIe bandwidth or a GPU slot). DRAM residency flips when
-            # a later layer starts past the read's finish time
-            # (_commit_landed_promotions); a key already staging is
-            # never re-read.
-            if runtime.tiered and key not in cache.staging and cache.is_spilled(key):
+            # PCIe bandwidth or a GPU slot). Like every copy into DRAM,
+            # the staging takes its slot now and ``clock.landing`` gates
+            # its use, so a key already staging is never re-read.
+            if runtime.tiered and cache.is_spilled(key):
                 disk_duration = runtime.cost_actual.disk_transfer_time(cfg.routed_expert_shape)
                 runtime.clock.copy("disk", key, ctx.moe_start, disk_duration)
-                cache.staging.add(key)
+                cache.promote_to_dram(key)
             if target == "dram":
                 continue
             device = cache.device_of(key)

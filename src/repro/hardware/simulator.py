@@ -13,12 +13,14 @@ platform and provides the barrier semantics the engine needs:
 Historically the clock modelled the paper's single-GPU testbed (one
 GPU, one CPU, one PCIe link — hence the class name, kept for
 compatibility). It now generalises to ``num_gpus`` devices, each with
-its **own compute timeline and its own host-to-device PCIe link** (the
-common topology of multi-GPU inference servers, where every card hangs
-off its own root-port lanes). The CPU remains a single shared resource.
-With ``num_gpus=1`` the clock is bit-identical to the historical
-three-resource behaviour: ``clock.gpu`` and ``clock.pcie`` alias device
-0's timelines and carry the original resource names.
+its **own compute timeline and its own PCIe link** (the common topology
+of multi-GPU inference servers, where every card hangs off its own
+root-port lanes). A link is full duplex: ``pcie_links[g]`` carries the
+host-to-device copies and ``d2h_links[g]`` the device-to-host ones, so
+a GPU -> DRAM demotion never delays a load. The CPU remains a single
+shared resource. With ``num_gpus=1`` the clock is bit-identical to the
+historical three-resource behaviour: ``clock.gpu`` and ``clock.pcie``
+alias device 0's timelines and carry the original resource names.
 
 With ``disk=True`` the clock additionally owns a single **disk -> host
 link** shared by the whole platform (one NVMe/SSD feeding DRAM). It
@@ -29,7 +31,8 @@ barrier — reads overlap the next layer's attention. Without the flag
 (the default) no disk timeline exists and the clock is unchanged.
 
 Every expert copy — ``disk`` (disk -> DRAM), ``xfer`` / ``prefetch`` /
-``refill`` (DRAM -> GPU) and ``demote`` (GPU -> DRAM) — is reserved by
+``refill`` (DRAM -> GPU, host-to-device lane) and ``demote`` (GPU ->
+DRAM, device-to-host lane) — is reserved by
 :meth:`ThreeResourceClock.copy`, which starts the row no earlier than
 the key's landing in its source tier and records the new landing in
 the one map ``landing``. :meth:`ThreeResourceClock.audit_copies` checks
@@ -64,9 +67,10 @@ class ThreeResourceClock:
     Parameters
     ----------
     num_gpus:
-        Number of simulated GPU devices. Each device ``g`` owns two
-        timelines: ``gpus[g]`` (compute) and ``pcie_links[g]`` (its
-        host-to-device link). The CPU timeline is shared by all.
+        Number of simulated GPU devices. Each device ``g`` owns three
+        timelines: ``gpus[g]`` (compute), ``pcie_links[g]`` (its
+        host-to-device link) and ``d2h_links[g]`` (the device-to-host
+        direction of the same link). The CPU timeline is shared by all.
     disk:
         Model a platform-shared disk -> host link (the third tier of
         the memory hierarchy). ``clock.disk`` is ``None`` when False.
@@ -88,11 +92,13 @@ class ThreeResourceClock:
             # error messages are unchanged on the paper's testbed.
             self.gpus = [ResourceTimeline("gpu")]
             self.pcie_links = [ResourceTimeline("pcie")]
+            self.d2h_links = [ResourceTimeline("d2h")]
         else:
             self.gpus = [ResourceTimeline(f"gpu{g}") for g in range(num_gpus)]
             self.pcie_links = [
                 ResourceTimeline(f"pcie{g}") for g in range(num_gpus)
             ]
+            self.d2h_links = [ResourceTimeline(f"d2h{g}") for g in range(num_gpus)]
         self.cpu = ResourceTimeline("cpu")
         self.disk: ResourceTimeline | None = (
             ResourceTimeline("disk") if disk else None
@@ -172,17 +178,18 @@ class ThreeResourceClock:
     ) -> float:
         """Reserve one ``kind L{layer} E{expert}`` copy row; return its landing.
 
-        A ``disk`` read rides the shared disk link; every other kind rides
-        GPU ``device``'s PCIe link and starts no earlier than ``key``'s
-        landing in its source tier (DRAM for a load, the GPU for a
-        ``demote``). The landing replaces the key's entry for the target
-        tier in ``landing``.
+        A ``disk`` read rides the shared disk link, a ``demote`` GPU
+        ``device``'s device-to-host lane and a load its host-to-device
+        link. A copy from a memory tier starts no earlier than ``key``'s
+        landing there (DRAM for a load, the GPU for a ``demote``). The
+        landing replaces the key's entry for the target tier in
+        ``landing``.
         """
         source, target = _COPY_TIERS[kind]
         if source is None:
             lane = self.disk
         else:
-            lane = self.pcie_links[device]
+            lane = (self.d2h_links if source == "gpu" else self.pcie_links)[device]
             earliest = max(earliest, self.landing.get((key, source), earliest))
         ready = lane.reserve(earliest, duration, f"{kind} L{key[0]} E{key[1]}")[1]
         self.landing[key, target] = ready
@@ -242,6 +249,13 @@ class ThreeResourceClock:
                 summary[f"pcie{g}"] = pu
         return summary
 
+    def timelines(self) -> list[ResourceTimeline]:
+        """Every timeline: compute, CPU, both PCIe directions, the disk."""
+        timelines = [*self.gpus, self.cpu, *self.pcie_links, *self.d2h_links]
+        if self.disk is not None:
+            timelines.append(self.disk)
+        return timelines
+
     def validate(self) -> None:
         """Validate every timeline and the cached frontiers.
 
@@ -249,10 +263,7 @@ class ThreeResourceClock:
         equal a rescan of the timelines' ``available_at``.
         """
         compute = [*self.gpus, self.cpu]
-        timelines = [*compute, *self.pcie_links]
-        if self.disk is not None:
-            timelines.append(self.disk)
-        for timeline in timelines:
+        for timeline in self.timelines():
             timeline.validate()
         expected = {
             "compute_frontier": max(t.available_at for t in compute),
@@ -278,10 +289,7 @@ class ThreeResourceClock:
         """
         copies: dict[str, list[tuple[float, float]]] = {}
         uses: list[tuple[str, str, float]] = []
-        timelines = [*self.gpus, self.cpu, *self.pcie_links]
-        if self.disk is not None:
-            timelines.append(self.disk)
-        for timeline in timelines:
+        for timeline in self.timelines():
             for row in timeline.intervals:
                 kind, _, where = row.label.partition(" ")
                 if kind in ("disk", "demote"):

@@ -95,7 +95,7 @@ GOLDEN_1GPU = {
     "llamacpp": "7114db76919cbb05",
     "ondemand": "fc26bd7833819517",
 }
-GOLDEN_1GPU_TIERED_HYBRIMOE = "1dfd44626ba50237"  # cpu_cache_capacity=4
+GOLDEN_1GPU_TIERED_HYBRIMOE = "21329564eb3b0f96"  # cpu_cache_capacity=4
 #: ``digest(serving_fingerprint(...))`` of ``test_serving_matches_golden``'s
 #: three-request trace on the unsharded 1-GPU engine at commit da91b70,
 #: the last one that had it (``sharded_cache=True`` gave the same there).
@@ -117,17 +117,19 @@ PLATFORMS = {
 #: — the reference engine core, deleted by the next commit. (The fast
 #: core gave the same 60 digests there.) The three-tier rows of the
 #: strategies that evict from the GPU cache or prefetch (hybrimoe,
-#: adapmoe, ondemand) were re-recorded once, when the DRAM tier became
-#: lazily exclusive (shadows evicted first, GPU evictions demoted over
-#: PCIe, usable once the copy lands) and a
-#: layer started waiting on an in-flight staging instead of re-reading
-#: it; ``GOLDEN_1GPU_TIERED_HYBRIMOE`` moved with them.
+#: adapmoe, ondemand) were re-recorded twice, with
+#: ``GOLDEN_1GPU_TIERED_HYBRIMOE`` moving with them: once when the DRAM
+#: tier became lazily exclusive (shadows evicted first, GPU evictions
+#: demoted over PCIe, usable once the copy lands) and a layer started
+#: waiting on an in-flight staging instead of re-reading it; once when
+#: a prefetch staging began taking its DRAM slot as it is reserved and
+#: demotions moved to each link's device-to-host lane.
 GOLDEN_CORE = {
     "hybrimoe": {
         "1gpu-two-tier": ("396d3a203bf9d148", "696bb04e4ab82640", "8ffcd1d17cf6274b"),
         "2gpu-two-tier": ("a71b7a7525c5a208", "d18453bf24a428a4", "377797a68a8c58f5"),
-        "1gpu-three-tier": ("1dfd44626ba50237", "1b81752f4cce9ba6", "9fe5462f8c99aa72"),
-        "2gpu-three-tier": ("b104c3eeb8107238", "e18c01380a1886da", "42e3248788cd538f"),
+        "1gpu-three-tier": ("21329564eb3b0f96", "5cd3c8a7c0436657", "1aef05e821526489"),
+        "2gpu-three-tier": ("0717cd4e148060de", "7dbf125b9d2a25b5", "182d065adb845169"),
     },
     "ktransformers": {
         "1gpu-two-tier": ("4ebb02ab915ded97", "137fbb764b1f6f0e", "6a28a3ebd4155958"),
@@ -138,8 +140,8 @@ GOLDEN_CORE = {
     "adapmoe": {
         "1gpu-two-tier": ("c7678859b8eef1e4", "4d7d1d3d9f8fdf87", "4b1c1ae0c06b017f"),
         "2gpu-two-tier": ("dedfb082cab06841", "5e9fe8303e7ea8ba", "5c89757a9c0f0526"),
-        "1gpu-three-tier": ("4fcd5374f2fe85c8", "c06b014b7402bbae", "c871ecf32e5fe0f7"),
-        "2gpu-three-tier": ("fb4b70fd2cf8b5cb", "25eca314a54a05eb", "4ccf355cef255222"),
+        "1gpu-three-tier": ("8081255511ac64b7", "8f061152a3a61a0b", "b32db2110a3e6933"),
+        "2gpu-three-tier": ("4ef08a3cf4cdb9c1", "52f7327a60cf58fb", "30b5a14bba4d13a5"),
     },
     "llamacpp": {
         "1gpu-two-tier": ("7114db76919cbb05", "8ff568246a7c0877", "ef0a6a4016f120fb"),
@@ -150,8 +152,8 @@ GOLDEN_CORE = {
     "ondemand": {
         "1gpu-two-tier": ("fc26bd7833819517", "a12d91a0729c7c7b", "782b8b7656e2b9e1"),
         "2gpu-two-tier": ("b111e9cb2c7af7ea", "3d9d45aab720b439", "2f0d661714786ce2"),
-        "1gpu-three-tier": ("4cdd8fbaf5d4a9c9", "bbd622eb27bbc74b", "0f9ffad81b7bdb5d"),
-        "2gpu-three-tier": ("18c2df47391823e5", "e5d4819fc1b81b3e", "f6e74ae416db88ad"),
+        "1gpu-three-tier": ("fb868fab06437379", "bbd622eb27bbc74b", "43d17cd5cb235c22"),
+        "2gpu-three-tier": ("74310f72a2ea01a3", "e5d4819fc1b81b3e", "4c30168879d61c7f"),
     },
 }
 
@@ -221,13 +223,17 @@ def cache_fingerprint(cache):
 
 
 def clock_fingerprint(clock):
-    """Every timeline's committed intervals plus the derived frontiers."""
+    """Every timeline's committed intervals plus the derived frontiers.
+
+    A device-to-host lane enters only once it carries a demotion, so
+    the digests of runs that demote nothing predate the lanes unchanged.
+    """
     timelines = [clock.cpu] + [
         tl for pair in zip(clock.gpus, clock.pcie_links) for tl in pair
     ]
     if clock.disk is not None:
         timelines.append(clock.disk)
-    return (
+    fingerprint = (
         tuple(
             tuple((i.start, i.finish, i.label) for i in tl.intervals)
             for tl in timelines
@@ -237,6 +243,12 @@ def clock_fingerprint(clock):
         max(tl.available_at for tl in timelines),
         clock.min_pcie_available_at,
     )
+    demotions = tuple(
+        (tl.name, tuple((i.start, i.finish, i.label) for i in tl.intervals))
+        for tl in clock.d2h_links
+        if tl.intervals
+    )
+    return fingerprint + (demotions,) if demotions else fingerprint
 
 
 def build_platform_engine(tiny_config, strategy_name, platform):

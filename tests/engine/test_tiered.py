@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro.engine.engine import EngineConfig, InferenceEngine
 from repro.engine.factory import make_engine, make_serving_engine, make_strategy
+from repro.engine.strategy_base import LayerContext
 from repro.errors import ConfigError
 from repro.hardware.platform_presets import paper_testbed
 from repro.models.model import ReferenceMoEModel
@@ -67,6 +68,45 @@ def result_fingerprint(result, drop_disk=False):
         result.total_hits,
         result.total_misses,
     )
+
+def stage(engine, requests, moe_start):
+    """Run the pipeline's prefetch pass of a decode layer 0 whose MoE
+    phase starts at ``moe_start``, with ``requests`` as the strategy's
+    answer: ``(layer, expert)`` loads to the GPU, ``(layer, expert,
+    "dram")`` stagings into DRAM only."""
+    engine.strategy.prefetch_requests = lambda *args, **kwargs: list(requests)
+    ctx = LayerContext(
+        layer=0, stage="decode", n_tokens=1, router=None, activated=(),
+        cached_experts=frozenset(), moe_start=moe_start, pcie_backlog=0.0,
+    )
+    engine.pipeline._issue_prefetches(ctx, np.zeros((1, engine.model.d_model), np.float32))
+
+
+def record_spilled(engine, layer):
+    """The spilled sets the strategy is handed at ``layer``, as they come."""
+    seen = []
+    plan_layer = engine.strategy.plan_layer
+
+    def recording(ctx):
+        if ctx.layer == layer:
+            seen.append(set(ctx.spilled_experts))
+        return plan_layer(ctx)
+
+    engine.strategy.plan_layer = recording
+    return seen
+
+
+def uses(clock, keys):
+    """``(key, start)`` of every ``xfer`` or ``cpu`` row of ``keys``."""
+    found = []
+    for row in clock.pcie.intervals + clock.cpu.intervals:
+        kind, *where = row.label.split()
+        if kind in ("xfer", "cpu") and len(where) == 2:
+            key = (int(where[0][1:]), int(where[1][1:]))
+            if key in keys:
+                found.append((key, row.start))
+    return found
+
 
 
 class TestUnboundedTierEquivalence:
@@ -199,70 +239,105 @@ class TestSpillMechanics:
         serving.engine.runtime.clock.validate()
         assert serving.engine.runtime.clock.audit_copies() == []
 
-    def test_inflight_dram_staging_gates_residency(self, tiny_config):
-        """A prefetch-issued disk read flips DRAM residency only once a
-        layer starts past its finish time — never while in flight."""
+    def test_staging_takes_its_dram_slot_when_reserved(self, tiny_config):
+        """A prefetch's disk read makes its expert DRAM-resident at once,
+        like every copy into DRAM; a load of it waits for the landing
+        and reads nothing again."""
         engine = build_engine(tiny_config, "hybrimoe", cpu_cache_capacity=4)
-        runtime = engine.runtime
-        cache = runtime.cache
-        pipeline = engine.pipeline
-        spilled_keys = sorted(
-            (layer, expert)
-            for layer in range(tiny_config.num_layers)
-            for expert in cache.spilled_experts(
-                layer, range(tiny_config.num_routed_experts)
-            )
-        )
-        early, late = spilled_keys[0], spilled_keys[1]
-        assert cache.is_spilled(early) and cache.is_spilled(late)
-        landing = {(early, "dram"): 1.0, (late, "dram"): 5.0}
-        runtime.clock.landing.update(landing)
-        cache.staging.update((early, late))
-
-        pipeline._commit_landed_promotions(0.5)   # neither read landed
-        assert early not in cache.cpu_tier and late not in cache.cpu_tier
-        pipeline._commit_landed_promotions(2.0)   # only the early one
-        assert early in cache.cpu_tier
-        assert late not in cache.cpu_tier
-        assert cache.staging == {late}
-        pipeline._commit_landed_promotions(5.0)   # boundary: ready <= now
-        assert late in cache.cpu_tier
-        assert cache.staging == set()
-        # Promotion moves residency only: the landings stay in the map.
-        assert runtime.clock.landing == landing
+        cache, clock = engine.runtime.cache, engine.runtime.clock
+        key = (1, min(cache.spilled_experts(1, range(tiny_config.num_routed_experts))))
+        stage(engine, [(*key, "dram")], 0.25)
+        (read,) = clock.disk.intervals
+        assert read.label == f"disk L1 E{key[1]}" and read.start == 0.25
+        assert key in cache.cpu_tier and not cache.is_spilled(key)
+        assert clock.landing == {(key, "dram"): read.finish}
+        stage(engine, [key], 0.25)
+        (load,) = clock.pcie.intervals
+        assert load.label == f"prefetch L1 E{key[1]}" and load.start == read.finish
+        assert len(clock.disk) == 1 and key in cache
+        assert clock.audit_copies() == []
+        cache.validate()
 
     def test_layer_waits_on_inflight_staging(self, tiny_config, prompt_tokens):
-        """A layer that uses an expert a prefetch is still staging waits
-        for that read, adds no disk row of its own, and consumes it."""
+        """A layer that uses an expert a prefetch is still staging plans
+        it as DRAM-resident, waits for that read and adds no disk row
+        of its own."""
         engine = build_engine(tiny_config, "hybrimoe", cpu_cache_capacity=4)
-        runtime = engine.runtime
-        ready = 0.5  # long after the prefill's first MoE phase starts
-        staged = {
-            (0, expert): ready
-            for expert in runtime.cache.spilled_experts(
-                0, range(tiny_config.num_routed_experts)
-            )
-        }
-        runtime.clock.landing.update({(key, "dram"): ready for key in staged})
-        runtime.cache.staging.update(staged)
+        cache, clock = engine.runtime.cache, engine.runtime.clock
+        # A disk backlog lands the stagings long after the prefill's
+        # first MoE phase starts.
+        clock.disk.reserve(0.0, 0.5, "backlog")
+        experts = sorted(cache.spilled_experts(0, range(tiny_config.num_routed_experts)))[:2]
+        stage(engine, [(0, expert, "dram") for expert in experts], 0.0)
+        staged = {(0, expert): clock.landing[(0, expert), "dram"] for expert in experts}
+        assert min(staged.values()) > 0.5
+        planned_spilled = record_spilled(engine, layer=0)
         engine._run_step(prompt_tokens, "prefill")
-        clock = runtime.clock
-        assert not any(row.label.startswith("disk L0 ") for row in clock.disk.intervals)
-        used = {}
-        for row in clock.pcie.intervals + clock.cpu.intervals:
-            kind, layer, expert = row.label.split()
-            key = (int(layer[1:]), int(expert[1:]))
-            if kind in ("xfer", "cpu") and key in staged:
-                used[key] = row.start
+        assert planned_spilled and not planned_spilled[0] & set(experts)
+        for layer, expert in staged:
+            reads = [row for row in clock.disk.intervals if row.label == f"disk L{layer} E{expert}"]
+            assert len(reads) == 1
+        used = uses(clock, staged)
         assert used
-        assert min(used.values()) >= ready
-        assert not used.keys() & runtime.cache.staging
-        assert all(clock.landing[key, "dram"] == ready for key in staged)
+        assert all(start >= staged[key] for key, start in used)
+        assert clock.audit_copies() == []
+
+    def test_dram_eviction_of_a_staging_in_flight_reads_it_again(
+        self, tiny_config, prompt_tokens
+    ):
+        """A staging that DRAM evicts before it lands is spilled again, so
+        the layer that uses it reads it off disk once more and waits for
+        that read."""
+        engine = build_engine(tiny_config, "hybrimoe", cpu_cache_capacity=4)
+        cache, clock = engine.runtime.cache, engine.runtime.clock
+        clock.disk.reserve(0.0, 0.5, "backlog")
+        key = (0, min(cache.spilled_experts(0, range(tiny_config.num_routed_experts))))
+        stage(engine, [(*key, "dram")], 0.0)
+        experts = range(tiny_config.num_routed_experts)
+        others = [
+            (layer, expert)
+            for layer in (1, 2)
+            for expert in sorted(cache.spilled_experts(layer, experts))
+        ]
+        for other in others:
+            if cache.is_spilled(key):
+                break
+            stage(engine, [(*other, "dram")], 0.0)
+        assert cache.is_spilled(key)
+        engine._run_step(prompt_tokens, "prefill")
+        reads = [row for row in clock.disk.intervals if row.label == f"disk L0 E{key[1]}"]
+        assert len(reads) == 2
+        used = uses(clock, {key})
+        assert used
+        assert all(start >= reads[1].finish for _, start in used)
+        assert clock.audit_copies() == []
+
+    @pytest.mark.parametrize("strategy_name", ["hybrimoe", "adapmoe", "ondemand"])
+    @pytest.mark.parametrize("num_gpus", [1, 2])
+    def test_every_demotion_rides_a_device_to_host_lane(
+        self, tiny_config, prompt_tokens, strategy_name, num_gpus
+    ):
+        engine = build_engine(
+            tiny_config, strategy_name, num_gpus=num_gpus, cpu_cache_capacity=4
+        )
+        engine.generate(prompt_tokens, decode_steps=4)
+        clock = engine.runtime.clock
+
+        def demotions(lanes):
+            return sum(row.label.startswith("demote ") for lane in lanes for row in lane.intervals)
+
+        assert demotions(clock.d2h_links) > 0
+        assert demotions(clock.pcie_links) == 0
+        assert all(
+            row.label.startswith("demote ") for lane in clock.d2h_links for row in lane.intervals
+        )
+        clock.validate()
+        assert clock.audit_copies() == []
 
     def test_gpu_eviction_is_demoted_over_its_link(self, tiny_config):
         """An expert a GPU shard evicts and DRAM lacks takes a DRAM slot
-        at once, copied by one ``demote`` row on its own link; its wait
-        ends when that row finishes."""
+        at once, copied by one ``demote`` row on its own link's
+        device-to-host lane; its wait ends when that row finishes."""
         engine = build_engine(
             tiny_config, "ondemand", num_gpus=2, cpu_cache_capacity=4
         )
@@ -276,28 +351,23 @@ class TestSpillMechanics:
         device = cache.device_of(key)
         cache.shards[device].evict_explicit(key)
         engine.pipeline._charge_demotions(0.25)
-        rows = [
-            [row for row in link.intervals if row.label.startswith("demote")]
-            for link in runtime.clock.pcie_links
-        ]
-        (row,) = rows[device]
-        assert rows[1 - device] == []
+        clock = runtime.clock
+        assert all(link.intervals == [] for link in clock.pcie_links)
+        (row,) = clock.d2h_links[device].intervals
+        assert clock.d2h_links[1 - device].intervals == []
         assert row.label == f"demote L{key[0]} E{key[1]}"
         assert (row.start, row.finish) == (
             0.25,
             0.25 + runtime.cost_actual.transfer_time(tiny_config.routed_expert_shape),
         )
-        assert runtime.clock.landing == {(key, "dram"): row.finish}
+        assert clock.landing == {(key, "dram"): row.finish}
         assert key in cache.cpu_tier and cache.demotions == []
-        engine.pipeline._commit_landed_promotions(row.finish)
-        assert key in cache.cpu_tier and cache.staging == set()
-        assert runtime.clock.landing == {(key, "dram"): row.finish}
         cache.validate()
 
     def test_dram_eviction_drops_a_demotion_in_flight(self, tiny_config):
         """A demoted expert that DRAM evicts before its copy lands is
-        spilled again: no staging keeps it in memory, so its next use
-        reads it off disk; the copy's landing stays in the map."""
+        spilled again, so its next use reads it off disk; the copy's
+        landing stays in the map."""
         engine = build_engine(
             tiny_config, "ondemand", num_gpus=2, cpu_cache_capacity=4
         )
@@ -314,41 +384,41 @@ class TestSpillMechanics:
         spilled = cache.spilled_experts(2, range(tiny_config.num_routed_experts))
         engine.pipeline._promote_spilled(2, spilled)   # more than 4 keys
         assert key not in cache.cpu_tier and cache.is_spilled(key)
-        assert key not in cache.staging
         assert runtime.clock.landing[key, "dram"] == landed
         cache.validate()
 
-    def test_eviction_of_a_key_in_flight_charges_no_demotion(self, tiny_config):
-        """A GPU eviction of a key whose disk read is still in flight
-        leaves it to that read: no ``demote`` row, same landing time."""
+    def test_eviction_of_a_staged_prefetch_charges_no_demotion(self, tiny_config):
+        """A prefetch staged off disk holds a DRAM slot while its GPU copy
+        is resident: a GPU eviction of it while the read is in flight
+        drops a shadow, charges no ``demote`` row and keeps the landing."""
         engine = build_engine(tiny_config, "hybrimoe", cpu_cache_capacity=4)
-        runtime = engine.runtime
-        cache = runtime.cache
-        key = next(
-            key
-            for key in sorted(cache.gpu_tier.resident_keys)
-            if key not in cache.cpu_tier
-        )
-        runtime.clock.landing[key, "dram"] = 3.0
-        cache.staging.add(key)
+        cache, clock = engine.runtime.cache, engine.runtime.clock
+        clock.disk.reserve(0.0, 3.0, "backlog")
+        key = (1, min(cache.spilled_experts(1, range(tiny_config.num_routed_experts))))
+        stage(engine, [key], 0.0)
+        assert key in cache and key in cache.cpu_tier
+        landing = dict(clock.landing)
+        assert landing[key, "dram"] > 3.0
         cache.shards[0].evict_explicit(key)
         engine.pipeline._charge_demotions(0.25)
-        assert runtime.clock.landing == {(key, "dram"): 3.0}
-        assert cache.staging == {key}
-        assert not runtime.clock.pcie.intervals
+        assert key in cache.cpu_tier and key not in cache
+        assert clock.landing == landing
+        assert clock.d2h_links[0].intervals == []
         assert cache.demotions == []
+        cache.validate()
 
     def test_demoted_expert_is_used_only_after_its_copy(
         self, tiny_config, prompt_tokens
     ):
-        """Experts evicted behind a PCIe backlog are DRAM-resident, but
-        the next layers use them (CPU compute or transfer) no earlier
-        than their ``demote`` rows finish, and never read them off disk."""
+        """Experts evicted behind a device-to-host backlog are
+        DRAM-resident, but the next layers use them (CPU compute or
+        transfer) no earlier than their ``demote`` rows finish, and never
+        read them off disk."""
         engine = build_engine(tiny_config, "hybrimoe", cpu_cache_capacity=12)
         runtime = engine.runtime
         cache = runtime.cache
         clock = runtime.clock
-        clock.pcie.reserve(0.0, 0.5, "backlog")
+        clock.d2h_links[0].reserve(0.0, 0.5, "backlog")
         # Layer 1's GPU residents lose their DRAM copies, then the GPU
         # evicts them: each is demoted behind the backlog.
         for expert in sorted(cache.gpu_tier.cached_experts_of_layer(1)):
@@ -360,15 +430,9 @@ class TestSpillMechanics:
         assert len(landing) == 4 and min(landing.values()) > 0.5
         assert landing.keys() <= cache.cpu_tier.resident_keys
         engine._run_step(prompt_tokens, "prefill")
-        used = {}
-        for row in clock.pcie.intervals + clock.cpu.intervals:
-            kind, *where = row.label.split()
-            if kind in ("xfer", "cpu") and len(where) == 2:
-                key = (int(where[0][1:]), int(where[1][1:]))
-                if key in landing:
-                    used[key] = row.start
+        used = uses(clock, landing)
         assert used
-        assert all(start >= landing[key] for key, start in used.items())
+        assert all(start >= landing[key] for key, start in used)
         assert clock.audit_copies() == []
         assert not any(
             row.label in {f"disk L{layer} E{expert}" for layer, expert in landing}

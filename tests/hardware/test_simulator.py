@@ -47,7 +47,9 @@ class TestMultiGpuClock:
 
     def test_per_device_timelines(self):
         clock = ThreeResourceClock(num_gpus=3)
-        assert len(clock.gpus) == len(clock.pcie_links) == 3
+        assert len(clock.gpus) == len(clock.pcie_links) == len(clock.d2h_links) == 3
+        assert [lane.name for lane in clock.d2h_links] == ["d2h0", "d2h1", "d2h2"]
+        assert [lane.name for lane in ThreeResourceClock().d2h_links] == ["d2h"]
         assert clock.gpu is clock.gpus[0]
         assert clock.pcie is clock.pcie_links[0]
         assert clock.gpu_timeline(2) is clock.gpus[2]
@@ -78,6 +80,23 @@ class TestMultiGpuClock:
         for g, timeline in enumerate(clock.gpus):
             timeline.reserve(0.0, 0.5 + g, f"g{g}")
         clock.validate()
+
+    def test_validate_covers_the_device_to_host_lanes(self):
+        clock = ThreeResourceClock(num_gpus=2, disk=True)
+        clock.d2h_links[1].reserve(0.0, 1.0, "demote L0 E1")
+        clock.validate()
+        clock.d2h_links[1]._labels.append("stray")
+        with pytest.raises(SimulationError, match="d2h1"):
+            clock.validate()
+
+    def test_device_to_host_lanes_leave_the_pcie_frontier_and_summary_alone(self):
+        """A demotion fills only its lane: the host-to-device minimum
+        and the utilisation keys and values do not see it."""
+        clock = ThreeResourceClock(num_gpus=2, disk=True)
+        before = clock.utilization_summary(0.0, 2.0)
+        clock.d2h_links[0].reserve(0.0, 2.0, "demote L0 E1")
+        assert clock.min_pcie_available_at == 0.0
+        assert clock.utilization_summary(0.0, 2.0) == before
 
 
 class TestValidateCachedFrontiers:
@@ -122,19 +141,31 @@ class TestCopies:
     def test_copy_waits_for_its_source_tier(self):
         """A load waits for the key's DRAM landing and a demotion for its
         GPU landing; each records its own landing under the same label
-        scheme the ledger uses."""
+        scheme the ledger uses. A load rides its device's host-to-device
+        link and a demotion that device's device-to-host lane."""
         clock = ThreeResourceClock(num_gpus=2, disk=True)
         key = (3, 7)
         read = clock.copy("disk", key, 0.5, 2.0)
         assert read == 2.5 and clock.landing == {(key, "dram"): 2.5}
         loaded = clock.copy("prefetch", key, 1.0, 0.25, device=1)
         assert loaded == 2.75 and clock.landing[key, "gpu"] == 2.75
-        demoted = clock.copy("demote", key, 0.0, 0.25, device=0)
+        demoted = clock.copy("demote", key, 0.0, 0.25, device=1)
         assert demoted == 3.0 and clock.landing[key, "dram"] == 3.0
         assert [row.label for row in clock.disk.intervals] == ["disk L3 E7"]
         assert [row.label for row in clock.pcie_links[1].intervals] == ["prefetch L3 E7"]
-        assert [row.label for row in clock.pcie_links[0].intervals] == ["demote L3 E7"]
+        assert [row.label for row in clock.d2h_links[1].intervals] == ["demote L3 E7"]
+        assert clock.pcie_links[0].intervals == clock.d2h_links[0].intervals == []
         assert clock.audit_copies() == []
+
+    def test_a_demotion_does_not_delay_a_load_on_its_link(self):
+        """The link is full duplex: a load queued on the host-to-device
+        lane starts when that lane frees, whatever rides the other one."""
+        clock = ThreeResourceClock(disk=True)
+        clock.landing[(1, 1), "gpu"] = 0.0
+        assert clock.copy("demote", (1, 1), 0.0, 4.0) == 4.0
+        assert clock.copy("xfer", (2, 2), 0.0, 0.5) == 0.5
+        assert clock.pcie.available_at == 0.5
+        assert clock.d2h_links[0].available_at == 4.0
 
     @pytest.mark.parametrize("kind", ["xfer", "prefetch", "refill", "cpu"])
     def test_audit_flags_a_use_before_landing(self, kind):
@@ -152,7 +183,7 @@ class TestCopies:
         clock = ThreeResourceClock(disk=True)
         clock.disk.reserve(0.0, 1.0, "disk L1 E2")
         clock.pcie.reserve(1.0, 1.0, "xfer L1 E2")      # after the read: fine
-        clock.pcie.reserve(2.0, 1.0, "demote L1 E2")    # lands at 3.0
+        clock.d2h_links[0].reserve(2.0, 1.0, "demote L1 E2")    # lands at 3.0
         clock.cpu.reserve(2.5, 0.1, "cpu L1 E2")        # before the demotion lands
         clock.cpu.reserve(3.0, 0.1, "cpu L1 E2")
         clock.cpu.reserve(3.1, 0.1, "cpu L1 E-1")       # the shared block

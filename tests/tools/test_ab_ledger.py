@@ -1,5 +1,7 @@
-"""The pair summariser of ``tools/ab_ledger.py``, on canned contract lines."""
+"""The pair summariser and driver of ``tools/ab_ledger.py``, on canned
+contract lines."""
 
+import argparse
 import json
 import sys
 from pathlib import Path
@@ -8,7 +10,14 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tools"))
 
-from ab_ledger import contract_metrics, format_table, spread, summarise  # noqa: E402
+import ab_ledger  # noqa: E402
+from ab_ledger import (  # noqa: E402
+    contract_metrics,
+    format_table,
+    spread,
+    summarise,
+    workload_list,
+)
 
 BETTER = {"host_peak_rss_mb": "lower", "host_tokens_per_s": "higher", "sim_latency_ms": "lower"}
 
@@ -92,3 +101,40 @@ def test_table_has_one_row_per_metric():
     lines = format_table(summarise(pairs_of(parent, change), BETTER)).splitlines()
     assert len(lines) == 1 + len(BETTER) + 1
     assert lines[1].startswith("host_peak_rss_mb") and lines[1].endswith("2/2   better")
+
+
+def test_workload_list_splits_on_commas():
+    assert workload_list("prefill_long") == ["prefill_long"]
+    assert workload_list("decode_hot, serve_poisson") == ["decode_hot", "serve_poisson"]
+    with pytest.raises(argparse.ArgumentTypeError, match="empty workload"):
+        workload_list("decode_hot,,serve_poisson")
+
+
+def test_main_prints_one_table_and_sim_verdict_per_workload(monkeypatch, tmp_path, capsys):
+    """Each workload gets its own pairs, table and ``sim_*`` line, and
+    the exit status is 1 when any one workload's ``sim_*`` moved."""
+    spec = json.loads((ab_ledger.REPO_ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    runs = []
+
+    def fake_run_side(tree, workload, seed, seconds):
+        runs.append((tree == ab_ledger.REPO_ROOT, workload))
+        metrics = dict.fromkeys((metric["name"] for metric in spec["end_to_end"]), 1.0)
+        if workload == "serve_poisson" and tree == ab_ledger.REPO_ROOT:
+            metrics["sim_tokens_per_s"] += len(runs)
+        return metrics
+
+    monkeypatch.setattr(ab_ledger, "export_tree", lambda ref, into: tmp_path)
+    monkeypatch.setattr(ab_ledger, "run_side", fake_run_side)
+    status = ab_ledger.main(
+        ["--parent", "HEAD", "--workload", "decode_hot,serve_poisson", "--pairs", "2"]
+    )
+    out = capsys.readouterr().out
+    assert status == 1
+    assert [workload for _, workload in runs] == ["decode_hot"] * 4 + ["serve_poisson"] * 4
+    # Pairs alternate which side runs first.
+    assert [change for change, _ in runs[:4]] == [False, True, True, False]
+    headers = [line for line in out.splitlines() if " seed 0, 2 pairs of 20 s" in line]
+    assert [line.split()[0] for line in headers] == ["decode_hot", "serve_poisson"]
+    verdicts = [line for line in out.splitlines() if line.startswith("sim_*")]
+    assert verdicts == ["sim_* identical in every run", "sim_* DIFFER: sim_tokens_per_s"]
+    assert ab_ledger.main(["--parent", "HEAD", "--workload", "decode_hot", "--pairs", "2"]) == 0

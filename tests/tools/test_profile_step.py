@@ -106,10 +106,11 @@ def test_ledger_rows_count_every_timeline_of_each_engine_once():
     assert ledger_rows([engine]) == 0
     clock.gpus[1].reserve(0.0, 1.0, "g")
     clock.pcie_links[0].reserve(0.0, 1.0, "x")
+    clock.d2h_links[1].reserve(0.0, 1.0, "demote")
     clock.cpu.reserve(0.0, 1.0, "c")
     clock.disk.reserve(0.0, 1.0, "d")
     clock.cpu.reserve(0.0, 0.0, "noop")  # zero duration: no row
-    assert ledger_rows([engine, engine]) == 4  # a shared engine counts once
+    assert ledger_rows([engine, engine]) == 5  # a shared engine counts once
 
 
 def test_memory_report_traces_the_chunks(capsys):

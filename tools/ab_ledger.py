@@ -1,22 +1,25 @@
 #!/usr/bin/env python3
-"""Alternating parent/change pairs of one perf-ledger workload.
+"""Alternating parent/change pairs of perf-ledger workloads.
 
 Exports ``--parent`` with ``git archive`` into a temporary directory (a
-plain tree, no worktree metadata), then runs ``bench/run.py --workload W
---seed N --seconds S --trace 0`` there and in this checkout, ``--pairs``
-times, alternating which side runs first. It prints, for every
-end-to-end metric of ``BENCHMARK.json``, each side's median [q1, q3],
-the change/parent ratio of the medians, the pairs the change won and a
-verdict: ``better`` (or ``worse``) when the change won (or lost) at
-least 9 pairs in 10 and the medians lie further apart than the
-parent's quartiles, else ``unresolved``. Simulated time
-is deterministic, so every ``sim_*`` metric must read the same in every
-run; the tool exits 1 when one does not, or when a run fails.
+plain tree, no worktree metadata), then, for each workload of the
+comma-separated ``--workload`` list in turn, runs ``bench/run.py
+--workload W --seed N --seconds S --trace 0`` there and in this
+checkout, ``--pairs`` times, alternating which side runs first. After
+each workload's pairs it prints, for every end-to-end metric of
+``BENCHMARK.json``, each side's median [q1, q3], the change/parent
+ratio of the medians, the pairs the change won and a verdict:
+``better`` (or ``worse``) when the change won (or lost) at least 9
+pairs in 10 and the medians lie further apart than the parent's
+quartiles, else ``unresolved``. Simulated time is deterministic, so
+every ``sim_*`` metric must read the same in every run of a workload;
+each table ends in that workload's ``sim_*`` verdict, and the tool exits
+1 when one workload's ``sim_*`` values moved, or when a run fails.
 
 Usage::
 
     python tools/ab_ledger.py --parent HEAD~1 --workload prefill_long --seed 3
-    python tools/ab_ledger.py --parent main --workload decode_hot --pairs 4 --seconds 8
+    python tools/ab_ledger.py --parent main --workload decode_hot,serve_poisson --pairs 4 --seconds 8
 
 The pairs share one machine, so nothing else should run beside them.
 """
@@ -133,10 +136,19 @@ def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict[str, 
     return contract_metrics(done.stdout)
 
 
+def workload_list(text: str) -> list[str]:
+    """The names of a comma-separated ``--workload`` value, in order."""
+    names = [name.strip() for name in text.split(",")]
+    if not all(names):
+        raise argparse.ArgumentTypeError(f"empty workload name in {text!r}")
+    return names
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True, help="git ref of the parent side")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, type=workload_list,
+                        help="one workload, or several separated by commas")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=20.0)
@@ -144,23 +156,26 @@ def main(argv=None) -> int:
 
     spec = json.loads((REPO_ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
-    pairs = []
+    moved = False
     with tempfile.TemporaryDirectory(prefix="ab_ledger_") as scratch:
         parent_tree = export_tree(args.parent, Path(scratch))
-        for index in range(args.pairs):
-            sides = {"parent": parent_tree, "change": REPO_ROOT}
-            order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
-            got = {side: run_side(sides[side], args.workload, args.seed, args.seconds)
-                   for side in order}
-            pairs.append((got["parent"], got["change"]))
-            print(f"pair {index + 1}/{args.pairs} ({order[0]} first): "
-                  + "  ".join(f"{name} {got['parent'][name]:.5g} -> {got['change'][name]:.5g}"
-                              for name in better), flush=True)
-    summary = summarise(pairs, better)
-    print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s, "
-          f"parent {args.parent}")
-    print(format_table(summary))
-    return 1 if summary["sim_differs"] else 0
+        sides = {"parent": parent_tree, "change": REPO_ROOT}
+        for workload in args.workload:
+            pairs = []
+            for index in range(args.pairs):
+                order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
+                got = {side: run_side(sides[side], workload, args.seed, args.seconds)
+                       for side in order}
+                pairs.append((got["parent"], got["change"]))
+                print(f"{workload} pair {index + 1}/{args.pairs} ({order[0]} first): "
+                      + "  ".join(f"{name} {got['parent'][name]:.5g} -> {got['change'][name]:.5g}"
+                                  for name in better), flush=True)
+            summary = summarise(pairs, better)
+            print(f"{workload} seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s, "
+                  f"parent {args.parent}")
+            print(format_table(summary), flush=True)
+            moved = moved or bool(summary["sim_differs"])
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":

@@ -99,11 +99,7 @@ def ledger_rows(engines) -> int:
     """Intervals held by every timeline of each distinct engine's clock."""
     total = 0
     for engine in {id(e): e for e in engines}.values():
-        clock = engine.runtime.clock
-        timelines = [*clock.gpus, clock.cpu, *clock.pcie_links]
-        if clock.disk is not None:
-            timelines.append(clock.disk)
-        total += sum(len(timeline) for timeline in timelines)
+        total += sum(len(timeline) for timeline in engine.runtime.clock.timelines())
     return total
 
 
