@@ -6,9 +6,11 @@ scripts with:
 1. compose typed specs (``EngineSpec`` -> ``ServingSpec`` ->
    ``FleetSpec`` + a ``WorkloadRecipe``) into a named ``ScenarioSpec``
    and register it;
-2. fan the custom scenario and two built-ins out across strategies
-   with ``run_sweep`` (parallel workers, resumable output directory);
-3. read the pooled ``SweepReport`` back as flat rows.
+2. fan the custom scenario and three built-ins (one a replica fleet)
+   out across strategies with ``run_sweep`` (parallel workers,
+   resumable output directory);
+3. read the pooled ``SweepReport`` back from that directory as flat
+   rows.
 
 Run:  python examples/scenario_sweep.py
 """
@@ -20,6 +22,7 @@ from repro import (
     FleetSpec,
     ScenarioSpec,
     ServingSpec,
+    SweepReport,
     WorkloadRecipe,
     register_scenario,
     run_sweep,
@@ -61,13 +64,14 @@ register_scenario(
 
 def main() -> None:
     out_dir = tempfile.mkdtemp(prefix="scenario-sweep-")
-    report = run_sweep(
-        ["edge-tenant-mix", "chat-multiturn", "disk-slow-spill"],
+    run_sweep(
+        ["edge-tenant-mix", "chat-multiturn", "disk-slow-spill", "skewed-fleet"],
         out_dir,
         strategies=["hybrimoe", "ondemand"],
         processes=2,
         log=print,
     )
+    report = SweepReport.load(out_dir)
     print()
     print(format_table(report.rows(), title="scenarios x strategies"))
     print(f"\nper-cell JSON + merged report under {out_dir}")

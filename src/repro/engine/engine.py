@@ -236,16 +236,6 @@ class EngineRuntime:
         """The model's warmup profiling trace: shared by its engines, read-only."""
         return self._warmup_profile().trace
 
-    def prefetch_hit_rate(self) -> float:
-        """Fraction of issued GPU prefetches consumed by their layer.
-
-        A prefetch counts as used when the expert was still resident
-        the first time its layer activated it. Returns 0 when nothing was prefetched.
-        """
-        if self.prefetch_issued == 0:
-            return 0.0
-        return self.prefetch_used / self.prefetch_issued
-
     def frequency_ranking(self) -> tuple[tuple[int, int], ...]:
         """``(layer, expert)`` keys by warmup activation frequency, desc."""
         return self._warmup_profile().ranking

@@ -39,12 +39,10 @@ from repro.hardware.faults import (
 )
 from repro.hardware.platform_presets import (
     HARDWARE_PRESETS,
-    cpu_weak_testbed,
     disk_slow_testbed,
     edge_testbed,
     get_hardware_preset,
     paper_testbed,
-    pcie_fast_testbed,
 )
 from repro.hardware.simulator import ThreeResourceClock
 from repro.hardware.warmup import WarmupCalibrator
@@ -67,8 +65,6 @@ __all__ = [
     "WarmupCalibrator",
     "HARDWARE_PRESETS",
     "paper_testbed",
-    "cpu_weak_testbed",
-    "pcie_fast_testbed",
     "disk_slow_testbed",
     "edge_testbed",
     "get_hardware_preset",

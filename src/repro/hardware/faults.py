@@ -175,15 +175,6 @@ class DegradationState:
     pcie_slowdown: float = 1.0
     disk_stall_s: float = 0.0
 
-    @property
-    def is_neutral(self) -> bool:
-        """Whether this state leaves every duration untouched."""
-        return (
-            self.gpu_slowdown == 1.0
-            and self.pcie_slowdown == 1.0
-            and self.disk_stall_s == 0.0
-        )
-
 
 NEUTRAL_STATE = DegradationState()
 

@@ -21,10 +21,10 @@ drive every scheduling decision. On ``paper_testbed`` they are
   parameter count, so only the fixed per-task overheads, which weigh
   more on DeepSeek's small experts, shift it.
 
-The ``cpu-weak``, ``pcie-fast`` and ``disk-slow`` variants are
-``dataclasses.replace`` of it, each changing one resource; ``edge`` is a
-different platform. Any other platform is a ``replace`` away too, e.g.
-``replace(paper_testbed(), disk_bw=1e9)`` for a slower disk.
+The ``disk-slow`` variant is a ``dataclasses.replace`` of it that
+changes one resource; ``edge`` is a different platform. Any other
+platform is a ``replace`` away too, e.g. ``replace(paper_testbed(),
+pcie_bw=40e9)`` for a PCIe 4.0-class link.
 
 Every preset also carries a **disk tier** (``disk_bw``): an NVMe-class
 drive on the paper's rig, a SATA-class drive on ``disk-slow``. The disk
@@ -46,8 +46,6 @@ from repro.hardware.cost_model import HardwareProfile
 
 __all__ = [
     "paper_testbed",
-    "cpu_weak_testbed",
-    "pcie_fast_testbed",
     "disk_slow_testbed",
     "edge_testbed",
     "HARDWARE_PRESETS",
@@ -71,28 +69,6 @@ def paper_testbed() -> HardwareProfile:
         bits_per_param=4.5,       # Marlin 4-bit + scales
         disk_bw=3.2e9,            # NVMe PCIe 3.0 x4 effective read
         disk_latency_s=80e-6,
-    )
-
-
-def cpu_weak_testbed() -> HardwareProfile:
-    """Variant with half the CPU resources (scalability study)."""
-    base = paper_testbed()
-    return replace(
-        base,
-        name="a6000-xeon5",
-        cpu_flops=base.cpu_flops / 2,
-        cpu_mem_bw=base.cpu_mem_bw / 2,
-    )
-
-
-def pcie_fast_testbed() -> HardwareProfile:
-    """Variant with PCIe 4.0-class bandwidth (transfer-rich regime)."""
-    base = paper_testbed()
-    return replace(
-        base,
-        name="a6000-pcie4",
-        pcie_bw=2 * base.pcie_bw,
-        pcie_latency_s=base.pcie_latency_s / 2,
     )
 
 
@@ -146,8 +122,6 @@ def edge_testbed() -> HardwareProfile:
 
 HARDWARE_PRESETS = {
     "paper": paper_testbed,
-    "cpu-weak": cpu_weak_testbed,
-    "pcie-fast": pcie_fast_testbed,
     "disk-slow": disk_slow_testbed,
     "edge": edge_testbed,
 }

@@ -57,8 +57,9 @@ _COPY_TIERS = {
     "prefetch": ("dram", "gpu"),
     "refill": ("dram", "gpu"),
 }
-#: Row kinds that use an expert's host copy: they must start after it lands.
-_USES = frozenset(("xfer", "prefetch", "refill", "cpu"))
+#: Row kind -> the tier whose copy of the expert it uses: it must start
+#: after that copy lands.
+_USES = {"xfer": "dram", "prefetch": "dram", "refill": "dram", "cpu": "dram", "gpu": "gpu"}
 
 
 class ThreeResourceClock:
@@ -279,29 +280,33 @@ class ThreeResourceClock:
                 )
 
     def audit_copies(self) -> list[tuple[str, float, float]]:
-        """Every use of an expert that starts before its host copy lands.
+        """Every use of an expert that starts before the copy it uses lands.
 
-        A use is an ``xfer``, ``prefetch``, ``refill`` or ``cpu`` row. It
-        violates the landing rule when it starts before the finish of the
-        latest ``disk`` or ``demote`` row of the same key that started no
-        later than it. Returns ``(use label, use start, landing)`` per
-        violation, one timeline after another; empty on a sound ledger.
+        An ``xfer``, ``prefetch``, ``refill`` or ``cpu`` row uses the
+        expert's DRAM copy: it violates the landing rule when it starts
+        before the finish of the latest ``disk`` or ``demote`` row of the
+        same key that started no later than it. A ``gpu`` row uses the
+        GPU copy, landed by the latest ``xfer``, ``prefetch`` or
+        ``refill`` row of its key. Returns ``(use label, use start,
+        landing)`` per violation, one timeline after another; empty on a
+        sound ledger.
         """
-        copies: dict[str, list[tuple[float, float]]] = {}
-        uses: list[tuple[str, str, float]] = []
+        copies: dict[tuple[str, str], list[tuple[float, float]]] = {}
+        uses: list[tuple[str, tuple[str, str], float]] = []
         for timeline in self.timelines():
             for row in timeline.intervals:
                 kind, _, where = row.label.partition(" ")
-                if kind in ("disk", "demote"):
-                    copies.setdefault(where, []).append((row.start, row.finish))
-                elif kind in _USES:
-                    uses.append((row.label, where, row.start))
-        # One key's copies come from the disk and from demoting links.
-        landings = {where: sorted(rows) for where, rows in copies.items()}
-        starts = {where: [start for start, _ in rows] for where, rows in landings.items()}
+                if kind in _COPY_TIERS:
+                    target = _COPY_TIERS[kind][1]
+                    copies.setdefault((where, target), []).append((row.start, row.finish))
+                if kind in _USES:
+                    uses.append((row.label, (where, _USES[kind]), row.start))
+        # One key's DRAM copies come from the disk and from demoting links.
+        landings = {copy: sorted(rows) for copy, rows in copies.items()}
+        starts = {copy: [start for start, _ in rows] for copy, rows in landings.items()}
         violations = []
-        for label, where, start in uses:
-            i = bisect_right(starts.get(where, ()), start)
-            if i and start < (landed := landings[where][i - 1][1]):
+        for label, copy, start in uses:
+            i = bisect_right(starts.get(copy, ()), start)
+            if i and start < (landed := landings[copy][i - 1][1]):
                 violations.append((label, start, landed))
         return violations

@@ -112,10 +112,6 @@ class MoEModelConfig:
         """Routed experts across all layers (the cacheable population)."""
         return self.num_layers * self.num_routed_experts
 
-    @property
-    def has_shared_experts(self) -> bool:
-        return self.num_shared_experts > 0
-
     def with_layers(self, num_layers: int) -> "MoEModelConfig":
         """Return a copy with a different layer count (for fast tests)."""
         return replace(self, num_layers=num_layers, name=f"{self.name}-l{num_layers}")

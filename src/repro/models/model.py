@@ -70,14 +70,6 @@ class DecodeState:
     ctx_sum: list[np.ndarray] = field(default_factory=list)
     input_ema: np.ndarray | None = None
 
-    def clone(self) -> "DecodeState":
-        """Deep copy, used to evaluate lookaheads without mutating state."""
-        return DecodeState(
-            position=self.position,
-            ctx_sum=[c.copy() for c in self.ctx_sum],
-            input_ema=None if self.input_ema is None else self.input_ema.copy(),
-        )
-
 
 @dataclass(frozen=True)
 class LayerWeights:

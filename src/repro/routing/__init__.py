@@ -12,7 +12,6 @@ from repro.routing.statistics import (
     activation_cdf,
     adjacent_layer_overlap,
     expert_activation_frequency,
-    gate_reuse_accuracy,
     predicted_routing_profile,
     prefill_load_distribution,
     reuse_probability_by_rank,
@@ -30,7 +29,6 @@ __all__ = [
     "activation_cdf",
     "adjacent_layer_overlap",
     "expert_activation_frequency",
-    "gate_reuse_accuracy",
     "predicted_routing_profile",
     "prefill_load_distribution",
     "reuse_probability_by_rank",

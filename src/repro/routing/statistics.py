@@ -1,7 +1,7 @@
 """Routing statistics behind the paper's motivation analyses (Fig. 3a-c).
 
 All functions operate on recorded :class:`~repro.routing.trace.RoutingTrace`
-objects (or, for gate-reuse accuracy, directly on a model) and return
+objects (or, for the predicted routing profile, directly on a model) and return
 plain numpy arrays ready for tabulation or plotting.
 """
 
@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import TraceError
-from repro.models.gating import top_k_indices
 from repro.models.model import ReferenceMoEModel
 from repro.routing.trace import RoutingTrace
 from repro.rng import derive_rng
@@ -22,7 +21,6 @@ __all__ = [
     "prefill_load_distribution",
     "adjacent_layer_overlap",
     "expert_activation_frequency",
-    "gate_reuse_accuracy",
     "predicted_routing_profile",
 ]
 
@@ -185,63 +183,3 @@ def predicted_routing_profile(
         moe_out = model.shared_forward(z, layer) + model.moe_forward(z, layer, router)
         x = h + model.residual_scale * moe_out
     return counts
-
-
-def gate_reuse_accuracy(
-    model: ReferenceMoEModel,
-    prompt_tokens: np.ndarray,
-    max_distance: int = 3,
-) -> np.ndarray:
-    """Accuracy of the paper's gate-reuse prediction (§IV-C, Fig. 6).
-
-    Applies layer ``l+d``'s gate to layer ``l``'s hidden state and
-    measures, *per token*, what fraction of that token's truly selected
-    top-K experts at layer ``l+d`` the prediction recovers, for
-    ``d = 1..max_distance``. This quantifies how quickly prediction
-    quality decays with lookahead depth, which motivates the
-    prefetcher's confidence discounting.
-
-    Returns
-    -------
-    numpy.ndarray
-        Shape ``(max_distance,)`` with mean per-token recall in
-        ``[0, 1]`` per distance.
-    """
-    prompt_tokens = np.asarray(prompt_tokens, dtype=np.int64)
-    if prompt_tokens.ndim != 1 or prompt_tokens.size == 0:
-        raise TraceError("prompt_tokens must be a non-empty 1-D id array")
-    if max_distance < 1:
-        raise TraceError(f"max_distance must be >= 1, got {max_distance}")
-
-    state = model.new_state()
-    x = model.prepare_inputs(prompt_tokens, state)
-    k = model.config.num_activated_experts
-    recalls: list[list[float]] = [[] for _ in range(max_distance)]
-    z_history: list[np.ndarray] = []
-    actual_topk: list[np.ndarray] = []
-
-    for layer in range(model.config.num_layers):
-        h = model.attention(x, layer, state)
-        z = model.moe_input(h)
-        router = model.route(z, layer)
-        z_history.append(z)
-        actual_topk.append(router.topk_idx)
-        moe_out = model.shared_forward(z, layer) + model.moe_forward(z, layer, router)
-        x = h + model.residual_scale * moe_out
-
-    n_tokens = prompt_tokens.size
-    for layer, z in enumerate(z_history):
-        for d in range(1, max_distance + 1):
-            future = layer + d
-            if future >= model.config.num_layers:
-                break
-            predicted_topk = top_k_indices(model.gate_scores(z, future), k)
-            per_token = [
-                len(set(predicted_topk[t]) & set(actual_topk[future][t])) / k
-                for t in range(n_tokens)
-            ]
-            recalls[d - 1].append(float(np.mean(per_token)))
-
-    return np.array(
-        [float(np.mean(r)) if r else float("nan") for r in recalls], dtype=np.float64
-    )

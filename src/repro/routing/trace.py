@@ -54,10 +54,6 @@ class LayerRouting:
         """Expert ids with at least one routed token."""
         return [int(e) for e in np.flatnonzero(self.loads > 0)]
 
-    def activated_with_loads(self) -> list[tuple[int, int]]:
-        """Pairs ``(expert_id, load)`` for all activated experts."""
-        return [(int(e), int(self.loads[e])) for e in np.flatnonzero(self.loads > 0)]
-
 
 @dataclass(frozen=True)
 class StepTrace:

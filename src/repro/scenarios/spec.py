@@ -386,51 +386,6 @@ class FleetSpec(_Spec, FleetConfig):
 # ----------------------------------------------------------------------
 # workload recipes
 # ----------------------------------------------------------------------
-def _explicit_trace(
-    arrival_times,
-    decode_steps: int = wg.DEFAULT_DECODE_STEPS,
-    datasets: tuple[str, ...] = wg.DEFAULT_DATASETS,
-    *,
-    vocab_size: int,
-    seed: int,
-) -> list[wg.ArrivedWorkload]:
-    """Entries from explicit arrival instants, preserving trace order.
-
-    Unlike :func:`~repro.workloads.generator.serving_workload`
-    (which *rejects* non-monotone traces up front), this path keeps
-    the entries in trace order and lets
-    :func:`~repro.serving.engine.requests_from_trace` emit its
-    reorder ``UserWarning`` at serve time — the scenario layer
-    records that warning in the cell output rather than swallowing
-    or pre-empting it. A monotone trace builds exactly what
-    ``serving_workload(arrival_times=...)`` does.
-    """
-    from repro.workloads.datasets import DATASET_PROFILES, sample_prompt
-
-    times = [float(t) for t in arrival_times]
-    if not times:
-        raise ConfigError("trace workload needs at least one arrival time")
-    for dataset in datasets:
-        if dataset not in DATASET_PROFILES:
-            raise ConfigError(f"unknown dataset {dataset!r}")
-    entries = []
-    for index, at_time in enumerate(times):
-        dataset = datasets[index % len(datasets)]
-        tokens = sample_prompt(dataset, vocab_size, seed=seed, index=index)
-        entries.append(
-            wg.ArrivedWorkload(
-                arrival_time=at_time,
-                workload=wg.WorkloadSpec(
-                    kind="decode" if decode_steps > 0 else "prefill",
-                    dataset=dataset,
-                    prompt_tokens=tokens,
-                    decode_steps=decode_steps,
-                ),
-            )
-        )
-    return entries
-
-
 #: Each workload kind: the params its recipes must give, and its
 #: builders. With two builders, the first draws the arrival instants and
 #: the second serves them as ``arrival_times``. Every other param, and
@@ -446,7 +401,6 @@ _RECIPE_BUILDERS: dict[str, tuple[tuple[str, ...], tuple[Any, ...]]] = {
         ("num_requests", "base_rate", "burst_rate"),
         (wg.bursty_arrivals, wg.serving_workload),
     ),
-    "trace": (("arrival_times",), (_explicit_trace,)),
     "skewed": (("num_requests", "arrival_rate"), (wg.skewed_serving_workload,)),
     "chat": (("num_sessions",), (wg.chat_serving_workload,)),
 }
@@ -508,9 +462,6 @@ class WorkloadRecipe(_Spec):
     poisson    :func:`~repro.workloads.generator.serving_workload`
     diurnal    :func:`~repro.workloads.generator.diurnal_arrivals` trace
     bursty     :func:`~repro.workloads.generator.bursty_arrivals` trace
-    trace      explicit ``arrival_times`` (non-monotone traces allowed —
-               they surface the ``requests_from_trace`` reorder warning
-               in the scenario's cell output instead of being rejected)
     skewed     :func:`~repro.workloads.generator.skewed_serving_workload`
     chat       :func:`~repro.workloads.generator.chat_serving_workload`
     ========== =========================================================

@@ -235,33 +235,6 @@ class SweepReport:
 
     cells: list[dict[str, Any]] = field(default_factory=list)
 
-    @property
-    def cell_ids(self) -> list[str]:
-        return [_cell_id(c["cell"]) for c in self.cells]
-
-    def cell(
-        self,
-        scenario: str,
-        strategy: str | None = None,
-        hardware: str | None = None,
-        seed: int | None = None,
-    ) -> dict[str, Any]:
-        """The unique cell matching the given coordinates."""
-        matches = [
-            c
-            for c in self.cells
-            if c["cell"]["scenario"] == scenario
-            and (strategy is None or c["cell"]["strategy"] == strategy)
-            and (hardware is None or c["cell"]["hardware"] == hardware)
-            and (seed is None or c["cell"]["seed"] == seed)
-        ]
-        if len(matches) != 1:
-            raise ConfigError(
-                f"{len(matches)} sweep cells match scenario={scenario!r} "
-                f"strategy={strategy!r} hardware={hardware!r} seed={seed!r}"
-            )
-        return matches[0]
-
     def rows(self) -> list[dict[str, Any]]:
         """One flat table row per cell (for ``format_table`` / CSV)."""
         rows = []

@@ -104,7 +104,7 @@ KNOB_SAMPLES = {
     "model": {"model": "mixtral"},
     "num_layers": {"num_layers": 3},
     "strategy": {"strategy": "ondemand"},
-    "hardware": {"hardware": "pcie-fast"},
+    "hardware": {"hardware": "edge"},
     "placement": {"placement": "layer_striped"},
     "cpu_cache_capacity": {"cpu_cache_capacity": 4},
     "cpu_cache_policy": {"cpu_cache_policy": "lfu"},

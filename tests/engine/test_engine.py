@@ -145,9 +145,9 @@ class TestRuntime:
     def test_warmup_trace_cached(self, small_engine):
         assert small_engine.runtime.warmup_trace is small_engine.runtime.warmup_trace
 
-    def test_prefetch_hit_rate_counts_issued_prefetches(self, small_engine, prompt_tokens):
+    def test_prefetches_are_counted_issued_then_used(self, small_engine, prompt_tokens):
         runtime = small_engine.runtime
-        assert runtime.prefetch_hit_rate() == 0.0  # nothing issued yet
+        assert runtime.prefetch_issued == runtime.prefetch_used == 0  # nothing issued yet
         small_engine.generate(prompt_tokens, decode_steps=12)
         assert runtime.prefetch_issued > 0
-        assert 0.0 <= runtime.prefetch_hit_rate() <= 1.0
+        assert 0 <= runtime.prefetch_used <= runtime.prefetch_issued

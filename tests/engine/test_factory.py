@@ -2,6 +2,7 @@
 
 import gc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from repro.engine.factory import (
 )
 from repro.errors import ConfigError
 from repro.hardware.cost_model import AnalyticCostModel
-from repro.hardware.platform_presets import get_hardware_preset
+from repro.hardware.platform_presets import get_hardware_preset, paper_testbed
 from repro.models.model import ReferenceMoEModel
 from repro.models.presets import get_preset, preset_model
 from repro.scenarios.spec import EngineSpec, FleetSpec, ServingSpec, knob_fields
@@ -60,8 +61,17 @@ class TestMakeEngine:
             )
 
     def test_hardware_preset_by_name(self):
-        engine = make_engine(num_layers=2, hardware="pcie-fast")
+        engine = make_engine(num_layers=2, hardware="edge")
         assert engine.runtime is not None
+
+    def test_hardware_profile_by_object(self):
+        """A platform no preset names is a ``replace`` of one away."""
+        paper = paper_testbed()
+        engine = make_engine(num_layers=2, hardware=replace(paper, pcie_bw=2 * paper.pcie_bw))
+        shape = engine.model.config.routed_expert_shape
+        assert engine.runtime.cost_actual.transfer_time(shape) < AnalyticCostModel(
+            paper
+        ).transfer_time(shape)
 
     def test_generation_runs(self):
         engine = make_engine(model="mixtral", num_layers=2, cache_ratio=0.25, seed=1)
@@ -86,7 +96,7 @@ def _built_value(system, knob: str):
             "strategy": lambda: engine.strategy.name,
             "hardware": lambda: next(
                 name
-                for name in ("paper", "pcie-fast")
+                for name in ("paper", "edge")
                 if AnalyticCostModel(get_hardware_preset(name)).transfer_time(shape)
                 == engine.runtime.cost_actual.transfer_time(shape)
             ),

@@ -214,7 +214,7 @@ class TestDegradedCostModel:
         assert model.set_state(state)
         assert not model.set_state(state)  # idempotent re-apply
         assert model.set_state(NEUTRAL_STATE)
-        assert model.state.is_neutral
+        assert model.state == DegradationState()
 
 
 _KIND_FIELDS = {

@@ -1,8 +1,8 @@
 """The hardware presets, pinned field by field, and the testbed ratios
 ``repro.hardware.platform_presets`` documents.
 
-The table spells every value out, while the variants derive theirs
-from ``paper_testbed`` with ``dataclasses.replace``: every field must
+The table spells every value out, while ``disk-slow`` derives its
+values from ``paper_testbed`` with ``dataclasses.replace``: every field must
 match exactly (``==`` on floats), so a derivation that moves a value by
 one ulp fails here. Changing a preset means changing this table in the
 same commit — and every ``sim_fingerprint`` and golden digest with it.
@@ -32,36 +32,6 @@ PINNED = {
         "cpu_warmup_s": 0.00012,
         "pcie_bw": 20e9,
         "pcie_latency_s": 4e-05,
-        "bits_per_param": 4.5,
-        "disk_bw": 3.2e9,
-        "disk_latency_s": 8e-05,
-    },
-    "cpu-weak": {
-        "name": "a6000-xeon5",
-        "gpu_flops": 25e12,
-        "gpu_mem_bw": 450e9,
-        "gpu_overhead_s": 3e-05,
-        "cpu_flops": 90e9,
-        "cpu_mem_bw": 30e9,
-        "cpu_task_overhead_s": 1.5e-05,
-        "cpu_warmup_s": 0.00012,
-        "pcie_bw": 20e9,
-        "pcie_latency_s": 4e-05,
-        "bits_per_param": 4.5,
-        "disk_bw": 3.2e9,
-        "disk_latency_s": 8e-05,
-    },
-    "pcie-fast": {
-        "name": "a6000-pcie4",
-        "gpu_flops": 25e12,
-        "gpu_mem_bw": 450e9,
-        "gpu_overhead_s": 3e-05,
-        "cpu_flops": 180e9,
-        "cpu_mem_bw": 60e9,
-        "cpu_task_overhead_s": 1.5e-05,
-        "cpu_warmup_s": 0.00012,
-        "pcie_bw": 40e9,
-        "pcie_latency_s": 2e-05,
         "bits_per_param": 4.5,
         "disk_bw": 3.2e9,
         "disk_latency_s": 8e-05,

@@ -188,3 +188,16 @@ class TestCopies:
         clock.cpu.reserve(3.0, 0.1, "cpu L1 E2")
         clock.cpu.reserve(3.1, 0.1, "cpu L1 E-1")       # the shared block
         assert clock.audit_copies() == [("cpu L1 E2", 2.5, 3.0)]
+
+    @pytest.mark.parametrize("load", ["xfer", "prefetch", "refill"])
+    def test_audit_flags_a_gpu_row_before_its_load_lands(self, load):
+        """A GPU row uses the GPU copy: it is judged by the latest load of
+        its key, never by a DRAM copy in flight."""
+        clock = ThreeResourceClock(disk=True)
+        clock.gpu.reserve(0.0, 0.5, "gpu L2 E4")       # resident before any load
+        clock.pcie.reserve(1.0, 1.0, f"{load} L2 E4")  # lands at 2.0
+        clock.gpu.reserve(1.5, 0.5, "gpu L2 E4")       # the planted violation
+        clock.gpu.reserve(2.0, 0.5, "gpu L2 E4")
+        clock.disk.reserve(2.0, 3.0, "disk L2 E4")     # a DRAM copy, not the GPU's
+        clock.gpu.reserve(2.5, 0.5, "gpu L2 E4")
+        assert clock.audit_copies() == [("gpu L2 E4", 1.5, 2.0)]

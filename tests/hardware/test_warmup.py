@@ -80,18 +80,6 @@ class TestPresets:
         with pytest.raises(ConfigError):
             get_hardware_preset("tpu-pod")
 
-    def test_cpu_weak_halves_cpu(self):
-        from repro.hardware.platform_presets import cpu_weak_testbed, paper_testbed
-
-        assert cpu_weak_testbed().cpu_flops == pytest.approx(
-            paper_testbed().cpu_flops / 2
-        )
-
-    def test_pcie_fast_doubles_bandwidth(self):
-        from repro.hardware.platform_presets import paper_testbed, pcie_fast_testbed
-
-        assert pcie_fast_testbed().pcie_bw == pytest.approx(2 * paper_testbed().pcie_bw)
-
     def test_edge_preset_shifts_every_ratio(self):
         """The edge SoC is not a rescaled paper rig: compute drops by an
         order of magnitude while the CPU/GPU bandwidth gap collapses

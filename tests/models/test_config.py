@@ -38,15 +38,6 @@ class TestMoEModelConfig:
     def test_total_routed_experts(self):
         assert self._config().total_routed_experts == 32
 
-    def test_has_shared_experts_false_without_shared(self):
-        assert not self._config().has_shared_experts
-
-    def test_has_shared_experts_true_with_shared(self):
-        config = self._config(
-            num_shared_experts=2, shared_expert_shape=ExpertShape(16, 32)
-        )
-        assert config.has_shared_experts
-
     def test_shared_without_shape_rejected(self):
         with pytest.raises(ConfigError):
             self._config(num_shared_experts=1, shared_expert_shape=None)

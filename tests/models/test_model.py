@@ -216,15 +216,6 @@ class TestRoutingDynamics:
         )
 
 
-class TestDecodeState:
-    def test_clone_is_independent(self, tiny_model, prompt_tokens):
-        _, _, state = tiny_model.forward(prompt_tokens)
-        clone = state.clone()
-        tiny_model.forward(np.array([3]), state)
-        assert clone.position == prompt_tokens.size
-        assert state.position == prompt_tokens.size + 1
-
-
 class TestPrepareInputs:
     """The coherence blend, with its embedding term computed for all
     tokens at once, is the token-by-token recurrence bit-for-bit."""

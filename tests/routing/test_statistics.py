@@ -9,7 +9,6 @@ from repro.routing.statistics import (
     activation_cdf,
     adjacent_layer_overlap,
     expert_activation_frequency,
-    gate_reuse_accuracy,
     prefill_load_distribution,
     reuse_probability_by_rank,
     synthetic_neuron_activation_cdf,
@@ -133,26 +132,3 @@ class TestFrequency:
         counts = expert_activation_frequency(trace)
         assert counts.shape == (trace.num_layers, trace.num_experts)
         assert counts.max() <= trace.num_steps
-
-
-class TestGateReuse:
-    def test_accuracy_beats_chance(self, tiny_model, prompt_tokens):
-        """Gate reuse must beat random guessing, else prefetch is noise."""
-        recall = gate_reuse_accuracy(tiny_model, prompt_tokens, max_distance=2)
-        chance = (
-            tiny_model.config.num_activated_experts
-            / tiny_model.config.num_routed_experts
-        )
-        assert recall[0] > 2 * chance
-
-    def test_accuracy_decays_with_distance(self, tiny_model, prompt_tokens):
-        recall = gate_reuse_accuracy(tiny_model, prompt_tokens, max_distance=2)
-        assert recall[0] >= recall[1] - 0.05
-
-    def test_invalid_distance(self, tiny_model, prompt_tokens):
-        with pytest.raises(TraceError):
-            gate_reuse_accuracy(tiny_model, prompt_tokens, max_distance=0)
-
-    def test_empty_prompt(self, tiny_model):
-        with pytest.raises(TraceError):
-            gate_reuse_accuracy(tiny_model, np.array([], dtype=np.int64))

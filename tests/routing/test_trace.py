@@ -37,9 +37,6 @@ class TestLayerRouting:
     def test_activated_lists_nonzero_loads(self):
         assert _layer().activated() == [0, 2]
 
-    def test_activated_with_loads(self):
-        assert _layer().activated_with_loads() == [(0, 2), (2, 1)]
-
     def test_shape_mismatch_rejected(self):
         with pytest.raises(TraceError):
             LayerRouting(0, np.zeros(3, dtype=np.int64), np.zeros(4))

@@ -208,11 +208,6 @@ _REQUIRED_ONLY = {
             arrival_times=wg.bursty_arrivals(3, 1.0, 9.0, seed=seed), seed=seed
         ),
     ),
-    # A monotone explicit trace is what serving_workload builds from it.
-    "trace": (
-        {"arrival_times": [0.0, 0.25, 1.5]},
-        lambda seed: wg.serving_workload(arrival_times=[0.0, 0.25, 1.5], seed=seed),
-    ),
     "skewed": (
         {"num_requests": 3, "arrival_rate": 4.0},
         lambda seed: wg.skewed_serving_workload(
@@ -298,8 +293,6 @@ class TestWorkloadRecipe:
             ),
             ("diurnal", {"num_requests": 0, "base_rate": 1.0, "peak_rate": 2.0}, "num_requests"),
             ("bursty", {"num_requests": 3, "base_rate": 1.0, "burst_rate": -2.0}, "rate"),
-            ("trace", {"arrival_times": []}, "at least one arrival"),
-            ("trace", {"arrival_times": [0.0], "datasets": ["nope"]}, "unknown dataset"),
             ("skewed", {"num_requests": 3, "arrival_rate": 0.0}, "arrival rate"),
             ("chat", {"num_sessions": 0}, "num_sessions"),
         ],

@@ -1,6 +1,7 @@
 """The sweep runner: grids, resumability, byte-identical merged reports."""
 
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -36,20 +37,6 @@ def _tiny(name="tiny-sweep", seeds=(0,)):
             replicas=1,
         ),
         seeds=seeds,
-    )
-
-
-def _trace_scenario(arrival_times):
-    return ScenarioSpec(
-        name="trace-scenario",
-        workload=WorkloadRecipe(
-            kind="trace",
-            params={"arrival_times": list(arrival_times), "decode_steps": 2},
-        ),
-        fleet=FleetSpec(
-            serving=ServingSpec(engine=EngineSpec(cache_ratio=0.4, num_layers=2)),
-            replicas=1,
-        ),
     )
 
 
@@ -255,20 +242,29 @@ class TestResumability:
 
 
 class TestWarningSurfacing:
-    def test_non_monotone_trace_warning_lands_in_cell_output(self):
-        payload = run_cell(_trace_scenario([0.5, 0.2, 0.8]))
-        messages = [w["message"] for w in payload["warnings"]]
-        assert any("not non-decreasing" in m for m in messages)
-        assert any(w["category"] == "UserWarning" for w in payload["warnings"])
+    """A warning the run emits lands in its cell output, not on stderr."""
 
-    def test_monotone_trace_emits_no_warnings(self):
-        payload = run_cell(_trace_scenario([0.2, 0.5, 0.8]))
-        assert payload["warnings"] == []
+    @pytest.fixture
+    def warning_run(self, monkeypatch):
+        run = ScenarioSpec.run
 
-    def test_warning_count_reaches_report_rows(self, tmp_path):
-        report = run_sweep([_trace_scenario([0.5, 0.2])], tmp_path)
-        (row,) = report.rows()
-        assert row["warnings"] >= 1
+        def warn_then_run(spec, seed=None):
+            warnings.warn("arrival trace is not non-decreasing", UserWarning)
+            return run(spec, seed)
+
+        monkeypatch.setattr(ScenarioSpec, "run", warn_then_run)
+
+    def test_warning_lands_in_cell_output(self, warning_run):
+        assert run_cell(_tiny())["warnings"] == [
+            {"category": "UserWarning", "message": "arrival trace is not non-decreasing"}
+        ]
+
+    def test_quiet_run_emits_no_warnings(self):
+        assert run_cell(_tiny())["warnings"] == []
+
+    def test_warning_count_reaches_report_rows(self, warning_run, tmp_path):
+        (row,) = run_sweep([_tiny()], tmp_path).rows()
+        assert row["warnings"] == 1
 
 
 class TestSweepReport:
@@ -276,7 +272,6 @@ class TestSweepReport:
         report = run_sweep([_tiny()], tmp_path)
         loaded = SweepReport.load(tmp_path)
         assert loaded.to_json() == report.to_json()
-        assert loaded.cell_ids == report.cell_ids
 
     def test_rows_have_grid_coordinates(self, tmp_path):
         report = run_sweep([_tiny()], tmp_path, strategies=["hybrimoe", "ondemand"])
@@ -285,13 +280,6 @@ class TestSweepReport:
         assert all(r["scenario"] == "tiny-sweep" for r in rows)
         assert all(r["kind"] == "serving" for r in rows)
         assert all(r["requests"] == 3 for r in rows)
-
-    def test_cell_lookup_requires_unique_match(self, tmp_path):
-        report = run_sweep([_tiny()], tmp_path, strategies=["hybrimoe", "ondemand"])
-        cell = report.cell("tiny-sweep", strategy="ondemand")
-        assert cell["cell"]["strategy"] == "ondemand"
-        with pytest.raises(ConfigError, match="2 sweep cells match"):
-            report.cell("tiny-sweep")
 
     def test_schema_mismatch_rejected(self):
         with pytest.raises(ConfigError, match="schema"):

@@ -14,7 +14,7 @@ import pytest
 
 from repro.engine.factory import make_serving_engine
 from repro.errors import ConfigError
-from repro.hardware.faults import Fault, FaultSchedule
+from repro.hardware.faults import DegradationState, Fault, FaultSchedule
 from repro.serving import ServingConfig
 from repro.serving.request import Request
 from repro.serving.session import _remove_by_identity
@@ -110,7 +110,7 @@ class TestScheduleTransparency:
         )
         degraded = _engine(faults=schedule).serve_trace(_trace())
         assert len(degraded.degradations) >= 2
-        assert degraded.degradations[-1].state.is_neutral
+        assert degraded.degradations[-1].state == DegradationState()
 
 
     @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ contract lines."""
 
 import argparse
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -116,7 +117,7 @@ def test_main_prints_one_table_and_sim_verdict_per_workload(monkeypatch, tmp_pat
     spec = json.loads((ab_ledger.REPO_ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     runs = []
 
-    def fake_run_side(tree, workload, seed, seconds):
+    def fake_run_side(tree, env, workload, seed, seconds):
         runs.append((tree == ab_ledger.REPO_ROOT, workload))
         metrics = dict.fromkeys((metric["name"] for metric in spec["end_to_end"]), 1.0)
         if workload == "serve_poisson" and tree == ab_ledger.REPO_ROOT:
@@ -124,6 +125,7 @@ def test_main_prints_one_table_and_sim_verdict_per_workload(monkeypatch, tmp_pat
         return metrics
 
     monkeypatch.setattr(ab_ledger, "export_tree", lambda ref, into: tmp_path)
+    monkeypatch.setattr(ab_ledger, "side_env", lambda tree, prefix: {})
     monkeypatch.setattr(ab_ledger, "run_side", fake_run_side)
     status = ab_ledger.main(
         ["--parent", "HEAD", "--workload", "decode_hot,serve_poisson", "--pairs", "2"]
@@ -138,3 +140,31 @@ def test_main_prints_one_table_and_sim_verdict_per_workload(monkeypatch, tmp_pat
     verdicts = [line for line in out.splitlines() if line.startswith("sim_*")]
     assert verdicts == ["sim_* identical in every run", "sim_* DIFFER: sim_tokens_per_s"]
     assert ab_ledger.main(["--parent", "HEAD", "--workload", "decode_hot", "--pairs", "2"]) == 0
+
+
+def test_each_side_runs_on_its_own_compiled_bytecode(monkeypatch, tmp_path):
+    """``src/`` and ``bench/`` are compiled into one prefix per side
+    before the first pair, and every bench run of a side reads that
+    side's prefix: the parent export never compiles in a measured run."""
+    spec = json.loads((ab_ledger.REPO_ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    metrics = {metric["name"]: {"value": 1.0} for metric in spec["end_to_end"]}
+    line = json.dumps({"correct": True, "metrics": metrics})
+    calls = []
+
+    def fake_run(command, cwd, env, **kwargs):
+        calls.append((command, Path(cwd), env["PYTHONPYCACHEPREFIX"]))
+        assert "PYTHONDONTWRITEBYTECODE" not in env
+        return subprocess.CompletedProcess(command, 0, line, "")
+
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setattr(ab_ledger, "export_tree", lambda ref, into: tmp_path)
+    monkeypatch.setattr(ab_ledger.subprocess, "run", fake_run)
+    assert ab_ledger.main(["--parent", "HEAD", "--workload", "decode_hot", "--pairs", "2"]) == 0
+    compiles = [call for call in calls if "compileall" in call[0]]
+    benches = [call for call in calls if "compileall" not in call[0]]
+    assert calls[:2] == compiles and len(benches) == 4
+    prefix = {cwd: prefix for _, cwd, prefix in compiles}
+    assert set(prefix) == {tmp_path, ab_ledger.REPO_ROOT}
+    assert prefix[tmp_path] != prefix[ab_ledger.REPO_ROOT]
+    assert all(prefix[cwd] == used for _, cwd, used in benches)
+    assert not any(Path(p).is_relative_to(ab_ledger.REPO_ROOT) for p in prefix.values())
