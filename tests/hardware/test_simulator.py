@@ -201,3 +201,20 @@ class TestCopies:
         clock.disk.reserve(2.0, 3.0, "disk L2 E4")     # a DRAM copy, not the GPU's
         clock.gpu.reserve(2.5, 0.5, "gpu L2 E4")
         assert clock.audit_copies() == [("gpu L2 E4", 1.5, 2.0)]
+
+    def test_audit_accepts_a_gpu_row_that_starts_as_its_load_lands(self):
+        clock = ThreeResourceClock()
+        clock.pcie.reserve(0.0, 1.0, "xfer L0 E1")      # lands at 1.0
+        clock.gpu.reserve(1.0, 0.5, "gpu L0 E1")
+        assert clock.audit_copies() == []
+
+    def test_audit_judges_a_gpu_row_by_the_latest_load_started_before_it(self):
+        """A reload started after a GPU row does not judge it; one
+        started before it does, even while an earlier load has landed."""
+        clock = ThreeResourceClock()
+        clock.pcie.reserve(0.0, 1.0, "xfer L3 E0")      # lands at 1.0
+        clock.gpu.reserve(1.5, 0.5, "gpu L3 E0")        # before the reload: fine
+        clock.pcie.reserve(2.0, 1.0, "refill L3 E0")    # lands at 3.0
+        clock.gpu.reserve(2.5, 0.5, "gpu L3 E0")        # the reload is in flight
+        clock.gpu.reserve(2.5, 0.5, "gpu L3 E1")        # another key: never loaded
+        assert clock.audit_copies() == [("gpu L3 E0", 2.5, 3.0)]

@@ -1,5 +1,7 @@
 """Warmup calibration: fitted model must track ground truth."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ConfigError
@@ -79,6 +81,36 @@ class TestPresets:
 
         with pytest.raises(ConfigError):
             get_hardware_preset("tpu-pod")
+
+    def test_halved_cpu_flops_doubles_compute_bound_cpu_time(self, truth):
+        """A weaker CPU is a ``replace`` of the paper rig, and the cost
+        model's roofline reads the change: a long prefill chunk is
+        compute-bound on the CPU, so its time past the task overhead
+        doubles."""
+        paper = paper_testbed()
+        weak = AnalyticCostModel(replace(paper, cpu_flops=paper.cpu_flops / 2))
+        shape = get_preset("deepseek").routed_expert_shape
+        overhead = paper.cpu_task_overhead_s
+        assert weak.cpu_expert_time(shape, 512) - overhead == pytest.approx(
+            2 * (truth.cpu_expert_time(shape, 512) - overhead)
+        )
+
+    def test_halved_cpu_mem_bw_leaves_compute_bound_cpu_time(self, truth):
+        """The same chunk streams the expert's weights once: halving the
+        DRAM bandwidth stays under the compute term and moves nothing."""
+        paper = paper_testbed()
+        slow = AnalyticCostModel(replace(paper, cpu_mem_bw=paper.cpu_mem_bw / 2))
+        shape = get_preset("deepseek").routed_expert_shape
+        assert slow.cpu_expert_time(shape, 512) == truth.cpu_expert_time(shape, 512)
+
+    def test_doubled_pcie_bw_halves_the_transfer_payload(self, truth):
+        paper = paper_testbed()
+        fast = AnalyticCostModel(replace(paper, pcie_bw=2 * paper.pcie_bw))
+        shape = get_preset("deepseek").routed_expert_shape
+        latency = paper.pcie_latency_s
+        assert fast.transfer_time(shape) - latency == pytest.approx(
+            (truth.transfer_time(shape) - latency) / 2
+        )
 
     def test_edge_preset_shifts_every_ratio(self):
         """The edge SoC is not a rescaled paper rig: compute drops by an

@@ -66,3 +66,15 @@ class TestMoEModelConfig:
     def test_describe_mentions_name_and_counts(self):
         text = self._config().describe()
         assert "m" in text and "8 routed" in text
+
+    def test_describe_names_shared_experts_and_their_shape(self):
+        config = self._config(
+            num_shared_experts=2, shared_expert_shape=ExpertShape(16, 32)
+        )
+        assert config.describe().endswith("top-2, 2 shared 16x32")
+
+    @pytest.mark.parametrize("shape", [None, ExpertShape(16, 32)])
+    def test_describe_without_shared_experts(self, shape):
+        """A shape with no shared expert to use it is no shared expert."""
+        config = self._config(num_shared_experts=0, shared_expert_shape=shape)
+        assert config.describe().endswith("top-2, no shared")

@@ -216,6 +216,51 @@ class TestRoutingDynamics:
         )
 
 
+def _gate_reuse_recall(model, prompt_tokens, max_distance):
+    """Mean per-token recall, per distance ``d``, of layer ``l+d``'s
+    gate applied to layer ``l``'s input: the prediction the prefetcher
+    scores its lookahead windows with (§IV-C)."""
+    state = model.new_state()
+    x = model.prepare_inputs(prompt_tokens, state)
+    inputs, chosen = [], []
+    for layer in range(model.config.num_layers):
+        h = model.attention(x, layer, state)
+        z = model.moe_input(h)
+        router = model.route(z, layer)
+        inputs.append(z)
+        chosen.append(router.topk_idx)
+        x = h + model.residual_scale * (
+            model.shared_forward(z, layer) + model.moe_forward(z, layer, router)
+        )
+    k = model.config.num_activated_experts
+    recall = []
+    for d in range(1, max_distance + 1):
+        per_layer = []
+        for layer in range(model.config.num_layers - d):
+            predicted = model.route(inputs[layer], layer + d).topk_idx
+            actual = chosen[layer + d]
+            per_layer.append(np.mean([
+                len(set(p) & set(a)) / k for p, a in zip(predicted, actual)
+            ]))
+        recall.append(float(np.mean(per_layer)))
+    return recall
+
+
+class TestGateReuse:
+    def test_accuracy_beats_chance(self, tiny_model, prompt_tokens):
+        """Gate reuse must beat random guessing, else prefetch is noise."""
+        recall = _gate_reuse_recall(tiny_model, prompt_tokens, max_distance=2)
+        chance = (
+            tiny_model.config.num_activated_experts
+            / tiny_model.config.num_routed_experts
+        )
+        assert recall[0] > 2 * chance
+
+    def test_accuracy_decays_with_distance(self, tiny_model, prompt_tokens):
+        recall = _gate_reuse_recall(tiny_model, prompt_tokens, max_distance=2)
+        assert recall[0] >= recall[1] - 0.05
+
+
 class TestPrepareInputs:
     """The coherence blend, with its embedding term computed for all
     tokens at once, is the token-by-token recurrence bit-for-bit."""

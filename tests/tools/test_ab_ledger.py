@@ -168,3 +168,25 @@ def test_each_side_runs_on_its_own_compiled_bytecode(monkeypatch, tmp_path):
     assert prefix[tmp_path] != prefix[ab_ledger.REPO_ROOT]
     assert all(prefix[cwd] == used for _, cwd, used in benches)
     assert not any(Path(p).is_relative_to(ab_ledger.REPO_ROOT) for p in prefix.values())
+
+
+def test_side_env_points_bytecode_at_the_side_prefix(monkeypatch, tmp_path):
+    """The side's environment names its own prefix and lets bytecode be
+    written there; the compile runs in the side's tree with that
+    environment, and a failed compile stops the comparison."""
+    calls = []
+
+    def fake_run(command, cwd, env, **kwargs):
+        calls.append((command[1:], cwd, env))
+        return subprocess.CompletedProcess(command, status, "", "")
+
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setattr(ab_ledger.subprocess, "run", fake_run)
+    status = 0
+    env = ab_ledger.side_env(tmp_path / "tree", tmp_path / "pyc")
+    assert env["PYTHONPYCACHEPREFIX"] == str(tmp_path / "pyc")
+    assert "PYTHONDONTWRITEBYTECODE" not in env
+    assert calls == [(["-m", "compileall", "-q", "src", "bench"], tmp_path / "tree", env)]
+    status = 1
+    with pytest.raises(RuntimeError, match="compileall exited 1"):
+        ab_ledger.side_env(tmp_path / "tree", tmp_path / "pyc")

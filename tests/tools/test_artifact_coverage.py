@@ -88,3 +88,56 @@ def test_report_splits_artifact_tests_only_and_raise_lines(src, tmp_path):
     assert result["uncalled"] == ["mod.py::unused"]
     table = artifact_coverage.format_report(result)
     assert "tests only" in table and table.endswith("mod.py::unused *")
+
+
+def test_classify_counts_error_blocks_and_names_their_functions():
+    """A block that ends in ``raise`` is an error path, whether it sits
+    under an ``if``, an ``else``, a ``finally`` or a re-raising
+    ``except`` (whose own line counts too); a handler that swallows the
+    error does not. Lines belong to the innermost ``def``, dotted
+    through its classes; a ``def`` line runs with the enclosing scope."""
+    source = textwrap.dedent(
+        '''\
+        class Box:
+            def open(self, x):
+                try:
+                    x()
+                except KeyError:
+                    x = 1
+                    raise
+                except OSError:
+                    return None
+                else:
+                    raise ValueError(x)
+
+            class Lid:
+                def shut(self):
+                    try:
+                        pass
+                    finally:
+                        raise RuntimeError
+        '''
+    )
+    kinds, owners = artifact_coverage.classify(source)
+    assert sorted(kinds) == [5, 6, 7, 11, 18]
+    assert set(kinds.values()) == {"raise"}
+    assert owners[4] == owners[9] == "Box.open" and 2 not in owners
+    assert owners[15] == owners[18] == "Box.Lid.shut" and 14 not in owners
+
+
+def test_every_benchmark_and_example_is_an_artifact():
+    """``bench_paper.py`` runs as CI runs it, ``--check`` at full size;
+    every other benchmark runs ``--smoke --check``; the tier-1 command is
+    the tests' alone."""
+    commands = artifact_coverage.artifacts()
+    scripts = {command[0] for command in commands}
+    root = artifact_coverage.REPO_ROOT
+    for path in [*root.glob("benchmarks/bench_*.py"), *root.glob("examples/*.py")]:
+        assert str(path.relative_to(root)) in scripts
+    for command in commands:
+        if command[0] == "benchmarks/bench_paper.py":
+            assert command == ["benchmarks/bench_paper.py", "--check"]
+        elif command[0].startswith("benchmarks/"):
+            assert command[1:3] == ["--smoke", "--check"]
+    assert artifact_coverage.TESTS not in commands
+    assert "-x" not in artifact_coverage.TESTS
