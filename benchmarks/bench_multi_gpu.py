@@ -1,17 +1,16 @@
-"""Multi-GPU serving: placement policies × strategies on one trace.
+"""Multi-GPU serving: strategies on one trace across 4 GPUs.
 
-Scale-out race for the sharded engine: every (placement, strategy)
-pair serves the same Poisson arrival trace on a 4-GPU platform through
-the continuous-batching loop, with the expert cache sharded into
-per-device shards and experts dispatched to their home devices. The
-table reports fleet aggregates (goodput, tail TBT) plus **per-device
-cache hit rates**, the signal that separates placement policies: a
-policy that concentrates hot experts on one shard starves the others'
-capacity while a balanced one keeps every link and shard useful.
+Scale-out race for the sharded engine: every strategy serves the same
+Poisson arrival trace on a 4-GPU platform through the
+continuous-batching loop, with the expert cache sharded into
+per-device shards and each expert dispatched to its home device
+(``expert % 4``). The table reports fleet aggregates (goodput, tail
+TBT) plus **per-device cache hit rates**, which show whether every
+shard and link stays useful.
 
 Checks the scale-out analogue of the paper's Fig. 8/9 claim: hybrid
-scheduling + MRS caching (hybrimoe) sustains higher aggregate goodput
-than on-demand GPU loading for every placement policy.
+scheduling + MRS caching (hybrimoe) sustains at least the aggregate
+goodput of on-demand GPU loading.
 
 Claims-only (no committed baseline): the full mode races all five
 strategies at bench scale, ``--smoke`` the headline pair on a reduced
@@ -22,7 +21,6 @@ from __future__ import annotations
 
 import harness
 
-from repro.cache.placement import available_placements
 from repro.engine.factory import available_strategies
 from repro.experiments.reporting import format_table
 
@@ -52,39 +50,33 @@ def _per_device_hit_rates(serving) -> dict:
 
 def run(smoke: bool) -> tuple[dict, list[str]]:
     size = SMOKE if smoke else FULL
-    rows = []
-    for placement in available_placements():
-        race = harness.strategy_race(
-            size["strategies"],
-            {
-                "cache_ratio": CACHE_RATIO,
-                "num_layers": size["num_layers"],
-                "seed": harness.BENCH_SEED,
-                "num_gpus": NUM_GPUS,
-                "placement": placement,
-                "max_batch_size": MAX_BATCH,
-            },
-            {
-                "num_requests": size["num_requests"],
-                "arrival_rate": ARRIVAL_RATE,
-                "decode_steps": size["decode_steps"],
-                "seed": harness.BENCH_SEED,
-            },
-            extra_columns=_per_device_hit_rates,
-        )
-        rows += [{"placement": placement, **row} for row in race]
+    rows = harness.strategy_race(
+        size["strategies"],
+        {
+            "cache_ratio": CACHE_RATIO,
+            "num_layers": size["num_layers"],
+            "seed": harness.BENCH_SEED,
+            "num_gpus": NUM_GPUS,
+            "max_batch_size": MAX_BATCH,
+        },
+        {
+            "num_requests": size["num_requests"],
+            "arrival_rate": ARRIVAL_RATE,
+            "decode_steps": size["decode_steps"],
+            "seed": harness.BENCH_SEED,
+        },
+        extra_columns=_per_device_hit_rates,
+    )
 
-    # Hybrid scheduling + MRS caching beats on-demand per placement.
+    # Hybrid scheduling + MRS caching keeps up with on-demand loading.
     failures = []
-    by_pair = {(r["placement"], r["strategy"]): r for r in rows}
-    for placement in available_placements():
-        hybrimoe = by_pair[(placement, "hybrimoe")]
-        ondemand = by_pair[(placement, "ondemand")]
-        if not hybrimoe["goodput_rps"] >= ondemand["goodput_rps"]:
-            failures.append(
-                f"{placement}: hybrimoe goodput {hybrimoe['goodput_rps']:.3f} "
-                f"below ondemand {ondemand['goodput_rps']:.3f}"
-            )
+    by_strategy = {r["strategy"]: r for r in rows}
+    hybrimoe, ondemand = by_strategy["hybrimoe"], by_strategy["ondemand"]
+    if not hybrimoe["goodput_rps"] >= ondemand["goodput_rps"]:
+        failures.append(
+            f"hybrimoe goodput {hybrimoe['goodput_rps']:.3f} "
+            f"below ondemand {ondemand['goodput_rps']:.3f}"
+        )
     return {"rows": rows}, failures
 
 
@@ -93,7 +85,6 @@ def render(payload: dict) -> str:
     table = format_table(
         rows,
         columns=[
-            "placement",
             "strategy",
             "goodput_rps",
             "token_throughput",
@@ -109,7 +100,7 @@ def render(payload: dict) -> str:
     )
     best = rows[0]
     return (
-        f"{table}\n\nbest fleet config: {best['strategy']} + {best['placement']} "
+        f"{table}\n\nbest strategy: {best['strategy']} "
         f"at {best['goodput_rps']:.2f} req/s goodput, "
         f"p99 TBT {best['p99_tbt_s'] * 1e3:.1f} ms"
     )

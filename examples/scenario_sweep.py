@@ -10,7 +10,7 @@ scripts with:
    out across strategies with ``run_sweep`` (parallel workers,
    resumable output directory);
 3. read the pooled ``SweepReport`` back from that directory as flat
-   rows.
+   rows (the directory is temporary and removed when the example ends).
 
 Run:  python examples/scenario_sweep.py
 """
@@ -63,19 +63,20 @@ register_scenario(
 
 
 def main() -> None:
-    out_dir = tempfile.mkdtemp(prefix="scenario-sweep-")
-    run_sweep(
-        ["edge-tenant-mix", "chat-multiturn", "disk-slow-spill", "skewed-fleet"],
-        out_dir,
-        strategies=["hybrimoe", "ondemand"],
-        processes=2,
-        log=print,
-    )
-    report = SweepReport.load(out_dir)
+    # The directory (and every per-cell JSON in it) is removed on exit;
+    # point run_sweep at a kept directory to resume a sweep later.
+    with tempfile.TemporaryDirectory(prefix="scenario-sweep-") as out_dir:
+        run_sweep(
+            ["edge-tenant-mix", "chat-multiturn", "disk-slow-spill", "skewed-fleet"],
+            out_dir,
+            strategies=["hybrimoe", "ondemand"],
+            processes=2,
+            log=print,
+        )
+        report = SweepReport.load(out_dir)
     print()
     print(format_table(report.rows(), title="scenarios x strategies"))
-    print(f"\nper-cell JSON + merged report under {out_dir}")
-    print("re-running against the same directory would skip every cell")
+    print("re-running against a kept output directory would skip every cell")
 
 
 if __name__ == "__main__":

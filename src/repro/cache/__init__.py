@@ -20,9 +20,9 @@ question, ``victim(locked)``; its plain form lives in
 The engine's GPU cache is one :class:`~repro.cache.manager.ExpertCache`
 shard per device behind
 :class:`~repro.cache.sharded.ShardedCacheManager` (a single shard on
-one GPU); a :class:`~repro.cache.placement.PlacementPolicy`
-(round-robin, layer-striped or load-aware) routes every key to its
-home device when there are several. The manager forwards what the
+one GPU); :func:`~repro.cache.sharded.home_device` (``expert % N``)
+routes every key to its home device when there are several. The
+manager forwards what the
 engine, pipeline and strategies call (membership, ``access``,
 ``insert`` / ``insert_if_better`` / ``would_admit``, ``lock`` /
 ``unlock_all``, per-layer lookups, ``observe_scores``, ``stats``); the
@@ -47,15 +47,7 @@ from repro.cache.lfu import LFUPolicy
 from repro.cache.lru import LRUPolicy
 from repro.cache.manager import CacheStats, ExpertCache
 from repro.cache.mrs import MRSPolicy
-from repro.cache.placement import (
-    LayerStripedPlacement,
-    LoadAwarePlacement,
-    PlacementPolicy,
-    RoundRobinPlacement,
-    available_placements,
-    make_placement,
-)
-from repro.cache.sharded import CacheSpec, ShardedCacheManager, split_capacity
+from repro.cache.sharded import CacheSpec, ShardedCacheManager, home_device, split_capacity
 from repro.cache.tiered import TieredCacheManager
 
 __all__ = [
@@ -68,14 +60,9 @@ __all__ = [
     "MRSPolicy",
     "ExpertCache",
     "CacheStats",
-    "PlacementPolicy",
-    "RoundRobinPlacement",
-    "LayerStripedPlacement",
-    "LoadAwarePlacement",
-    "available_placements",
-    "make_placement",
     "CacheSpec",
     "ShardedCacheManager",
+    "home_device",
     "split_capacity",
     "TieredCacheManager",
 ]

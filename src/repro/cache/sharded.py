@@ -4,21 +4,21 @@
 pipeline and strategies use (membership, access / insert / admission /
 lock, per-layer lookups, stats, score observation) over ``N``
 independent :class:`~repro.cache.manager.ExpertCache`
-shards, one per GPU. A :class:`~repro.cache.placement.PlacementPolicy`
-routes every key to its home shard; each shard keeps its own eviction
-policy instance and its own capacity budget, so per-device residency
-decisions are exactly the single-GPU decisions made over that device's
-slice of the expert population.
+shards, one per GPU. Every key's home shard is :func:`home_device`,
+``expert % N``; each shard keeps its own eviction policy instance and
+its own capacity budget, so per-device residency decisions are exactly
+the single-GPU decisions made over that device's slice of the expert
+population.
 
 Construction goes through :class:`CacheSpec` — a declarative recipe
 (aggregate capacity, a policy factory, pinned and warm-fill key orders)
 that every :class:`~repro.engine.strategy_base.Strategy` provides. The
 engine materialises it as ``N`` shards with the aggregate capacity
-split evenly and the pinned/warm lists filtered by placement.
+split evenly and the pinned/warm lists routed to their home shards.
 
 This is the only GPU-cache wiring: the paper's single-GPU platform is
 the manager over **one** shard. There every key's home is device 0, so
-a one-shard manager never consults its placement policy and forwards
+a one-shard manager never evaluates the home rule and forwards
 each operation to the shard verbatim — the engine's behaviour on one
 GPU is that of a bare :class:`~repro.cache.manager.ExpertCache`
 (pinned by the ``GOLDEN_1GPU`` digests in ``tests/engine``).
@@ -32,10 +32,20 @@ import numpy as np
 
 from repro.cache.base import EvictionPolicy, ExpertKey
 from repro.cache.manager import CacheStats, ExpertCache
-from repro.cache.placement import PlacementPolicy
 from repro.errors import CacheError
 
-__all__ = ["CacheSpec", "ShardedCacheManager", "split_capacity"]
+__all__ = ["CacheSpec", "ShardedCacheManager", "home_device", "split_capacity"]
+
+
+def home_device(expert: int, num_devices: int) -> int:
+    """Home device of every ``(layer, expert)`` key: ``expert % num_devices``.
+
+    The one placement rule of the sharded cache: the home shard caches
+    the expert, its PCIe link transfers it and its GPU computes it.
+    Striping by expert id spreads each layer's experts over every
+    device.
+    """
+    return expert % num_devices
 
 
 def split_capacity(total: int, num_devices: int) -> list[int]:
@@ -88,28 +98,23 @@ class CacheSpec:
         self.pinned = tuple(pinned)
         self.warm = tuple(warm)
 
-    def build_sharded(self, placement: PlacementPolicy) -> "ShardedCacheManager":
+    def build_sharded(self, num_devices: int) -> "ShardedCacheManager":
         """Materialise one shard per device behind a manager.
 
         Capacity is split evenly (the aggregate budget is fixed, so the
         GPU-memory assumption of ``cache_ratio`` is preserved across
         ``num_gpus``); pinned and warm lists are routed to each key's
-        home shard in spec order, which keeps load-aware assignment
-        deterministic.
+        home shard in spec order.
         """
-        num_devices = placement.num_devices
         capacities = split_capacity(self.capacity, num_devices)
         pinned_per: list[list[ExpertKey]] = [[] for _ in range(num_devices)]
-        occupancy = [0] * num_devices
         for key in self.pinned:
-            device = placement.assign(key, occupancy)
-            pinned_per[device].append(key)
-            occupancy[device] += 1
+            pinned_per[home_device(key[1], num_devices)].append(key)
         shards = [
             ExpertCache(capacities[g], self.policy_factory(), pinned=pinned_per[g])
             for g in range(num_devices)
         ]
-        manager = ShardedCacheManager(shards, placement)
+        manager = ShardedCacheManager(shards)
         manager.warm_fill(self.warm)
         return manager
 
@@ -124,25 +129,17 @@ class ShardedCacheManager:
     What it does not forward (pinned or locked keys, ``evict_explicit``)
     is read off ``shards[g]``.
 
-    With one shard every operation forwards verbatim and the placement
-    policy is never consulted (the home of every key is device 0), so a
+    With one shard every operation forwards verbatim and the home rule
+    is never evaluated (the home of every key is device 0), so a
     1-device manager is operation-for-operation identical to its shard.
     """
 
-    def __init__(
-        self, shards: list[ExpertCache], placement: PlacementPolicy
-    ) -> None:
+    def __init__(self, shards: list[ExpertCache]) -> None:
         if not shards:
             raise CacheError("ShardedCacheManager needs at least one shard")
-        if placement.num_devices != len(shards):
-            raise CacheError(
-                f"placement covers {placement.num_devices} devices but "
-                f"{len(shards)} shards were given"
-            )
         self.shards = shards
-        self.placement = placement
         #: The one shard of a single-device manager (None on a fleet):
-        #: routing short-circuits to it without asking the placement.
+        #: routing short-circuits to it without evaluating the home rule.
         self._solo = shards[0] if len(shards) == 1 else None
 
     # ------------------------------------------------------------------
@@ -152,34 +149,11 @@ class ShardedCacheManager:
     def num_devices(self) -> int:
         return len(self.shards)
 
-    def _occupancy(self) -> list[int]:
-        return [len(shard) for shard in self.shards]
-
     def device_of(self, key: ExpertKey) -> int:
-        """Home device of ``key`` (assigning it if load-aware and new)."""
+        """Home device of ``key`` (:func:`home_device`)."""
         if self._solo is not None:
             return 0
-        occupancy = self._occupancy() if self.placement.uses_occupancy else ()
-        return self._checked(self.placement.assign(key, occupancy), key)
-
-    def _checked(self, device: int, key: ExpertKey) -> int:
-        if not 0 <= device < len(self.shards):
-            raise CacheError(
-                f"placement {self.placement.name!r} routed {key} to device "
-                f"{device} (have {len(self.shards)})"
-            )
-        return device
-
-    def peek_device_of(self, key: ExpertKey) -> int | None:
-        """Home device of ``key`` without committing a new assignment.
-
-        ``None`` (load-aware, key never routed) implies the key is
-        resident nowhere — pure queries must not perturb placement.
-        """
-        if self._solo is not None:
-            return 0
-        device = self.placement.peek(key)
-        return device if device is None else self._checked(device, key)
+        return home_device(key[1], len(self.shards))
 
     def shard_of(self, key: ExpertKey) -> ExpertCache:
         """The shard that owns ``key``."""
@@ -189,10 +163,10 @@ class ShardedCacheManager:
     # queries
     # ------------------------------------------------------------------
     def __contains__(self, key: ExpertKey) -> bool:
-        device = self.peek_device_of(key)
-        if device is None:
-            return False
-        return key in self.shards[device]
+        shard = self._solo
+        if shard is None:
+            shard = self.shards[home_device(key[1], len(self.shards))]
+        return key in shard
 
     def __len__(self) -> int:
         return sum(len(shard) for shard in self.shards)
@@ -238,17 +212,11 @@ class ShardedCacheManager:
         return self.shard_of(key).insert_if_better(key)
 
     def would_admit(self, key: ExpertKey, margin: float = 0.0) -> bool:
-        """Admission probe against the key's (would-be) home shard.
-
-        A speculative query: routed through the placement *preview* so
-        probing a load-aware manager for keys that are then rejected
-        does not sticky-commit their placement.
-        """
-        if self._solo is not None:
-            return self._solo.would_admit(key, margin=margin)
-        occupancy = self._occupancy() if self.placement.uses_occupancy else ()
-        device = self._checked(self.placement.preview(key, occupancy), key)
-        return self.shards[device].would_admit(key, margin=margin)
+        """Admission probe against the key's home shard."""
+        shard = self._solo
+        if shard is None:
+            shard = self.shards[home_device(key[1], len(self.shards))]
+        return shard.would_admit(key, margin=margin)
 
     def warm_fill(self, keys: Iterable[ExpertKey]) -> None:
         if self._solo is not None:
@@ -318,16 +286,15 @@ class ShardedCacheManager:
         """Validate every shard plus the routing invariant.
 
         Each shard checks its own capacity/pinning invariants; on top,
-        every resident key must route back to the shard holding it —
-        a violated routing invariant would make residency invisible to
-        lookups.
+        every resident key must sit on its home shard — a violated
+        routing invariant would make residency invisible to lookups.
         """
         for device, shard in enumerate(self.shards):
             shard.validate()
             for key in shard.resident_keys:
-                home = self.peek_device_of(key)
+                home = self.device_of(key)
                 if home != device:
                     raise CacheError(
-                        f"key {key} resident on device {device} but placement "
-                        f"{self.placement.name!r} routes it to {home}"
+                        f"key {key} resident on device {device} but its home "
+                        f"is device {home}"
                     )

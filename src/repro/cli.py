@@ -32,7 +32,6 @@ import sys
 import typing
 
 from repro.cache.base import available_policies
-from repro.cache.placement import available_placements
 from repro.engine.factory import (
     available_strategies,
     make_engine,
@@ -319,13 +318,6 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     )
     _knob_flag(
         parser,
-        "--placement",
-        "placement",
-        choices=available_placements(),
-        help="expert-placement policy of the sharded cache",
-    )
-    _knob_flag(
-        parser,
         "--cpu-cache-capacity",
         "cpu_cache_capacity",
         metavar="SLOTS",
@@ -491,9 +483,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     report = serving.serve_trace(
         _serve_trace(args, engine.seed, serving.engine.model.vocab_size)
     )
-    topology = (
-        "" if engine.num_gpus == 1 else f", {engine.num_gpus} GPUs ({engine.placement})"
-    )
+    topology = "" if engine.num_gpus == 1 else f", {engine.num_gpus} GPUs"
     if engine.cpu_cache_capacity is not None:
         topology += (
             f", DRAM<={engine.cpu_cache_capacity} ({engine.cpu_cache_policy})"

@@ -50,6 +50,10 @@ from repro.errors import SchedulingError
 
 __all__ = ["PredictedLayer", "PrefetchDecision", "ImpactDrivenPrefetcher"]
 
+#: Per-layer-distance discount on a candidate's gain: gate-reuse
+#: predictions lose accuracy with every layer they look ahead.
+CONFIDENCE_DECAY = 0.8
+
 
 @dataclass(frozen=True)
 class PredictedLayer:
@@ -106,9 +110,6 @@ class ImpactDrivenPrefetcher:
         experts by predicted score.
     lookahead:
         How many future layers to consider (the paper uses 3).
-    confidence_decay:
-        Multiplicative per-layer-distance discount on gains, modelling
-        the decay of gate-reuse prediction accuracy.
     disk_fetch_s:
         Estimated disk -> DRAM read time per spilled expert (tiered
         platforms; 0 keeps the two-tier behaviour). Impact simulations
@@ -122,15 +123,10 @@ class ImpactDrivenPrefetcher:
         transfer_time_fn,
         num_activated: int,
         lookahead: int = 3,
-        confidence_decay: float = 0.8,
         disk_fetch_s: float = 0.0,
     ) -> None:
         if lookahead < 1:
             raise SchedulingError(f"lookahead must be >= 1, got {lookahead}")
-        if not 0.0 < confidence_decay <= 1.0:
-            raise SchedulingError(
-                f"confidence_decay must be in (0, 1], got {confidence_decay}"
-            )
         if num_activated < 1:
             raise SchedulingError(f"num_activated must be >= 1, got {num_activated}")
         if disk_fetch_s < 0:
@@ -141,7 +137,6 @@ class ImpactDrivenPrefetcher:
         self.transfer_time_fn = transfer_time_fn
         self.num_activated = num_activated
         self.lookahead = lookahead
-        self.confidence_decay = confidence_decay
         self.disk_fetch_s = disk_fetch_s
 
     # ------------------------------------------------------------------
@@ -181,7 +176,7 @@ class ImpactDrivenPrefetcher:
         """Simulate the impact of each candidate expert, best first.
 
         Only predictions within ``lookahead`` are considered, and each
-        one's gain is discounted by ``confidence_decay ** (distance-1)``.
+        one's gain is discounted by ``CONFIDENCE_DECAY ** (distance-1)``.
         """
         prepared: list[tuple[PredictedLayer, int, list, set, list]] = []
         for prediction in predictions:
@@ -221,7 +216,7 @@ class ImpactDrivenPrefetcher:
             bounds,
         ) in zip(prepared, screens):
             spilled = prediction.spilled_experts
-            confidence = self.confidence_decay ** (distance - 1)
+            confidence = CONFIDENCE_DECAY ** (distance - 1)
             survivors = self._screen(candidates, base, confidence, bounds)
             if not survivors:
                 continue

@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.cache.base import available_policies, make_policy
 from repro.cache.manager import ExpertCache
-from repro.cache.placement import available_placements, make_placement
 from repro.cache.sharded import ShardedCacheManager
 from repro.cache.tiered import TieredCacheManager
 from repro.core.hybrid_scheduler import HybridScheduler
@@ -70,10 +69,11 @@ class EngineConfig:
         pipeline dispatches each expert to its home device; 1 (the
         paper's testbed) is one shard holding everything.
     placement:
-        Expert-placement policy routing keys to home devices:
-        ``"round_robin"`` (by expert id), ``"layer_striped"`` (by
-        layer) or ``"load_aware"`` (sticky least-loaded). Never
-        consulted with one GPU.
+        Expert placement across GPUs. The only accepted value is
+        ``"round_robin"``: an expert's home device is ``expert %
+        num_gpus`` (:func:`~repro.cache.sharded.home_device`). The
+        field stays because saved spec and sweep JSON, and the perf
+        ledger's ``decode_pressured`` workload, carry the key.
     cpu_cache_capacity:
         Routed-expert slots of host DRAM (the CPU tier of the memory
         hierarchy). ``None`` (default) keeps the paper's unbounded CPU
@@ -99,10 +99,10 @@ class EngineConfig:
             raise ConfigError(f"cache_ratio must be in [0, 1], got {self.cache_ratio}")
         if self.num_gpus < 1:
             raise ConfigError(f"num_gpus must be >= 1, got {self.num_gpus}")
-        if self.placement not in available_placements():
-            known = ", ".join(available_placements())
+        if self.placement != "round_robin":
             raise ConfigError(
-                f"unknown placement {self.placement!r} (known: {known})"
+                f"placement must be 'round_robin' (home device = expert % "
+                f"num_gpus), got {self.placement!r}"
             )
         if self.cpu_cache_capacity is not None and self.cpu_cache_capacity < 0:
             raise ConfigError(
@@ -300,9 +300,7 @@ class InferenceEngine:
         # One cache wiring for every platform: one shard per GPU behind
         # a manager (a single shard on the paper's testbed), under the
         # DRAM tier when host memory is capped.
-        gpu_cache = strategy.cache_spec().build_sharded(
-            make_placement(self.config.placement, self.config.num_gpus)
-        )
+        gpu_cache = strategy.cache_spec().build_sharded(self.config.num_gpus)
         if self.config.tiered:
             self.runtime.cache = TieredCacheManager(
                 gpu_cache, self._build_cpu_tier()

@@ -37,9 +37,9 @@ cap the spilled set is always empty and every code path reduces to the
 two-tier engine, bit-identically.
 
 **Device groups.** Every platform runs the same dispatch: each layer's
-activated experts are partitioned by their home device (the cache
-shard that holds or would cache them; resolved once per layer, in
-expert-id order) and the strategy plans **one device group at a
+activated experts are partitioned by their home device (``expert %
+N``, the cache shard that holds or would cache them; resolved once per
+layer) and the strategy plans **one device group at a
 time**, in ascending device order: device ``g``'s plan sees only its
 own experts and its own shard's residency, its own PCIe link backlog,
 and the shared CPU's accumulated backlog from earlier groups — the
@@ -51,7 +51,7 @@ experts on the lowest-indexed device with routed work), and the layer
 barrier waits for every device. The paper's single-GPU platform is not
 a special case of the code, only of the data: one shard, hence one
 group whose :class:`LayerContext` describes the whole layer, and a
-placement policy nobody asks.
+home rule nobody evaluates.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.cache.manager import ExpertCache
-from repro.cache.sharded import ShardedCacheManager
+from repro.cache.sharded import ShardedCacheManager, home_device
 from repro.cache.tiered import TieredCacheManager
 from repro.core.executor import execute_plan
 from repro.core.prefetch import PredictedLayer
@@ -256,7 +256,7 @@ class StepPipeline:
             # shared CPU's backlog left by the groups before it.
             lead = None
             routed_tasks: list[ComputeTask] = []
-            for device, group in self._device_groups(cache, layer, activated):
+            for device, group in self._device_groups(cache, activated):
                 shard = shards[device]
                 cached = shard.cached_experts_of_layer(layer)
                 pcie_backlog = max(
@@ -360,22 +360,21 @@ class StepPipeline:
     @staticmethod
     def _device_groups(
         cache: ShardedCacheManager | TieredCacheManager,
-        layer: int,
         activated: tuple[tuple[int, int], ...],
     ) -> Sequence[tuple[int, tuple[tuple[int, int], ...]]]:
         """Partition a layer's ``(expert, load)`` pairs by home device.
 
         ``(device, pairs)`` in ascending device order, pairs in
         ascending expert id. Each expert's home is resolved here, once
-        per layer and in id order (a load-aware placement assigns new
-        keys stickily, first come first served); on one device the
-        layer is its own single group and no placement is asked.
+        per layer; on one device the layer is its own single group and
+        the home rule is not evaluated.
         """
-        if len(cache.shards) == 1:
+        num_devices = len(cache.shards)
+        if num_devices == 1:
             return ((0, activated),)
         by_device: dict[int, list[tuple[int, int]]] = {}
         for pair in activated:
-            by_device.setdefault(cache.device_of((layer, pair[0])), []).append(pair)
+            by_device.setdefault(home_device(pair[0], num_devices), []).append(pair)
         return [(device, tuple(by_device[device])) for device in sorted(by_device)]
 
     def _plan_and_execute(self, ctx: LayerContext, shard: ExpertCache) -> ExecutionPlan:

@@ -32,7 +32,6 @@ def generate_trace(
     prompt_tokens: np.ndarray,
     decode_steps: int = 0,
     seed: int = 0,
-    decode_token_source: str = "sampled",
 ) -> RoutingTrace:
     """Run one prefill (plus optional decode) and record routing per layer.
 
@@ -43,16 +42,10 @@ def generate_trace(
     prompt_tokens:
         1-D array of prompt token ids (the prefill batch).
     decode_steps:
-        Number of auto-regressive decode tokens to append.
+        Number of auto-regressive decode tokens to append; each is a
+        seeded temperature sample of the model's own continuation.
     seed:
-        Seed of the decode token draws (``"sampled"`` and ``"random"``).
-    decode_token_source:
-        ``"sampled"`` (default) feeds seeded temperature samples of the
-        model's own continuation — the realistic setting; ``"greedy"``
-        feeds argmax continuations (the functional model then collapses
-        to a fixed point, an idealised best case for caching);
-        ``"random"`` feeds uniformly random ids (an adversarial upper
-        bound on routing churn).
+        Seed of the decode token draws.
 
     Returns
     -------
@@ -63,11 +56,6 @@ def generate_trace(
     prompt_tokens = np.asarray(prompt_tokens, dtype=np.int64)
     if prompt_tokens.ndim != 1 or prompt_tokens.size == 0:
         raise TraceError("prompt_tokens must be a non-empty 1-D id array")
-    if decode_token_source not in ("sampled", "greedy", "random"):
-        raise TraceError(
-            "decode_token_source must be 'sampled', 'greedy' or 'random', "
-            f"got {decode_token_source!r}"
-        )
 
     rng = derive_rng(seed, "trace", model.config.name, "decode-tokens")
     steps: list[StepTrace] = []
@@ -86,12 +74,7 @@ def generate_trace(
 
     last_hidden = hidden[-1]
     for _ in range(decode_steps):
-        if decode_token_source == "greedy":
-            token = model.greedy_next_token(last_hidden)
-        elif decode_token_source == "sampled":
-            token = model.sample_next_token(last_hidden, rng)
-        else:
-            token = int(rng.integers(0, model.vocab_size))
+        token = model.sample_next_token(last_hidden, rng)
         hidden, routers, state = model.forward(np.array([token]), state)
         last_hidden = hidden[-1]
         steps.append(

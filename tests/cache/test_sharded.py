@@ -2,18 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.cache import sharded
 from repro.cache.lru import LRUPolicy
 from repro.cache.manager import ExpertCache
 from repro.cache.mrs import MRSPolicy
-from repro.cache.placement import PlacementPolicy, make_placement
-from repro.cache.sharded import CacheSpec, ShardedCacheManager, split_capacity
+from repro.cache.sharded import CacheSpec, ShardedCacheManager, home_device, split_capacity
 from repro.errors import CacheError
 
 
-def make_manager(num_devices=4, capacity=8, placement="round_robin", **spec_kwargs):
+def make_manager(num_devices=4, capacity=8, **spec_kwargs):
     spec = CacheSpec(capacity, LRUPolicy, **spec_kwargs)
-    return spec.build_sharded(make_placement(placement, num_devices))
+    return spec.build_sharded(num_devices)
 
 
 class TestSplitCapacity:
@@ -55,10 +57,11 @@ class TestConstruction:
             assert len(shard.dynamic_keys) == shard.capacity == 2
         manager.validate()
 
-    def test_shard_count_must_match_placement(self):
-        shards = [ExpertCache(2, LRUPolicy()) for _ in range(3)]
+    def test_needs_a_shard(self):
         with pytest.raises(CacheError):
-            ShardedCacheManager(shards, make_placement("round_robin", 2))
+            ShardedCacheManager([])
+        with pytest.raises(CacheError):
+            CacheSpec(4, LRUPolicy).build_sharded(0)
 
     def test_policy_instances_are_per_shard(self):
         manager = make_manager(num_devices=3)
@@ -70,34 +73,29 @@ class TestConstruction:
         spec = CacheSpec(6, LRUPolicy, warm=warm)
         solo = ExpertCache(6, LRUPolicy())
         solo.warm_fill(warm)
-        manager = spec.build_sharded(make_placement("round_robin", 1))
+        manager = spec.build_sharded(1)
         assert manager.shards[0].resident_keys == solo.resident_keys
         assert manager.capacity == solo.capacity
 
 
-class _UnaskedPlacement(PlacementPolicy):
-    """Fails the test the moment the manager consults it."""
+@pytest.fixture
+def unasked(monkeypatch):
+    """Fails the test the moment the manager evaluates the home rule."""
 
-    name = "unasked"
+    def fail(expert, num_devices):
+        raise AssertionError(f"home rule evaluated for expert {expert}")
 
-    def assign(self, key, occupancy):
-        raise AssertionError(f"placement asked to assign {key}")
-
-    def peek(self, key):
-        raise AssertionError(f"placement asked to peek {key}")
-
-    def preview(self, key, occupancy):
-        raise AssertionError(f"placement asked to preview {key}")
+    monkeypatch.setattr(sharded, "home_device", fail)
 
 
 class TestSingleShard:
-    def test_every_operation_routes_to_device_zero_unasked(self):
+    def test_every_operation_routes_to_device_zero_unasked(self, unasked):
         """One shard: the home of every key is device 0, so no
-        operation consults the placement policy."""
-        manager = ShardedCacheManager([ExpertCache(2, LRUPolicy())], _UnaskedPlacement(1))
+        operation evaluates the home rule."""
+        manager = ShardedCacheManager([ExpertCache(2, LRUPolicy())])
         shard = manager.shards[0]
         key = (0, 5)
-        assert manager.device_of(key) == 0 and manager.peek_device_of(key) == 0
+        assert manager.device_of(key) == 0
         assert manager.shard_of(key) is shard
         assert manager.would_admit(key) and key not in manager
         assert manager.access(key) is False
@@ -114,11 +112,11 @@ class TestSingleShard:
         manager.validate()
 
 
-    def test_warm_fill_hands_the_whole_ranking_to_the_shard(self, monkeypatch):
+    def test_warm_fill_hands_the_whole_ranking_to_the_shard(self, monkeypatch, unasked):
         """One call with every key, leaving residency, the logical clock
         and the policy's state as a per-key fill leaves them."""
         warm = [(layer, expert) for expert in range(5) for layer in range(3)]
-        manager = ShardedCacheManager([ExpertCache(9, MRSPolicy())], _UnaskedPlacement(1))
+        manager = ShardedCacheManager([ExpertCache(9, MRSPolicy())])
         per_key = ExpertCache(9, MRSPolicy())
         for key in warm:
             per_key.warm_fill([key])
@@ -167,7 +165,7 @@ class TestRoutingAndMutation:
     def test_per_device_capacity_never_exceeded(self):
         """Randomised workload: every shard stays within its budget."""
         rng = np.random.default_rng(7)
-        manager = make_manager(num_devices=3, capacity=7, placement="load_aware")
+        manager = make_manager(num_devices=3, capacity=7)
         for _ in range(500):
             key = (int(rng.integers(0, 6)), int(rng.integers(0, 16)))
             op = rng.integers(0, 3)
@@ -183,27 +181,64 @@ class TestRoutingAndMutation:
 
     def test_observe_scores_broadcasts(self):
         spec = CacheSpec(4, lambda: MRSPolicy(alpha=0.5, top_p=2))
-        manager = spec.build_sharded(make_placement("round_robin", 2))
+        manager = spec.build_sharded(2)
         scores = np.array([0.9, 0.05, 0.03, 0.02])
         manager.observe_scores(0, scores)
         for shard in manager.shards:
             assert shard.policy.priority((0, 0)) > 0.0
 
-    def test_would_admit_does_not_commit_load_aware_placement(self):
-        """Rejected admission probes must not sticky-assign homes."""
-        manager = make_manager(num_devices=2, capacity=4, placement="load_aware")
-        assert manager.would_admit((0, 0)) is True
-        assert manager.placement.assignments == {}
-        assert (0, 0) not in manager  # membership probe: also non-committing
-        assert manager.placement.assignments == {}
-        manager.insert((0, 0))
-        assert manager.placement.assignments == {(0, 0): 0}
-
     def test_validate_catches_misrouted_resident(self):
         manager = make_manager(num_devices=2, capacity=4)
         # Bypass routing: plant a key on the wrong shard.
-        manager.shards[1].insert((0, 0))  # round_robin home is device 0
+        manager.shards[1].insert((0, 0))  # home: device 0
         with pytest.raises(CacheError):
+            manager.validate()
+
+
+class TestHomeRule:
+    @given(
+        history=st.lists(
+            st.tuples(
+                st.sampled_from(["access", "insert", "insert_if_better", "warm_fill"]),
+                st.tuples(st.integers(0, 3), st.integers(0, 15)),
+            ),
+            max_size=60,
+        ),
+        num_devices=st.integers(1, 4),
+        extra_slots=st.integers(0, 8),
+        pinned=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 15)), max_size=4),
+        planted_expert=st.integers(0, 15),
+        offset=st.integers(1, 3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_every_resident_sits_on_expert_mod_n(
+        self, history, num_devices, extra_slots, pinned, planted_expert, offset
+    ):
+        """On any history, every resident key (pinned included) sits on
+        shard ``expert % N``, and ``validate()`` flags a key planted on
+        any other shard."""
+        manager = make_manager(
+            num_devices=num_devices, capacity=num_devices + extra_slots, pinned=pinned
+        )
+        for op, key in history:
+            if op == "warm_fill":
+                manager.warm_fill([key])
+            else:
+                getattr(manager, op)(key)
+        for device, shard in enumerate(manager.shards):
+            assert all(expert % num_devices == device for _, expert in shard.resident_keys)
+            assert all(manager.device_of(key) == device for key in shard.resident_keys)
+        assert all(
+            home_device(expert, num_devices) == expert % num_devices for expert in range(16)
+        )
+        manager.validate()
+        if num_devices == 1:
+            return
+        planted = (4, planted_expert)  # a layer the history never touched
+        shift = 1 + (offset - 1) % (num_devices - 1)  # in 1 .. N-1
+        wrong = (planted_expert + shift) % num_devices
+        manager.shards[wrong].insert(planted)
+        with pytest.raises(CacheError, match="resident on device"):
             manager.validate()
 
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.cache.base import available_policies, make_policy
 from repro.cache.manager import ExpertCache
-from repro.cache.placement import make_placement
 from repro.cache.sharded import CacheSpec
 from repro.cache.tiered import TieredCacheManager
 from repro.errors import CacheError
@@ -164,7 +163,7 @@ class TestFacadeForwarding:
 
     def test_sharded_gpu_tier_passthrough(self):
         spec = CacheSpec(4, lambda: make_policy("lru"))
-        manager = spec.build_sharded(make_placement("round_robin", 2))
+        manager = spec.build_sharded(2)
         tiered = TieredCacheManager(manager, ExpertCache(2, make_policy("lru")))
         assert tiered.shards is manager.shards
         assert len(tiered.per_device_hit_rates()) == 2
@@ -227,21 +226,19 @@ class TestSpilledExpertsSetForm:
             max_size=50,
         ),
         num_devices=st.integers(1, 3),
-        placement=st.sampled_from(["round_robin", "layer_striped", "load_aware"]),
         layer=st.integers(0, 2),
         # Arbitrary iterables: duplicates, ids resident nowhere (>= 10).
         experts=st.lists(st.integers(0, 12), max_size=16),
     )
     @settings(max_examples=150, deadline=None)
     def test_equals_per_key_is_spilled_filter(
-        self, history, num_devices, placement, layer, experts
+        self, history, num_devices, layer, experts
     ):
         """``spilled_experts`` answers from the tiers' per-layer indexes;
         on any insert/evict/promote history it is the per-key
-        ``is_spilled`` filter — including load-aware keys no operation
-        ever routed, which must stay unrouted."""
+        ``is_spilled`` filter."""
         spec = CacheSpec(4, lambda: make_policy("lru"))
-        manager = spec.build_sharded(make_placement(placement, num_devices))
+        manager = spec.build_sharded(num_devices)
         tiered = TieredCacheManager(manager, ExpertCache(3, make_policy("lru")))
         for op, key in history:
             if op == "insert":
@@ -252,11 +249,9 @@ class TestSpilledExpertsSetForm:
                 tiered.access(key)
             elif key in tiered:
                 manager.shard_of(key).evict_explicit(key)
-        routed = getattr(manager.placement, "assignments", None)
         expected = frozenset(e for e in experts if tiered.is_spilled((layer, e)))
         assert tiered.spilled_experts(layer, experts) == expected
         assert tiered.spilled_experts(layer, (e for e in experts)) == expected
-        assert getattr(manager.placement, "assignments", None) == routed
         tiered.validate()
 
 
@@ -267,19 +262,18 @@ class TestShadowSet:
             max_size=60,
         ),
         num_devices=st.integers(1, 3),
-        placement=st.sampled_from(["round_robin", "layer_striped", "load_aware"]),
         gpu_capacity=st.integers(0, 5),
         cpu_capacity=st.integers(0, 5),
     )
     @settings(max_examples=150, deadline=None)
     def test_incremental_shadows_equal_dram_and_gpu_residents(
-        self, history, num_devices, placement, gpu_capacity, cpu_capacity
+        self, history, num_devices, gpu_capacity, cpu_capacity
     ):
         """Kept incrementally through GPU inserts, GPU evictions (whose
         demotions land as DRAM promotions) and DRAM promotions, the shadow set is always the DRAM
         residents the GPU also holds."""
         spec = CacheSpec(gpu_capacity, lambda: make_policy("lru"))
-        manager = spec.build_sharded(make_placement(placement, num_devices))
+        manager = spec.build_sharded(num_devices)
         cpu = ExpertCache(cpu_capacity, make_policy("lru"))
         tiered = TieredCacheManager(manager, cpu)
         for op, key in history:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.hybrid_scheduler import HybridScheduler
-from repro.core.prefetch import ImpactDrivenPrefetcher, PredictedLayer
+from repro.core.prefetch import CONFIDENCE_DECAY, ImpactDrivenPrefetcher, PredictedLayer
 from repro.errors import SchedulingError
 
 
@@ -20,7 +20,6 @@ def prefetcher(scheduler):
         transfer_time_fn=lambda: 3.0,
         num_activated=2,
         lookahead=3,
-        confidence_decay=0.8,
     )
 
 
@@ -73,14 +72,6 @@ class TestImpactRanking:
         gains = [d.gain for d in decisions]
         assert gains == sorted(gains, reverse=True)
 
-    def test_distance_confidence_discount(self, scheduler):
-        eager = ImpactDrivenPrefetcher(scheduler, lambda: 3.0, 2, 3, 1.0)
-        discounted = ImpactDrivenPrefetcher(scheduler, lambda: 3.0, 2, 3, 0.5)
-        prediction = _prediction(3, [0.5, 0.3, 0.1, 0.1])
-        gain_eager = eager.evaluate_candidates([prediction], 0)[0].gain
-        gain_disc = discounted.evaluate_candidates([prediction], 0)[0].gain
-        assert gain_disc == pytest.approx(gain_eager * 0.25)
-
     def test_beyond_lookahead_ignored(self, prefetcher):
         decisions = prefetcher.evaluate_candidates(
             [_prediction(9, [0.5, 0.3, 0.1, 0.1])], current_layer=0
@@ -91,7 +82,7 @@ class TestImpactRanking:
 class TestDistanceWindow:
     """A prediction ``distance`` layers ahead counts only for ``1 <=
     distance <= lookahead``, its gain discounted by
-    ``confidence_decay ** (distance - 1)`` (gate-reuse accuracy decays
+    ``CONFIDENCE_DECAY ** (distance - 1)`` (gate-reuse accuracy decays
     with distance)."""
 
     SCORES = [0.5, 0.3, 0.1, 0.1]
@@ -103,22 +94,21 @@ class TestDistanceWindow:
             for d in prefetcher.evaluate_candidates(predictions, current_layer)
         ]
 
-    @pytest.mark.parametrize("decay", [0.5, 0.8, 1.0])
     @pytest.mark.parametrize("distance", [1, 2, 3])
-    def test_gain_is_discounted_by_decay_power(self, scheduler, decay, distance):
-        undiscounted = ImpactDrivenPrefetcher(scheduler, lambda: 3.0, 2, 3, 1.0)
-        discounted = ImpactDrivenPrefetcher(scheduler, lambda: 3.0, 2, 3, decay)
-        predictions = [_prediction(distance, self.SCORES)]
+    def test_gain_is_discounted_by_decay_power(self, prefetcher, distance):
+        """The toy oracle costs every layer alike, so the same scores
+        one layer ahead give the undiscounted gains."""
+        adjacent = [_prediction(1, self.SCORES)]
         want = [
-            (distance, expert, gain * decay ** (distance - 1))
-            for _, expert, gain in self._gains(undiscounted, predictions, 0)
+            (distance, expert, gain * CONFIDENCE_DECAY ** (distance - 1))
+            for _, expert, gain in self._gains(prefetcher, adjacent, 0)
         ]
         assert want
-        assert self._gains(discounted, predictions, 0) == want
+        assert self._gains(prefetcher, [_prediction(distance, self.SCORES)], 0) == want
 
     @pytest.mark.parametrize("lookahead", [1, 2, 3, 4])
     def test_only_layers_within_lookahead_are_candidates(self, scheduler, lookahead):
-        prefetcher = ImpactDrivenPrefetcher(scheduler, lambda: 3.0, 2, lookahead, 0.8)
+        prefetcher = ImpactDrivenPrefetcher(scheduler, lambda: 3.0, 2, lookahead)
         predictions = [_prediction(layer, self.SCORES) for layer in range(1, 7)]
         decisions = prefetcher.evaluate_candidates(predictions, current_layer=0)
         assert {d.distance for d in decisions} == set(range(1, lookahead + 1))
@@ -199,7 +189,5 @@ class TestValidation:
     def test_invalid_construction(self, scheduler):
         with pytest.raises(SchedulingError):
             ImpactDrivenPrefetcher(scheduler, lambda: 1.0, 2, lookahead=0)
-        with pytest.raises(SchedulingError):
-            ImpactDrivenPrefetcher(scheduler, lambda: 1.0, 2, confidence_decay=0.0)
         with pytest.raises(SchedulingError):
             ImpactDrivenPrefetcher(scheduler, lambda: 1.0, 0)

@@ -21,6 +21,7 @@ from repro.hardware.platform_presets import get_hardware_preset, paper_testbed
 from repro.models.model import ReferenceMoEModel
 from repro.models.presets import get_preset, preset_model
 from repro.scenarios.spec import EngineSpec, FleetSpec, ServingSpec, knob_fields
+from tests.conftest import SINGLE_VALUED_KNOBS
 
 
 class TestMakeStrategy:
@@ -115,7 +116,8 @@ def _factory_knobs():
         (make_fleet, FleetSpec),
     ):
         for knob, field in knob_fields(spec_type).items():
-            yield pytest.param(factory, knob, field, id=f"{factory.__name__}-{knob}")
+            if knob not in SINGLE_VALUED_KNOBS:
+                yield pytest.param(factory, knob, field, id=f"{factory.__name__}-{knob}")
 
 
 class TestKnobWiring:

@@ -29,6 +29,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from repro.cache import sharded
+from repro.engine import pipeline
 from repro.engine.engine import EngineConfig, InferenceEngine
 from repro.engine.factory import make_engine, make_serving_engine, make_strategy
 from repro.errors import ConfigError
@@ -306,11 +308,8 @@ class TestMultiGpuDispatch:
         hidden, _ = engine._run_step(prompt_tokens, "prefill")
         np.testing.assert_array_equal(hidden, ref_hidden)
 
-    @pytest.mark.parametrize("placement", ["round_robin", "layer_striped", "load_aware"])
-    def test_invariants_hold_under_load(self, tiny_config, prompt_tokens, placement):
-        engine = build_engine(
-            tiny_config, "hybrimoe", num_gpus=4, placement=placement
-        )
+    def test_invariants_hold_under_load(self, tiny_config, prompt_tokens):
+        engine = build_engine(tiny_config, "hybrimoe", num_gpus=4)
         engine.generate(prompt_tokens, decode_steps=4)
         engine.runtime.clock.validate()
         cache = engine.runtime.cache
@@ -332,15 +331,12 @@ class TestMultiGpuDispatch:
     def test_deterministic_under_fixed_seed(self, tiny_config, prompt_tokens):
         fingerprints = []
         for _ in range(2):
-            engine = build_engine(
-                tiny_config, "hybrimoe", num_gpus=4, placement="load_aware"
-            )
+            engine = build_engine(tiny_config, "hybrimoe", num_gpus=4)
             result = engine.generate(prompt_tokens, decode_steps=4)
             cache = engine.runtime.cache
             fingerprints.append(
                 (
                     result_fingerprint(result),
-                    cache.placement.assignments,
                     [sorted(s.resident_keys) for s in cache.shards],
                 )
             )
@@ -414,38 +410,37 @@ class TestMultiGpuDispatch:
 
 
 @pytest.mark.parametrize("cpu_cache_capacity", [None, 4])
-@pytest.mark.parametrize("placement", ["round_robin", "layer_striped", "load_aware"])
 @pytest.mark.parametrize("num_gpus", [1, 2, 3])
 def test_layer_routes_each_expert_once(
-    tiny_config, prompt_tokens, monkeypatch, num_gpus, placement, cpu_cache_capacity
+    tiny_config, prompt_tokens, monkeypatch, num_gpus, cpu_cache_capacity
 ):
     """Work guard: an activated expert's home device is resolved twice
     per layer — by its ``cache.access`` and by the device grouping —
     and once more per prefetch issued; every other per-group operation
     (residency, lock, inserts, refills) talks to the group's shard. On
-    one GPU the home is device 0 and the placement is never asked."""
+    one GPU the home is device 0 and the home rule is never evaluated."""
     engine = build_engine(
         tiny_config,
         "hybrimoe",
         num_gpus=num_gpus,
-        placement=placement,
         cpu_cache_capacity=cpu_cache_capacity,
     )
     cache = engine.runtime.cache
     manager = getattr(cache, "gpu_tier", cache)
     calls = Counter()
 
-    def spy(owner, name):
+    def spy(owner, name, label=None):
         original = getattr(owner, name)
 
         def counted(*args, **kwargs):
-            calls[name] += 1
+            calls[label or name] += 1
             return original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
 
-    for name in ("assign", "peek", "preview"):
-        spy(manager.placement, name)
+    # The home rule inside the manager, and the device grouping's own call.
+    spy(sharded, "home_device", "rule")
+    spy(pipeline, "home_device", "grouped")
     spy(manager, "device_of")
     spy(manager, "access")
     engine.generate(prompt_tokens, decode_steps=16)
@@ -453,18 +448,16 @@ def test_layer_routes_each_expert_once(
     activated = calls["access"]  # one access per activated expert per layer
     assert activated >= 17 * tiny_config.num_layers * tiny_config.num_activated_experts
     if num_gpus == 1:
-        assert calls["assign"] + calls["peek"] + calls["preview"] == 0
+        assert calls["rule"] + calls["grouped"] == 0
     else:
-        assert activated <= calls["device_of"]
-        assert calls["device_of"] <= 2 * activated + engine.runtime.prefetch_issued
+        resolved = calls["device_of"] + calls["grouped"]
+        assert activated <= resolved <= 2 * activated + engine.runtime.prefetch_issued
 
 
 @pytest.mark.parametrize("strategy_name", ["hybrimoe", "adapmoe"])
-@pytest.mark.parametrize(
-    "num_gpus, placement", [(1, "round_robin"), (2, "round_robin"), (3, "load_aware")]
-)
+@pytest.mark.parametrize("num_gpus", [1, 2, 3])
 def test_inflight_scan_is_skipped_only_when_empty(
-    prompt_tokens, monkeypatch, num_gpus, placement, strategy_name
+    prompt_tokens, monkeypatch, num_gpus, strategy_name
 ):
     """The pipeline skips a group's in-flight scan when the device's
     PCIe link is idle at ``moe_start``. Every context it hands out must
@@ -475,7 +468,6 @@ def test_inflight_scan_is_skipped_only_when_empty(
         num_layers=4,
         cache_ratio=0.25,
         num_gpus=num_gpus,
-        placement=placement,
     )
     runtime = engine.runtime
     plan_and_execute = engine.pipeline._plan_and_execute
@@ -507,13 +499,17 @@ class TestConfigKnobs:
         with pytest.raises(ConfigError):
             EngineConfig(num_gpus=0)
 
-    def test_placement_validated(self):
-        with pytest.raises(ConfigError):
-            EngineConfig(placement="alphabetical")
+    @pytest.mark.parametrize("placement", ["alphabetical", "load_aware", "layer_striped"])
+    def test_round_robin_is_the_only_placement(self, placement):
+        """``expert % num_gpus`` is the one home rule: any other
+        placement is a one-line error."""
+        with pytest.raises(ConfigError, match="placement must be 'round_robin'") as err:
+            EngineConfig(placement=placement)
+        assert "\n" not in str(err.value)
+        assert EngineConfig(placement="round_robin") == EngineConfig()
 
     def test_factory_threads_topology(self):
-        engine = make_engine(num_layers=2, num_gpus=2, placement="layer_striped")
+        engine = make_engine(num_layers=2, num_gpus=2)
         assert engine.runtime.num_gpus == 2
-        assert engine.runtime.cache.placement.name == "layer_striped"
         assert len(engine.runtime.clock.gpus) == 2
         assert len(engine.runtime.clock.pcie_links) == 2

@@ -36,27 +36,7 @@ class TestGenerateTrace:
             for la, lb in zip(sa.layers, sb.layers):
                 np.testing.assert_array_equal(la.loads, lb.loads)
 
-    def test_token_sources_differ(self, tiny_model, prompt_tokens):
-        sampled = generate_trace(
-            tiny_model, prompt_tokens, decode_steps=6, seed=5,
-            decode_token_source="sampled",
-        )
-        random = generate_trace(
-            tiny_model, prompt_tokens, decode_steps=6, seed=5,
-            decode_token_source="random",
-        )
-        any_diff = any(
-            not np.array_equal(sa.layers[0].loads, sr.layers[0].loads)
-            for sa, sr in zip(sampled.decode_steps(), random.decode_steps())
-        )
-        assert any_diff
-
     def test_empty_prompt_rejected(self, tiny_model):
         with pytest.raises(TraceError):
             generate_trace(tiny_model, np.array([], dtype=np.int64))
 
-    def test_bad_source_rejected(self, tiny_model, prompt_tokens):
-        with pytest.raises(TraceError):
-            generate_trace(
-                tiny_model, prompt_tokens, decode_token_source="beam"
-            )

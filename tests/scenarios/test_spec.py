@@ -42,12 +42,17 @@ class TestEngineSpec:
             num_layers=4,
             seed=7,
             num_gpus=2,
-            placement="layer_striped",
+            placement="round_robin",
             cpu_cache_capacity=16,
             cpu_cache_policy="mrs",
         )
         data = json.loads(json.dumps(spec.to_dict()))
         assert EngineSpec.from_dict(data) == spec
+
+    def test_saved_placement_key_still_loads(self):
+        """Specs saved while placement had several values carry the key;
+        its one value loads as the default."""
+        assert EngineSpec.from_dict({"placement": "round_robin"}) == EngineSpec()
 
     def test_to_dict_is_plain_json(self):
         data = EngineSpec(seed=np.int64(3)).to_dict()
@@ -64,6 +69,7 @@ class TestEngineSpec:
             {"num_layers": 0},
             {"num_gpus": 0},
             {"placement": "nope"},
+            {"placement": "load_aware"},
             {"cpu_cache_policy": "fifo"},
             {"cpu_cache_capacity": -1},
             {"cache_ratio": float("nan")},

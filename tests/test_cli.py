@@ -4,6 +4,7 @@ import pytest
 
 from repro.cli import _fleet_spec, build_parser, main
 from repro.scenarios.spec import EngineSpec, FleetSpec, knob_fields
+from tests.conftest import SINGLE_VALUED_KNOBS
 
 
 class TestParser:
@@ -17,11 +18,13 @@ class TestParser:
 
     @pytest.mark.parametrize("command", ["run", "serve"])
     @pytest.mark.parametrize(
-        "switch", ["engine", "planner", "predictor", "predict-horizon", "confidence-gate"]
+        "switch",
+        ["engine", "planner", "predictor", "predict-horizon", "confidence-gate", "placement"],
     )
     def test_removed_core_switches_are_usage_errors(self, command, switch, capsys):
-        """The engine has one core and no cross-layer predictor: the old
-        switches exit 2 with argparse's one-line error, not a traceback."""
+        """The engine has one core, no cross-layer predictor and one home
+        rule: the old switches exit 2 with argparse's one-line error, not
+        a traceback."""
         flag = f"--{switch}"
         with pytest.raises(SystemExit) as excinfo:
             main([command, flag, "reference"])
@@ -53,11 +56,12 @@ class TestKnobFlags:
     #: spec-derived parser (less ``--engine`` / ``--planner``, which
     #: went with the second engine core, ``--disk-bandwidth``, which a
     #: hardware profile replaced, and the three predictor flags, which
-    #: went with the cross-layer predictors); flag spellings are API.
+    #: went with the cross-layer predictors, and ``--placement``, which
+    #: went with the placement policies); flag spellings are API.
     RUN_OPTIONS = {
         "--cache-ratio", "--cpu-cache-capacity", "--cpu-cache-policy",
         "--decode-steps", "--hardware", "--help", "--model", "--num-gpus",
-        "--num-layers", "--placement", "--prompt-len", "--seed", "--strategy",
+        "--num-layers", "--prompt-len", "--seed", "--strategy",
     }
     SERVE_OPTIONS = (RUN_OPTIONS - {"--prompt-len"}) | {
         "--arrival-rate", "--arrival-trace", "--fault-spec", "--max-batch-size",
@@ -108,7 +112,8 @@ class TestKnobFlags:
 
     def test_every_spec_knob_has_a_serve_flag(self):
         dests = {a.dest for a in _subparser("serve")._actions}
-        missing = set(knob_fields(FleetSpec)) - dests - {"shed_queue_depth", "shed_resume_depth"}
+        spelled_otherwise = {"shed_queue_depth", "shed_resume_depth"}
+        missing = set(knob_fields(FleetSpec)) - dests - spelled_otherwise - SINGLE_VALUED_KNOBS
         assert not missing
 
 
@@ -216,8 +221,6 @@ class TestCommands:
                 "2",
                 "--num-gpus",
                 "2",
-                "--placement",
-                "round_robin",
                 "--priority-mix",
                 "interactive=0.5,batch=0.5",
             ]
@@ -236,7 +239,7 @@ class TestCommands:
         assert "per-class SLO" in out
         slo_table = out.split("per-class SLO", 1)[1]
         assert "interactive" in slo_table and "batch" in slo_table
-        assert "2 GPUs (round_robin)" in out
+        assert "2 GPUs" in out
 
     def test_serve_tiered_memory_flags(self, capsys):
         code = main(
