@@ -1,5 +1,7 @@
 """Sharded cache manager: routing, capacity accounting, aggregation."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -240,6 +242,116 @@ class TestHomeRule:
         manager.shards[wrong].insert(planted)
         with pytest.raises(CacheError, match="resident on device"):
             manager.validate()
+
+    @pytest.mark.parametrize(
+        "expert, num_devices, home",
+        [(0, 4, 0), (5, 4, 1), (11, 4, 3), (7, 1, 0), (6, 3, 0), (8, 3, 2)],
+    )
+    def test_home_of_an_expert(self, expert, num_devices, home):
+        """The rule stripes experts by id; the manager answers with it
+        for every layer."""
+        assert home_device(expert, num_devices) == home
+        manager = make_manager(num_devices=num_devices)
+        for layer in range(6):
+            assert manager.device_of((layer, expert)) == home
+            assert manager.shard_of((layer, expert)) is manager.shards[home]
+
+    @pytest.mark.parametrize("num_devices", [2, 3, 4])
+    def test_layer_never_moves_a_home(self, num_devices):
+        """All layers of one expert share its home, so one device's
+        link carries every copy of that expert."""
+        manager = make_manager(num_devices=num_devices)
+        for expert in range(16):
+            homes = {manager.device_of((layer, expert)) for layer in range(8)}
+            assert homes == {expert % num_devices}
+
+    @pytest.mark.parametrize("num_devices, num_experts", [(2, 8), (3, 8), (4, 64), (4, 6)])
+    def test_every_device_homes_an_even_share(self, num_devices, num_experts):
+        """A layer's experts spread over every device, shares differing
+        by at most one expert."""
+        counts = Counter(home_device(e, num_devices) for e in range(num_experts))
+        assert set(counts) == set(range(num_devices))
+        assert max(counts.values()) - min(counts.values()) <= 1
+
+    @pytest.mark.parametrize("num_devices", [2, 3, 4])
+    def test_a_full_home_shard_evicts_rather_than_spills(self, num_devices):
+        """A home never depends on occupancy: with its home shard full
+        and every other shard empty, an insert evicts on the home shard."""
+        manager = make_manager(num_devices=num_devices, capacity=2 * num_devices)
+        first, second, third = ((0, num_devices * i) for i in range(3))  # home: device 0
+        manager.insert(first)
+        manager.insert(second)
+        assert manager.insert(third) == [first]
+        assert manager.shards[0].resident_keys == {second, third}
+        assert all(len(shard) == 0 for shard in manager.shards[1:])
+        manager.validate()
+
+    @pytest.mark.parametrize("num_devices", [2, 3])
+    def test_would_admit_asks_only_the_home_shard(self, num_devices):
+        """A locked, full home shard refuses a key other shards have
+        room for, and the probe changes no residency."""
+        manager = make_manager(num_devices=num_devices, capacity=2 * num_devices)
+        home_keys = [(0, 0), (1, 0)]
+        for key in home_keys:
+            manager.insert(key)
+        manager.lock(home_keys)
+        assert manager.would_admit((2, 0)) is False
+        assert manager.would_admit((2, 1)) is True
+        assert manager.resident_keys == set(home_keys)
+        assert manager.insert((2, 0)) == []  # rejected at home, not spilled
+        assert manager.resident_keys == set(home_keys)
+        assert manager.shards[0].stats.rejected_inserts == 1
+
+    @pytest.mark.parametrize("num_devices", [1, 2, 3, 4])
+    def test_device_experts_partition_the_layer(self, num_devices):
+        """Per-device lookups split a layer's residents by home: disjoint,
+        each expert on ``expert % N``, together the layer's residents."""
+        rng = np.random.default_rng(num_devices)
+        manager = make_manager(num_devices=num_devices, capacity=12)
+        for _ in range(80):
+            manager.insert((int(rng.integers(0, 3)), int(rng.integers(0, 16))))
+        for layer in range(3):
+            parts = [manager.device_experts_of_layer(layer, g) for g in range(num_devices)]
+            assert sum(len(part) for part in parts) == len(frozenset().union(*parts))
+            assert frozenset().union(*parts) == manager.cached_experts_of_layer(layer)
+            for device, part in enumerate(parts):
+                assert all(expert % num_devices == device for expert in part)
+
+    @pytest.mark.parametrize("num_devices", [2, 3])
+    def test_warm_fill_keeps_each_homes_spec_order(self, num_devices):
+        """Each shard warms with the keys homed on it, in spec order,
+        up to its capacity."""
+        warm = [(layer, expert) for expert in range(12) for layer in range(2)]
+        manager = make_manager(num_devices=num_devices, capacity=3 * num_devices, warm=warm)
+        for device, shard in enumerate(manager.shards):
+            homed = [key for key in warm if key[1] % num_devices == device]
+            assert shard.resident_keys == set(homed[: shard.capacity])
+
+    def test_identical_histories_give_identical_shards(self):
+        """The rule is a pure function of the key: two managers fed one
+        history hold the same keys on the same shards."""
+        rng = np.random.default_rng(11)
+        history = [(int(rng.integers(0, 4)), int(rng.integers(0, 16))) for _ in range(200)]
+        managers = [make_manager(num_devices=3, capacity=9) for _ in range(2)]
+        for manager in managers:
+            for key in history:
+                if not manager.access(key):
+                    manager.insert_if_better(key)
+        a, b = ([shard.resident_keys for shard in m.shards] for m in managers)
+        assert a == b
+
+    @pytest.mark.parametrize("num_devices", [2, 3])
+    def test_accesses_count_on_the_home_shard(self, num_devices):
+        """Every access, hit or miss, lands in its home shard's counters."""
+        manager = make_manager(num_devices=num_devices, capacity=2 * num_devices)
+        for expert in range(8):
+            manager.access((0, expert))
+        manager.insert((0, 0))
+        manager.access((0, 0))
+        for device, stats in enumerate(manager.per_device_stats()):
+            homed = sum(1 for expert in range(8) if expert % num_devices == device)
+            assert stats.misses == homed
+            assert stats.hits == (1 if device == 0 else 0)
 
 
 class TestStatsAggregation:

@@ -106,6 +106,19 @@ class TestDistanceWindow:
         assert want
         assert self._gains(prefetcher, [_prediction(distance, self.SCORES)], 0) == want
 
+    def test_nearer_layer_ranks_first_on_equal_scores(self, prefetcher):
+        """One call over equal scores 1, 2 and 3 layers ahead: each
+        expert's gain falls with distance, so the nearest layer leads."""
+        predictions = [_prediction(distance, self.SCORES) for distance in (3, 1, 2)]
+        gains = self._gains(prefetcher, predictions, 0)
+        assert gains[0][0] == 1
+        by_expert = {}
+        for distance, expert, gain in gains:
+            by_expert.setdefault(expert, {})[distance] = gain
+        assert by_expert
+        for per_distance in by_expert.values():
+            assert per_distance[1] > per_distance[2] > per_distance[3] > 0.0
+
     @pytest.mark.parametrize("lookahead", [1, 2, 3, 4])
     def test_only_layers_within_lookahead_are_candidates(self, scheduler, lookahead):
         prefetcher = ImpactDrivenPrefetcher(scheduler, lambda: 3.0, 2, lookahead)

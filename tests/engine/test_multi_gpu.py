@@ -30,6 +30,7 @@ import numpy as np
 import pytest
 
 from repro.cache import sharded
+from repro.cache.base import make_policy
 from repro.engine import pipeline
 from repro.engine.engine import EngineConfig, InferenceEngine
 from repro.engine.factory import make_engine, make_serving_engine, make_strategy
@@ -308,8 +309,9 @@ class TestMultiGpuDispatch:
         hidden, _ = engine._run_step(prompt_tokens, "prefill")
         np.testing.assert_array_equal(hidden, ref_hidden)
 
-    def test_invariants_hold_under_load(self, tiny_config, prompt_tokens):
-        engine = build_engine(tiny_config, "hybrimoe", num_gpus=4)
+    @pytest.mark.parametrize("num_gpus", [2, 3, 4])
+    def test_invariants_hold_under_load(self, tiny_config, prompt_tokens, num_gpus):
+        engine = build_engine(tiny_config, "hybrimoe", num_gpus=num_gpus)
         engine.generate(prompt_tokens, decode_steps=4)
         engine.runtime.clock.validate()
         cache = engine.runtime.cache
@@ -317,8 +319,9 @@ class TestMultiGpuDispatch:
         for shard in cache.shards:
             assert len(shard.dynamic_keys) <= shard.capacity
 
-    def test_every_device_receives_work(self, tiny_config, prompt_tokens):
-        engine = build_engine(tiny_config, "ondemand", num_gpus=2)
+    @pytest.mark.parametrize("num_gpus", [2, 3, 4])
+    def test_every_device_receives_work(self, tiny_config, prompt_tokens, num_gpus):
+        engine = build_engine(tiny_config, "ondemand", num_gpus=num_gpus)
         engine.generate(prompt_tokens, decode_steps=4)
         for gpu in engine.runtime.clock.gpus:
             assert gpu.busy_time() > 0.0
@@ -410,7 +413,7 @@ class TestMultiGpuDispatch:
 
 
 @pytest.mark.parametrize("cpu_cache_capacity", [None, 4])
-@pytest.mark.parametrize("num_gpus", [1, 2, 3])
+@pytest.mark.parametrize("num_gpus", [1, 2, 3, 4])
 def test_layer_routes_each_expert_once(
     tiny_config, prompt_tokens, monkeypatch, num_gpus, cpu_cache_capacity
 ):
@@ -452,6 +455,23 @@ def test_layer_routes_each_expert_once(
     else:
         resolved = calls["device_of"] + calls["grouped"]
         assert activated <= resolved <= 2 * activated + engine.runtime.prefetch_issued
+
+
+@pytest.mark.parametrize("num_gpus", [1, 2, 3, 4])
+def test_device_groups_split_a_layer_by_home(num_gpus):
+    """The pipeline's grouping puts every ``(expert, load)`` pair on
+    ``expert % N`` once: devices ascending, experts ascending within a
+    group, and nothing dropped or repeated."""
+    manager = sharded.CacheSpec(8, lambda: make_policy("lru")).build_sharded(num_gpus)
+    activated = tuple((expert, 1 + expert % 3) for expert in (0, 1, 2, 3, 5, 6, 9, 14))
+    groups = list(pipeline.StepPipeline._device_groups(manager, activated))
+    devices = [device for device, _ in groups]
+    assert devices == sorted(set(devices))
+    for device, group in groups:
+        assert group
+        assert [expert for expert, _ in group] == sorted(expert for expert, _ in group)
+        assert all(expert % num_gpus == device for expert, _ in group)
+    assert sorted(pair for _, group in groups for pair in group) == list(activated)
 
 
 @pytest.mark.parametrize("strategy_name", ["hybrimoe", "adapmoe"])
